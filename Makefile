@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race check bench bench-smoke benchjson benchcmp fuzz serve-smoke profile profile-contention
+.PHONY: all build vet test race check benchmark-check bench bench-smoke benchjson benchcmp fuzz serve-smoke profile profile-contention
 
 all: check
 
@@ -20,8 +20,17 @@ race:
 # under the race detector (the shared decision-table cache and the
 # pooled parallel evaluators are concurrency-sensitive), smoke-run
 # every benchmark body so a broken workload fails the gate, not the next
-# perf investigation, and run the soundserve wire-path selftest.
-check: build vet race bench-smoke serve-smoke
+# perf investigation, run the soundserve wire-path selftest, and vet and
+# test the standing benchmark against the library as it is now.
+check: build vet race bench-smoke serve-smoke benchmark-check
+
+# benchmark/ is its own module (sound/benchmark, replace sound => ../), so
+# `go build ./...` and `go test ./...` at the root never compile it; a
+# library change that breaks its reference replay or generators would
+# otherwise surface only when the benchmark is next run.
+benchmark-check:
+	$(GO) -C benchmark vet ./...
+	$(GO) -C benchmark test ./...
 
 bench:
 	$(GO) test -bench=. -benchmem -run=^$$ .
@@ -56,7 +65,7 @@ serve-smoke:
 
 # benchjson regenerates the machine-readable hot-path benchmark record.
 benchjson:
-	$(GO) run ./cmd/soundbench -benchjson BENCH_PR10.json
+	$(GO) run ./cmd/soundbench -benchjson BENCH_PR13.json
 
 # benchcmp diffs the two most recent benchmark records (BENCH_*.json in
 # natural version order) spec by spec — ns/op, allocs/op, and domain

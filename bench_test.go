@@ -199,10 +199,19 @@ func BenchmarkDraw(b *testing.B) {
 }
 
 // BenchmarkKernel measures the per-class batched kernels on single-class
-// 64-point windows: the certain copy, the symmetric single-normal loop,
-// and the asymmetric branch-coin loop.
+// 64-point windows: the certain copy, the symmetric NormFill + axpy
+// pass, and the asymmetric CoinNormFill + branch-free split-normal apply.
 func BenchmarkKernel(b *testing.B) {
 	b.Run("certain", func(b *testing.B) { bench.Kernel(b, 0, 0) })
 	b.Run("symmetric", func(b *testing.B) { bench.Kernel(b, 2, 2) })
 	b.Run("asymmetric", func(b *testing.B) { bench.Kernel(b, 3, 1) })
+}
+
+// BenchmarkDrawBlock measures the fused block draws on all-asymmetric
+// windows, dense (64 points) and sparse (5 points), per strategy.
+func BenchmarkDrawBlock(b *testing.B) {
+	for _, strat := range []resample.Strategy{resample.Point, resample.Set, resample.Sequence} {
+		b.Run(strat.String()+"/asymmetric", func(b *testing.B) { bench.DrawBlock(b, strat, 64) })
+		b.Run(strat.String()+"/asymmetric-sparse", func(b *testing.B) { bench.DrawBlock(b, strat, 5) })
+	}
 }

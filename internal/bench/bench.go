@@ -72,6 +72,12 @@ func Specs() []Spec {
 		{"Kernel/certain", func(b *testing.B) { Kernel(b, 0, 0) }},
 		{"Kernel/symmetric", func(b *testing.B) { Kernel(b, 2, 2) }},
 		{"Kernel/asymmetric", func(b *testing.B) { Kernel(b, 3, 1) }},
+		{"DrawBlock/point/asymmetric", func(b *testing.B) { DrawBlock(b, resample.Point, 64) }},
+		{"DrawBlock/set/asymmetric", func(b *testing.B) { DrawBlock(b, resample.Set, 64) }},
+		{"DrawBlock/sequence/asymmetric", func(b *testing.B) { DrawBlock(b, resample.Sequence, 64) }},
+		{"DrawBlock/point/asymmetric-sparse", func(b *testing.B) { DrawBlock(b, resample.Point, 5) }},
+		{"DrawBlock/set/asymmetric-sparse", func(b *testing.B) { DrawBlock(b, resample.Set, 5) }},
+		{"DrawBlock/sequence/asymmetric-sparse", func(b *testing.B) { DrawBlock(b, resample.Sequence, 5) }},
 		{"Explain/unary", func(b *testing.B) { Explain(b, 1) }},
 		{"Explain/binary", func(b *testing.B) { Explain(b, 2) }},
 		{"Summarize/sequential", func(b *testing.B) { Summarize(b, 0) }},
@@ -182,15 +188,22 @@ func Draw(b *testing.B, strat resample.Strategy, kernel bool) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(windows[0])), "ns/point")
 }
 
-// Kernel measures one primed point-strategy draw over a 64-point window
-// of a single class (σ↑, σ↓) — the per-class kernels the run dispatch
-// lands on: the certain memcpy, the symmetric single-normal loop, or the
-// asymmetric branch-coin loop.
-func Kernel(b *testing.B, sigUp, sigDown float64) {
-	w := make(series.Series, 64)
+// classWindow builds an n-point window whose points all carry the
+// uncertainty (σ↑, σ↓) — a single perturbation class.
+func classWindow(n int, sigUp, sigDown float64) series.Series {
+	w := make(series.Series, n)
 	for i := range w {
 		w[i] = series.Point{T: float64(i), V: float64(i), SigUp: sigUp, SigDown: sigDown}
 	}
+	return w
+}
+
+// Kernel measures one primed point-strategy draw over a 64-point window
+// of a single class (σ↑, σ↓) — the per-class kernels a homogeneous window
+// lands on: the certain memcpy, the symmetric NormFill + axpy pass, or
+// the asymmetric CoinNormFill + branch-free split-normal apply.
+func Kernel(b *testing.B, sigUp, sigDown float64) {
+	w := classWindow(64, sigUp, sigDown)
 	windows := []series.Series{w}
 	rs := resample.New(resample.Point, rng.New(1))
 	rs.Prime(windows)
@@ -200,6 +213,27 @@ func Kernel(b *testing.B, sigUp, sigDown float64) {
 		_ = rs.Draw(windows)
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(w)), "ns/point")
+}
+
+// DrawBlock measures the fused block draw on asymmetric uncertainty —
+// resample.DrawBlock as core.PlanGroup and the block evaluator call it —
+// over one all-asymmetric (σ↑ = 3σ↓) window of n points, 16 samples per
+// block: one coin/normal fill per block for the point strategy, one
+// index fill plus one coin/normal fill per sample for set and sequence.
+// n = 64 is the dense window of the Kernel specs, n = 5 a sparse one,
+// where per-sample dispatch rather than per-point work sets the price.
+func DrawBlock(b *testing.B, strat resample.Strategy, n int) {
+	const samples = 16
+	windows := []series.Series{classWindow(n, 3, 1)}
+	rs := resample.New(strat, rng.New(1))
+	rs.Prime(windows)
+	var blk resample.Block
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rs.DrawBlock(windows, samples, &blk)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*samples*n), "ns/value")
 }
 
 // StreamCheck measures the generic online stream-check operator on a

@@ -341,9 +341,14 @@ type ShardStats struct {
 }
 
 // Stats is the live counter snapshot served at /stats. Ingested counts
-// events accepted into shard lanes; Consumed counts events that cleared
-// the shard chains — on the default fused planner an event is counted
-// consumed only after its verdicts fired.
+// events accepted into shard lanes; Consumed counts events a shard's
+// source has handed to its chain. On the default fused planner the
+// source delivers events to the check operator in transport frames of
+// BatchSize (64 by default), so Consumed runs ahead of the verdicts by
+// up to one partial frame per shard: when Consumed == Ingested, the
+// events of a shard's trailing partial frame have been counted but their
+// verdicts fire only once later events fill the frame or the server
+// drains.
 type Stats struct {
 	Ingested        int64        `json:"ingested"`
 	Consumed        int64        `json:"consumed"`

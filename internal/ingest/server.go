@@ -160,9 +160,10 @@ func NewServer(cfg Config) (*Server, error) {
 				for j := range fr {
 					emit(fr[j])
 				}
-				// emit returns after the event cleared the fused chain
-				// (or entered its transport), so this is the live
-				// wire→verdict progress gauge.
+				// emit returns after the event joined the fused chain's
+				// pending micro-frame (or entered its transport), so
+				// this is the live progress gauge — ahead of the
+				// verdicts by up to one partial frame (see Stats).
 				sh.consumed.Add(int64(len(fr)))
 				s.putFrame(fr)
 			}

@@ -13,15 +13,18 @@ import (
 // Alg. 1 draws up to N resamples of the same window tuple, and the naive
 // loop pays for that N times over: per point per sample it re-reads a
 // series.Point struct, re-branches on the certain/symmetric/asymmetric
-// uncertainty cases, and re-derives the split-normal branch weight. The
-// plan splits that work at its natural frequency boundary. Extraction
-// happens once per (window, evaluation): values and uncertainties are
-// copied into flat float64 slices, each point is tagged with its
-// perturbation class, and maximal class-homogeneous runs are recorded.
-// Sampling happens N times over the extraction: per-class kernels process
-// whole runs with no struct traffic and no per-point class branch, and
-// symmetric runs draw their normals through rng.NormFill, which keeps the
-// generator state in registers for the whole run.
+// uncertainty cases, and takes the split-normal's 50/50 branch on a coin
+// no predictor can learn. The plan splits that work at its natural
+// frequency boundary. Extraction happens once per (window, evaluation):
+// values and uncertainties are copied into flat float64 slices, each
+// point is tagged with its perturbation class, and maximal
+// class-homogeneous runs are recorded. Sampling happens N times over the
+// extraction: per-class kernels process whole runs with no struct traffic
+// and no per-point class branch. Symmetric runs draw their normals
+// through rng.NormFill and asymmetric runs their coin/normal pairs
+// through rng.CoinNormFill, both of which keep the generator state in
+// registers for the whole run; the apply passes that follow are
+// branch-free.
 //
 // Bit-parity argument. PerturbValue consumes randomness per point as a
 // pure function of the point's class: a certain point draws nothing, a
@@ -30,11 +33,35 @@ import (
 // half-normal). The kernels process points in exactly the order the
 // scalar loop visits them — runs are contiguous and iterated in index
 // order, gathers follow the index vector — so the sequence of draw
-// *kinds* presented to the RNG is identical, and NormFill/IntnFill are
-// stream-exact batched forms of NormFloat64/Intn (pinned by tests in
+// *kinds* presented to the RNG is identical: normal, normal, … along a
+// symmetric run; coin, normal, coin, normal, … along an asymmetric one.
+// NormFill, CoinNormFill and IntnFill are stream-exact batched forms of
+// exactly those call sequences (pinned by the stream-exactness table in
 // internal/rng). Each emitted value is computed with the same floating
-// point operations on the same operands as the scalar path. Hence every
-// resample, and everything downstream of it, is bit-identical.
+// point operations on the same operands as the scalar path, with two
+// rewrites in the split-normal apply that change no bit (see splitStep
+// and applySplit): the downward step v − |z|·σ↓ is evaluated as
+// v + |z|·(−σ↓), which IEEE 754 defines to be the same operation
+// (negation is exact, multiplication rounds sign-symmetrically,
+// x − y ≡ x + (−y)); and the side is picked by selecting between the bit
+// patterns of σ↑ and −σ↓ (σ↓ with its sign bit flipped) on the outcome
+// of PerturbValue's own comparison coin·(σ↑+σ↓) < σ↑, so NaN and
+// overflowed operands fall to the downward side exactly as the scalar
+// else-branch does. Hence every resample, and everything downstream of
+// it, is bit-identical; the one unobservable exception is the sign bit
+// of a NaN result, which a NaN σ↓ can flip.
+//
+// Only a gather over a view that mixes symmetric and asymmetric points
+// keeps a per-point loop (materializeView): its draw kinds interleave in
+// a data-dependent order no single fill reproduces. There is no
+// window-size cutoff. Measured per Draw on single-class windows against
+// the per-point loop an 8-point cutoff used to select, the fills win
+// from three points on (5 points: 25 → 20 ns symmetric, 52 → 35 ns
+// asymmetric) and cost about 3 ns at one point, a shape production
+// evaluation draws through DrawBlock's strided pass instead. The one
+// shape the cutoff still served is a class-alternating window under
+// eight points, every run a single point: run dispatch costs it about
+// 20 ns per draw at five points (26 → 47 ns).
 
 // Class tags a point's perturbation class, which fully determines how
 // much randomness resampling the point consumes (see PerturbValue).
@@ -47,14 +74,9 @@ const (
 	// ClassSymmetric marks σ↑ = σ↓ ≠ 0: one N(0,1) draw per resample.
 	ClassSymmetric
 	// ClassAsymmetric marks σ↑ ≠ σ↓: one uniform (branch coin) and one
-	// N(0,1) draw per resample.
+	// N(0,1) draw per resample, in that order.
 	ClassAsymmetric
 )
-
-// smallWindow is the point count below which the scalar SoA loop beats
-// the run-dispatched batched kernels (loop setup and NormFill state
-// staging dominate tiny windows, e.g. point-wise checks).
-const smallWindow = 8
 
 // classRun is a maximal run [Lo, Hi) of equally-tagged points.
 type classRun struct {
@@ -361,47 +383,86 @@ func (x *Extraction) runStart(lo int) int {
 	return sort.Search(len(x.runs), func(i int) bool { return x.runs[i].Hi > lo })
 }
 
-// normScratch returns a normal-variate scratch buffer of length n.
-func (rs *Resampler) normScratch(n int) []float64 {
+// fill draws n standard normals into the resampler's scratch, or — when
+// asym is set — n coin/normal pairs into its two halves. Filling zero
+// draws consumes nothing.
+func (rs *Resampler) fill(n int, asym bool) (coin, z []float64) {
+	if asym {
+		rs.norm = sliceFor(rs.norm, 2*n)
+		coin, z = rs.norm[:n], rs.norm[n:]
+		rs.r.CoinNormFill(coin, z)
+		return coin, z
+	}
 	rs.norm = sliceFor(rs.norm, n)
-	return rs.norm
+	rs.r.NormFill(rs.norm)
+	return nil, rs.norm
+}
+
+// applySym emits out[i] = vals[i] + sig[i]·z[i], the symmetric
+// perturbation of PerturbValue, over equal-length spans.
+func applySym(out, vals, sig, z []float64) {
+	vals, sig, z = vals[:len(out)], sig[:len(out)], z[:len(out)]
+	for i := range out {
+		out[i] = vals[i] + sig[i]*z[i]
+	}
+}
+
+// splitStep returns the signed scale of one split-normal draw: σ↑ when
+// the branch coin lands on the upward half — coin·(σ↑+σ↓) < σ↑, the
+// operands and roundings of PerturbValue's test — and −σ↓ otherwise.
+// The select runs on the bit patterns (−σ↓ is σ↓ with its sign bit
+// flipped, exact for every float including ±0, ±Inf and NaN), which the
+// compiler lowers to a conditional move on the comparison's flags —
+// given both patterns in hand before the test, hence upBits — so the
+// 50/50 coin costs no branch misprediction. A NaN or overflowed
+// product compares false and selects −σ↓, exactly as PerturbValue's
+// else-branch does.
+func splitStep(coin, up, down float64) float64 {
+	upBits := math.Float64bits(up)
+	step := math.Float64bits(down) ^ (1 << 63)
+	if coin*(up+down) < up {
+		step = upBits
+	}
+	return math.Float64frombits(step)
+}
+
+// applySplit emits the split-normal perturbation over equal-length
+// spans: out[i] = vals[i] + |z[i]|·splitStep. With the upward step that
+// is PerturbValue's v + |z|·σ↑ verbatim; with the downward step,
+// |z|·(−σ↓) is the exact negation of |z|·σ↓ (IEEE multiplication rounds
+// sign-symmetrically) and x + (−y) is x − y by definition, so the
+// result is PerturbValue's v − |z|·σ↓ bit for bit.
+func applySplit(out, vals, up, down, coin, z []float64) {
+	n := len(out)
+	vals, up, down, coin, z = vals[:n], up[:n], down[:n], coin[:n], z[:n]
+	for i := range out {
+		out[i] = vals[i] + math.Abs(z[i])*splitStep(coin[i], up[i], down[i])
+	}
+}
+
+// perturbSym fills out with one realization of an all-symmetric span:
+// one batched NormFill, one fused apply pass.
+func (rs *Resampler) perturbSym(out, vals, sig []float64) {
+	_, z := rs.fill(len(out), false)
+	applySym(out, vals, sig, z)
+}
+
+// perturbSplit fills out with one realization of an all-asymmetric span:
+// one batched CoinNormFill — coin then normal per point, the order
+// PerturbValue draws them in — and one branch-free apply pass.
+func (rs *Resampler) perturbSplit(out, vals, up, down []float64) {
+	coin, z := rs.fill(len(out), true)
+	applySplit(out, vals, up, down, coin, z)
 }
 
 // perturbView is the point-perturbation kernel: it fills buf with one
 // perturbed realization of the view's points, run by run in index order.
 // Certain runs are block copies; symmetric runs batch their normals
-// through NormFill and apply a fused gather-free vals+sig·z loop;
-// asymmetric runs fall back to the scalar split-normal draw. The RNG
+// through NormFill and asymmetric runs their coin/normal pairs through
+// CoinNormFill, each followed by a gather-free apply loop. The RNG
 // stream consumed is exactly that of PerturbValue applied point by point.
 func (rs *Resampler) perturbView(v View, buf []float64) {
 	x := v.X
-	r := rs.r
-	if n := v.Len(); n < smallWindow {
-		// Batched normals cannot amortize their setup over a handful of
-		// points; the scalar SoA loop consumes the identical stream. The
-		// sub-slices are hoisted so the loop indexes from zero with one
-		// bounds check each.
-		tags := x.Tags[v.Lo:v.Hi]
-		vals := x.Vals[v.Lo:v.Hi]
-		ups := x.SigUp[v.Lo:v.Hi]
-		downs := x.SigDown[v.Lo:v.Hi]
-		for i := 0; i < n; i++ {
-			switch tags[i] {
-			case ClassCertain:
-				buf[i] = vals[i]
-			case ClassSymmetric:
-				buf[i] = vals[i] + ups[i]*r.NormFloat64()
-			default:
-				s := ups[i] + downs[i]
-				if r.Float64()*s < ups[i] {
-					buf[i] = vals[i] + math.Abs(r.NormFloat64())*ups[i]
-				} else {
-					buf[i] = vals[i] - math.Abs(r.NormFloat64())*downs[i]
-				}
-			}
-		}
-		return
-	}
 	for ri := x.runStart(v.Lo); ri < len(x.runs); ri++ {
 		run := x.runs[ri]
 		if run.Lo >= v.Hi {
@@ -414,27 +475,14 @@ func (rs *Resampler) perturbView(v View, buf []float64) {
 		if hi > v.Hi {
 			hi = v.Hi
 		}
-		o := lo - v.Lo
+		out := buf[lo-v.Lo : hi-v.Lo]
 		switch run.Class {
 		case ClassCertain:
-			copy(buf[o:o+hi-lo], x.Vals[lo:hi])
+			copy(out, x.Vals[lo:hi])
 		case ClassSymmetric:
-			m := hi - lo
-			z := rs.normScratch(m)
-			r.NormFill(z)
-			vals, sig, out := x.Vals[lo:hi], x.SigUp[lo:hi], buf[o:o+m]
-			for i := range out {
-				out[i] = vals[i] + sig[i]*z[i]
-			}
+			rs.perturbSym(out, x.Vals[lo:hi], x.SigUp[lo:hi])
 		case ClassAsymmetric:
-			for i := lo; i < hi; i++ {
-				s := x.SigUp[i] + x.SigDown[i]
-				if r.Float64()*s < x.SigUp[i] {
-					buf[i-v.Lo] = x.Vals[i] + math.Abs(r.NormFloat64())*x.SigUp[i]
-				} else {
-					buf[i-v.Lo] = x.Vals[i] - math.Abs(r.NormFloat64())*x.SigDown[i]
-				}
-			}
+			rs.perturbSplit(out, x.Vals[lo:hi], x.SigUp[lo:hi], x.SigDown[lo:hi])
 		}
 	}
 }
@@ -442,41 +490,34 @@ func (rs *Resampler) perturbView(v View, buf []float64) {
 // materializeView is the bootstrap-gather kernel: it fills buf with the
 // perturbed values of the view's points at the given view-relative
 // indices. The class mix of the view (precomputed at prime time) selects
-// the kernel: an all-certain view is a pure gather; a view without
-// asymmetric points batches all its normals in one NormFill — the class
-// sequence along idx determines which gathered points consume one, so a
-// counting pass replaces the per-point branch-and-call; mixed views run
+// the kernel: an all-certain view is a pure gather; a view with one
+// uncertain class batches all its draws in one fill — NormFill for
+// symmetric points, CoinNormFill for asymmetric ones — and when certain
+// points are mixed in, the class sequence along idx determines which
+// gathered points consume a draw, so a counting pass replaces the
+// per-point branch-and-call; views mixing symmetric and asymmetric
+// points interleave two draw kinds no single fill reproduces and run
 // the scalar tag switch, which still beats the struct path by reading
 // flat arrays.
 func (rs *Resampler) materializeView(m *winMeta, idx []int, buf []float64) {
-	x := m.view.X
-	base := m.view.Lo
-	vals := x.Vals[base:m.view.Hi]
+	vals := m.vals()
 	switch {
-	case !m.hasSym && !m.hasAsym:
+	case !m.uncertain():
 		for i, j := range idx {
 			buf[i] = vals[j]
 		}
 	case !m.hasAsym:
-		sig := x.SigUp[base:m.view.Hi]
+		sig := m.sigUp()
 		if !m.hasCertain {
 			// All symmetric: every gathered point consumes one normal.
-			z := rs.normScratch(len(idx))
-			rs.r.NormFill(z)
+			_, z := rs.fill(len(idx), false)
 			for i, j := range idx {
 				buf[i] = vals[j] + sig[j]*z[i]
 			}
 			return
 		}
-		tags := x.Tags[base:m.view.Hi]
-		draws := 0
-		for _, j := range idx {
-			if tags[j] == ClassSymmetric {
-				draws++
-			}
-		}
-		z := rs.normScratch(draws)
-		rs.r.NormFill(z)
+		tags := m.tags()
+		_, z := rs.fill(countUncertain(tags, idx), false)
 		zi := 0
 		for i, j := range idx {
 			if tags[j] == ClassSymmetric {
@@ -486,24 +527,52 @@ func (rs *Resampler) materializeView(m *winMeta, idx []int, buf []float64) {
 				buf[i] = vals[j]
 			}
 		}
+	case !m.hasSym:
+		up, down := m.sigUp(), m.sigDown()
+		if !m.hasCertain {
+			// All asymmetric: every gathered point consumes one pair.
+			coin, z := rs.fill(len(idx), true)
+			for i, j := range idx {
+				buf[i] = vals[j] + math.Abs(z[i])*splitStep(coin[i], up[j], down[j])
+			}
+			return
+		}
+		tags := m.tags()
+		coin, z := rs.fill(countUncertain(tags, idx), true)
+		zi := 0
+		for i, j := range idx {
+			if tags[j] == ClassAsymmetric {
+				buf[i] = vals[j] + math.Abs(z[zi])*splitStep(coin[zi], up[j], down[j])
+				zi++
+			} else {
+				buf[i] = vals[j]
+			}
+		}
 	default:
 		r := rs.r
-		tags := x.Tags[base:m.view.Hi]
-		sigUp, sigDown := x.SigUp[base:m.view.Hi], x.SigDown[base:m.view.Hi]
+		tags, up, down := m.tags(), m.sigUp(), m.sigDown()
 		for i, j := range idx {
 			switch tags[j] {
 			case ClassCertain:
 				buf[i] = vals[j]
 			case ClassSymmetric:
-				buf[i] = vals[j] + sigUp[j]*r.NormFloat64()
+				buf[i] = vals[j] + up[j]*r.NormFloat64()
 			default:
-				s := sigUp[j] + sigDown[j]
-				if r.Float64()*s < sigUp[j] {
-					buf[i] = vals[j] + math.Abs(r.NormFloat64())*sigUp[j]
-				} else {
-					buf[i] = vals[j] - math.Abs(r.NormFloat64())*sigDown[j]
-				}
+				coin := r.Float64()
+				buf[i] = vals[j] + math.Abs(r.NormFloat64())*splitStep(coin, up[j], down[j])
 			}
 		}
 	}
+}
+
+// countUncertain counts the gathered points that consume a draw, in a
+// view whose uncertain points all share one class.
+func countUncertain(tags []Class, idx []int) int {
+	draws := 0
+	for _, j := range idx {
+		if tags[j] != ClassCertain {
+			draws++
+		}
+	}
+	return draws
 }

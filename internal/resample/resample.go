@@ -118,9 +118,8 @@ type Resampler struct {
 	idx       []int        // shared index buffer for set/sequence draws
 	meta      []winMeta    // per-window metadata primed for repeated draws
 	own       []Extraction // owned extractions for windows primed from raw points
-	norm      []float64    // normal-variate scratch for the batched kernels
+	norm      []float64    // normal (or coin+normal) scratch for the batched kernels
 	starts    []int        // block-start scratch for the sequence bootstrap
-	spans     [][]float64  // per-window value/sigma span scratch for block draws
 	// autoN/autoB memoize the automatic ⌈√n⌉ block size: Alg. 1 redraws
 	// the same window length up to MaxSamples times per evaluation, and
 	// the sqrt otherwise lands on every sample.
@@ -139,6 +138,21 @@ type winMeta struct {
 	view                        View
 	hasCertain, hasSym, hasAsym bool
 }
+
+// homogeneous reports whether the view holds points of at most one
+// perturbation class, so one kernel covers it without run dispatch.
+func (m *winMeta) homogeneous() bool {
+	return !(m.hasCertain && m.uncertain()) && !(m.hasSym && m.hasAsym)
+}
+
+// uncertain reports whether any point of the view consumes randomness.
+func (m *winMeta) uncertain() bool { return m.hasSym || m.hasAsym }
+
+// vals, sigUp, sigDown and tags are the window's SoA spans.
+func (m *winMeta) vals() []float64    { return m.view.X.Vals[m.view.Lo:m.view.Hi] }
+func (m *winMeta) tags() []Class      { return m.view.X.Tags[m.view.Lo:m.view.Hi] }
+func (m *winMeta) sigUp() []float64   { return m.view.X.SigUp[m.view.Lo:m.view.Hi] }
+func (m *winMeta) sigDown() []float64 { return m.view.X.SigDown[m.view.Lo:m.view.Hi] }
 
 // New returns a Resampler with the given strategy and random source.
 func New(strategy Strategy, r *rng.Rand) *Resampler {
@@ -244,7 +258,7 @@ func (rs *Resampler) primeOwn(wi int, w series.Series) {
 // the raw values and consumes no randomness, so all draws are identical.
 func (rs *Resampler) PrimedAllCertain() bool {
 	for i := range rs.meta {
-		if rs.meta[i].hasSym || rs.meta[i].hasAsym {
+		if rs.meta[i].uncertain() {
 			return false
 		}
 	}
@@ -330,29 +344,21 @@ func (rs *Resampler) drawSampleInto(windows []series.Series, out [][]float64) {
 
 // drawPoint perturbs one window through the compiled kernels. The
 // sampling semantics per point are exactly PerturbValue's (certain points
-// draw nothing); see kernel.go for the bit-parity argument.
+// draw nothing); see kernel.go for the bit-parity argument. A
+// class-homogeneous window — the common shape, and the only one a
+// single-point window can have — goes straight to its class kernel;
+// mixed windows dispatch run by run.
 func (rs *Resampler) drawPoint(m *winMeta, buf []float64) {
-	if !m.hasSym && !m.hasAsym {
-		copy(buf, m.view.X.Vals[m.view.Lo:m.view.Hi])
-		return
+	switch {
+	case !m.homogeneous():
+		rs.perturbView(m.view, buf)
+	case m.hasSym:
+		rs.perturbSym(buf, m.vals(), m.sigUp())
+	case m.hasAsym:
+		rs.perturbSplit(buf, m.vals(), m.sigUp(), m.sigDown())
+	default:
+		copy(buf, m.vals())
 	}
-	if v := m.view; v.Hi-v.Lo == 1 {
-		// Point-wise checks land here once per sample: a single uncertain
-		// point, perturbed without entering the run-dispatched kernel.
-		x, i, r := v.X, v.Lo, rs.r
-		if up := x.SigUp[i]; x.Tags[i] == ClassSymmetric {
-			buf[0] = x.Vals[i] + up*r.NormFloat64()
-		} else {
-			down := x.SigDown[i]
-			if r.Float64()*(up+down) < up {
-				buf[0] = x.Vals[i] + math.Abs(r.NormFloat64())*up
-			} else {
-				buf[0] = x.Vals[i] - math.Abs(r.NormFloat64())*down
-			}
-		}
-		return
-	}
-	rs.perturbView(m.view, buf)
 }
 
 // drawIndexedInto samples shared indices per alignment group and
@@ -394,12 +400,12 @@ func (rs *Resampler) drawIndexedInto(windows []series.Series, out [][]float64, s
 
 // drawSeqShared draws one aligned block-bootstrap sample for equal-length
 // windows. The block starts are drawn once (exactly as blockIndices
-// draws them); windows whose class mix the run kernel handles are then
-// materialized directly from the starts — whole blocks are contiguous
-// spans of the extraction, so the gather indirection and the expanded
-// index vector disappear — and the rest fall back to the expanded-index
-// path. Expansion consumes no randomness, so the choice per window
-// cannot shift the stream.
+// draws them); class-homogeneous windows are then materialized directly
+// from the starts — whole blocks are contiguous spans of the extraction,
+// so the gather indirection and the expanded index vector disappear —
+// and class-mixed or unprimed ones fall back to the expanded-index path.
+// Expansion consumes no randomness, so the choice per window cannot
+// shift the stream.
 func (rs *Resampler) drawSeqShared(windows []series.Series, out [][]float64, n int) {
 	b := rs.seqBlockSize(n)
 	nb := (n + b - 1) / b
@@ -407,9 +413,8 @@ func (rs *Resampler) drawSeqShared(windows []series.Series, out [][]float64, n i
 	rs.r.IntnFill(rs.starts, n-b+1)
 	expanded := false
 	for wi, w := range windows {
-		if m := rs.primed(wi, w); m != nil && n >= smallWindow &&
-			!m.hasAsym && !(m.hasCertain && m.hasSym) {
-			rs.materializeSeqRuns(m, rs.starts, b, n, out[wi])
+		if m := rs.primed(wi, w); m != nil && m.homogeneous() {
+			rs.materializeSeqRuns(m, rs.starts, b, out[wi])
 			continue
 		}
 		if !expanded {
@@ -421,42 +426,41 @@ func (rs *Resampler) drawSeqShared(windows []series.Series, out [][]float64, n i
 }
 
 // materializeSeqRuns fills buf with one block-bootstrap resample of a
-// class-homogeneous window (all-certain or all-symmetric), reading each
-// drawn block as a contiguous span of the extraction. Stream- and
-// float-identical to expanding the starts into indices and gathering:
-// the same source element feeds the same output position with the same
-// update, and all-symmetric windows consume one normal per position in
+// class-homogeneous window, reading each drawn block as a contiguous
+// span of the extraction. Stream- and float-identical to expanding the
+// starts into indices and gathering: the same source element feeds the
+// same output position with the same update, and an uncertain window
+// consumes one draw (a normal, or a coin/normal pair) per position in
 // position order, exactly like the gather kernel.
-func (rs *Resampler) materializeSeqRuns(m *winMeta, starts []int, b, n int, buf []float64) {
-	x := m.view.X
-	vals := x.Vals[m.view.Lo:m.view.Hi]
-	if !m.hasSym {
-		// All-certain: the resample is a concatenation of value spans.
-		pos := 0
-		for _, start := range starts {
-			end := pos + b
-			if end > n {
-				end = n
-			}
-			copy(buf[pos:end], vals[start:start+end-pos])
-			pos = end
-		}
-		return
+func (rs *Resampler) materializeSeqRuns(m *winMeta, starts []int, b int, buf []float64) {
+	draws := 0
+	if m.uncertain() {
+		draws = len(buf)
 	}
-	sig := x.SigUp[m.view.Lo:m.view.Hi]
-	z := rs.normScratch(n)
-	rs.r.NormFill(z)
+	coin, z := rs.fill(draws, m.hasAsym)
+	m.applyBlocks(buf, starts, b, coin, z, 0)
+}
+
+// applyBlocks emits one block-bootstrap realization of a
+// class-homogeneous window into out: output block i (positions
+// [i·b, min((i+1)·b, len(out)))) reads the source span beginning at
+// starts[i], and position p takes draw off+p of the fill.
+func (m *winMeta) applyBlocks(out []float64, starts []int, b int, coin, z []float64, off int) {
+	vals, up, down := m.vals(), m.sigUp(), m.sigDown()
 	pos := 0
 	for _, start := range starts {
 		end := pos + b
-		if end > n {
-			end = n
+		if end > len(out) {
+			end = len(out)
 		}
-		l := end - pos
-		vs, ss := vals[start:start+l], sig[start:start+l]
-		zs, os := z[pos:end][:l], buf[pos:end][:l]
-		for i := range os {
-			os[i] = vs[i] + ss[i]*zs[i]
+		o := out[pos:end]
+		switch {
+		case m.hasSym:
+			applySym(o, vals[start:], up[start:], z[off+pos:])
+		case m.hasAsym:
+			applySplit(o, vals[start:], up[start:], down[start:], coin[off+pos:], z[off+pos:])
+		default:
+			copy(o, vals[start:])
 		}
 		pos = end
 	}
@@ -610,104 +614,66 @@ func (rs *Resampler) DrawBlock(windows []series.Series, K int, blk *Block) {
 	blk.End = rs.r.State()
 }
 
+// blockDraws decides whether DrawBlock can fuse the windows' draws: it
+// reports false unless every window is primed and class-homogeneous and
+// the uncertain windows share one class — a sample whose windows
+// alternate normals with coin/normal pairs is a draw-kind sequence no
+// single fill reproduces, so those shapes stay on the per-sample loop.
+// draws is the number of draws one sample consumes and asym says whether
+// they are coin/normal pairs rather than normals.
+func (rs *Resampler) blockDraws(windows []series.Series) (draws int, asym, ok bool) {
+	sym := false
+	for wi, w := range windows {
+		m := rs.primed(wi, w)
+		if m == nil || !m.homogeneous() {
+			return 0, false, false
+		}
+		if m.uncertain() {
+			draws += len(w)
+			sym, asym = sym || m.hasSym, asym || m.hasAsym
+		}
+	}
+	return draws, asym, !(sym && asym)
+}
+
 // drawSeqBlock is DrawBlock's batched form of drawSeqShared for the
-// common case where every window is primed, equal-length, and
-// class-homogeneous (the run-materialized path of materializeSeqRuns
-// applies to all of them). The per-sample dispatch — strategy switch,
-// metadata identity checks, block-size derivation, scratch sizing — is
-// hoisted out of the K-loop, and the symmetric windows' per-window
-// NormFill calls fuse into one fill per sample: batching consecutive
-// NormFloat64-equivalent draws into one call cannot change the stream,
-// and the normals still land on the same windows in the same order, so
-// every emitted value is bit-identical to K drawSampleInto calls. It
-// reports false (drawing nothing) when any window fails the
-// preconditions, leaving the generic per-sample loop to handle the
-// mixed shapes.
+// common case where every window is equal-length and blockDraws accepts
+// the set (the run-materialized path of materializeSeqRuns applies to
+// all of them). The per-sample dispatch — strategy switch, metadata
+// identity checks, block-size derivation, scratch sizing — is hoisted
+// out of the K-loop, and the uncertain windows' per-window fills fuse
+// into one fill per sample: batching consecutive equal-kind draws into
+// one call cannot change the stream, and the draws still land on the
+// same windows in the same order, so every emitted value is
+// bit-identical to K drawSampleInto calls. It reports false (drawing
+// nothing) when any window fails the preconditions, leaving the generic
+// per-sample loop to handle the mixed shapes.
 func (rs *Resampler) drawSeqBlock(windows []series.Series, K int, blk *Block) bool {
 	n := len(windows[0])
-	if n < smallWindow {
+	if n == 0 {
 		return false
 	}
-	symTotal := 0
-	for wi, w := range windows {
+	for _, w := range windows {
 		if len(w) != n {
 			return false
 		}
-		m := rs.primed(wi, w)
-		if m == nil || m.hasAsym || (m.hasCertain && m.hasSym) {
-			return false
-		}
-		if m.hasSym {
-			symTotal += n
-		}
+	}
+	draws, asym, ok := rs.blockDraws(windows)
+	if !ok {
+		return false
 	}
 	b := rs.seqBlockSize(n)
 	nb := (n + b - 1) / b
 	rs.starts = intsFor(rs.starts, nb)
-	z := rs.normScratch(symTotal)
-	// The value/sigma spans are sample-invariant; resolving them once
-	// keeps the K-loop free of metadata pointer chasing. A nil sigma span
-	// marks an all-certain window.
-	if cap(rs.spans) < 2*len(windows) {
-		rs.spans = make([][]float64, 2*len(windows))
-	} else {
-		rs.spans = rs.spans[:2*len(windows)]
-	}
-	for wi := range windows {
-		m := &rs.meta[wi]
-		rs.spans[2*wi] = m.view.X.Vals[m.view.Lo:m.view.Hi]
-		if m.hasSym {
-			rs.spans[2*wi+1] = m.view.X.SigUp[m.view.Lo:m.view.Hi]
-		} else {
-			rs.spans[2*wi+1] = nil
-		}
-	}
 	for s := 0; s < K; s++ {
 		rs.r.IntnFill(rs.starts, n-b+1)
-		if symTotal > 0 {
-			rs.r.NormFill(z)
-		}
-		zoff := 0
+		coin, z := rs.fill(draws, asym)
+		off := 0
 		for wi := range windows {
-			out := blk.Data[wi][s*n : (s+1)*n]
-			vals := rs.spans[2*wi]
-			sig := rs.spans[2*wi+1]
-			if sig == nil {
-				// All-certain: concatenation of value spans.
-				pos := 0
-				for _, start := range rs.starts {
-					end := pos + b
-					if end > n {
-						end = n
-					}
-					copy(out[pos:end], vals[start:start+end-pos])
-					pos = end
-				}
-				continue
-			}
-			zw := z[zoff : zoff+n]
-			zoff += n
-			pos := 0
-			for _, start := range rs.starts {
-				end := pos + b
-				if end > n {
-					end = n
-				}
-				l := end - pos
-				vs, ss := vals[start:start+l], sig[start:start+l]
-				zs, os := zw[pos:end], out[pos:end]
-				// 2x-unrolled: the block length is ⌈√n⌉-ish small, so
-				// halving the loop-carried overhead is worth more here
-				// than in a long stream loop.
-				i := 0
-				for ; i+1 < len(os); i += 2 {
-					os[i] = vs[i] + ss[i]*zs[i]
-					os[i+1] = vs[i+1] + ss[i+1]*zs[i+1]
-				}
-				if i < len(os) {
-					os[i] = vs[i] + ss[i]*zs[i]
-				}
-				pos = end
+			m := &rs.meta[wi]
+			m.applyBlocks(blk.Data[wi][s*n:(s+1)*n], rs.starts, b, coin, z, off)
+			if m.uncertain() {
+				off += n
 			}
 		}
 	}
@@ -716,99 +682,59 @@ func (rs *Resampler) drawSeqBlock(windows []series.Series, K int, blk *Block) bo
 }
 
 // drawPointBlock is DrawBlock's batched form of drawSampleInto for the
-// Point strategy when every window is primed and class-homogeneous
-// (all-certain or all-symmetric). Point draws consume no indices, so the
-// whole block's randomness is one normal per symmetric position per
-// sample, in sample order then window order then position order; fusing
-// all K·symTotal draws into a single NormFill and hoisting the
-// per-sample dispatch — strategy switch, metadata identity checks,
-// scratch sizing — out of the K-loop emits a stream bit-identical to K
-// drawSampleInto calls. This is the path point-granularity checks hit:
-// their single-point windows are too small for perturbView's batching,
-// so without it every sample pays the full dispatch chain for one draw.
-// Reports false (drawing nothing) when any window is unprimed,
-// asymmetric, or class-mixed, leaving those shapes to the generic
-// per-sample loop.
+// Point strategy when blockDraws accepts the windows. Point draws
+// consume no indices, so the whole block's randomness is one draw — a
+// normal, or a coin/normal pair — per uncertain position per sample, in
+// sample order then window order then position order; fusing all
+// K·draws of them into a single fill and hoisting the per-sample
+// dispatch — strategy switch, metadata identity checks, scratch sizing —
+// out of the K-loop emits a stream bit-identical to K drawSampleInto
+// calls. With the fill done the windows are applied one after another,
+// window wi's sample s reading its draws at s·draws plus the window's
+// offset within a sample; a single-point window — the shape
+// point-granularity checks have — turns into one strided pass instead
+// of K one-element applies. Reports false (drawing nothing) when
+// blockDraws refuses, leaving those shapes to the generic per-sample
+// loop.
 func (rs *Resampler) drawPointBlock(windows []series.Series, K int, blk *Block) bool {
-	symTotal := 0
-	for wi, w := range windows {
-		m := rs.primed(wi, w)
-		if m == nil || m.hasAsym || (m.hasCertain && m.hasSym) {
-			return false
-		}
-		if m.hasSym {
-			symTotal += len(w)
-		}
+	draws, asym, ok := rs.blockDraws(windows)
+	if !ok {
+		return false
 	}
-	z := rs.normScratch(K * symTotal)
-	if symTotal > 0 {
-		rs.r.NormFill(z)
-	}
-	if len(windows) == 1 {
-		// Unary checks keep one contiguous normal span per block, so the
-		// K-loop collapses to flat array passes; the single-uncertain-point
-		// shape of point-granularity checks reduces to one axpy over K.
-		// The spans stay in locals — adaptive schedules draw many tiny
-		// blocks, and storing slice headers into resampler scratch would
-		// pay a write barrier per block for nothing.
-		m := &rs.meta[0]
-		vals := m.view.X.Vals[m.view.Lo:m.view.Hi]
-		n, data := blk.ns[0], blk.Data[0]
-		switch {
-		case !m.hasSym:
-			for s := 0; s < K; s++ {
-				copy(data[s*n:(s+1)*n], vals)
-			}
-		case n == 1:
-			v, sg := vals[0], m.view.X.SigUp[m.view.Lo]
-			for s := 0; s < K; s++ {
-				data[s] = v + sg*z[s]
-			}
-		default:
-			sig := m.view.X.SigUp[m.view.Lo:m.view.Hi]
-			for s := 0; s < K; s++ {
-				out, zw := data[s*n:(s+1)*n], z[s*n:(s+1)*n]
-				for i := range out {
-					out[i] = vals[i] + sig[i]*zw[i]
-				}
-			}
-		}
-		blk.End = rs.r.State()
-		return true
-	}
-	// The value/sigma spans are sample-invariant, exactly as in
-	// drawSeqBlock; a nil sigma span marks an all-certain window.
-	if cap(rs.spans) < 2*len(windows) {
-		rs.spans = make([][]float64, 2*len(windows))
-	} else {
-		rs.spans = rs.spans[:2*len(windows)]
-	}
+	coin, z := rs.fill(K*draws, asym)
+	off := 0
 	for wi := range windows {
 		m := &rs.meta[wi]
-		rs.spans[2*wi] = m.view.X.Vals[m.view.Lo:m.view.Hi]
-		if m.hasSym {
-			rs.spans[2*wi+1] = m.view.X.SigUp[m.view.Lo:m.view.Hi]
-		} else {
-			rs.spans[2*wi+1] = nil
-		}
-	}
-	for s := 0; s < K; s++ {
-		zoff := s * symTotal
-		for wi := range windows {
-			n := blk.ns[wi]
-			out := blk.Data[wi][s*n : (s+1)*n]
-			vals := rs.spans[2*wi]
-			sig := rs.spans[2*wi+1]
-			if sig == nil {
-				copy(out, vals)
-				continue
+		n, vals, out := m.n, m.vals(), blk.Data[wi]
+		switch {
+		case !m.uncertain():
+			for s := 0; s < K; s++ {
+				copy(out[s*n:(s+1)*n], vals)
 			}
-			zw := z[zoff : zoff+n]
-			zoff += n
-			for i := range out {
-				out[i] = vals[i] + sig[i]*zw[i]
+			continue
+		case n == 1 && m.hasSym:
+			v, sig, z := vals[0], m.sigUp()[0], z[off:]
+			for s := range out[:K] {
+				out[s] = v + sig*z[s*draws]
+			}
+		case n == 1:
+			v, up, down, coin, z := vals[0], m.sigUp()[0], m.sigDown()[0], coin[off:], z[off:]
+			for s := range out[:K] {
+				out[s] = v + math.Abs(z[s*draws])*splitStep(coin[s*draws], up, down)
+			}
+		case m.hasSym:
+			sig := m.sigUp()
+			for s := 0; s < K; s++ {
+				applySym(out[s*n:(s+1)*n], vals, sig, z[off+s*draws:])
+			}
+		default:
+			up, down := m.sigUp(), m.sigDown()
+			for s := 0; s < K; s++ {
+				d := off + s*draws
+				applySplit(out[s*n:(s+1)*n], vals, up, down, coin[d:], z[d:])
 			}
 		}
+		off += n
 	}
 	blk.End = rs.r.State()
 	return true

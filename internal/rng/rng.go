@@ -93,7 +93,7 @@ func (r *Rand) SplitInto(child *Rand) {
 func rotl(x uint64, k uint) uint64 { return (x << k) | (x >> (64 - k)) }
 
 // xoshiroNext is the xoshiro256** step over explicit state words. It is
-// small enough to inline, which lets batched fill loops (NormFill,
+// small enough to inline, which lets batched fill loops (CoinNormFill,
 // IntnFill) keep the generator state in registers instead of paying a
 // call and four memory round-trips per draw like Uint64 does.
 func xoshiroNext(s0, s1, s2, s3 uint64) (u, t0, t1, t2, t3 uint64) {
@@ -461,6 +461,33 @@ func (r *Rand) NormFill(dst []float64) {
 			dst[i] = float64(v) * e.ws
 		} else {
 			dst[i], s0, s1, s2, s3 = normRare(s0, s1, s2, s3, u, float64(v)*znQuick[u&(znLayers-1)].ws)
+		}
+	}
+	r.s[0], r.s[1], r.s[2], r.s[3] = s0, s1, s2, s3
+}
+
+// CoinNormFill fills coin[i], norm[i] with one uniform in [0, 1) and one
+// standard normal variate per position, consuming the stream exactly as
+// len(coin) alternating Float64, NormFloat64 call pairs would: same draws
+// in the same order, bit-identical outputs. This is the draw-kind sequence
+// of the split-normal uncertainty model — a branch coin, then a
+// half-normal magnitude, per asymmetric point — in NormFill's batched
+// form: xoshiro state in locals for the whole loop, the quick-accept path
+// call-free, wedge and tail draws through normRare. len(norm) must be at
+// least len(coin).
+func (r *Rand) CoinNormFill(coin, norm []float64) {
+	norm = norm[:len(coin)]
+	s0, s1, s2, s3 := r.s[0], r.s[1], r.s[2], r.s[3]
+	for i := range coin {
+		var u uint64
+		u, s0, s1, s2, s3 = xoshiroNext(s0, s1, s2, s3)
+		coin[i] = uniform(u)
+		u, s0, s1, s2, s3 = xoshiroNext(s0, s1, s2, s3)
+		e := &znSigned[u&255]
+		if v := u >> 11; v < e.uThresh {
+			norm[i] = float64(v) * e.ws
+		} else {
+			norm[i], s0, s1, s2, s3 = normRare(s0, s1, s2, s3, u, float64(v)*znQuick[u&(znLayers-1)].ws)
 		}
 	}
 	r.s[0], r.s[1], r.s[2], r.s[3] = s0, s1, s2, s3

@@ -1,6 +1,7 @@
 package rng
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -238,27 +239,160 @@ func TestMul64MatchesBigMultiplication(t *testing.T) {
 	}
 }
 
-func TestNormFillMatchesSequentialDraws(t *testing.T) {
-	// NormFill must consume the stream exactly like consecutive
-	// NormFloat64 calls: identical outputs bit-for-bit AND identical
-	// generator state afterwards (so interleaving batched and scalar
-	// draws cannot diverge). Many seeds and lengths so the wedge and
-	// tail rejection paths are exercised, not just quick-accept.
-	for seed := uint64(0); seed < 50; seed++ {
-		for _, n := range []int{0, 1, 2, 7, 64, 1000} {
-			a, b := New(seed), New(seed)
-			got := make([]float64, n)
-			a.NormFill(got)
-			for i := 0; i < n; i++ {
-				want := b.NormFloat64()
-				if got[i] != want {
-					t.Fatalf("seed %d n %d: NormFill[%d] = %v, NormFloat64 = %v",
-						seed, n, i, got[i], want)
+// TestFillsMatchSequentialDraws is the stream-exactness table: every
+// batched fill must consume the stream exactly like the scalar call
+// sequence it stands for — identical outputs bit for bit AND identical
+// State() afterwards, so interleaving batched and scalar draws cannot
+// diverge. Each row renders its outputs as raw bits so one loop compares
+// floats and ints alike. Many seeds and lengths (empty, one, two, odd,
+// long) so the rejection paths — ziggurat wedge and tail, Lemire's
+// resample loop — are exercised mid-fill, not just quick-accept;
+// TestCoinNormFillRarePathsMidFill proves that for the ziggurat.
+func TestFillsMatchSequentialDraws(t *testing.T) {
+	intnRow := func(n int) fillRow {
+		return fillRow{
+			name: fmt.Sprintf("IntnFill/%d", n),
+			fill: func(r *Rand, k int) []uint64 {
+				dst := make([]int, k)
+				r.IntnFill(dst, n)
+				out := make([]uint64, k)
+				for i, v := range dst {
+					out[i] = uint64(v)
+				}
+				return out
+			},
+			scalar: func(r *Rand, k int) []uint64 {
+				out := make([]uint64, k)
+				for i := range out {
+					out[i] = uint64(r.Intn(n))
+				}
+				return out
+			},
+		}
+	}
+	rows := []fillRow{
+		{
+			name: "NormFill",
+			fill: func(r *Rand, k int) []uint64 {
+				dst := make([]float64, k)
+				r.NormFill(dst)
+				return floatBits(dst)
+			},
+			scalar: func(r *Rand, k int) []uint64 {
+				out := make([]uint64, k)
+				for i := range out {
+					out[i] = math.Float64bits(r.NormFloat64())
+				}
+				return out
+			},
+		},
+		{
+			// Pairs are rendered coin-then-normal, the order the scalar
+			// calls are made in.
+			name: "CoinNormFill",
+			fill: func(r *Rand, k int) []uint64 {
+				coin, norm := make([]float64, k), make([]float64, k)
+				r.CoinNormFill(coin, norm)
+				out := make([]uint64, 0, 2*k)
+				for i := range coin {
+					out = append(out, math.Float64bits(coin[i]), math.Float64bits(norm[i]))
+				}
+				return out
+			},
+			scalar: func(r *Rand, k int) []uint64 {
+				out := make([]uint64, 0, 2*k)
+				for i := 0; i < k; i++ {
+					out = append(out, math.Float64bits(r.Float64()))
+					out = append(out, math.Float64bits(r.NormFloat64()))
+				}
+				return out
+			},
+		},
+		// Small and non-power-of-two bounds exercise Lemire's rejection
+		// loop.
+		intnRow(1), intnRow(2), intnRow(3), intnRow(7), intnRow(100), intnRow(1 << 20),
+	}
+	for _, row := range rows {
+		for seed := uint64(0); seed < 50; seed++ {
+			for _, k := range []int{0, 1, 2, 7, 64, 257, 1000, 4096} {
+				a, b := New(seed), New(seed)
+				got, want := row.fill(a, k), row.scalar(b, k)
+				if len(got) != len(want) {
+					t.Fatalf("%s seed %d k %d: %d outputs, want %d", row.name, seed, k, len(got), len(want))
+				}
+				for i := range want {
+					if got[i] != want[i] {
+						t.Fatalf("%s seed %d k %d: output %d = %#x, scalar sequence = %#x",
+							row.name, seed, k, i, got[i], want[i])
+					}
+				}
+				if a.State() != b.State() {
+					t.Fatalf("%s seed %d k %d: generator state diverged after fill", row.name, seed, k)
 				}
 			}
-			if a.s != b.s {
-				t.Fatalf("seed %d n %d: generator state diverged after fill", seed, n)
+		}
+	}
+}
+
+// fillRow is one batched fill and the scalar call sequence it must
+// reproduce, both rendering k draws (k pairs for CoinNormFill) as raw
+// bits.
+type fillRow struct {
+	name         string
+	fill, scalar func(r *Rand, k int) []uint64
+}
+
+func floatBits(xs []float64) []uint64 {
+	out := make([]uint64, len(xs))
+	for i, x := range xs {
+		out[i] = math.Float64bits(x)
+	}
+	return out
+}
+
+// TestCoinNormFillRarePathsMidFill pins CoinNormFill on stream positions
+// that force normRare in the middle of a fill. The scalar sequence is
+// scanned for normals that left the quick-accept path (they consumed more
+// than one raw draw): wedge draws, and tail draws (|z| > znR). For each,
+// a fill that starts `half` pairs earlier — so the rare draw has filled
+// pairs on both sides — must reproduce the scalar outputs and final
+// state.
+func TestCoinNormFillRarePathsMidFill(t *testing.T) {
+	const half = 4
+	var ring [half + 1]State // ring[p%(half+1)] is the state before pair p
+	coin, norm := make([]float64, 2*half+1), make([]float64, 2*half+1)
+	scan := New(3)
+	wedge, tail := 0, 0
+	for pos := 0; wedge < 50 || tail < 5; pos++ {
+		if pos > 1<<22 {
+			t.Fatalf("scan found %d wedge and %d tail draws in %d pairs", wedge, tail, pos)
+		}
+		ring[pos%(half+1)] = scan.State()
+		scan.Float64()
+		quick := *scan
+		quick.Uint64()
+		z := scan.NormFloat64()
+		if scan.State() == quick.State() || pos < half {
+			continue
+		}
+		if math.Abs(z) > znR {
+			tail++
+		} else {
+			wedge++
+		}
+		a, b := New(0), New(0)
+		a.SetState(ring[(pos-half)%(half+1)])
+		b.SetState(a.State())
+		a.CoinNormFill(coin, norm)
+		for i := range coin {
+			wc, wn := b.Float64(), b.NormFloat64()
+			if coin[i] != wc || norm[i] != wn {
+				t.Fatalf("pair %d (rare draw at pair %d): fill (%v, %v), scalar (%v, %v)",
+					pos-half+i, pos, coin[i], norm[i], wc, wn)
 			}
+		}
+		if a.State() != b.State() {
+			t.Fatalf("state diverged after a fill spanning rare pair %d", pos)
 		}
 	}
 }
@@ -347,28 +481,6 @@ func TestStateRoundTrip(t *testing.T) {
 	}
 }
 
-func TestIntnFillMatchesSequentialDraws(t *testing.T) {
-	for seed := uint64(0); seed < 20; seed++ {
-		// Include small and non-power-of-two bounds to exercise
-		// Lemire's rejection loop.
-		for _, n := range []int{1, 2, 3, 7, 100, 1 << 20} {
-			a, b := New(seed), New(seed)
-			got := make([]int, 257)
-			a.IntnFill(got, n)
-			for i := range got {
-				want := b.Intn(n)
-				if got[i] != want {
-					t.Fatalf("seed %d n %d: IntnFill[%d] = %d, Intn = %d",
-						seed, n, i, got[i], want)
-				}
-			}
-			if a.s != b.s {
-				t.Fatalf("seed %d n %d: generator state diverged after fill", seed, n)
-			}
-		}
-	}
-}
-
 func TestIntnFillPanicsOnNonPositive(t *testing.T) {
 	defer func() {
 		if recover() == nil {
@@ -400,6 +512,15 @@ func BenchmarkNormFill(b *testing.B) {
 		r.NormFill(dst)
 	}
 	b.SetBytes(0)
+}
+
+func BenchmarkCoinNormFill(b *testing.B) {
+	r := New(1)
+	coin, norm := make([]float64, 64), make([]float64, 64)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		r.CoinNormFill(coin, norm)
+	}
 }
 
 func BenchmarkIntnFill(b *testing.B) {
