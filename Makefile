@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race check benchmark-check bench bench-smoke benchjson benchcmp fuzz serve-smoke profile profile-contention
+.PHONY: all build vet test race check benchmark-check bench bench-smoke benchjson benchcmp ab fuzz serve-smoke profile profile-contention
 
 all: check
 
@@ -36,21 +36,25 @@ bench:
 	$(GO) test -bench=. -benchmem -run=^$$ .
 
 # bench-smoke executes each hot-path/ablation benchmark body a fixed
-# handful of times — correctness of the workloads, not timing.
+# handful of times — correctness of the workloads, not timing. The
+# MultiCheck pattern takes in MultiCheck/shared/sliding24, the
+# shared-row-statistics spec.
 bench-smoke:
 	$(GO) test -bench='Evaluate|Draw|Kernel|Ablation|StreamCheck|StreamThroughput|Explain|Summarize|Checkpoint|Decode|Ingest|MultiCheck' -benchtime=10x -run=^$$ .
 
 # fuzz smoke-runs the hostile-input fuzz targets for FUZZTIME each: the
 # snapshot codec (corrupt checkpoints must error, never panic, and
 # valid ones must re-encode bit-identically), the kernel/closure
-# evaluation parity, the CSV reader, the wire decoders, and the check
-# registration grammar POST /checks exposes to untrusted clients. Long
+# evaluation parity, the shared-lane/per-check scoring parity, the CSV
+# reader, the wire decoders, and the check registration grammar
+# POST /checks exposes to untrusted clients. Long
 # exploratory runs: raise FUZZTIME or run `go test -fuzz` on one target
 # directly.
 FUZZTIME ?= 10s
 fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzCheckpointRoundTrip -fuzztime=$(FUZZTIME) ./internal/checkpoint
 	$(GO) test -run='^$$' -fuzz=FuzzKernelClosureParity -fuzztime=$(FUZZTIME) ./internal/core
+	$(GO) test -run='^$$' -fuzz=FuzzGroupScoreParity -fuzztime=$(FUZZTIME) ./internal/core
 	$(GO) test -run='^$$' -fuzz=FuzzKernelScalarParity -fuzztime=$(FUZZTIME) ./internal/resample
 	$(GO) test -run='^$$' -fuzz=FuzzReadCSV -fuzztime=$(FUZZTIME) ./internal/series
 	$(GO) test -run='^$$' -fuzz=FuzzWireDecode -fuzztime=$(FUZZTIME) ./internal/wire
@@ -74,6 +78,42 @@ benchjson:
 GATE ?= 20
 benchcmp:
 	$(GO) run ./cmd/soundbench -benchcmp -gate $(GATE)
+
+# ab measures a claimed gain the way the choosing-metrics guide asks:
+# PAIRS alternating parent/change runs of the standing benchmark's
+# workload WL at seed SEED on this box, in the foreground, one at a time.
+# The parent is commit REF exported under the git-ignored .bench_build/
+# (a plain `git archive` tree: nothing to unregister if the run is
+# killed, removed on exit either way); the change is the working tree.
+# It reads each run's result line only, prints per end-to-end metric both
+# sides' medians and quartiles and the change's win count
+# (soundbench -ab) over the pairs whose two runs were both valid, and
+# fails if a run printed no result or wrong outputs (a busy host) or a
+# soundserve child outlived its run.
+REF ?= HEAD
+WL ?= suite-sliding
+PAIRS ?= 10
+SEED ?= 1
+ab:
+	@set -eu; \
+	ref=$$(git rev-parse --short '$(REF)^{commit}'); \
+	dir=.bench_build/ab/$$ref; runs=.bench_build/ab/$(WL)-seed$(SEED).txt; \
+	trap 'rm -rf "$$dir"' EXIT; trap 'exit 130' INT TERM; \
+	rm -rf "$$dir"; mkdir -p "$$dir"; git archive "$$ref" | tar -x -C "$$dir"; \
+	: > "$$runs"; \
+	run() { \
+		line=$$($(GO) -C "$$2/benchmark" run sound/benchmark --workload $(WL) --seed $(SEED) | tail -n 1); \
+		printf '%s %s\n' "$$1" "$$line" >> "$$runs"; \
+	}; \
+	for i in $$(seq 1 $(PAIRS)); do \
+		echo "ab: pair $$i/$(PAIRS): $(WL), seed $(SEED), parent $$ref" >&2; \
+		if [ $$((i % 2)) -eq 1 ]; then run parent "$$dir"; run change .; else run change .; run parent "$$dir"; fi; \
+	done; \
+	st=0; $(GO) run ./cmd/soundbench -ab "$$runs" || st=$$?; \
+	if pgrep -x soundserve >/dev/null; then \
+		echo "ab: a soundserve process outlived the runs:" >&2; pgrep -xa soundserve >&2; st=1; \
+	fi; \
+	exit $$st
 
 # profile records CPU and allocation profiles of the evaluator hot path
 # (the Evaluate* micro-benchmarks); inspect with `go tool pprof cpu.pprof`.

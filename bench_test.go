@@ -144,6 +144,7 @@ func BenchmarkMultiCheck(b *testing.B) {
 	b.Run("shared/checks1", func(b *testing.B) { bench.MultiCheck(b, true, 1) })
 	b.Run("shared/checks8", func(b *testing.B) { bench.MultiCheck(b, true, 8) })
 	b.Run("shared/checks64", func(b *testing.B) { bench.MultiCheck(b, true, 64) })
+	b.Run("shared/sliding24", bench.MultiCheckSliding)
 }
 
 // BenchmarkDecode prices the wire codecs (internal/wire) on warm

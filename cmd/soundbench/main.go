@@ -9,6 +9,7 @@
 //	soundbench -list                # show available experiments
 //	soundbench -benchjson out.json  # micro-benchmarks as machine-readable JSON
 //	soundbench -benchcmp -gate 20   # diff the two latest BENCH_*.json, fail on >20% ns/op regressions
+//	soundbench -ab runs.txt         # summarize `make ab` parent/change pairs of the standing benchmark
 //	soundbench -exp fig6 -cpuprofile cpu.pprof -memprofile mem.pprof
 //
 // Absolute throughput/latency numbers differ from the paper's testbed;
@@ -51,6 +52,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		benchjson   = fs.String("benchjson", "", "run the Evaluate*/Ablation* micro-benchmarks and write results as JSON to this file ('-' for stdout)")
 		benchfilter = fs.String("benchfilter", "", "only run benchmarks whose name contains this substring (with -benchjson)")
 		benchcmp    = fs.Bool("benchcmp", false, "compare two -benchjson files (old new; default: the two latest BENCH_*.json) and print per-spec deltas")
+		ab          = fs.String("ab", "", "summarize the paired parent/change runs of the standing benchmark recorded in this file by `make ab` (metric directions and bounds from ./BENCHMARK.json)")
 		gate        = fs.Float64("gate", 0, "with -benchcmp: exit nonzero when any spec's ns/op regresses by more than this percentage (0 = report only)")
 		cpu         = fs.Int("cpu", 0, "set GOMAXPROCS before running benchmarks (0 = leave as is); recorded per spec in the JSON output")
 		cpuprofile  = fs.String("cpuprofile", "", "write a CPU profile of the run (experiments or -benchjson) to this file")
@@ -68,6 +70,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *list {
 		fmt.Fprintln(stdout, strings.Join(experiments.Names(), "\n"))
 		return 0
+	}
+
+	if *ab != "" {
+		return runAB(*ab, "BENCHMARK.json", stdout, stderr)
 	}
 
 	if *benchcmp {

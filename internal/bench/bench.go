@@ -90,6 +90,7 @@ func Specs() []Spec {
 		{"MultiCheck/shared/checks1", func(b *testing.B) { MultiCheck(b, true, 1) }},
 		{"MultiCheck/shared/checks8", func(b *testing.B) { MultiCheck(b, true, 8) }},
 		{"MultiCheck/shared/checks64", func(b *testing.B) { MultiCheck(b, true, 64) }},
+		{"MultiCheck/shared/sliding24", MultiCheckSliding},
 	}
 }
 
@@ -401,6 +402,77 @@ func multiCheckSuite(n int) []core.Check {
 		}
 	}
 	return checks
+}
+
+// slidingSuite is the 24-member mix of the standing benchmark's
+// suite-sliding workload: ten point-wise members (range, gt, nonneg)
+// that read a row only through its extremes, and fourteen set members
+// (nine fractions over three distinct ranges, four max-deltas, one
+// std-nonzero).
+func slidingSuite() []core.Constraint {
+	var cs []core.Constraint
+	for _, max := range []float64{101, 103, 106, 110, 115} {
+		cs = append(cs, core.Range(0, max))
+	}
+	for _, t := range []float64{60, 75, 85, 92} {
+		cs = append(cs, core.GreaterThan(t))
+	}
+	cs = append(cs, core.NonNegative())
+	for _, max := range []float64{98, 100, 102} {
+		for _, f := range []float64{0.70, 0.85, 0.95} {
+			cs = append(cs, core.FractionInRange(0, max, f))
+		}
+	}
+	for _, d := range []float64{12, 17, 22, 28} {
+		cs = append(cs, core.MaxDelta(d))
+	}
+	return append(cs, core.StdNonZero())
+}
+
+// MultiCheckSliding prices core.PlanGroup's scoring of one shared
+// sample matrix on the shape where it dominates: the 24 suite-sliding
+// members in one bucket over 1080-point windows with split-normal error
+// bars (σ↑ = 2σ↓), eight windows whose margin below the range bound 100
+// steps from borderline to clear so some members sample deep and others
+// retire early. shared/checks1 beside it is the bypass: a lone member
+// never shares a row statistic.
+func MultiCheckSliding(b *testing.B) {
+	const size, nWindows = 1080, 8
+	params := core.Params{Credibility: 0.95, MaxSamples: 100}
+	var plans []*core.CheckPlan
+	for _, c := range slidingSuite() {
+		pl, err := core.CompilePlan(core.Check{
+			Name: c.Name, Constraint: c, SeriesNames: []string{"s"},
+			Window: sound.TimeWindow{Size: size, Slide: size / 6},
+		}, params, 7)
+		if err != nil {
+			b.Fatal(err)
+		}
+		plans = append(plans, pl)
+	}
+	g, err := core.NewPlanGroup(plans)
+	if err != nil {
+		b.Fatal(err)
+	}
+	r := rng.New(11)
+	tuples := make([]core.WindowTuple, nWindows)
+	for wi := range tuples {
+		margin := 1 + 23*float64(wi)/(nWindows-1)
+		w := make(series.Series, size)
+		for i := range w {
+			w[i] = series.Point{T: float64(i), V: 100 - margin + 1.5*r.NormFloat64(), SigUp: 2, SigDown: 1}
+		}
+		tuples[wi] = core.WindowTuple{Windows: []series.Series{w}, End: size, Index: wi}
+	}
+	out := make([]core.Result, len(plans))
+	draws := 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		wi := i % nWindows
+		draws += g.Evaluate(g.WindowSeed(uint64(wi), uint64(i)), tuples[wi], out).Draws
+	}
+	b.ReportMetric(float64(draws)/float64(b.N), "draws/window")
 }
 
 // MultiCheck prices a suite of n co-window checks on one uncertain

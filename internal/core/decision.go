@@ -29,6 +29,41 @@ type decisionBounds struct {
 	priorLower, priorUpper float64
 }
 
+// decide applies the decision rule of Alg. 1 after idx samples with cs
+// satisfied: Inconclusive when idx is not a scheduled check (inside the
+// MinSamples burn-in, or off the CheckInterval grid and not the budget
+// edge) or the count sits strictly between the two boundaries. Every
+// sampling loop — scalar, block and shared — decides through this one
+// test, so they cannot disagree on where a trajectory stops.
+func (b *decisionBounds) decide(cs, idx, minS, ci, maxS int) Outcome {
+	if idx < minS || (ci != 1 && idx%ci != 0 && idx != maxS) {
+		return Inconclusive
+	}
+	if cs >= b.acceptAt[idx] {
+		return Satisfied
+	}
+	if cs <= b.rejectAt[idx] {
+		return Violated
+	}
+	return Inconclusive
+}
+
+// replayConstant runs the decision schedule for a constraint whose
+// verdict sat is the same on every sample (point resampling of an
+// all-certain window draws the raw values each time and consumes no
+// randomness): the sampling loop at O(1) per sample. It returns the
+// outcome, the stopping index and the satisfied count there.
+func (b *decisionBounds) replayConstant(sat bool, minS, ci, maxS int) (o Outcome, samples, cs int) {
+	for samples < maxS && o == Inconclusive {
+		samples++
+		if sat {
+			cs = samples
+		}
+		o = b.decide(cs, samples, minS, ci, maxS)
+	}
+	return o, samples, cs
+}
+
 // nextDecision returns the earliest scheduled check index j in (i, maxS]
 // at which the decision rule could still fire given cs satisfied of the
 // first i samples: accepting requires cs + (j-i) >= acceptAt[j] even if

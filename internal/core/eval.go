@@ -220,42 +220,17 @@ func (e *Evaluator) evaluateInto(res *Result, c *Constraint, w WindowTuple) {
 
 	// The decision rule of Alg. 1 runs on the precomputed boundary table:
 	// two integer comparisons per check instead of a Beta quantile
-	// bisection (see decisionBounds). Parameters are hoisted into locals
-	// so the sampling loop carries no field loads, and the CheckInterval
-	// modulo only runs in the non-default CheckInterval > 1 configuration.
-	countSatisfied := 0
-	accept, reject := e.bounds.acceptAt, e.bounds.rejectAt
+	// bisection (see decisionBounds.decide). Parameters are hoisted into
+	// locals so the sampling loop carries no field loads.
 	maxS, minS, ci := e.params.MaxSamples, e.params.MinSamples, e.params.CheckInterval
-	samples := 0
 	if strat == resample.Point && rs.PrimedAllCertain() {
 		// Point resampling of all-certain windows returns the raw values
 		// on every draw and consumes no randomness, so the constraint
 		// verdict is the same for all N samples: evaluate it once and
-		// replay the decision schedule on the boundary table. Exactly
-		// mirrors the sampling loop below, at O(1) per sample.
-		sat := c.Eval(rs.Draw(w.Windows))
-		for i := 1; i <= maxS; i++ {
-			if sat {
-				countSatisfied = i
-			}
-			samples = i
-			if i < minS {
-				continue
-			}
-			if ci != 1 && i%ci != 0 && i != maxS {
-				continue
-			}
-			if countSatisfied >= accept[i] {
-				res.Outcome = Satisfied
-				break
-			}
-			if countSatisfied <= reject[i] {
-				res.Outcome = Violated
-				break
-			}
-		}
-		res.Samples = samples
-		e.finish(res, countSatisfied)
+		// replay the decision schedule on the boundary table.
+		var cs int
+		res.Outcome, res.Samples, cs = e.bounds.replayConstant(c.Eval(rs.Draw(w.Windows)), minS, ci, maxS)
+		e.finish(res, cs)
 		return
 	}
 	if c.Spec.Op != KernelNone && kernelReady(rs, len(w.Windows)) {
@@ -266,28 +241,14 @@ func (e *Evaluator) evaluateInto(res *Result, c *Constraint, w WindowTuple) {
 		e.evaluateKernel(res, &c.Spec, rs, w)
 		return
 	}
-	for i := 1; i <= maxS; i++ {
-		sample := rs.Draw(w.Windows)
-		if c.Eval(sample) {
+	countSatisfied := 0
+	for res.Samples < maxS && res.Outcome == Inconclusive {
+		if c.Eval(rs.Draw(w.Windows)) {
 			countSatisfied++
 		}
-		samples = i
-		if i < minS {
-			continue
-		}
-		if ci != 1 && i%ci != 0 && i != maxS {
-			continue
-		}
-		if countSatisfied >= accept[i] {
-			res.Outcome = Satisfied
-			break
-		}
-		if countSatisfied <= reject[i] {
-			res.Outcome = Violated
-			break
-		}
+		res.Samples++
+		res.Outcome = e.bounds.decide(countSatisfied, res.Samples, minS, ci, maxS)
 	}
-	res.Samples = samples
 	e.finish(res, countSatisfied)
 }
 

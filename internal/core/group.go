@@ -17,9 +17,10 @@ import (
 // coordinate alone (see WindowSeed), never from evaluator identity or
 // arrival order, so shared-mode verdicts are invariant to check
 // registration order, check count, worker count, batch size, and
-// operator fusion. Each member scores its own satisfied-bitmask over
-// the shared matrix and retires from the loop the moment Alg. 1
-// decides it; early-deciding checks never pay for late ones.
+// operator fusion. Each drawn sample is scored once for the whole lane
+// — a row statistic several members read is computed once (rowstat.go)
+// — and a member retires from the loop the moment Alg. 1 decides it;
+// early-deciding checks never pay for late ones.
 
 // GroupClass is the bucketing key for window multiplexing: checks
 // whose classes compare equal may share one extraction and one sample
@@ -63,10 +64,12 @@ func (c GroupClass) hash() uint64 {
 	return h
 }
 
-// groupMember is one plan's compiled scoring surface inside a group.
+// groupMember is one plan's compiled scoring surface inside a group:
+// its constraint and the index in its lane's stats of the row statistic
+// the constraint reduces to (-1 when it needs the row itself).
 type groupMember struct {
-	cons  *Constraint
-	strat resample.Strategy
+	cons *Constraint
+	slot int
 }
 
 // groupLane is the shared draw machinery for one resampling strategy.
@@ -80,6 +83,7 @@ type groupLane struct {
 	rs      *resample.Resampler
 	blk     resample.Block
 	members []int // member indices into PlanGroup.plans
+	stats   []rowStat
 }
 
 // GroupEval summarizes one shared window evaluation for the operator
@@ -135,7 +139,6 @@ func NewPlanGroup(plans []*CheckPlan) (*PlanGroup, error) {
 			return nil, fmt.Errorf("core: plan %q class differs from group class", pl.check.Name)
 		}
 		strat := pl.check.Constraint.Strategy()
-		g.member[i] = groupMember{cons: &pl.check.Constraint, strat: strat}
 		lane := byStrat[strat]
 		if lane == nil {
 			r := rng.New(0)
@@ -148,6 +151,7 @@ func NewPlanGroup(plans []*CheckPlan) (*PlanGroup, error) {
 			g.lanes = append(g.lanes, lane)
 		}
 		lane.members = append(lane.members, i)
+		g.member[i] = groupMember{cons: &pl.check.Constraint, slot: statSlot(&lane.stats, &pl.check.Constraint.Spec)}
 	}
 	return g, nil
 }
@@ -218,7 +222,6 @@ func (g *PlanGroup) evaluateLane(lane *groupLane, winSeed uint64, w WindowTuple,
 	}
 	ev.Primes++
 	p := g.params
-	accept, reject := g.bounds.acceptAt, g.bounds.rejectAt
 	maxS, minS, ci := p.MaxSamples, p.MinSamples, p.CheckInterval
 	if lane.strat == resample.Point && rs.PrimedAllCertain() {
 		// Point resampling of all-certain windows returns the raw values
@@ -231,57 +234,37 @@ func (g *PlanGroup) evaluateLane(lane *groupLane, winSeed uint64, w WindowTuple,
 		ev.Draws++
 		for _, mi := range lane.members {
 			res := &out[mi]
-			sat := g.member[mi].cons.Eval(vals)
-			cs, samples := 0, 0
-			for i := 1; i <= maxS; i++ {
-				if sat {
-					cs = i
-				}
-				samples = i
-				if i < minS {
-					continue
-				}
-				if ci != 1 && i%ci != 0 && i != maxS {
-					continue
-				}
-				if cs >= accept[i] {
-					res.Outcome = Satisfied
-					break
-				}
-				if cs <= reject[i] {
-					res.Outcome = Violated
-					break
-				}
-			}
-			res.Samples = samples
+			var cs int
+			res.Outcome, res.Samples, cs = g.bounds.replayConstant(g.member[mi].cons.Eval(vals), minS, ci, maxS)
 			finishResult(p, g.bounds, &g.memo, res, cs)
 		}
 		return
 	}
 
 	// Shared block loop. live holds the lane's undecided member indices;
-	// cs trajectories ride in out[mi].SatisfiedCount until finish. The
-	// per-sample decision replay below runs the exact scalar schedule of
-	// Alg. 1 for every member, so drawing to the max edge over members
-	// (nextDecision) cannot move any member's stopping index: the edge
-	// only bounds how far the shared stream is materialized.
+	// cs trajectories ride in out[mi].SatisfiedCount until finish. Every
+	// member runs the exact scalar schedule of Alg. 1 on its own satisfied
+	// bits, so drawing to the max edge over members (nextDecision) cannot
+	// move any member's stopping index: the edge only bounds how far the
+	// shared stream is materialized.
 	kernelOK := kernelReady(rs, len(w.Windows))
-	total := 0
-	for _, win := range w.Windows {
-		total += len(win)
-	}
-	chunk := maxS
-	if total > 0 && kernelBlockValues/total < maxS {
-		chunk = kernelBlockValues / total
-		if chunk < 1 {
-			chunk = 1
-		}
-	}
+	// Row statistics stand in for the kernel only where its precondition
+	// holds and the row has a first value to seed the extremes.
+	shareOK := kernelOK && len(w.Windows[0]) > 0
+	chunk := blockChunk(w, maxS)
 	if cap(g.live) < len(lane.members) {
 		g.live = make([]int, 0, len(lane.members))
 	}
-	live := g.live[:0]
-	live = append(live, lane.members...)
+	live := append(g.live[:0], lane.members...)
+	stats := lane.stats
+	for si := range stats {
+		stats[si].users = 0
+	}
+	for _, mi := range live {
+		if slot := g.member[mi].slot; slot >= 0 {
+			stats[slot].users++
+		}
+	}
 	nw := len(w.Windows)
 	if cap(g.vals) < nw {
 		g.vals = make([][]float64, nw)
@@ -304,62 +287,52 @@ func (g *PlanGroup) evaluateLane(lane *groupLane, winSeed uint64, w WindowTuple,
 			}
 		}
 		for i < edge && len(live) > 0 {
-			k := edge - i
-			if k > chunk {
-				k = chunk
-			}
+			k := min(edge-i, chunk)
 			rs.DrawBlock(w.Windows, k, &lane.blk)
 			laneDraws += k
-			// Score each undecided member over the shared matrix and
-			// replay its decision schedule sample by sample; compact the
-			// live set in place as members retire.
-			kept := live[:0]
-			for _, mi := range live {
-				m := &g.member[mi]
-				res := &out[mi]
-				cs := res.SatisfiedCount
-				decidedAt := 0
-				useKernel := kernelOK && m.cons.Spec.Op != KernelNone
-				for s := 0; s < k; s++ {
-					for wi := 0; wi < nw; wi++ {
-						vals[wi] = lane.blk.Row(wi, s)
+			// Sample-major scoring: scan each statistic two or more live
+			// members read once per row, give every live member its
+			// satisfied bit and its decision check, and compact the live
+			// set in place as members retire.
+			for s := 0; s < k && len(live) > 0; s++ {
+				for wi := range vals {
+					vals[wi] = lane.blk.Row(wi, s)
+				}
+				for si := range stats {
+					st := &stats[si]
+					if st.shared = shareOK && st.users >= 2; st.shared {
+						st.scan(vals[0])
 					}
+				}
+				idx := i + s + 1
+				kept := live[:0]
+				for _, mi := range live {
+					m, res := &g.member[mi], &out[mi]
 					var sat bool
-					if useKernel {
+					switch {
+					case m.slot >= 0 && stats[m.slot].shared:
+						sat = stats[m.slot].sat(&m.cons.Spec, len(vals[0]))
+					case kernelOK && m.cons.Spec.Op != KernelNone:
 						sat = kernelSat(&m.cons.Spec, vals)
-					} else {
+					default:
 						sat = m.cons.Eval(vals)
 					}
 					if sat {
-						cs++
+						res.SatisfiedCount++
 					}
-					idx := i + s + 1
-					if idx < minS {
+					res.Outcome = g.bounds.decide(res.SatisfiedCount, idx, minS, ci, maxS)
+					if res.Outcome == Inconclusive {
+						kept = append(kept, mi)
 						continue
 					}
-					if ci != 1 && idx%ci != 0 && idx != maxS {
-						continue
+					res.Samples = idx
+					if m.slot >= 0 {
+						stats[m.slot].users--
 					}
-					if cs >= accept[idx] {
-						res.Outcome = Satisfied
-						decidedAt = idx
-						break
-					}
-					if cs <= reject[idx] {
-						res.Outcome = Violated
-						decidedAt = idx
-						break
-					}
+					finishResult(p, g.bounds, &g.memo, res, res.SatisfiedCount)
 				}
-				res.SatisfiedCount = cs
-				if decidedAt != 0 {
-					res.Samples = decidedAt
-					finishResult(p, g.bounds, &g.memo, res, cs)
-				} else {
-					kept = append(kept, mi)
-				}
+				live = kept
 			}
-			live = kept
 			i += k
 		}
 	}

@@ -188,21 +188,10 @@ func (e *Evaluator) scoreBlock(sp *KernelSpec, k int) int {
 // randomness consumed is exactly one Draw per sample in the same order
 // (resample.DrawBlock), so every later window sees an unchanged stream.
 func (e *Evaluator) evaluateKernel(res *Result, sp *KernelSpec, rs *resample.Resampler, w WindowTuple) {
-	accept, reject := e.bounds.acceptAt, e.bounds.rejectAt
 	maxS, minS, ci := e.params.MaxSamples, e.params.MinSamples, e.params.CheckInterval
-	total := 0
-	for _, win := range w.Windows {
-		total += len(win)
-	}
-	chunk := maxS
-	if total > 0 && kernelBlockValues/total < maxS {
-		chunk = kernelBlockValues / total
-		if chunk < 1 {
-			chunk = 1
-		}
-	}
+	chunk := blockChunk(w, maxS)
 	cs, i := 0, 0
-	for i < maxS {
+	for i < maxS && res.Outcome == Inconclusive {
 		j := e.bounds.nextDecision(cs, i, minS, ci, maxS)
 		edge := j
 		if edge == 0 {
@@ -221,15 +210,22 @@ func (e *Evaluator) evaluateKernel(res *Result, sp *KernelSpec, rs *resample.Res
 		if j == 0 {
 			break
 		}
-		if cs >= accept[j] {
-			res.Outcome = Satisfied
-			break
-		}
-		if cs <= reject[j] {
-			res.Outcome = Violated
-			break
-		}
+		res.Outcome = e.bounds.decide(cs, j, minS, ci, maxS)
 	}
 	res.Samples = i
 	e.finish(res, cs)
+}
+
+// blockChunk returns how many samples of the window tuple one drawn
+// block may hold under the kernelBlockValues cap (at least one, at most
+// the sample budget).
+func blockChunk(w WindowTuple, maxS int) int {
+	total := 0
+	for _, win := range w.Windows {
+		total += len(win)
+	}
+	if total == 0 {
+		return maxS
+	}
+	return max(1, min(maxS, kernelBlockValues/total))
 }

@@ -105,7 +105,12 @@ func Wasserstein1(x, y []float64) float64 {
 		}
 		fx := float64(i) / float64(n)
 		fy := float64(j) / float64(m)
-		dist += math.Abs(fx-fy) * (cur - prev)
+		// A segment where the CDFs agree carries no mass; skipping it
+		// also keeps 0·(+Inf) = NaN out of the sum when cur − prev
+		// overflows (samples spanning ±MaxFloat64).
+		if w := math.Abs(fx - fy); w != 0 {
+			dist += w * (cur - prev)
+		}
 		prev = cur
 		for i < n && xs[i] == cur {
 			i++

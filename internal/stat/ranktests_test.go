@@ -2,6 +2,7 @@ package stat
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -119,6 +120,27 @@ func TestWasserstein1KnownValues(t *testing.T) {
 	if got := Wasserstein1([]float64{0, 1}, []float64{0, 0.5, 1}); got < 0 {
 		t.Errorf("negative distance %v", got)
 	}
+	// Samples spanning ±MaxFloat64: the gap between the breakpoints
+	// overflows to +Inf. Where the CDFs agree across it the segment has
+	// no mass and the distance is 0, not 0·Inf = NaN; where they differ
+	// it is +Inf in both directions.
+	const huge = math.MaxFloat64
+	for _, tc := range []struct {
+		name string
+		x, y []float64
+		want float64
+	}{
+		{"overflow, equal samples", []float64{-huge, huge}, []float64{-huge, huge}, 0},
+		{"overflow, equal CDFs", []float64{-huge, huge}, []float64{-huge, -huge, huge, huge}, 0},
+		{"overflow, one side heavier", []float64{-huge, huge}, []float64{-huge, huge, huge}, math.Inf(1)},
+	} {
+		if got := Wasserstein1(tc.x, tc.y); got != tc.want {
+			t.Errorf("%s: %v, want %v", tc.name, got, tc.want)
+		}
+		if got := Wasserstein1(tc.y, tc.x); got != tc.want {
+			t.Errorf("%s (reversed): %v, want %v", tc.name, got, tc.want)
+		}
+	}
 }
 
 func TestWasserstein1Properties(t *testing.T) {
@@ -138,7 +160,11 @@ func TestWasserstein1Properties(t *testing.T) {
 		// Non-negativity and symmetry.
 		return d >= -1e-12 && close(d, rev, 1e-9*(1+d))
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+	// A fixed source makes a failure reproducible; the overflow inputs a
+	// time-seeded run used to stumble on (~1 in 100) are table cases in
+	// TestWasserstein1KnownValues.
+	cfg := &quick.Config{MaxCount: 300, Rand: rand.New(rand.NewSource(1))}
+	if err := quick.Check(f, cfg); err != nil {
 		t.Error(err)
 	}
 }
