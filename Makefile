@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race check benchmark-check bench bench-smoke benchjson benchcmp ab fuzz serve-smoke profile profile-contention
+.PHONY: all build vet test race check benchmark-check bench bench-smoke benchjson ab fuzz serve-smoke profile profile-contention
 
 all: check
 
@@ -35,12 +35,11 @@ benchmark-check:
 bench:
 	$(GO) test -bench=. -benchmem -run=^$$ .
 
-# bench-smoke executes each hot-path/ablation benchmark body a fixed
-# handful of times — correctness of the workloads, not timing. The
-# MultiCheck pattern takes in MultiCheck/shared/sliding24, the
-# shared-row-statistics spec.
+# bench-smoke executes every spec of the one micro-benchmark table
+# (bench.Specs, run by BenchmarkSpecs) a fixed handful of times —
+# correctness of the workloads, not timing.
 bench-smoke:
-	$(GO) test -bench='Evaluate|Draw|Kernel|Ablation|StreamCheck|StreamThroughput|Explain|Summarize|Checkpoint|Decode|Ingest|MultiCheck' -benchtime=10x -run=^$$ .
+	$(GO) test -bench='^BenchmarkSpecs$$' -benchtime=10x -run=^$$ .
 
 # fuzz smoke-runs the hostile-input fuzz targets for FUZZTIME each: the
 # snapshot codec (corrupt checkpoints must error, never panic, and
@@ -70,14 +69,6 @@ serve-smoke:
 # benchjson regenerates the machine-readable hot-path benchmark record.
 benchjson:
 	$(GO) run ./cmd/soundbench -benchjson BENCH_PR13.json
-
-# benchcmp diffs the two most recent benchmark records (BENCH_*.json in
-# natural version order) spec by spec — ns/op, allocs/op, and domain
-# metrics — and fails on any >20% ns/op regression. Override the
-# threshold with GATE (0 = report only).
-GATE ?= 20
-benchcmp:
-	$(GO) run ./cmd/soundbench -benchcmp -gate $(GATE)
 
 # ab measures a claimed gain the way the choosing-metrics guide asks:
 # PAIRS alternating parent/change runs of the standing benchmark's

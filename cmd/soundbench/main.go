@@ -8,7 +8,6 @@
 //	soundbench -exp table5 -quick   # shrunken workloads, seconds not minutes
 //	soundbench -list                # show available experiments
 //	soundbench -benchjson out.json  # micro-benchmarks as machine-readable JSON
-//	soundbench -benchcmp -gate 20   # diff the two latest BENCH_*.json, fail on >20% ns/op regressions
 //	soundbench -ab runs.txt         # summarize `make ab` parent/change pairs of the standing benchmark
 //	soundbench -exp fig6 -cpuprofile cpu.pprof -memprofile mem.pprof
 //
@@ -23,10 +22,8 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
 	"runtime"
 	"runtime/pprof"
-	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -51,9 +48,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		list        = fs.Bool("list", false, "list available experiments and exit")
 		benchjson   = fs.String("benchjson", "", "run the Evaluate*/Ablation* micro-benchmarks and write results as JSON to this file ('-' for stdout)")
 		benchfilter = fs.String("benchfilter", "", "only run benchmarks whose name contains this substring (with -benchjson)")
-		benchcmp    = fs.Bool("benchcmp", false, "compare two -benchjson files (old new; default: the two latest BENCH_*.json) and print per-spec deltas")
 		ab          = fs.String("ab", "", "summarize the paired parent/change runs of the standing benchmark recorded in this file by `make ab` (metric directions and bounds from ./BENCHMARK.json)")
-		gate        = fs.Float64("gate", 0, "with -benchcmp: exit nonzero when any spec's ns/op regresses by more than this percentage (0 = report only)")
 		cpu         = fs.Int("cpu", 0, "set GOMAXPROCS before running benchmarks (0 = leave as is); recorded per spec in the JSON output")
 		cpuprofile  = fs.String("cpuprofile", "", "write a CPU profile of the run (experiments or -benchjson) to this file")
 		memprofile  = fs.String("memprofile", "", "write an allocation profile taken at exit to this file")
@@ -74,21 +69,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	if *ab != "" {
 		return runAB(*ab, "BENCHMARK.json", stdout, stderr)
-	}
-
-	if *benchcmp {
-		oldPath, newPath := fs.Arg(0), fs.Arg(1)
-		if fs.NArg() == 0 {
-			var err error
-			if oldPath, newPath, err = latestBenchFiles("."); err != nil {
-				fmt.Fprintf(stderr, "soundbench: %v\n", err)
-				return 1
-			}
-		} else if fs.NArg() != 2 {
-			fmt.Fprintln(stderr, "soundbench: -benchcmp needs exactly two JSON files (old new) or none (the two latest BENCH_*.json)")
-			return 1
-		}
-		return runBenchCmp(oldPath, newPath, *gate, stdout, stderr)
 	}
 
 	if *cpuprofile != "" {
@@ -227,170 +207,6 @@ func runBenchJSON(path, filter string, stdout, stderr io.Writer) int {
 	}
 	if err != nil {
 		fmt.Fprintf(stderr, "soundbench: %v\n", err)
-		return 1
-	}
-	return 0
-}
-
-// latestBenchFiles returns the two newest checked-in benchmark records
-// (BENCH_PR<n>.json in natural version order), the default operands of
-// -benchcmp so CI can diff "the last PR vs this one" without naming
-// files. Files that merely resemble a record (BENCH_notes.json, editor
-// backups) are skipped, not misread as the latest PR.
-func latestBenchFiles(dir string) (oldPath, newPath string, err error) {
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return "", "", err
-	}
-	var names []string
-	for _, e := range entries {
-		if !e.IsDir() && isBenchRecord(e.Name()) {
-			names = append(names, e.Name())
-		}
-	}
-	if len(names) < 2 {
-		return "", "", fmt.Errorf("need two BENCH_PR<n>.json files in %s, found %d", dir, len(names))
-	}
-	sort.Slice(names, func(i, j int) bool { return naturalLess(names[i], names[j]) })
-	return filepath.Join(dir, names[len(names)-2]), filepath.Join(dir, names[len(names)-1]), nil
-}
-
-// isBenchRecord reports whether name is exactly BENCH_PR<digits>.json.
-func isBenchRecord(name string) bool {
-	mid, ok := strings.CutPrefix(name, "BENCH_PR")
-	if !ok {
-		return false
-	}
-	digits, ok := strings.CutSuffix(mid, ".json")
-	if !ok || digits == "" {
-		return false
-	}
-	for i := 0; i < len(digits); i++ {
-		if !isDigit(digits[i]) {
-			return false
-		}
-	}
-	return true
-}
-
-// naturalLess orders strings with embedded integers numerically, so
-// BENCH_PR9.json sorts before BENCH_PR10.json.
-func naturalLess(a, b string) bool {
-	for a != "" && b != "" {
-		if isDigit(a[0]) && isDigit(b[0]) {
-			ai, an := leadingInt(a)
-			bi, bn := leadingInt(b)
-			if ai != bi {
-				return ai < bi
-			}
-			a, b = a[an:], b[bn:]
-			continue
-		}
-		if a[0] != b[0] {
-			return a[0] < b[0]
-		}
-		a, b = a[1:], b[1:]
-	}
-	return a == "" && b != ""
-}
-
-func isDigit(c byte) bool { return c >= '0' && c <= '9' }
-
-func leadingInt(s string) (v int64, n int) {
-	for n < len(s) && isDigit(s[n]) {
-		v = v*10 + int64(s[n]-'0')
-		n++
-	}
-	return v, n
-}
-
-// runBenchCmp diffs two -benchjson reports spec by spec: ns/op and
-// allocs/op deltas for every benchmark present in both, plus any extra
-// domain metrics (points/sec, ns/event, ...) the spec reported. Specs
-// present in only one file are listed so a rename or new benchmark is
-// visible rather than silently dropped. A nonzero gate turns the diff
-// into a check: any spec whose ns/op regressed by more than gate percent
-// fails the run.
-func runBenchCmp(oldPath, newPath string, gate float64, stdout, stderr io.Writer) int {
-	load := func(path string) (*benchReport, error) {
-		buf, err := os.ReadFile(path)
-		if err != nil {
-			return nil, err
-		}
-		var r benchReport
-		if err := json.Unmarshal(buf, &r); err != nil {
-			return nil, fmt.Errorf("%s: %w", path, err)
-		}
-		return &r, nil
-	}
-	oldRep, err := load(oldPath)
-	if err != nil {
-		fmt.Fprintf(stderr, "soundbench: %v\n", err)
-		return 1
-	}
-	newRep, err := load(newPath)
-	if err != nil {
-		fmt.Fprintf(stderr, "soundbench: %v\n", err)
-		return 1
-	}
-
-	newByName := make(map[string]benchRecord, len(newRep.Benchmarks))
-	for _, rec := range newRep.Benchmarks {
-		newByName[rec.Name] = rec
-	}
-	pct := func(oldV, newV float64) string {
-		if oldV == 0 {
-			return "    n/a"
-		}
-		return fmt.Sprintf("%+6.1f%%", (newV-oldV)/oldV*100)
-	}
-
-	fmt.Fprintf(stdout, "benchcmp %s -> %s\n", oldPath, newPath)
-	fmt.Fprintf(stdout, "%-36s %14s %14s %8s\n", "spec", "old ns/op", "new ns/op", "delta")
-	var regressions []string
-	seen := make(map[string]bool, len(oldRep.Benchmarks))
-	for _, oldRec := range oldRep.Benchmarks {
-		seen[oldRec.Name] = true
-		newRec, ok := newByName[oldRec.Name]
-		if !ok {
-			fmt.Fprintf(stdout, "%-36s %14.1f %14s %8s\n", oldRec.Name, oldRec.NsPerOp, "-", "gone")
-			continue
-		}
-		fmt.Fprintf(stdout, "%-36s %14.1f %14.1f %8s\n",
-			oldRec.Name, oldRec.NsPerOp, newRec.NsPerOp, pct(oldRec.NsPerOp, newRec.NsPerOp))
-		if gate > 0 && oldRec.NsPerOp > 0 && (newRec.NsPerOp-oldRec.NsPerOp)/oldRec.NsPerOp*100 > gate {
-			regressions = append(regressions,
-				fmt.Sprintf("%s: %.1f -> %.1f ns/op (%s > +%.1f%%)",
-					oldRec.Name, oldRec.NsPerOp, newRec.NsPerOp,
-					strings.TrimSpace(pct(oldRec.NsPerOp, newRec.NsPerOp)), gate))
-		}
-		if oldRec.AllocsPerOp != newRec.AllocsPerOp {
-			fmt.Fprintf(stdout, "  %-34s %14d %14d %8s\n", "allocs/op",
-				oldRec.AllocsPerOp, newRec.AllocsPerOp,
-				pct(float64(oldRec.AllocsPerOp), float64(newRec.AllocsPerOp)))
-		}
-		metrics := make([]string, 0, len(oldRec.Extra))
-		for metric := range oldRec.Extra {
-			if _, ok := newRec.Extra[metric]; ok {
-				metrics = append(metrics, metric)
-			}
-		}
-		sort.Strings(metrics)
-		for _, metric := range metrics {
-			oldV, newV := oldRec.Extra[metric], newRec.Extra[metric]
-			fmt.Fprintf(stdout, "  %-34s %14.1f %14.1f %8s\n", metric, oldV, newV, pct(oldV, newV))
-		}
-	}
-	for _, newRec := range newRep.Benchmarks {
-		if !seen[newRec.Name] {
-			fmt.Fprintf(stdout, "%-36s %14s %14.1f %8s\n", newRec.Name, "-", newRec.NsPerOp, "new")
-		}
-	}
-	if len(regressions) > 0 {
-		fmt.Fprintf(stderr, "soundbench: %d spec(s) beyond the %.1f%% regression gate:\n", len(regressions), gate)
-		for _, r := range regressions {
-			fmt.Fprintf(stderr, "  %s\n", r)
-		}
 		return 1
 	}
 	return 0

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
 	"strings"
 	"testing"
 )
@@ -103,77 +102,6 @@ func TestBenchJSONCPUFlag(t *testing.T) {
 	}
 	if b := report.Benchmarks[0]; b.GoMaxProcs != 1 {
 		t.Errorf("per-spec gomaxprocs = %d, want 1 (-cpu 1)", b.GoMaxProcs)
-	}
-}
-
-// writeBenchJSON writes a minimal benchmark record for the cmp tests.
-func writeBenchJSON(t *testing.T, path string, ns map[string]float64) {
-	t.Helper()
-	rep := benchReport{GoVersion: "test"}
-	names := make([]string, 0, len(ns))
-	for name := range ns {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		rep.Benchmarks = append(rep.Benchmarks, benchRecord{Name: name, NsPerOp: ns[name]})
-	}
-	buf, err := json.Marshal(rep)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(path, buf, 0o644); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestBenchCmpGate(t *testing.T) {
-	dir := t.TempDir()
-	oldP := filepath.Join(dir, "BENCH_PR1.json")
-	newP := filepath.Join(dir, "BENCH_PR2.json")
-	writeBenchJSON(t, oldP, map[string]float64{"A": 100, "B": 50})
-	writeBenchJSON(t, newP, map[string]float64{"A": 110, "B": 70})
-
-	// Report-only: a 40% regression on B passes without a gate.
-	var out, errb bytes.Buffer
-	if code := run([]string{"-benchcmp", oldP, newP}, &out, &errb); code != 0 {
-		t.Fatalf("ungated exit = %d, stderr = %s", code, errb.String())
-	}
-	// Gate at 20%: B (+40%) fails, A (+10%) passes.
-	out.Reset()
-	errb.Reset()
-	if code := run([]string{"-benchcmp", "-gate", "20", oldP, newP}, &out, &errb); code != 1 {
-		t.Fatalf("gated exit = %d, want 1", code)
-	}
-	if msg := errb.String(); !strings.Contains(msg, "B") || strings.Contains(msg, "A:") {
-		t.Errorf("gate stderr = %q", msg)
-	}
-	// Gate at 50%: nothing regresses that far.
-	out.Reset()
-	errb.Reset()
-	if code := run([]string{"-benchcmp", "-gate", "50", oldP, newP}, &out, &errb); code != 0 {
-		t.Errorf("wide gate exit = %d, stderr = %s", code, errb.String())
-	}
-}
-
-func TestLatestBenchFiles(t *testing.T) {
-	dir := t.TempDir()
-	// Non-record files — wrong prefix, non-numeric suffix, backups —
-	// must be skipped, not diffed.
-	for _, name := range []string{"BENCH_PR2.json", "BENCH_PR9.json", "BENCH_PR10.json",
-		"other.json", "BENCH_notes.json", "BENCH_PR9.json.bak", "BENCH_PR.json", "BENCH_PR12draft.json"} {
-		writeBenchJSON(t, filepath.Join(dir, name), map[string]float64{"A": 1})
-	}
-	oldP, newP, err := latestBenchFiles(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Natural version order: PR9 then PR10, not lexicographic PR10 < PR2.
-	if filepath.Base(oldP) != "BENCH_PR9.json" || filepath.Base(newP) != "BENCH_PR10.json" {
-		t.Errorf("latest = %s, %s", oldP, newP)
-	}
-	if _, _, err := latestBenchFiles(t.TempDir()); err == nil {
-		t.Error("empty dir accepted")
 	}
 }
 

@@ -65,7 +65,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		ckptPath   = fs.String("checkpoint", "", "with -stream: snapshot operator state to this file every -checkpoint-every events")
 		ckptEvery  = fs.Int("checkpoint-every", 1000, "events between checkpoints (with -checkpoint)")
 		restore    = fs.String("restore", "", "with -stream: resume the replay from this snapshot file")
-		fuse       = fs.String("fuse", "auto", "with -stream: operator fusion in the dataflow engine: auto (engine default, overridable via SOUND_STREAM_FUSE), on, or off")
 		explain    = fs.Bool("explain", false, "run the violation analysis (change points, explanations E1-E6) on the results")
 		parallel   = fs.Bool("parallel", false, "fan the violation analysis out over GOMAXPROCS workers (with -explain; output is identical to sequential)")
 		verbose    = fs.Bool("v", false, "print every window outcome, not just the summary")
@@ -111,11 +110,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if (*ckptPath != "" || *restore != "") && !*streaming {
 		return fail(stderr, fmt.Errorf("-checkpoint/-restore need -stream"))
 	}
-	switch *fuse {
-	case "auto", "on", "off":
-	default:
-		return fail(stderr, fmt.Errorf("-fuse %q out of range (want auto, on, or off)", *fuse))
-	}
 	if *ckptPath != "" && *ckptEvery <= 0 {
 		return fail(stderr, fmt.Errorf("-checkpoint-every %d out of range (want >= 1)", *ckptEvery))
 	}
@@ -124,7 +118,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	var results []sound.Result
 	if *streaming {
 		var err error
-		counts, err = runStream(check, fs.Args(), sound.Params{Credibility: *cred, MaxSamples: *maxSamples}, *seed, *naive, *ckptPath, *ckptEvery, *restore, *fuse)
+		counts, err = runStream(check, fs.Args(), sound.Params{Credibility: *cred, MaxSamples: *maxSamples}, *seed, *naive, *ckptPath, *ckptEvery, *restore)
 		if err != nil {
 			return fail(stderr, err)
 		}
@@ -284,7 +278,7 @@ func (c *csvCursor) close() {
 // replay offset; with restorePath the state is loaded back, the first
 // offset events are skipped, and the resumed replay is bit-identical to
 // an uninterrupted one.
-func runStream(check sound.Check, paths []string, params sound.Params, seed uint64, naive bool, ckptPath string, every int, restorePath, fuse string) (map[sound.Outcome]int, error) {
+func runStream(check sound.Check, paths []string, params sound.Params, seed uint64, naive bool, ckptPath string, every int, restorePath string) (map[sound.Outcome]int, error) {
 	out := &checker.StreamOutcomes{}
 	cfg := checker.StreamCheck{
 		Check:   check,
@@ -381,13 +375,6 @@ func runStream(check sound.Check, paths []string, params sound.Params, seed uint
 		}
 	}
 	g := stream.NewGraph()
-	// Fusion is a scheduling choice with bit-identical results either
-	// way (DESIGN.md §4j); the flag exists to pin a mode when comparing
-	// replays or debugging the engine. "auto" leaves the engine default
-	// (and the SOUND_STREAM_FUSE escape hatch) in charge.
-	if fuse != "auto" {
-		g.SetFusion(fuse == "on")
-	}
 	var src *stream.Node
 	if reg != nil {
 		src = g.AddCheckpointSource("csv", replay)

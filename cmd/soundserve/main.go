@@ -26,6 +26,7 @@ package main
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -37,6 +38,7 @@ import (
 	"sort"
 	"strings"
 	"syscall"
+	"time"
 
 	"sound"
 	"sound/internal/checker"
@@ -143,7 +145,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	drainErr := srv.Drain()
 	if hsrv != nil {
-		hsrv.Close()
+		// Shutdown, not Close: the POST /drain that quiesced the server is
+		// still writing its stats body when Drained() fires, and Close
+		// would cut that response off.
+		ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+		if hsrv.Shutdown(ctx) != nil {
+			hsrv.Close()
+		}
+		cancel()
 	}
 	st := srv.Stats()
 	enc := json.NewEncoder(stdout)
@@ -379,12 +388,25 @@ func selftestTCP(cfgs []ingest.CheckConfig, evs []stream.Event, shards, batch in
 	if err := conn.Close(); err != nil {
 		return nil, nil, err
 	}
+	waitIngested(srv, len(evs))
 	if err := srv.Drain(); err != nil {
 		return nil, nil, err
 	}
 	st := srv.Stats()
 	counts, err := statsCounts(st, len(evs))
 	return counts, st.Groups, err
+}
+
+// waitIngested returns once the server has decoded n events, or after
+// five seconds. Drain does not wait for a connection the listener has
+// not accepted yet, so a driver that hangs up and drains at once has to
+// see its events counted first; a timeout shows up as the count mismatch
+// the caller reports.
+func waitIngested(srv *ingest.Server, n int) {
+	deadline := time.Now().Add(5 * time.Second)
+	for srv.Stats().Ingested < int64(n) && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
 }
 
 // selftestHTTP replays the events as one NDJSON POST against a fresh

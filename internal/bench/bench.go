@@ -1,7 +1,7 @@
 // Package bench holds the micro-benchmark bodies for the Alg. 1 hot path
 // and its ablations in library form, so the same workloads can run both
-// under `go test -bench` (via the delegating Benchmark* functions in the
-// repo root) and inside cmd/soundbench, which executes them with
+// under `go test -bench` (BenchmarkSpecs in the repo root ranges over
+// Specs) and inside cmd/soundbench, which executes them with
 // testing.Benchmark and emits machine-readable JSON.
 package bench
 
@@ -57,8 +57,6 @@ func Specs() []Spec {
 		{"StreamThroughput/batch16", func(b *testing.B) { StreamThroughput(b, 16) }},
 		{"StreamThroughput/batch64", func(b *testing.B) { StreamThroughput(b, 64) }},
 		{"StreamThroughput/batch256", func(b *testing.B) { StreamThroughput(b, 256) }},
-		{"StreamFusion/on", func(b *testing.B) { StreamFusion(b, true) }},
-		{"StreamFusion/off", func(b *testing.B) { StreamFusion(b, false) }},
 		{"Decode/frame", DecodeFrame},
 		{"Decode/ndjson", DecodeNDJSON},
 		{"Decode/csv", DecodeCSV},
@@ -584,59 +582,6 @@ func StreamThroughput(b *testing.B, batchSize int) {
 		}
 	})
 	chk := g.AddOperator("check", 4, factory)
-	sink := g.AddSink("sink", nil)
-	if err := g.ConnectKeyed(src, chk); err != nil {
-		b.Fatal(err)
-	}
-	if err := g.Connect(chk, sink); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m, err := g.Run()
-		if err != nil {
-			b.Fatal(err)
-		}
-		if m.Count("sink") != nEvents {
-			b.Fatalf("sink saw %d events, want %d", m.Count("sink"), nEvents)
-		}
-	}
-	b.ReportMetric(float64(b.N)*nEvents/b.Elapsed().Seconds(), "points/sec")
-}
-
-// StreamFusion prices the fused shard runtime directly: the same linear
-// source → keyed check (1 worker) → sink chain — the topology every app
-// and soundcheck -stream runs — executed with the planner forced on
-// (one fused goroutine, no transport) and forced off (per-node
-// goroutines over ring/channel edges). The delta between the two specs
-// is the pure scheduling cost fusion removes.
-func StreamFusion(b *testing.B, fuse bool) {
-	const nEvents = 1 << 14
-	ck := core.Check{
-		Name:        "range",
-		Constraint:  core.Range(0, 100),
-		SeriesNames: []string{"s"},
-		Window:      sound.TimeWindow{Size: 60},
-	}
-	factory, err := checker.NewStreamChecker(checker.StreamCheck{
-		Check:   ck,
-		Params:  core.Params{Credibility: 0.95, MaxSamples: 100},
-		Seed:    7,
-		Forward: true,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	keys := [8]string{"h0", "h1", "h2", "h3", "h4", "h5", "h6", "h7"}
-	g := stream.NewGraph()
-	g.SetFusion(fuse)
-	src := g.AddSource("src", func(emit stream.EmitFunc) {
-		for i := 0; i < nEvents; i++ {
-			emit(stream.Event{Time: float64(i / 8), Key: keys[i%8], Value: 50})
-		}
-	})
-	chk := g.AddOperator("check", 1, factory)
 	sink := g.AddSink("sink", nil)
 	if err := g.ConnectKeyed(src, chk); err != nil {
 		b.Fatal(err)

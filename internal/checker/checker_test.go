@@ -157,7 +157,7 @@ func TestUnaryStreamCheckerPointWise(t *testing.T) {
 			emit(stream.Event{Time: float64(i), Key: "k", Value: v, Created: time.Now()})
 		}
 	})
-	chk := g.AddOperator("check", 2, NewUnaryStreamChecker(ck, core.DefaultParams(), 7, false, &out))
+	chk := g.AddOperator("check", 2, MustStreamChecker(StreamCheck{Check: ck, Params: core.DefaultParams(), Seed: 7, Forward: true, Out: &out}))
 	var n int64
 	sink := g.AddSink("sink", func(stream.Event) { atomic.AddInt64(&n, 1) })
 	if err := g.ConnectKeyed(src, chk); err != nil {
@@ -198,7 +198,7 @@ func TestUnaryStreamCheckerTimeWindows(t *testing.T) {
 			emit(stream.Event{Time: float64(i), Key: "k", Value: float64(i % 5)})
 		}
 	})
-	chk := g.AddOperator("check", 1, NewUnaryStreamChecker(ck, core.DefaultParams(), 9, false, &out))
+	chk := g.AddOperator("check", 1, MustStreamChecker(StreamCheck{Check: ck, Params: core.DefaultParams(), Seed: 9, Forward: true, Out: &out}))
 	sink := g.AddSink("sink", nil)
 	if err := g.ConnectKeyed(src, chk); err != nil {
 		t.Fatal(err)
@@ -233,7 +233,7 @@ func TestUnaryStreamCheckerCountWindowsNaive(t *testing.T) {
 			emit(stream.Event{Time: float64(i), Key: "k", Value: float64(i)})
 		}
 	})
-	chk := g.AddOperator("check", 1, NewUnaryStreamChecker(ck, core.DefaultParams(), 9, true, &out))
+	chk := g.AddOperator("check", 1, MustStreamChecker(StreamCheck{Check: ck, Params: core.DefaultParams(), Seed: 9, Naive: true, Forward: true, Out: &out}))
 	sink := g.AddSink("sink", nil)
 	if err := g.ConnectKeyed(src, chk); err != nil {
 		t.Fatal(err)
@@ -266,7 +266,7 @@ func TestBinaryStreamChecker(t *testing.T) {
 			emit(stream.Event{Time: float64(i), Key: "b", Value: 3})
 		}
 	})
-	chk := g.AddOperator("check", 1, NewBinaryStreamChecker(ck, "a", "b", core.DefaultParams(), 11, false, &out))
+	chk := g.AddOperator("check", 1, MustStreamChecker(StreamCheck{Check: ck, Params: core.DefaultParams(), Seed: 11, Forward: true, Out: &out, Route: ByInputKeys("a", "b")}))
 	var n int64
 	sink := g.AddSink("sink", func(stream.Event) { atomic.AddInt64(&n, 1) })
 	if err := g.Connect(src, chk); err != nil {

@@ -6,7 +6,6 @@ import (
 
 	"sound/internal/core"
 	"sound/internal/resample"
-	"sound/internal/stream"
 )
 
 // This file is the checker's half of window multiplexing (DESIGN.md
@@ -121,96 +120,6 @@ func (s GroupMetricsSnapshot) SharedHitRatio() float64 {
 	return r
 }
 
-// StreamMember configures one member of a multiplexed operator.
-type StreamMember struct {
-	Check  core.Check
-	Params core.Params
-	Seed   uint64
-	// Naive selects BASE_CHECK semantics; naive members share the
-	// operator's window buffers but never join the draw-sharing group.
-	Naive bool
-	Out   *StreamOutcomes
-	// OnOutcome observes every (group key, outcome) pair, on the
-	// evaluating worker's goroutine.
-	OnOutcome func(key string, o core.Outcome)
-}
-
-// MultiStreamCheck configures a multiplexed stream operator: a bucket
-// of member checks sharing one window spec, one route, and one keyed
-// window state. SOUND members must share one core.GroupClass (same
-// normalized params, window assigner, arity, and base seed) — the
-// condition under which one drawn sample matrix serves them all.
-type MultiStreamCheck struct {
-	Members []StreamMember
-	// Forward passes every input event downstream unchanged.
-	Forward bool
-	// Route attributes events to check inputs and window groups; nil
-	// defaults to ByEventKey for unary members.
-	Route RouteFunc
-	// Evict bounds the operator's keyed state; the shared buffers are
-	// charged once for the whole bucket, not per member.
-	Evict EvictionPolicy
-	// Metrics, when set, accumulates the bucket's sharing counters.
-	// Only the shared path (≥ 2 SOUND members) records.
-	Metrics *GroupMetrics
-}
-
-// NewMultiStreamChecker compiles the member bucket into one multiplexed
-// operator factory. With a single SOUND member the operator degenerates
-// to the legacy per-check path bit-for-bit; with two or more, windows
-// evaluate through a shared PlanGroup with window-derived draws.
-// Multiplexed operators are not checkpointable (no Registry): the
-// shared path keeps no evaluator state worth snapshotting — its RNG is
-// derived per window — and the single-member case that needs exact RNG
-// continuation uses NewStreamChecker.
-func NewMultiStreamChecker(cfg MultiStreamCheck) (func() stream.Processor, error) {
-	if len(cfg.Members) == 0 {
-		return nil, fmt.Errorf("checker: multiplexed operator needs at least one member")
-	}
-	members := make([]*memberSpec, len(cfg.Members))
-	for i, mc := range cfg.Members {
-		m, err := newMemberSpec(mc.Check, mc.Params, mc.Seed, mc.Naive, mc.Out, mc.OnOutcome)
-		if err != nil {
-			return nil, err
-		}
-		members[i] = m
-	}
-	if err := validateBucket(members); err != nil {
-		return nil, err
-	}
-	route, err := resolveRoute(cfg.Route, &members[0].check, members[0].plan.Arity())
-	if err != nil {
-		return nil, err
-	}
-	return func() stream.Processor {
-		return newOperator(members, route, cfg.Forward, cfg.Evict, nil, cfg.Metrics)
-	}, nil
-}
-
-// validateBucket enforces the sharing preconditions: every member sees
-// the same window machinery (assigner + arity), and the SOUND members
-// form one GroupClass.
-func validateBucket(members []*memberSpec) error {
-	asg := members[0].plan.Assigner()
-	arity := members[0].plan.Arity()
-	var cls *core.GroupClass
-	for _, m := range members {
-		if m.plan.Assigner() != asg || m.plan.Arity() != arity {
-			return fmt.Errorf("checker: member %q window/arity differs from the bucket's", m.check.Name)
-		}
-		if m.naive {
-			continue
-		}
-		c := m.plan.Class()
-		if cls == nil {
-			cls = &c
-		} else if c != *cls {
-			return fmt.Errorf("checker: member %q params/seed class differs from the bucket's", m.check.Name)
-		}
-	}
-	return nil
-}
-
 // installMembers (re)binds the member set of a worker instance,
 // switching between the legacy and shared paths. Existing legacy
 // evaluators are carried over for members that remain, so a bucket
@@ -243,8 +152,9 @@ func (c *streamChecker) installMembers(members []*memberSpec) {
 	if c.shared {
 		g, err := core.NewPlanGroup(plans)
 		if err != nil {
-			// validateBucket ran at registration; a failure here is a bug.
-			panic(fmt.Errorf("checker: plan group for validated bucket: %w", err))
+			// A bucket's members share one GroupClass by construction
+			// (Mux keys buckets by it); a failure here is a bug.
+			panic(fmt.Errorf("checker: plan group for same-class bucket: %w", err))
 		}
 		c.planGroup = g
 		c.resBuf = make([]core.Result, len(plans))

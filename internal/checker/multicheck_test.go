@@ -90,9 +90,10 @@ func (l *verdictLog) canon() []byte {
 
 // runMuxGraph runs the events through one mux-hosted operator and
 // returns the per-check canonical verdict maps, keyed by check name.
-func runMuxGraph(t *testing.T, x *Mux, logs map[string]*verdictLog, events []stream.Event, workers, batch int) {
+func runMuxGraph(t *testing.T, x *Mux, logs map[string]*verdictLog, events []stream.Event, workers, batch int, fuse bool) {
 	t.Helper()
 	g := stream.NewGraph()
+	g.SetFusion(fuse)
 	src := g.AddSource("src", func(emit stream.EmitFunc) {
 		for _, ev := range events {
 			emit(ev)
@@ -142,17 +143,16 @@ func muxFor(t *testing.T, cks []core.Check, order []int, seed uint64) (*Mux, map
 
 // TestPinnedMultiCheckInvariance is the multiplexing contract: the
 // per-check verdict map of a shared bucket is byte-identical across
-// registration orders, worker counts, and transport batch sizes. With
-// the CI parity matrix running this under SOUND_STREAM_FUSE=on|off, the
-// invariance also covers fusion. The reference run is registration
-// order 0..3, one worker, default batch.
+// registration orders, worker counts, transport batch sizes, and operator
+// fusion on and off. The reference run is registration order 0..3, one
+// worker, default batch, fused.
 func TestPinnedMultiCheckInvariance(t *testing.T) {
 	cks := muxTestChecks()
 	events := muxTestEvents(6, 48)
 	ref := map[string][]byte{}
 	{
 		x, logs := muxFor(t, cks, []int{0, 1, 2, 3}, 7)
-		runMuxGraph(t, x, logs, events, 1, 0)
+		runMuxGraph(t, x, logs, events, 1, 0, true)
 		for name, l := range logs {
 			ref[name] = l.canon()
 			if len(l.m) != 6 {
@@ -176,11 +176,13 @@ func TestPinnedMultiCheckInvariance(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			x, logs := muxFor(t, cks, tc.order, 7)
-			runMuxGraph(t, x, logs, events, tc.workers, tc.batch)
-			for name, l := range logs {
-				if got := l.canon(); !bytes.Equal(got, ref[name]) {
-					t.Errorf("check %q verdict map differs from reference:\ngot:\n%s\nwant:\n%s", name, got, ref[name])
+			for _, fuse := range []bool{true, false} {
+				x, logs := muxFor(t, cks, tc.order, 7)
+				runMuxGraph(t, x, logs, events, tc.workers, tc.batch, fuse)
+				for name, l := range logs {
+					if got := l.canon(); !bytes.Equal(got, ref[name]) {
+						t.Errorf("fuse=%v: check %q verdict map differs from reference:\ngot:\n%s\nwant:\n%s", fuse, name, got, ref[name])
+					}
 				}
 			}
 		})
@@ -188,10 +190,9 @@ func TestPinnedMultiCheckInvariance(t *testing.T) {
 }
 
 // TestMultiStreamSingleMemberMatchesLegacy pins the degeneration
-// contract: a multiplexed operator with ONE SOUND member reproduces
-// NewStreamChecker's verdict stream bit-for-bit (same lazy seed-slot
-// claims, same evaluator state continuation), so hosting a lone check
-// in a Mux changes nothing.
+// contract: a Mux hosting ONE SOUND check reproduces NewStreamChecker's
+// verdict stream bit-for-bit (same lazy seed-slot claims, same evaluator
+// state continuation), so hosting a lone check in a Mux changes nothing.
 func TestMultiStreamSingleMemberMatchesLegacy(t *testing.T) {
 	cks := muxTestChecks()
 	events := muxTestEvents(3, 40)
@@ -223,32 +224,17 @@ func TestMultiStreamSingleMemberMatchesLegacy(t *testing.T) {
 		}
 
 		multi := newVerdictLog()
-		mf, err := NewMultiStreamChecker(MultiStreamCheck{
-			Members: []StreamMember{{
-				Check:     ck,
-				Params:    core.DefaultParams(),
-				Seed:      11,
-				OnOutcome: multi.add,
-			}},
-		})
-		if err != nil {
+		x := NewMux(false, EvictionPolicy{})
+		if err := x.Register(MuxCheck{
+			Name:      ck.Name,
+			Check:     ck,
+			Params:    core.DefaultParams(),
+			Seed:      11,
+			OnOutcome: multi.add,
+		}); err != nil {
 			t.Fatal(err)
 		}
-		g2 := stream.NewGraph()
-		src2 := g2.AddSource("src", func(emit stream.EmitFunc) {
-			for _, ev := range events {
-				emit(ev)
-			}
-		})
-		if err := g2.ConnectKeyed(src2, g2.AddOperator("check", 1, mf)); err != nil {
-			t.Fatal(err)
-		}
-		if err := g2.Connect(src2, g2.AddSink("sink", nil)); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := g2.Run(); err != nil {
-			t.Fatal(err)
-		}
+		runMuxGraph(t, x, nil, events, 1, 0, true)
 		if !bytes.Equal(legacy.canon(), multi.canon()) {
 			t.Errorf("check %q: single-member multiplexed verdicts differ from NewStreamChecker:\nmulti:\n%s\nlegacy:\n%s",
 				ck.Name, multi.canon(), legacy.canon())
@@ -256,35 +242,34 @@ func TestMultiStreamSingleMemberMatchesLegacy(t *testing.T) {
 	}
 }
 
-// TestMultiStreamCheckerValidation: buckets must share window machinery
-// and params class.
-func TestMultiStreamCheckerValidation(t *testing.T) {
+// TestMuxBucketsByClass: a bucket shares window machinery and params
+// class by construction — registrations that differ in either open their
+// own bucket instead of joining one, and naive members ride along.
+func TestMuxBucketsByClass(t *testing.T) {
 	cks := muxTestChecks()
-	if _, err := NewMultiStreamChecker(MultiStreamCheck{}); err == nil {
-		t.Error("expected error for empty member list")
+	buckets := func(members ...MuxCheck) []GroupStat {
+		t.Helper()
+		x := NewMux(false, EvictionPolicy{})
+		for i, m := range members {
+			m.Name, m.Params, m.RouteID = fmt.Sprint(i), core.DefaultParams(), "key"
+			if err := x.Register(m); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return x.GroupStats()
 	}
 	other := cks[1]
 	other.Window = core.TimeWindow{Size: 8}
-	if _, err := NewMultiStreamChecker(MultiStreamCheck{Members: []StreamMember{
-		{Check: cks[0], Params: core.DefaultParams()},
-		{Check: other, Params: core.DefaultParams()},
-	}}); err == nil {
-		t.Error("expected error for mismatched window specs")
+	if gs := buckets(MuxCheck{Check: cks[0]}, MuxCheck{Check: other}); len(gs) != 2 {
+		t.Errorf("mismatched window specs: %d buckets, want 2", len(gs))
 	}
-	if _, err := NewMultiStreamChecker(MultiStreamCheck{Members: []StreamMember{
-		{Check: cks[0], Params: core.DefaultParams(), Seed: 1},
-		{Check: cks[1], Params: core.DefaultParams(), Seed: 2},
-	}}); err == nil {
-		t.Error("expected error for mismatched seeds (class split)")
+	if gs := buckets(MuxCheck{Check: cks[0], Seed: 1}, MuxCheck{Check: cks[1], Seed: 2}); len(gs) != 2 {
+		t.Errorf("mismatched seeds (class split): %d buckets, want 2", len(gs))
 	}
-	// Naive members may differ in params class contribution — but not
-	// window. A naive + 2 sound members bucket is fine.
-	if _, err := NewMultiStreamChecker(MultiStreamCheck{Members: []StreamMember{
-		{Check: cks[0], Params: core.DefaultParams(), Seed: 1},
-		{Check: cks[1], Params: core.DefaultParams(), Seed: 1},
-		{Check: cks[2], Params: core.DefaultParams(), Seed: 1, Naive: true},
-	}}); err != nil {
-		t.Errorf("mixed sound+naive bucket: %v", err)
+	gs := buckets(MuxCheck{Check: cks[0], Seed: 1}, MuxCheck{Check: cks[1], Seed: 1},
+		MuxCheck{Check: cks[2], Seed: 1, Naive: true})
+	if len(gs) != 1 || !gs[0].Shared || len(gs[0].Checks) != 3 {
+		t.Errorf("mixed sound+naive suite: buckets = %+v, want one shared bucket of 3", gs)
 	}
 }
 
@@ -316,7 +301,7 @@ func TestMuxDynamicRegistration(t *testing.T) {
 		t.Fatalf("Len = %d, want 4", x.Len())
 	}
 
-	runMuxGraph(t, x, nil, events, 1, 0)
+	runMuxGraph(t, x, nil, events, 1, 0, true)
 	gs := x.GroupStats()
 	if len(gs) != 1 {
 		t.Fatalf("GroupStats: %d buckets, want 1 shared bucket", len(gs))
@@ -342,7 +327,7 @@ func TestMuxDynamicRegistration(t *testing.T) {
 	if err := x.Deregister(cks[1].Name); err != nil {
 		t.Fatal(err)
 	}
-	runMuxGraph(t, x, nil, events, 1, 0)
+	runMuxGraph(t, x, nil, events, 1, 0, true)
 	if got := outs[1].Counts(); got != first[1] {
 		t.Errorf("deregistered check counters moved: %+v -> %+v", first[1], got)
 	}
@@ -380,7 +365,7 @@ func TestMuxDrawsFlat(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		runMuxGraph(t, x, nil, events, 1, 0)
+		runMuxGraph(t, x, nil, events, 1, 0, true)
 		x.mu.Lock()
 		defer x.mu.Unlock()
 		return x.order[0].metrics.Snapshot()

@@ -192,8 +192,8 @@ func NewStreamChecker(cfg StreamCheck) (func() stream.Processor, error) {
 	}, nil
 }
 
-// resolveRoute applies the route-defaulting rules shared by the single-
-// and multi-check constructors.
+// resolveRoute applies the route-defaulting rules shared by
+// NewStreamChecker and Mux.Register.
 func resolveRoute(route RouteFunc, ck *core.Check, arity int) (RouteFunc, error) {
 	if route != nil {
 		return route, nil
@@ -239,38 +239,6 @@ func MustStreamChecker(cfg StreamCheck) func() stream.Processor {
 		panic(err)
 	}
 	return f
-}
-
-// NewUnaryStreamChecker returns a stream operator factory that evaluates
-// the unary check on the events flowing through it, forwarding every
-// event unchanged — for inline instrumentation. Wire it with
-// ConnectKeyed when windows are per-key. Set naive to evaluate with
-// BASE_CHECK semantics instead of Alg. 1. It is a thin wrapper around
-// the generic NewStreamChecker.
-func NewUnaryStreamChecker(ck core.Check, params core.Params, seed uint64, naive bool, out *StreamOutcomes) func() stream.Processor {
-	return MustStreamChecker(StreamCheck{Check: ck, Params: params, Seed: seed, Naive: naive, Forward: true, Out: out})
-}
-
-// NewUnarySideChecker is the side-branch variant of
-// NewUnaryStreamChecker: it consumes its input without forwarding, for
-// check operators that run in parallel to the nominal dataflow and have
-// no downstream.
-func NewUnarySideChecker(ck core.Check, params core.Params, seed uint64, naive bool, out *StreamOutcomes) func() stream.Processor {
-	return MustStreamChecker(StreamCheck{Check: ck, Params: params, Seed: seed, Naive: naive, Out: out})
-}
-
-// NewBinaryStreamChecker returns a stream operator factory evaluating the
-// binary check on events whose Key equals keyA (first input) or keyB
-// (second input) in one global window group. Other events pass through
-// untouched. It is a thin wrapper around the generic NewStreamChecker.
-func NewBinaryStreamChecker(ck core.Check, keyA, keyB string, params core.Params, seed uint64, naive bool, out *StreamOutcomes) func() stream.Processor {
-	return MustStreamChecker(StreamCheck{Check: ck, Params: params, Seed: seed, Naive: naive, Forward: true, Out: out, Route: ByInputKeys(keyA, keyB)})
-}
-
-// NewBinarySideChecker is the side-branch variant of
-// NewBinaryStreamChecker (no forwarding, no downstream).
-func NewBinarySideChecker(ck core.Check, keyA, keyB string, params core.Params, seed uint64, naive bool, out *StreamOutcomes) func() stream.Processor {
-	return MustStreamChecker(StreamCheck{Check: ck, Params: params, Seed: seed, Naive: naive, Out: out, Route: ByInputKeys(keyA, keyB)})
 }
 
 // streamChecker is one worker's instance of the generic operator. Keyed

@@ -123,11 +123,10 @@ type Evaluator struct {
 	// extc holds the shared per-series extractions EvaluateAll attaches
 	// to its window tuples, reused across calls.
 	extc extCache
-	// blk, mask, and kvals are the kernel path's reused scratch: the
-	// dense sample matrix, the per-sample satisfied bitmask, and the
-	// per-window row headers passed to the kernel (see kernel.go).
+	// blk and kvals are the block loop's reused scratch: the dense sample
+	// matrix and the per-window row headers of the sample being scored
+	// (see kernel.go).
 	blk   resample.Block
-	mask  []uint64
 	kvals [][]float64
 }
 
@@ -217,39 +216,18 @@ func (e *Evaluator) evaluateInto(res *Result, c *Constraint, w WindowTuple) {
 	} else {
 		rs.Prime(w.Windows)
 	}
-
-	// The decision rule of Alg. 1 runs on the precomputed boundary table:
-	// two integer comparisons per check instead of a Beta quantile
-	// bisection (see decisionBounds.decide). Parameters are hoisted into
-	// locals so the sampling loop carries no field loads.
-	maxS, minS, ci := e.params.MaxSamples, e.params.MinSamples, e.params.CheckInterval
 	if strat == resample.Point && rs.PrimedAllCertain() {
 		// Point resampling of all-certain windows returns the raw values
 		// on every draw and consumes no randomness, so the constraint
 		// verdict is the same for all N samples: evaluate it once and
 		// replay the decision schedule on the boundary table.
 		var cs int
-		res.Outcome, res.Samples, cs = e.bounds.replayConstant(c.Eval(rs.Draw(w.Windows)), minS, ci, maxS)
+		res.Outcome, res.Samples, cs = e.bounds.replayConstant(c.Eval(rs.Draw(w.Windows)),
+			e.params.MinSamples, e.params.CheckInterval, e.params.MaxSamples)
 		e.finish(res, cs)
 		return
 	}
-	if c.Spec.Op != KernelNone && kernelReady(rs, len(w.Windows)) {
-		// Template constraint over provably finite windows: evaluate
-		// through the compiled block kernel (kernel.go). User-supplied
-		// functions and windows that may produce non-finite draws keep
-		// the per-sample closure loop below as the reference path.
-		e.evaluateKernel(res, &c.Spec, rs, w)
-		return
-	}
-	countSatisfied := 0
-	for res.Samples < maxS && res.Outcome == Inconclusive {
-		if c.Eval(rs.Draw(w.Windows)) {
-			countSatisfied++
-		}
-		res.Samples++
-		res.Outcome = e.bounds.decide(countSatisfied, res.Samples, minS, ci, maxS)
-	}
-	e.finish(res, countSatisfied)
+	e.evaluateBlocks(res, c, rs, w)
 }
 
 // finish fills the posterior summary of a terminated evaluation in

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"sound/internal/rng"
 	"sound/internal/series"
 )
 
@@ -376,5 +377,108 @@ func TestTaxonomyStrings(t *testing.T) {
 	}
 	if Set.Ordered() || !SequenceTime.Ordered() {
 		t.Error("Ordered wrong")
+	}
+}
+
+// evaluateScalar is Alg. 1 as the paper writes it — draw one sample,
+// score it with the closure, consult the decision rule — on e's own
+// resampler stream. It is the loop Evaluator ran for closure constraints
+// before the block loop (kernel.go) served every constraint, kept here as
+// the oracle the block loop must match sample for sample on non-empty
+// windows.
+func evaluateScalar(e *Evaluator, c Constraint, w WindowTuple) Result {
+	res := Result{Window: WindowTuple{Windows: w.Windows, Start: w.Start, End: w.End, Index: w.Index}}
+	rs := e.resampler(c.Strategy())
+	rs.Prime(w.Windows)
+	p := e.params
+	countSatisfied := 0
+	for res.Samples < p.MaxSamples && res.Outcome == Inconclusive {
+		if c.Eval(rs.Draw(w.Windows)) {
+			countSatisfied++
+		}
+		res.Samples++
+		res.Outcome = e.bounds.decide(countSatisfied, res.Samples, p.MinSamples, p.CheckInterval, p.MaxSamples)
+	}
+	e.finish(&res, countSatisfied)
+	return res
+}
+
+// TestEvaluateMatchesScalarOracle runs Evaluate and the scalar oracle on
+// two evaluators of one seed over consecutive windows, so a block that
+// consumed one draw more or fewer than the per-sample loop shows up in the
+// next window's result, not only in the resampler positions compared at
+// the end. The constraints are the ones the closure scores inside the
+// block loop: a user Fn, a template with its spec cleared, and a template
+// over a window whose non-finite σ fails the kernel's precondition.
+func TestEvaluateMatchesScalarOracle(t *testing.T) {
+	// Order-sensitive, so the sequence strategy's block order matters too.
+	weightedMeanBelow := func(thresh float64) func([][]float64) bool {
+		return func(vals [][]float64) bool {
+			var num, den float64
+			for i, v := range vals[0] {
+				num += float64(i+1) * v
+				den += float64(i + 1)
+			}
+			return num/den < thresh
+		}
+	}
+	userFn := func(g Granularity, o Orderedness) Constraint {
+		return Constraint{Name: "weighted-mean-below", Granularity: g, Orderedness: o, Arity: 1, Fn: weightedMeanBelow(3.2)}
+	}
+	cases := []struct {
+		name      string
+		c         Constraint
+		nonFinite bool
+	}{
+		{"fn/point", userFn(PointWise, Set), false},
+		{"fn/set", userFn(WindowTime, Set), false},
+		{"fn/sequence", userFn(WindowIndex, SequenceIndex), false},
+		{"nospec/point", forceClosure(Range(-0.5, 7.5)), false},
+		{"nospec/set", forceClosure(FractionInRange(0, 7, 0.6)), false},
+		{"nospec/sequence", forceClosure(CorrelationAbove(0.1)), false},
+		{"nonfinite/point", Range(-0.5, 7.5), true},
+		{"nonfinite/set", MaxDelta(9), true},
+		{"nonfinite/sequence", LowerMeanDelta(), true},
+	}
+	params := []Params{
+		{CheckInterval: 3, MinSamples: 5, MaxSamples: 40},
+		{CheckInterval: 7, MinSamples: 11, MaxSamples: 30, BlockSize: 4},
+		{CheckInterval: 2, MinSamples: 1, MaxSamples: 25, Credibility: 0.8},
+	}
+	const windows = 4
+	early, exhausted := 0, 0
+	for _, tc := range cases {
+		for pi, p := range params {
+			seed := uint64(pi + 1)
+			eB, eO := MustEvaluator(p, seed), MustEvaluator(p, seed)
+			r := rng.New(seed * 0x9e3779b97f4a7c15)
+			for wi := 0; wi < windows; wi++ {
+				w := WindowTuple{Windows: []series.Series{parityWindow(r, 12, float64(wi)/2)}, Index: wi}
+				if tc.c.Arity == 2 {
+					w.Windows = append(w.Windows, parityWindow(r, 12, 1))
+				}
+				if tc.nonFinite {
+					w.Windows[0][wi+1].SigUp = math.Inf(1)
+				}
+				got, want := eB.Evaluate(tc.c, w), evaluateScalar(eO, tc.c, w)
+				if !resultsEqual(got, want) {
+					t.Fatalf("%s params %d window %d: block loop = {o=%v n=%d s=%d ci=[%v,%v]}, oracle = {o=%v n=%d s=%d ci=[%v,%v]}",
+						tc.name, pi, wi, got.Outcome, got.Samples, got.SatisfiedCount, got.Lower, got.Upper,
+						want.Outcome, want.Samples, want.SatisfiedCount, want.Lower, want.Upper)
+				}
+				if got.Samples < eB.params.MaxSamples {
+					early++
+				} else {
+					exhausted++
+				}
+			}
+			s := tc.c.Strategy()
+			if eB.rs[s].State() != eO.rs[s].State() {
+				t.Fatalf("%s params %d: resampler streams differ after %d windows", tc.name, pi, windows)
+			}
+		}
+	}
+	if early == 0 || exhausted == 0 {
+		t.Fatalf("sweep is one-sided: %d early stops, %d exhausted budgets", early, exhausted)
 	}
 }

@@ -1,28 +1,26 @@
 package core
 
 import (
-	"math/bits"
-
 	"sound/internal/resample"
 	"sound/internal/stat"
 )
 
-// This file implements the compiled constraint kernels: the block
-// evaluation path of Alg. 1 that scores a whole matrix of resampled
-// realizations per call instead of one closure call per draw.
+// This file implements the single-check block loop of Alg. 1 and the
+// compiled constraint kernels that score its rows.
 //
-// A template constraint carries its declarative KernelSpec next to the
-// reference closure. When every primed window is provably finite under
-// perturbation (resample.Resampler.WindowSafe, classified once per
-// extraction), the evaluator draws blocks of K samples with
-// resample.DrawBlock and scores them with kernelSat, which mirrors the
-// closure's arithmetic exactly minus the per-draw finite() scan the
-// safety proof makes redundant. Constraints with user-supplied functions
-// (Spec.Op == KernelNone) and windows that cannot be proven finite fall
-// back to the closure loop, so the kernel path is a pure optimization:
-// the satisfied verdicts — and therefore the sampled trajectory, the
-// stopping index, and the posterior — are bit-identical by construction,
-// pinned by the kernel-vs-closure property and fuzz tests.
+// The evaluator draws blocks of K samples with resample.DrawBlock and
+// scores them row by row. A template constraint carries its declarative
+// KernelSpec next to the reference closure: when every primed window is
+// provably finite under perturbation (resample.Resampler.WindowSafe,
+// classified once per extraction) a row is scored by kernelSat, which
+// mirrors the closure's arithmetic exactly minus the per-draw finite()
+// scan the safety proof makes redundant. Constraints with user-supplied
+// functions (Spec.Op == KernelNone) and windows that cannot be proven
+// finite are scored by the closure on the same rows, so the kernel is a
+// pure optimization of the scoring form, not a second loop: the satisfied
+// verdicts — and therefore the sampled trajectory, the stopping index, and
+// the posterior — are bit-identical by construction, pinned by the
+// kernel-vs-closure property and fuzz tests.
 
 // kernelBlockValues caps how many float64 values one drawn block may
 // hold across all windows, bounding the evaluator's resident sample
@@ -142,53 +140,51 @@ func kernelReady(rs *resample.Resampler, k int) bool {
 	return true
 }
 
-// scoreBlock evaluates the kernel on every sample of the evaluator's
-// current block, records the per-sample verdicts in the satisfied
-// bitmask (bit s of word s/64), and returns the bitmask's population
-// count — the block's contribution to countSatisfied.
-func (e *Evaluator) scoreBlock(sp *KernelSpec, k int) int {
+// scoreBlock scores every sample of the evaluator's current block and
+// returns how many satisfied the constraint — the block's contribution to
+// countSatisfied. Each row goes through the compiled kernel when kernel is
+// set (the caller checked its precondition) and through the constraint's
+// closure otherwise.
+func (e *Evaluator) scoreBlock(c *Constraint, kernel bool, k int) int {
 	nw := len(e.blk.Data)
 	if cap(e.kvals) < nw {
 		e.kvals = make([][]float64, nw)
 	}
 	vals := e.kvals[:nw]
-	words := (k + 63) / 64
-	if cap(e.mask) < words {
-		e.mask = make([]uint64, words)
-	}
-	mask := e.mask[:words]
-	for i := range mask {
-		mask[i] = 0
-	}
+	sat := 0
 	for s := 0; s < k; s++ {
 		for wi := range vals {
 			vals[wi] = e.blk.Row(wi, s)
 		}
-		if kernelSat(sp, vals) {
-			mask[s>>6] |= 1 << uint(s&63)
+		var ok bool
+		if kernel {
+			ok = kernelSat(&c.Spec, vals)
+		} else {
+			ok = c.Eval(vals)
 		}
-	}
-	sat := 0
-	for _, m := range mask {
-		sat += bits.OnesCount64(m)
+		if ok {
+			sat++
+		}
 	}
 	return sat
 }
 
-// evaluateKernel is the block-wise sampling loop of Alg. 1: instead of
-// drawing one sample and consulting the boundary table per iteration, it
-// asks the table for the earliest future check at which a conclusion is
-// still possible (decisionBounds.nextDecision), draws all samples up to
-// that edge as dense blocks, folds the kernel's satisfied bitmask into
-// the running count, and tests the two integer thresholds once per block
-// edge. Because nextDecision bounds the trajectory from above and below,
-// no interior check of the scalar loop could have fired, and the check
-// at the edge sees exactly the count the scalar loop would see — the
-// stopping index, outcome, and posterior are identical, while the
+// evaluateBlocks is the sampling loop of Alg. 1 for a single check:
+// instead of drawing one sample and consulting the boundary table per
+// iteration, it asks the table for the earliest future check at which a
+// conclusion is still possible (decisionBounds.nextDecision), draws all
+// samples up to that edge as dense blocks, adds each block's satisfied
+// count to the running count, and tests the two integer thresholds once
+// per block edge. Because nextDecision bounds the trajectory from above
+// and below, no interior check of the per-sample loop could have fired,
+// and the check at the edge sees exactly the count that loop would see —
+// the stopping index, outcome, and posterior are identical, while the
 // randomness consumed is exactly one Draw per sample in the same order
 // (resample.DrawBlock), so every later window sees an unchanged stream.
-func (e *Evaluator) evaluateKernel(res *Result, sp *KernelSpec, rs *resample.Resampler, w WindowTuple) {
+// The per-sample loop itself lives on as the oracle in eval_test.go.
+func (e *Evaluator) evaluateBlocks(res *Result, c *Constraint, rs *resample.Resampler, w WindowTuple) {
 	maxS, minS, ci := e.params.MaxSamples, e.params.MinSamples, e.params.CheckInterval
+	kernel := c.Spec.Op != KernelNone && kernelReady(rs, len(w.Windows))
 	chunk := blockChunk(w, maxS)
 	cs, i := 0, 0
 	for i < maxS && res.Outcome == Inconclusive {
@@ -204,7 +200,7 @@ func (e *Evaluator) evaluateKernel(res *Result, sp *KernelSpec, rs *resample.Res
 				k = chunk
 			}
 			rs.DrawBlock(w.Windows, k, &e.blk)
-			cs += e.scoreBlock(sp, k)
+			cs += e.scoreBlock(c, kernel, k)
 			i += k
 		}
 		if j == 0 {

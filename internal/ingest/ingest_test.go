@@ -177,6 +177,10 @@ func TestPinnedIngestLoopbackTCP(t *testing.T) {
 	if err := conn.Close(); err != nil {
 		t.Fatal(err)
 	}
+	// Drain does not wait for a connection ServeTCP has not accepted yet.
+	for deadline := time.Now().Add(5 * time.Second); s.Stats().Ingested < int64(len(evs)) && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+	}
 	if err := s.Drain(); err != nil {
 		t.Fatal(err)
 	}

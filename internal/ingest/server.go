@@ -371,8 +371,11 @@ func (s *Server) endIngest() { s.connWG.Done() }
 // Drain performs the graceful shutdown handshake: stop accepting
 // producers, wait for in-flight ones, close the shard lanes, and wait
 // for every shard graph to flush its final windows and stop. After
-// Drain the counters are final. Idempotent; concurrent callers all
-// block until the first drain completes.
+// Drain the counters are final. A connection the kernel has completed
+// but ServeTCP has not yet accepted is not waited for — it is refused
+// with the listener — so a client that must not lose events confirms
+// them (Stats().Ingested) before it asks for the drain. Idempotent;
+// concurrent callers all block until the first drain completes.
 func (s *Server) Drain() error {
 	s.drainOnce.Do(func() {
 		s.mu.Lock()

@@ -546,20 +546,16 @@ func (rs *Resampler) blockIndices(n int) []int {
 // Block holds K consecutive aligned resamples of k windows in dense
 // row-major form — the sample matrix the compiled constraint kernels
 // consume. Data[wi] packs window wi's K rows back to back (sample s at
-// [s*n, (s+1)*n)); Start and End snapshot the generator at the block's
-// boundaries. A caller that abandons a drawn block entirely rewinds the
-// resampler to Start, making the block invisible to every draw that
-// follows. There are no per-sample snapshots: the block evaluator
-// schedules decisions only at block edges (see nextDecision in
-// internal/core), so a mid-block rewind point would never be used, and
-// omitting the captures lets the fused draw paths batch an entire
-// block's normals through one NormFill.
+// [s*n, (s+1)*n)). It carries no generator snapshots: the block
+// evaluators schedule decisions only at block edges (see nextDecision in
+// internal/core) and consume every sample they draw, so no block is ever
+// abandoned, and the fused draw paths batch an entire block's normals
+// through one NormFill.
 type Block struct {
-	Data       [][]float64
-	Start, End rng.State
-	K          int
-	ns         []int
-	rows       [][]float64
+	Data [][]float64
+	K    int
+	ns   []int
+	rows [][]float64
 }
 
 // Row returns window wi's values for sample s.
@@ -571,9 +567,7 @@ func (blk *Block) Row(wi, s int) []float64 {
 // DrawBlock draws K consecutive aligned resamples of the windows into
 // blk, reusing its buffers. The randomness consumed is exactly that of K
 // successive Draw calls — sample s's rows are bit-identical to what the
-// s-th Draw would have returned — and the generator state is snapshotted
-// at the block boundaries so a caller can rewind an abandoned block
-// (see Block).
+// s-th Draw would have returned.
 func (rs *Resampler) DrawBlock(windows []series.Series, K int, blk *Block) {
 	k := len(windows)
 	blk.K = K
@@ -597,7 +591,6 @@ func (rs *Resampler) DrawBlock(windows []series.Series, K int, blk *Block) {
 			blk.Data[wi] = sliceFor(blk.Data[wi], need)
 		}
 	}
-	blk.Start = rs.r.State()
 	if rs.strategy == Sequence && rs.drawSeqBlock(windows, K, blk) {
 		return
 	}
@@ -611,7 +604,6 @@ func (rs *Resampler) DrawBlock(windows []series.Series, K int, blk *Block) {
 		}
 		rs.drawSampleInto(windows, blk.rows)
 	}
-	blk.End = rs.r.State()
 }
 
 // blockDraws decides whether DrawBlock can fuse the windows' draws: it
@@ -677,7 +669,6 @@ func (rs *Resampler) drawSeqBlock(windows []series.Series, K int, blk *Block) bo
 			}
 		}
 	}
-	blk.End = rs.r.State()
 	return true
 }
 
@@ -736,12 +727,11 @@ func (rs *Resampler) drawPointBlock(windows []series.Series, K int, blk *Block) 
 		}
 		off += n
 	}
-	blk.End = rs.r.State()
 	return true
 }
 
-// Rewind resets the resampler's generator to a captured block-boundary
-// state, undoing the draws of an abandoned block.
+// Rewind resets the resampler's generator to a captured state
+// (Resampler.State), which is how checkpoint restore resumes a stream.
 func (rs *Resampler) Rewind(st rng.State) { rs.r.SetState(st) }
 
 // WindowSafe reports whether window slot wi (as last primed) is provably

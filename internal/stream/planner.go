@@ -1,7 +1,5 @@
 package stream
 
-import "os"
-
 // This file is the fusion planner (DESIGN.md §4j): before a run, the
 // graph is partitioned into *segments* — maximal chains of nodes whose
 // connecting edges can be compiled away. Inside a segment events move
@@ -33,29 +31,14 @@ import "os"
 // barrier protocol (a segment quiesces as one participant per worker),
 // and the FrameProcessor contract (inner stages buffer micro-frames up
 // to the transport batch size), so outcomes are bit-identical with
-// fusion on and off — the parity matrix CI pins.
+// fusion on and off — the fusion dimension of the pinned golden suites.
 
-// fuseEnv is the environment toggle CI uses to force the parity matrix:
-// SOUND_STREAM_FUSE=off (or 0/false) disables fusion, anything else —
-// including unset — leaves it on.
-const fuseEnv = "SOUND_STREAM_FUSE"
-
-// SetFusion overrides operator fusion for this graph, taking precedence
-// over the SOUND_STREAM_FUSE environment toggle. Fusion is a pure
-// scheduling choice: results are bit-identical either way.
-func (g *Graph) SetFusion(on bool) { g.fuse = &on }
-
-// fusionOn resolves the effective fusion setting.
-func (g *Graph) fusionOn() bool {
-	if g.fuse != nil {
-		return *g.fuse
-	}
-	switch os.Getenv(fuseEnv) {
-	case "off", "0", "false":
-		return false
-	}
-	return true
-}
+// SetFusion turns operator fusion off (or back on) for this graph. A
+// graph fuses unless told otherwise here, and nothing outside the tests
+// does: the unfused plan — one segment per node, transport on every
+// edge — is the reference the parity tests compare the fused one with.
+// Fusion is a pure scheduling choice: results are bit-identical either way.
+func (g *Graph) SetFusion(on bool) { g.fuse = on }
 
 // segment is one scheduling unit of a planned run: a chain of fused
 // nodes executed by `par` goroutines (workers). nodes[0] is the head —

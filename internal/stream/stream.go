@@ -504,7 +504,7 @@ type Graph struct {
 	nodes     []*Node
 	chanSize  int
 	batchSize int
-	fuse      *bool // nil: follow SOUND_STREAM_FUSE (default on)
+	fuse      bool // on unless SetFusion(false)
 	// pool recycles frame buffers across the graph's runs (Run is
 	// sequential per graph): ring slots are harvested back into it at
 	// the end of each run.
@@ -514,7 +514,7 @@ type Graph struct {
 // NewGraph returns an empty graph. Transport capacity defaults to 256
 // frames per edge partition; transport batch size defaults to 64 events
 // per frame.
-func NewGraph() *Graph { return &Graph{chanSize: 256, batchSize: 64} }
+func NewGraph() *Graph { return &Graph{chanSize: 256, batchSize: 64, fuse: true} }
 
 // SetChannelSize overrides the per-partition transport capacity
 // (counted in frames; ring capacities round up to the next power of
@@ -636,7 +636,7 @@ func (g *Graph) RunContext(ctx context.Context) (*Metrics, error) {
 		g.pool = newFramePool(g.batchSize)
 	}
 	pool := g.pool
-	segs, _ := g.plan(g.fusionOn())
+	segs, _ := g.plan(g.fuse)
 
 	runCtx, cancel := context.WithCancel(ctx)
 	defer cancel()

@@ -191,56 +191,59 @@ func loadPinFixture(t *testing.T) sound.Series {
 // first evaluation, not at worker startup.
 func TestPinnedStreamBatchedGraphParity(t *testing.T) {
 	x := loadPinFixture(t)
-	for _, batch := range []int{1, 7, 64} {
-		for _, workers := range []int{1, 4} {
-			var sb strings.Builder
-			for _, tc := range []struct {
-				tag string
-				win sound.Windower
-			}{
-				{"sliding", sound.TimeWindow{Size: 12, Slide: 5}},
-				{"tumbling", sound.TimeWindow{Size: 9}},
-				{"count", sound.CountWindow{Size: 8, Slide: 3}},
-			} {
-				out := &checker.StreamOutcomes{}
-				factory, err := checker.NewStreamChecker(checker.StreamCheck{
-					Check: sound.Check{
-						Name: "range", Constraint: sound.FractionInRange(0, 13, 0.8),
-						SeriesNames: []string{"x"}, Window: tc.win,
-					},
-					Params:  sound.DefaultParams(),
-					Seed:    13,
-					Forward: true,
-					Out:     out,
-				})
-				if err != nil {
-					t.Fatal(err)
-				}
-				g := stream.NewGraph()
-				g.SetBatchSize(batch)
-				src := g.AddSource("csv", func(emit stream.EmitFunc) {
-					for _, pt := range x {
-						emit(stream.Event{Time: pt.T, Key: "k", Value: pt.V, SigUp: pt.SigUp, SigDown: pt.SigDown})
+	for _, fuse := range []bool{true, false} {
+		for _, batch := range []int{1, 7, 64} {
+			for _, workers := range []int{1, 4} {
+				var sb strings.Builder
+				for _, tc := range []struct {
+					tag string
+					win sound.Windower
+				}{
+					{"sliding", sound.TimeWindow{Size: 12, Slide: 5}},
+					{"tumbling", sound.TimeWindow{Size: 9}},
+					{"count", sound.CountWindow{Size: 8, Slide: 3}},
+				} {
+					out := &checker.StreamOutcomes{}
+					factory, err := checker.NewStreamChecker(checker.StreamCheck{
+						Check: sound.Check{
+							Name: "range", Constraint: sound.FractionInRange(0, 13, 0.8),
+							SeriesNames: []string{"x"}, Window: tc.win,
+						},
+						Params:  sound.DefaultParams(),
+						Seed:    13,
+						Forward: true,
+						Out:     out,
+					})
+					if err != nil {
+						t.Fatal(err)
 					}
-				})
-				chk := g.AddOperator("check", workers, factory)
-				if err := g.ConnectKeyed(src, chk); err != nil {
-					t.Fatal(err)
+					g := stream.NewGraph()
+					g.SetFusion(fuse)
+					g.SetBatchSize(batch)
+					src := g.AddSource("csv", func(emit stream.EmitFunc) {
+						for _, pt := range x {
+							emit(stream.Event{Time: pt.T, Key: "k", Value: pt.V, SigUp: pt.SigUp, SigDown: pt.SigDown})
+						}
+					})
+					chk := g.AddOperator("check", workers, factory)
+					if err := g.ConnectKeyed(src, chk); err != nil {
+						t.Fatal(err)
+					}
+					if err := g.Connect(chk, g.AddSink("sink", nil)); err != nil {
+						t.Fatal(err)
+					}
+					m, err := g.Run()
+					if err != nil {
+						t.Fatal(err)
+					}
+					if got := m.Count("sink"); got != int64(len(x)) {
+						t.Fatalf("fuse=%v batch=%d workers=%d %s: sink saw %d events, want %d", fuse, batch, workers, tc.tag, got, len(x))
+					}
+					c := out.Counts()
+					fmt.Fprintf(&sb, "stream/%s sat=%d viol=%d inc=%d\n", tc.tag, c.Satisfied, c.Violated, c.Inconclusive)
 				}
-				if err := g.Connect(chk, g.AddSink("sink", nil)); err != nil {
-					t.Fatal(err)
-				}
-				m, err := g.Run()
-				if err != nil {
-					t.Fatal(err)
-				}
-				if got := m.Count("sink"); got != int64(len(x)) {
-					t.Fatalf("batch=%d workers=%d %s: sink saw %d events, want %d", batch, workers, tc.tag, got, len(x))
-				}
-				c := out.Counts()
-				fmt.Fprintf(&sb, "stream/%s sat=%d viol=%d inc=%d\n", tc.tag, c.Satisfied, c.Violated, c.Inconclusive)
+				diffLines(t, fmt.Sprintf("stream fuse=%v batch=%d workers=%d", fuse, batch, workers), sb.String(), pinnedStream)
 			}
-			diffLines(t, fmt.Sprintf("stream batch=%d workers=%d", batch, workers), sb.String(), pinnedStream)
 		}
 	}
 }
@@ -251,8 +254,8 @@ func TestPinnedStreamBatchedGraphParity(t *testing.T) {
 // mid-stream drain-to-barrier, abandon that run where it stands, and
 // restore the snapshot into a fresh graph that replays only the
 // remaining events. The combined outcome counts must reproduce the
-// uninterrupted pinnedStream goldens byte for byte, at batch {1,64} ×
-// workers {1,4} — partial transport frames, multi-worker registries,
+// uninterrupted pinnedStream goldens byte for byte, at fusion {on,off} ×
+// batch {1,64} × workers {1,4} — partial transport frames, multi-worker registries,
 // RNG stream positions, and shared extraction state all have to survive
 // the kill/resume for these literals to hold.
 func TestPinnedCheckpointRestoreParity(t *testing.T) {
@@ -282,86 +285,90 @@ func TestPinnedCheckpointRestoreParity(t *testing.T) {
 	toEvent := func(pt sound.Point) stream.Event {
 		return stream.Event{Time: pt.T, Key: "k", Value: pt.V, SigUp: pt.SigUp, SigDown: pt.SigDown}
 	}
-	for _, batch := range []int{1, 64} {
-		for _, workers := range []int{1, 4} {
-			var sb strings.Builder
-			for _, tc := range specs {
-				// Interrupted run: emit the prefix, serialize the registry
-				// at a barrier, then stop. The shutdown Flush that follows
-				// is the abandoned run's — the snapshot predates it.
-				reg := checker.NewStreamRegistry()
-				factory, err := checker.NewStreamChecker(newCfg(reg, &checker.StreamOutcomes{}, tc.win))
-				if err != nil {
-					t.Fatal(err)
-				}
-				var snap []byte
-				g := stream.NewGraph()
-				if err := g.SetBatchSize(batch); err != nil {
-					t.Fatal(err)
-				}
-				src := g.AddCheckpointSource("csv", func(emit stream.EmitFunc, barrier stream.BarrierFunc) {
-					for _, pt := range x[:mid] {
-						emit(toEvent(pt))
+	for _, fuse := range []bool{true, false} {
+		for _, batch := range []int{1, 64} {
+			for _, workers := range []int{1, 4} {
+				var sb strings.Builder
+				for _, tc := range specs {
+					// Interrupted run: emit the prefix, serialize the registry
+					// at a barrier, then stop. The shutdown Flush that follows
+					// is the abandoned run's — the snapshot predates it.
+					reg := checker.NewStreamRegistry()
+					factory, err := checker.NewStreamChecker(newCfg(reg, &checker.StreamOutcomes{}, tc.win))
+					if err != nil {
+						t.Fatal(err)
 					}
-					barrier(func() {
-						enc := checkpoint.NewEncoder()
-						reg.EncodeTo(enc)
-						snap = enc.Finish()
+					var snap []byte
+					g := stream.NewGraph()
+					g.SetFusion(fuse)
+					if err := g.SetBatchSize(batch); err != nil {
+						t.Fatal(err)
+					}
+					src := g.AddCheckpointSource("csv", func(emit stream.EmitFunc, barrier stream.BarrierFunc) {
+						for _, pt := range x[:mid] {
+							emit(toEvent(pt))
+						}
+						barrier(func() {
+							enc := checkpoint.NewEncoder()
+							reg.EncodeTo(enc)
+							snap = enc.Finish()
+						})
 					})
-				})
-				chk := g.AddOperator("check", workers, factory)
-				if err := g.ConnectKeyed(src, chk); err != nil {
-					t.Fatal(err)
-				}
-				if err := g.Connect(chk, g.AddSink("sink", nil)); err != nil {
-					t.Fatal(err)
-				}
-				if _, err := g.Run(); err != nil {
-					t.Fatal(err)
-				}
-				if snap == nil {
-					t.Fatal("barrier snapshot never ran")
-				}
-
-				// Resumed run: a fresh registry loads the snapshot, a fresh
-				// graph replays only the tail, and the restored counters
-				// accumulate the remaining outcomes on top.
-				reg2 := checker.NewStreamRegistry()
-				dec, err := checkpoint.NewDecoder(snap)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if err := reg2.DecodeFrom(dec); err != nil {
-					t.Fatal(err)
-				}
-				out := &checker.StreamOutcomes{}
-				factory2, err := checker.NewStreamChecker(newCfg(reg2, out, tc.win))
-				if err != nil {
-					t.Fatal(err)
-				}
-				g2 := stream.NewGraph()
-				if err := g2.SetBatchSize(batch); err != nil {
-					t.Fatal(err)
-				}
-				src2 := g2.AddSource("csv", func(emit stream.EmitFunc) {
-					for _, pt := range x[mid:] {
-						emit(toEvent(pt))
+					chk := g.AddOperator("check", workers, factory)
+					if err := g.ConnectKeyed(src, chk); err != nil {
+						t.Fatal(err)
 					}
-				})
-				chk2 := g2.AddOperator("check", workers, factory2)
-				if err := g2.ConnectKeyed(src2, chk2); err != nil {
-					t.Fatal(err)
+					if err := g.Connect(chk, g.AddSink("sink", nil)); err != nil {
+						t.Fatal(err)
+					}
+					if _, err := g.Run(); err != nil {
+						t.Fatal(err)
+					}
+					if snap == nil {
+						t.Fatal("barrier snapshot never ran")
+					}
+
+					// Resumed run: a fresh registry loads the snapshot, a fresh
+					// graph replays only the tail, and the restored counters
+					// accumulate the remaining outcomes on top.
+					reg2 := checker.NewStreamRegistry()
+					dec, err := checkpoint.NewDecoder(snap)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if err := reg2.DecodeFrom(dec); err != nil {
+						t.Fatal(err)
+					}
+					out := &checker.StreamOutcomes{}
+					factory2, err := checker.NewStreamChecker(newCfg(reg2, out, tc.win))
+					if err != nil {
+						t.Fatal(err)
+					}
+					g2 := stream.NewGraph()
+					g2.SetFusion(fuse)
+					if err := g2.SetBatchSize(batch); err != nil {
+						t.Fatal(err)
+					}
+					src2 := g2.AddSource("csv", func(emit stream.EmitFunc) {
+						for _, pt := range x[mid:] {
+							emit(toEvent(pt))
+						}
+					})
+					chk2 := g2.AddOperator("check", workers, factory2)
+					if err := g2.ConnectKeyed(src2, chk2); err != nil {
+						t.Fatal(err)
+					}
+					if err := g2.Connect(chk2, g2.AddSink("sink", nil)); err != nil {
+						t.Fatal(err)
+					}
+					if _, err := g2.Run(); err != nil {
+						t.Fatal(err)
+					}
+					c := out.Counts()
+					fmt.Fprintf(&sb, "stream/%s sat=%d viol=%d inc=%d\n", tc.tag, c.Satisfied, c.Violated, c.Inconclusive)
 				}
-				if err := g2.Connect(chk2, g2.AddSink("sink", nil)); err != nil {
-					t.Fatal(err)
-				}
-				if _, err := g2.Run(); err != nil {
-					t.Fatal(err)
-				}
-				c := out.Counts()
-				fmt.Fprintf(&sb, "stream/%s sat=%d viol=%d inc=%d\n", tc.tag, c.Satisfied, c.Violated, c.Inconclusive)
+				diffLines(t, fmt.Sprintf("restore fuse=%v batch=%d workers=%d", fuse, batch, workers), sb.String(), pinnedStream)
 			}
-			diffLines(t, fmt.Sprintf("restore batch=%d workers=%d", batch, workers), sb.String(), pinnedStream)
 		}
 	}
 }

@@ -30,10 +30,10 @@
 // Online checking runs the same compiled plans inside the streaming
 // engine (internal/stream; reached via the app binaries and
 // `soundcheck -stream`). The engine plans linear check topologies into
-// fused shards over single-producer ring edges with adaptive batching;
-// the environment variable SOUND_STREAM_FUSE=off restores the
-// goroutine-per-node runtime for comparison or debugging. Either mode
-// produces bit-identical outcomes (DESIGN.md §4j).
+// fused shards over single-producer ring edges with adaptive batching.
+// Fusion is a scheduling choice with no switch outside the tests, which
+// pin its outcomes bit-identical to the goroutine-per-node plan
+// (DESIGN.md §4j).
 package sound
 
 import (
