@@ -19,7 +19,10 @@ import (
 // a stream.Graph.AddCheckpointSource generator, and serialize the
 // registry inside the barrier callback. Restoring the registry into a
 // fresh graph resumes the stream bit-identically (see cmd/soundcheck
-// -checkpoint / -restore for a complete wiring).
+// -checkpoint / -restore for a complete wiring). A stream snapshot is
+// watermarks, window groups and counters; it holds no RNG position,
+// because every window's draws are reseeded from the window's own
+// coordinate (codec version 2 — version-1 snapshots are refused).
 
 // EvictionPolicy bounds the keyed window state of a stream check
 // operator: idle-TTL sweeps driven by the event-time watermark, a live

@@ -415,15 +415,30 @@ func streamFingerprint(check sound.Check, params sound.Params, seed uint64, naiv
 }
 
 // writeSnapshot persists one barrier snapshot: fingerprint, replay
-// offset, and the registry payload, written to a temp file and renamed
-// so a crash mid-write never corrupts the previous snapshot.
+// offset, and the registry payload, written to a temp file that is
+// synced before it is renamed over the previous snapshot, so a crash or
+// a failed write at any point leaves the previous snapshot intact.
 func writeSnapshot(path, fp string, offset uint64, reg *checker.StreamRegistry) error {
 	enc := checkpoint.NewEncoder()
 	enc.String(fp)
 	enc.Uvarint(offset)
 	reg.EncodeTo(enc)
 	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, enc.Finish(), 0o644); err != nil {
+	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+	if err != nil {
+		return err
+	}
+	_, err = f.Write(enc.Finish())
+	if err == nil {
+		// Rename is atomic but orders nothing: without the sync a crash
+		// could publish the new name over unwritten blocks.
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		os.Remove(tmp) // best effort: the error that matters is err
 		return err
 	}
 	return os.Rename(tmp, path)

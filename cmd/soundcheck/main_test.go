@@ -7,6 +7,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"sound/internal/checkpoint"
 )
 
 func writeCSV(t *testing.T, name, content string) string {
@@ -237,5 +239,50 @@ func TestStreamTwoFileMerge(t *testing.T) {
 	}
 	if !strings.Contains(out, "⊤ 1") {
 		t.Errorf("output = %q", out)
+	}
+}
+
+// TestCheckpointFailedWriteKeepsPrevious: a snapshot write that fails —
+// here the temp file is a link to /dev/full, so the write itself returns
+// ENOSPC — must fail the run and leave the previous snapshot byte for byte.
+func TestCheckpointFailedWriteKeepsPrevious(t *testing.T) {
+	if _, err := os.Stat("/dev/full"); err != nil {
+		t.Skip("no /dev/full to fail a write with")
+	}
+	var csv strings.Builder
+	csv.WriteString("t,v,sig_up,sig_down\n")
+	for i := 0; i < 40; i++ {
+		fmt.Fprintf(&csv, "%d,%d,1,1\n", i, 5+i%7)
+	}
+	data := writeCSV(t, "s.csv", csv.String())
+	ckpt := filepath.Join(t.TempDir(), "state.ckp")
+	args := []string{"-constraint", "range", "-min", "0", "-max", "10", "-window", "count:4", "-stream",
+		"-checkpoint", ckpt, "-checkpoint-every", "10", data}
+	if code, _, errOut := runTool(t, args...); code == 1 || errOut != "" {
+		t.Fatalf("first run: exit %d, stderr %q", code, errOut)
+	}
+	prev, err := os.ReadFile(ckpt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := checkpoint.NewDecoder(prev); err != nil {
+		t.Fatalf("first run left an unreadable snapshot: %v", err)
+	}
+	if _, err := os.Stat(ckpt + ".tmp"); !os.IsNotExist(err) {
+		t.Errorf("temp file left behind after a good write: %v", err)
+	}
+
+	if err := os.Symlink("/dev/full", ckpt+".tmp"); err != nil {
+		t.Fatal(err)
+	}
+	code, _, errOut := runTool(t, args...)
+	if code != 1 || !strings.Contains(errOut, "writing checkpoint") {
+		t.Errorf("run with a failing write: exit %d, stderr %q", code, errOut)
+	}
+	if got, err := os.ReadFile(ckpt); err != nil || !bytes.Equal(got, prev) {
+		t.Errorf("previous snapshot changed after a failed write (err %v)", err)
+	}
+	if _, err := os.Lstat(ckpt + ".tmp"); !os.IsNotExist(err) {
+		t.Errorf("temp file left behind after a failed write: %v", err)
 	}
 }

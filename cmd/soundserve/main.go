@@ -199,6 +199,10 @@ var selftestSpecs = []string{
 	"maxdelta;threshold=9;window=time:9;name=shared-delta",
 }
 
+// selftestKeys are the route keys the fixture is replayed under; they
+// hash to all four of the default shards (TestSelftestKeysCoverShards).
+var selftestKeys = []string{"k0", "k1", "k2", "k3", "k4", "k5", "k6", "k7"}
+
 type counts3 = [3]int // satisfied, violated, inconclusive
 
 // runSelftest replays the fixture through a real TCP loopback (binary
@@ -218,12 +222,14 @@ func runSelftest(fixture string, specs []string, params sound.Params, seed uint6
 	if err != nil {
 		return fail(stderr, fmt.Errorf("%s: %w", fixture, err))
 	}
-	// One key: every event lands on one shard and the evaluating worker
-	// claims the same seed slot as the reference's single worker, so the
-	// verdict counts must be bit-identical, not merely close.
-	evs := make([]stream.Event, len(pts))
-	for i, p := range pts {
-		evs[i] = stream.Event{Time: p.T, Key: "k", Value: p.V, SigUp: p.SigUp, SigDown: p.SigDown}
+	// Every key replays the whole fixture, interleaved point by point, so
+	// all shards evaluate windows — the lone-member sliding and count
+	// buckets included — and must still add up to the reference's counts.
+	evs := make([]stream.Event, 0, len(pts)*len(selftestKeys))
+	for _, p := range pts {
+		for _, k := range selftestKeys {
+			evs = append(evs, stream.Event{Time: p.T, Key: k, Value: p.V, SigUp: p.SigUp, SigDown: p.SigDown})
+		}
 	}
 	if len(specs) == 0 {
 		specs = selftestSpecs
@@ -278,8 +284,9 @@ func runSelftest(fixture string, specs []string, params sound.Params, seed uint6
 // referenceCounts evaluates the whole suite single-process — ONE
 // multiplexed operator instance fed in order, no server, no sharding —
 // producing the ground truth the wire paths must reproduce. Valid as a
-// bit-exact reference because every selftest event shares one key, so
-// the server's fan-in delivers the same ordered stream to one worker.
+// bit-exact reference for counts and group stats because a verdict is a
+// function of (check class, key, window) and the server's fan-in keeps
+// each key's events in order on the shard that owns the key.
 func referenceCounts(cfgs []ingest.CheckConfig, evs []stream.Event) (map[string]counts3, []checker.GroupStat, error) {
 	mux := checker.NewMux(false, checker.EvictionPolicy{})
 	outs := make(map[string]*checker.StreamOutcomes, len(cfgs))

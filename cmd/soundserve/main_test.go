@@ -8,6 +8,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"sound/internal/stream"
 )
 
 func runTool(t *testing.T, args ...string) (int, string, string) {
@@ -32,6 +34,19 @@ func TestSelftest(t *testing.T) {
 	// one so a silently-empty replay cannot pass.
 	if !strings.Contains(out, "sliding") {
 		t.Errorf("selftest output missing the sliding check: %q", out)
+	}
+}
+
+// TestSelftestKeysCoverShards: the selftest is only a fan-in test if its
+// keys reach every shard of the default layout.
+func TestSelftestKeysCoverShards(t *testing.T) {
+	const shards = 4 // the -shards default
+	hit := map[int]bool{}
+	for _, k := range selftestKeys {
+		hit[stream.PartitionOf(k, shards)] = true
+	}
+	if len(selftestKeys) < 8 || len(hit) != shards {
+		t.Errorf("%d selftest keys reach %d of %d shards", len(selftestKeys), len(hit), shards)
 	}
 }
 

@@ -10,16 +10,13 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"net"
 	"runtime"
 	"testing"
-	"time"
 
 	"sound"
 	"sound/internal/checker"
 	"sound/internal/checkpoint"
 	"sound/internal/core"
-	"sound/internal/ingest"
 	"sound/internal/resample"
 	"sound/internal/rng"
 	"sound/internal/series"
@@ -60,7 +57,6 @@ func Specs() []Spec {
 		{"Decode/frame", DecodeFrame},
 		{"Decode/ndjson", DecodeNDJSON},
 		{"Decode/csv", DecodeCSV},
-		{"Ingest/loopback", IngestLoopback},
 		{"Draw/point/scalar", func(b *testing.B) { Draw(b, resample.Point, false) }},
 		{"Draw/point/kernel", func(b *testing.B) { Draw(b, resample.Point, true) }},
 		{"Draw/set/scalar", func(b *testing.B) { Draw(b, resample.Set, false) }},
@@ -968,71 +964,4 @@ func DecodeCSV(b *testing.B) {
 		scanAll()
 	}
 	b.ReportMetric(float64(b.N)*nPoints/b.Elapsed().Seconds(), "points/sec")
-}
-
-// IngestLoopback prices the full wire→verdict path of the always-on
-// server: pre-encoded binary frames written to a real loopback TCP
-// connection, four shard pipelines running the same cheap tumbling
-// range check as StreamThroughput, measured to the point where every
-// event has cleared its shard chain. The points/sec metric is directly
-// comparable to StreamThroughput/batch64 — the gap is the price of the
-// wire (decode + fan-in + lane hop).
-func IngestLoopback(b *testing.B) {
-	const nEvents = 1 << 14
-	evs := wireEvents(nEvents)
-	var data []byte
-	var err error
-	for off := 0; off < nEvents; off += 256 {
-		if data, err = wire.AppendFrame(data, evs[off:off+256]); err != nil {
-			b.Fatal(err)
-		}
-	}
-	srv, err := ingest.NewServer(ingest.Config{
-		Shards:    4,
-		BatchSize: 64,
-		Checks: []ingest.CheckConfig{{
-			Name: "range",
-			Check: core.Check{
-				Name:        "range",
-				Constraint:  core.Range(0, 100),
-				SeriesNames: []string{"s"},
-				Window:      sound.TimeWindow{Size: 60},
-			},
-			Params: core.Params{Credibility: 0.95, MaxSamples: 100},
-			Seed:   7,
-		}},
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		b.Fatal(err)
-	}
-	go srv.ServeTCP(ln)
-	conn, err := net.Dial("tcp", ln.Addr().String())
-	if err != nil {
-		b.Fatal(err)
-	}
-	consumed := func() int64 { return srv.Stats().Consumed }
-	send := func() {
-		target := consumed() + nEvents
-		if _, err := conn.Write(data); err != nil {
-			b.Fatal(err)
-		}
-		for consumed() < target {
-			time.Sleep(20 * time.Microsecond)
-		}
-	}
-	send() // warm pools, interns, and the TCP path
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		send()
-	}
-	b.ReportMetric(float64(b.N)*nEvents/b.Elapsed().Seconds(), "points/sec")
-	b.StopTimer()
-	conn.Close()
-	if err := srv.Drain(); err != nil {
-		b.Fatal(err)
-	}
 }

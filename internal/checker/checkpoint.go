@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"sort"
 	"sync"
-	"sync/atomic"
 
 	"sound/internal/checkpoint"
 	"sound/internal/core"
@@ -18,9 +17,10 @@ import (
 // checkpointable, the per-worker state codec, and the batch Suite's
 // checkpoint/resume. The invariant everywhere is bit parity: a restored
 // run must produce the byte-identical outcome sequence an uninterrupted
-// run produces, which is why the codec carries exact float bits, RNG
-// stream positions, LRU order, and the seed-slot counter instead of
-// approximations that would merely "look right".
+// run produces, which is why the codec carries exact float bits and the
+// LRU order instead of approximations that would merely "look right" —
+// and why it carries no RNG position: a window's draws are seeded from
+// the window itself, so there is none to resume.
 
 // StreamRegistry connects one checkpointable stream-check operator to
 // the snapshot machinery: workers register themselves under their
@@ -30,7 +30,6 @@ import (
 type StreamRegistry struct {
 	mu      sync.Mutex
 	out     *StreamOutcomes
-	seq     atomic.Uint64
 	workers map[int]*streamChecker
 	pending map[int][]byte
 	// pendingOut holds counters decoded before the operator bound its
@@ -79,7 +78,6 @@ func (r *StreamRegistry) register(w int, c *streamChecker) {
 func (r *StreamRegistry) EncodeTo(enc *checkpoint.Encoder) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	enc.U64(r.seq.Load())
 	idx := make([]int, 0, len(r.workers))
 	for w := range r.workers {
 		idx = append(idx, w)
@@ -105,7 +103,6 @@ func (r *StreamRegistry) EncodeTo(enc *checkpoint.Encoder) {
 // outcome counters are restored immediately so the resumed run's totals
 // continue from the snapshot.
 func (r *StreamRegistry) DecodeFrom(dec *checkpoint.Decoder) error {
-	seq := dec.U64()
 	n := dec.Int()
 	pending := map[int][]byte{}
 	for i := 0; i < n; i++ {
@@ -125,7 +122,6 @@ func (r *StreamRegistry) DecodeFrom(dec *checkpoint.Decoder) error {
 		return err
 	}
 	r.mu.Lock()
-	r.seq.Store(seq)
 	r.pending = pending
 	r.workers = map[int]*streamChecker{}
 	r.pendingOut = nil
@@ -194,16 +190,13 @@ func (c *streamChecker) SetWorkerIndex(w int) {
 	}
 }
 
-// encodeState serializes one worker: evaluator, watermark, and the live
-// groups in LRU order (coldest first), so decode rebuilds the identical
-// recency list by re-inserting in order.
+// encodeState serializes one worker: the watermark and the live groups
+// in LRU order (coldest first), so decode rebuilds the identical recency
+// list by re-inserting in order. No random state is written because none
+// outlives a window: every window's draws are reseeded from its own
+// coordinate (streamChecker.evaluate), so a restored worker draws what an
+// uninterrupted one would.
 func (c *streamChecker) encodeState(enc *checkpoint.Encoder) {
-	if c.evals[0] != nil {
-		enc.Bool(true)
-		c.evals[0].EncodeState(enc)
-	} else {
-		enc.Bool(false)
-	}
 	enc.F64(c.opWatermark)
 	n := 0
 	for g := c.lruTail; g != nil; g = g.prev {
@@ -218,13 +211,6 @@ func (c *streamChecker) encodeState(enc *checkpoint.Encoder) {
 // decodeState restores a worker serialized by encodeState. It must run
 // before the worker processes any event.
 func (c *streamChecker) decodeState(dec *checkpoint.Decoder) error {
-	if dec.Bool() {
-		ev, err := c.members[0].plan.DecodeEvaluator(dec)
-		if err != nil {
-			return err
-		}
-		c.evals[0] = ev
-	}
 	c.opWatermark = dec.F64()
 	n := dec.Int()
 	if err := dec.Err(); err != nil {
@@ -232,7 +218,7 @@ func (c *streamChecker) decodeState(dec *checkpoint.Decoder) error {
 	}
 	for i := 0; i < n; i++ {
 		g := &groupState{}
-		if err := g.decodeFrom(dec, c.arity, c.useExt); err != nil {
+		if err := g.decodeFrom(dec, c.arity, c.useExt()); err != nil {
 			return err
 		}
 		if c.groups[g.key] != nil {

@@ -16,8 +16,8 @@ import (
 
 // ckptCheck is a borderline SOUND-mode sliding-window check: overlapping
 // windows keep shared extraction state alive across the snapshot, and
-// borderline values keep the evaluator drawing samples, so any state the
-// codec failed to carry would desynchronize the restored run.
+// borderline values keep the evaluator drawing samples, so any window
+// state the codec failed to carry would change the restored run's verdicts.
 func ckptCheck() core.Check {
 	return core.Check{
 		Name:        "range",
@@ -66,10 +66,10 @@ func newCkptWorker(t *testing.T, reg *StreamRegistry, trace *[]string) *streamCh
 // TestStreamRegistryRestoreParity is the in-package half of the restore
 // parity contract: snapshot a worker mid-stream, restore it into a
 // fresh operator, feed both the identical remaining events, and require
-// the identical outcome sequence — RNG positions, window grids,
-// extraction state and LRU order all have to survive the codec for this
-// to hold on borderline data. The snapshot must also re-encode from the
-// restored worker byte-for-byte.
+// the identical outcome sequence — window grids, extraction state and
+// LRU order all have to survive the codec for this to hold on borderline
+// data (the draws need nothing from it: they are seeded per window). The
+// snapshot must also re-encode from the restored worker byte-for-byte.
 func TestStreamRegistryRestoreParity(t *testing.T) {
 	events := ckptEvents(200)
 	mid := 117 // mid-window for every group
@@ -112,8 +112,8 @@ func TestStreamRegistryRestoreParity(t *testing.T) {
 	}
 
 	// Before replaying: the restored registry must re-encode to the
-	// exact snapshot document — seed-slot counter, worker payloads in
-	// LRU order, RNG words, and outcome counters all byte-identical.
+	// exact snapshot document — worker payloads in LRU order and outcome
+	// counters all byte-identical.
 	enc2 := checkpoint.NewEncoder()
 	reg2.EncodeTo(enc2)
 	if !bytes.Equal(snap, enc2.Finish()) {
@@ -157,7 +157,6 @@ func TestStreamRegistryCorruptSnapshot(t *testing.T) {
 	// and applying it at registration must panic (the engine's recover
 	// turns that into a run error).
 	bad := checkpoint.NewEncoder()
-	bad.U64(0)                                // seq
 	bad.Int(1)                                // one worker
 	bad.Int(0)                                // slot 0
 	bad.Bytes([]byte{0xde, 0xad, 0xbe, 0xef}) // not a worker payload

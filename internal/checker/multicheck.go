@@ -11,7 +11,7 @@ import (
 // This file is the checker's half of window multiplexing (DESIGN.md
 // §4l): one stream operator hosting a whole bucket of member checks
 // over ONE set of window buffers and ONE extraction per (key, window),
-// evaluating fired windows through a shared core.PlanGroup. The
+// evaluating fired windows through one core.PlanGroup. The
 // eviction layer charges the shared state once — the operator owns one
 // groupState per key regardless of member count — instead of K times
 // as K independent operators would.
@@ -25,14 +25,6 @@ type memberSpec struct {
 	naive     bool
 	out       *StreamOutcomes
 	onOutcome func(key string, o core.Outcome)
-	// seq hands legacy-path evaluator seed slots to workers in the order
-	// they first *evaluate*, not the order their Processor instances are
-	// created: a worker whose keyed partition never receives an event
-	// never claims a slot. Runs whose events all land on one worker are
-	// therefore bit-identical for every worker count and batch size.
-	// Defaults to ownSeq; a checkpoint registry substitutes its own.
-	seq    *atomic.Uint64
-	ownSeq atomic.Uint64
 }
 
 // newMemberSpec compiles one member check and validates it can stream.
@@ -50,9 +42,7 @@ func newMemberSpec(ck core.Check, params core.Params, seed uint64, naive bool, o
 			return nil, fmt.Errorf("checker: check %q: session windows stream only for unary checks", ck.Name)
 		}
 	}
-	m := &memberSpec{check: plan.Check(), plan: plan, naive: naive, out: out, onOutcome: onOutcome}
-	m.seq = &m.ownSeq
-	return m, nil
+	return &memberSpec{check: plan.Check(), plan: plan, naive: naive, out: out, onOutcome: onOutcome}, nil
 }
 
 // deliver records one outcome with the member's sinks.
@@ -81,7 +71,7 @@ func (gm *GroupMetrics) record(ev core.GroupEval, members int) {
 
 // GroupMetricsSnapshot is a point-in-time read of a bucket's counters.
 type GroupMetricsSnapshot struct {
-	// Windows is the number of shared window evaluations.
+	// Windows is the number of PlanGroup window evaluations.
 	Windows int64
 	// MemberEvals is the number of member verdicts those produced.
 	MemberEvals int64
@@ -120,36 +110,24 @@ func (s GroupMetricsSnapshot) SharedHitRatio() float64 {
 	return r
 }
 
-// installMembers (re)binds the member set of a worker instance,
-// switching between the legacy and shared paths. Existing legacy
-// evaluators are carried over for members that remain, so a bucket
-// whose membership never changes behaves exactly like a fixed operator.
-// Called at construction and, by the Mux, at frame boundaries when the
-// registered suite changed.
+// installMembers (re)binds the member set of a worker instance and
+// compiles the bucket's core.PlanGroup from its SOUND members (none for a
+// Naive-only bucket, which is scored inline). Nothing is carried over from
+// the previous set: all randomness is window-derived, so a member's
+// verdicts do not depend on when its neighbours came or went. Called at
+// construction and, by the Mux, at frame boundaries when the registered
+// suite changed.
 func (c *streamChecker) installMembers(members []*memberSpec) {
-	oldMembers, oldEvals := c.members, c.evals
 	c.members = members
-	c.evals = make([]*core.Evaluator, len(members))
-	for i, m := range members {
-		for j, om := range oldMembers {
-			if om == m {
-				c.evals[i] = oldEvals[j]
-				break
-			}
-		}
-	}
 	var plans []*core.CheckPlan
 	for _, m := range members {
 		if !m.naive {
 			plans = append(plans, m.plan)
 		}
 	}
-	wasExt := c.useExt
-	c.useExt = len(plans) > 0
-	c.soundCount = len(plans)
-	c.shared = len(plans) >= 2
+	wasExt := c.useExt()
 	c.planGroup, c.resBuf = nil, nil
-	if c.shared {
+	if len(plans) > 0 {
 		g, err := core.NewPlanGroup(plans)
 		if err != nil {
 			// A bucket's members share one GroupClass by construction
@@ -159,7 +137,7 @@ func (c *streamChecker) installMembers(members []*memberSpec) {
 		c.planGroup = g
 		c.resBuf = make([]core.Result, len(plans))
 	}
-	if wasExt != c.useExt && len(c.groups) > 0 {
+	if wasExt != c.useExt() && len(c.groups) > 0 {
 		c.resyncExtractions()
 	}
 }
@@ -172,7 +150,7 @@ func (c *streamChecker) installMembers(members []*memberSpec) {
 // extraction extracts the full buffer); other kinds never use one.
 func (c *streamChecker) resyncExtractions() {
 	for _, g := range c.groups {
-		if !c.useExt {
+		if !c.useExt() {
 			g.ext = nil
 			continue
 		}

@@ -92,10 +92,22 @@ func (l *verdictLog) canon() []byte {
 // returns the per-check canonical verdict maps, keyed by check name.
 func runMuxGraph(t *testing.T, x *Mux, logs map[string]*verdictLog, events []stream.Event, workers, batch int, fuse bool) {
 	t.Helper()
+	runMuxGraphHook(t, x, events, workers, batch, fuse, nil)
+	_ = logs
+}
+
+// runMuxGraphHook is runMuxGraph with a source-side hook: before emits
+// event i the source calls before(i), which is where a test changes the
+// registered suite mid-stream.
+func runMuxGraphHook(t *testing.T, x *Mux, events []stream.Event, workers, batch int, fuse bool, before func(i int)) {
+	t.Helper()
 	g := stream.NewGraph()
 	g.SetFusion(fuse)
 	src := g.AddSource("src", func(emit stream.EmitFunc) {
-		for _, ev := range events {
+		for i, ev := range events {
+			if before != nil {
+				before(i)
+			}
 			emit(ev)
 		}
 	})
@@ -114,7 +126,6 @@ func runMuxGraph(t *testing.T, x *Mux, logs map[string]*verdictLog, events []str
 	if _, err := g.Run(); err != nil {
 		t.Fatal(err)
 	}
-	_ = logs
 }
 
 // muxFor registers the suite (in the given order) on a fresh Mux and
@@ -189,20 +200,81 @@ func TestPinnedMultiCheckInvariance(t *testing.T) {
 	}
 }
 
-// TestMultiStreamSingleMemberMatchesLegacy pins the degeneration
-// contract: a Mux hosting ONE SOUND check reproduces NewStreamChecker's
-// verdict stream bit-for-bit (same lazy seed-slot claims, same evaluator
-// state continuation), so hosting a lone check in a Mux changes nothing.
-func TestMultiStreamSingleMemberMatchesLegacy(t *testing.T) {
+// TestPinnedLoneCheckInvariance is the same contract for a bucket of ONE:
+// a lone check's verdict map is a property of its windows, byte-identical
+// across worker counts, batch sizes and fusion, equal to the map the same
+// check produces beside one or three same-class neighbours, and unmoved by
+// a neighbour registering and deregistering mid-stream. Sixteen keys
+// spread the windows over all four workers.
+func TestPinnedLoneCheckInvariance(t *testing.T) {
+	cks := muxTestChecks()
+	events := muxTestEvents(16, 48)
+	for li, lone := range cks {
+		t.Run(lone.Name, func(t *testing.T) {
+			x, logs := muxFor(t, cks, []int{li}, 7)
+			runMuxGraph(t, x, logs, events, 1, 0, true)
+			ref := logs[lone.Name].canon()
+			if len(logs[lone.Name].m) != 16 {
+				t.Fatalf("lone check saw %d keys, want 16", len(logs[lone.Name].m))
+			}
+			check := func(label string, l *verdictLog) {
+				t.Helper()
+				if got := l.canon(); !bytes.Equal(got, ref) {
+					t.Errorf("%s: lone check's verdict map differs from reference:\ngot:\n%s\nwant:\n%s", label, got, ref)
+				}
+			}
+			next := (li + 1) % len(cks)
+			for _, workers := range []int{1, 4} {
+				for _, batch := range []int{1, 64} {
+					for _, fuse := range []bool{true, false} {
+						label := fmt.Sprintf("workers=%d batch=%d fuse=%v", workers, batch, fuse)
+						x, logs := muxFor(t, cks, []int{li}, 7)
+						runMuxGraph(t, x, logs, events, workers, batch, fuse)
+						check(label+" alone", logs[lone.Name])
+
+						// A same-class neighbour comes and goes while the
+						// stream runs; when the workers notice is scheduling,
+						// what the lone check concludes is not.
+						x, logs = muxFor(t, cks, []int{li}, 7)
+						runMuxGraphHook(t, x, events, workers, batch, fuse, func(i int) {
+							var err error
+							switch i {
+							case len(events) / 3:
+								err = x.Register(MuxCheck{Name: "neighbour", Check: cks[next],
+									Params: core.DefaultParams(), Seed: 7, RouteID: "key"})
+							case 2 * len(events) / 3:
+								err = x.Deregister("neighbour")
+							}
+							if err != nil {
+								t.Error(err)
+							}
+						})
+						check(label+" with churn", logs[lone.Name])
+					}
+				}
+				for _, order := range [][]int{{li, next}, {next, li}, {0, 1, 2, 3}} {
+					x, logs := muxFor(t, cks, order, 7)
+					runMuxGraph(t, x, logs, events, workers, 0, true)
+					check(fmt.Sprintf("workers=%d in bucket %v", workers, order), logs[lone.Name])
+				}
+			}
+		})
+	}
+}
+
+// TestStreamCheckerMatchesLoneMux: NewStreamChecker is a Mux hosting that
+// one check — same operator, same window-derived seeds — so the two
+// deliver the same verdict stream.
+func TestStreamCheckerMatchesLoneMux(t *testing.T) {
 	cks := muxTestChecks()
 	events := muxTestEvents(3, 40)
 	for _, ck := range cks {
-		legacy := newVerdictLog()
+		single := newVerdictLog()
 		factory, err := NewStreamChecker(StreamCheck{
 			Check:     ck,
 			Params:    core.DefaultParams(),
 			Seed:      11,
-			OnOutcome: legacy.add,
+			OnOutcome: single.add,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -235,9 +307,9 @@ func TestMultiStreamSingleMemberMatchesLegacy(t *testing.T) {
 			t.Fatal(err)
 		}
 		runMuxGraph(t, x, nil, events, 1, 0, true)
-		if !bytes.Equal(legacy.canon(), multi.canon()) {
-			t.Errorf("check %q: single-member multiplexed verdicts differ from NewStreamChecker:\nmulti:\n%s\nlegacy:\n%s",
-				ck.Name, multi.canon(), legacy.canon())
+		if !bytes.Equal(single.canon(), multi.canon()) {
+			t.Errorf("check %q: lone Mux verdicts differ from NewStreamChecker:\nmux:\n%s\nstream checker:\n%s",
+				ck.Name, multi.canon(), single.canon())
 		}
 	}
 }

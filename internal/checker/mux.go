@@ -1,6 +1,7 @@
 package checker
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 	"sync"
@@ -16,7 +17,10 @@ import (
 // operator — one window buffer set, one extraction, one shared sample
 // matrix per fired window — no matter how many checks it hosts. Worker
 // instances pick up membership changes at event boundaries, so a graph
-// wired once with Factory() hosts an arbitrary, mutable suite.
+// wired once with Factory() hosts an arbitrary, mutable suite. Every
+// bucket, whether it holds one check or many, seeds a window's draws
+// from (group class, route key, window coordinate): a check's verdicts
+// are the same at any worker count and whatever else is registered.
 //
 // Concurrency: Register/Deregister/GroupStats may be called from any
 // goroutine (e.g. an HTTP admin handler) while workers process events.
@@ -91,6 +95,9 @@ type muxBucket struct {
 	gen     uint64
 }
 
+// ErrCheckExists rejects a registration under a name already in use.
+var ErrCheckExists = errors.New("checker: check name already registered")
+
 // NewMux returns an empty registry. Forward and the eviction policy are
 // graph-level choices shared by every bucket the Mux ever hosts.
 func NewMux(forward bool, evict EvictionPolicy) *Mux {
@@ -120,7 +127,7 @@ func (x *Mux) Register(cfg MuxCheck) error {
 	x.mu.Lock()
 	defer x.mu.Unlock()
 	if x.byName[cfg.Name] != nil {
-		return fmt.Errorf("checker: check %q is already registered", cfg.Name)
+		return fmt.Errorf("%w: %q", ErrCheckExists, cfg.Name)
 	}
 	key := muxBucketKey{class: m.plan.Class(), routeID: cfg.RouteID}
 	if cfg.RouteID == "" {
@@ -195,10 +202,11 @@ func (x *Mux) Names() []string {
 type GroupStat struct {
 	// Checks are the member check names, registration order.
 	Checks []string `json:"checks"`
-	// Shared reports whether the bucket runs the shared-draw path
-	// (two or more SOUND members).
+	// Shared reports whether the bucket's draws are shared (two or more
+	// SOUND members).
 	Shared bool `json:"shared"`
-	// Windows is the number of shared window evaluations so far.
+	// Windows is the number of window evaluations so far (counted for
+	// every bucket with a SOUND member, shared or not).
 	Windows int64 `json:"windows"`
 	// MemberEvals is the number of member verdicts those produced.
 	MemberEvals int64 `json:"member_evals"`
@@ -278,9 +286,9 @@ func newMuxOp(x *Mux) *muxOp {
 
 // sync reconciles the worker's instances with the registry. Instances
 // for surviving buckets are reused — their window state persists across
-// unrelated registrations — and installMembers carries evaluator state
-// over for members that remain, so churn elsewhere in the suite never
-// perturbs a check's verdict stream.
+// unrelated registrations — and a window's draws are seeded from its
+// coordinate, so churn elsewhere in the suite never perturbs a check's
+// verdict stream.
 func (o *muxOp) sync() {
 	v := o.mux.version.Load()
 	if v == o.seen {

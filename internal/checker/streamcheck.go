@@ -179,11 +179,6 @@ func NewStreamChecker(cfg StreamCheck) (func() stream.Processor, error) {
 		return nil, err
 	}
 	if cfg.Registry != nil {
-		// A checkpointable operator keeps its seed-slot counter in the
-		// registry, so a restored run resumes the claim sequence instead
-		// of restarting it. (See the memberSpec.seq comment for why the
-		// counter is claim-ordered.)
-		m.seq = &cfg.Registry.seq
 		cfg.Registry.bind(cfg.Out)
 	}
 	members := []*memberSpec{m}
@@ -205,9 +200,8 @@ func resolveRoute(route RouteFunc, ck *core.Check, arity int) (RouteFunc, error)
 }
 
 // newOperator assembles one worker instance of the generic operator for
-// the given member set. All members share the operator's window state;
-// installMembers decides between the legacy per-member evaluators and
-// the multiplexed PlanGroup path.
+// the given member set. All members share the operator's window state
+// and the PlanGroup installMembers compiles for them.
 func newOperator(members []*memberSpec, route RouteFunc, forward bool, evict EvictionPolicy, reg *StreamRegistry, gm *GroupMetrics) *streamChecker {
 	c := &streamChecker{
 		asg:     members[0].plan.Assigner(),
@@ -244,31 +238,24 @@ func MustStreamChecker(cfg StreamCheck) func() stream.Processor {
 // streamChecker is one worker's instance of the generic operator. Keyed
 // partitioning guarantees a group's events reach one worker, so the
 // per-group state needs no locking. One operator hosts one or more
-// member checks over ONE set of window buffers and extractions: with a
-// single SOUND member it runs the legacy per-check evaluator verbatim
-// (bit-identical to every pre-multiplexing release), with two or more
-// it evaluates windows through a shared core.PlanGroup whose draws are
-// derived from the window coordinate (see evaluateShared).
+// member checks over ONE set of window buffers and extractions, and
+// evaluates every fired window's SOUND members through one
+// core.PlanGroup whose draws are derived from the window coordinate (see
+// evaluate) — for one member exactly as for many, so a verdict never
+// depends on worker count, evaluation order, or co-registered checks.
 type streamChecker struct {
 	members []*memberSpec
-	// evals are the legacy-path per-member evaluators, parallel to
-	// members, created lazily on the worker's first evaluation.
-	evals []*core.Evaluator
-	// useExt mirrors the old !naive: maintain SoA extractions iff some
-	// member runs SOUND evaluation.
-	useExt bool
-	// shared selects the PlanGroup path (≥ 2 SOUND members).
-	shared bool
+	// planGroup evaluates the SOUND members (nil for a Naive-only bucket,
+	// which then maintains no SoA extractions either — see useExt);
+	// resBuf receives their results, in member order.
 	planGroup *core.PlanGroup
 	resBuf    []core.Result
-	// soundCount is the number of non-naive members (resBuf length).
-	soundCount int
-	metrics    *GroupMetrics
-	asg        core.WindowAssigner
-	arity      int
-	forward    bool
-	route      RouteFunc
-	groups     map[string]*groupState
+	metrics   *GroupMetrics
+	asg       core.WindowAssigner
+	arity     int
+	forward   bool
+	route     RouteFunc
+	groups    map[string]*groupState
 	// State lifecycle (DESIGN.md §4i): worker is the engine-assigned
 	// slot (-1 outside a checkpointable graph), evict the memory policy,
 	// reg the checkpoint registry, onOutcome the outcome observer.
@@ -302,6 +289,10 @@ type streamChecker struct {
 	// from its Result), so one buffer serves every fire.
 	viewBuf []resample.View
 }
+
+// useExt reports whether the operator maintains SoA extractions beside
+// its window buffers: only SOUND evaluation reads them.
+func (c *streamChecker) useExt() bool { return c.planGroup != nil }
 
 // views returns the k-slot view scratch.
 func (c *streamChecker) views(k int) []resample.View {
@@ -577,7 +568,7 @@ func (c *streamChecker) fireDueTimeWindows(g *groupState, final bool) {
 	if !g.hasOrigin || c.asg.Size <= 0 || c.asg.Slide <= 0 {
 		return
 	}
-	useExt := c.useExt
+	useExt := c.useExt()
 	if useExt && g.ext == nil {
 		g.ext = make([]resample.Extraction, c.arity)
 	}
@@ -661,7 +652,7 @@ func (c *streamChecker) processCount(key string, input int, p series.Point) {
 		return
 	}
 	bufs[input] = append(bufs[input], p)
-	useExt := c.useExt
+	useExt := c.useExt()
 	if useExt {
 		// Count windows never reorder (arrival order is the index), so the
 		// shared extraction extends one point at a time, in lockstep with
@@ -782,46 +773,21 @@ func (c *streamChecker) Flush(stream.EmitFunc) {
 // the window's stable coordinate within its route group (grid-start
 // bits for time and session windows, the absolute start index for
 // count windows, the point's timestamp bits for point tuples, 0 for
-// the global window); the shared path folds it into the draw-stream
-// seed so verdicts depend only on WHAT is evaluated, never on which
-// worker evaluates it or how many co-members ride along.
+// the global window). The SOUND members are evaluated by the bucket's
+// core.PlanGroup — one extraction and one sample matrix per lane — on
+// the draw stream seeded by PlanGroup.WindowSeed, a pure function of
+// (group class, route key, window coordinate): verdicts depend only on
+// WHAT is evaluated, never on which worker evaluates it, in which order,
+// at which batch size or fusion setting, or how many co-members ride
+// along. That is the contract the invariance property tests pin.
 func (c *streamChecker) evaluate(key string, tuple core.WindowTuple, windowBits uint64) {
-	if c.shared {
-		c.evaluateShared(key, tuple, windowBits)
-		return
-	}
-	for i, m := range c.members {
-		c.evaluateMember(i, m, key, tuple)
-	}
-}
-
-// evaluateMember is the legacy per-check path, byte-for-byte the
-// pre-multiplexing evaluation: lazy seed-slot claim, stateful
-// evaluator, per-window RNG continuation.
-func (c *streamChecker) evaluateMember(i int, m *memberSpec, key string, tuple core.WindowTuple) {
-	var o core.Outcome
-	if m.naive {
-		o = core.EvaluateNaive(m.check.Constraint, tuple)
-	} else {
-		if c.evals[i] == nil {
-			// First evaluation claims this worker's seed slot (see the
-			// memberSpec.seq comment).
-			c.evals[i] = m.plan.NewEvaluator(m.seq.Add(1) * 0x9e3779b9)
+	if c.planGroup != nil {
+		winSeed := c.planGroup.WindowSeed(stream.KeyHash(key), windowBits)
+		ev := c.planGroup.Evaluate(winSeed, tuple, c.resBuf)
+		if c.metrics != nil {
+			c.metrics.record(ev, len(c.resBuf))
 		}
-		o = c.evals[i].Evaluate(m.check.Constraint, tuple).Outcome
 	}
-	m.deliver(key, o)
-}
-
-// evaluateShared evaluates all members on one shared extraction and one
-// shared sample matrix per block (core.PlanGroup). The window seed is a
-// pure function of (group class, route key, window coordinate), so the
-// verdict map is invariant to registration order, member count, worker
-// count, batch size, and fusion — the multiplexing contract pinned by
-// the invariance property tests.
-func (c *streamChecker) evaluateShared(key string, tuple core.WindowTuple, windowBits uint64) {
-	winSeed := c.planGroup.WindowSeed(stream.KeyHash(key), windowBits)
-	ev := c.planGroup.Evaluate(winSeed, tuple, c.resBuf)
 	si := 0
 	for _, m := range c.members {
 		if m.naive {
@@ -830,9 +796,6 @@ func (c *streamChecker) evaluateShared(key string, tuple core.WindowTuple, windo
 		}
 		m.deliver(key, c.resBuf[si].Outcome)
 		si++
-	}
-	if c.metrics != nil {
-		c.metrics.record(ev, c.soundCount)
 	}
 }
 

@@ -2,10 +2,12 @@ package checker
 
 import (
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
 	"sound/internal/core"
+	"sound/internal/resample"
 	"sound/internal/series"
 	"sound/internal/stream"
 )
@@ -496,16 +498,16 @@ func TestCompareOutcomesLengthMismatch(t *testing.T) {
 // the shared-view paths must match bit for bit.
 type opaqueWindow struct{ core.Windower }
 
-// TestBatchStreamParitySlidingSharedExtraction pins the tentpole
-// invariant end to end on overlapping windows with gaps: the stream
-// checker's incrementally-maintained shared extraction, the batch
-// EvaluateAll shared extraction, and the per-window extraction fallback
-// all consume the RNG identically, so with equal evaluator seeds the
-// outcomes are bit-identical — on *borderline* data, where any skew in
-// consumed randomness would desynchronize every later window. Gaps in
-// the series force empty grid windows (which must draw nothing), and a
-// re-run with out-of-order arrivals exercises the stream's
-// Extract-rebuild resync path.
+// TestBatchStreamParitySlidingSharedExtraction pins batch/stream parity
+// end to end on overlapping windows with gaps: the stream checker's
+// incrementally-maintained shared extraction, views into one whole-series
+// extraction, and a fresh extraction per window all prime the same
+// kernels, so the batch windower's tuples evaluated at the window seed
+// the operator derives give, window by window, the results the stream
+// delivers — on *borderline* data, where a skew in what a window draws
+// shows up as a flipped verdict. Gaps in the series force empty grid
+// windows (which must draw nothing), and a re-run with out-of-order
+// arrivals exercises the stream's Extract-rebuild resync path.
 func TestBatchStreamParitySlidingSharedExtraction(t *testing.T) {
 	const seed = 424242
 	params := core.DefaultParams()
@@ -559,51 +561,62 @@ func TestBatchStreamParitySlidingSharedExtraction(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-
-		// Batch reference #1: shared-extraction EvaluateAll, seeded like
-		// the first stream worker (workerSeq starts at 1).
-		shared := pl.NewEvaluator(0x9e3779b9).EvaluateAll(ck.Constraint, win, ss)
-		// Batch reference #2: per-window extraction via an opaque windower.
-		perWindow := pl.NewEvaluator(0x9e3779b9).EvaluateAll(ck.Constraint, opaqueWindow{win}, ss)
-		if len(shared) != len(perWindow) {
-			t.Fatalf("%T: shared %d windows, per-window %d", win, len(shared), len(perWindow))
+		g, err := core.NewPlanGroup([]*core.CheckPlan{pl})
+		if err != nil {
+			t.Fatal(err)
 		}
-		var want OutcomeCounts
-		for i := range shared {
-			a, b := shared[i], perWindow[i]
+		_, isTime := win.(core.TimeWindow)
+
+		// Batch reference: the windower's tuples, each at the seed of its
+		// (key, window coordinate) — grid-start bits for time windows, the
+		// absolute start index for count windows — evaluated once through
+		// views into one whole-series extraction and once with a fresh
+		// extraction per window.
+		var whole resample.Extraction
+		whole.Extract(s)
+		tuples := win.Windows(ss)
+		want := make([]core.Outcome, len(tuples))
+		var tally StreamOutcomes
+		shared, perWindow := make([]core.Result, 1), make([]core.Result, 1)
+		for i, tu := range tuples {
+			lo, bits := s.At(tu.Start), math.Float64bits(tu.Start)
+			if !isTime {
+				lo = i * 3 // CountWindow.Slide
+				bits = uint64(lo)
+			}
+			winSeed := g.WindowSeed(stream.KeyHash("k"), bits)
+			g.Evaluate(winSeed, tu, perWindow)
+			tu.Ext = []resample.View{whole.Slice(lo, lo+len(tu.Windows[0]))}
+			g.Evaluate(winSeed, tu, shared)
+			a, b := shared[0], perWindow[0]
 			if a.Outcome != b.Outcome || a.Samples != b.Samples ||
 				a.SatisfiedCount != b.SatisfiedCount || a.ViolationProb != b.ViolationProb {
 				t.Fatalf("%T window %d: shared extraction %+v != per-window extraction %+v",
 					win, i, a, b)
 			}
-			switch a.Outcome {
-			case core.Satisfied:
-				want.Satisfied++
-			case core.Violated:
-				want.Violated++
-			default:
-				want.Inconclusive++
-			}
+			want[i] = a.Outcome
+			tally.Add(a.Outcome)
 		}
-		if _, isTime := win.(core.TimeWindow); isTime && want.Inconclusive == 0 {
+		counts := tally.Counts()
+		if isTime && counts.Inconclusive == 0 {
 			t.Fatalf("%T: gaps produced no empty windows, test is vacuous", win)
 		}
-		if want.Satisfied == 0 || want.Violated == 0 {
-			t.Fatalf("%T: workload not borderline (counts %+v), test is vacuous", win, want)
+		if counts.Satisfied == 0 || counts.Violated == 0 {
+			t.Fatalf("%T: workload not borderline (counts %+v), test is vacuous", win, counts)
 		}
 
-		// Stream: drive a single checker instance directly so its
-		// evaluator seed matches the batch references, in-order and — for
-		// time windows — with out-of-order arrivals. (Count windows buffer
-		// in arrival order by design, so only in-order delivery matches
-		// the time-sorted batch series.)
+		// Stream: drive a single checker instance directly, in-order and —
+		// for time windows — with out-of-order arrivals. (Count windows
+		// buffer in arrival order by design, so only in-order delivery
+		// matches the time-sorted batch series.)
 		deliveries := map[string][]stream.Event{"in-order": inOrder}
-		if _, isTime := win.(core.TimeWindow); isTime {
+		if isTime {
 			deliveries["shuffled"] = shuffled
 		}
 		for name, events := range deliveries {
-			out := &StreamOutcomes{}
-			factory, err := NewStreamChecker(StreamCheck{Check: ck, Params: params, Seed: seed, Out: out})
+			var got []core.Outcome
+			factory, err := NewStreamChecker(StreamCheck{Check: ck, Params: params, Seed: seed,
+				OnOutcome: func(_ string, o core.Outcome) { got = append(got, o) }})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -612,8 +625,8 @@ func TestBatchStreamParitySlidingSharedExtraction(t *testing.T) {
 				proc.Process(ev, func(stream.Event) {})
 			}
 			proc.Flush(func(stream.Event) {})
-			if got := out.Counts(); got != want {
-				t.Errorf("%T %s: stream counts %+v != batch counts %+v", win, name, got, want)
+			if !slices.Equal(got, want) {
+				t.Errorf("%T %s: stream outcomes %v != batch outcomes %v", win, name, got, want)
 			}
 		}
 	}
@@ -643,7 +656,7 @@ func TestStreamKernelPinnedFixture(t *testing.T) {
 	}{
 		{"corr", core.CorrelationAbove(0.5), OutcomeCounts{Satisfied: 4}},
 		{"r2", core.RSquaredAbove(0), OutcomeCounts{Satisfied: 4}},
-		{"ks", core.KSDistanceBelow(0.35), OutcomeCounts{Satisfied: 2, Inconclusive: 2}},
+		{"ks", core.KSDistanceBelow(0.35), OutcomeCounts{Satisfied: 2, Violated: 1, Inconclusive: 1}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

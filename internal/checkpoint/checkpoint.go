@@ -1,13 +1,13 @@
 // Package checkpoint is the versioned binary codec behind the
 // deterministic state lifecycle (DESIGN.md §4i): every stateful layer —
-// rng streams, resample extractions, evaluators, keyed window groups,
-// suite progress — serializes itself through one Encoder/Decoder pair,
+// resample extractions, keyed window groups, suite progress —
+// serializes itself through one Encoder/Decoder pair,
 // so a snapshot taken at a quiescent stream barrier restores to a run
 // that is bit-identical to an uninterrupted one.
 //
 // The format follows the series codec's length-prefixed style: a fixed
 // magic + version header, then primitive fields (fixed-width
-// little-endian words for RNG state and float bits, uvarints for counts
+// little-endian words for float bits, uvarints for counts
 // and lengths, length-prefixed byte strings), closed by a CRC-32
 // trailer over everything before it. Decoders carry a sticky error and
 // validate every length against the remaining input, so corrupt or
@@ -29,10 +29,13 @@ import (
 // Magic identifies a checkpoint document; Version is bumped on any
 // incompatible layout change. Decoders reject both mismatches — a
 // checkpoint is a precise machine state, and a best-effort partial
-// restore would silently break bit parity.
+// restore would silently break bit parity. Version 2 dropped the
+// evaluator RNG positions and the seed-slot counter from stream-worker
+// snapshots (window draws are seeded from the window coordinate now); a
+// version-1 snapshot would resume under other seeds, so it is refused.
 const (
 	Magic   = "SNDCKP"
-	Version = 1
+	Version = 2
 )
 
 // Encoder appends primitive values to a growing buffer. The zero value

@@ -2,7 +2,10 @@ package checkpoint
 
 import (
 	"bytes"
+	"encoding/binary"
+	"hash/crc32"
 	"math"
+	"strings"
 	"testing"
 )
 
@@ -126,6 +129,17 @@ func TestHeaderValidation(t *testing.T) {
 	vers[len(Magic)] ^= 0x7f // version mismatch (CRC now wrong too, but version is checked first)
 	if _, err := NewDecoder(vers); err == nil {
 		t.Error("future version accepted")
+	}
+	// A well-formed version-1 document (valid CRC) is refused by name: its
+	// stream workers carried RNG positions this version no longer resumes.
+	if Version != 2 {
+		t.Fatalf("Version = %d, want 2", Version)
+	}
+	v1 := append([]byte{}, data[:len(data)-4]...)
+	binary.LittleEndian.PutUint16(v1[len(Magic):], 1)
+	v1 = binary.LittleEndian.AppendUint32(v1, crc32.ChecksumIEEE(v1))
+	if _, err := NewDecoder(v1); err == nil || !strings.Contains(err.Error(), "version 1, want 2") {
+		t.Errorf("version-1 document: err = %v, want a version mismatch", err)
 	}
 }
 

@@ -106,28 +106,25 @@ type Result struct {
 // safe for concurrent use; create one per goroutine (cheap) with
 // independent seeds.
 type Evaluator struct {
-	params Params
-	r      *rng.Rand
+	// blockLoop carries the parameters, the shared precomputed decision
+	// table and the Alg. 1 loop itself (kernel.go).
+	blockLoop
+	r *rng.Rand
 	// resamplers per strategy, created lazily and reused across calls.
 	rs [3]*resample.Resampler
 	// rsStale marks resamplers whose stream must be re-derived from r on
 	// next use after a Reseed; deriving lazily reproduces the split order
 	// of a freshly constructed evaluator.
 	rsStale [3]bool
-	// bounds is the shared precomputed decision table for params.
-	bounds *decisionBounds
-	// memo memoizes credible intervals by observation counts: the
-	// posterior depends only on (satisfied, violated), and point checks
-	// revisit the same counts for every window.
-	memo ciMemo
 	// extc holds the shared per-series extractions EvaluateAll attaches
 	// to its window tuples, reused across calls.
 	extc extCache
-	// blk and kvals are the block loop's reused scratch: the dense sample
-	// matrix and the per-window row headers of the sample being scored
-	// (see kernel.go).
-	blk   resample.Block
-	kvals [][]float64
+}
+
+// newEvaluator is the one place an Evaluator is assembled: normalized
+// parameters, their decision table, and a base stream at exactly seed.
+func newEvaluator(p Params, b *decisionBounds, seed uint64) *Evaluator {
+	return &Evaluator{blockLoop: blockLoop{params: p, bounds: b}, r: rng.New(seed)}
 }
 
 // NewEvaluator returns an Evaluator with the given parameters and seed.
@@ -136,7 +133,7 @@ func NewEvaluator(params Params, seed uint64) (*Evaluator, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Evaluator{params: p, r: rng.New(seed), bounds: boundsFor(p)}, nil
+	return newEvaluator(p, boundsFor(p), seed), nil
 }
 
 // MustEvaluator is NewEvaluator that panics on invalid parameters, for
@@ -172,7 +169,7 @@ func (e *Evaluator) Reseed(seed uint64) {
 // process-wide cache; the result is indistinguishable from
 // NewEvaluator(Params(), seed).
 func (e *Evaluator) Derive(seed uint64) *Evaluator {
-	return &Evaluator{params: e.params, r: rng.New(seed), bounds: e.bounds}
+	return newEvaluator(e.params, e.bounds, seed)
 }
 
 // Evaluate runs γ(φ, wᵏ, c, N) on one window tuple (paper Alg. 1).
@@ -217,14 +214,7 @@ func (e *Evaluator) evaluateInto(res *Result, c *Constraint, w WindowTuple) {
 		rs.Prime(w.Windows)
 	}
 	if strat == resample.Point && rs.PrimedAllCertain() {
-		// Point resampling of all-certain windows returns the raw values
-		// on every draw and consumes no randomness, so the constraint
-		// verdict is the same for all N samples: evaluate it once and
-		// replay the decision schedule on the boundary table.
-		var cs int
-		res.Outcome, res.Samples, cs = e.bounds.replayConstant(c.Eval(rs.Draw(w.Windows)),
-			e.params.MinSamples, e.params.CheckInterval, e.params.MaxSamples)
-		e.finish(res, cs)
+		e.replayCertain(res, c.Eval(rs.Draw(w.Windows)))
 		return
 	}
 	e.evaluateBlocks(res, c, rs, w)
@@ -237,14 +227,8 @@ func (e *Evaluator) evaluateInto(res *Result, c *Constraint, w WindowTuple) {
 // does with CheckInterval = 1). It takes a pointer because Result embeds
 // the window tuple — passing it by value puts two struct copies on the
 // point-check hot path.
-func (e *Evaluator) finish(res *Result, countSatisfied int) {
-	finishResult(e.params, e.bounds, &e.memo, res, countSatisfied)
-}
-
-// finishResult is the shared posterior-filling epilogue of Alg. 1, used
-// by both the per-check Evaluator and the multiplexed PlanGroup so the
-// two paths cannot diverge on how a terminated trajectory is summarized.
-func finishResult(p Params, b *decisionBounds, memo *ciMemo, res *Result, countSatisfied int) {
+func (l *blockLoop) finish(res *Result, countSatisfied int) {
+	p, b := &l.params, l.bounds
 	s, n := countSatisfied, res.Samples
 	switch {
 	case res.Outcome == Satisfied && s == b.acceptAt[n]:
@@ -257,7 +241,7 @@ func finishResult(p Params, b *decisionBounds, memo *ciMemo, res *Result, countS
 		// Boundary overshoot (CheckInterval > 1 or a burn-in): compute
 		// the interval the last check saw directly, memoized by counts.
 		post := stat.Beta{Alpha: p.PriorAlpha + float64(s), Beta: p.PriorBeta + float64(n-s)}
-		res.Lower, res.Upper = memo.interval(p.Credibility, s, n-s, post)
+		res.Lower, res.Upper = l.memo.interval(p.Credibility, s, n-s, post)
 	default:
 		// No check ever ran (MinSamples > MaxSamples, rejected by
 		// normalized() but kept consistent for internal callers): the

@@ -81,7 +81,6 @@ type groupLane struct {
 	strat   resample.Strategy
 	r       *rng.Rand
 	rs      *resample.Resampler
-	blk     resample.Block
 	members []int // member indices into PlanGroup.plans
 	stats   []rowStat
 }
@@ -105,17 +104,17 @@ type GroupEval struct {
 // group, which is free because all randomness is window-derived and no
 // state survives between windows.
 type PlanGroup struct {
+	// blockLoop carries the class's parameters and decision table, the
+	// sample-matrix scratch every lane draws into, and the single-check
+	// loop a one-member lane runs (kernel.go).
+	blockLoop
 	class  GroupClass
 	hash   uint64
-	params Params
-	bounds *decisionBounds
 	plans  []*CheckPlan
 	member []groupMember
 	lanes  []*groupLane
-	memo   ciMemo
-	// scratch reused across windows
+	// live is the multi-member loop's undecided set, reused across windows.
 	live []int
-	vals [][]float64
 }
 
 // NewPlanGroup compiles a group from plans that must all share one
@@ -126,12 +125,11 @@ func NewPlanGroup(plans []*CheckPlan) (*PlanGroup, error) {
 	}
 	cls := plans[0].Class()
 	g := &PlanGroup{
-		class:  cls,
-		hash:   cls.hash(),
-		params: plans[0].params,
-		bounds: plans[0].bounds,
-		plans:  plans,
-		member: make([]groupMember, len(plans)),
+		blockLoop: blockLoop{params: plans[0].params, bounds: plans[0].bounds},
+		class:     cls,
+		hash:      cls.hash(),
+		plans:     plans,
+		member:    make([]groupMember, len(plans)),
 	}
 	byStrat := map[resample.Strategy]*groupLane{}
 	for i, pl := range plans {
@@ -180,13 +178,19 @@ func (g *PlanGroup) WindowSeed(keyHash, windowBits uint64) uint64 {
 // one window seed (offset so stream 0 is never consumed twice).
 func laneStream(s resample.Strategy) uint64 { return uint64(s) + 1 }
 
-// Evaluate runs Alg. 1 for every member on the window tuple with
-// shared draws, writing member i's result to out[i] (len(out) must be
-// Members()). The trajectory each member sees is exactly the scalar
-// Alg. 1 trajectory over the lane's shared sample stream: per drawn
-// sample its own satisfied bit, its own Beta posterior, its own
-// decision schedule — members differ only in which verdict their bits
-// imply, never in which samples exist.
+// Evaluate runs Alg. 1 for every member on the window tuple, writing
+// member i's result to out[i] (len(out) must be Members()). Each lane is
+// reseeded from the window seed and primed once; what runs on it is chosen
+// by the lane's member count. One member has nothing to share and takes
+// the single-check block loop (evaluateBlocks), which scores a block with
+// one kernel call per row and no per-member bookkeeping; two or more take
+// evaluateLane. By the sample-stream prefix property both produce the
+// same Result for a member and the same GroupEval, so a check's verdict
+// does not move when a neighbour joins or leaves its lane. The trajectory
+// each member sees is exactly the scalar Alg. 1 trajectory over the
+// lane's sample stream: per drawn sample its own satisfied bit, its own
+// Beta posterior, its own decision schedule — members differ only in
+// which verdict their bits imply, never in which samples exist.
 func (g *PlanGroup) Evaluate(winSeed uint64, w WindowTuple, out []Result) GroupEval {
 	var ev GroupEval
 	for i := range out {
@@ -204,49 +208,46 @@ func (g *PlanGroup) Evaluate(winSeed uint64, w WindowTuple, out []Result) GroupE
 		return ev
 	}
 	for _, lane := range g.lanes {
-		g.evaluateLane(lane, winSeed, w, out, &ev)
+		lane.r.Reseed(rng.Derive(winSeed, laneStream(lane.strat)))
+		rs := lane.rs
+		rs.Reseed(lane.r)
+		if w.Ext != nil {
+			rs.PrimeViews(w.Windows, w.Ext)
+		} else {
+			rs.Prime(w.Windows)
+		}
+		ev.Primes++
+		switch {
+		case lane.strat == resample.Point && rs.PrimedAllCertain():
+			// Every member's verdict is constant across samples: score the
+			// single raw draw once per member and replay its schedule.
+			vals := rs.Draw(w.Windows)
+			ev.Draws++
+			for _, mi := range lane.members {
+				g.replayCertain(&out[mi], g.member[mi].cons.Eval(vals))
+			}
+		case len(lane.members) == 1:
+			mi := lane.members[0]
+			g.evaluateBlocks(&out[mi], g.member[mi].cons, rs, w)
+			ev.Draws += out[mi].Samples
+		default:
+			g.evaluateLane(lane, w, out, &ev)
+		}
 	}
 	return ev
 }
 
-// evaluateLane primes the lane's resampler from the window-derived
-// stream and walks the shared block loop for the lane's members.
-func (g *PlanGroup) evaluateLane(lane *groupLane, winSeed uint64, w WindowTuple, out []Result, ev *GroupEval) {
-	lane.r.Reseed(rng.Derive(winSeed, laneStream(lane.strat)))
+// evaluateLane walks the shared block loop for a primed lane of two or
+// more members. live holds the lane's undecided member indices; cs
+// trajectories ride in out[mi].SatisfiedCount until finish. Every member
+// runs the exact scalar schedule of Alg. 1 on its own satisfied bits, so
+// drawing to the max edge over members (nextDecision) cannot move any
+// member's stopping index: the edge only bounds how far the shared stream
+// is materialized.
+func (g *PlanGroup) evaluateLane(lane *groupLane, w WindowTuple, out []Result, ev *GroupEval) {
 	rs := lane.rs
-	rs.Reseed(lane.r)
-	if w.Ext != nil {
-		rs.PrimeViews(w.Windows, w.Ext)
-	} else {
-		rs.Prime(w.Windows)
-	}
-	ev.Primes++
 	p := g.params
 	maxS, minS, ci := p.MaxSamples, p.MinSamples, p.CheckInterval
-	if lane.strat == resample.Point && rs.PrimedAllCertain() {
-		// Point resampling of all-certain windows returns the raw values
-		// on every draw and consumes no randomness: each member's verdict
-		// is constant across samples, so evaluate each once and replay
-		// its decision schedule on the boundary table — the same O(1)
-		// fast path the per-check evaluator takes, shared here across the
-		// single raw draw.
-		vals := rs.Draw(w.Windows)
-		ev.Draws++
-		for _, mi := range lane.members {
-			res := &out[mi]
-			var cs int
-			res.Outcome, res.Samples, cs = g.bounds.replayConstant(g.member[mi].cons.Eval(vals), minS, ci, maxS)
-			finishResult(p, g.bounds, &g.memo, res, cs)
-		}
-		return
-	}
-
-	// Shared block loop. live holds the lane's undecided member indices;
-	// cs trajectories ride in out[mi].SatisfiedCount until finish. Every
-	// member runs the exact scalar schedule of Alg. 1 on its own satisfied
-	// bits, so drawing to the max edge over members (nextDecision) cannot
-	// move any member's stopping index: the edge only bounds how far the
-	// shared stream is materialized.
 	kernelOK := kernelReady(rs, len(w.Windows))
 	// Row statistics stand in for the kernel only where its precondition
 	// holds and the row has a first value to seed the extremes.
@@ -265,11 +266,7 @@ func (g *PlanGroup) evaluateLane(lane *groupLane, winSeed uint64, w WindowTuple,
 			stats[slot].users++
 		}
 	}
-	nw := len(w.Windows)
-	if cap(g.vals) < nw {
-		g.vals = make([][]float64, nw)
-	}
-	vals := g.vals[:nw]
+	vals := g.rowVals(len(w.Windows))
 	laneDraws := 0
 	i := 0
 	for i < maxS && len(live) > 0 {
@@ -288,7 +285,7 @@ func (g *PlanGroup) evaluateLane(lane *groupLane, winSeed uint64, w WindowTuple,
 		}
 		for i < edge && len(live) > 0 {
 			k := min(edge-i, chunk)
-			rs.DrawBlock(w.Windows, k, &lane.blk)
+			rs.DrawBlock(w.Windows, k, &g.blk)
 			laneDraws += k
 			// Sample-major scoring: scan each statistic two or more live
 			// members read once per row, give every live member its
@@ -296,7 +293,7 @@ func (g *PlanGroup) evaluateLane(lane *groupLane, winSeed uint64, w WindowTuple,
 			// set in place as members retire.
 			for s := 0; s < k && len(live) > 0; s++ {
 				for wi := range vals {
-					vals[wi] = lane.blk.Row(wi, s)
+					vals[wi] = g.blk.Row(wi, s)
 				}
 				for si := range stats {
 					st := &stats[si]
@@ -329,7 +326,7 @@ func (g *PlanGroup) evaluateLane(lane *groupLane, winSeed uint64, w WindowTuple,
 					if m.slot >= 0 {
 						stats[m.slot].users--
 					}
-					finishResult(p, g.bounds, &g.memo, res, res.SatisfiedCount)
+					g.finish(res, res.SatisfiedCount)
 				}
 				live = kept
 			}
@@ -341,7 +338,7 @@ func (g *PlanGroup) evaluateLane(lane *groupLane, winSeed uint64, w WindowTuple,
 	for _, mi := range live {
 		res := &out[mi]
 		res.Samples = i
-		finishResult(p, g.bounds, &g.memo, res, res.SatisfiedCount)
+		g.finish(res, res.SatisfiedCount)
 	}
 	ev.Draws += laneDraws
 	for _, mi := range lane.members {

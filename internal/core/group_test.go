@@ -48,7 +48,9 @@ func sameResult(a, b Result) bool {
 // A member's verdict in a shared group must equal its verdict in a
 // group of one at the same window seed: the shared stream is a pure
 // function of (class, key, window), and a member's trajectory reads
-// only the prefix of it that its own decision schedule consumes.
+// only the prefix of it that its own decision schedule consumes. A group
+// of one runs the single-check loop, so this is also the parity pin
+// between PlanGroup's two loops.
 func TestPlanGroupMemberInvariance(t *testing.T) {
 	plans := groupTestPlans(t, 42)
 	g, err := NewPlanGroup(plans)
@@ -70,9 +72,21 @@ func TestPlanGroupMemberInvariance(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			g1.Evaluate(winSeed, tu, solo)
+			ev1 := g1.Evaluate(winSeed, tu, solo)
 			if !sameResult(shared[i], solo[0]) {
 				t.Fatalf("window %d member %d: shared %+v != solo %+v", wi, i, shared[i], solo[0])
+			}
+			// Evaluate chose the single-check loop for the lone lane; the
+			// multi-member loop on the same primed lane must report the
+			// same Result and the same GroupEval.
+			lane := g1.lanes[0]
+			lane.r.Reseed(rng.Derive(winSeed, laneStream(lane.strat)))
+			lane.rs.Reseed(lane.r)
+			lane.rs.Prime(tu.Windows)
+			evL, viaLane := GroupEval{Primes: 1}, make([]Result, 1)
+			g1.evaluateLane(lane, tu, viaLane, &evL)
+			if !sameResult(viaLane[0], solo[0]) || evL != ev1 {
+				t.Fatalf("window %d member %d: lane loop %+v %+v != single-check loop %+v %+v", wi, i, viaLane[0], evL, solo[0], ev1)
 			}
 		}
 	}

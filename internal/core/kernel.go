@@ -140,21 +140,42 @@ func kernelReady(rs *resample.Resampler, k int) bool {
 	return true
 }
 
-// scoreBlock scores every sample of the evaluator's current block and
-// returns how many satisfied the constraint — the block's contribution to
-// countSatisfied. Each row goes through the compiled kernel when kernel is
-// set (the caller checked its precondition) and through the constraint's
-// closure otherwise.
-func (e *Evaluator) scoreBlock(c *Constraint, kernel bool, k int) int {
-	nw := len(e.blk.Data)
-	if cap(e.kvals) < nw {
-		e.kvals = make([][]float64, nw)
+// blockLoop is the single-check sampling loop of Alg. 1 with everything
+// it needs besides a primed resampler: the normalized parameters, their
+// shared precomputed decision table, and reused scratch. Evaluator runs it
+// on its own continuing streams, PlanGroup on a lane's window-derived
+// stream when the lane has one member; both embed it.
+type blockLoop struct {
+	params Params
+	bounds *decisionBounds
+	// memo memoizes credible intervals by observation counts: the
+	// posterior depends only on (satisfied, violated), and point checks
+	// revisit the same counts for every window.
+	memo ciMemo
+	// blk and kvals are the reused scratch: the dense sample matrix and
+	// the per-window row headers of the sample being scored.
+	blk   resample.Block
+	kvals [][]float64
+}
+
+// rowVals returns the nw-slot row-header scratch.
+func (l *blockLoop) rowVals(nw int) [][]float64 {
+	if cap(l.kvals) < nw {
+		l.kvals = make([][]float64, nw)
 	}
-	vals := e.kvals[:nw]
+	return l.kvals[:nw]
+}
+
+// scoreBlock scores every sample of the current block and returns how many
+// satisfied the constraint — the block's contribution to countSatisfied.
+// Each row goes through the compiled kernel when kernel is set (the caller
+// checked its precondition) and through the constraint's closure otherwise.
+func (l *blockLoop) scoreBlock(c *Constraint, kernel bool, k int) int {
+	vals := l.rowVals(len(l.blk.Data))
 	sat := 0
 	for s := 0; s < k; s++ {
 		for wi := range vals {
-			vals[wi] = e.blk.Row(wi, s)
+			vals[wi] = l.blk.Row(wi, s)
 		}
 		var ok bool
 		if kernel {
@@ -169,26 +190,27 @@ func (e *Evaluator) scoreBlock(c *Constraint, kernel bool, k int) int {
 	return sat
 }
 
-// evaluateBlocks is the sampling loop of Alg. 1 for a single check:
-// instead of drawing one sample and consulting the boundary table per
-// iteration, it asks the table for the earliest future check at which a
-// conclusion is still possible (decisionBounds.nextDecision), draws all
-// samples up to that edge as dense blocks, adds each block's satisfied
-// count to the running count, and tests the two integer thresholds once
-// per block edge. Because nextDecision bounds the trajectory from above
-// and below, no interior check of the per-sample loop could have fired,
-// and the check at the edge sees exactly the count that loop would see —
-// the stopping index, outcome, and posterior are identical, while the
-// randomness consumed is exactly one Draw per sample in the same order
-// (resample.DrawBlock), so every later window sees an unchanged stream.
-// The per-sample loop itself lives on as the oracle in eval_test.go.
-func (e *Evaluator) evaluateBlocks(res *Result, c *Constraint, rs *resample.Resampler, w WindowTuple) {
-	maxS, minS, ci := e.params.MaxSamples, e.params.MinSamples, e.params.CheckInterval
+// evaluateBlocks is the sampling loop of Alg. 1 for a single check on a
+// primed resampler: instead of drawing one sample and consulting the
+// boundary table per iteration, it asks the table for the earliest future
+// check at which a conclusion is still possible
+// (decisionBounds.nextDecision), draws all samples up to that edge as dense
+// blocks, adds each block's satisfied count to the running count, and tests
+// the two integer thresholds once per block edge. Because nextDecision
+// bounds the trajectory from above and below, no interior check of the
+// per-sample loop could have fired, and the check at the edge sees exactly
+// the count that loop would see — the stopping index, outcome, and
+// posterior are identical, while the randomness consumed is exactly one
+// Draw per sample in the same order (resample.DrawBlock), so every later
+// window sees an unchanged stream. The per-sample loop itself lives on as
+// the oracle in eval_test.go.
+func (l *blockLoop) evaluateBlocks(res *Result, c *Constraint, rs *resample.Resampler, w WindowTuple) {
+	maxS, minS, ci := l.params.MaxSamples, l.params.MinSamples, l.params.CheckInterval
 	kernel := c.Spec.Op != KernelNone && kernelReady(rs, len(w.Windows))
 	chunk := blockChunk(w, maxS)
 	cs, i := 0, 0
 	for i < maxS && res.Outcome == Inconclusive {
-		j := e.bounds.nextDecision(cs, i, minS, ci, maxS)
+		j := l.bounds.nextDecision(cs, i, minS, ci, maxS)
 		edge := j
 		if edge == 0 {
 			// No future check can conclude; exhaust the budget.
@@ -199,17 +221,28 @@ func (e *Evaluator) evaluateBlocks(res *Result, c *Constraint, rs *resample.Resa
 			if k > chunk {
 				k = chunk
 			}
-			rs.DrawBlock(w.Windows, k, &e.blk)
-			cs += e.scoreBlock(c, kernel, k)
+			rs.DrawBlock(w.Windows, k, &l.blk)
+			cs += l.scoreBlock(c, kernel, k)
 			i += k
 		}
 		if j == 0 {
 			break
 		}
-		res.Outcome = e.bounds.decide(cs, j, minS, ci, maxS)
+		res.Outcome = l.bounds.decide(cs, j, minS, ci, maxS)
 	}
 	res.Samples = i
-	e.finish(res, cs)
+	l.finish(res, cs)
+}
+
+// replayCertain is Alg. 1 on a point-resampled all-certain window: every
+// draw returns the raw values and consumes no randomness, so the
+// constraint verdict is the same for all N samples — evaluate it once and
+// replay the decision schedule on the boundary table.
+func (l *blockLoop) replayCertain(res *Result, sat bool) {
+	var cs int
+	res.Outcome, res.Samples, cs = l.bounds.replayConstant(sat,
+		l.params.MinSamples, l.params.CheckInterval, l.params.MaxSamples)
+	l.finish(res, cs)
 }
 
 // blockChunk returns how many samples of the window tuple one drawn

@@ -7,7 +7,6 @@ import (
 	"sync"
 
 	"sound/internal/resample"
-	"sound/internal/rng"
 	"sound/internal/series"
 )
 
@@ -171,7 +170,7 @@ func (pl *CheckPlan) Assigner() WindowAssigner { return pl.assigner }
 // table; the result is indistinguishable from
 // NewEvaluator(Params(), Seed()+seedOffset).
 func (pl *CheckPlan) NewEvaluator(seedOffset uint64) *Evaluator {
-	return &Evaluator{params: pl.params, r: rng.New(pl.seed + seedOffset), bounds: pl.bounds}
+	return newEvaluator(pl.params, pl.bounds, pl.seed+seedOffset)
 }
 
 // EvaluatorAt returns an evaluator with the plan's normalized parameters
@@ -180,7 +179,7 @@ func (pl *CheckPlan) NewEvaluator(seedOffset uint64) *Evaluator {
 // it, so explanation what-ifs reuse the table the check evaluation already
 // resolved instead of re-resolving it per analyzer.
 func (pl *CheckPlan) EvaluatorAt(seed uint64) *Evaluator {
-	return &Evaluator{params: pl.params, r: rng.New(seed), bounds: pl.bounds}
+	return newEvaluator(pl.params, pl.bounds, seed)
 }
 
 // checkSeries verifies the runtime inputs match the compiled arity.

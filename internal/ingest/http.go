@@ -135,7 +135,7 @@ func (s *Server) handleAddCheck(w http.ResponseWriter, r *http.Request) {
 			httpError(w, http.StatusTooManyRequests, err)
 		case errors.Is(err, ErrDraining):
 			httpError(w, http.StatusServiceUnavailable, err)
-		case strings.Contains(err.Error(), "already registered"):
+		case errors.Is(err, checker.ErrCheckExists):
 			httpError(w, http.StatusConflict, err)
 		default:
 			httpError(w, http.StatusBadRequest, err)

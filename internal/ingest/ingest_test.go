@@ -551,3 +551,112 @@ func TestCheckQuotaAndLifecycle(t *testing.T) {
 		t.Errorf("registration after drain: %d, want 503", code)
 	}
 }
+
+// TestAddCheckStatusCodes is the POST /checks error table: the status is
+// chosen by what the error is, not by what its text happens to contain —
+// a check *named* "already registered" that fails to compile is a bad
+// request, not a conflict.
+func TestAddCheckStatusCodes(t *testing.T) {
+	s, err := NewServer(Config{Shards: 1, MaxChecks: 2, DefaultSeed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	for _, tc := range []struct {
+		name, spec string
+		drain      bool
+		want       int
+	}{
+		{"first", sharedTrioSpecs[0], false, http.StatusOK},
+		{"duplicate name", sharedTrioSpecs[0], false, http.StatusConflict},
+		{"unparsable spec", "not;a;valid;spec", false, http.StatusBadRequest},
+		{"uncompilable check whose name quotes the conflict text",
+			"corr;threshold=0.3;window=session:5;route=inputs:a,b;name=already registered", false, http.StatusBadRequest},
+		{"second", sharedTrioSpecs[1], false, http.StatusOK},
+		{"over quota", sharedTrioSpecs[2], false, http.StatusTooManyRequests},
+		{"after drain", sharedTrioSpecs[2], true, http.StatusServiceUnavailable},
+	} {
+		if tc.drain {
+			if err := s.Drain(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		resp, err := http.Post(ts.URL+"/checks", "text/plain", strings.NewReader(tc.spec))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != tc.want {
+			t.Errorf("%s: status %d, want %d", tc.name, resp.StatusCode, tc.want)
+		}
+	}
+}
+
+// TestLoneCheckShardInvariance: one check per window class is the common
+// deployment, and its verdicts are a property of the data — the same
+// borderline multi-key stream through one shard and through four gives
+// the same counters and, key by key, the same verdict sequence.
+func TestLoneCheckShardInvariance(t *testing.T) {
+	var body []byte
+	for i := 0; i < 48; i++ {
+		for k := 0; k < 16; k++ {
+			body = wire.AppendNDJSON(body, stream.Event{Time: float64(i), Key: fmt.Sprintf("k%d", k),
+				Value: 5 + float64((i+3*k)%7), SigUp: 2, SigDown: 2})
+		}
+	}
+	run := func(shards int) (CheckStats, map[string]string) {
+		t.Helper()
+		s, err := NewServer(Config{Shards: shards, BatchSize: 8, Checks: []CheckConfig{{
+			Name: "lone",
+			Check: core.Check{Name: "lone", Constraint: core.Range(0, 13),
+				SeriesNames: []string{"x"}, Window: core.CountWindow{Size: 8}},
+			Params: core.DefaultParams(),
+			Seed:   7,
+		}}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sub := s.subscribe()
+		byKey := map[string]string{}
+		collected := make(chan struct{})
+		go func() {
+			defer close(collected)
+			for msg := range sub.ch {
+				byKey[msg.Key] += msg.Outcome
+			}
+		}()
+		ts := httptest.NewServer(s.Handler())
+		defer ts.Close()
+		resp, err := http.Post(ts.URL+"/ingest", "application/x-ndjson", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("shards=%d: ingest status %d", shards, resp.StatusCode)
+		}
+		if err := s.Drain(); err != nil {
+			t.Fatal(err)
+		}
+		<-collected
+		st := s.Stats()
+		if st.OutcomesDropped != 0 {
+			t.Fatalf("shards=%d: %d outcomes dropped, sequences are incomplete", shards, st.OutcomesDropped)
+		}
+		return st.Checks[0], byKey
+	}
+	one, seqOne := run(1)
+	four, seqFour := run(4)
+	if one != four {
+		t.Errorf("counters differ: 1 shard %+v, 4 shards %+v", one, four)
+	}
+	if one.Satisfied == 0 || one.Violated+one.Inconclusive == 0 || len(seqOne) != 16 {
+		t.Fatalf("workload not borderline over 16 keys: %+v, %d keys", one, len(seqOne))
+	}
+	for k, want := range seqOne {
+		if got := seqFour[k]; got != want {
+			t.Errorf("key %s: 4 shards %s, 1 shard %s", k, got, want)
+		}
+	}
+}

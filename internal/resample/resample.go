@@ -730,10 +730,6 @@ func (rs *Resampler) drawPointBlock(windows []series.Series, K int, blk *Block) 
 	return true
 }
 
-// Rewind resets the resampler's generator to a captured state
-// (Resampler.State), which is how checkpoint restore resumes a stream.
-func (rs *Resampler) Rewind(st rng.State) { rs.r.SetState(st) }
-
 // WindowSafe reports whether window slot wi (as last primed) is provably
 // finite under perturbation — see Extraction.Safe. Consumers use it to
 // hoist per-draw finiteness checks out of constraint evaluation.

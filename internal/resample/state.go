@@ -8,14 +8,15 @@ import (
 )
 
 // This file is the resampling layer's half of the deterministic state
-// lifecycle (DESIGN.md §4i): the two pieces of resampler state that a
-// bit-identical restore must carry across a process boundary are the
-// random-stream position and the extraction magnitude accumulators.
-// Everything else a Resampler holds is derived scratch that the next
-// Prime/Draw rebuilds identically.
+// lifecycle (DESIGN.md §4i): the one piece of resampling state a
+// bit-identical restore must carry across a process boundary is a live
+// window group's extraction, magnitude accumulators included. A
+// Resampler itself carries nothing over: the stream operators reseed it
+// per window, and everything else it holds is derived scratch that the
+// next Prime/Draw rebuilds identically.
 
-// State returns the resampler's random-stream position. Rewind restores
-// it; together they form the export/restore pair for checkpointing.
+// State returns the resampler's random-stream position, so parity tests
+// can assert two draw paths consumed the stream identically.
 func (rs *Resampler) State() rng.State { return rs.r.State() }
 
 // EncodeTo serializes the extraction. The SoA arrays (values, directional

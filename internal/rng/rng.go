@@ -20,19 +20,14 @@ type Rand struct {
 	s [4]uint64
 }
 
-// State is a snapshot of a generator's position in its stream. It lets
-// batched consumers that draw ahead of a data-dependent stopping point
-// (block evaluation in core) rewind to the exact state a scalar
-// draw-by-draw loop would have left, so over-drawing stays invisible to
-// everything sampled afterwards from the same stream.
+// State is a snapshot of a generator's position in its stream: two
+// generators with equal states produce equal draws from then on, which
+// is how the stream-exactness tests compare a batched fill with the
+// scalar draws it replaces.
 type State [4]uint64
 
 // State returns the generator's current stream position.
 func (r *Rand) State() State { return State(r.s) }
-
-// SetState rewinds (or fast-forwards) the generator to a previously
-// captured position.
-func (r *Rand) SetState(s State) { r.s = [4]uint64(s) }
 
 // New returns a generator seeded from seed via splitmix64, so that nearby
 // seeds still produce decorrelated streams.

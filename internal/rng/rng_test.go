@@ -380,9 +380,8 @@ func TestCoinNormFillRarePathsMidFill(t *testing.T) {
 		} else {
 			wedge++
 		}
-		a, b := New(0), New(0)
-		a.SetState(ring[(pos-half)%(half+1)])
-		b.SetState(a.State())
+		a := &Rand{s: ring[(pos-half)%(half+1)]}
+		b := &Rand{s: a.s}
 		a.CoinNormFill(coin, norm)
 		for i := range coin {
 			wc, wn := b.Float64(), b.NormFloat64()
@@ -456,28 +455,6 @@ func TestNormSqueezeMatchesExactWedge(t *testing.T) {
 		if a.s != b.s {
 			t.Fatalf("seed %d: state diverged from reference", seed)
 		}
-	}
-}
-
-func TestStateRoundTrip(t *testing.T) {
-	// SetState must rewind exactly: draws after a rewind replay the draws
-	// made after the capture, for every draw kind.
-	r := New(7)
-	r.NormFill(make([]float64, 37)) // advance to an arbitrary position
-	st := r.State()
-	first := make([]float64, 100)
-	for i := range first {
-		first[i] = r.NormFloat64()
-	}
-	after := r.State()
-	r.SetState(st)
-	for i := range first {
-		if got := r.NormFloat64(); got != first[i] {
-			t.Fatalf("replay draw %d: got %v, want %v", i, got, first[i])
-		}
-	}
-	if r.State() != after {
-		t.Fatal("state after replay differs from original run")
 	}
 }
 

@@ -33,7 +33,11 @@
 // fused shards over single-producer ring edges with adaptive batching.
 // Fusion is a scheduling choice with no switch outside the tests, which
 // pin its outcomes bit-identical to the goroutine-per-node plan
-// (DESIGN.md §4j).
+// (DESIGN.md §4j). Every stream operator seeds a window's draws from
+// the window itself — check class, route key, window coordinate — so
+// an online verdict does not depend on worker or shard count, batch
+// size, or which other checks are registered (DESIGN.md §4l). The batch
+// entry points (Check.Run, RunParallel) keep their own seed schedules.
 package sound
 
 import (
