@@ -44,7 +44,8 @@ bench-smoke:
 # fuzz smoke-runs the hostile-input fuzz targets for FUZZTIME each: the
 # snapshot codec (corrupt checkpoints must error, never panic, and
 # valid ones must re-encode bit-identically), the kernel/closure
-# evaluation parity, the shared-lane/per-check scoring parity, the CSV
+# evaluation parity, the shared-lane/per-check scoring parity, the
+# branch-free in-range count against its short-circuit oracle, the CSV
 # reader, the wire decoders, and the check registration grammar
 # POST /checks exposes to untrusted clients. Long
 # exploratory runs: raise FUZZTIME or run `go test -fuzz` on one target
@@ -54,6 +55,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzCheckpointRoundTrip -fuzztime=$(FUZZTIME) ./internal/checkpoint
 	$(GO) test -run='^$$' -fuzz=FuzzKernelClosureParity -fuzztime=$(FUZZTIME) ./internal/core
 	$(GO) test -run='^$$' -fuzz=FuzzGroupScoreParity -fuzztime=$(FUZZTIME) ./internal/core
+	$(GO) test -run='^$$' -fuzz=FuzzCountIn -fuzztime=$(FUZZTIME) ./internal/core
 	$(GO) test -run='^$$' -fuzz=FuzzKernelScalarParity -fuzztime=$(FUZZTIME) ./internal/resample
 	$(GO) test -run='^$$' -fuzz=FuzzReadCSV -fuzztime=$(FUZZTIME) ./internal/series
 	$(GO) test -run='^$$' -fuzz=FuzzWireDecode -fuzztime=$(FUZZTIME) ./internal/wire

@@ -85,7 +85,47 @@ func Specs() []Spec {
 		{"MultiCheck/shared/checks8", func(b *testing.B) { MultiCheck(b, true, 8) }},
 		{"MultiCheck/shared/checks64", func(b *testing.B) { MultiCheck(b, true, 64) }},
 		{"MultiCheck/shared/sliding24", MultiCheckSliding},
+		{"Score/fraction/borderline/n60", func(b *testing.B) { score(b, core.FractionInRange(0, 100, 0.5), 60, 100) }},
+		{"Score/fraction/borderline/n1080", func(b *testing.B) { score(b, core.FractionInRange(0, 100, 0.5), 1080, 100) }},
+		{"Score/fraction/clear/n60", func(b *testing.B) { score(b, core.FractionInRange(0, 100, 0.5), 60, 50) }},
+		{"Score/fraction/clear/n1080", func(b *testing.B) { score(b, core.FractionInRange(0, 100, 0.5), 1080, 50) }},
+		{"Score/maxdelta/n60", func(b *testing.B) { score(b, core.MaxDelta(20), 60, 100) }},
+		{"Score/maxdelta/n1080", func(b *testing.B) { score(b, core.MaxDelta(20), 1080, 100) }},
 	}
+}
+
+// score prices scoring one drawn row of n values — the constraint applied
+// to one realization, which Alg. 1 pays once per sample — with no draw on
+// the clock. The rows are N(mean, 3): against the upper bound of
+// FractionInRange(0, 100, ·), mean 100 puts every value on the bound (the
+// windows Alg. 1 samples deepest, where an in-range test per value is a
+// coin flip) and mean 50 well inside it. 256 distinct rows cycle so that a
+// branch predictor cannot memorize one row's outcomes. The constraint is
+// applied through its closure, the only scoring form reachable from
+// outside internal/core: it runs the compiled kernel's row reduction
+// behind one finiteness scan of the row, which is on the clock for both
+// kinds of row (internal/core's BenchmarkCountIn times the reduction
+// alone).
+func score(b *testing.B, c core.Constraint, n int, mean float64) {
+	r := rng.New(1)
+	rows := make([][][]float64, 256)
+	for i := range rows {
+		row := make([]float64, n)
+		for j := range row {
+			row[j] = mean + 3*r.NormFloat64()
+		}
+		rows[i] = [][]float64{row}
+	}
+	sat := 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if c.Eval(rows[i%len(rows)]) {
+			sat++
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/value")
+	b.ReportMetric(float64(sat)/float64(b.N), "sat/row")
 }
 
 // EvaluatePointCheck measures the core evaluation loop on a single

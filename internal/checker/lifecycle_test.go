@@ -137,6 +137,67 @@ func TestEvictionTTLSweep(t *testing.T) {
 	}
 }
 
+// TestEvictedKeyReturnsFresh: the group-lookup cache, which the admission
+// test primes, must never hand back evicted state. The sharpest case is
+// an event that evicts its own key's group — cached by the key's previous
+// event — through the TTL sweep its timestamp triggers; the cap path
+// evicts a group a neighbour's admission cached. Either way the returning
+// key gets a new group whose grid is anchored at its own timestamp.
+func TestEvictedKeyReturnsFresh(t *testing.T) {
+	ck := core.Check{
+		Name:        "range",
+		Constraint:  core.Range(0, 100),
+		SeriesNames: []string{"s"},
+		Window:      core.TimeWindow{Size: 10},
+	}
+	out := &StreamOutcomes{}
+	factory, err := NewStreamChecker(StreamCheck{
+		Check: ck,
+		Naive: true,
+		Out:   out,
+		Evict: EvictionPolicy{MaxGroups: 2, TTL: 5},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	proc := factory().(*streamChecker)
+	fresh := func(key string, at float64, old *groupState) *groupState {
+		t.Helper()
+		g := proc.groups[key]
+		if g == nil || g == old || !g.hasOrigin || g.origin != at {
+			t.Fatalf("%s at t=%v: group %+v, want a new group anchored at %v", key, at, g, at)
+		}
+		if proc.peek(key) != g {
+			t.Fatalf("%s at t=%v: lookup cache and group map disagree", key, at)
+		}
+		return g
+	}
+	proc.Process(stream.Event{Time: 0, Key: "x", Value: 1}, discardEmit)
+	proc.Process(stream.Event{Time: 1, Key: "y", Value: 1}, discardEmit)
+	proc.Process(stream.Event{Time: 2, Key: "x", Value: 1}, discardEmit) // admit finds x in the map and caches it
+	x0 := fresh("x", 0, nil)
+	// t=40 sweeps both groups, x's own among them, before x is admitted.
+	proc.Process(stream.Event{Time: 40, Key: "x", Value: 1}, discardEmit)
+	x1 := fresh("x", 40, x0)
+	if got := out.Lifecycle().EvictedGroups; got != 2 {
+		t.Fatalf("evicted = %d, want 2 (x and y swept at watermark 40)", got)
+	}
+	// At the cap of two, z evicts the coldest group, x; x's return evicts y.
+	proc.Process(stream.Event{Time: 41, Key: "y", Value: 1}, discardEmit)
+	proc.Process(stream.Event{Time: 42, Key: "z", Value: 1}, discardEmit)
+	if proc.peek("x") != nil {
+		t.Fatal("x survived z's admission at the cap")
+	}
+	proc.Process(stream.Event{Time: 43, Key: "x", Value: 1}, discardEmit)
+	fresh("x", 43, x1)
+	if proc.peek("y") != nil || proc.LiveGroups() != 2 {
+		t.Errorf("live = %d with y present %v, want z and x only", proc.LiveGroups(), proc.peek("y") != nil)
+	}
+	if got := out.Lifecycle().EvictedGroups; got != 4 {
+		t.Errorf("evicted = %d, want 4", got)
+	}
+}
+
 // TestEvictionRejectUnderPressure: OnPressure returning false refuses
 // the new key instead of evicting, and the refusal is counted.
 func TestEvictionRejectUnderPressure(t *testing.T) {

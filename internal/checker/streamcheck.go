@@ -3,6 +3,7 @@ package checker
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"sync/atomic"
 
@@ -355,27 +356,31 @@ type groupState struct {
 }
 
 func (c *streamChecker) group(key string) *groupState {
-	if c.lastG != nil && c.lastKey == key {
-		return c.lastG
+	if g := c.peek(key); g != nil {
+		return g
 	}
-	g := c.groups[key]
-	if g == nil {
-		g = &groupState{key: key}
-		c.groups[key] = g
-		if c.track {
-			c.lruPushFront(g)
-		}
+	g := &groupState{key: key}
+	c.groups[key] = g
+	if c.track {
+		c.lruPushFront(g)
 	}
 	c.lastKey, c.lastG = key, g
 	return g
 }
 
-// peek returns the group without creating it.
+// peek returns the group without creating it. A found group primes the
+// lookup cache, so the admission test and the window dispatch of one
+// event cost one map lookup between them; evictGroup drops the entry
+// with the group.
 func (c *streamChecker) peek(key string) *groupState {
 	if c.lastG != nil && c.lastKey == key {
 		return c.lastG
 	}
-	return c.groups[key]
+	g := c.groups[key]
+	if g != nil {
+		c.lastKey, c.lastG = key, g
+	}
+	return g
 }
 
 func (g *groupState) inputs(arity int) []series.Series {
@@ -805,7 +810,15 @@ func (c *streamChecker) evaluate(key string, tuple core.WindowTuple, windowBits 
 func sortByTime(s series.Series) bool {
 	for i := 1; i < len(s); i++ {
 		if s[i].T < s[i-1].T {
-			sort.SliceStable(s, func(a, b int) bool { return s[a].T < s[b].T })
+			slices.SortStableFunc(s, func(a, b series.Point) int {
+				switch {
+				case a.T < b.T:
+					return -1
+				case b.T < a.T:
+					return 1
+				}
+				return 0
+			})
 			return true
 		}
 	}

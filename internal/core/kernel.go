@@ -62,13 +62,7 @@ func kernelSat(sp *KernelSpec, vals [][]float64) bool {
 		if len(vs) == 0 {
 			return false
 		}
-		in := 0
-		for _, v := range vs {
-			if v >= sp.A && v <= sp.B {
-				in++
-			}
-		}
-		return float64(in)/float64(len(vs)) >= sp.C
+		return float64(countIn(vs, sp.A, sp.B))/float64(len(vs)) >= sp.C
 	case KernelMonotone:
 		vs := vals[0]
 		if sp.Strict {
@@ -90,7 +84,8 @@ func kernelSat(sp *KernelSpec, vals [][]float64) bool {
 		if len(vs) == 0 {
 			return false
 		}
-		return stat.Max(vs)-stat.Min(vs) < sp.A
+		lo, hi := extremes(vs)
+		return hi-lo < sp.A
 	case KernelCountAtLeast:
 		return len(vals[0]) >= len(vals[1])
 	case KernelStdNonZero:

@@ -96,13 +96,7 @@ func FractionInRange(a, b, frac float64) Constraint {
 			if len(vs) == 0 || !finite(vs) {
 				return false
 			}
-			in := 0
-			for _, v := range vs {
-				if v >= a && v <= b {
-					in++
-				}
-			}
-			return float64(in)/float64(len(vs)) >= frac
+			return float64(countIn(vs, a, b))/float64(len(vs)) >= frac
 		},
 	}
 }
@@ -155,7 +149,8 @@ func MaxDelta(a float64) Constraint {
 			if len(vs) == 0 || !finite(vs) {
 				return false
 			}
-			return stat.Max(vs)-stat.Min(vs) < a
+			lo, hi := extremes(vs)
+			return hi-lo < a
 		},
 	}
 }

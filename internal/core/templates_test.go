@@ -11,6 +11,29 @@ func v(vals ...float64) [][]float64 { return [][]float64{vals} }
 
 func v2(a, b []float64) [][]float64 { return [][]float64{a, b} }
 
+// TestFinite pins finite to its definition, no NaN and no infinity, on
+// the values where its v-v form could differ: the largest magnitudes
+// (whose difference must not overflow), subnormals and signed zeros.
+func TestFinite(t *testing.T) {
+	negZero := math.Copysign(0, -1)
+	for _, x := range []float64{0, negZero, 1, -1, math.MaxFloat64, -math.MaxFloat64,
+		math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64, 0x1p-1022,
+		math.NaN(), math.Float64frombits(0xfff8000000000001), math.Inf(1), math.Inf(-1)} {
+		want := !math.IsNaN(x) && !math.IsInf(x, 0)
+		for _, row := range [][]float64{{x}, {1, 2, x}, {x, 1, 2}} {
+			if got := finite(row); got != want {
+				t.Errorf("finite(%v) = %v, want %v", row, got, want)
+			}
+			if got := finite([]float64{1}, row); got != want {
+				t.Errorf("finite([1], %v) = %v, want %v", row, got, want)
+			}
+		}
+	}
+	if !finite() || !finite(nil, []float64{}) {
+		t.Error("no values must count as finite")
+	}
+}
+
 func TestRangeConstraint(t *testing.T) {
 	c := Range(0, 10)
 	if !c.Fn(v(0, 5, 10)) {

@@ -17,10 +17,8 @@ type Metrics struct {
 	ended    time.Time
 	counts   map[string]int64
 	buckets  map[string]map[int64]int64 // sink -> bucket index -> count
-	latency  map[string][]float64       // sink -> sampled latencies (seconds)
+	latency  map[string]*latencySamples
 	bucketNS int64
-	sampleN  int64 // record every sampleN-th latency
-	seen     map[string]int64
 	edges    map[string]EdgeDepth // "from→to" -> sampled queue depth
 }
 
@@ -28,12 +26,49 @@ func newMetrics() *Metrics {
 	return &Metrics{
 		counts:   map[string]int64{},
 		buckets:  map[string]map[int64]int64{},
-		latency:  map[string][]float64{},
-		seen:     map[string]int64{},
+		latency:  map[string]*latencySamples{},
 		edges:    map[string]EdgeDepth{},
 		bucketNS: int64(100 * time.Millisecond),
-		sampleN:  16,
 	}
+}
+
+// latencyStride is the initial sampling cadence — every 16th event that
+// reaches a sink — and maxLatencySamples the most one sink keeps
+// (512 KiB of float64).
+const (
+	latencyStride     = 16
+	maxLatencySamples = 1 << 16
+)
+
+// latencySamples is one sink's latency store: every stride-th event's
+// delay in seconds, evenly strided over the whole run however long it is.
+// A sink under a long-lived server would otherwise grow by a sample per
+// 16 events forever; when the store fills it keeps every other sample in
+// place and doubles the stride instead, so what remains is exactly what a
+// run sampled at the doubled stride from the start would hold.
+type latencySamples struct {
+	vals   []float64
+	seen   int64 // events that reached the sink
+	stride int64
+}
+
+// add stores one sample, growing the store by doubling up to the bound (so
+// its capacity never exceeds it) and thinning it when it fills.
+func (l *latencySamples) add(v float64) {
+	if len(l.vals) == cap(l.vals) {
+		l.vals = append(make([]float64, 0, min(max(2*cap(l.vals), 64), maxLatencySamples)), l.vals...)
+	}
+	l.vals = append(l.vals, v)
+	if len(l.vals) < maxLatencySamples {
+		return
+	}
+	// Sample i was taken at event (i+1)·stride: the odd indices are the
+	// multiples of the doubled stride.
+	for i := 0; i < maxLatencySamples/2; i++ {
+		l.vals[i] = l.vals[2*i+1]
+	}
+	l.vals = l.vals[:maxLatencySamples/2]
+	l.stride *= 2
 }
 
 func (m *Metrics) start() { m.began = time.Now() }
@@ -42,7 +77,7 @@ func (m *Metrics) stop()  { m.ended = time.Now() }
 // recordFrame folds a whole transport frame into the sink's metrics
 // under a single lock acquisition and a single clock read: counts and
 // throughput buckets advance by the frame length at once, and latency
-// sampling walks the frame with the same every-sampleN-th cadence the
+// sampling walks the frame with the same every-stride-th cadence the
 // per-event path used. This is the sink-side half of the micro-batched
 // transport: the measurement cost is per frame, not per event.
 func (m *Metrics) recordFrame(sink string, evs []Event) {
@@ -59,14 +94,17 @@ func (m *Metrics) recordFrame(sink string, evs []Event) {
 	}
 	// The frame arrived at one instant; all its events land in one bucket.
 	b[now.Sub(m.began).Nanoseconds()/m.bucketNS] += int64(len(evs))
-	seen := m.seen[sink]
+	l := m.latency[sink]
+	if l == nil {
+		l = &latencySamples{stride: latencyStride}
+		m.latency[sink] = l
+	}
 	for i := range evs {
-		seen++
-		if !evs[i].Created.IsZero() && seen%m.sampleN == 0 {
-			m.latency[sink] = append(m.latency[sink], now.Sub(evs[i].Created).Seconds())
+		l.seen++
+		if !evs[i].Created.IsZero() && l.seen%l.stride == 0 {
+			l.add(now.Sub(evs[i].Created).Seconds())
 		}
 	}
-	m.seen[sink] = seen
 	m.mu.Unlock()
 }
 
@@ -143,7 +181,10 @@ func (m *Metrics) ThroughputOverTime(sink string, warmupFrac float64) []Throughp
 func (m *Metrics) Latencies(sink string, warmupFrac float64) []float64 {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	ls := m.latency[sink]
+	var ls []float64
+	if l := m.latency[sink]; l != nil {
+		ls = l.vals
+	}
 	cut := int(float64(len(ls)) * warmupFrac)
 	out := make([]float64, len(ls)-cut)
 	copy(out, ls[cut:])

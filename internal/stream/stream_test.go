@@ -437,6 +437,51 @@ func TestFrameAggregatedCountsParity(t *testing.T) {
 	}
 }
 
+// TestLatencySamplesBounded: a sink's latency store must not grow with
+// the run. 5 M events through a nil sink — the shape of a soundserve shard
+// graph — would leave 312 500 samples at the initial every-16th cadence;
+// the store instead thins itself and doubles its stride each time it
+// fills, so it ends within its bound and still evenly strided: sample j is
+// the (j+1)·stride-th event, for one power-of-two multiple of 16. Each
+// event's Created is set back by its index times ten minutes (the test
+// timeout), so a sample's latency names the event it was taken from.
+func TestLatencySamplesBounded(t *testing.T) {
+	const n = 5_000_000
+	const step = 10 * time.Minute
+	g := NewGraph()
+	t0 := time.Now()
+	src := g.AddSource("src", func(emit EmitFunc) {
+		for i := 0; i < n; i++ {
+			emit(Event{Time: float64(i), Created: t0.Add(-time.Duration(i) * step)})
+		}
+	})
+	must(t, g.Connect(src, g.AddSink("out", nil)))
+	m, err := g.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := m.Count("out"); got != n {
+		t.Fatalf("sink count = %d, want %d", got, n)
+	}
+	ls := m.Latencies("out", 0)
+	if len(ls) == 0 || len(ls) > maxLatencySamples {
+		t.Fatalf("%d latency samples, want 1..%d", len(ls), maxLatencySamples)
+	}
+	event := func(lat float64) int { return int(lat / step.Seconds()) }
+	stride := event(ls[0]) + 1
+	if stride < latencyStride || stride%latencyStride != 0 || stride&(stride-1) != 0 {
+		t.Fatalf("first sample is event %d: stride %d is not a power-of-two multiple of %d", stride-1, stride, latencyStride)
+	}
+	if len(ls) != n/stride || len(ls) < maxLatencySamples/2 {
+		t.Errorf("%d samples at stride %d, want %d (and at least half the bound)", len(ls), stride, n/stride)
+	}
+	for j, lat := range ls {
+		if got, want := event(lat), (j+1)*stride-1; got != want {
+			t.Fatalf("sample %d is event %d, want %d (stride %d)", j, got, want, stride)
+		}
+	}
+}
+
 // TestFrameProcessorReceivesFrames verifies the engine hands whole
 // frames to FrameProcessor implementations and that frame delivery
 // covers every event exactly once.

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"strconv"
-	"time"
 
 	"sound/internal/stream"
 )
@@ -67,7 +66,9 @@ func (d *NDJSONDecoder) Next() (stream.Event, error) {
 			d.err = fmt.Errorf("wire: ndjson line %d: %w", d.line, err)
 			return stream.Event{}, d.err
 		}
-		ev.Created = time.Now()
+		// The arrival time of the line's bytes, as a frame's events carry
+		// the time their frame was read.
+		ev.Created = d.lr.readAt
 		return ev, nil
 	}
 }

@@ -180,6 +180,66 @@ func TestNDJSONRoundTrip(t *testing.T) {
 	}
 }
 
+// chunkReader hands out one prepared chunk per Read.
+type chunkReader struct {
+	chunks [][]byte
+	reads  int
+}
+
+func (c *chunkReader) Read(p []byte) (int, error) {
+	if c.reads == len(c.chunks) {
+		return 0, io.EOF
+	}
+	n := copy(p, c.chunks[c.reads])
+	c.reads++
+	return n, nil
+}
+
+// TestNDJSONCreatedPerRead pins what an NDJSON event's Created means: the
+// arrival time of its bytes, read off the clock once per Read. Every
+// event whose line one Read completed carries that read's stamp, a line
+// torn across two reads takes the later one's, and stamps never run
+// backwards.
+func TestNDJSONCreatedPerRead(t *testing.T) {
+	var lines [][]byte
+	for i := 0; i < 9; i++ {
+		lines = append(lines, AppendNDJSON(nil, stream.Event{Time: float64(i), Key: "k", Value: 1}))
+	}
+	torn := lines[5]
+	cr := &chunkReader{chunks: [][]byte{
+		bytes.Join(lines[:3], nil),
+		append(bytes.Join(lines[3:5], nil), torn[:7]...),
+		append(append([]byte{}, torn[7:]...), bytes.Join(lines[6:8], nil)...),
+		bytes.TrimSuffix(lines[8], []byte("\n")), // unterminated last line
+	}}
+	dec := NewNDJSONDecoder(cr)
+	wantRead := []int{1, 1, 1, 2, 2, 3, 3, 3, 4}
+	var prev stream.Event
+	for i, read := range wantRead {
+		ev, err := dec.Next()
+		if err != nil {
+			t.Fatalf("event %d: %v", i, err)
+		}
+		if cr.reads != read {
+			t.Fatalf("event %d: decoded after %d reads, want %d", i, cr.reads, read)
+		}
+		if ev.Created.IsZero() {
+			t.Fatalf("event %d: Created not stamped", i)
+		}
+		if i > 0 {
+			if same := wantRead[i-1] == read; same && !ev.Created.Equal(prev.Created) {
+				t.Errorf("event %d: Created %v differs from %v within read %d", i, ev.Created, prev.Created, read)
+			} else if !same && ev.Created.Before(prev.Created) {
+				t.Errorf("event %d: Created %v of read %d is earlier than %v", i, ev.Created, read, prev.Created)
+			}
+		}
+		prev = ev
+	}
+	if _, err := dec.Next(); err != io.EOF {
+		t.Fatalf("got %v, want io.EOF", err)
+	}
+}
+
 func TestNDJSONShapes(t *testing.T) {
 	cases := []struct {
 		name string
