@@ -262,8 +262,8 @@ func runSelftest(fixture string, specs []string, params sound.Params, seed uint6
 			cfg.Name, r[0], r[1], r[2], tc[0], tc[1], tc[2], hc[0], hc[1], hc[2], status)
 	}
 	for _, g := range refGroups {
-		fmt.Fprintf(stdout, "selftest group %v shared=%v windows=%d draws=%d extraction-hit=%.2f\n",
-			g.Checks, g.Shared, g.Windows, g.Draws, g.SharedExtractionHitRatio)
+		fmt.Fprintf(stdout, "selftest group %v shared=%v windows=%d draws=%d collapsed=%d extraction-hit=%.2f\n",
+			g.Checks, g.Shared, g.Windows, g.Draws, g.Collapsed, g.SharedExtractionHitRatio)
 	}
 	if err := sameGroups(refGroups, tcpGroups); err != nil {
 		fmt.Fprintln(stderr, "soundserve: selftest FAILED: tcp group stats:", err)
@@ -343,9 +343,9 @@ func sameGroups(want, got []checker.GroupStat) error {
 		if !ok {
 			return fmt.Errorf("unexpected bucket %v", g.Checks)
 		}
-		if g.Shared != w.Shared || g.Windows != w.Windows || g.MemberEvals != w.MemberEvals || g.Draws != w.Draws {
-			return fmt.Errorf("bucket %v: shared=%v windows=%d evals=%d draws=%d, want shared=%v windows=%d evals=%d draws=%d",
-				g.Checks, g.Shared, g.Windows, g.MemberEvals, g.Draws, w.Shared, w.Windows, w.MemberEvals, w.Draws)
+		if g.Shared != w.Shared || g.Windows != w.Windows || g.MemberEvals != w.MemberEvals || g.Draws != w.Draws || g.Collapsed != w.Collapsed {
+			return fmt.Errorf("bucket %v: shared=%v windows=%d evals=%d draws=%d collapsed=%d, want shared=%v windows=%d evals=%d draws=%d collapsed=%d",
+				g.Checks, g.Shared, g.Windows, g.MemberEvals, g.Draws, g.Collapsed, w.Shared, w.Windows, w.MemberEvals, w.Draws, w.Collapsed)
 		}
 	}
 	return nil

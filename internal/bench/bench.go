@@ -85,6 +85,14 @@ func Specs() []Spec {
 		{"MultiCheck/shared/checks8", func(b *testing.B) { MultiCheck(b, true, 8) }},
 		{"MultiCheck/shared/checks64", func(b *testing.B) { MultiCheck(b, true, 64) }},
 		{"MultiCheck/shared/sliding24", MultiCheckSliding},
+		{"Exact/range/n60/bracket", func(b *testing.B) { Exact(b, core.Range(0, 100), 60, 13) }},
+		{"Exact/range/n60/erfc", func(b *testing.B) { Exact(b, core.Range(0, 100), 60, 5.8) }},
+		{"Exact/range/n1080/bracket", func(b *testing.B) { Exact(b, core.Range(0, 100), 1080, 14) }},
+		{"Exact/range/n1080/erfc", func(b *testing.B) { Exact(b, core.Range(0, 100), 1080, 8.2) }},
+		{"Exact/fraction/n60/bracket", func(b *testing.B) { Exact(b, core.FractionInRange(0, 100, 0.5), 60, 4) }},
+		{"Exact/fraction/n60/erfc", func(b *testing.B) { Exact(b, core.FractionInRange(0, 100, 0.5), 60, 0.8) }},
+		{"Exact/fraction/n1080/bracket", func(b *testing.B) { Exact(b, core.FractionInRange(0, 100, 0.5), 1080, 4) }},
+		{"Exact/fraction/n1080/erfc", func(b *testing.B) { Exact(b, core.FractionInRange(0, 100, 0.5), 1080, 0.72) }},
 		{"Score/fraction/borderline/n60", func(b *testing.B) { score(b, core.FractionInRange(0, 100, 0.5), 60, 100) }},
 		{"Score/fraction/borderline/n1080", func(b *testing.B) { score(b, core.FractionInRange(0, 100, 0.5), 1080, 100) }},
 		{"Score/fraction/clear/n60", func(b *testing.B) { score(b, core.FractionInRange(0, 100, 0.5), 60, 50) }},
@@ -507,6 +515,48 @@ func MultiCheckSliding(b *testing.B) {
 		draws += g.Evaluate(g.WindowSeed(uint64(wi), uint64(i)), tuples[wi], out).Draws
 	}
 	b.ReportMetric(float64(draws)/float64(b.N), "draws/window")
+}
+
+// Exact prices one window verdict of a level template decided without
+// rows (core/level.go): a lone member in a PlanGroup on an n-point window
+// with split-normal error bars (σ↑ = 2σ↓) whose values sit margin below
+// the bound 100. The /bracket rows take a margin at which the satisfaction
+// probability is near 1 but no point is out of the bound's reach, so the
+// verdict costs the table pass and a handful of Bernoulli bits; the /erfc
+// rows take one near p = ½, where the first uniform lands inside the table
+// bracket and the window is integrated with erfc as well. sat/sample
+// reports the probability each row ran at.
+func Exact(b *testing.B, c core.Constraint, n int, margin float64) {
+	pl, err := core.CompilePlan(core.Check{
+		Name: c.Name, Constraint: c, SeriesNames: []string{"s"}, Window: sound.CountWindow{Size: n},
+	}, core.Params{Credibility: 0.95, MaxSamples: 100}, 7)
+	if err != nil {
+		b.Fatal(err)
+	}
+	g, err := core.NewPlanGroup([]*core.CheckPlan{pl})
+	if err != nil {
+		b.Fatal(err)
+	}
+	r := rng.New(11)
+	w := make(series.Series, n)
+	for i := range w {
+		w[i] = series.Point{T: float64(i), V: 100 - margin + 1.5*r.NormFloat64(), SigUp: 2, SigDown: 1}
+	}
+	tuple := core.WindowTuple{Windows: []series.Series{w}, End: float64(n)}
+	out := make([]core.Result, 1)
+	samples, sat := 0, 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if ev := g.Evaluate(g.WindowSeed(1, uint64(i)), tuple, out); ev.Draws != 0 || ev.Collapsed != 1 {
+			b.Fatalf("window scored on rows: %+v", ev)
+		}
+		samples += out[0].Samples
+		sat += out[0].SatisfiedCount
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/point")
+	b.ReportMetric(float64(samples)/float64(b.N), "samples/window")
+	b.ReportMetric(float64(sat)/float64(samples), "sat/sample")
 }
 
 // MultiCheck prices a suite of n co-window checks on one uncertain

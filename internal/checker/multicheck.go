@@ -58,13 +58,18 @@ func (m *memberSpec) deliver(key string, o core.Outcome) {
 // GroupMetrics aggregates one bucket's sharing counters across all its
 // worker instances and shards. Safe for concurrent use.
 type GroupMetrics struct {
-	windows, memberEvals, draws, retired, primes atomic.Int64
+	windows, memberEvals, draws, collapsed, retired, primes atomic.Int64
 }
 
 func (gm *GroupMetrics) record(ev core.GroupEval, members int) {
 	gm.windows.Add(1)
 	gm.memberEvals.Add(int64(members))
 	gm.draws.Add(int64(ev.Draws))
+	if ev.Collapsed != 0 {
+		// All-certain point windows collapse nothing, and there an atomic
+		// add per window is 1 % of a verdict's cost.
+		gm.collapsed.Add(int64(ev.Collapsed))
+	}
 	gm.retired.Add(int64(ev.Retired))
 	gm.primes.Add(int64(ev.Primes))
 }
@@ -75,11 +80,15 @@ type GroupMetricsSnapshot struct {
 	Windows int64
 	// MemberEvals is the number of member verdicts those produced.
 	MemberEvals int64
-	// Draws is the number of physical Monte-Carlo samples drawn — flat
-	// in the member count, the multiplexing win.
+	// Draws is the number of sample rows physically drawn — flat in the
+	// member count, the multiplexing win, and zero for a lane whose
+	// members all collapsed.
 	Draws int64
-	// RetiredEarly counts members that stopped consuming the shared
-	// stream before its last draw (Alg. 1 decided them early).
+	// Collapsed is the number of member verdicts decided from the closed
+	// form of their sample bit, without rows (core/level.go).
+	Collapsed int64
+	// RetiredEarly counts row-scoring members that stopped consuming the
+	// shared stream before its last draw (Alg. 1 decided them early).
 	RetiredEarly int64
 	// Primes is the number of extractions primed (one per strategy lane
 	// per window); MemberEvals − Primes extractions were shared.
@@ -92,6 +101,7 @@ func (gm *GroupMetrics) Snapshot() GroupMetricsSnapshot {
 		Windows:      gm.windows.Load(),
 		MemberEvals:  gm.memberEvals.Load(),
 		Draws:        gm.draws.Load(),
+		Collapsed:    gm.collapsed.Load(),
 		RetiredEarly: gm.retired.Load(),
 		Primes:       gm.primes.Load(),
 	}

@@ -387,6 +387,12 @@ func TestMuxDynamicRegistration(t *testing.T) {
 	if gs[0].SharedExtractionHitRatio <= 0 {
 		t.Errorf("shared extraction hit ratio = %v, want > 0", gs[0].SharedExtractionHitRatio)
 	}
+	// Every point is uncertain, so range, gt and fraction are decided from
+	// their closed form in every window and only max-delta draws rows.
+	if gs[0].Collapsed != 3*gs[0].Windows || gs[0].Draws == 0 {
+		t.Errorf("bucket collapsed/draws = %d/%d over %d windows, want 3 collapsed members a window and rows for the fourth",
+			gs[0].Collapsed, gs[0].Draws, gs[0].Windows)
+	}
 	first := make([]OutcomeCounts, len(outs))
 	for i, o := range outs {
 		first[i] = o.Counts()

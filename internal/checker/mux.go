@@ -210,11 +210,15 @@ type GroupStat struct {
 	Windows int64 `json:"windows"`
 	// MemberEvals is the number of member verdicts those produced.
 	MemberEvals int64 `json:"member_evals"`
-	// Draws is the number of physical sample draws — flat in the
-	// member count when sharing works.
+	// Draws is the number of sample rows physically drawn — flat in the
+	// member count when sharing works. It is not the samples Alg. 1
+	// consumed: a collapsed member consumes samples and draws no row.
 	Draws int64 `json:"draws"`
-	// RetiredEarly counts members decided before the shared stream's
-	// last draw.
+	// Collapsed is the number of member verdicts decided without rows,
+	// from the closed-form probability of their sample bit.
+	Collapsed int64 `json:"collapsed"`
+	// RetiredEarly counts row-scoring members decided before the shared
+	// stream's last draw.
 	RetiredEarly int64 `json:"retired_early"`
 	// SharedExtractionHitRatio is the fraction of member evaluations
 	// that reused an extraction primed for another member.
@@ -244,6 +248,7 @@ func (x *Mux) GroupStats() []GroupStat {
 			Windows:                  snap.Windows,
 			MemberEvals:              snap.MemberEvals,
 			Draws:                    snap.Draws,
+			Collapsed:                snap.Collapsed,
 			RetiredEarly:             snap.RetiredEarly,
 			SharedExtractionHitRatio: snap.SharedHitRatio(),
 		})

@@ -88,8 +88,12 @@ func (p Params) normalized() (Params, error) {
 // on a single window tuple, with the evidence that produced it.
 type Result struct {
 	Outcome Outcome
-	// Samples is the number of resampling iterations actually drawn;
-	// early stopping usually keeps this far below N.
+	// Samples is the number of samples Alg. 1 consumed before it stopped;
+	// early stopping usually keeps this far below N. Each is one drawn
+	// realization, except in a stream lane that decided the check from the
+	// closed-form probability of its sample bit (level.go): there a sample
+	// is one Bernoulli bit and no row was drawn for it — GroupEval.Draws
+	// counts rows.
 	Samples int
 	// SatisfiedCount is how many sampled realizations satisfied φ.
 	SatisfiedCount int

@@ -17,10 +17,12 @@ import (
 // coordinate alone (see WindowSeed), never from evaluator identity or
 // arrival order, so shared-mode verdicts are invariant to check
 // registration order, check count, worker count, batch size, and
-// operator fusion. Each drawn sample is scored once for the whole lane
-// — a row statistic several members read is computed once (rowstat.go)
-// — and a member retires from the loop the moment Alg. 1 decides it;
-// early-deciding checks never pay for late ones.
+// operator fusion. Members whose sample bit has a closed-form probability
+// are decided without rows at all (level.go); each sample drawn for the
+// rest is scored once for the whole lane — a row statistic several members
+// read is computed once (rowstat.go) — and a member retires from the loop
+// the moment Alg. 1 decides it; early-deciding checks never pay for late
+// ones.
 
 // GroupClass is the bucketing key for window multiplexing: checks
 // whose classes compare equal may share one extraction and one sample
@@ -64,12 +66,15 @@ func (c GroupClass) hash() uint64 {
 	return h
 }
 
-// groupMember is one plan's compiled scoring surface inside a group:
-// its constraint and the index in its lane's stats of the row statistic
-// the constraint reduces to (-1 when it needs the row itself).
+// groupMember is one plan's compiled scoring surface inside a group: its
+// constraint, the index in its lane's levels of the level set its sample
+// bit collapses onto (-1 when it can only score rows), and for a
+// row-scoring member the index in the lane's stats of the row statistic the
+// constraint reduces to (-1 when it needs the row itself).
 type groupMember struct {
-	cons *Constraint
-	slot int
+	cons  *Constraint
+	level int
+	slot  int
 }
 
 // groupLane is the shared draw machinery for one resampling strategy.
@@ -83,18 +88,32 @@ type groupLane struct {
 	rs      *resample.Resampler
 	members []int // member indices into PlanGroup.plans
 	stats   []rowStat
+	// levels are the distinct level sets of the lane's collapsible members,
+	// miss and exact what the current window integrates to over each: the
+	// table bracket, and the integral itself once a member needed it. u and
+	// us are the uniform stream those members' sample bits are read off —
+	// us[s] is sample s's uniform, generated as far as any member consumed
+	// — and rows the members of the current window left to score rows.
+	levels resample.Intervals
+	miss   []resample.MissBound
+	exact  []levelExact
+	u      *rng.Rand
+	us     []float64
+	rows   []int
 }
 
 // GroupEval summarizes one shared window evaluation for the operator
-// metrics: how many physical samples were drawn across the lanes, how
-// many members retired before their lane's last draw (the
-// retire-on-decision win), and how many extractions were primed (one
-// per lane touched — the sharing win is members − primes extractions
-// avoided).
+// metrics: how many sample rows were physically drawn across the lanes,
+// how many members were decided from their closed-form probability without
+// any row (the collapse win), how many row-scoring members retired before
+// their lane's last draw (the retire-on-decision win), and how many
+// extractions were primed (one per lane touched — the sharing win is
+// members − primes extractions avoided).
 type GroupEval struct {
-	Draws   int
-	Retired int
-	Primes  int
+	Draws     int
+	Collapsed int
+	Retired   int
+	Primes    int
 }
 
 // PlanGroup evaluates a bucket of same-class plans with shared draws.
@@ -144,12 +163,22 @@ func NewPlanGroup(plans []*CheckPlan) (*PlanGroup, error) {
 			if strat == resample.Sequence && g.params.BlockSize > 0 {
 				rs.SetBlockSize(g.params.BlockSize)
 			}
-			lane = &groupLane{strat: strat, r: r, rs: rs}
+			lane = &groupLane{strat: strat, r: r, rs: rs, u: rng.New(0)}
 			byStrat[strat] = lane
 			g.lanes = append(g.lanes, lane)
 		}
 		lane.members = append(lane.members, i)
-		g.member[i] = groupMember{cons: &pl.check.Constraint, slot: statSlot(&lane.stats, &pl.check.Constraint.Spec)}
+		m := groupMember{cons: &pl.check.Constraint, level: -1, slot: -1}
+		if iv, ok := levelSet(&m.cons.Spec, strat); ok && cls.Arity == 1 {
+			m.level = lane.levels.Add(iv)
+		} else {
+			m.slot = statSlot(&lane.stats, &m.cons.Spec)
+		}
+		g.member[i] = m
+	}
+	for _, lane := range g.lanes {
+		lane.miss = make([]resample.MissBound, len(lane.levels.All))
+		lane.exact = make([]levelExact, len(lane.levels.All))
 	}
 	return g, nil
 }
@@ -178,19 +207,27 @@ func (g *PlanGroup) WindowSeed(keyHash, windowBits uint64) uint64 {
 // one window seed (offset so stream 0 is never consumed twice).
 func laneStream(s resample.Strategy) uint64 { return uint64(s) + 1 }
 
+// bitStream is the lane's uniform stream under the same window seed, the
+// one its collapsed members read their sample bits off; it continues the
+// numbering after laneStream's 1..3.
+func bitStream(s resample.Strategy) uint64 { return uint64(s) + 4 }
+
 // Evaluate runs Alg. 1 for every member on the window tuple, writing
 // member i's result to out[i] (len(out) must be Members()). Each lane is
-// reseeded from the window seed and primed once; what runs on it is chosen
-// by the lane's member count. One member has nothing to share and takes
-// the single-check block loop (evaluateBlocks), which scores a block with
-// one kernel call per row and no per-member bookkeeping; two or more take
-// evaluateLane. By the sample-stream prefix property both produce the
-// same Result for a member and the same GroupEval, so a check's verdict
-// does not move when a neighbour joins or leaves its lane. The trajectory
-// each member sees is exactly the scalar Alg. 1 trajectory over the
-// lane's sample stream: per drawn sample its own satisfied bit, its own
-// Beta posterior, its own decision schedule — members differ only in
-// which verdict their bits imply, never in which samples exist.
+// reseeded from the window seed and primed once. Members whose sample bit
+// has a closed-form probability on this window are decided first, from the
+// lane's uniform stream, without a row (collapse); what runs for the rest
+// is chosen by their count. One member has nothing to share and takes the
+// single-check block loop (evaluateBlocks), which scores a block with one
+// kernel call per row and no per-member bookkeeping; two or more take
+// evaluateLane; none draws nothing. By the sample-stream prefix property
+// both loops produce the same Result for a member, and a collapsed
+// member's bits are a function of its own probability and the lane's
+// uniforms alone, so a check's verdict does not move when a neighbour
+// joins or leaves its lane. The trajectory each member sees is exactly the
+// scalar Alg. 1 trajectory over its bits: per sample its own satisfied
+// bit, its own Beta posterior, its own decision schedule — members differ
+// only in which verdict their bits imply, never in which samples exist.
 func (g *PlanGroup) Evaluate(winSeed uint64, w WindowTuple, out []Result) GroupEval {
 	var ev GroupEval
 	for i := range out {
@@ -217,8 +254,7 @@ func (g *PlanGroup) Evaluate(winSeed uint64, w WindowTuple, out []Result) GroupE
 			rs.Prime(w.Windows)
 		}
 		ev.Primes++
-		switch {
-		case lane.strat == resample.Point && rs.PrimedAllCertain():
+		if lane.strat == resample.Point && rs.PrimedAllCertain() {
 			// Every member's verdict is constant across samples: score the
 			// single raw draw once per member and replay its schedule.
 			vals := rs.Draw(w.Windows)
@@ -226,25 +262,87 @@ func (g *PlanGroup) Evaluate(winSeed uint64, w WindowTuple, out []Result) GroupE
 			for _, mi := range lane.members {
 				g.replayCertain(&out[mi], g.member[mi].cons.Eval(vals))
 			}
-		case len(lane.members) == 1:
-			mi := lane.members[0]
+			continue
+		}
+		rows := lane.members
+		if len(lane.miss) > 0 && rs.WindowSafe(0) && rs.MissBounds(0, &lane.levels, lane.miss) {
+			rows = g.collapse(lane, winSeed, len(w.Windows[0]), out)
+			ev.Collapsed += len(lane.members) - len(rows)
+		}
+		switch len(rows) {
+		case 0:
+		case 1:
+			mi := rows[0]
 			g.evaluateBlocks(&out[mi], g.member[mi].cons, rs, w)
 			ev.Draws += out[mi].Samples
 		default:
-			g.evaluateLane(lane, w, out, &ev)
+			g.evaluateLane(lane, rows, w, out, &ev)
 		}
 	}
 	return ev
 }
 
-// evaluateLane walks the shared block loop for a primed lane of two or
-// more members. live holds the lane's undecided member indices; cs
+// collapse decides every member of a primed unary lane whose sample bit is
+// Bernoulli(p) in closed form, from the table brackets MissBounds just left
+// in lane.miss, and returns the members left to score rows. Sample s's bit
+// is u_s < p on one uniform stream per (window, lane): the stream is seeded
+// from the window coordinate like the lane's draws, and every collapsed
+// member reads the same u_s, so their bits are comonotone — a member with
+// the larger p satisfies every sample a member with the smaller p does, as
+// nested thresholds do on a shared row — and no verdict depends on member
+// index or count. p itself is only computed when some consumed u_s falls
+// inside the table bracket of it.
+func (g *PlanGroup) collapse(lane *groupLane, winSeed uint64, n int, out []Result) []int {
+	lane.u.Reseed(rng.Derive(winSeed, bitStream(lane.strat)))
+	lane.us = lane.us[:0]
+	clear(lane.exact)
+	p := g.params
+	maxS, minS, ci := p.MaxSamples, p.MinSamples, p.CheckInterval
+	rows := lane.rows[:0]
+	for _, mi := range lane.members {
+		m := &g.member[mi]
+		if m.level < 0 {
+			rows = append(rows, mi)
+			continue
+		}
+		sp, res := &m.cons.Spec, &out[mi]
+		lo, hi := bracketP(lane.miss[m.level], sp, lane.strat, n)
+		cs, i := 0, 0
+		for i < maxS && res.Outcome == Inconclusive {
+			if i == len(lane.us) {
+				lane.us = append(lane.us, lane.u.Float64())
+			}
+			u := lane.us[i]
+			i++
+			if u >= lo && u < hi {
+				x := &lane.exact[m.level]
+				if !x.done {
+					x.missSum, x.hitAll = lane.rs.Miss(0, lane.levels.All[m.level])
+					x.done = true
+				}
+				lo = exactP(sp, lane.strat, n, x.missSum, x.hitAll)
+				hi = lo
+			}
+			if u < lo {
+				cs++
+			}
+			res.Outcome = g.bounds.decide(cs, i, minS, ci, maxS)
+		}
+		res.Samples = i
+		g.finish(res, cs)
+	}
+	lane.rows = rows
+	return rows
+}
+
+// evaluateLane walks the shared block loop for two or more members of a
+// primed lane. live holds the undecided member indices; cs
 // trajectories ride in out[mi].SatisfiedCount until finish. Every member
 // runs the exact scalar schedule of Alg. 1 on its own satisfied bits, so
 // drawing to the max edge over members (nextDecision) cannot move any
 // member's stopping index: the edge only bounds how far the shared stream
 // is materialized.
-func (g *PlanGroup) evaluateLane(lane *groupLane, w WindowTuple, out []Result, ev *GroupEval) {
+func (g *PlanGroup) evaluateLane(lane *groupLane, members []int, w WindowTuple, out []Result, ev *GroupEval) {
 	rs := lane.rs
 	p := g.params
 	maxS, minS, ci := p.MaxSamples, p.MinSamples, p.CheckInterval
@@ -253,10 +351,10 @@ func (g *PlanGroup) evaluateLane(lane *groupLane, w WindowTuple, out []Result, e
 	// holds and the row has a first value to seed the extremes.
 	shareOK := kernelOK && len(w.Windows[0]) > 0
 	chunk := blockChunk(w, maxS)
-	if cap(g.live) < len(lane.members) {
-		g.live = make([]int, 0, len(lane.members))
+	if cap(g.live) < len(members) {
+		g.live = make([]int, 0, len(members))
 	}
-	live := append(g.live[:0], lane.members...)
+	live := append(g.live[:0], members...)
 	stats := lane.stats
 	for si := range stats {
 		stats[si].users = 0
@@ -308,7 +406,7 @@ func (g *PlanGroup) evaluateLane(lane *groupLane, w WindowTuple, out []Result, e
 					var sat bool
 					switch {
 					case m.slot >= 0 && stats[m.slot].shared:
-						sat = stats[m.slot].sat(&m.cons.Spec, len(vals[0]))
+						sat = stats[m.slot].sat(&m.cons.Spec)
 					case kernelOK && m.cons.Spec.Op != KernelNone:
 						sat = kernelSat(&m.cons.Spec, vals)
 					default:
@@ -341,7 +439,7 @@ func (g *PlanGroup) evaluateLane(lane *groupLane, w WindowTuple, out []Result, e
 		g.finish(res, res.SatisfiedCount)
 	}
 	ev.Draws += laneDraws
-	for _, mi := range lane.members {
+	for _, mi := range members {
 		if out[mi].Outcome != Inconclusive && out[mi].Samples < laneDraws {
 			ev.Retired++
 		}

@@ -45,12 +45,28 @@ func sameResult(a, b Result) bool {
 		a.Lower == b.Lower && a.Upper == b.Upper
 }
 
+// collapsedOn reports whether g decided member mi of the window it last
+// evaluated from the closed form of its sample bit, without rows (the
+// member's lane is still primed with that window).
+func collapsedOn(g *PlanGroup, mi int) bool {
+	for _, lane := range g.lanes {
+		for _, li := range lane.members {
+			if li == mi {
+				return g.member[mi].level >= 0 && modelled(lane.rs) &&
+					!(lane.strat == resample.Point && lane.rs.PrimedAllCertain())
+			}
+		}
+	}
+	return false
+}
+
 // A member's verdict in a shared group must equal its verdict in a
-// group of one at the same window seed: the shared stream is a pure
-// function of (class, key, window), and a member's trajectory reads
-// only the prefix of it that its own decision schedule consumes. A group
-// of one runs the single-check loop, so this is also the parity pin
-// between PlanGroup's two loops.
+// group of one at the same window seed: the lane's streams are a pure
+// function of (class, key, window), a row-scoring member's trajectory
+// reads only the prefix of the draw stream that its own decision schedule
+// consumes, and a collapsed member's only its own probability and the
+// lane's uniforms. A row-scoring group of one runs the single-check loop,
+// so this is also the parity pin between PlanGroup's two loops.
 func TestPlanGroupMemberInvariance(t *testing.T) {
 	plans := groupTestPlans(t, 42)
 	g, err := NewPlanGroup(plans)
@@ -64,6 +80,7 @@ func TestPlanGroupMemberInvariance(t *testing.T) {
 	}
 	shared := make([]Result, len(plans))
 	solo := make([]Result, 1)
+	rowMembers := 0
 	for wi, tu := range tuples {
 		winSeed := g.WindowSeed(0xfeed, uint64(wi))
 		g.Evaluate(winSeed, tu, shared)
@@ -76,6 +93,13 @@ func TestPlanGroupMemberInvariance(t *testing.T) {
 			if !sameResult(shared[i], solo[0]) {
 				t.Fatalf("window %d member %d: shared %+v != solo %+v", wi, i, shared[i], solo[0])
 			}
+			if collapsedOn(g1, 0) {
+				if want := (GroupEval{Collapsed: 1, Primes: 1}); ev1 != want {
+					t.Fatalf("window %d member %d: collapsed alone with %+v, want %+v", wi, i, ev1, want)
+				}
+				continue
+			}
+			rowMembers++
 			// Evaluate chose the single-check loop for the lone lane; the
 			// multi-member loop on the same primed lane must report the
 			// same Result and the same GroupEval.
@@ -84,11 +108,14 @@ func TestPlanGroupMemberInvariance(t *testing.T) {
 			lane.rs.Reseed(lane.r)
 			lane.rs.Prime(tu.Windows)
 			evL, viaLane := GroupEval{Primes: 1}, make([]Result, 1)
-			g1.evaluateLane(lane, tu, viaLane, &evL)
+			g1.evaluateLane(lane, lane.members, tu, viaLane, &evL)
 			if !sameResult(viaLane[0], solo[0]) || evL != ev1 {
 				t.Fatalf("window %d member %d: lane loop %+v %+v != single-check loop %+v %+v", wi, i, viaLane[0], evL, solo[0], ev1)
 			}
 		}
+	}
+	if rowMembers == 0 {
+		t.Fatal("no member scored rows: the loop parity was never exercised")
 	}
 }
 
@@ -128,14 +155,20 @@ func TestPlanGroupOrderInvariance(t *testing.T) {
 	}
 }
 
-// A group of one is the per-check evaluator at the lane-derived seed:
-// the degeneration argument that makes shared mode safe to reuse the
-// scalar pipeline's decision tables and posterior epilogue.
+// A row-scoring group of one is the per-check evaluator at the
+// lane-derived seed: the degeneration argument that makes shared mode safe
+// to reuse the scalar pipeline's decision tables and posterior epilogue. A
+// collapsed member draws no rows and shares only its law with the
+// evaluator (TestCollapseOperatingCharacteristic); here it must report a
+// verdict reached without a draw.
 func TestPlanGroupSingleMatchesEvaluator(t *testing.T) {
 	plans := groupTestPlans(t, 99)
+	plans = append(plans, compilePlans(t, []Constraint{StdNonZero(), MonotonicIncrease(false), forceClosure(Range(0, 13))},
+		CountWindow{Size: 8}, DefaultParams(), 99)...)
 	ss := []series.Series{groupTestSeries(40)}
 	tuples := plans[0].Check().Window.Windows(ss)
 	out := make([]Result, 1)
+	rowMembers := 0
 	for _, pl := range plans {
 		g, err := NewPlanGroup([]*CheckPlan{pl})
 		if err != nil {
@@ -144,13 +177,23 @@ func TestPlanGroupSingleMatchesEvaluator(t *testing.T) {
 		strat := pl.Check().Constraint.Strategy()
 		for wi, tu := range tuples {
 			winSeed := g.WindowSeed(0x55, uint64(wi))
-			g.Evaluate(winSeed, tu, out)
+			ev := g.Evaluate(winSeed, tu, out)
+			if collapsedOn(g, 0) {
+				if ev.Draws != 0 || ev.Collapsed != 1 || out[0].Samples == 0 {
+					t.Fatalf("plan %q window %d: collapsed with %+v and %d samples", pl.Check().Name, wi, ev, out[0].Samples)
+				}
+				continue
+			}
+			rowMembers++
 			e := MustEvaluator(pl.Params(), rng.Derive(winSeed, laneStream(strat)))
 			want := e.Evaluate(pl.Check().Constraint, tu)
 			if !sameResult(out[0], want) {
 				t.Fatalf("plan %q window %d: group %+v != evaluator %+v", pl.Check().Name, wi, out[0], want)
 			}
 		}
+	}
+	if rowMembers == 0 {
+		t.Fatal("no plan scored rows")
 	}
 }
 
@@ -174,9 +217,7 @@ func TestPlanGroupDrawsFlat(t *testing.T) {
 			g1, _ := NewPlanGroup([]*CheckPlan{pl})
 			ev1 := g1.Evaluate(winSeed, tu, out1)
 			strat := pl.Check().Constraint.Strategy()
-			if ev1.Draws > maxSolo[strat] {
-				maxSolo[strat] = ev1.Draws
-			}
+			maxSolo[strat] = max(maxSolo[strat], ev1.Draws)
 		}
 		budget := 0
 		for _, d := range maxSolo {
@@ -191,10 +232,11 @@ func TestPlanGroupDrawsFlat(t *testing.T) {
 	}
 
 	// The 24-member suite-sliding bucket on 1080-point windows, margins
-	// from borderline to clear: how the lanes score a sample is invisible
-	// in GroupEval. The totals were recorded with the member-major scoring
-	// loop this bucket was first measured on; each window's draws are also
-	// the scalar oracle's.
+	// from borderline to clear: its nineteen level-template members are
+	// decided without rows in every window, the point lane draws nothing,
+	// and the set lane draws for its four max-deltas and std-nonzero only —
+	// each window's draws are the scalar oracle's over those five. (Scoring
+	// all 24 on rows took {Draws: 229, Retired: 44}.)
 	g24, tuples24 := slidingBucket(t)
 	out24 := make([]Result, g24.Members())
 	var total GroupEval
@@ -209,10 +251,11 @@ func TestPlanGroupDrawsFlat(t *testing.T) {
 			t.Fatalf("sliding window %d: %d draws, oracle %d", wi, ev.Draws, oracle)
 		}
 		total.Draws += ev.Draws
+		total.Collapsed += ev.Collapsed
 		total.Retired += ev.Retired
 		total.Primes += ev.Primes
 	}
-	if want := (GroupEval{Draws: 229, Retired: 44, Primes: 16}); total != want {
+	if want := (GroupEval{Draws: 40, Collapsed: 152, Primes: 16}); total != want {
 		t.Fatalf("sliding bucket: %+v, want %+v", total, want)
 	}
 }
@@ -335,15 +378,18 @@ func compilePlans(t testing.TB, cons []Constraint, win Windower, p Params, seed 
 	return plans
 }
 
-// laneReplay is the scalar oracle of one strategy lane: it draws the
-// lane's window-derived stream one sample at a time, scores every member
-// with its reference closure, and runs Alg. 1 per member plus the block
-// schedule evaluateLane derives from the live members (nextDecision
-// edges, chunk cap) — so it knows each member's stopping index, the
-// lane's physical draws, and which block every retirement fell in.
+// laneReplay is the scalar oracle of one strategy lane's row-scoring
+// members on a modelled window (the collapsible ones draw no rows there and
+// are left out): it draws the lane's window-derived stream one sample at a
+// time, scores every such member with its reference closure, and runs
+// Alg. 1 per member plus the block schedule evaluateLane derives from the
+// live members (nextDecision edges, chunk cap) — so it knows each member's
+// stopping index, the lane's physical draws, and which block every
+// retirement fell in.
 type laneReplay struct {
 	samples, satisfied []int // per member (lane order)
 	outcome            []Outcome
+	scored             []bool // the member scores rows
 	draws              int
 	blocks             []int // block end indices, ascending
 }
@@ -360,13 +406,18 @@ func replayLane(g *PlanGroup, lane *groupLane, winSeed uint64, w WindowTuple) la
 	rs.Reseed(r)
 	rs.Prime(w.Windows)
 	n := len(lane.members)
-	rep := laneReplay{samples: make([]int, n), satisfied: make([]int, n), outcome: make([]Outcome, n)}
+	rep := laneReplay{samples: make([]int, n), satisfied: make([]int, n), outcome: make([]Outcome, n), scored: make([]bool, n)}
 	chunk := blockChunk(w, maxS)
-	live := n
+	live := 0
+	for li, mi := range lane.members {
+		if rep.scored[li] = g.member[mi].level < 0; rep.scored[li] {
+			live++
+		}
+	}
 	for i := 0; i < maxS && live > 0; {
 		edge := 0
 		for li := range lane.members {
-			if rep.outcome[li] != Inconclusive {
+			if !rep.scored[li] || rep.outcome[li] != Inconclusive {
 				continue
 			}
 			j := g.bounds.nextDecision(rep.satisfied[li], i, minS, ci, maxS)
@@ -380,7 +431,7 @@ func replayLane(g *PlanGroup, lane *groupLane, winSeed uint64, w WindowTuple) la
 			for s := 1; s <= k; s++ {
 				vals := rs.Draw(w.Windows)
 				for li, mi := range lane.members {
-					if rep.outcome[li] != Inconclusive {
+					if !rep.scored[li] || rep.outcome[li] != Inconclusive {
 						continue
 					}
 					if g.member[mi].cons.Fn(vals) {
@@ -402,10 +453,11 @@ func replayLane(g *PlanGroup, lane *groupLane, winSeed uint64, w WindowTuple) la
 
 // The sample-major loop shares a row statistic only while two or more
 // undecided members read it, so inside one drawn block a statistic can go
-// from shared to a lone consumer's early-exit kernel to unused as members
-// retire at different samples. Every member must come out exactly as the
-// scalar oracle, a two-member group, and the per-check evaluator at the
-// lane-derived seed say — and the windows swept must actually contain
+// from shared to a lone consumer's kernel call to unused as members retire
+// at different samples. Every row-scoring member must come out exactly as
+// the scalar oracle, a two-member group, and the per-check evaluator at
+// the lane-derived seed say — the collapsed fractions riding along exactly
+// as in a two-member group — and the windows swept must actually contain
 // that 2 → 1 → 0 hand-over inside a block.
 func TestPlanGroupStaggeredRetirement(t *testing.T) {
 	meanAbove := Constraint{
@@ -414,8 +466,8 @@ func TestPlanGroupStaggeredRetirement(t *testing.T) {
 	}
 	cons := []Constraint{
 		MaxDelta(5), MaxDelta(6.5), MaxDelta(8), // one (min, max) statistic, three retirement times
-		FractionInRange(8, 12, 0.6), FractionInRange(8, 12, 0.75), // one shared count
-		FractionInRange(9, 11, 0.4), // a count with a lone consumer from the start
+		FractionInRange(8, 12, 0.6), FractionInRange(8, 12, 0.75), // one level set, collapsed
+		FractionInRange(9, 11, 0.4), // another
 		StdNonZero(),                // needs the row itself
 		meanAbove,                   // user Fn near p = 0.5: holds the blocks open
 	}
@@ -448,9 +500,12 @@ func TestPlanGroupStaggeredRetirement(t *testing.T) {
 		if ev.Draws != rep.draws {
 			t.Fatalf("window %d: %d draws, oracle %d", wi, ev.Draws, rep.draws)
 		}
+		if ev.Collapsed != 3 {
+			t.Fatalf("window %d: %d members collapsed, want the three fractions", wi, ev.Collapsed)
+		}
 		for mi, pl := range plans {
 			got := out[mi]
-			if got.Outcome != rep.outcome[mi] || got.Samples != rep.samples[mi] || got.SatisfiedCount != rep.satisfied[mi] {
+			if rep.scored[mi] && (got.Outcome != rep.outcome[mi] || got.Samples != rep.samples[mi] || got.SatisfiedCount != rep.satisfied[mi]) {
 				t.Fatalf("window %d %s: group {%v n=%d s=%d}, oracle {%v n=%d s=%d}", wi, pl.Check().Name,
 					got.Outcome, got.Samples, got.SatisfiedCount, rep.outcome[mi], rep.samples[mi], rep.satisfied[mi])
 			}
@@ -464,6 +519,9 @@ func TestPlanGroupStaggeredRetirement(t *testing.T) {
 			g2.Evaluate(winSeed, tu, pair)
 			if !sameResult(got, pair[0]) {
 				t.Fatalf("window %d %s: group %+v != two-member group %+v", wi, pl.Check().Name, got, pair[0])
+			}
+			if !rep.scored[mi] {
+				continue
 			}
 			e := MustEvaluator(pl.Params(), rng.Derive(winSeed, laneStream(lane.strat)))
 			if want := e.Evaluate(pl.Check().Constraint, tu); !sameResult(got, want) {
@@ -493,15 +551,19 @@ func TestPlanGroupStaggeredRetirement(t *testing.T) {
 
 // FuzzGroupScoreParity fuzzes the member set, the thresholds and the
 // window (values, error bars, length) of one bucket and requires every
-// member's shared-lane result to equal the per-check Evaluator's on the
-// same window-derived stream. Thresholds are taken raw — NaN and ±Inf
-// included — and non-finite window values push the lane off the kernel
-// precondition onto the closures, so every scoring form is in reach.
+// row-scoring member's shared-lane result to equal the per-check
+// Evaluator's on the same window-derived stream, and every collapsed
+// member's to equal what it gets alone in a group of one (its law is
+// TestCollapseOperatingCharacteristic's subject). Thresholds are taken raw
+// — NaN and ±Inf included — and non-finite or negative error bars push the
+// lane off the collapse and the kernel precondition onto the closures, so
+// every scoring form is in reach.
 func FuzzGroupScoreParity(f *testing.F) {
 	f.Add(uint64(1), uint16(0xffff), 6.0, 2.0, 0.5, uint8(12), uint8(1), uint8(0))
 	f.Add(uint64(42), uint16(0x0e07), 3.0, -1.0, 0.0, uint8(1), uint8(3), uint8(7))
 	f.Add(uint64(7), uint16(0x01f8), math.Inf(1), math.NaN(), 1.5, uint8(5), uint8(1), uint8(4))
 	f.Add(uint64(99), uint16(0x7fff), 1e308, 4.0, 1e308, uint8(9), uint8(2), uint8(0))
+	f.Add(uint64(5), uint16(0x1fff), 6.0, 2.0, -0.5, uint8(12), uint8(1), uint8(0))
 	f.Fuzz(func(t *testing.T, seed uint64, mask uint16, a, b, sig float64, nRaw, ciRaw, minRaw uint8) {
 		p := Params{CheckInterval: int(ciRaw%5) + 1, MinSamples: int(minRaw % 9), MaxSamples: 30}
 		all := []Constraint{
@@ -538,15 +600,31 @@ func FuzzGroupScoreParity(f *testing.F) {
 		}
 		tu := WindowTuple{Windows: []series.Series{w}}
 		out := make([]Result, len(plans))
+		solo := make([]Result, 1)
 		for wi := uint64(0); wi < 3; wi++ {
 			winSeed := g.WindowSeed(seed, wi)
-			g.Evaluate(winSeed, tu, out)
+			ev := g.Evaluate(winSeed, tu, out)
+			collapsed := 0
 			for mi, pl := range plans {
 				c := pl.Check().Constraint
+				if collapsedOn(g, mi) {
+					collapsed++
+					g1, err := NewPlanGroup([]*CheckPlan{pl})
+					if err != nil {
+						t.Fatal(err)
+					}
+					if ev1 := g1.Evaluate(winSeed, tu, solo); !resultsEqual(out[mi], solo[0]) || ev1.Draws != 0 {
+						t.Errorf("window %d %s collapsed: in the bucket %+v, alone %+v (%+v)", wi, c.Name, out[mi], solo[0], ev1)
+					}
+					continue
+				}
 				e := MustEvaluator(p, rng.Derive(winSeed, laneStream(c.Strategy())))
 				if want := e.Evaluate(c, tu); !resultsEqual(out[mi], want) {
 					t.Errorf("window %d %s: %s", wi, c.Name, diffResults(out[mi], want))
 				}
+			}
+			if ev.Collapsed != collapsed {
+				t.Errorf("window %d: GroupEval reports %d collapsed members, %d were", wi, ev.Collapsed, collapsed)
 			}
 		}
 	})

@@ -3,12 +3,11 @@ package core
 import "math"
 
 // This file implements the two row reductions of the scoring loops — the
-// in-range count and the (min, max) pair — and the shared row statistics
-// of the multiplexed evaluator (group.go) built on them: five Table IV
-// templates read a drawn row only through its extremes or through one
-// in-range count, so a lane computes each such statistic once per sample
-// and every member consuming it tests its own thresholds in O(1) instead
-// of re-scanning the row.
+// in-range count and the (min, max) pair — and the shared row statistic of
+// the multiplexed evaluator (group.go) built on the second: max-delta
+// members read a drawn row only through its extremes, so a lane computes
+// them once per sample and every member consuming them tests its own
+// threshold in O(1) instead of re-scanning the row.
 
 // orderedKey maps the bit pattern of a float64 to a uint64 whose unsigned
 // order is the numeric order of the floats: −Inf < … < −0 < +0 < … < +Inf,
@@ -70,66 +69,40 @@ func extremes(row []float64) (lo, hi float64) {
 	return lo, hi
 }
 
-// rowStat is one statistic of a drawn row: its (min, max), or the number
-// of its values inside [a, b].
+// rowStat is the one statistic of a drawn row that members share: its
+// (min, max). Only max-delta members read it — the level templates that
+// also reduce to the extremes are decided without rows wherever sharing
+// would be sound (level.go).
 type rowStat struct {
-	count bool
-	a, b  float64
 	// users is how many undecided members of the current window read the
 	// statistic; shared is whether it was scanned for the current sample,
-	// which takes two users — a lone one keeps kernelSat's early exit.
+	// which takes two users — a lone one keeps kernelSat's single call.
 	users  int
 	shared bool
 
 	min, max float64
-	in       int
 }
 
 // statSlot returns the index in stats of the statistic sp's predicate
 // reduces to, appending it on first use, or -1 when the op needs the row
-// itself. Fraction members share a count only at equal bounds (a NaN
-// bound equals nothing, so such a member keeps a slot of its own).
+// itself.
 func statSlot(stats *[]rowStat, sp *KernelSpec) int {
-	var want rowStat
-	switch sp.Op {
-	case KernelRange, KernelGreaterThan, KernelNonNegative, KernelMaxDelta:
-	case KernelFractionInRange:
-		want = rowStat{count: true, a: sp.A, b: sp.B}
-	default:
+	if sp.Op != KernelMaxDelta {
 		return -1
 	}
-	for i, st := range *stats {
-		if st.count == want.count && st.a == want.a && st.b == want.b {
-			return i
-		}
+	if len(*stats) == 0 {
+		*stats = append(*stats, rowStat{})
 	}
-	*stats = append(*stats, want)
-	return len(*stats) - 1
+	return 0
 }
 
 // scan computes the statistic of one non-empty row.
 func (st *rowStat) scan(row []float64) {
-	if st.count {
-		st.in = countIn(row, st.a, st.b)
-		return
-	}
 	st.min, st.max = extremes(row)
 }
 
-// sat is kernelSat(sp, row) read off the scanned statistic of a finite
-// row of n > 0 values. Each form negates the kernel's own per-value
-// failure test applied to the extreme that fails first, so NaN and
-// infinite thresholds compare exactly as they do value by value.
-func (st *rowStat) sat(sp *KernelSpec, n int) bool {
-	switch sp.Op {
-	case KernelRange:
-		return !(st.min < sp.A || st.max > sp.B)
-	case KernelGreaterThan:
-		return st.min > sp.A
-	case KernelNonNegative:
-		return !(st.min < 0)
-	case KernelMaxDelta:
-		return st.max-st.min < sp.A
-	}
-	return float64(st.in)/float64(n) >= sp.C
+// sat is kernelSat(sp, row) for a max-delta spec read off the scanned
+// statistic of a finite non-empty row.
+func (st *rowStat) sat(sp *KernelSpec) bool {
+	return st.max-st.min < sp.A
 }

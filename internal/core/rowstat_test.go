@@ -120,7 +120,7 @@ func TestExtremes(t *testing.T) {
 }
 
 // statSat scores row for c the way evaluateLane does when c's statistic
-// is shared: resolve the slot, scan once, test the thresholds.
+// is shared: resolve the slot, scan once, test the threshold.
 func statSat(t *testing.T, c *Constraint, row []float64) bool {
 	t.Helper()
 	var stats []rowStat
@@ -129,14 +129,15 @@ func statSat(t *testing.T, c *Constraint, row []float64) bool {
 		t.Fatalf("%s: op %d does not reduce to a row statistic", c.Name, c.Spec.Op)
 	}
 	stats[slot].scan(row)
-	return stats[slot].sat(&c.Spec, len(row))
+	return stats[slot].sat(&c.Spec)
 }
 
-// TestRowStatParity is the equivalence the shared-statistic path rests
-// on: for every reducible op, on finite non-empty rows, the O(1) test on
-// the scanned statistic, the early-exit kernel and the reference closure
-// return the same boolean — on single-point rows, ties, signed zeros, and
-// thresholds that are NaN, infinite, or exactly a value of the row.
+// TestRowStatParity is the equivalence the scoring forms rest on: on
+// finite non-empty rows the early-exit kernel and the reference closure
+// return the same boolean for every level template and for max-delta, and
+// so does max-delta's O(1) test on the scanned statistic — on single-point
+// rows, ties, signed zeros, and thresholds that are NaN, infinite, or
+// exactly a value of the row.
 func TestRowStatParity(t *testing.T) {
 	negZero := math.Copysign(0, -1)
 	rows := [][]float64{
@@ -184,7 +185,11 @@ func TestRowStatParity(t *testing.T) {
 		vals := [][]float64{row}
 		for i := range cons {
 			c := &cons[i]
-			viaStat, viaKernel, viaFn := statSat(t, c, row), kernelSat(&c.Spec, vals), c.Fn(vals)
+			viaKernel, viaFn := kernelSat(&c.Spec, vals), c.Fn(vals)
+			viaStat := viaKernel
+			if c.Spec.Op == KernelMaxDelta {
+				viaStat = statSat(t, c, row)
+			}
 			if viaStat != viaKernel || viaKernel != viaFn {
 				t.Errorf("row %v %s %+v: statistic %v, kernel %v, closure %v", row, c.Name, c.Spec, viaStat, viaKernel, viaFn)
 			}
@@ -192,29 +197,19 @@ func TestRowStatParity(t *testing.T) {
 	}
 }
 
-// TestStatSlot pins which members share a scan: every extremes op maps
-// to the one (min, max) slot, fractions share a count only at equal
-// bounds, and ops that need the row itself get no slot.
+// TestStatSlot pins which members share a scan: every max-delta maps to
+// the one (min, max) slot, and every other op — the level templates, which
+// a lane decides without rows wherever a shared statistic would be sound,
+// and the ops that need the row itself — gets none.
 func TestStatSlot(t *testing.T) {
 	var stats []rowStat
 	slot := func(c Constraint) int { return statSlot(&stats, &c.Spec) }
-	mm := slot(Range(0, 5))
-	for _, c := range []Constraint{GreaterThan(3), NonNegative(), MaxDelta(2), Range(-1, 1)} {
-		if got := slot(c); got != mm {
-			t.Errorf("%s: slot %d, want the (min, max) slot %d", c.Name, got, mm)
-		}
+	mm := slot(MaxDelta(2))
+	if mm != 0 || slot(MaxDelta(math.NaN())) != mm || len(stats) != 1 {
+		t.Errorf("max-delta members must share the one (min, max) slot")
 	}
-	f := slot(FractionInRange(0, 100, 0.5))
-	if f == mm || slot(FractionInRange(0, 100, 0.9)) != f {
-		t.Errorf("fractions over one range must share one count slot distinct from (min, max)")
-	}
-	if slot(FractionInRange(0, 98, 0.5)) == f {
-		t.Errorf("fractions over different ranges must not share a count")
-	}
-	if a, b := slot(FractionInRange(math.NaN(), 1, 0.5)), slot(FractionInRange(math.NaN(), 1, 0.5)); a == b {
-		t.Errorf("NaN bounds equal nothing: slots %d and %d must differ", a, b)
-	}
-	for _, c := range []Constraint{MonotonicIncrease(true), StdNonZero(), CountAtLeast(), CorrelationAbove(0.2), forceClosure(Range(0, 1))} {
+	for _, c := range []Constraint{Range(0, 5), GreaterThan(3), NonNegative(), FractionInRange(0, 100, 0.5),
+		MonotonicIncrease(true), StdNonZero(), CountAtLeast(), CorrelationAbove(0.2), forceClosure(MaxDelta(1))} {
 		if got := slot(c); got != -1 {
 			t.Errorf("%s: slot %d, want -1", c.Name, got)
 		}

@@ -107,7 +107,7 @@ func pinChecks() []CheckConfig {
 var pinnedCounts = map[string][3]int{
 	"sliding":  {2, 12, 9},
 	"tumbling": {1, 5, 7},
-	"count":    {0, 10, 1},
+	"count":    {1, 10, 0},
 }
 
 func fixtureEvents(t *testing.T) []stream.Event {
@@ -471,6 +471,11 @@ func TestDynamicChecksHTTP(t *testing.T) {
 	}
 	if dyn.Groups[0].SharedExtractionHitRatio <= 0 {
 		t.Errorf("shared extraction hit ratio = %v, want > 0", dyn.Groups[0].SharedExtractionHitRatio)
+	}
+	// fraction and range are decided without rows wherever the window has
+	// an uncertain point; max-delta never is.
+	if g := dyn.Groups[0]; g.Collapsed == 0 || g.Collapsed > 2*g.Windows || g.Collapsed != static.Groups[0].Collapsed {
+		t.Errorf("collapsed %d over %d windows (static run %d), want the same count in (0, 2×windows]", g.Collapsed, g.Windows, static.Groups[0].Collapsed)
 	}
 	counts := func(st Stats) map[string][3]int {
 		m := map[string][3]int{}

@@ -563,7 +563,7 @@ par3[28] o=⊤ n=5 s=5 p=0.1428571428571429 ci=[0.5407418735600996,0.99578925548
 `
 	pinnedStream = `stream/sliding sat=2 viol=12 inc=9
 stream/tumbling sat=1 viol=5 inc=7
-stream/count sat=0 viol=10 inc=1
+stream/count sat=1 viol=10 inc=0
 `
 	pinnedViolation = `cp[0] idx=1 expl=[E1 (difference in data values)]
 cp[1] idx=2 expl=[E1 (difference in data values)]
