@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race check benchmark-check bench bench-smoke benchjson ab fuzz serve-smoke profile profile-contention
+.PHONY: all build vet test race check benchmark-check bench bench-smoke ab fuzz serve-smoke loc
 
 all: check
 
@@ -37,7 +37,9 @@ bench:
 
 # bench-smoke executes every spec of the one micro-benchmark table
 # (bench.Specs, run by BenchmarkSpecs) a fixed handful of times —
-# correctness of the workloads, not timing.
+# correctness of the workloads, not timing. A number or a profile of
+# one spec: go test -run '^$$' -bench 'Specs/<name>' [-cpu N
+# -cpuprofile cpu.pprof -mutexprofile mutex.pprof ...] .
 bench-smoke:
 	$(GO) test -bench='^BenchmarkSpecs$$' -benchtime=10x -run=^$$ .
 
@@ -69,10 +71,6 @@ fuzz:
 # end over real sockets.
 serve-smoke:
 	$(GO) run ./cmd/soundserve -selftest -fixture testdata/gapped_borderline.csv
-
-# benchjson regenerates the machine-readable hot-path benchmark record.
-benchjson:
-	$(GO) run ./cmd/soundbench -benchjson BENCH_PR13.json
 
 # ab measures a claimed gain the way the choosing-metrics guide asks:
 # PAIRS alternating parent/change runs of the standing benchmark's
@@ -110,13 +108,9 @@ ab:
 	fi; \
 	exit $$st
 
-# profile records CPU and allocation profiles of the evaluator hot path
-# (the Evaluate* micro-benchmarks); inspect with `go tool pprof cpu.pprof`.
-profile:
-	$(GO) run ./cmd/soundbench -benchjson /dev/null -benchfilter Evaluate -cpuprofile cpu.pprof -memprofile mem.pprof
-
-# profile-contention records mutex and goroutine-blocking profiles of the
-# stream transport specs, so ring-vs-channel synchronization cost is
-# directly measurable; inspect with `go tool pprof mutex.pprof`.
-profile-contention:
-	$(GO) run ./cmd/soundbench -benchjson /dev/null -benchfilter Stream -mutexprofile mutex.pprof -blockprofile block.pprof
+# loc prints the two line counts ROADMAP item 4 tracks: non-test Go
+# lines outside benchmark/, and the internal/{checker,core,stream}
+# subtotal.
+loc:
+	@git ls-files '*.go' | grep -v '_test.go$$' | grep -v '^benchmark/' | xargs cat | wc -l
+	@git ls-files 'internal/checker/*.go' 'internal/core/*.go' 'internal/stream/*.go' | grep -v '_test.go$$' | xargs cat | wc -l

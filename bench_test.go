@@ -60,11 +60,11 @@ func BenchmarkTable5NaiveAccuracy(b *testing.B) { benchExperiment(b, "table5") }
 func BenchmarkTable6ViolationAnalysis(b *testing.B) { benchExperiment(b, "table6") }
 
 // BenchmarkSpecs runs the hot-path, ablation and codec workloads of
-// internal/bench — the one table cmd/soundbench also executes under
-// testing.Benchmark to emit machine-readable JSON (soundbench
-// -benchjson) — each under its spec name:
+// internal/bench, each under its spec name — the one way a micro
+// number or a profile of them is produced:
 //
-//	go test -bench='Specs/StreamCheck' -run='^$' .
+//	go test -run='^$' -bench='Specs/StreamCheck' .
+//	go test -run='^$' -bench='Specs/EvaluatePointCheck' -cpu 1 -cpuprofile cpu.pprof .
 func BenchmarkSpecs(b *testing.B) {
 	for _, s := range bench.Specs() {
 		b.Run(s.Name, s.Fn)

@@ -10,7 +10,7 @@
 //	soundcheck -constraint monotonic -window count:10 work.csv
 //	soundcheck -constraint corr -threshold 0.2 -window time:30 a.csv b.csv
 //	soundcheck -constraint range -min 0 -max 1 -naive normalized.csv
-//	soundcheck -constraint gt -threshold 10 -window time:20 -explain -parallel series.csv
+//	soundcheck -constraint gt -threshold 10 -window time:20 -explain series.csv
 //
 // Streaming replays can be checkpointed and resumed: -checkpoint FILE
 // snapshots the full operator state every -checkpoint-every events at a
@@ -26,7 +26,6 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"io"
@@ -66,7 +65,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		ckptEvery  = fs.Int("checkpoint-every", 1000, "events between checkpoints (with -checkpoint)")
 		restore    = fs.String("restore", "", "with -stream: resume the replay from this snapshot file")
 		explain    = fs.Bool("explain", false, "run the violation analysis (change points, explanations E1-E6) on the results")
-		parallel   = fs.Bool("parallel", false, "fan the violation analysis out over GOMAXPROCS workers (with -explain; output is identical to sequential)")
 		verbose    = fs.Bool("v", false, "print every window outcome, not just the summary")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -157,16 +155,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if err != nil {
 			return fail(stderr, err)
 		}
-		var sum *sound.Summary
-		if *parallel {
-			sum, err = sound.SummarizeParallel(context.Background(), check, results, a, nil, *cred, 0)
-			if err != nil {
-				return fail(stderr, err)
-			}
-		} else {
-			sum = sound.Summarize(check, results, a, nil, *cred)
-		}
-		fmt.Fprint(stdout, sum.String())
+		fmt.Fprint(stdout, sound.Summarize(check, results, a, nil, *cred).String())
 	}
 	if counts[sound.Violated] > 0 {
 		return 2
@@ -182,8 +171,8 @@ func fail(stderr io.Writer, err error) int {
 // csvCursor streams one CSV file one point at a time through the
 // wire.CSVScanner pooled reader, holding O(buffer) memory instead of the
 // whole file. The merge in runStream only ever inspects each file's
-// head point, so one-point lookahead reproduces the historical
-// slurp-then-merge order exactly. Quoted CSV (which the scanner punts
+// head point, so one-point lookahead gives the order a merge of the
+// fully read files would. Quoted CSV (which the scanner punts
 // on) falls back to sound.ReadCSV: the file is reopened, slurped, and
 // the points already emitted are skipped — identical output, the memory
 // guarantee degrades to O(file) for that one file.

@@ -1,16 +1,13 @@
 // Package bench holds the micro-benchmark bodies for the Alg. 1 hot path
-// and its ablations in library form, so the same workloads can run both
-// under `go test -bench` (BenchmarkSpecs in the repo root ranges over
-// Specs) and inside cmd/soundbench, which executes them with
-// testing.Benchmark and emits machine-readable JSON.
+// and its ablations as one table, Specs, which BenchmarkSpecs in the
+// repo root ranges over: `go test -run '^$' -bench 'Specs/<name>' .`
+// is how a micro number or a profile is produced.
 package bench
 
 import (
 	"bytes"
-	"context"
 	"fmt"
 	"io"
-	"runtime"
 	"testing"
 
 	"sound"
@@ -25,15 +22,15 @@ import (
 )
 
 // Spec names one benchmark workload. Variants of an ablation appear as
-// separate specs with the conventional "Parent/variant" name so JSON
-// output matches `go test -bench` reporting.
+// separate specs with the conventional "Parent/variant" name.
 type Spec struct {
 	Name string
 	Fn   func(*testing.B)
 }
 
-// Specs returns the benchmark workloads covered by soundbench's JSON
-// output: the core Evaluate* paths and the DESIGN.md §5 ablations.
+// Specs returns the benchmark workloads: the core Evaluate* paths, the
+// DESIGN.md §5 ablations, and the per-layer costs (operator, codecs,
+// draws, scoring, explanation, checkpoint) no end-to-end run isolates.
 func Specs() []Spec {
 	return []Spec{
 		{"EvaluatePointCheck", EvaluatePointCheck},
@@ -50,19 +47,12 @@ func Specs() []Spec {
 		{"StreamCheck/sliding", func(b *testing.B) { StreamCheck(b, sound.TimeWindow{Size: 60, Slide: 30}) }},
 		{"StreamCheck/count", func(b *testing.B) { StreamCheck(b, sound.CountWindow{Size: 32}) }},
 		{"StreamCheck/keyed", StreamCheckKeyed},
-		{"StreamThroughput/batch1", func(b *testing.B) { StreamThroughput(b, 1) }},
-		{"StreamThroughput/batch16", func(b *testing.B) { StreamThroughput(b, 16) }},
-		{"StreamThroughput/batch64", func(b *testing.B) { StreamThroughput(b, 64) }},
-		{"StreamThroughput/batch256", func(b *testing.B) { StreamThroughput(b, 256) }},
 		{"Decode/frame", DecodeFrame},
 		{"Decode/ndjson", DecodeNDJSON},
 		{"Decode/csv", DecodeCSV},
-		{"Draw/point/scalar", func(b *testing.B) { Draw(b, resample.Point, false) }},
-		{"Draw/point/kernel", func(b *testing.B) { Draw(b, resample.Point, true) }},
-		{"Draw/set/scalar", func(b *testing.B) { Draw(b, resample.Set, false) }},
-		{"Draw/set/kernel", func(b *testing.B) { Draw(b, resample.Set, true) }},
-		{"Draw/sequence/scalar", func(b *testing.B) { Draw(b, resample.Sequence, false) }},
-		{"Draw/sequence/kernel", func(b *testing.B) { Draw(b, resample.Sequence, true) }},
+		{"Draw/point/kernel", func(b *testing.B) { Draw(b, resample.Point) }},
+		{"Draw/set/kernel", func(b *testing.B) { Draw(b, resample.Set) }},
+		{"Draw/sequence/kernel", func(b *testing.B) { Draw(b, resample.Sequence) }},
 		{"Kernel/certain", func(b *testing.B) { Kernel(b, 0, 0) }},
 		{"Kernel/symmetric", func(b *testing.B) { Kernel(b, 2, 2) }},
 		{"Kernel/asymmetric", func(b *testing.B) { Kernel(b, 3, 1) }},
@@ -74,16 +64,12 @@ func Specs() []Spec {
 		{"DrawBlock/sequence/asymmetric-sparse", func(b *testing.B) { DrawBlock(b, resample.Sequence, 5) }},
 		{"Explain/unary", func(b *testing.B) { Explain(b, 1) }},
 		{"Explain/binary", func(b *testing.B) { Explain(b, 2) }},
-		{"Summarize/sequential", func(b *testing.B) { Summarize(b, 0) }},
-		{"Summarize/parallel", func(b *testing.B) { Summarize(b, runtime.GOMAXPROCS(0)) }},
+		{"Summarize/parallel", Summarize},
 		{"Checkpoint/snapshot", func(b *testing.B) { Checkpoint(b, false) }},
 		{"Checkpoint/restore", func(b *testing.B) { Checkpoint(b, true) }},
-		{"MultiCheck/independent/checks1", func(b *testing.B) { MultiCheck(b, false, 1) }},
-		{"MultiCheck/independent/checks8", func(b *testing.B) { MultiCheck(b, false, 8) }},
-		{"MultiCheck/independent/checks64", func(b *testing.B) { MultiCheck(b, false, 64) }},
-		{"MultiCheck/shared/checks1", func(b *testing.B) { MultiCheck(b, true, 1) }},
-		{"MultiCheck/shared/checks8", func(b *testing.B) { MultiCheck(b, true, 8) }},
-		{"MultiCheck/shared/checks64", func(b *testing.B) { MultiCheck(b, true, 64) }},
+		{"MultiCheck/shared/checks1", func(b *testing.B) { MultiCheck(b, 1) }},
+		{"MultiCheck/shared/checks8", func(b *testing.B) { MultiCheck(b, 8) }},
+		{"MultiCheck/shared/checks64", func(b *testing.B) { MultiCheck(b, 64) }},
 		{"MultiCheck/shared/sliding24", MultiCheckSliding},
 		{"Exact/range/n60/bracket", func(b *testing.B) { Exact(b, core.Range(0, 100), 60, 13) }},
 		{"Exact/range/n60/erfc", func(b *testing.B) { Exact(b, core.Range(0, 100), 60, 5.8) }},
@@ -213,16 +199,12 @@ func mixedDrawWindow() series.Series {
 }
 
 // Draw isolates one resampling iteration over a 64-point mixed-class
-// window: the scalar per-point PerturbValue path (unprimed) against the
-// compiled SoA kernel path (primed). The two draw bit-identical values
-// (pinned by the resample parity tests); the spec pair measures what the
-// compilation buys per draw.
-func Draw(b *testing.B, strat resample.Strategy, kernel bool) {
+// window on the compiled SoA kernel path — primed, as every draw in
+// core is.
+func Draw(b *testing.B, strat resample.Strategy) {
 	windows := []series.Series{mixedDrawWindow()}
 	rs := resample.New(strat, rng.New(1))
-	if kernel {
-		rs.Prime(windows)
-	}
+	rs.Prime(windows)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -560,18 +542,14 @@ func Exact(b *testing.B, c core.Constraint, n int, margin float64) {
 }
 
 // MultiCheck prices a suite of n co-window checks on one uncertain
-// keyed stream. independent runs n single-check operators side by side
-// — n window extractions and n private sample matrices per window, the
-// pre-multiplexing cost model. shared registers the same n checks in
-// one Mux bucket: one extraction, one shared sample matrix drawn from
-// the window-derived RNG, members retiring as their decisions land.
-// The pair at equal n is the multiplexing speedup; the shared variant's
-// draws/window metric staying flat from checks8 to checks64 is the
-// shared-matrix claim measured directly.
-func MultiCheck(b *testing.B, shared bool, nChecks int) {
+// keyed stream, registered in one Mux bucket: one extraction, one
+// shared sample matrix drawn from the window-derived RNG, members
+// retiring as their decisions land. The draws/window metric staying
+// flat from checks8 to checks64 is the shared-matrix claim measured
+// directly.
+func MultiCheck(b *testing.B, nChecks int) {
 	const nEvents = 2048
 	params := core.Params{Credibility: 0.95, MaxSamples: 100}
-	suite := multiCheckSuite(nChecks)
 	keys := [8]string{"h0", "h1", "h2", "h3", "h4", "h5", "h6", "h7"}
 	events := make([]stream.Event, nEvents)
 	for i := range events {
@@ -581,112 +559,30 @@ func MultiCheck(b *testing.B, shared bool, nChecks int) {
 		events[i] = stream.Event{Time: float64(i / 8), Key: keys[i%8], Value: 5 + float64(i%9), SigUp: 2, SigDown: 2}
 	}
 	emit := func(stream.Event) {}
-	var procs func() []stream.Processor
-	var mux *checker.Mux
-	if shared {
-		mux = checker.NewMux(false, checker.EvictionPolicy{})
-		for _, ck := range suite {
-			if err := mux.Register(checker.MuxCheck{
-				Name: ck.Name, Check: ck, Params: params, Seed: 7, RouteID: "event",
-			}); err != nil {
-				b.Fatal(err)
-			}
-		}
-		factory := mux.Factory()
-		procs = func() []stream.Processor { return []stream.Processor{factory()} }
-	} else {
-		factories := make([]func() stream.Processor, nChecks)
-		for i, ck := range suite {
-			f, err := checker.NewStreamChecker(checker.StreamCheck{Check: ck, Params: params, Seed: 7})
-			if err != nil {
-				b.Fatal(err)
-			}
-			factories[i] = f
-		}
-		procs = func() []stream.Processor {
-			ps := make([]stream.Processor, nChecks)
-			for i, f := range factories {
-				ps[i] = f()
-			}
-			return ps
-		}
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ps := procs()
-		for _, ev := range events {
-			for _, p := range ps {
-				p.Process(ev, emit)
-			}
-		}
-		for _, p := range ps {
-			p.Flush(emit)
-		}
-	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*nEvents), "ns/event")
-	if mux != nil {
-		for _, g := range mux.GroupStats() {
-			if g.Shared && g.Windows > 0 {
-				b.ReportMetric(float64(g.Draws)/float64(g.Windows), "draws/window")
-			}
-		}
-	}
-}
-
-// StreamThroughput measures end-to-end ingest throughput through a real
-// graph — source → keyed stream-check operator (4 workers) → sink — at
-// the given transport batch size. The check itself (a tumbling range
-// check on certain data) is deliberately cheap so the spec prices the
-// transport: at batch size 1 every event pays a channel send per hop
-// plus per-event counter and metrics updates; larger batches amortize
-// all of it across the frame. The points/sec metric is the end-to-end
-// ingest rate the online checking path sustains.
-func StreamThroughput(b *testing.B, batchSize int) {
-	const nEvents = 1 << 14
-	ck := core.Check{
-		Name:        "range",
-		Constraint:  core.Range(0, 100),
-		SeriesNames: []string{"s"},
-		Window:      sound.TimeWindow{Size: 60},
-	}
-	factory, err := checker.NewStreamChecker(checker.StreamCheck{
-		Check:   ck,
-		Params:  core.Params{Credibility: 0.95, MaxSamples: 100},
-		Seed:    7,
-		Forward: true,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	keys := [8]string{"h0", "h1", "h2", "h3", "h4", "h5", "h6", "h7"}
-	g := stream.NewGraph()
-	g.SetBatchSize(batchSize)
-	src := g.AddSource("src", func(emit stream.EmitFunc) {
-		for i := 0; i < nEvents; i++ {
-			emit(stream.Event{Time: float64(i / 8), Key: keys[i%8], Value: 50})
-		}
-	})
-	chk := g.AddOperator("check", 4, factory)
-	sink := g.AddSink("sink", nil)
-	if err := g.ConnectKeyed(src, chk); err != nil {
-		b.Fatal(err)
-	}
-	if err := g.Connect(chk, sink); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m, err := g.Run()
-		if err != nil {
+	mux := checker.NewMux(false, checker.EvictionPolicy{})
+	for _, ck := range multiCheckSuite(nChecks) {
+		if err := mux.Register(checker.MuxCheck{
+			Name: ck.Name, Check: ck, Params: params, Seed: 7, RouteID: "event",
+		}); err != nil {
 			b.Fatal(err)
 		}
-		if m.Count("sink") != nEvents {
-			b.Fatalf("sink saw %d events, want %d", m.Count("sink"), nEvents)
+	}
+	factory := mux.Factory()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		p := factory()
+		for _, ev := range events {
+			p.Process(ev, emit)
+		}
+		p.Flush(emit)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*nEvents), "ns/event")
+	for _, g := range mux.GroupStats() {
+		if g.Shared && g.Windows > 0 {
+			b.ReportMetric(float64(g.Draws)/float64(g.Windows), "draws/window")
 		}
 	}
-	b.ReportMetric(float64(b.N)*nEvents/b.Elapsed().Seconds(), "points/sec")
 }
 
 // trendWindow builds an n-point window with a linear trend plus a small
@@ -741,12 +637,9 @@ func Explain(b *testing.B, arity int) {
 }
 
 // Summarize measures the full violation analysis of a result sequence
-// with ~19 change points: sequential (workers == 0, the Summarize path)
-// or fanned out over the given worker count (SummarizeParallel). The
-// outputs are bit-identical; the ratio of the two specs is the Alg. 2
-// path's parallel speedup (1 on a single-core host, where the specs also
-// bound the engine's coordination overhead).
-func Summarize(b *testing.B, workers int) {
+// with ~19 change points, fanned out over GOMAXPROCS workers (vary it
+// with `go test -cpu`; the summary is bit-identical at every count).
+func Summarize(b *testing.B) {
 	// Alternating regimes of 20 time units: dense satisfied windows
 	// (30±2, clearly above threshold) and sparse, more uncertain violated
 	// windows (7±3), so every regime boundary is a change point whose
@@ -790,11 +683,7 @@ func Summarize(b *testing.B, workers int) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if workers <= 0 {
-			_ = sound.Summarize(check, results, a, nil, 0.95)
-		} else if _, err := sound.SummarizeParallel(context.Background(), check, results, a, nil, 0.95, workers); err != nil {
-			b.Fatal(err)
-		}
+		_ = sound.Summarize(check, results, a, nil, 0.95)
 	}
 	b.ReportMetric(float64(cps), "changepoints")
 }
@@ -923,8 +812,7 @@ func AblationDecisionRule(b *testing.B, credibility float64) {
 }
 
 // wireEvents builds the canonical decode workload: nEvents certain
-// points cycling over 8 series keys — the same key fan the
-// StreamThroughput specs use.
+// points cycling over 8 series keys.
 func wireEvents(n int) []stream.Event {
 	keys := [8]string{"h0", "h1", "h2", "h3", "h4", "h5", "h6", "h7"}
 	evs := make([]stream.Event, n)

@@ -62,7 +62,7 @@ const (
 // sweep) and the checkpoint registry (coldest-first encode order). With
 // neither attached the per-event move-to-front — pointer writes, hence
 // write barriers — would be pure overhead on the hot path, so it is
-// skipped entirely and the operator runs at pre-lifecycle cost.
+// skipped entirely.
 func (c *streamChecker) trackGroups() bool {
 	return c.reg != nil || c.evict.enabled()
 }

@@ -96,8 +96,8 @@ func ByEventKey() RouteFunc {
 }
 
 // ByInputKeys routes events whose Key equals the i-th tag to input i,
-// all sharing one global window group — the shape of the old binary
-// checker, generalized to any arity.
+// all sharing one global window group: the route of a k-ary check whose
+// inputs arrive as k tagged series on one stream.
 func ByInputKeys(tags ...string) RouteFunc {
 	idx := make(map[string]int, len(tags))
 	for i, t := range tags {
@@ -152,7 +152,7 @@ type StreamCheck struct {
 	// must set it.
 	Route RouteFunc
 	// Evict bounds the operator's keyed state (zero value: keep every
-	// group forever, the pre-lifecycle behavior).
+	// group forever).
 	Evict EvictionPolicy
 	// Registry, when set, makes the operator checkpointable: workers
 	// register their state with it, and a snapshot taken at a stream

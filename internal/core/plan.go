@@ -129,8 +129,8 @@ func CompilePlan(ck Check, params Params, seed uint64) (*CheckPlan, error) {
 
 // newPlan compiles without structural validation, for internal paths
 // that assemble the check from already-checked parts (and for
-// EvaluateAllParallel, which historically accepted unvalidated
-// constraints).
+// EvaluateAllParallel, which takes a bare constraint and no check to
+// validate).
 func newPlan(ck Check, params Params, seed uint64) (*CheckPlan, error) {
 	p, err := params.normalized()
 	if err != nil {

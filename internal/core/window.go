@@ -261,19 +261,3 @@ func (w SessionWindow) Windows(ss []series.Series) []WindowTuple {
 func (w SessionWindow) String() string {
 	return fmt.Sprintf("session(gap=%g)", w.Gap)
 }
-
-// ForGranularity returns a default windowing function matching a
-// constraint's granularity: point windows for point-wise constraints,
-// the provided time/count window otherwise.
-func ForGranularity(g Granularity, timeSize float64, countSize int) Windower {
-	switch g {
-	case PointWise:
-		return PointWindow{}
-	case WindowTime:
-		return TimeWindow{Size: timeSize}
-	case WindowIndex:
-		return CountWindow{Size: countSize}
-	default:
-		return GlobalWindow{}
-	}
-}

@@ -166,21 +166,6 @@ func TestGlobalWindow(t *testing.T) {
 	}
 }
 
-func TestForGranularity(t *testing.T) {
-	if _, ok := ForGranularity(PointWise, 0, 0).(PointWindow); !ok {
-		t.Error("PointWise should map to PointWindow")
-	}
-	if w, ok := ForGranularity(WindowTime, 60, 0).(TimeWindow); !ok || w.Size != 60 {
-		t.Error("WindowTime mapping wrong")
-	}
-	if w, ok := ForGranularity(WindowIndex, 0, 10).(CountWindow); !ok || w.Size != 10 {
-		t.Error("WindowIndex mapping wrong")
-	}
-	if _, ok := ForGranularity(WindowGlobal, 0, 0).(GlobalWindow); !ok {
-		t.Error("WindowGlobal mapping wrong")
-	}
-}
-
 func TestWindowerStrings(t *testing.T) {
 	for _, w := range []Windower{
 		PointWindow{}, TimeWindow{Size: 2}, TimeWindow{Size: 4, Slide: 2},

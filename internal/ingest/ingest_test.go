@@ -246,6 +246,71 @@ func TestPinnedIngestLoopbackHTTP(t *testing.T) {
 	checkPinnedStats(t, final, int64(len(evs)))
 }
 
+// TestShardSinksReceiveNothing: a shard's graph ends in a sink because a
+// graph must, but nothing on the server reads what a sink records, so
+// the operator does not forward and the sink processes no event — while
+// every event is still consumed and every verdict still counted.
+func TestShardSinksReceiveNothing(t *testing.T) {
+	evs := fixtureEvents(t)
+	replays := map[string]func(t *testing.T, s *Server){
+		"tcp": func(t *testing.T, s *Server) {
+			ln, err := net.Listen("tcp", "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			go s.ServeTCP(ln)
+			conn, err := net.Dial("tcp", ln.Addr().String())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := wire.NewFrameEncoder(conn).Encode(evs); err != nil {
+				t.Fatal(err)
+			}
+			if err := conn.Close(); err != nil {
+				t.Fatal(err)
+			}
+			// Drain does not wait for a connection ServeTCP has not accepted yet.
+			for deadline := time.Now().Add(5 * time.Second); s.Stats().Ingested < int64(len(evs)) && time.Now().Before(deadline); {
+				time.Sleep(time.Millisecond)
+			}
+		},
+		"http": func(t *testing.T, s *Server) {
+			ts := httptest.NewServer(s.Handler())
+			defer ts.Close()
+			var body []byte
+			for _, ev := range evs {
+				body = wire.AppendNDJSON(body, ev)
+			}
+			resp, err := http.Post(ts.URL+"/ingest", "application/x-ndjson", bytes.NewReader(body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("ingest status %d", resp.StatusCode)
+			}
+		},
+	}
+	for name, replay := range replays {
+		t.Run(name, func(t *testing.T) {
+			s, err := NewServer(Config{Shards: 4, BatchSize: 8, Checks: pinChecks()})
+			if err != nil {
+				t.Fatal(err)
+			}
+			replay(t, s)
+			if err := s.Drain(); err != nil {
+				t.Fatal(err)
+			}
+			checkPinnedStats(t, s.Stats(), int64(len(evs)))
+			for i, sh := range s.shards {
+				if n := sh.sink.Processed(); n != 0 {
+					t.Errorf("shard %d: sink processed %d events, want 0", i, n)
+				}
+			}
+		})
+	}
+}
+
 // TestOutcomesFeed subscribes to the live outcome stream, ingests the
 // fixture, and expects verdicts to arrive as NDJSON until drain closes
 // the feed.

@@ -28,8 +28,8 @@ type CheckConfig struct {
 	// defaults to "event". A custom Route with an empty RouteSpec is
 	// conservatively private — it never shares a bucket.
 	RouteSpec string
-	// Evict is accepted for backward compatibility; the first check's
-	// policy becomes the graph-wide default when Config.Evict is unset.
+	// Evict of the first check is the graph-wide policy when Config.Evict
+	// is unset; eviction is per bucket, never per check.
 	Evict checker.EvictionPolicy
 }
 
@@ -67,10 +67,13 @@ var ErrCheckQuota = errors.New("ingest: check quota exceeded")
 // shard is one pipeline: an input lane feeding a dedicated graph whose
 // source drains it. The lane is the only producer edge into the graph,
 // so the planner fuses the chain and events flow wire→verdict on one
-// goroutine per shard in the default configuration.
+// goroutine per shard. The graph ends in a sink only because a graph
+// must: the operator does not forward, verdicts leave through the
+// checks' OnOutcome, and the sink receives nothing.
 type shard struct {
 	in       chan []stream.Event
 	g        *stream.Graph
+	sink     *stream.Node
 	done     chan struct{} // closed when the graph run returns
 	err      error
 	consumed atomic.Int64 // events fully handed through the chain
@@ -136,7 +139,7 @@ func NewServer(cfg Config) (*Server, error) {
 	}
 	s := &Server{
 		cfg:     cfg,
-		mux:     checker.NewMux(true, evict),
+		mux:     checker.NewMux(false, evict),
 		conns:   map[net.Conn]struct{}{},
 		subs:    map[*subscriber]struct{}{},
 		drained: make(chan struct{}),
@@ -174,7 +177,8 @@ func NewServer(cfg Config) (*Server, error) {
 		if err := g.Connect(src, op); err != nil {
 			return nil, err
 		}
-		if err := g.Connect(op, g.AddSink("out", nil)); err != nil {
+		sh.sink = g.AddSink("out", nil)
+		if err := g.Connect(op, sh.sink); err != nil {
 			return nil, err
 		}
 		sh.g = g

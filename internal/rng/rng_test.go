@@ -184,31 +184,6 @@ func TestSplitIndependence(t *testing.T) {
 	}
 }
 
-func TestPoissonMean(t *testing.T) {
-	for _, lambda := range []float64{0.5, 3, 25, 100} {
-		r := New(29)
-		const n = 50000
-		sum := 0.0
-		for i := 0; i < n; i++ {
-			sum += float64(r.Poisson(lambda))
-		}
-		mean := sum / n
-		tol := 4 * math.Sqrt(lambda/n)
-		if math.Abs(mean-lambda) > tol+0.6 {
-			t.Errorf("Poisson(%v) mean = %v", lambda, mean)
-		}
-	}
-}
-
-func TestPoissonNonNegative(t *testing.T) {
-	r := New(31)
-	for i := 0; i < 10000; i++ {
-		if r.Poisson(50) < 0 {
-			t.Fatal("negative Poisson variate")
-		}
-	}
-}
-
 func TestBoolProbability(t *testing.T) {
 	r := New(37)
 	const n = 100000

@@ -54,28 +54,6 @@ func DecorrelationLength(xs []float64, maxLag int) int {
 	return maxLag + 1
 }
 
-// LjungBox performs the Ljung–Box portmanteau test for autocorrelation
-// up to the given lag, returning the Q statistic and the approximate
-// p-value from the chi-squared distribution with lag degrees of freedom.
-// A small p-value rejects the white-noise hypothesis. Inputs shorter
-// than lag+2 yield (0, 1).
-func LjungBox(xs []float64, lag int) (q, pValue float64) {
-	n := len(xs)
-	if lag < 1 || n < lag+2 {
-		return 0, 1
-	}
-	acf := ACF(xs, lag)
-	if acf == nil {
-		return 0, 1
-	}
-	for k := 1; k <= lag; k++ {
-		r := acf[k]
-		q += r * r / float64(n-k)
-	}
-	q *= float64(n) * (float64(n) + 2)
-	return q, ChiSquaredSurvival(q, float64(lag))
-}
-
 // ChiSquaredSurvival returns P(X > x) for X ~ χ²(k), via the regularized
 // upper incomplete gamma function Q(k/2, x/2) computed from the series /
 // continued-fraction expansions of the incomplete gamma function.

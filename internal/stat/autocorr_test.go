@@ -67,20 +67,6 @@ func TestDecorrelationLength(t *testing.T) {
 	}
 }
 
-func TestLjungBox(t *testing.T) {
-	white := ar1(500, 0, 3)
-	if _, p := LjungBox(white, 10); p < 0.01 {
-		t.Errorf("white noise rejected with p = %v", p)
-	}
-	corr := ar1(500, 0.7, 6)
-	if _, p := LjungBox(corr, 10); p > 1e-6 {
-		t.Errorf("AR(0.7) not rejected: p = %v", p)
-	}
-	if q, p := LjungBox([]float64{1, 2}, 10); q != 0 || p != 1 {
-		t.Errorf("short input gave q=%v p=%v", q, p)
-	}
-}
-
 func TestChiSquaredSurvivalKnownValues(t *testing.T) {
 	// Reference values: P(X > x) for χ²(k).
 	cases := []struct{ x, k, want float64 }{

@@ -89,17 +89,6 @@ func RSquared(obs, pred []float64) float64 {
 	return 1 - ssRes/ssTot
 }
 
-// Spearman returns the Spearman rank correlation of x and y, the Pearson
-// correlation of their rank transforms with mid-rank ties. Offered as an
-// alternative correlation measure for constraint templates on monotone
-// rather than linear relationships.
-func Spearman(x, y []float64) float64 {
-	if len(x) != len(y) || len(x) < 2 {
-		return math.NaN()
-	}
-	return Pearson(Ranks(x), Ranks(y))
-}
-
 // Ranks returns 1-based ranks of xs with ties assigned mid-ranks.
 func Ranks(xs []float64) []float64 {
 	n := len(xs)

@@ -111,36 +111,6 @@ func quantileSorted(sorted []float64, p float64) float64 {
 // Median returns the 0.5-quantile.
 func Median(xs []float64) float64 { return Quantile(xs, 0.5) }
 
-// Summary bundles descriptive statistics of a sample.
-type Summary struct {
-	N         int
-	Mean, Std float64
-	Min, Max  float64
-	Median    float64
-	Q25, Q75  float64
-}
-
-// Summarize computes a Summary in one pass over a sorted copy.
-func Summarize(xs []float64) Summary {
-	s := Summary{N: len(xs)}
-	if len(xs) == 0 {
-		s.Mean, s.Std = math.NaN(), math.NaN()
-		s.Min, s.Max = math.NaN(), math.NaN()
-		s.Median, s.Q25, s.Q75 = math.NaN(), math.NaN(), math.NaN()
-		return s
-	}
-	sorted := make([]float64, len(xs))
-	copy(sorted, xs)
-	sort.Float64s(sorted)
-	s.Mean = Mean(xs)
-	s.Std = StdDev(xs)
-	s.Min, s.Max = sorted[0], sorted[len(sorted)-1]
-	s.Median = quantileSorted(sorted, 0.5)
-	s.Q25 = quantileSorted(sorted, 0.25)
-	s.Q75 = quantileSorted(sorted, 0.75)
-	return s
-}
-
 // MeanCI returns the mean of xs together with the half-width of its
 // level-c confidence interval (used for the paper's "average and 95%
 // confidence interval" plot annotations). With the small repetition

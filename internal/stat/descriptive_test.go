@@ -103,21 +103,6 @@ func TestQuantileMonotoneInP(t *testing.T) {
 	}
 }
 
-func TestSummarize(t *testing.T) {
-	xs := []float64{5, 1, 3, 2, 4}
-	s := Summarize(xs)
-	if s.N != 5 || s.Min != 1 || s.Max != 5 || s.Median != 3 || s.Mean != 3 {
-		t.Errorf("Summarize = %+v", s)
-	}
-	if s.Q25 != 2 || s.Q75 != 4 {
-		t.Errorf("quartiles = %v, %v", s.Q25, s.Q75)
-	}
-	empty := Summarize(nil)
-	if empty.N != 0 || !math.IsNaN(empty.Mean) {
-		t.Errorf("empty Summarize = %+v", empty)
-	}
-}
-
 func TestMeanCI(t *testing.T) {
 	xs := make([]float64, 1000)
 	for i := range xs {
@@ -228,14 +213,6 @@ func TestRSquared(t *testing.T) {
 	}
 	if got := RSquared([]float64{2, 2}, []float64{2, 2}); !math.IsNaN(got) {
 		t.Errorf("zero-variance ground truth R² = %v", got)
-	}
-}
-
-func TestSpearmanMonotone(t *testing.T) {
-	x := []float64{1, 2, 3, 4, 5}
-	y := []float64{1, 4, 9, 16, 25} // monotone but nonlinear
-	if got := Spearman(x, y); !close(got, 1, 1e-12) {
-		t.Errorf("Spearman of monotone map = %v", got)
 	}
 }
 

@@ -108,7 +108,7 @@ func TestRunContextCancelMidFrame(t *testing.T) {
 
 			g := NewGraph()
 			g.SetBatchSize(tc.batch)
-			g.SetChannelSize(tc.chanSize)
+			g.chanSize = tc.chanSize
 			src := g.AddSource("infinite", func(emit EmitFunc) {
 				for i := 0; ; i++ {
 					emit(Event{Time: float64(i), Key: fmt.Sprintf("k%d", i%5), Value: 1})

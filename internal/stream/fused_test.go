@@ -1,29 +1,10 @@
 package stream
 
 import (
-	"strings"
 	"sync"
 	"testing"
 	"time"
 )
-
-// TestSetChannelSizeRejectsNonPositive: a zero or negative transport
-// capacity is a configuration error, not a silent clamp — an unbuffered
-// edge would deadlock the flush-then-token barrier protocol.
-func TestSetChannelSizeRejectsNonPositive(t *testing.T) {
-	g := NewGraph()
-	for _, n := range []int{0, -1, -256} {
-		if err := g.SetChannelSize(n); err == nil || !strings.Contains(err.Error(), "channel size") {
-			t.Errorf("SetChannelSize(%d): err = %v, want out-of-range error", n, err)
-		}
-	}
-	if err := g.SetChannelSize(1); err != nil {
-		t.Errorf("SetChannelSize(1): %v", err)
-	}
-	if err := g.SetChannelSize(256); err != nil {
-		t.Errorf("SetChannelSize(256): %v", err)
-	}
-}
 
 // TestSPSCRingFIFO moves frames through a small ring with interleaved
 // produce/consume, exercising wraparound, and verifies frames arrive in

@@ -133,11 +133,6 @@ func (r *spscRing) release() {
 // publish (the sender-accounting closer goroutine orders this).
 func (r *spscRing) close() { r.clsd.v.Store(1) }
 
-// occupancy returns the current queued frame count (racy snapshot).
-func (r *spscRing) occupancy() int {
-	return int(r.tail.v.Load() - r.head.v.Load())
-}
-
 // harvest returns every slot buffer to the pool. Only legal after the
 // run is fully torn down (no producer or consumer goroutine remains):
 // the next run's rings then draw the same buffers back out instead of

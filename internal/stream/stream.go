@@ -18,7 +18,7 @@
 // single-producer/single-consumer edges ride bounded SPSC rings with
 // in-place frame slots (ring.go), and only multi-producer fan-in still
 // uses Go channels. Frame boundaries adapt to downstream occupancy, so
-// latency at low rates no longer scales with the configured batch size.
+// latency at low rates does not scale with the configured batch size.
 // Scheduling choices never change results: outcomes are bit-identical
 // with fusion forced on or off.
 package stream
@@ -160,8 +160,8 @@ type conduit struct {
 }
 
 // send delivers a frame on a channel conduit, or reports false if the
-// run was aborted while the send was blocked on a full channel — the
-// case that used to deadlock a cancelled graph. Ring conduits use
+// run was aborted while the send was blocked on a full channel, which
+// would otherwise deadlock a cancelled graph. Ring conduits use
 // reserve/publish instead.
 func (cd *conduit) send(fr frame, done <-chan struct{}) bool {
 	select {
@@ -511,23 +511,12 @@ type Graph struct {
 	pool *framePool
 }
 
-// NewGraph returns an empty graph. Transport capacity defaults to 256
-// frames per edge partition; transport batch size defaults to 64 events
-// per frame.
+// NewGraph returns an empty graph. Transport capacity is 256 frames per
+// edge partition (ring capacities round up to the next power of two; it
+// must stay >= 1 — an unbuffered edge would deadlock the flush-then-token
+// barrier protocol); transport batch size defaults to 64 events per
+// frame.
 func NewGraph() *Graph { return &Graph{chanSize: 256, batchSize: 64, fuse: true} }
-
-// SetChannelSize overrides the per-partition transport capacity
-// (counted in frames; ring capacities round up to the next power of
-// two). Sizes below 1 are rejected — an unbuffered edge would deadlock
-// the flush-then-token barrier protocol, and silently clamping would
-// hide a caller bug.
-func (g *Graph) SetChannelSize(n int) error {
-	if n <= 0 {
-		return fmt.Errorf("stream: channel size %d out of range (want >= 1)", n)
-	}
-	g.chanSize = n
-	return nil
-}
 
 // SetBatchSize overrides the transport batch size: the number of events
 // accumulated per output buffer before a frame is shipped downstream.

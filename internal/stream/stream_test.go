@@ -355,7 +355,7 @@ func TestBackpressureBoundedChannels(t *testing.T) {
 	// A slow sink must not cause unbounded buffering; the source simply
 	// blocks. We verify completion with a tiny channel size.
 	g := NewGraph()
-	g.SetChannelSize(2)
+	g.chanSize = 2
 	src := g.AddSource("src", func(emit EmitFunc) {
 		for i := 0; i < 300; i++ {
 			emit(Event{Time: float64(i)})

@@ -193,48 +193,6 @@ func SeriesChart(width, height int, xs, ys, up, down []float64, threshold float6
 // Callers map their outcomes to the runes '⊤', '⊥', '⊣' (or any others).
 func OutcomeStrip(outcomes []rune) string { return string(outcomes) }
 
-// Histogram renders a vertical-bar histogram of vals with the given
-// number of bins, each row one bin, bars scaled to width.
-func Histogram(vals []float64, bins, width int) string {
-	if len(vals) == 0 || bins < 1 {
-		return ""
-	}
-	lo, hi := minMax(vals)
-	if hi == lo {
-		hi = lo + 1
-	}
-	counts := make([]int, bins)
-	for _, v := range vals {
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			continue
-		}
-		i := int((v - lo) / (hi - lo) * float64(bins))
-		if i >= bins {
-			i = bins - 1
-		}
-		if i < 0 {
-			i = 0
-		}
-		counts[i]++
-	}
-	max := 0
-	for _, c := range counts {
-		if c > max {
-			max = c
-		}
-	}
-	if max == 0 {
-		return ""
-	}
-	var b strings.Builder
-	for i, c := range counts {
-		edge := lo + (hi-lo)*float64(i)/float64(bins)
-		bar := strings.Repeat("█", c*width/max)
-		fmt.Fprintf(&b, "%10.3g │%s %d\n", edge, bar, c)
-	}
-	return b.String()
-}
-
 func minMax(vals []float64) (lo, hi float64) {
 	lo, hi = math.Inf(1), math.Inf(-1)
 	for _, v := range vals {

@@ -100,27 +100,6 @@ func TestChartPointMarkerWinsOverErrorBar(t *testing.T) {
 	}
 }
 
-func TestHistogram(t *testing.T) {
-	vals := []float64{1, 1, 1, 2, 2, 3}
-	out := Histogram(vals, 3, 20)
-	if out == "" {
-		t.Fatal("empty histogram")
-	}
-	lines := strings.Split(strings.TrimRight(out, "\n"), "\n")
-	if len(lines) != 3 {
-		t.Fatalf("got %d bins", len(lines))
-	}
-	if !strings.HasSuffix(lines[0], "3") || !strings.HasSuffix(lines[2], "1") {
-		t.Errorf("counts wrong:\n%s", out)
-	}
-	if Histogram(nil, 3, 20) != "" {
-		t.Error("empty input should render nothing")
-	}
-	if Histogram([]float64{math.NaN()}, 3, 20) != "" {
-		t.Error("all-NaN input should render nothing")
-	}
-}
-
 func TestOutcomeStrip(t *testing.T) {
 	if got := OutcomeStrip([]rune{'⊤', '⊥', '⊣'}); got != "⊤⊥⊣" {
 		t.Errorf("strip = %q", got)

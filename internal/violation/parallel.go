@@ -104,16 +104,16 @@ func explainAll(ctx context.Context, c core.Constraint, cps []ChangePoint, base 
 	return reports, nil
 }
 
-// SummarizeParallel is Summarize with the explanation phase fanned out
-// over up to workers goroutines (0 selects GOMAXPROCS). The analyzer
-// seeds the worker pool; its mutable state is consumed, exactly as
-// Summarize consumes it. The summary — reports, explanation counts,
-// upstream annotation, and change-evaluation count — is bit-identical to
-// Summarize(ck, results, a, p, credibility) for any worker count,
-// because explanation streams derive from the change point, not the
-// processing order, and the Alg. 2 drill-down runs in report order. A
-// cancelled context aborts between units with ctx.Err() and leaks no
-// goroutines.
+// SummarizeParallel is the violation analysis of a result sequence with
+// the explanation phase fanned out over up to workers goroutines
+// (0 selects GOMAXPROCS). The analyzer seeds the worker pool; its
+// mutable state is consumed. The summary — reports, explanation counts,
+// upstream annotation, and change-evaluation count — is bit-identical
+// to a sequential Analyzer.Explain pass over the change points for any
+// worker count, because explanation streams derive from the change
+// point, not the processing order, and the Alg. 2 drill-down runs in
+// report order. A cancelled context aborts between units with ctx.Err()
+// and leaks no goroutines.
 func SummarizeParallel(ctx context.Context, ck core.Check, results []core.Result, a *Analyzer, p *pipeline.Pipeline, credibility float64, workers int) (*Summary, error) {
 	s := &Summary{
 		Check:             ck,
@@ -136,7 +136,7 @@ func SummarizeParallel(ctx context.Context, ck core.Check, results []core.Result
 	}
 	// The upstream drill-down stays sequential: its cost is a handful of
 	// KS tests per E1 report, and running it in report order keeps the
-	// annotation set and evaluation count identical to Summarize.
+	// annotation set and evaluation count independent of the workers.
 	ua := NewUpstreamAnalysis(credibility)
 	s.Reports = reports
 	for _, rep := range reports {

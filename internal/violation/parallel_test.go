@@ -75,14 +75,47 @@ func sameSummary(t *testing.T, label string, want, got *Summary) {
 	}
 }
 
+// summarizeSequential is the reference the fan-out is compared with: one
+// Analyzer.Explain call per change point, in order, on one goroutine,
+// each E1 report drilled upstream as it is produced.
+func summarizeSequential(ck core.Check, results []core.Result, a *Analyzer, p *pipeline.Pipeline, credibility float64) *Summary {
+	s := &Summary{Check: ck, ExplanationCounts: map[Explanation]int{}, Annotated: pipeline.Annotation{}}
+	for _, r := range results {
+		switch r.Outcome {
+		case core.Satisfied:
+			s.Satisfied++
+		case core.Violated:
+			s.Violated++
+		default:
+			s.Inconclusive++
+		}
+	}
+	ua := NewUpstreamAnalysis(credibility)
+	for _, cp := range ChangePoints(results) {
+		rep := a.Explain(ck.Constraint, cp)
+		s.Reports = append(s.Reports, rep)
+		for _, e := range rep.Explanations {
+			s.ExplanationCounts[e]++
+		}
+		if rep.Primary() == E1ValueChange {
+			for name := range ua.Annotate(p, ck, cp) {
+				s.Annotated.Add(name)
+			}
+		}
+	}
+	s.ChangeEvaluations = ua.Evaluations
+	return s
+}
+
 // TestSummarizeParallelBitParity is the determinism contract: the
-// parallel summary — reports, explanation counts, annotations, change
-// evaluations — is identical to the sequential one for every worker
-// count, on a workload with >= 5 change points.
+// summary — reports, explanation counts, annotations, change
+// evaluations — is identical to a sequential Analyzer.Explain pass for
+// every worker count, and for Summarize's own choice of it, on a
+// workload with >= 5 change points.
 func TestSummarizeParallelBitParity(t *testing.T) {
 	ck, results, p, params := parityWorkload(t)
 	const seed = 9
-	seq := Summarize(ck, results, MustAnalyzer(params, seed), p, 0.95)
+	seq := summarizeSequential(ck, results, MustAnalyzer(params, seed), p, 0.95)
 	if len(seq.Reports) < 5 {
 		t.Fatalf("sequential summary has %d reports", len(seq.Reports))
 	}
@@ -93,6 +126,7 @@ func TestSummarizeParallelBitParity(t *testing.T) {
 		}
 		sameSummary(t, fmt.Sprintf("workers=%d", workers), seq, par)
 	}
+	sameSummary(t, "Summarize", seq, Summarize(ck, results, MustAnalyzer(params, seed), p, 0.95))
 }
 
 // TestExplainAllBinaryParity exercises the per-window fan-out of a k-ary

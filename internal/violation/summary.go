@@ -1,6 +1,7 @@
 package violation
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"strings"
@@ -32,36 +33,10 @@ type Summary struct {
 // change-point detection, explanation assessment per change point, and —
 // when the data values remain the only explanation — the upstream
 // annotation of Alg. 2 in pipeline p (pass nil to skip the drill-down).
+// It is SummarizeParallel at GOMAXPROCS workers, uncancellable.
 func Summarize(ck core.Check, results []core.Result, a *Analyzer, p *pipeline.Pipeline, credibility float64) *Summary {
-	s := &Summary{
-		Check:             ck,
-		ExplanationCounts: map[Explanation]int{},
-		Annotated:         pipeline.Annotation{},
-	}
-	for _, r := range results {
-		switch r.Outcome {
-		case core.Satisfied:
-			s.Satisfied++
-		case core.Violated:
-			s.Violated++
-		default:
-			s.Inconclusive++
-		}
-	}
-	ua := NewUpstreamAnalysis(credibility)
-	for _, cp := range ChangePoints(results) {
-		rep := a.Explain(ck.Constraint, cp)
-		s.Reports = append(s.Reports, rep)
-		for _, e := range rep.Explanations {
-			s.ExplanationCounts[e]++
-		}
-		if rep.Primary() == E1ValueChange && p != nil {
-			for name := range ua.Annotate(p, ck, cp) {
-				s.Annotated.Add(name)
-			}
-		}
-	}
-	s.ChangeEvaluations = ua.Evaluations
+	// SummarizeParallel fails only on a cancelled context.
+	s, _ := SummarizeParallel(context.Background(), ck, results, a, p, credibility, 0)
 	return s
 }
 

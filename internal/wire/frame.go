@@ -6,7 +6,6 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
-	"time"
 
 	"sound/internal/stream"
 )
@@ -118,10 +117,9 @@ func (d *FrameDecoder) Reset(r io.Reader) {
 	d.err = nil
 }
 
-// Next returns the events of the next frame, stamped with one shared
-// arrival time. The slice is reused by the following Next call; the
-// caller must consume (or copy) it first. io.EOF signals a clean end of
-// stream.
+// Next returns the events of the next frame. The slice is reused by
+// the following Next call; the caller must consume (or copy) it first.
+// io.EOF signals a clean end of stream.
 func (d *FrameDecoder) Next() ([]stream.Event, error) {
 	if d.err != nil {
 		return nil, d.err
@@ -178,7 +176,6 @@ func (d *FrameDecoder) next() ([]stream.Event, error) {
 		return nil, fmt.Errorf("wire: frame event count %d exceeds payload capacity", count)
 	}
 	cur := n
-	now := time.Now()
 	evs := d.evs[:0]
 	for i := uint64(0); i < count; i++ {
 		klen, n := binary.Uvarint(payload[cur:])
@@ -194,7 +191,6 @@ func (d *FrameDecoder) next() ([]stream.Event, error) {
 			Value:   math.Float64frombits(binary.LittleEndian.Uint64(payload[cur+8:])),
 			SigUp:   math.Float64frombits(binary.LittleEndian.Uint64(payload[cur+16:])),
 			SigDown: math.Float64frombits(binary.LittleEndian.Uint64(payload[cur+24:])),
-			Created: now,
 		})
 		cur += 32
 	}

@@ -66,9 +66,6 @@ func (d *NDJSONDecoder) Next() (stream.Event, error) {
 			d.err = fmt.Errorf("wire: ndjson line %d: %w", d.line, err)
 			return stream.Event{}, d.err
 		}
-		// The arrival time of the line's bytes, as a frame's events carry
-		// the time their frame was read.
-		ev.Created = d.lr.readAt
 		return ev, nil
 	}
 }

@@ -27,7 +27,6 @@ import (
 	"fmt"
 	"io"
 	"strconv"
-	"time"
 	"unsafe"
 )
 
@@ -88,12 +87,8 @@ type lineReader struct {
 	r          io.Reader
 	buf        []byte
 	start, end int
-	// readAt is when the last Read that delivered bytes returned: the
-	// arrival time of every line that read completes, taken once per
-	// refill rather than once per line.
-	readAt time.Time
-	rerr   error // pending reader error, delivered after buffered data
-	fail   error // sticky fatal error
+	rerr       error // pending reader error, delivered after buffered data
+	fail       error // sticky fatal error
 }
 
 func newLineReader(r io.Reader, sizeHint int) *lineReader {
@@ -106,7 +101,6 @@ func newLineReader(r io.Reader, sizeHint int) *lineReader {
 // reset rebinds the reader and clears all state, keeping the buffer.
 func (lr *lineReader) reset(r io.Reader) {
 	lr.r, lr.start, lr.end, lr.rerr, lr.fail = r, 0, 0, nil, nil
-	lr.readAt = time.Time{}
 }
 
 func (lr *lineReader) next() ([]byte, error) {
@@ -148,9 +142,6 @@ func (lr *lineReader) next() ([]byte, error) {
 		}
 		n, err := lr.r.Read(lr.buf[lr.end:len(lr.buf):len(lr.buf)])
 		lr.end += n
-		if n > 0 {
-			lr.readAt = time.Now()
-		}
 		if err != nil {
 			lr.rerr = err
 		}
