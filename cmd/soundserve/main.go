@@ -1,8 +1,8 @@
 // Command soundserve runs the always-on checking server: it accepts
 // events over TCP (length-prefixed binary frames) and HTTP (NDJSON),
-// fans them out to per-shard streaming pipelines by the engine's stable
-// key hash, and evaluates the registered checks online with live
-// counters and a streaming outcome feed.
+// fans them out to shards by the engine's stable key hash, and
+// evaluates the registered checks online with live counters and a
+// streaming outcome feed.
 //
 // Checks are registered with repeatable -check specs (see
 // internal/ingest.ParseCheck for the grammar):
@@ -57,8 +57,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	var (
 		tcpAddr    = fs.String("tcp", "", "listen address for binary-frame ingest (e.g. :7070; empty disables)")
 		httpAddr   = fs.String("http", "", "listen address for the HTTP surface: POST /ingest, GET /stats, GET /outcomes, POST /drain (empty disables)")
-		shards     = fs.Int("shards", 4, "independent pipeline shards; events route by the engine's stable key hash")
-		batch      = fs.Int("batch", 64, "transport frame size inside the shard pipelines")
+		shards     = fs.Int("shards", 4, "independent shards; events route by the engine's stable key hash")
+		batch      = fs.Int("batch", 64, "transport frame size: shard lanes and the frames each shard hands its checks")
 		cred       = fs.Float64("c", 0.95, "credibility level c")
 		maxSamples = fs.Int("n", 100, "maximum sample size N")
 		seed       = fs.Uint64("seed", 1, "deterministic seed (per-check seed=... overrides)")
@@ -305,9 +305,6 @@ func referenceCounts(cfgs []ingest.CheckConfig, evs []stream.Event) (map[string]
 		}
 	}
 	p := mux.Factory()()
-	if wi, ok := p.(stream.WorkerIndexed); ok {
-		wi.SetWorkerIndex(0)
-	}
 	drop := func(stream.Event) {}
 	for _, ev := range evs {
 		p.Process(ev, drop)

@@ -184,7 +184,6 @@ func (so *StreamOutcomes) copyFrom(src *StreamOutcomes) {
 // the worker's slot before the first event, which is when a pending
 // restore payload (if any) is applied.
 func (c *streamChecker) SetWorkerIndex(w int) {
-	c.worker = w
 	if c.reg != nil {
 		c.reg.register(w, c)
 	}

@@ -279,8 +279,6 @@ type muxOp struct {
 	seen      uint64
 	instances []*muxInstance
 	byBucket  map[*muxBucket]*muxInstance
-	worker    int
-	hasWorker bool
 }
 
 func newMuxOp(x *Mux) *muxOp {
@@ -314,9 +312,6 @@ func (o *muxOp) sync() {
 				// suite; inner instances only ingest.
 				op: newOperator(o.bucketMembers(b), b.route, false, x.evict, nil, b.metrics),
 			}
-			if o.hasWorker {
-				in.op.SetWorkerIndex(o.worker)
-			}
 		} else if in.gen != b.gen {
 			in.op.installMembers(o.bucketMembers(b))
 			in.gen = b.gen
@@ -336,15 +331,6 @@ func (o *muxOp) bucketMembers(b *muxBucket) []*memberSpec {
 		members[i] = u.member
 	}
 	return members
-}
-
-// SetWorkerIndex implements stream.WorkerIndexed.
-func (o *muxOp) SetWorkerIndex(w int) {
-	o.worker = w
-	o.hasWorker = true
-	for _, in := range o.instances {
-		in.op.SetWorkerIndex(w)
-	}
 }
 
 // Process implements stream.Processor.

@@ -213,7 +213,6 @@ func newOperator(members []*memberSpec, route RouteFunc, forward bool, evict Evi
 		evict:   evict,
 		reg:     reg,
 		metrics: gm,
-		worker:  -1,
 	}
 	c.installMembers(members)
 	// The lifecycle predicates are constant for the operator's
@@ -257,10 +256,8 @@ type streamChecker struct {
 	forward   bool
 	route     RouteFunc
 	groups    map[string]*groupState
-	// State lifecycle (DESIGN.md §4i): worker is the engine-assigned
-	// slot (-1 outside a checkpointable graph), evict the memory policy,
-	// reg the checkpoint registry, onOutcome the outcome observer.
-	worker    int
+	// State lifecycle (DESIGN.md §4i): evict is the memory policy, reg
+	// the checkpoint registry, onOutcome the outcome observer.
 	evict     EvictionPolicy
 	reg       *StreamRegistry
 	onOutcome func(key string, o core.Outcome)

@@ -342,13 +342,14 @@ type ShardStats struct {
 
 // Stats is the live counter snapshot served at /stats. Ingested counts
 // events accepted into shard lanes; Consumed counts events a shard's
-// source has handed to its chain. On the default fused planner the
-// source delivers events to the check operator in transport frames of
-// BatchSize (64 by default), so Consumed runs ahead of the verdicts by
-// up to one partial frame per shard: when Consumed == Ingested, the
-// events of a shard's trailing partial frame have been counted but their
-// verdicts fire only once later events fill the frame or the server
-// drains.
+// loop has taken from its lane. The loop hands the check operator frames
+// of exactly BatchSize (64 by default), so Consumed runs ahead of the
+// verdicts by up to one partial frame per shard: when Consumed ==
+// Ingested, the events of a shard's trailing partial frame have been
+// counted but their verdicts fire only once later events fill the frame
+// or the server drains. Dropped counts the events a dead shard took from
+// its lane without evaluating; after Drain, Consumed + Dropped ==
+// Ingested. Edges is always empty: a shard has no graph edges to gauge.
 type Stats struct {
 	Ingested        int64        `json:"ingested"`
 	Consumed        int64        `json:"consumed"`
@@ -377,23 +378,14 @@ func (s *Server) Stats() Stats {
 		DecodeErrors:    s.decodeErrors.Load(),
 		OutcomesDropped: s.subsDropped.Load(),
 		Draining:        draining,
-		Edges:           map[string]stream.EdgeDepth{},
 	}
-	for i, sh := range s.shards {
+	for _, sh := range s.shards {
 		ss := ShardStats{Consumed: sh.consumed.Load()}
-		select {
-		case <-sh.done:
-			if sh.err != nil {
-				ss.Err = sh.err.Error()
-			}
-		default:
+		if err := sh.err.Load(); err != nil {
+			ss.Err = (*err).Error()
 		}
 		st.Consumed += ss.Consumed
 		st.Shards = append(st.Shards, ss)
-		// Edge gauges are live atomics; fused-away edges don't appear.
-		for name, d := range sh.g.EdgeDepths() {
-			st.Edges[name+"#"+fmt.Sprint(i)] = d
-		}
 	}
 	s.checkMu.Lock()
 	checks := append([]*checkState(nil), s.checks...)
@@ -412,8 +404,5 @@ func (s *Server) Stats() Stats {
 		})
 	}
 	st.Groups = s.mux.GroupStats()
-	if len(st.Edges) == 0 {
-		st.Edges = nil
-	}
 	return st
 }

@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -246,68 +247,102 @@ func TestPinnedIngestLoopbackHTTP(t *testing.T) {
 	checkPinnedStats(t, final, int64(len(evs)))
 }
 
-// TestShardSinksReceiveNothing: a shard's graph ends in a sink because a
-// graph must, but nothing on the server reads what a sink records, so
-// the operator does not forward and the sink processes no event — while
-// every event is still consumed and every verdict still counted.
-func TestShardSinksReceiveNothing(t *testing.T) {
-	evs := fixtureEvents(t)
-	replays := map[string]func(t *testing.T, s *Server){
-		"tcp": func(t *testing.T, s *Server) {
-			ln, err := net.Listen("tcp", "127.0.0.1:0")
-			if err != nil {
-				t.Fatal(err)
-			}
-			go s.ServeTCP(ln)
-			conn, err := net.Dial("tcp", ln.Addr().String())
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := wire.NewFrameEncoder(conn).Encode(evs); err != nil {
-				t.Fatal(err)
-			}
-			if err := conn.Close(); err != nil {
-				t.Fatal(err)
-			}
-			// Drain does not wait for a connection ServeTCP has not accepted yet.
-			for deadline := time.Now().Add(5 * time.Second); s.Stats().Ingested < int64(len(evs)) && time.Now().Before(deadline); {
-				time.Sleep(time.Millisecond)
-			}
-		},
-		"http": func(t *testing.T, s *Server) {
-			ts := httptest.NewServer(s.Handler())
-			defer ts.Close()
-			var body []byte
-			for _, ev := range evs {
-				body = wire.AppendNDJSON(body, ev)
-			}
-			resp, err := http.Post(ts.URL+"/ingest", "application/x-ndjson", bytes.NewReader(body))
-			if err != nil {
-				t.Fatal(err)
-			}
-			resp.Body.Close()
-			if resp.StatusCode != http.StatusOK {
-				t.Fatalf("ingest status %d", resp.StatusCode)
-			}
-		},
+// postEvents sends n events of key "k" at times from, from+1, … in one
+// POST /ingest, straight through the handler.
+func postEvents(t *testing.T, s *Server, from, n int, sig float64) {
+	t.Helper()
+	var body []byte
+	for i := from; i < from+n; i++ {
+		body = wire.AppendNDJSON(body, stream.Event{Time: float64(i), Key: "k", Value: 1, SigUp: sig, SigDown: sig})
 	}
-	for name, replay := range replays {
-		t.Run(name, func(t *testing.T) {
-			s, err := NewServer(Config{Shards: 4, BatchSize: 8, Checks: pinChecks()})
-			if err != nil {
-				t.Fatal(err)
-			}
-			replay(t, s)
-			if err := s.Drain(); err != nil {
-				t.Fatal(err)
-			}
-			checkPinnedStats(t, s.Stats(), int64(len(evs)))
-			for i, sh := range s.shards {
-				if n := sh.sink.Processed(); n != 0 {
-					t.Errorf("shard %d: sink processed %d events, want 0", i, n)
-				}
-			}
-		})
+	rec := httptest.NewRecorder()
+	s.Handler().ServeHTTP(rec, httptest.NewRequest("POST", "/ingest", bytes.NewReader(body)))
+	if rec.Code != http.StatusOK {
+		t.Fatalf("ingest status %d: %s", rec.Code, rec.Body)
+	}
+}
+
+// TestShardFramesCarryAcrossLaneFrames pins the framing contract the
+// benchmark's reference replay encodes (shardReplay.handed): a shard
+// hands its check operator frames of exactly BatchSize, filled across
+// lane frames and never cut at a lane-frame boundary, and the remainder
+// only at drain. With one verdict per event, the verdicts at each
+// quiescent point are the consumed events rounded down to the batch.
+func TestShardFramesCarryAcrossLaneFrames(t *testing.T) {
+	cc, err := ParseCheck("range;min=-1e9;max=1e9;window=point", core.DefaultParams(), 1, checker.EvictionPolicy{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := NewServer(Config{Shards: 1, BatchSize: 8, Checks: []CheckConfig{cc}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	verdicts := func() int {
+		c := s.Stats().Checks[0]
+		return c.Satisfied + c.Violated + c.Inconclusive
+	}
+	sent := 0
+	for _, step := range []struct{ n, want int }{{5, 0}, {5, 8}, {10, 16}} {
+		postEvents(t, s, sent, step.n, 0)
+		sent += step.n
+		for deadline := time.Now().Add(5 * time.Second); s.Stats().Consumed < int64(sent) && time.Now().Before(deadline); {
+			time.Sleep(time.Millisecond)
+		}
+		if got := verdicts(); got != step.want {
+			t.Errorf("after %d events: %d verdicts, want %d", sent, got, step.want)
+		}
+	}
+	if err := s.Drain(); err != nil {
+		t.Fatal(err)
+	}
+	if got := verdicts(); got != sent {
+		t.Errorf("after drain: %d verdicts, want %d", got, sent)
+	}
+}
+
+// TestDeadShardDrainsAndCounts: a check operator that panics kills its
+// shard, not the server's accounting. The error names the shard and is
+// visible in /stats while the server runs, the dead shard keeps emptying
+// its lane so no producer blocks on it, Drain returns the error, and
+// every accepted event ends up consumed or dropped.
+func TestDeadShardDrainsAndCounts(t *testing.T) {
+	before := runtime.NumGoroutine()
+	s, err := NewServer(Config{Shards: 1, BatchSize: 4, Checks: []CheckConfig{{
+		Name: "boom",
+		Check: core.Check{Name: "boom", SeriesNames: []string{"x"}, Window: core.PointWindow{},
+			Constraint: core.Constraint{Name: "boom", Granularity: core.PointWise, Arity: 1,
+				Fn: func([][]float64) bool { panic("boom") }}},
+		Params: core.DefaultParams(),
+		Seed:   1,
+	}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 1000
+	postEvents(t, s, 0, n, 1)
+	for deadline := time.Now().Add(5 * time.Second); s.Stats().Shards[0].Err == "" && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+	}
+	if live := s.Stats(); live.Shards[0].Err == "" || live.Draining {
+		t.Errorf("live stats: shard err %q, draining %v; want the panic reported before the drain", live.Shards[0].Err, live.Draining)
+	}
+	err = s.Drain()
+	if err == nil || !strings.Contains(err.Error(), "boom") || !strings.Contains(err.Error(), "shard 0") {
+		t.Errorf("Drain error %v, want the shard 0 operator panic", err)
+	}
+	st := s.Stats()
+	if st.Shards[0].Err == "" {
+		t.Error("drained stats lost the shard error")
+	}
+	if st.Ingested != n || st.Consumed+st.Dropped != n {
+		t.Errorf("ingested %d, consumed %d + dropped %d; want %d accepted and every one accounted for", st.Ingested, st.Consumed, st.Dropped, n)
+	}
+	deadline := time.Now().Add(2 * time.Second)
+	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+		time.Sleep(10 * time.Millisecond)
+	}
+	if after := runtime.NumGoroutine(); after > before {
+		t.Errorf("goroutines leaked: before=%d after=%d", before, after)
 	}
 }
 

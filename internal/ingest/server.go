@@ -35,13 +35,15 @@ type CheckConfig struct {
 
 // Config configures a Server.
 type Config struct {
-	// Shards is the number of independent stream.Graph pipelines events
-	// fan out to (default 4). Routing is stream.PartitionOf over the
-	// event key — the engine's keyed-edge partitioner — so a key's
-	// events always land on the shard that owns its window state.
+	// Shards is the number of independent shards events fan out to
+	// (default 4), each one lane and one goroutine running the suite.
+	// Routing is stream.PartitionOf over the event key — the engine's
+	// keyed-edge partitioner — so a key's events always land on the shard
+	// that owns its window state.
 	Shards int
 	// BatchSize is the transport frame size, both for the shard input
-	// lanes and inside the shard graphs (default 64).
+	// lanes and for the frames a shard hands its check operator
+	// (default 64).
 	BatchSize int
 	// Checks are the initially registered checks. Every shard runs the
 	// full suite; each check's outcome counters aggregate across shards.
@@ -64,20 +66,24 @@ type Config struct {
 // ErrCheckQuota rejects registrations beyond Config.MaxChecks.
 var ErrCheckQuota = errors.New("ingest: check quota exceeded")
 
-// shard is one pipeline: an input lane feeding a dedicated graph whose
-// source drains it. The lane is the only producer edge into the graph,
-// so the planner fuses the chain and events flow wire→verdict on one
-// goroutine per shard. The graph ends in a sink only because a graph
-// must: the operator does not forward, verdicts leave through the
-// checks' OnOutcome, and the sink receives nothing.
+// shard is one input lane and the goroutine that empties it into the
+// shard's own check operator (see run): events flow wire→verdict on one
+// goroutine per shard, and verdicts leave through the checks' OnOutcome.
 type shard struct {
 	in       chan []stream.Event
-	g        *stream.Graph
-	sink     *stream.Node
-	done     chan struct{} // closed when the graph run returns
-	err      error
-	consumed atomic.Int64 // events fully handed through the chain
+	done     chan struct{}         // closed once the lane is closed and emptied
+	err      atomic.Pointer[error] // the operator's panic, once it died
+	consumed atomic.Int64          // events copied into the operator's frames
 }
+
+// checkOp is what a shard needs of its Mux operator: frames in, and the
+// end-of-stream Flush.
+type checkOp interface {
+	stream.Processor
+	stream.FrameProcessor
+}
+
+func discard(stream.Event) {}
 
 // checkState is one registered check's server-side state: its config
 // and the outcome counters aggregated across shards. The evaluation
@@ -92,7 +98,7 @@ type checkState struct {
 // running the whole registered suite: checks sharing a window spec and
 // params class share window state and Monte-Carlo draws instead of
 // re-buffering and re-sampling per check. Construction starts the shard
-// graphs; Drain stops intake, flushes every shard to end-of-stream
+// loops; Drain stops intake, flushes every shard to end-of-stream
 // (firing final windows), and freezes the counters.
 type Server struct {
 	cfg  Config
@@ -124,8 +130,8 @@ type Server struct {
 	drained   chan struct{}
 }
 
-// NewServer builds the server and starts its shard pipelines (idle
-// until events arrive).
+// NewServer builds the server and starts its shard loops (idle until
+// events arrive).
 func NewServer(cfg Config) (*Server, error) {
 	if cfg.Shards <= 0 {
 		cfg.Shards = 4
@@ -150,46 +156,72 @@ func NewServer(cfg Config) (*Server, error) {
 		}
 	}
 	for i := 0; i < cfg.Shards; i++ {
+		// One multiplexed operator hosts the whole (mutable) suite; the
+		// Mux buckets members so co-window checks share state and draws.
+		op, ok := s.mux.Factory()().(checkOp)
+		if !ok {
+			return nil, fmt.Errorf("ingest: the Mux operator is not a stream.FrameProcessor")
+		}
 		sh := &shard{
 			in:   make(chan []stream.Event, 64),
 			done: make(chan struct{}),
 		}
-		g := stream.NewGraph()
-		if err := g.SetBatchSize(cfg.BatchSize); err != nil {
-			return nil, err
-		}
-		src := g.AddSource("in", func(emit stream.EmitFunc) {
-			for fr := range sh.in {
-				for j := range fr {
-					emit(fr[j])
-				}
-				// emit returns after the event joined the fused chain's
-				// pending micro-frame (or entered its transport), so
-				// this is the live progress gauge — ahead of the
-				// verdicts by up to one partial frame (see Stats).
-				sh.consumed.Add(int64(len(fr)))
-				s.putFrame(fr)
-			}
-		})
-		// One multiplexed operator hosts the whole (mutable) suite; the
-		// Mux buckets members so co-window checks share state and draws.
-		op := g.AddOperator("checks", 1, s.mux.Factory())
-		if err := g.Connect(src, op); err != nil {
-			return nil, err
-		}
-		sh.sink = g.AddSink("out", nil)
-		if err := g.Connect(op, sh.sink); err != nil {
-			return nil, err
-		}
-		sh.g = g
 		s.shards = append(s.shards, sh)
-		go func() {
-			_, err := sh.g.Run()
-			sh.err = err
-			close(sh.done)
-		}()
+		go s.run(i, sh, op)
 	}
 	return s, nil
+}
+
+// run is shard i's loop. A dead shard goes on emptying its lane, counting
+// every event it will never evaluate as dropped, so producers never block
+// on it and, after Drain, Consumed + Dropped is every accepted event.
+func (s *Server) run(i int, sh *shard, op checkOp) {
+	defer close(sh.done)
+	if err := s.feed(i, sh, op); err != nil {
+		sh.err.Store(&err)
+		for fr := range sh.in {
+			s.dropped.Add(int64(len(fr)))
+			s.putFrame(fr)
+		}
+	}
+}
+
+// feed copies each lane frame into a pending frame of exactly BatchSize,
+// carried across lane frames and never cut at a lane-frame boundary, and
+// hands the operator every frame that fills; at lane close it hands over
+// the remainder and flushes the operator's final windows. consumed
+// advances per lane frame, so it runs ahead of the verdicts by up to one
+// partial frame (see Stats). An operator panic ends the loop with an
+// error, the lane frame in flight counted dropped.
+func (s *Server) feed(i int, sh *shard, op checkOp) (err error) {
+	var fr []stream.Event
+	defer func() {
+		if r := recover(); r != nil {
+			err = fmt.Errorf("ingest: shard %d: check operator panicked: %v", i, r)
+			s.dropped.Add(int64(len(fr)))
+			s.putFrame(fr)
+		}
+	}()
+	n := s.cfg.BatchSize
+	pending := make([]stream.Event, 0, n)
+	for fr = range sh.in {
+		for evs := fr; len(evs) > 0; {
+			k := min(n-len(pending), len(evs))
+			pending, evs = append(pending, evs[:k]...), evs[k:]
+			if len(pending) == n {
+				op.ProcessFrame(pending, discard)
+				pending = pending[:0]
+			}
+		}
+		sh.consumed.Add(int64(len(fr)))
+		s.putFrame(fr)
+		fr = nil
+	}
+	if len(pending) > 0 {
+		op.ProcessFrame(pending, discard)
+	}
+	op.Flush(discard)
+	return nil
 }
 
 func evictEnabled(p checker.EvictionPolicy) bool {
@@ -197,8 +229,8 @@ func evictEnabled(p checker.EvictionPolicy) bool {
 }
 
 // AddCheck admits one check at runtime: quota-checked, compiled, and
-// registered with every shard's multiplexed operator. Workers pick the
-// check up at their next delivery; its counters start at zero. Errors
+// registered with every shard's multiplexed operator. Shards pick the
+// check up at their next frame; its counters start at zero. Errors
 // (bad spec, duplicate name, quota) leave the server unchanged.
 func (s *Server) AddCheck(cc CheckConfig) error {
 	s.mu.Lock()
@@ -241,7 +273,7 @@ func (s *Server) AddCheck(cc CheckConfig) error {
 // RemoveCheck deregisters a check by name. Its window state (when not
 // shared with surviving bucket members) is discarded; its counters
 // freeze at their final values. In-flight frames on a shard may deliver
-// a few final verdicts before the worker observes the removal.
+// a few final verdicts before the shard observes the removal.
 func (s *Server) RemoveCheck(name string) error {
 	s.checkMu.Lock()
 	defer s.checkMu.Unlock()
@@ -339,18 +371,12 @@ func (rt *router) flush() {
 	}
 }
 
-// send delivers one frame to a shard lane, or counts it dropped if the
-// shard's graph has died (a failed shard must not wedge every
-// connection behind an unread channel).
+// send delivers one frame to a shard lane. Every shard empties its lane
+// until Drain closes it, a dead one included (see run), so the send
+// never wedges a connection.
 func (s *Server) send(i int, fr []stream.Event) {
-	sh := s.shards[i]
-	select {
-	case sh.in <- fr:
-		s.ingested.Add(int64(len(fr)))
-	case <-sh.done:
-		s.dropped.Add(int64(len(fr)))
-		s.putFrame(fr)
-	}
+	s.shards[i].in <- fr
+	s.ingested.Add(int64(len(fr)))
 }
 
 // ErrDraining rejects work arriving after Drain began.
@@ -374,7 +400,9 @@ func (s *Server) endIngest() { s.connWG.Done() }
 
 // Drain performs the graceful shutdown handshake: stop accepting
 // producers, wait for in-flight ones, close the shard lanes, and wait
-// for every shard graph to flush its final windows and stop. After
+// for every shard loop to flush its final windows (or, on a dead shard,
+// to count its lane's leftovers dropped) and stop. The first shard's
+// error, if any, is returned. After
 // Drain the counters are final. A connection the kernel has completed
 // but ServeTCP has not yet accepted is not waited for — it is refused
 // with the listener — so a client that must not lose events confirms
@@ -395,8 +423,8 @@ func (s *Server) Drain() error {
 		}
 		for _, sh := range s.shards {
 			<-sh.done
-			if sh.err != nil && s.drainErr == nil {
-				s.drainErr = sh.err
+			if err := sh.err.Load(); err != nil && s.drainErr == nil {
+				s.drainErr = *err
 			}
 		}
 		s.closeSubscribers()

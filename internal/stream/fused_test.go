@@ -272,55 +272,3 @@ func TestAdaptiveBatchingLatency(t *testing.T) {
 			mean*1e3, elapsed.Seconds()*1e3)
 	}
 }
-
-// TestEdgeDepthGauges: a run over real transport reports sampled
-// occupancy per edge, while a fully fused chain (no transport at all)
-// reports none.
-func TestEdgeDepthGauges(t *testing.T) {
-	build := func(fuse bool) (*Graph, func() (*Metrics, error)) {
-		g := NewGraph()
-		g.SetFusion(fuse)
-		g.SetBatchSize(2) // many frames -> the every-16th-flush sampler fires
-		src := g.AddSource("src", func(emit EmitFunc) {
-			for i := 0; i < 2000; i++ {
-				emit(Event{Time: float64(i), Key: "k"})
-			}
-		})
-		op := g.AddMap("op", 1, func(ev Event, emit EmitFunc) { emit(ev) })
-		must(t, g.ConnectKeyed(src, op))
-		must(t, g.Connect(op, g.AddSink("sink", nil)))
-		return g, g.Run
-	}
-
-	_, run := build(false)
-	m, err := run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	depths := m.EdgeDepths()
-	if len(depths) == 0 {
-		t.Fatal("unfused run reported no edge depth samples")
-	}
-	if d, ok := depths["src→op"]; !ok {
-		t.Errorf("no gauge for src→op, got %v", depths)
-	} else {
-		if d.Samples <= 0 {
-			t.Errorf("src→op samples = %d, want > 0", d.Samples)
-		}
-		if d.Mean < 0 || d.Max < 0 {
-			t.Errorf("src→op negative depth stats: %+v", d)
-		}
-		if d.Mean > float64(d.Max) {
-			t.Errorf("src→op mean %.1f exceeds max %d", d.Mean, d.Max)
-		}
-	}
-
-	_, run = build(true)
-	m, err = run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if depths := m.EdgeDepths(); len(depths) != 0 {
-		t.Errorf("fully fused run reported edge depths %v, want none", depths)
-	}
-}

@@ -3,7 +3,6 @@ package stream
 import (
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
@@ -19,7 +18,6 @@ type Metrics struct {
 	buckets  map[string]map[int64]int64 // sink -> bucket index -> count
 	latency  map[string]*latencySamples
 	bucketNS int64
-	edges    map[string]EdgeDepth // "from→to" -> sampled queue depth
 }
 
 func newMetrics() *Metrics {
@@ -27,7 +25,6 @@ func newMetrics() *Metrics {
 		counts:   map[string]int64{},
 		buckets:  map[string]map[int64]int64{},
 		latency:  map[string]*latencySamples{},
-		edges:    map[string]EdgeDepth{},
 		bucketNS: int64(100 * time.Millisecond),
 	}
 }
@@ -205,99 +202,14 @@ func (m *Metrics) MeanLatency(sink string, warmupFrac float64) float64 {
 	return sum / float64(len(ls))
 }
 
-// edgeGauge samples queue occupancy on one edge. Writers are the
-// producing workers (every 16th frame flush, so the cost is amortized
-// like latency sampling); the aggregate is folded into Metrics after
-// the run. Occupancy is counted in frames, matching the transport unit.
-type edgeGauge struct {
-	samples atomic.Int64
-	sum     atomic.Int64
-	max     atomic.Int64
-}
-
-func (g *edgeGauge) record(occ int) {
-	g.samples.Add(1)
-	g.sum.Add(int64(occ))
-	for {
-		cur := g.max.Load()
-		if int64(occ) <= cur || g.max.CompareAndSwap(cur, int64(occ)) {
-			return
-		}
-	}
-}
-
-func (g *edgeGauge) reset() {
-	g.samples.Store(0)
-	g.sum.Store(0)
-	g.max.Store(0)
-}
-
-// EdgeDepth summarizes the sampled queue occupancy of one edge over a
-// run: how many samples were taken, their mean, and the maximum
-// observed depth (in frames). A mean near zero means the consumer kept
-// up (and adaptive batching was flushing early for latency); a mean
-// near the channel capacity means sustained backpressure.
+// EdgeDepth is the queue-occupancy summary an edge gauge once reported
+// (sample count, mean and maximum depth in frames). Nothing measures it
+// any more: it survives only as the element type of ingest.Stats.Edges,
+// a /stats field the standing benchmark reads and finds empty.
 type EdgeDepth struct {
 	Samples int64
 	Mean    float64
 	Max     int64
-}
-
-// EdgeDepths returns the per-edge occupancy summaries of the last run,
-// keyed "from→to". Edges fused away by the planner do not appear (they
-// have no queue), nor do edges whose producers never sampled.
-func (m *Metrics) EdgeDepths() map[string]EdgeDepth {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	out := make(map[string]EdgeDepth, len(m.edges))
-	for k, v := range m.edges {
-		out[k] = v
-	}
-	return out
-}
-
-// EdgeDepths returns a live snapshot of the per-edge occupancy gauges,
-// keyed "from→to" — readable while the graph is running (the gauges are
-// atomics written by producing workers). Long-lived deployments poll
-// this for backpressure visibility; Metrics.EdgeDepths remains the
-// end-of-run summary. Fused-away edges and edges never sampled do not
-// appear.
-func (g *Graph) EdgeDepths() map[string]EdgeDepth {
-	out := map[string]EdgeDepth{}
-	for _, n := range g.nodes {
-		for _, e := range n.downstream {
-			s := e.depth.samples.Load()
-			if s == 0 {
-				continue
-			}
-			out[n.name+"→"+e.to.name] = EdgeDepth{
-				Samples: s,
-				Mean:    float64(e.depth.sum.Load()) / float64(s),
-				Max:     e.depth.max.Load(),
-			}
-		}
-	}
-	return out
-}
-
-// collectEdgeDepths folds the per-edge gauges into the metrics at the
-// end of a run.
-func (m *Metrics) collectEdgeDepths(g *Graph) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	for _, n := range g.nodes {
-		for _, e := range n.downstream {
-			s := e.depth.samples.Load()
-			if s == 0 {
-				continue
-			}
-			m.edges[n.name+"→"+e.to.name] = EdgeDepth{
-				Samples: s,
-				Mean:    float64(e.depth.sum.Load()) / float64(s),
-				Max:     e.depth.max.Load(),
-			}
-		}
-	}
 }
 
 // Sinks returns the names of sinks that received events, sorted.

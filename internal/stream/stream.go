@@ -190,8 +190,6 @@ type edge struct {
 	// shared conduit consumed by all target workers. nil when the edge
 	// was fused away by the planner.
 	conds []*conduit
-	// depth is the sampled queue-occupancy gauge for this edge.
-	depth edgeGauge
 }
 
 // partition returns the index of the conduit that must carry events
@@ -272,7 +270,6 @@ func (fp *framePool) put(fr frame) {
 // outTarget is one (edge, partition) output lane of an outbox.
 type outTarget struct {
 	cond *conduit
-	e    *edge
 	buf  frame  // channel lane: partial frame being filled (pooled)
 	rsv  *frame // ring lane: reserved slot being filled in place
 	// cur is the adaptive flush threshold for ring lanes: it starts at 1
@@ -282,8 +279,7 @@ type outTarget struct {
 	// and halves back when the consumer drains the ring dry. Low-rate
 	// latency is therefore not batch-bound, and high-rate throughput
 	// still amortizes at full frames.
-	cur     int
-	flushes uint32
+	cur int
 }
 
 // outbox is one worker's private emit state: per-edge, per-partition
@@ -307,7 +303,7 @@ func newOutbox(n *Node, batch int, pool *framePool, done <-chan struct{}) *outbo
 	for i, e := range n.downstream {
 		ob.tgts[i] = make([]outTarget, len(e.conds))
 		for p := range ob.tgts[i] {
-			ob.tgts[i][p] = outTarget{cond: e.conds[p], e: e, cur: 1}
+			ob.tgts[i][p] = outTarget{cond: e.conds[p], cur: 1}
 		}
 	}
 	if len(ob.tgts) == 1 && len(ob.tgts[0]) == 1 {
@@ -445,9 +441,6 @@ func (ob *outbox) shipRing(t *outTarget, r *spscRing) {
 			t.cur = ob.batch
 		}
 	}
-	if t.flushes++; t.flushes&15 == 0 {
-		t.e.depth.record(occ)
-	}
 }
 
 // ship sends a full channel-lane frame, panicking with the abort
@@ -457,9 +450,6 @@ func (ob *outbox) ship(t *outTarget) {
 	t.buf = nil
 	if !t.cond.send(buf, ob.done) {
 		panic(runAborted{})
-	}
-	if t.flushes++; t.flushes&15 == 0 {
-		t.e.depth.record(len(t.cond.ch))
 	}
 }
 
@@ -671,7 +661,6 @@ func (g *Graph) RunContext(ctx context.Context) (*Metrics, error) {
 			if e.keyed {
 				parts = e.to.parallelism
 			}
-			e.depth.reset()
 			e.conds = make([]*conduit, parts)
 			ring := ringEligible(e, s.par)
 			for i := range e.conds {
@@ -841,7 +830,6 @@ func (g *Graph) RunContext(ctx context.Context) (*Metrics, error) {
 	wg.Wait()
 	closers.Wait()
 	m.stop()
-	m.collectEdgeDepths(g)
 	// All goroutines are gone: recycle ring slot buffers for the next run.
 	for _, s := range segs {
 		for _, e := range s.tail().downstream {
