@@ -45,7 +45,9 @@ bench-smoke:
 
 # fuzz smoke-runs the hostile-input fuzz targets for FUZZTIME each: the
 # snapshot codec (corrupt checkpoints must error, never panic, and
-# valid ones must re-encode bit-identically), the kernel/closure
+# valid ones must re-encode bit-identically), the stream operator's
+# restore (arbitrary payloads never panic DecodeOperator, and an
+# accepted one re-encodes to its own bytes), the kernel/closure
 # evaluation parity, the shared-lane/per-check scoring parity, the
 # branch-free in-range count against its short-circuit oracle, the
 # closed-form level probability against its table bracket, the CSV
@@ -56,6 +58,7 @@ bench-smoke:
 FUZZTIME ?= 10s
 fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzCheckpointRoundTrip -fuzztime=$(FUZZTIME) ./internal/checkpoint
+	$(GO) test -run='^$$' -fuzz=FuzzOperatorRestore -fuzztime=$(FUZZTIME) ./internal/checker
 	$(GO) test -run='^$$' -fuzz=FuzzKernelClosureParity -fuzztime=$(FUZZTIME) ./internal/core
 	$(GO) test -run='^$$' -fuzz=FuzzGroupScoreParity -fuzztime=$(FUZZTIME) ./internal/core
 	$(GO) test -run='^$$' -fuzz=FuzzCountIn -fuzztime=$(FUZZTIME) ./internal/core

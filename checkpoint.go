@@ -2,6 +2,7 @@ package sound
 
 import (
 	"sound/internal/checker"
+	"sound/internal/checkpoint"
 	"sound/internal/stream"
 )
 
@@ -15,14 +16,14 @@ import (
 //	params, seed, done, _ := sound.RestoreSuite(suite, snap)
 //	results, _ := suite.RunFrom(ctx, params, seed, done) // finishes the rest
 //
-// Stream flow: give the operator a StreamRegistry, drive the graph from
-// a stream.Graph.AddCheckpointSource generator, and serialize the
-// registry inside the barrier callback. Restoring the registry into a
-// fresh graph resumes the stream bit-identically (see cmd/soundcheck
-// -checkpoint / -restore for a complete wiring). A stream snapshot is
-// watermarks, window groups and counters; it holds no RNG position,
-// because every window's draws are reseeded from the window's own
-// coordinate (codec version 2 — version-1 snapshots are refused).
+// Stream flow: whoever drives the operator snapshots it between two
+// calls — EncodeOperator writes its watermark and window groups, the
+// caller's StreamOutcomes.EncodeTo its counters — and DecodeOperator
+// loads the state into a fresh operator, which then resumes the stream
+// bit-identically (see cmd/soundcheck -checkpoint / -restore for a
+// complete wiring). A stream snapshot holds no RNG position, because
+// every window's draws are reseeded from the window's own coordinate
+// (codec version 3 — older snapshots are refused).
 
 // EvictionPolicy bounds the keyed window state of a stream check
 // operator: idle-TTL sweeps driven by the event-time watermark, a live
@@ -39,7 +40,7 @@ type LifecycleCounts = checker.LifecycleCounts
 type StreamOutcomes = checker.StreamOutcomes
 
 // StreamCheck configures the generic keyed stream check operator,
-// including its eviction policy and checkpoint registry.
+// including its eviction policy.
 type StreamCheck = checker.StreamCheck
 
 // NewStreamChecker compiles a check into a stream operator factory.
@@ -47,13 +48,18 @@ func NewStreamChecker(cfg StreamCheck) (func() stream.Processor, error) {
 	return checker.NewStreamChecker(cfg)
 }
 
-// StreamRegistry makes one stream check operator checkpointable: it
-// serializes every worker's state at a stream barrier and restores the
-// payload into a fresh graph's workers.
-type StreamRegistry = checker.StreamRegistry
+// EncodeOperator writes a stream check operator's state to enc; call it
+// between two calls into the operator.
+func EncodeOperator(p stream.Processor, enc *checkpoint.Encoder) error {
+	return checker.EncodeOperator(p, enc)
+}
 
-// NewStreamRegistry returns an empty registry for one operator.
-func NewStreamRegistry() *StreamRegistry { return checker.NewStreamRegistry() }
+// DecodeOperator loads EncodeOperator's output into a fresh operator
+// built from the same StreamCheck. It errors on a corrupt payload and
+// on an operator that has already seen events.
+func DecodeOperator(p stream.Processor, dec *checkpoint.Decoder) error {
+	return checker.DecodeOperator(p, dec)
+}
 
 // RestoreSuite loads a Suite.Checkpoint document, returning the
 // serialized parameters, seed, and completed results (windows

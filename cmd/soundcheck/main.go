@@ -13,10 +13,10 @@
 //	soundcheck -constraint gt -threshold 10 -window time:20 -explain series.csv
 //
 // Streaming replays can be checkpointed and resumed: -checkpoint FILE
-// snapshots the full operator state every -checkpoint-every events at a
-// quiescent stream barrier, and -restore FILE resumes a killed replay
-// from the snapshot, producing outcome counts bit-identical to an
-// uninterrupted run:
+// snapshots the full operator state every -checkpoint-every events,
+// between two events handed to the operator, and -restore FILE resumes
+// a killed replay from the snapshot, producing outcome counts
+// bit-identical to an uninterrupted run:
 //
 //	soundcheck -stream -checkpoint state.ckp -checkpoint-every 1000 \
 //	    -constraint fraction -min 0 -max 13 -threshold 0.8 -window time:12:5 series.csv
@@ -60,7 +60,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		maxSamples = fs.Int("n", 100, "maximum sample size N")
 		seed       = fs.Uint64("seed", 1, "deterministic seed")
 		naive      = fs.Bool("naive", false, "use the naive (quality-ignorant) evaluation")
-		streaming  = fs.Bool("stream", false, "replay the series through the streaming engine and evaluate the check online (summary only)")
+		streaming  = fs.Bool("stream", false, "replay the series through the online check operator (summary only)")
 		ckptPath   = fs.String("checkpoint", "", "with -stream: snapshot operator state to this file every -checkpoint-every events")
 		ckptEvery  = fs.Int("checkpoint-every", 1000, "events between checkpoints (with -checkpoint)")
 		restore    = fs.String("restore", "", "with -stream: resume the replay from this snapshot file")
@@ -255,137 +255,89 @@ func (c *csvCursor) close() {
 	}
 }
 
-// runStream replays the series through the dataflow engine and evaluates
-// the check with the generic online stream operator: events from all
-// input files are merged in time order into one source, keyed by file
-// path, and routed to the check inputs by key. The files are streamed —
-// memory stays O(window), not O(file) — and the outcome counts match
-// what the check's windows produce online.
+// runStream replays the series through the generic online stream
+// operator, driven directly by this loop: events from all input files
+// are merged in time order, keyed by file path, and routed to the check
+// inputs by key. The files are streamed — memory stays O(window), not
+// O(file) — and the outcome counts match what the check's windows
+// produce online.
 //
-// With ckptPath the source requests a drain-to-barrier snapshot every
-// `every` events and atomically writes the operator state plus the
-// replay offset; with restorePath the state is loaded back, the first
-// offset events are skipped, and the resumed replay is bit-identical to
-// an uninterrupted one.
+// With ckptPath the loop writes a snapshot every `every` events — the
+// operator state, the outcome counters and the replay offset, taken
+// between two Process calls; with restorePath they are loaded back, the
+// first offset events are skipped, and the resumed replay is
+// bit-identical to an uninterrupted one.
 func runStream(check sound.Check, paths []string, params sound.Params, seed uint64, naive bool, ckptPath string, every int, restorePath string) (map[sound.Outcome]int, error) {
 	out := &checker.StreamOutcomes{}
-	cfg := checker.StreamCheck{
-		Check:   check,
-		Params:  params,
-		Seed:    seed,
-		Naive:   naive,
-		Forward: true,
-		Out:     out,
-		Route:   checker.ByInputKeys(check.SeriesNames...),
-	}
-	var reg *checker.StreamRegistry
-	if ckptPath != "" || restorePath != "" {
-		reg = checker.NewStreamRegistry()
-		cfg.Registry = reg
-	}
-	factory, err := checker.NewStreamChecker(cfg)
+	factory, err := checker.NewStreamChecker(checker.StreamCheck{
+		Check:  check,
+		Params: params,
+		Seed:   seed,
+		Naive:  naive,
+		Out:    out,
+		Route:  checker.ByInputKeys(check.SeriesNames...),
+	})
 	if err != nil {
 		return nil, err
 	}
+	op := factory()
 	fp := streamFingerprint(check, params, seed, naive)
 	var offset uint64
 	if restorePath != "" {
-		data, err := os.ReadFile(restorePath)
-		if err != nil {
+		if offset, err = readSnapshot(restorePath, fp, op, out); err != nil {
 			return nil, err
-		}
-		dec, err := checkpoint.NewDecoder(data)
-		if err != nil {
-			return nil, err
-		}
-		if got := dec.String(); dec.Err() == nil && got != fp {
-			return nil, fmt.Errorf("snapshot %s was written by a different run configuration (%q, this run is %q)", restorePath, got, fp)
-		}
-		offset = dec.Uvarint()
-		if err := reg.DecodeFrom(dec); err != nil {
-			return nil, fmt.Errorf("%s: %w", restorePath, err)
 		}
 	}
 
-	cursors := make([]*csvCursor, len(paths))
-	for i, path := range paths {
+	cursors := make([]*csvCursor, 0, len(paths))
+	defer func() {
+		for _, c := range cursors {
+			c.close()
+		}
+	}()
+	for _, path := range paths {
 		cur, err := newCSVCursor(path)
 		if err != nil {
-			for _, c := range cursors[:i] {
-				c.close()
-			}
 			return nil, err
 		}
-		cursors[i] = cur
+		cursors = append(cursors, cur)
 	}
 
 	// Time-ordered merge of the input streams (each cursor exposes its
 	// head point); sent counts the logical event position so a restored
-	// replay skips what the snapshot run already processed. A cursor
-	// that fails mid-file aborts the replay; the error surfaces after
-	// the graph stops.
-	var snapErr, srcErr error
-	replay := func(emit stream.EmitFunc, barrier stream.BarrierFunc) {
-		defer func() {
-			for _, c := range cursors {
-				c.close()
+	// replay skips what the snapshot run already processed.
+	discard := func(stream.Event) {}
+	var sent uint64
+	for {
+		best := -1
+		for i, c := range cursors {
+			if c.ok && (best < 0 || c.cur.T < cursors[best].cur.T) {
+				best = i
 			}
-		}()
-		var sent uint64
-		for {
-			best := -1
-			for i, c := range cursors {
-				if c.ok && (best < 0 || c.cur.T < cursors[best].cur.T) {
-					best = i
-				}
-			}
-			if best < 0 {
-				return
-			}
-			p := cursors[best].cur
-			cursors[best].advance()
-			if err := cursors[best].err; err != nil {
-				srcErr = err
-				return
-			}
-			sent++
-			if sent <= offset {
-				continue
-			}
-			emit(stream.Event{Time: p.T, Key: check.SeriesNames[best], Value: p.V, SigUp: p.SigUp, SigDown: p.SigDown})
-			if ckptPath != "" && every > 0 && sent%uint64(every) == 0 {
-				pos := sent
-				barrier(func() {
-					if err := writeSnapshot(ckptPath, fp, pos, reg); err != nil && snapErr == nil {
-						snapErr = err
-					}
-				})
+		}
+		if best < 0 {
+			break
+		}
+		p := cursors[best].cur
+		cursors[best].advance()
+		if err := cursors[best].err; err != nil {
+			return nil, err
+		}
+		sent++
+		if sent <= offset {
+			continue
+		}
+		op.Process(stream.Event{Time: p.T, Key: check.SeriesNames[best], Value: p.V, SigUp: p.SigUp, SigDown: p.SigDown}, discard)
+		if ckptPath != "" && sent%uint64(every) == 0 {
+			if err := writeSnapshot(ckptPath, fp, sent, op, out); err != nil {
+				return nil, fmt.Errorf("writing checkpoint: %w", err)
 			}
 		}
 	}
-	g := stream.NewGraph()
-	var src *stream.Node
-	if reg != nil {
-		src = g.AddCheckpointSource("csv", replay)
-	} else {
-		src = g.AddSource("csv", func(emit stream.EmitFunc) { replay(emit, nil) })
+	if sent < offset {
+		return nil, fmt.Errorf("snapshot %s resumes at event %d, but the inputs hold only %d events", restorePath, offset, sent)
 	}
-	chk := g.AddOperator("check", 1, factory)
-	if err := g.Connect(src, chk); err != nil {
-		return nil, err
-	}
-	if err := g.Connect(chk, g.AddSink("drain", nil)); err != nil {
-		return nil, err
-	}
-	if _, err := g.Run(); err != nil {
-		return nil, err
-	}
-	if srcErr != nil {
-		return nil, srcErr
-	}
-	if snapErr != nil {
-		return nil, fmt.Errorf("writing checkpoint: %w", snapErr)
-	}
+	op.Flush(discard)
 	c := out.Counts()
 	return map[sound.Outcome]int{
 		sound.Satisfied:    c.Satisfied,
@@ -403,15 +355,18 @@ func streamFingerprint(check sound.Check, params sound.Params, seed uint64, naiv
 		params.MaxSamples, seed, naive, strings.Join(check.SeriesNames, ","))
 }
 
-// writeSnapshot persists one barrier snapshot: fingerprint, replay
-// offset, and the registry payload, written to a temp file that is
+// writeSnapshot persists one snapshot: fingerprint, replay offset,
+// outcome counters and operator state, written to a temp file that is
 // synced before it is renamed over the previous snapshot, so a crash or
 // a failed write at any point leaves the previous snapshot intact.
-func writeSnapshot(path, fp string, offset uint64, reg *checker.StreamRegistry) error {
+func writeSnapshot(path, fp string, offset uint64, op stream.Processor, out *checker.StreamOutcomes) error {
 	enc := checkpoint.NewEncoder()
 	enc.String(fp)
 	enc.Uvarint(offset)
-	reg.EncodeTo(enc)
+	out.EncodeTo(enc)
+	if err := checker.EncodeOperator(op, enc); err != nil {
+		return err
+	}
 	tmp := path + ".tmp"
 	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
@@ -431,6 +386,33 @@ func writeSnapshot(path, fp string, offset uint64, reg *checker.StreamRegistry) 
 		return err
 	}
 	return os.Rename(tmp, path)
+}
+
+// readSnapshot loads a writeSnapshot document into a fresh operator and
+// its counters and returns the replay offset to resume from.
+func readSnapshot(path, fp string, op stream.Processor, out *checker.StreamOutcomes) (uint64, error) {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return 0, err
+	}
+	dec, err := checkpoint.NewDecoder(data)
+	if err != nil {
+		return 0, fmt.Errorf("%s: %w", path, err)
+	}
+	if got := dec.String(); dec.Err() == nil && got != fp {
+		return 0, fmt.Errorf("snapshot %s was written by a different run configuration (%q, this run is %q)", path, got, fp)
+	}
+	offset := dec.Uvarint()
+	if err := out.DecodeFrom(dec); err != nil {
+		return 0, fmt.Errorf("%s: %w", path, err)
+	}
+	if err := checker.DecodeOperator(op, dec); err != nil {
+		return 0, fmt.Errorf("%s: %w", path, err)
+	}
+	if rem := dec.Remaining(); rem != 0 {
+		return 0, fmt.Errorf("%s: %d trailing bytes after the operator state", path, rem)
+	}
+	return offset, nil
 }
 
 // buildConstraint and buildWindow delegate to internal/ingest so

@@ -286,3 +286,56 @@ func TestCheckpointFailedWriteKeepsPrevious(t *testing.T) {
 		t.Errorf("temp file left behind after a failed write: %v", err)
 	}
 }
+
+// streamFixtureArgs are the pinned fixture's stream flags for one window.
+func streamFixtureArgs(window string) []string {
+	return []string{"-stream", "-constraint", "fraction", "-min", "0", "-max", "13", "-threshold", "0.8", "-window", window}
+}
+
+// TestStreamRestoreParity: a -checkpoint run, then -restore from its
+// last snapshot over the same input, prints the summary line and exit
+// code an uninterrupted -stream run prints.
+func TestStreamRestoreParity(t *testing.T) {
+	fixture := filepath.Join("..", "..", "testdata", "gapped_borderline.csv")
+	for window, want := range map[string]string{
+		"time:12:5": "fraction: 23 windows — ⊤ 2, ⊥ 13, ⊣ 8\n",
+		"count:8:3": "fraction: 11 windows — ⊤ 1, ⊥ 10, ⊣ 0\n",
+	} {
+		args := streamFixtureArgs(window)
+		code, out, errOut := runTool(t, append(args, fixture)...)
+		if code != 2 || out != want {
+			t.Fatalf("%s uninterrupted: exit %d, stdout %q, stderr %q; want exit 2, %q", window, code, out, errOut, want)
+		}
+		ckpt := filepath.Join(t.TempDir(), "st.ckp")
+		if code, out, errOut := runTool(t, append(args, "-checkpoint", ckpt, "-checkpoint-every", "30", fixture)...); code != 2 || out != want {
+			t.Errorf("%s checkpointing: exit %d, stdout %q, stderr %q", window, code, out, errOut)
+		}
+		if code, out, errOut := runTool(t, append(args, "-restore", ckpt, fixture)...); code != 2 || out != want {
+			t.Errorf("%s restored: exit %d, stdout %q, stderr %q; want exit 2, %q", window, code, out, errOut, want)
+		}
+	}
+}
+
+// TestStreamRestoreShorterInput: restoring a snapshot taken after 30
+// events over an input that holds only 10 must fail and say so, not
+// print a summary of a stream that never reached the snapshot.
+func TestStreamRestoreShorterInput(t *testing.T) {
+	full, err := os.ReadFile(filepath.Join("..", "..", "testdata", "gapped_borderline.csv"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	in := writeCSV(t, "in.csv", string(full))
+	args := streamFixtureArgs("time:12:5")
+	ckpt := filepath.Join(t.TempDir(), "st.ckp")
+	if code, _, errOut := runTool(t, append(args, "-checkpoint", ckpt, "-checkpoint-every", "30", in)...); code != 2 {
+		t.Fatalf("checkpointing run: exit %d, stderr %q", code, errOut)
+	}
+	lines := strings.SplitAfter(string(full), "\n")
+	if err := os.WriteFile(in, []byte(strings.Join(lines[:11], "")), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	code, out, errOut := runTool(t, append(args, "-restore", ckpt, in)...)
+	if code != 1 || out != "" || !strings.Contains(errOut, "event 30") || !strings.Contains(errOut, "only 10 events") {
+		t.Errorf("restore over 10 of 30 events: exit %d, stdout %q, stderr %q", code, out, errOut)
+	}
+}

@@ -347,11 +347,10 @@ func StreamCheckKeyed(b *testing.B) {
 // Checkpoint measures the deterministic state lifecycle's snapshot
 // codec (DESIGN.md §4i) on a populated keyed operator: 256 live groups
 // of a tumbling uncertain-range check, each mid-window with buffered
-// points. snapshot prices StreamRegistry.EncodeTo — the work done
-// inside a stream barrier, and so the stall a running graph pays per
-// checkpoint. restore prices decoding the document and re-hydrating a
-// fresh worker (DecodeFrom plus registration), the resume cost after a
-// kill. The ns/group metric normalizes by live group count.
+// points. snapshot prices EncodeOperator — the stall the loop driving
+// the operator pays per checkpoint. restore prices decoding the document
+// into a fresh operator (DecodeOperator), the resume cost after a kill.
+// The ns/group metric normalizes by live group count.
 func Checkpoint(b *testing.B, restore bool) {
 	ck := core.Check{
 		Name:        "range",
@@ -360,18 +359,15 @@ func Checkpoint(b *testing.B, restore bool) {
 		Window:      sound.TimeWindow{Size: 60},
 	}
 	const nGroups = 256
-	reg := checker.NewStreamRegistry()
 	factory, err := checker.NewStreamChecker(checker.StreamCheck{
-		Check:    ck,
-		Params:   core.Params{Credibility: 0.95, MaxSamples: 100},
-		Seed:     7,
-		Registry: reg,
+		Check:  ck,
+		Params: core.Params{Credibility: 0.95, MaxSamples: 100},
+		Seed:   7,
 	})
 	if err != nil {
 		b.Fatal(err)
 	}
 	p := factory()
-	p.(stream.WorkerIndexed).SetWorkerIndex(0)
 	emit := func(stream.Event) {}
 	for i := 0; i < nGroups*16; i++ {
 		p.Process(stream.Event{
@@ -382,29 +378,28 @@ func Checkpoint(b *testing.B, restore bool) {
 			SigDown: 2,
 		}, emit)
 	}
-	enc := checkpoint.NewEncoder()
-	reg.EncodeTo(enc)
-	snap := enc.Finish()
+	snapshot := func() []byte {
+		enc := checkpoint.NewEncoder()
+		if err := checker.EncodeOperator(p, enc); err != nil {
+			b.Fatal(err)
+		}
+		return enc.Finish()
+	}
+	snap := snapshot()
 	b.SetBytes(int64(len(snap)))
 	b.ReportAllocs()
 	b.ResetTimer()
-	if restore {
-		for i := 0; i < b.N; i++ {
-			dec, err := checkpoint.NewDecoder(snap)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if err := reg.DecodeFrom(dec); err != nil {
-				b.Fatal(err)
-			}
-			w := factory()
-			w.(stream.WorkerIndexed).SetWorkerIndex(0)
+	for i := 0; i < b.N; i++ {
+		if !restore {
+			snapshot()
+			continue
 		}
-	} else {
-		for i := 0; i < b.N; i++ {
-			e := checkpoint.NewEncoder()
-			reg.EncodeTo(e)
-			e.Finish()
+		dec, err := checkpoint.NewDecoder(snap)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := checker.DecodeOperator(factory(), dec); err != nil {
+			b.Fatal(err)
 		}
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*nGroups), "ns/group")

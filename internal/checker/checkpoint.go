@@ -3,18 +3,17 @@ package checker
 import (
 	"context"
 	"fmt"
-	"sort"
-	"sync"
 
 	"sound/internal/checkpoint"
 	"sound/internal/core"
 	"sound/internal/resample"
 	"sound/internal/series"
+	"sound/internal/stream"
 )
 
 // This file is the checker's half of the deterministic state lifecycle
-// (DESIGN.md §4i): the StreamRegistry that makes the online operator
-// checkpointable, the per-worker state codec, and the batch Suite's
+// (DESIGN.md §4i): the codec of one online operator's state, written and
+// read by whoever drives the operator, and the batch Suite's
 // checkpoint/resume. The invariant everywhere is bit parity: a restored
 // run must produce the byte-identical outcome sequence an uninterrupted
 // run produces, which is why the codec carries exact float bits and the
@@ -22,135 +21,41 @@ import (
 // and why it carries no RNG position: a window's draws are seeded from
 // the window itself, so there is none to resume.
 
-// StreamRegistry connects one checkpointable stream-check operator to
-// the snapshot machinery: workers register themselves under their
-// engine-assigned slot, EncodeTo serializes every registered worker at
-// a stream barrier, and a payload loaded with DecodeFrom is applied to
-// each worker of a fresh graph as it registers.
-type StreamRegistry struct {
-	mu      sync.Mutex
-	out     *StreamOutcomes
-	workers map[int]*streamChecker
-	pending map[int][]byte
-	// pendingOut holds counters decoded before the operator bound its
-	// accumulator (DecodeFrom may legitimately run before
-	// NewStreamChecker); bind applies them.
-	pendingOut *StreamOutcomes
-}
-
-// NewStreamRegistry returns an empty registry. Pass it (with the same
-// StreamCheck.Out) to exactly one NewStreamChecker call.
-func NewStreamRegistry() *StreamRegistry {
-	return &StreamRegistry{workers: map[int]*streamChecker{}, pending: map[int][]byte{}}
-}
-
-func (r *StreamRegistry) bind(out *StreamOutcomes) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.out = out
-	if r.pendingOut != nil && out != nil {
-		out.copyFrom(r.pendingOut)
-		r.pendingOut = nil
+// EncodeOperator writes the state of a stream check operator (a
+// processor made by NewStreamChecker's factory): its watermark and its
+// window groups. The operator's owner calls it between two calls into
+// the operator, so no event is half-ingested and no window is being
+// evaluated. Outcome counters are not operator state — they belong to
+// the caller's StreamOutcomes, which encodes itself (EncodeTo).
+func EncodeOperator(p stream.Processor, enc *checkpoint.Encoder) error {
+	c, ok := p.(*streamChecker)
+	if !ok {
+		return fmt.Errorf("checker: %T is not a stream check operator", p)
 	}
-}
-
-// register attaches a worker under its slot (latest wins, so graph
-// re-runs replace stale entries) and applies any pending restore
-// payload before the worker sees its first event. A corrupt payload
-// panics: the engine's guard surfaces it as a run error, and silently
-// starting from empty state would break bit parity.
-func (r *StreamRegistry) register(w int, c *streamChecker) {
-	r.mu.Lock()
-	payload, ok := r.pending[w]
-	delete(r.pending, w)
-	r.workers[w] = c
-	r.mu.Unlock()
-	if ok {
-		if err := c.decodeState(checkpoint.NewRawDecoder(payload)); err != nil {
-			panic(fmt.Errorf("checker: restoring stream worker %d: %w", w, err))
-		}
-	}
-}
-
-// EncodeTo serializes the registered workers. Call it only while the
-// graph is quiescent — at a stream barrier (the snapshot callback of
-// stream.BarrierFunc) or after the run completed.
-func (r *StreamRegistry) EncodeTo(enc *checkpoint.Encoder) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	idx := make([]int, 0, len(r.workers))
-	for w := range r.workers {
-		idx = append(idx, w)
-	}
-	sort.Ints(idx)
-	enc.Int(len(idx))
-	for _, w := range idx {
-		enc.Int(w)
-		we := checkpoint.NewRawEncoder()
-		r.workers[w].encodeState(we)
-		enc.Bytes(we.Finish())
-	}
-	if r.out != nil {
-		enc.Bool(true)
-		r.out.encodeTo(enc)
-	} else {
-		enc.Bool(false)
-	}
-}
-
-// DecodeFrom loads a serialized registry. Worker payloads are held
-// pending and applied as the restored graph's workers register; the
-// outcome counters are restored immediately so the resumed run's totals
-// continue from the snapshot.
-func (r *StreamRegistry) DecodeFrom(dec *checkpoint.Decoder) error {
-	n := dec.Int()
-	pending := map[int][]byte{}
-	for i := 0; i < n; i++ {
-		w := dec.Int()
-		payload := dec.Bytes()
-		// Copy: Bytes aliases the caller's buffer, which may be reused.
-		pending[w] = append([]byte(nil), payload...)
-	}
-	hasOut := dec.Bool()
-	var so StreamOutcomes
-	if hasOut {
-		if err := so.decodeFrom(dec); err != nil {
-			return err
-		}
-	}
-	if err := dec.Err(); err != nil {
-		return err
-	}
-	r.mu.Lock()
-	r.pending = pending
-	r.workers = map[int]*streamChecker{}
-	r.pendingOut = nil
-	if hasOut {
-		if r.out != nil {
-			r.out.copyFrom(&so)
-		} else {
-			r.pendingOut = &so
-		}
-	}
-	r.mu.Unlock()
+	c.encodeState(enc)
 	return nil
 }
 
-// LiveGroups sums the live group count across registered workers.
-// Callers must not race the worker goroutines (call after the run or
-// inside a barrier).
-func (r *StreamRegistry) LiveGroups() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	total := 0
-	for _, c := range r.workers {
-		total += len(c.groups)
+// DecodeOperator loads state written by EncodeOperator into a fresh
+// operator built from the same StreamCheck; fed the events that followed
+// the snapshot, it then evaluates what the snapshotted operator would
+// have. An operator that has already seen events (or been restored) is
+// refused, and so is a corrupt payload. After an error the operator
+// holds part of the payload and must be discarded.
+func DecodeOperator(p stream.Processor, dec *checkpoint.Decoder) error {
+	c, ok := p.(*streamChecker)
+	if !ok {
+		return fmt.Errorf("checker: %T is not a stream check operator", p)
 	}
-	return total
+	if c.started {
+		return fmt.Errorf("checker: restoring into an operator that has already seen events")
+	}
+	c.started = true
+	return c.decodeState(dec)
 }
 
-// encodeTo writes the outcome and lifecycle counters.
-func (so *StreamOutcomes) encodeTo(enc *checkpoint.Encoder) {
+// EncodeTo writes the outcome and lifecycle counters.
+func (so *StreamOutcomes) EncodeTo(enc *checkpoint.Encoder) {
 	enc.U64(uint64(so.satisfied.Load()))
 	enc.U64(uint64(so.violated.Load()))
 	enc.U64(uint64(so.inconclusive.Load()))
@@ -159,8 +64,8 @@ func (so *StreamOutcomes) encodeTo(enc *checkpoint.Encoder) {
 	enc.U64(uint64(so.rejectedEvents.Load()))
 }
 
-// decodeFrom reads the counters written by encodeTo.
-func (so *StreamOutcomes) decodeFrom(dec *checkpoint.Decoder) error {
+// DecodeFrom overwrites the counters with those written by EncodeTo.
+func (so *StreamOutcomes) DecodeFrom(dec *checkpoint.Decoder) error {
 	so.satisfied.Store(int64(dec.U64()))
 	so.violated.Store(int64(dec.U64()))
 	so.inconclusive.Store(int64(dec.U64()))
@@ -170,51 +75,42 @@ func (so *StreamOutcomes) decodeFrom(dec *checkpoint.Decoder) error {
 	return dec.Err()
 }
 
-// copyFrom overwrites the counters with another accumulator's values.
-func (so *StreamOutcomes) copyFrom(src *StreamOutcomes) {
-	so.satisfied.Store(src.satisfied.Load())
-	so.violated.Store(src.violated.Load())
-	so.inconclusive.Store(src.inconclusive.Load())
-	so.evictedGroups.Store(src.evictedGroups.Load())
-	so.droppedLate.Store(src.droppedLate.Load())
-	so.rejectedEvents.Store(src.rejectedEvents.Load())
-}
-
-// SetWorkerIndex implements stream.WorkerIndexed: the engine announces
-// the worker's slot before the first event, which is when a pending
-// restore payload (if any) is applied.
-func (c *streamChecker) SetWorkerIndex(w int) {
-	if c.reg != nil {
-		c.reg.register(w, c)
-	}
-}
-
-// encodeState serializes one worker: the watermark and the live groups
-// in LRU order (coldest first), so decode rebuilds the identical recency
-// list by re-inserting in order. No random state is written because none
-// outlives a window: every window's draws are reseeded from its own
-// coordinate (streamChecker.evaluate), so a restored worker draws what an
-// uninterrupted one would.
+// encodeState serializes the operator: the watermark and the live
+// groups. With the recency list live (an eviction policy is set) groups
+// go in LRU order, coldest first, so decode rebuilds the identical list
+// and with it identical future evictions; without one there is no list
+// to walk, and groups go in key order. No random state is written because
+// none outlives a window: every window's draws are reseeded from its own
+// coordinate (streamChecker.evaluate), so a restored operator draws what
+// an uninterrupted one would.
 func (c *streamChecker) encodeState(enc *checkpoint.Encoder) {
 	enc.F64(c.opWatermark)
-	n := 0
-	for g := c.lruTail; g != nil; g = g.prev {
-		n++
+	enc.Int(len(c.groups))
+	if c.evictOn {
+		for g := c.lruTail; g != nil; g = g.prev {
+			g.encodeTo(enc)
+		}
+		return
 	}
-	enc.Int(n)
-	for g := c.lruTail; g != nil; g = g.prev {
-		g.encodeTo(enc)
+	for _, k := range c.sortedKeys() {
+		c.groups[k].encodeTo(enc)
 	}
 }
 
-// decodeState restores a worker serialized by encodeState. It must run
-// before the worker processes any event.
+// decodeState restores an operator serialized by encodeState. Groups of
+// an operator without a recency list must arrive in strictly ascending
+// key order — the only order encodeState writes them in — so every
+// accepted payload re-encodes to its own bytes.
 func (c *streamChecker) decodeState(dec *checkpoint.Decoder) error {
 	c.opWatermark = dec.F64()
 	n := dec.Int()
 	if err := dec.Err(); err != nil {
 		return err
 	}
+	if n > 0 && !c.stateful {
+		return fmt.Errorf("checker: snapshot has %d groups, operator keeps none", n)
+	}
+	prev := ""
 	for i := 0; i < n; i++ {
 		g := &groupState{}
 		if err := g.decodeFrom(dec, c.arity, c.useExt()); err != nil {
@@ -223,15 +119,18 @@ func (c *streamChecker) decodeState(dec *checkpoint.Decoder) error {
 		if c.groups[g.key] != nil {
 			return fmt.Errorf("checker: duplicate group %q in snapshot", g.key)
 		}
+		if !c.evictOn && i > 0 && g.key <= prev {
+			return fmt.Errorf("checker: snapshot group %q out of key order", g.key)
+		}
+		prev = g.key
 		c.groups[g.key] = g
-		c.lruPushFront(g) // encode order is coldest → hottest
-		if c.trackBytes() {
+		if c.evictOn {
+			c.lruPushFront(g) // encode order is coldest → hottest
+		}
+		if c.acct {
 			g.bytes = g.footprint()
 			c.liveBytes += g.bytes
 		}
-	}
-	if rem := dec.Remaining(); rem != 0 {
-		return fmt.Errorf("checker: %d trailing bytes in worker snapshot", rem)
 	}
 	return dec.Err()
 }
@@ -248,16 +147,19 @@ func encodeSeries(enc *checkpoint.Encoder, s series.Series) {
 }
 
 // decodeSeries reads one point buffer.
-func decodeSeries(dec *checkpoint.Decoder) series.Series {
+func decodeSeries(dec *checkpoint.Decoder) (series.Series, error) {
 	n := dec.Int()
-	if dec.Err() != nil || n*32 > dec.Remaining() {
-		return nil
+	if err := dec.Err(); err != nil {
+		return nil, err
+	}
+	if n > dec.Remaining()/32 {
+		return nil, fmt.Errorf("checker: snapshot buffer of %d points exceeds %d remaining bytes", n, dec.Remaining())
 	}
 	s := make(series.Series, 0, n)
 	for i := 0; i < n; i++ {
 		s = append(s, series.Point{T: dec.F64(), V: dec.F64(), SigUp: dec.F64(), SigDown: dec.F64()})
 	}
-	return s
+	return s, dec.Err()
 }
 
 // encodeSeriesSet writes a per-input buffer set, preserving nil-ness
@@ -288,9 +190,13 @@ func decodeSeriesSet(dec *checkpoint.Decoder, arity int) ([]series.Series, error
 	}
 	set := make([]series.Series, n)
 	for i := range set {
-		set[i] = decodeSeries(dec)
+		s, err := decodeSeries(dec)
+		if err != nil {
+			return nil, err
+		}
+		set[i] = s
 	}
-	return set, dec.Err()
+	return set, nil
 }
 
 // encodeTo serializes one window group.

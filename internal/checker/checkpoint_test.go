@@ -40,17 +40,17 @@ func ckptEvents(n int) []stream.Event {
 	return evs
 }
 
-// newCkptWorker builds a registered single worker and returns it with
-// its outcome trace sink.
-func newCkptWorker(t *testing.T, reg *StreamRegistry, trace *[]string) *streamChecker {
+// newCkptOperator builds one operator and returns it with its outcome
+// counters; every outcome is appended to trace.
+func newCkptOperator(t testing.TB, evict EvictionPolicy, trace *[]string) (*streamChecker, *StreamOutcomes) {
 	t.Helper()
 	out := &StreamOutcomes{}
 	factory, err := NewStreamChecker(StreamCheck{
-		Check:    ckptCheck(),
-		Params:   core.DefaultParams(),
-		Seed:     4242,
-		Out:      out,
-		Registry: reg,
+		Check:  ckptCheck(),
+		Params: core.DefaultParams(),
+		Seed:   4242,
+		Out:    out,
+		Evict:  evict,
 		OnOutcome: func(key string, o core.Outcome) {
 			*trace = append(*trace, fmt.Sprintf("%s=%d", key, o))
 		},
@@ -58,91 +58,139 @@ func newCkptWorker(t *testing.T, reg *StreamRegistry, trace *[]string) *streamCh
 	if err != nil {
 		t.Fatal(err)
 	}
-	proc := factory().(*streamChecker)
-	proc.SetWorkerIndex(0)
-	return proc
+	return factory().(*streamChecker), out
 }
 
-// TestStreamRegistryRestoreParity is the in-package half of the restore
-// parity contract: snapshot a worker mid-stream, restore it into a
-// fresh operator, feed both the identical remaining events, and require
-// the identical outcome sequence — window grids, extraction state and
-// LRU order all have to survive the codec for this to hold on borderline
-// data (the draws need nothing from it: they are seeded per window). The
-// snapshot must also re-encode from the restored worker byte-for-byte.
-func TestStreamRegistryRestoreParity(t *testing.T) {
-	events := ckptEvents(200)
-	mid := 117 // mid-window for every group
-
-	var baseTrace []string
-	reg := NewStreamRegistry()
-	orig := newCkptWorker(t, reg, &baseTrace)
-	for _, ev := range events[:mid] {
-		orig.Process(ev, discardEmit)
+// ckptCases are the two shapes of operator state: without an eviction
+// policy there is no recency list and groups are encoded in key order;
+// with a group cap the list is live and groups are encoded coldest
+// first. The capped stream visits a fourth key every 40 events, so the
+// cap evicts and the recency order at the snapshot is not key order.
+func ckptCases() []struct {
+	name   string
+	evict  EvictionPolicy
+	events []stream.Event
+} {
+	capped := ckptEvents(200)
+	for i := 10; i < len(capped); i += 40 {
+		capped[i].Key = "rare"
 	}
+	return []struct {
+		name   string
+		evict  EvictionPolicy
+		events []stream.Event
+	}{
+		{"unbounded", EvictionPolicy{}, ckptEvents(200)},
+		{"maxgroups", EvictionPolicy{MaxGroups: 3}, capped},
+	}
+}
+
+// snapshotOperator writes the operator's state and the counters the
+// way soundcheck -stream does: counters first, operator state last.
+func snapshotOperator(t testing.TB, c *streamChecker, out *StreamOutcomes) []byte {
+	t.Helper()
 	enc := checkpoint.NewEncoder()
-	reg.EncodeTo(enc)
-	snap := enc.Finish()
-
-	// The original continues to the end of the stream.
-	tailStart := len(baseTrace)
-	for _, ev := range events[mid:] {
-		orig.Process(ev, discardEmit)
+	out.EncodeTo(enc)
+	if err := EncodeOperator(c, enc); err != nil {
+		t.Fatal(err)
 	}
-	orig.Flush(discardEmit)
-	wantTail := baseTrace[tailStart:]
-	if len(wantTail) == 0 {
-		t.Fatal("no outcomes after the snapshot point, parity test is vacuous")
-	}
+	return enc.Finish()
+}
 
-	// A fresh registry + worker restored from the snapshot replays the
-	// tail bit-identically.
-	var restTrace []string
-	reg2 := NewStreamRegistry()
+// restoreOperator loads a snapshotOperator document into a fresh
+// operator and fresh counters.
+func restoreOperator(t testing.TB, snap []byte, evict EvictionPolicy, trace *[]string) (*streamChecker, *StreamOutcomes) {
+	t.Helper()
+	c, out := newCkptOperator(t, evict, trace)
 	dec, err := checkpoint.NewDecoder(snap)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := reg2.DecodeFrom(dec); err != nil {
+	if err := out.DecodeFrom(dec); err != nil {
 		t.Fatal(err)
 	}
-	restored := newCkptWorker(t, reg2, &restTrace)
-	if restored.LiveGroups() != 3 {
-		t.Fatalf("restored worker has %d groups, want 3", restored.LiveGroups())
+	if err := DecodeOperator(c, dec); err != nil {
+		t.Fatal(err)
 	}
+	if rem := dec.Remaining(); rem != 0 {
+		t.Fatalf("%d trailing bytes after the operator state", rem)
+	}
+	return c, out
+}
 
-	// Before replaying: the restored registry must re-encode to the
-	// exact snapshot document — worker payloads in LRU order and outcome
-	// counters all byte-identical.
-	enc2 := checkpoint.NewEncoder()
-	reg2.EncodeTo(enc2)
-	if !bytes.Equal(snap, enc2.Finish()) {
-		t.Error("restored registry re-encodes to different bytes")
-	}
+// TestOperatorRestoreParity is the in-package half of the restore
+// parity contract: snapshot an operator mid-stream, restore it into a
+// fresh one, feed both the identical remaining events, and require the
+// identical outcome sequence — window grids, extraction state and LRU
+// order all have to survive the codec for this to hold on borderline
+// data (the draws need nothing from it: they are seeded per window). The
+// restored operator must also re-encode to the snapshot byte for byte,
+// with and without a recency list: an encoder that walked the list of
+// an operator that keeps none would write no groups and fail here.
+func TestOperatorRestoreParity(t *testing.T) {
+	const mid = 117 // mid-window for every group
+	for _, tc := range ckptCases() {
+		t.Run(tc.name, func(t *testing.T) {
+			var baseTrace []string
+			orig, origOut := newCkptOperator(t, tc.evict, &baseTrace)
+			for _, ev := range tc.events[:mid] {
+				orig.Process(ev, discardEmit)
+			}
+			snap := snapshotOperator(t, orig, origOut)
+			live := orig.LiveGroups()
+			if live == 0 {
+				t.Fatal("no live groups at the snapshot, parity test is vacuous")
+			}
 
-	for _, ev := range events[mid:] {
-		restored.Process(ev, discardEmit)
-	}
-	restored.Flush(discardEmit)
-	if !slices.Equal(restTrace, wantTail) {
-		t.Errorf("restored tail diverged:\n got %v\nwant %v", restTrace, wantTail)
+			// The original continues to the end of the stream.
+			tailStart := len(baseTrace)
+			for _, ev := range tc.events[mid:] {
+				orig.Process(ev, discardEmit)
+			}
+			orig.Flush(discardEmit)
+			wantTail := baseTrace[tailStart:]
+			if len(wantTail) == 0 {
+				t.Fatal("no outcomes after the snapshot point, parity test is vacuous")
+			}
+
+			var restTrace []string
+			restored, out := restoreOperator(t, snap, tc.evict, &restTrace)
+			if restored.LiveGroups() != live {
+				t.Fatalf("restored operator has %d groups, want %d", restored.LiveGroups(), live)
+			}
+			if again := snapshotOperator(t, restored, out); !bytes.Equal(snap, again) {
+				t.Error("restored operator re-encodes to different bytes")
+			}
+			for _, ev := range tc.events[mid:] {
+				restored.Process(ev, discardEmit)
+			}
+			restored.Flush(discardEmit)
+			if !slices.Equal(restTrace, wantTail) {
+				t.Errorf("restored tail diverged:\n got %v\nwant %v", restTrace, wantTail)
+			}
+			if got, want := out.Lifecycle(), origOut.Lifecycle(); got != want {
+				t.Errorf("restored lifecycle counters %+v, want %+v", got, want)
+			}
+			if tc.evict.MaxGroups > 0 && out.Lifecycle().EvictedGroups == 0 {
+				t.Error("capped case never evicted, its recency order is untested")
+			}
+		})
 	}
 }
 
-// TestStreamRegistryCorruptSnapshot: a flipped byte and a truncated
-// document must fail loudly at decode time, and a structurally valid
-// document with a garbage worker payload must refuse to start the
-// worker rather than silently running from empty state.
-func TestStreamRegistryCorruptSnapshot(t *testing.T) {
+// TestOperatorCorruptSnapshot: a flipped byte and a truncated document
+// fail at the header check; a garbage or truncated operator payload, a
+// payload whose groups are out of key order for an operator without a
+// recency list, an operator that has already seen events, and a
+// processor that is no check operator all return errors — none panics,
+// and none starts silently from empty state.
+func TestOperatorCorruptSnapshot(t *testing.T) {
 	var trace []string
-	reg := NewStreamRegistry()
-	w := newCkptWorker(t, reg, &trace)
+	c, out := newCkptOperator(t, EvictionPolicy{}, &trace)
 	for _, ev := range ckptEvents(60) {
-		w.Process(ev, discardEmit)
+		c.Process(ev, discardEmit)
 	}
-	enc := checkpoint.NewEncoder()
-	reg.EncodeTo(enc)
-	snap := enc.Finish()
+	snap := snapshotOperator(t, c, out)
 
 	flipped := append([]byte(nil), snap...)
 	flipped[len(flipped)/2] ^= 0x40
@@ -153,31 +201,89 @@ func TestStreamRegistryCorruptSnapshot(t *testing.T) {
 		t.Error("truncated document accepted")
 	}
 
-	// Valid frame, garbage worker payload: DecodeFrom holds it pending,
-	// and applying it at registration must panic (the engine's recover
-	// turns that into a run error).
-	bad := checkpoint.NewEncoder()
-	bad.Int(1)                                // one worker
-	bad.Int(0)                                // slot 0
-	bad.Bytes([]byte{0xde, 0xad, 0xbe, 0xef}) // not a worker payload
-	bad.Bool(false)                           // no outcome block
-	reg2 := NewStreamRegistry()
-	dec, err := checkpoint.NewDecoder(bad.Finish())
-	if err != nil {
+	raw := checkpoint.NewRawEncoder()
+	if err := EncodeOperator(c, raw); err != nil {
 		t.Fatal(err)
 	}
-	if err := reg2.DecodeFrom(dec); err != nil {
-		t.Fatal(err)
-	}
-	defer func() {
-		r := recover()
-		if r == nil {
-			t.Error("corrupt worker payload applied without panic")
-		} else if !strings.Contains(fmt.Sprint(r), "restoring stream worker") {
-			t.Errorf("panic = %v, want a restore error", r)
+	payload := raw.Finish()
+	for name, bad := range map[string][]byte{
+		"garbage":   {0xde, 0xad, 0xbe, 0xef},
+		"truncated": payload[:len(payload)-9],
+	} {
+		fresh, _ := newCkptOperator(t, EvictionPolicy{}, &trace)
+		if err := DecodeOperator(fresh, checkpoint.NewRawDecoder(bad)); err == nil {
+			t.Errorf("%s payload accepted", name)
 		}
-	}()
-	newCkptWorker(t, reg2, &trace)
+	}
+
+	// The same three groups written hottest key first: refused where the
+	// order must be key order, accepted as an LRU order by a capped one.
+	keys := c.sortedKeys()
+	rev := checkpoint.NewRawEncoder()
+	rev.F64(c.opWatermark)
+	rev.Int(len(keys))
+	for i := len(keys) - 1; i >= 0; i-- {
+		c.groups[keys[i]].encodeTo(rev)
+	}
+	reversed := rev.Finish()
+	fresh, _ := newCkptOperator(t, EvictionPolicy{}, &trace)
+	if err := DecodeOperator(fresh, checkpoint.NewRawDecoder(reversed)); err == nil || !strings.Contains(err.Error(), "key order") {
+		t.Errorf("groups out of key order: err = %v", err)
+	}
+	capped, _ := newCkptOperator(t, EvictionPolicy{MaxGroups: 8}, &trace)
+	if err := DecodeOperator(capped, checkpoint.NewRawDecoder(reversed)); err != nil {
+		t.Errorf("LRU-ordered groups refused by a capped operator: %v", err)
+	}
+
+	if err := DecodeOperator(c, checkpoint.NewRawDecoder(payload)); err == nil || !strings.Contains(err.Error(), "already seen events") {
+		t.Errorf("restore into a used operator: err = %v", err)
+	}
+	var notCheck stream.Processor = stream.ProcessorFunc(func(stream.Event, stream.EmitFunc) {})
+	if err := EncodeOperator(notCheck, checkpoint.NewRawEncoder()); err == nil {
+		t.Error("EncodeOperator accepted a processor that is no check operator")
+	}
+	if err := DecodeOperator(notCheck, checkpoint.NewRawDecoder(payload)); err == nil {
+		t.Error("DecodeOperator accepted a processor that is no check operator")
+	}
+}
+
+// FuzzOperatorRestore feeds arbitrary bytes to DecodeOperator on fresh
+// operators with and without a recency list: decoding must never panic,
+// and whatever prefix of the input an operator accepts must be exactly
+// what it re-encodes to — the codec has one spelling per state.
+func FuzzOperatorRestore(f *testing.F) {
+	for _, tc := range ckptCases() {
+		var trace []string
+		c, _ := newCkptOperator(f, tc.evict, &trace)
+		for _, ev := range tc.events[:117] {
+			c.Process(ev, discardEmit)
+		}
+		enc := checkpoint.NewRawEncoder()
+		if err := EncodeOperator(c, enc); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(enc.Finish())
+	}
+	f.Add([]byte{})
+	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 0, 1, 1, 'k'})
+	cases := ckptCases()
+	f.Fuzz(func(t *testing.T, data []byte) {
+		for _, tc := range cases {
+			var trace []string
+			c, _ := newCkptOperator(t, tc.evict, &trace)
+			dec := checkpoint.NewRawDecoder(data)
+			if DecodeOperator(c, dec) != nil {
+				continue
+			}
+			enc := checkpoint.NewRawEncoder()
+			if err := EncodeOperator(c, enc); err != nil {
+				t.Fatal(err)
+			}
+			if got, want := enc.Finish(), data[:len(data)-dec.Remaining()]; !bytes.Equal(got, want) {
+				t.Fatalf("%s: accepted %d bytes re-encode to %d different bytes", tc.name, len(want), len(got))
+			}
+		}
+	})
 }
 
 // TestSuiteCheckpointResume: interrupt a batch suite after its first

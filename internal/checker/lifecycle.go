@@ -37,7 +37,12 @@ type EvictionPolicy struct {
 	OnPressure func(key string, liveGroups int, liveBytes int64) bool
 }
 
-// enabled reports whether any bound is active.
+// enabled reports whether any bound is active. It also decides whether
+// the operator keeps its recency list: group order is observed only by
+// the policy (LRU victim selection, idle sweep) and by a snapshot of a
+// bounded operator (coldest-first encode order), so without a bound the
+// per-event move-to-front — pointer writes, hence write barriers — would
+// be pure overhead on the hot path and is skipped entirely.
 func (p EvictionPolicy) enabled() bool {
 	return p.TTL > 0 || p.MaxGroups > 0 || p.MaxBytes > 0
 }
@@ -56,16 +61,6 @@ const (
 	// entry, headers, and LRU links.
 	groupOverhead = 256
 )
-
-// trackGroups reports whether the recency list is live: group order is
-// observed only by the eviction policy (LRU victim selection, idle
-// sweep) and the checkpoint registry (coldest-first encode order). With
-// neither attached the per-event move-to-front — pointer writes, hence
-// write barriers — would be pure overhead on the hot path, so it is
-// skipped entirely.
-func (c *streamChecker) trackGroups() bool {
-	return c.reg != nil || c.evict.enabled()
-}
 
 // trackBytes reports whether the byte accountant is live. The footprint
 // walk is O(buffered points) per event, so it only runs when some part

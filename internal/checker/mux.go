@@ -310,7 +310,7 @@ func (o *muxOp) sync() {
 				gen:    b.gen,
 				// forward=false: the muxOp forwards once for the whole
 				// suite; inner instances only ingest.
-				op: newOperator(o.bucketMembers(b), b.route, false, x.evict, nil, b.metrics),
+				op: newOperator(o.bucketMembers(b), b.route, false, x.evict, b.metrics),
 			}
 		} else if in.gen != b.gen {
 			in.op.installMembers(o.bucketMembers(b))

@@ -154,11 +154,6 @@ type StreamCheck struct {
 	// Evict bounds the operator's keyed state (zero value: keep every
 	// group forever).
 	Evict EvictionPolicy
-	// Registry, when set, makes the operator checkpointable: workers
-	// register their state with it, and a snapshot taken at a stream
-	// barrier can be restored into a fresh operator. One registry serves
-	// exactly one operator.
-	Registry *StreamRegistry
 	// OnOutcome, when set, observes every (group key, outcome) pair in
 	// evaluation order, on the evaluating worker's goroutine.
 	OnOutcome func(key string, o core.Outcome)
@@ -179,12 +174,9 @@ func NewStreamChecker(cfg StreamCheck) (func() stream.Processor, error) {
 	if err != nil {
 		return nil, err
 	}
-	if cfg.Registry != nil {
-		cfg.Registry.bind(cfg.Out)
-	}
 	members := []*memberSpec{m}
 	return func() stream.Processor {
-		return newOperator(members, route, cfg.Forward, cfg.Evict, cfg.Registry, nil)
+		return newOperator(members, route, cfg.Forward, cfg.Evict, nil)
 	}, nil
 }
 
@@ -203,7 +195,7 @@ func resolveRoute(route RouteFunc, ck *core.Check, arity int) (RouteFunc, error)
 // newOperator assembles one worker instance of the generic operator for
 // the given member set. All members share the operator's window state
 // and the PlanGroup installMembers compiles for them.
-func newOperator(members []*memberSpec, route RouteFunc, forward bool, evict EvictionPolicy, reg *StreamRegistry, gm *GroupMetrics) *streamChecker {
+func newOperator(members []*memberSpec, route RouteFunc, forward bool, evict EvictionPolicy, gm *GroupMetrics) *streamChecker {
 	c := &streamChecker{
 		asg:     members[0].plan.Assigner(),
 		arity:   members[0].plan.Arity(),
@@ -211,7 +203,6 @@ func newOperator(members []*memberSpec, route RouteFunc, forward bool, evict Evi
 		route:   route,
 		groups:  map[string]*groupState{},
 		evict:   evict,
-		reg:     reg,
 		metrics: gm,
 	}
 	c.installMembers(members)
@@ -220,7 +211,6 @@ func newOperator(members []*memberSpec, route RouteFunc, forward bool, evict Evi
 	// repeated policy re-derivation.
 	c.stateful = c.statefulGroups()
 	c.evictOn = c.evict.enabled()
-	c.track = c.trackGroups()
 	c.acct = c.trackBytes()
 	return c
 }
@@ -256,19 +246,22 @@ type streamChecker struct {
 	forward   bool
 	route     RouteFunc
 	groups    map[string]*groupState
-	// State lifecycle (DESIGN.md §4i): evict is the memory policy, reg
-	// the checkpoint registry, onOutcome the outcome observer.
+	// State lifecycle (DESIGN.md §4i): evict is the memory policy,
+	// onOutcome the outcome observer.
 	evict     EvictionPolicy
-	reg       *StreamRegistry
 	onOutcome func(key string, o core.Outcome)
 	// Cached lifecycle predicates (see the factory): statefulGroups,
-	// evict.enabled, trackGroups, trackBytes respectively.
-	stateful, evictOn, track, acct bool
+	// evict.enabled (which also gates the recency list), trackBytes
+	// respectively.
+	stateful, evictOn, acct bool
+	// started is set by the first delivery or restore; DecodeOperator
+	// refuses an operator that has it.
+	started bool
 	// LRU list of live groups (head = most recently touched), maintained
-	// for every stateful windowing kind so eviction and checkpointing see
-	// a deterministic recency order, and the accounted footprint of all
-	// live groups (maintained only while the policy consumes it — see
-	// trackBytes).
+	// for every stateful windowing kind while an eviction policy is set,
+	// so eviction and snapshots see a deterministic recency order, and
+	// the accounted footprint of all live groups (maintained only while
+	// the policy consumes it — see trackBytes).
 	lruHead, lruTail *groupState
 	liveBytes        int64
 	// opWatermark is the worker-level event-time high-water mark that
@@ -358,7 +351,7 @@ func (c *streamChecker) group(key string) *groupState {
 	}
 	g := &groupState{key: key}
 	c.groups[key] = g
-	if c.track {
+	if c.evictOn {
 		c.lruPushFront(g)
 	}
 	c.lastKey, c.lastG = key, g
@@ -380,6 +373,16 @@ func (c *streamChecker) peek(key string) *groupState {
 	return g
 }
 
+// sortedKeys returns the live group keys in ascending order.
+func (c *streamChecker) sortedKeys() []string {
+	keys := make([]string, 0, len(c.groups))
+	for k := range c.groups {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
+}
+
 func (g *groupState) inputs(arity int) []series.Series {
 	if g.bufs == nil {
 		g.bufs = make([]series.Series, arity)
@@ -389,6 +392,7 @@ func (g *groupState) inputs(arity int) []series.Series {
 
 // Process implements stream.Processor.
 func (c *streamChecker) Process(ev stream.Event, emit stream.EmitFunc) {
+	c.started = true
 	if c.forward {
 		emit(ev) // pass-through first: the nominal pipeline is not delayed by buffering
 	}
@@ -403,6 +407,7 @@ func (c *streamChecker) Process(ev stream.Event, emit stream.EmitFunc) {
 // runs and fires due windows with the deferred bulk scan in ingest, so
 // the outcome sequence is identical to calling Process per event.
 func (c *streamChecker) ProcessFrame(evs []stream.Event, emit stream.EmitFunc) {
+	c.started = true
 	if c.forward {
 		for i := range evs {
 			emit(evs[i])
@@ -425,6 +430,7 @@ func (c *streamChecker) Forwarding() bool { return c.forward }
 // ProcessFrameForwarded implements stream.ForwardingFrameProcessor:
 // ingest only — the engine has already forwarded the frame.
 func (c *streamChecker) ProcessFrameForwarded(evs []stream.Event, emit stream.EmitFunc) {
+	c.started = true
 	for i := range evs {
 		c.ingest(evs[i])
 	}
@@ -465,7 +471,7 @@ func (c *streamChecker) ingest(ev stream.Event) {
 	case core.KindSession:
 		c.processSession(key, p)
 	}
-	if c.track && c.stateful {
+	if c.evictOn && c.stateful {
 		if g := c.peek(key); g != nil {
 			c.touch(g, ev.Time)
 		}
@@ -739,12 +745,7 @@ func (c *streamChecker) fireSession(g *groupState) {
 // (PointWindow truncates to the shortest series; CountWindow drops the
 // tail shorter than Size).
 func (c *streamChecker) Flush(stream.EmitFunc) {
-	keys := make([]string, 0, len(c.groups))
-	for k := range c.groups {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
+	for _, k := range c.sortedKeys() {
 		g := c.groups[k]
 		switch c.asg.Kind {
 		case core.KindTumblingTime, core.KindSlidingTime:

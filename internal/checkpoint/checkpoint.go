@@ -2,8 +2,8 @@
 // deterministic state lifecycle (DESIGN.md §4i): every stateful layer —
 // resample extractions, keyed window groups, suite progress —
 // serializes itself through one Encoder/Decoder pair,
-// so a snapshot taken at a quiescent stream barrier restores to a run
-// that is bit-identical to an uninterrupted one.
+// so a snapshot its owner takes between two calls into an operator
+// restores to a run that is bit-identical to an uninterrupted one.
 //
 // The format follows the series codec's length-prefixed style: a fixed
 // magic + version header, then primitive fields (fixed-width
@@ -13,10 +13,13 @@
 // validate every length against the remaining input, so corrupt or
 // adversarial snapshots fail cleanly instead of panicking or
 // over-allocating (FuzzCheckpointRoundTrip exercises both directions).
+// They accept only the encoder's own spelling of a value — minimal
+// uvarints, bools as 0 or 1 — so a document that decodes re-encodes to
+// the same bytes.
 //
-// Nested payloads (one stream worker's state inside a registry record)
-// use the Raw variants, which skip the header and trailer: framing and
-// integrity belong to the outermost document only.
+// The Raw variants skip the header and trailer, for payloads read or
+// written outside a framed document: framing and integrity belong to
+// the outermost document only.
 package checkpoint
 
 import (
@@ -33,9 +36,11 @@ import (
 // evaluator RNG positions and the seed-slot counter from stream-worker
 // snapshots (window draws are seeded from the window coordinate now); a
 // version-1 snapshot would resume under other seeds, so it is refused.
+// Version 3 replaced the per-worker registry record with one operator's
+// state written inline after the caller's own fields.
 const (
 	Magic   = "SNDCKP"
-	Version = 2
+	Version = 3
 )
 
 // Encoder appends primitive values to a growing buffer. The zero value
@@ -194,13 +199,15 @@ func (d *Decoder) U64() uint64 {
 	return binary.LittleEndian.Uint64(b)
 }
 
-// Uvarint reads a variable-length count.
+// Uvarint reads a variable-length count. A padded encoding (a final
+// zero byte after a continuation byte) is malformed: it decodes to a
+// value the encoder would spell shorter.
 func (d *Decoder) Uvarint() uint64 {
 	if d.err != nil {
 		return 0
 	}
 	v, n := binary.Uvarint(d.b)
-	if n <= 0 {
+	if n <= 0 || (n > 1 && d.b[n-1] == 0) {
 		d.fail("malformed uvarint")
 		return 0
 	}
@@ -221,10 +228,14 @@ func (d *Decoder) Int() int {
 // F64 reads exact float bits.
 func (d *Decoder) F64() float64 { return math.Float64frombits(d.U64()) }
 
-// Bool reads one byte.
+// Bool reads one byte, which must be 0 or 1.
 func (d *Decoder) Bool() bool {
 	b := d.take(1)
-	return b != nil && b[0] != 0
+	if b != nil && b[0] > 1 {
+		d.fail("bool byte %#x", b[0])
+		return false
+	}
+	return b != nil && b[0] == 1
 }
 
 // Bytes reads a length-prefixed byte string. The returned slice aliases

@@ -3,6 +3,7 @@ package checkpoint
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"hash/crc32"
 	"math"
 	"strings"
@@ -130,16 +131,42 @@ func TestHeaderValidation(t *testing.T) {
 	if _, err := NewDecoder(vers); err == nil {
 		t.Error("future version accepted")
 	}
-	// A well-formed version-1 document (valid CRC) is refused by name: its
-	// stream workers carried RNG positions this version no longer resumes.
-	if Version != 2 {
-		t.Fatalf("Version = %d, want 2", Version)
+	// Well-formed older documents (valid CRC) are refused by name: version
+	// 1 stream workers carried RNG positions, and version 2 wrapped them in
+	// a per-worker registry record this version no longer reads.
+	if Version != 3 {
+		t.Fatalf("Version = %d, want 3", Version)
 	}
-	v1 := append([]byte{}, data[:len(data)-4]...)
-	binary.LittleEndian.PutUint16(v1[len(Magic):], 1)
-	v1 = binary.LittleEndian.AppendUint32(v1, crc32.ChecksumIEEE(v1))
-	if _, err := NewDecoder(v1); err == nil || !strings.Contains(err.Error(), "version 1, want 2") {
-		t.Errorf("version-1 document: err = %v, want a version mismatch", err)
+	for _, v := range []uint16{1, 2} {
+		old := append([]byte{}, data[:len(data)-4]...)
+		binary.LittleEndian.PutUint16(old[len(Magic):], v)
+		old = binary.LittleEndian.AppendUint32(old, crc32.ChecksumIEEE(old))
+		if _, err := NewDecoder(old); err == nil || !strings.Contains(err.Error(), fmt.Sprintf("version %d, want 3", v)) {
+			t.Errorf("version-%d document: err = %v, want a version mismatch", v, err)
+		}
+	}
+}
+
+// TestNonCanonicalRejected: a padded uvarint and a bool byte other than
+// 0 or 1 decode to values the encoder spells differently, so accepting
+// them would let a snapshot decode without re-encoding to its own bytes.
+func TestNonCanonicalRejected(t *testing.T) {
+	for name, data := range map[string][]byte{
+		"padded uvarint 0": {0x80, 0x00},
+		"padded uvarint 1": {0x81, 0x80, 0x00},
+	} {
+		d := NewRawDecoder(data)
+		if d.Uvarint(); d.Err() == nil {
+			t.Errorf("%s accepted", name)
+		}
+	}
+	d := NewRawDecoder([]byte{0x02})
+	if d.Bool() || d.Err() == nil {
+		t.Error("bool byte 2 accepted")
+	}
+	d = NewRawDecoder([]byte{0x00, 0x01, 0x80, 0x01})
+	if d.Bool() || !d.Bool() || d.Uvarint() != 128 || d.Err() != nil {
+		t.Errorf("canonical fields rejected: %v", d.Err())
 	}
 }
 

@@ -21,35 +21,44 @@ import (
 	"sound/internal/wire"
 )
 
-// recordProc records which worker index saw each key.
-type recordProc struct {
-	w   int
-	rec *sync.Map
-}
+// recordProc records the keys delivered to one processor instance.
+type recordProc struct{ keys []string }
 
-func (p *recordProc) SetWorkerIndex(w int)                       { p.w = w }
-func (p *recordProc) Process(ev stream.Event, _ stream.EmitFunc) { p.rec.Store(ev.Key, p.w) }
+func (p *recordProc) Process(ev stream.Event, _ stream.EmitFunc) { p.keys = append(p.keys, ev.Key) }
 func (p *recordProc) Flush(stream.EmitFunc)                      {}
 
 // TestShardAssignmentMatchesPartitioner is the bit-for-bit property
 // test of the satellite: for every key, the ingest server's shard
-// assignment must equal the worker index the engine's keyed edge
-// delivers that key to in a live graph. If these ever diverged, a key's
-// events could reach a shard that does not own its window state.
+// assignment must agree with the engine's keyed edge in a live graph.
+// Each worker of the keyed operator owns a private processor instance,
+// so the partition a keyed edge picked is visible as which instance saw
+// the key: every instance's keys must share one PartitionOf value,
+// distinct instances must hold distinct values, and shardOf must be that
+// value. If these ever diverged, a key's events could reach a shard that
+// does not own its window state.
 func TestShardAssignmentMatchesPartitioner(t *testing.T) {
 	keys := []string{"", "k", "x", "y", "series/with/path", "héllo-wörld", strings.Repeat("long", 100)}
 	for i := 0; i < 500; i++ {
 		keys = append(keys, fmt.Sprintf("key-%d-%x", i, i*2654435761))
 	}
 	for _, parts := range []int{1, 2, 4, 7} {
-		var rec sync.Map
+		var (
+			mu    sync.Mutex
+			procs []*recordProc
+		)
 		g := stream.NewGraph()
 		src := g.AddSource("src", func(emit stream.EmitFunc) {
 			for _, k := range keys {
 				emit(stream.Event{Key: k})
 			}
 		})
-		op := g.AddOperator("rec", parts, func() stream.Processor { return &recordProc{rec: &rec} })
+		op := g.AddOperator("rec", parts, func() stream.Processor {
+			p := &recordProc{}
+			mu.Lock()
+			procs = append(procs, p)
+			mu.Unlock()
+			return p
+		})
 		if err := g.ConnectKeyed(src, op); err != nil {
 			t.Fatal(err)
 		}
@@ -63,17 +72,34 @@ func TestShardAssignmentMatchesPartitioner(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, k := range keys {
-			worker, ok := rec.Load(k)
-			if !ok {
-				t.Fatalf("parts=%d: key %q never delivered", parts, k)
+		delivered := 0
+		owner := map[int]int{} // partition -> instance that saw it
+		for i, p := range procs {
+			delivered += len(p.keys)
+			for _, k := range p.keys {
+				part := stream.PartitionOf(k, parts)
+				if part != stream.PartitionOf(p.keys[0], parts) {
+					t.Errorf("parts=%d: instance %d saw %q (partition %d) and %q (partition %d)",
+						parts, i, p.keys[0], stream.PartitionOf(p.keys[0], parts), k, part)
+				}
+				if got := srv.shardOf(k); got != part {
+					t.Errorf("parts=%d key %q: shardOf %d != PartitionOf %d", parts, k, got, part)
+				}
 			}
-			if got := srv.shardOf(k); got != worker.(int) {
-				t.Errorf("parts=%d key %q: ingest shard %d, engine worker %d", parts, k, got, worker)
+			if len(p.keys) == 0 {
+				continue
 			}
-			if got, want := srv.shardOf(k), stream.PartitionOf(k, parts); got != want {
-				t.Errorf("parts=%d key %q: shardOf %d != PartitionOf %d", parts, k, got, want)
+			part := stream.PartitionOf(p.keys[0], parts)
+			if j, dup := owner[part]; dup {
+				t.Errorf("parts=%d: instances %d and %d both saw partition %d", parts, j, i, part)
 			}
+			owner[part] = i
+		}
+		if delivered != len(keys) {
+			t.Fatalf("parts=%d: %d keys delivered, want %d", parts, delivered, len(keys))
+		}
+		if len(owner) != parts {
+			t.Errorf("parts=%d: keys reached %d partitions", parts, len(owner))
 		}
 		if err := srv.Drain(); err != nil {
 			t.Fatal(err)

@@ -12,8 +12,7 @@ package stream
 // nil-fn sink into parallel workers legal.
 //
 // Counters are shard-local per stage and folded into the node atomics
-// at barriers and at end of stream, so lifecycle counts ride through
-// fusion unchanged.
+// at end of stream, so lifecycle counts ride through fusion unchanged.
 
 // stage is one fused node's per-worker execution state.
 type stage struct {
@@ -148,8 +147,8 @@ func (st *stage) record(evs []Event) {
 	}
 }
 
-// flushPending cascades this stage's pending micro-frame downstream
-// (barrier drains and end of stream).
+// flushPending cascades this stage's pending micro-frame downstream at
+// end of stream.
 func (st *stage) flushPending() {
 	if st.sink {
 		st.sinkFlush()
@@ -174,9 +173,9 @@ type chain struct {
 	tick       uint32 // amortized cancellation poll for sink-fused sources
 }
 
-// buildChain instantiates worker w's processors for the segment and
+// buildChain instantiates one worker's processors for the segment and
 // wires the stage-to-stage delivery closures back to front.
-func buildChain(seg *segment, w int, batch int, pool *framePool, done <-chan struct{}, m *Metrics) *chain {
+func buildChain(seg *segment, batch int, pool *framePool, done <-chan struct{}, m *Metrics) *chain {
 	c := &chain{done: done}
 	nodes := seg.nodes
 	tail := nodes[len(nodes)-1]
@@ -195,9 +194,6 @@ func buildChain(seg *segment, w int, batch int, pool *framePool, done <-chan str
 			emit, fwd = st.sinkEvent, st.sinkFrame
 		case kindOperator:
 			proc := n.newProc()
-			if wi, ok := proc.(WorkerIndexed); ok {
-				wi.SetWorkerIndex(w)
-			}
 			st := &stage{node: n, proc: proc, batch: batch}
 			st.fp, _ = proc.(FrameProcessor)
 			if f, ok := proc.(ForwardingFrameProcessor); ok && f.Forwarding() {
@@ -255,17 +251,6 @@ func buildChain(seg *segment, w int, batch int, pool *framePool, done <-chan str
 	return c
 }
 
-// drain cascades every pending micro-frame downstream and flushes the
-// tail outbox — the quiescing half of a barrier cut.
-func (c *chain) drain() {
-	for _, st := range c.stages {
-		st.flushPending()
-	}
-	if c.ob != nil {
-		c.ob.flush()
-	}
-}
-
 // finish is end-of-stream: deliver pending micro-frames and run each
 // processor's Flush in chain order, so a Flush's emissions flow through
 // the downstream stages before theirs run.
@@ -302,23 +287,9 @@ func (c *chain) fold() {
 	}
 }
 
-// atBarrier quiesces the whole chain at a barrier cut: drain stage
-// buffers, flush and token the outbox, fold counters (so snapshot
-// callbacks observe consistent lifecycle counts), then park.
-func (c *chain) atBarrier(bc *barrierCtl) {
-	c.drain()
-	if c.ob != nil {
-		c.ob.barrierTokens()
-	}
-	c.fold()
-	bc.arriveAndWait(c.done)
-}
-
 // consumeRing drains an exclusive SPSC ring through the chain. Frames
-// are processed in place and released back to the producer; empty
-// frames are barrier tokens.
-func (c *chain) consumeRing(r *spscRing, bc *barrierCtl, expect int) {
-	tokens := 0
+// are processed in place and released back to the producer.
+func (c *chain) consumeRing(r *spscRing) {
 	for {
 		// Abandon queued frames the moment the run dies — a cancelled
 		// worker must not drain a full ring through a slow processor.
@@ -332,14 +303,6 @@ func (c *chain) consumeRing(r *spscRing, bc *barrierCtl, expect int) {
 			c.finish()
 			return
 		}
-		if len(fr) == 0 {
-			r.release()
-			if tokens++; tokens == expect {
-				tokens = 0
-				c.atBarrier(bc)
-			}
-			continue
-		}
 		c.headFrame(fr)
 		r.release()
 	}
@@ -347,26 +310,18 @@ func (c *chain) consumeRing(r *spscRing, bc *barrierCtl, expect int) {
 
 // consumeChans drains channel conduits (merged when several) through
 // the chain — the fallback transport for fan-in and shared consumers.
-func (c *chain) consumeChans(conds []*conduit, chanSize int, pool *framePool, bc *barrierCtl, expect int) {
+func (c *chain) consumeChans(conds []*conduit, chanSize int, pool *framePool) {
 	chans := make([]chan frame, len(conds))
 	for i, cd := range conds {
 		chans[i] = cd.ch
 	}
 	merged := merge(chans, c.done, chanSize)
-	tokens := 0
 	for {
 		select {
 		case fr, ok := <-merged:
 			if !ok {
 				c.finish()
 				return
-			}
-			if len(fr) == 0 {
-				if tokens++; tokens == expect {
-					tokens = 0
-					c.atBarrier(bc)
-				}
-				continue
 			}
 			c.headFrame(fr)
 			pool.put(fr)

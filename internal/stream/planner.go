@@ -27,11 +27,10 @@ package stream
 //     eliminating the hottest merge edge of the benchmark topologies.
 //
 // Every fused chain preserves per-event order within a worker, the
-// node lifecycle counters (folded shard-locally per stage), the
-// barrier protocol (a segment quiesces as one participant per worker),
-// and the FrameProcessor contract (inner stages buffer micro-frames up
-// to the transport batch size), so outcomes are bit-identical with
-// fusion on and off — the fusion dimension of the pinned golden suites.
+// node lifecycle counters (folded shard-locally per stage), and the
+// FrameProcessor contract (inner stages buffer micro-frames up to the
+// transport batch size), so outcomes are bit-identical with fusion on
+// and off — the fusion dimension of the pinned golden suites.
 
 // SetFusion turns operator fusion off (or back on) for this graph. A
 // graph fuses unless told otherwise here, and nothing outside the tests

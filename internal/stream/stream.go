@@ -56,14 +56,6 @@ type Processor interface {
 	Flush(emit EmitFunc)
 }
 
-// WorkerIndexed is an optional extension of Processor: the engine calls
-// SetWorkerIndex exactly once per worker, after constructing the
-// processor and before delivering any event, so stateful operators can
-// register with a checkpoint registry under a stable worker slot.
-type WorkerIndexed interface {
-	SetWorkerIndex(w int)
-}
-
 // FrameProcessor is an optional extension of Processor: operators that
 // implement it receive whole transport frames and can amortize per-event
 // work (group lookups, buffer growth) across the frame. The events of a
@@ -120,17 +112,16 @@ type Node struct {
 	name        string
 	kind        nodeKind
 	parallelism int
-	gen         func(emit EmitFunc)                // sources
-	genB        func(emit EmitFunc, b BarrierFunc) // checkpoint sources
-	newProc     func() Processor                   // operators
-	sinkFn      func(Event)                        // sinks
+	gen         func(emit EmitFunc) // sources
+	newProc     func() Processor    // operators
+	sinkFn      func(Event)         // sinks
 	downstream  []*edge
 	inputs      int // number of upstream edges (for close accounting and fusion legality)
 	// emitted counts events sent downstream by this node (all workers).
 	// Workers accumulate shard-locally and fold in per frame flush.
 	emitted atomic.Int64
 	// processed counts events consumed by this node's workers, folded in
-	// at barriers and end of stream.
+	// at end of stream.
 	processed atomic.Int64
 }
 
@@ -502,10 +493,8 @@ type Graph struct {
 }
 
 // NewGraph returns an empty graph. Transport capacity is 256 frames per
-// edge partition (ring capacities round up to the next power of two; it
-// must stay >= 1 — an unbuffered edge would deadlock the flush-then-token
-// barrier protocol); transport batch size defaults to 64 events per
-// frame.
+// edge partition (ring capacities round up to the next power of two);
+// transport batch size defaults to 64 events per frame.
 func NewGraph() *Graph { return &Graph{chanSize: 256, batchSize: 64, fuse: true} }
 
 // SetBatchSize overrides the transport batch size: the number of events
@@ -513,9 +502,9 @@ func NewGraph() *Graph { return &Graph{chanSize: 256, batchSize: 64, fuse: true}
 // Size 1 reproduces unbatched per-event delivery exactly (every frame
 // carries one event); larger sizes amortize channel sends, counter
 // updates, and fan-out over the frame. Within-key delivery order is
-// identical for every batch size. Sizes below 1 are rejected: an empty
-// frame is the engine's barrier token, so batch size 0 is meaningless
-// and silently clamping it would hide a caller bug.
+// identical for every batch size. Sizes below 1 are rejected: a frame
+// that can hold no event ships nothing, and silently clamping it would
+// hide a caller bug.
 func (g *Graph) SetBatchSize(n int) error {
 	if n <= 0 {
 		return fmt.Errorf("stream: batch size %d out of range (want >= 1)", n)
@@ -698,22 +687,6 @@ func (g *Graph) RunContext(ctx context.Context) (*Metrics, error) {
 		}
 	}
 
-	// Checkpoint-capable graphs get a barrier controller; participant
-	// and expected-token counts are fixed by the planned topology.
-	var bc *barrierCtl
-	var activeSenders map[*conduit]int
-	for _, n := range g.nodes {
-		if n.genB != nil {
-			participants, active, err := g.validateBarriers(segs, inConds)
-			if err != nil {
-				return nil, err
-			}
-			bc = newBarrierCtl(participants)
-			activeSenders = active
-			break
-		}
-	}
-
 	// Track, per conduit, how many senders feed it so it can be closed
 	// when they all finish.
 	senders := map[*conduit]*sync.WaitGroup{}
@@ -764,13 +737,9 @@ func (g *Graph) RunContext(ctx context.Context) (*Metrics, error) {
 				defer wg.Done()
 				defer doneFor(s)()
 				guard(head.name, func() {
-					ch := buildChain(s, 0, g.batchSize, pool, done, m)
+					ch := buildChain(s, g.batchSize, pool, done, m)
 					defer ch.fold()
-					if head.genB != nil {
-						head.genB(ch.rootEmit, barrierForChain(bc, ch, done))
-					} else {
-						head.gen(ch.rootEmit)
-					}
+					head.gen(ch.rootEmit)
 					ch.finish()
 				})
 			}()
@@ -792,7 +761,7 @@ func (g *Graph) RunContext(ctx context.Context) (*Metrics, error) {
 					defer wg.Done()
 					defer doneFor(s)()
 					guard(head.name, func() {
-						ch := buildChain(s, w, g.batchSize, pool, done, m)
+						ch := buildChain(s, g.batchSize, pool, done, m)
 						defer ch.fold()
 						// Keyed inputs dedicate conduit w to worker w;
 						// shared inputs are consumed cooperatively.
@@ -800,11 +769,10 @@ func (g *Graph) RunContext(ctx context.Context) (*Metrics, error) {
 						if keyed {
 							mine = pickWorkerConds(g, head, w)
 						}
-						expect := expectTokens(mine, activeSenders)
 						if len(mine) == 1 && mine[0].ring != nil {
-							ch.consumeRing(mine[0].ring, bc, expect)
+							ch.consumeRing(mine[0].ring)
 						} else {
-							ch.consumeChans(mine, g.chanSize, pool, bc, expect)
+							ch.consumeChans(mine, g.chanSize, pool)
 						}
 					})
 				}()
@@ -815,13 +783,12 @@ func (g *Graph) RunContext(ctx context.Context) (*Metrics, error) {
 			go func() {
 				defer wg.Done()
 				guard(head.name, func() {
-					ch := buildChain(s, 0, g.batchSize, pool, done, m)
+					ch := buildChain(s, g.batchSize, pool, done, m)
 					defer ch.fold()
-					expect := expectTokens(conds, activeSenders)
 					if len(conds) == 1 && conds[0].ring != nil {
-						ch.consumeRing(conds[0].ring, bc, expect)
+						ch.consumeRing(conds[0].ring)
 					} else {
-						ch.consumeChans(conds, g.chanSize, pool, bc, expect)
+						ch.consumeChans(conds, g.chanSize, pool)
 					}
 				})
 			}()

@@ -2,6 +2,7 @@ package stream
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -227,6 +228,23 @@ func TestValidation(t *testing.T) {
 	}
 	if err := g4.Connect(nil, src); err == nil {
 		t.Error("nil node accepted")
+	}
+}
+
+// TestSetBatchSizeRejectsNonPositive: a zero or negative transport
+// batch size is a configuration error, not a silent clamp.
+func TestSetBatchSizeRejectsNonPositive(t *testing.T) {
+	g := NewGraph()
+	for _, n := range []int{0, -1, -64} {
+		if err := g.SetBatchSize(n); err == nil || !strings.Contains(err.Error(), "batch size") {
+			t.Errorf("SetBatchSize(%d): err = %v, want out-of-range error", n, err)
+		}
+	}
+	if err := g.SetBatchSize(1); err != nil {
+		t.Errorf("SetBatchSize(1): %v", err)
+	}
+	if err := g.SetBatchSize(256); err != nil {
+		t.Errorf("SetBatchSize(256): %v", err)
 	}
 }
 

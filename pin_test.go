@@ -249,15 +249,14 @@ func TestPinnedStreamBatchedGraphParity(t *testing.T) {
 }
 
 // TestPinnedCheckpointRestoreParity is the acceptance pin for the
-// deterministic state lifecycle (DESIGN.md §4i): replay the fixture
-// through a checkpoint source, snapshot the operator registry at a
-// mid-stream drain-to-barrier, abandon that run where it stands, and
-// restore the snapshot into a fresh graph that replays only the
+// deterministic state lifecycle (DESIGN.md §4i): a loop hands the
+// operator the fixture in frames, snapshots the operator and its
+// counters between two frames mid-stream, and abandons that run where it
+// stands; a fresh operator restored from the snapshot is handed only the
 // remaining events. The combined outcome counts must reproduce the
-// uninterrupted pinnedStream goldens byte for byte, at fusion {on,off} ×
-// batch {1,64} × workers {1,4} — partial transport frames, multi-worker registries,
-// RNG stream positions, and shared extraction state all have to survive
-// the kill/resume for these literals to hold.
+// uninterrupted pinnedStream goldens byte for byte at frame sizes {1, 64}
+// — window grids and shared extraction state both have to survive the
+// kill/resume for these literals to hold.
 func TestPinnedCheckpointRestoreParity(t *testing.T) {
 	x := loadPinFixture(t)
 	mid := len(x)/2 + 3 // mid-window for every spec, off the frame grid
@@ -269,107 +268,70 @@ func TestPinnedCheckpointRestoreParity(t *testing.T) {
 		{"tumbling", sound.TimeWindow{Size: 9}},
 		{"count", sound.CountWindow{Size: 8, Slide: 3}},
 	}
-	newCfg := func(reg *checker.StreamRegistry, out *checker.StreamOutcomes, win sound.Windower) checker.StreamCheck {
-		return checker.StreamCheck{
+	newOp := func(out *sound.StreamOutcomes, win sound.Windower) stream.Processor {
+		factory, err := sound.NewStreamChecker(sound.StreamCheck{
 			Check: sound.Check{
 				Name: "range", Constraint: sound.FractionInRange(0, 13, 0.8),
 				SeriesNames: []string{"x"}, Window: win,
 			},
-			Params:   sound.DefaultParams(),
-			Seed:     13,
-			Forward:  true,
-			Out:      out,
-			Registry: reg,
+			Params: sound.DefaultParams(),
+			Seed:   13,
+			Out:    out,
+		})
+		if err != nil {
+			t.Fatal(err)
 		}
+		return factory()
 	}
-	toEvent := func(pt sound.Point) stream.Event {
-		return stream.Event{Time: pt.T, Key: "k", Value: pt.V, SigUp: pt.SigUp, SigDown: pt.SigDown}
-	}
-	for _, fuse := range []bool{true, false} {
-		for _, batch := range []int{1, 64} {
-			for _, workers := range []int{1, 4} {
-				var sb strings.Builder
-				for _, tc := range specs {
-					// Interrupted run: emit the prefix, serialize the registry
-					// at a barrier, then stop. The shutdown Flush that follows
-					// is the abandoned run's — the snapshot predates it.
-					reg := checker.NewStreamRegistry()
-					factory, err := checker.NewStreamChecker(newCfg(reg, &checker.StreamOutcomes{}, tc.win))
-					if err != nil {
-						t.Fatal(err)
-					}
-					var snap []byte
-					g := stream.NewGraph()
-					g.SetFusion(fuse)
-					if err := g.SetBatchSize(batch); err != nil {
-						t.Fatal(err)
-					}
-					src := g.AddCheckpointSource("csv", func(emit stream.EmitFunc, barrier stream.BarrierFunc) {
-						for _, pt := range x[:mid] {
-							emit(toEvent(pt))
-						}
-						barrier(func() {
-							enc := checkpoint.NewEncoder()
-							reg.EncodeTo(enc)
-							snap = enc.Finish()
-						})
-					})
-					chk := g.AddOperator("check", workers, factory)
-					if err := g.ConnectKeyed(src, chk); err != nil {
-						t.Fatal(err)
-					}
-					if err := g.Connect(chk, g.AddSink("sink", nil)); err != nil {
-						t.Fatal(err)
-					}
-					if _, err := g.Run(); err != nil {
-						t.Fatal(err)
-					}
-					if snap == nil {
-						t.Fatal("barrier snapshot never ran")
-					}
-
-					// Resumed run: a fresh registry loads the snapshot, a fresh
-					// graph replays only the tail, and the restored counters
-					// accumulate the remaining outcomes on top.
-					reg2 := checker.NewStreamRegistry()
-					dec, err := checkpoint.NewDecoder(snap)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if err := reg2.DecodeFrom(dec); err != nil {
-						t.Fatal(err)
-					}
-					out := &checker.StreamOutcomes{}
-					factory2, err := checker.NewStreamChecker(newCfg(reg2, out, tc.win))
-					if err != nil {
-						t.Fatal(err)
-					}
-					g2 := stream.NewGraph()
-					g2.SetFusion(fuse)
-					if err := g2.SetBatchSize(batch); err != nil {
-						t.Fatal(err)
-					}
-					src2 := g2.AddSource("csv", func(emit stream.EmitFunc) {
-						for _, pt := range x[mid:] {
-							emit(toEvent(pt))
-						}
-					})
-					chk2 := g2.AddOperator("check", workers, factory2)
-					if err := g2.ConnectKeyed(src2, chk2); err != nil {
-						t.Fatal(err)
-					}
-					if err := g2.Connect(chk2, g2.AddSink("sink", nil)); err != nil {
-						t.Fatal(err)
-					}
-					if _, err := g2.Run(); err != nil {
-						t.Fatal(err)
-					}
-					c := out.Counts()
-					fmt.Fprintf(&sb, "stream/%s sat=%d viol=%d inc=%d\n", tc.tag, c.Satisfied, c.Violated, c.Inconclusive)
-				}
-				diffLines(t, fmt.Sprintf("restore fuse=%v batch=%d workers=%d", fuse, batch, workers), sb.String(), pinnedStream)
+	emit := func(stream.Event) {}
+	feed := func(p stream.Processor, pts []sound.Point, frame int) {
+		fp := p.(stream.FrameProcessor)
+		evs := make([]stream.Event, 0, frame)
+		for len(pts) > 0 {
+			n := min(frame, len(pts))
+			evs = evs[:0]
+			for _, pt := range pts[:n] {
+				evs = append(evs, stream.Event{Time: pt.T, Key: "k", Value: pt.V, SigUp: pt.SigUp, SigDown: pt.SigDown})
 			}
+			fp.ProcessFrame(evs, emit)
+			pts = pts[n:]
 		}
+	}
+	for _, frame := range []int{1, 64} {
+		var sb strings.Builder
+		for _, tc := range specs {
+			// Interrupted run: hand over the prefix, snapshot, stop. The
+			// abandoned operator is never flushed.
+			out := &sound.StreamOutcomes{}
+			op := newOp(out, tc.win)
+			feed(op, x[:mid], frame)
+			enc := checkpoint.NewEncoder()
+			out.EncodeTo(enc)
+			if err := sound.EncodeOperator(op, enc); err != nil {
+				t.Fatal(err)
+			}
+			snap := enc.Finish()
+
+			// Resumed run: fresh counters and a fresh operator load the
+			// snapshot, then take the tail on top.
+			dec, err := checkpoint.NewDecoder(snap)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out2 := &sound.StreamOutcomes{}
+			op2 := newOp(out2, tc.win)
+			if err := out2.DecodeFrom(dec); err != nil {
+				t.Fatal(err)
+			}
+			if err := sound.DecodeOperator(op2, dec); err != nil {
+				t.Fatal(err)
+			}
+			feed(op2, x[mid:], frame)
+			op2.Flush(emit)
+			c := out2.Counts()
+			fmt.Fprintf(&sb, "stream/%s sat=%d viol=%d inc=%d\n", tc.tag, c.Satisfied, c.Violated, c.Inconclusive)
+		}
+		diffLines(t, fmt.Sprintf("restore frame=%d", frame), sb.String(), pinnedStream)
 	}
 }
 
