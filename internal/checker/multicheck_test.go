@@ -90,19 +90,18 @@ func (l *verdictLog) canon() []byte {
 
 // runMuxGraph runs the events through one mux-hosted operator and
 // returns the per-check canonical verdict maps, keyed by check name.
-func runMuxGraph(t *testing.T, x *Mux, logs map[string]*verdictLog, events []stream.Event, workers, batch int, fuse bool) {
+func runMuxGraph(t *testing.T, x *Mux, logs map[string]*verdictLog, events []stream.Event, workers, batch int) {
 	t.Helper()
-	runMuxGraphHook(t, x, events, workers, batch, fuse, nil)
+	runMuxGraphHook(t, x, events, workers, batch, nil)
 	_ = logs
 }
 
 // runMuxGraphHook is runMuxGraph with a source-side hook: before emits
 // event i the source calls before(i), which is where a test changes the
 // registered suite mid-stream.
-func runMuxGraphHook(t *testing.T, x *Mux, events []stream.Event, workers, batch int, fuse bool, before func(i int)) {
+func runMuxGraphHook(t *testing.T, x *Mux, events []stream.Event, workers, batch int, before func(i int)) {
 	t.Helper()
 	g := stream.NewGraph()
-	g.SetFusion(fuse)
 	src := g.AddSource("src", func(emit stream.EmitFunc) {
 		for i, ev := range events {
 			if before != nil {
@@ -154,16 +153,15 @@ func muxFor(t *testing.T, cks []core.Check, order []int, seed uint64) (*Mux, map
 
 // TestPinnedMultiCheckInvariance is the multiplexing contract: the
 // per-check verdict map of a shared bucket is byte-identical across
-// registration orders, worker counts, transport batch sizes, and operator
-// fusion on and off. The reference run is registration order 0..3, one
-// worker, default batch, fused.
+// registration orders, worker counts and transport batch sizes. The
+// reference run is registration order 0..3, one worker, default batch.
 func TestPinnedMultiCheckInvariance(t *testing.T) {
 	cks := muxTestChecks()
 	events := muxTestEvents(6, 48)
 	ref := map[string][]byte{}
 	{
 		x, logs := muxFor(t, cks, []int{0, 1, 2, 3}, 7)
-		runMuxGraph(t, x, logs, events, 1, 0, true)
+		runMuxGraph(t, x, logs, events, 1, 0)
 		for name, l := range logs {
 			ref[name] = l.canon()
 			if len(l.m) != 6 {
@@ -187,13 +185,11 @@ func TestPinnedMultiCheckInvariance(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			for _, fuse := range []bool{true, false} {
-				x, logs := muxFor(t, cks, tc.order, 7)
-				runMuxGraph(t, x, logs, events, tc.workers, tc.batch, fuse)
-				for name, l := range logs {
-					if got := l.canon(); !bytes.Equal(got, ref[name]) {
-						t.Errorf("fuse=%v: check %q verdict map differs from reference:\ngot:\n%s\nwant:\n%s", fuse, name, got, ref[name])
-					}
+			x, logs := muxFor(t, cks, tc.order, 7)
+			runMuxGraph(t, x, logs, events, tc.workers, tc.batch)
+			for name, l := range logs {
+				if got := l.canon(); !bytes.Equal(got, ref[name]) {
+					t.Errorf("check %q verdict map differs from reference:\ngot:\n%s\nwant:\n%s", name, got, ref[name])
 				}
 			}
 		})
@@ -202,7 +198,7 @@ func TestPinnedMultiCheckInvariance(t *testing.T) {
 
 // TestPinnedLoneCheckInvariance is the same contract for a bucket of ONE:
 // a lone check's verdict map is a property of its windows, byte-identical
-// across worker counts, batch sizes and fusion, equal to the map the same
+// across worker counts and batch sizes, equal to the map the same
 // check produces beside one or three same-class neighbours, and unmoved by
 // a neighbour registering and deregistering mid-stream. Sixteen keys
 // spread the windows over all four workers.
@@ -212,7 +208,7 @@ func TestPinnedLoneCheckInvariance(t *testing.T) {
 	for li, lone := range cks {
 		t.Run(lone.Name, func(t *testing.T) {
 			x, logs := muxFor(t, cks, []int{li}, 7)
-			runMuxGraph(t, x, logs, events, 1, 0, true)
+			runMuxGraph(t, x, logs, events, 1, 0)
 			ref := logs[lone.Name].canon()
 			if len(logs[lone.Name].m) != 16 {
 				t.Fatalf("lone check saw %d keys, want 16", len(logs[lone.Name].m))
@@ -226,35 +222,33 @@ func TestPinnedLoneCheckInvariance(t *testing.T) {
 			next := (li + 1) % len(cks)
 			for _, workers := range []int{1, 4} {
 				for _, batch := range []int{1, 64} {
-					for _, fuse := range []bool{true, false} {
-						label := fmt.Sprintf("workers=%d batch=%d fuse=%v", workers, batch, fuse)
-						x, logs := muxFor(t, cks, []int{li}, 7)
-						runMuxGraph(t, x, logs, events, workers, batch, fuse)
-						check(label+" alone", logs[lone.Name])
+					label := fmt.Sprintf("workers=%d batch=%d", workers, batch)
+					x, logs := muxFor(t, cks, []int{li}, 7)
+					runMuxGraph(t, x, logs, events, workers, batch)
+					check(label+" alone", logs[lone.Name])
 
-						// A same-class neighbour comes and goes while the
-						// stream runs; when the workers notice is scheduling,
-						// what the lone check concludes is not.
-						x, logs = muxFor(t, cks, []int{li}, 7)
-						runMuxGraphHook(t, x, events, workers, batch, fuse, func(i int) {
-							var err error
-							switch i {
-							case len(events) / 3:
-								err = x.Register(MuxCheck{Name: "neighbour", Check: cks[next],
-									Params: core.DefaultParams(), Seed: 7, RouteID: "key"})
-							case 2 * len(events) / 3:
-								err = x.Deregister("neighbour")
-							}
-							if err != nil {
-								t.Error(err)
-							}
-						})
-						check(label+" with churn", logs[lone.Name])
-					}
+					// A same-class neighbour comes and goes while the
+					// stream runs; when the workers notice is scheduling,
+					// what the lone check concludes is not.
+					x, logs = muxFor(t, cks, []int{li}, 7)
+					runMuxGraphHook(t, x, events, workers, batch, func(i int) {
+						var err error
+						switch i {
+						case len(events) / 3:
+							err = x.Register(MuxCheck{Name: "neighbour", Check: cks[next],
+								Params: core.DefaultParams(), Seed: 7, RouteID: "key"})
+						case 2 * len(events) / 3:
+							err = x.Deregister("neighbour")
+						}
+						if err != nil {
+							t.Error(err)
+						}
+					})
+					check(label+" with churn", logs[lone.Name])
 				}
 				for _, order := range [][]int{{li, next}, {next, li}, {0, 1, 2, 3}} {
 					x, logs := muxFor(t, cks, order, 7)
-					runMuxGraph(t, x, logs, events, workers, 0, true)
+					runMuxGraph(t, x, logs, events, workers, 0)
 					check(fmt.Sprintf("workers=%d in bucket %v", workers, order), logs[lone.Name])
 				}
 			}
@@ -306,7 +300,7 @@ func TestStreamCheckerMatchesLoneMux(t *testing.T) {
 		}); err != nil {
 			t.Fatal(err)
 		}
-		runMuxGraph(t, x, nil, events, 1, 0, true)
+		runMuxGraph(t, x, nil, events, 1, 0)
 		if !bytes.Equal(single.canon(), multi.canon()) {
 			t.Errorf("check %q: lone Mux verdicts differ from NewStreamChecker:\nmux:\n%s\nstream checker:\n%s",
 				ck.Name, multi.canon(), single.canon())
@@ -373,7 +367,7 @@ func TestMuxDynamicRegistration(t *testing.T) {
 		t.Fatalf("Len = %d, want 4", x.Len())
 	}
 
-	runMuxGraph(t, x, nil, events, 1, 0, true)
+	runMuxGraph(t, x, nil, events, 1, 0)
 	gs := x.GroupStats()
 	if len(gs) != 1 {
 		t.Fatalf("GroupStats: %d buckets, want 1 shared bucket", len(gs))
@@ -405,7 +399,7 @@ func TestMuxDynamicRegistration(t *testing.T) {
 	if err := x.Deregister(cks[1].Name); err != nil {
 		t.Fatal(err)
 	}
-	runMuxGraph(t, x, nil, events, 1, 0, true)
+	runMuxGraph(t, x, nil, events, 1, 0)
 	if got := outs[1].Counts(); got != first[1] {
 		t.Errorf("deregistered check counters moved: %+v -> %+v", first[1], got)
 	}
@@ -443,7 +437,7 @@ func TestMuxDrawsFlat(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		runMuxGraph(t, x, nil, events, 1, 0, true)
+		runMuxGraph(t, x, nil, events, 1, 0)
 		x.mu.Lock()
 		defer x.mu.Unlock()
 		return x.order[0].metrics.Snapshot()

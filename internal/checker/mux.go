@@ -344,22 +344,14 @@ func (o *muxOp) Process(ev stream.Event, emit stream.EmitFunc) {
 	}
 }
 
-// ProcessFrame implements stream.FrameProcessor.
+// ProcessFrame implements stream.FrameProcessor: ingest into every
+// bucket, membership synced once per frame.
 func (o *muxOp) ProcessFrame(evs []stream.Event, emit stream.EmitFunc) {
 	if o.mux.forward {
 		for i := range evs {
 			emit(evs[i])
 		}
 	}
-	o.ProcessFrameForwarded(evs, emit)
-}
-
-// Forwarding implements stream.ForwardingFrameProcessor.
-func (o *muxOp) Forwarding() bool { return o.mux.forward }
-
-// ProcessFrameForwarded implements stream.ForwardingFrameProcessor:
-// ingest into every bucket, membership synced once per frame.
-func (o *muxOp) ProcessFrameForwarded(evs []stream.Event, emit stream.EmitFunc) {
 	o.sync()
 	for _, in := range o.instances {
 		for i := range evs {

@@ -418,24 +418,6 @@ func (c *streamChecker) ProcessFrame(evs []stream.Event, emit stream.EmitFunc) {
 	}
 }
 
-// Forwarding implements stream.ForwardingFrameProcessor: a Forward
-// checker emits every input event unchanged, in input order, before any
-// derived emission — exactly the contract that lets the engine bulk-
-// forward the frame itself instead of running the per-event emit loop
-// above. This is the instrumentation-overhead half of the paper's
-// evaluation: the pass-through cost drops to one frame copy (or none,
-// into a fused metrics sink) while the check work stays identical.
-func (c *streamChecker) Forwarding() bool { return c.forward }
-
-// ProcessFrameForwarded implements stream.ForwardingFrameProcessor:
-// ingest only — the engine has already forwarded the frame.
-func (c *streamChecker) ProcessFrameForwarded(evs []stream.Event, emit stream.EmitFunc) {
-	c.started = true
-	for i := range evs {
-		c.ingest(evs[i])
-	}
-}
-
 // ingest routes one event into its window group. It is the shared body
 // of Process and ProcessFrame. Around the window dispatch it runs the
 // state lifecycle: advance the worker watermark (sweeping idle groups),
@@ -781,7 +763,7 @@ func (c *streamChecker) Flush(stream.EmitFunc) {
 // the draw stream seeded by PlanGroup.WindowSeed, a pure function of
 // (group class, route key, window coordinate): verdicts depend only on
 // WHAT is evaluated, never on which worker evaluates it, in which order,
-// at which batch size or fusion setting, or how many co-members ride
+// at which batch size, or how many co-members ride
 // along. That is the contract the invariance property tests pin.
 func (c *streamChecker) evaluate(key string, tuple core.WindowTuple, windowBits uint64) {
 	if c.planGroup != nil {

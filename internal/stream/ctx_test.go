@@ -12,7 +12,7 @@ import (
 
 // leakCheck snapshots the goroutine count and returns a function that
 // fails the test unless the count returns to the baseline — i.e. no
-// worker, merge, closer, or fused-chain goroutine survived the run. The
+// worker or merge goroutine survived the run. The
 // runtime gets a grace period to reap exiting goroutines.
 func leakCheck(t *testing.T) func() {
 	t.Helper()
@@ -54,7 +54,7 @@ func cancelRun(t *testing.T, g *Graph) {
 
 // TestRunContextCancelTerminates cancels a graph whose source would emit
 // forever and requires RunContext to return promptly with the context
-// error and without leaking any worker, merge, or closer goroutines.
+// error and without leaking any worker or merge goroutines.
 // Run under -race this also shakes out unsynchronized shutdown paths.
 func TestRunContextCancelTerminates(t *testing.T) {
 	check := leakCheck(t)
@@ -138,47 +138,28 @@ func TestRunContextCancelMidFrame(t *testing.T) {
 	}
 }
 
-// TestRunContextCancelFusedChain cancels runs mid-frame across the
-// planner's fusion modes (satellite of DESIGN.md §4j): a fully fused
-// source→operator→sink chain — one goroutine, no transport anywhere, so
-// only the root emit's amortized poll can observe the dead run — and
-// the same topology unfused, where the workers are blocked in ring
-// reserve/pop waits instead of channel operations. In every mode the
-// run must return ctx.Err() promptly and leak no goroutine.
-func TestRunContextCancelFusedChain(t *testing.T) {
-	for _, tc := range []struct {
-		name string
-		fuse bool
-	}{
-		{"fused", true},
-		{"unfused-rings", false},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			check := leakCheck(t)
+// TestRunContextCancelSourceToSink cancels an infinite source wired
+// straight into a fast sink: no operator slows the stream, so the channel
+// between them is rarely full and the source mostly holds a mid-fill
+// frame. Both workers must still notice the dead run — the source in a
+// frame send, the sink in its receive — return ctx.Err() promptly and
+// leak no goroutine.
+func TestRunContextCancelSourceToSink(t *testing.T) {
+	check := leakCheck(t)
 
-			g := NewGraph()
-			g.SetFusion(tc.fuse)
-			g.SetBatchSize(1024) // frames stay mid-fill at cancellation
-			src := g.AddSource("infinite", func(emit EmitFunc) {
-				for i := 0; ; i++ {
-					emit(Event{Time: float64(i), Key: "k", Value: 1})
-				}
-			})
-			op := g.AddMap("slow", 1, func(ev Event, emit EmitFunc) {
-				time.Sleep(time.Microsecond)
-				emit(ev)
-			})
-			if err := g.ConnectKeyed(src, op); err != nil {
-				t.Fatal(err)
-			}
-			if err := g.Connect(op, g.AddSink("sink", nil)); err != nil {
-				t.Fatal(err)
-			}
-
-			cancelRun(t, g)
-			check()
-		})
+	g := NewGraph()
+	g.SetBatchSize(1024) // frames stay mid-fill at cancellation
+	src := g.AddSource("infinite", func(emit EmitFunc) {
+		for i := 0; ; i++ {
+			emit(Event{Time: float64(i), Key: "k", Value: 1})
+		}
+	})
+	if err := g.Connect(src, g.AddSink("sink", nil)); err != nil {
+		t.Fatal(err)
 	}
+
+	cancelRun(t, g)
+	check()
 }
 
 // TestRunContextPreCancelled must not start work at all.

@@ -9,18 +9,13 @@
 // so that the *relative* overhead of instrumenting sanity checks is
 // preserved even though absolute numbers differ from a Flink cluster.
 //
-// Transport is micro-batched: edges carry pooled []Event frames instead
-// of single events, so each channel operation, counter update, and
-// fan-out pass is amortized over up to SetBatchSize events (DESIGN.md
-// §4g). On top of that the run is compiled by a fusion planner
-// (planner.go, DESIGN.md §4j): single-consumer chains collapse into one
-// goroutine per worker that passes events by direct call, the remaining
-// single-producer/single-consumer edges ride bounded SPSC rings with
-// in-place frame slots (ring.go), and only multi-producer fan-in still
-// uses Go channels. Frame boundaries adapt to downstream occupancy, so
-// latency at low rates does not scale with the configured batch size.
-// Scheduling choices never change results: outcomes are bit-identical
-// with fusion forced on or off.
+// There is one executor: every node worker is a goroutine, and every
+// edge partition is a bounded channel of frames — pooled []Event slices
+// of exactly SetBatchSize events, the last one of a worker's stream
+// shipped when the worker ends — so each channel operation, counter
+// update and fan-out pass is amortized over a frame (DESIGN.md §4g,
+// §4j). Within one (sender, partition) pair events keep emission order,
+// so results do not depend on the batch size.
 package stream
 
 import (
@@ -71,24 +66,6 @@ type FrameProcessor interface {
 	ProcessFrame(evs []Event, emit EmitFunc)
 }
 
-// ForwardingFrameProcessor is an optional extension of FrameProcessor
-// for pass-through operators: implementations whose Forwarding method
-// reports true emit every input event unchanged, in input order, before
-// any derived emission. The engine then forwards each input frame
-// downstream itself — as one bulk append instead of a per-event emit
-// loop, and with zero copying into a fused sink — and calls
-// ProcessFrameForwarded instead of ProcessFrame. The implementation
-// must treat its input as already emitted (it may still emit additional
-// derived events via emit). Forwarding is consulted once per worker
-// before the first delivery and must be constant for the run.
-type ForwardingFrameProcessor interface {
-	FrameProcessor
-	Forwarding() bool
-	// ProcessFrameForwarded is ProcessFrame minus the pass-through
-	// emission, which the engine has already performed.
-	ProcessFrameForwarded(evs []Event, emit EmitFunc)
-}
-
 // ProcessorFunc adapts a stateless function to the Processor interface.
 type ProcessorFunc func(ev Event, emit EmitFunc)
 
@@ -116,12 +93,11 @@ type Node struct {
 	newProc     func() Processor    // operators
 	sinkFn      func(Event)         // sinks
 	downstream  []*edge
-	inputs      int // number of upstream edges (for close accounting and fusion legality)
-	// emitted counts events sent downstream by this node (all workers).
-	// Workers accumulate shard-locally and fold in per frame flush.
+	// emitted counts events sent downstream by this node (all workers),
+	// folded in from each worker's outbox when the worker ends.
 	emitted atomic.Int64
-	// processed counts events consumed by this node's workers, folded in
-	// at end of stream.
+	// processed counts events consumed by this node's workers, one add
+	// per frame.
 	processed atomic.Int64
 }
 
@@ -137,59 +113,30 @@ func (n *Node) Emitted() int64 { return n.emitted.Load() }
 func (n *Node) Processed() int64 { return n.processed.Load() }
 
 // frame is the transport unit: a batch of events moving across one edge
-// partition in emission order. Channel frames are pooled per run and
-// recycled by the receiving worker; ring frames live in the ring's
-// slots and are recycled by position.
+// partition in emission order. Frames are pooled per graph and recycled
+// by the receiving worker.
 type frame = []Event
-
-// conduit is one transport lane of an edge partition: an SPSC ring on
-// fusion-planned single-producer/single-consumer edges, a buffered Go
-// channel otherwise (the multi-producer/shared-consumer fallback).
-type conduit struct {
-	ch   chan frame
-	ring *spscRing
-}
-
-// send delivers a frame on a channel conduit, or reports false if the
-// run was aborted while the send was blocked on a full channel, which
-// would otherwise deadlock a cancelled graph. Ring conduits use
-// reserve/publish instead.
-func (cd *conduit) send(fr frame, done <-chan struct{}) bool {
-	select {
-	case cd.ch <- fr:
-		return true
-	case <-done:
-		return false
-	}
-}
-
-// close signals end of stream to the conduit's consumer.
-func (cd *conduit) close() {
-	if cd.ring != nil {
-		cd.ring.close()
-		return
-	}
-	close(cd.ch)
-}
 
 // edge carries event frames from one node to the workers of the next.
 type edge struct {
 	from  *Node
 	to    *Node
 	keyed bool
-	// conds has one conduit per target worker when keyed, else a single
-	// shared conduit consumed by all target workers. nil when the edge
-	// was fused away by the planner.
-	conds []*conduit
+	// chans has one channel per target worker when keyed, else a single
+	// channel shared by all target workers; made fresh for every run.
+	chans []chan frame
+	// open counts the workers of from still sending; the last one to
+	// finish closes chans.
+	open atomic.Int32
 }
 
-// partition returns the index of the conduit that must carry events
-// with the given key, so all events of one key reach the same worker.
-func (e *edge) partition(key string) int {
-	if !e.keyed || len(e.conds) == 1 {
-		return 0
+// release is called once by each worker of e.from when it stops sending.
+func (e *edge) release() {
+	if e.open.Add(-1) == 0 {
+		for _, ch := range e.chans {
+			close(ch)
+		}
 	}
-	return int(keyHash(key) % uint64(len(e.conds)))
 }
 
 // KeyHash exposes the engine's stable key hash. Anything that routes
@@ -202,8 +149,8 @@ func (e *edge) partition(key string) int {
 func KeyHash(key string) uint64 { return keyHash(key) }
 
 // PartitionOf returns the partition in [0, parts) that keyed routing
-// assigns to key — the same index edge.partition computes for a keyed
-// edge with parts conduits. parts < 2 always yields 0.
+// assigns to key — the channel a keyed edge with parts target workers
+// carries it on. parts < 2 always yields 0.
 func PartitionOf(key string, parts int) int {
 	if parts < 2 {
 		return 0
@@ -230,17 +177,12 @@ func keyHash(key string) uint64 {
 	return h
 }
 
-// framePool recycles channel-transport frames between receivers (which
-// drain them) and senders (which refill them), so a steady-state run
-// allocates no per-frame buffers. Ring conduits bypass the pool
-// entirely: their slot buffers recycle by ring position.
+// framePool recycles transport frames between receivers (which drain
+// them) and senders (which refill them), so a steady-state run allocates
+// no per-frame buffers.
 type framePool struct {
 	pool sync.Pool
 	size int
-}
-
-func newFramePool(size int) *framePool {
-	return &framePool{size: size}
 }
 
 func (fp *framePool) get() frame {
@@ -258,244 +200,88 @@ func (fp *framePool) put(fr frame) {
 	fp.pool.Put(&fr)
 }
 
-// outTarget is one (edge, partition) output lane of an outbox.
-type outTarget struct {
-	cond *conduit
-	buf  frame  // channel lane: partial frame being filled (pooled)
-	rsv  *frame // ring lane: reserved slot being filled in place
-	// cur is the adaptive flush threshold for ring lanes: it starts at 1
-	// (first event ships immediately — a slow source must not park its
-	// first events behind a full batch), doubles toward the configured
-	// batch size while the consumer lags (occupancy above 1 at publish),
-	// and halves back when the consumer drains the ring dry. Low-rate
-	// latency is therefore not batch-bound, and high-rate throughput
-	// still amortizes at full frames.
-	cur int
-}
-
-// outbox is one worker's private emit state: per-edge, per-partition
-// output lanes that flush as frames when full and on worker completion,
-// plus a shard-local emitted counter folded into the node's atomic once
-// per flush instead of once per event.
+// outbox is one worker's private emit state: a partial frame per
+// (out-edge, partition) that ships when it holds batch events and at
+// worker end, plus a worker-local emitted counter folded into the node's
+// atomic once, when the worker ends.
 type outbox struct {
 	n       *Node
-	batch   int
-	pool    *framePool
+	pool    *framePool // its size is the batch size
 	done    <-chan struct{}
-	edges   []*edge
-	tgts    [][]outTarget // [edge][partition]
-	single  *outTarget    // fast path when there is exactly one lane
+	bufs    [][]frame // [edge][partition]
 	emitted int64
 }
 
-func newOutbox(n *Node, batch int, pool *framePool, done <-chan struct{}) *outbox {
-	ob := &outbox{n: n, batch: batch, pool: pool, done: done, edges: n.downstream}
-	ob.tgts = make([][]outTarget, len(n.downstream))
+func newOutbox(n *Node, pool *framePool, done <-chan struct{}) *outbox {
+	ob := &outbox{n: n, pool: pool, done: done, bufs: make([][]frame, len(n.downstream))}
 	for i, e := range n.downstream {
-		ob.tgts[i] = make([]outTarget, len(e.conds))
-		for p := range ob.tgts[i] {
-			ob.tgts[i][p] = outTarget{cond: e.conds[p], cur: 1}
-		}
-	}
-	if len(ob.tgts) == 1 && len(ob.tgts[0]) == 1 {
-		ob.single = &ob.tgts[0][0]
+		ob.bufs[i] = make([]frame, len(e.chans))
 	}
 	return ob
 }
 
-// emit is the worker's EmitFunc: append to the per-partition lane and
-// ship a frame downstream only when the flush threshold is reached.
-// Within one (sender, partition) pair, events stay in emission order,
-// so keyed consumers observe the exact per-key sequence the unbatched
-// transport delivered.
+// emit is the worker's EmitFunc: append the event to its partition's
+// frame on every out-edge, shipping each frame that fills.
 func (ob *outbox) emit(ev Event) {
 	ob.emitted++
-	if t := ob.single; t != nil {
-		ob.push(t, ev)
-		return
-	}
-	for i, e := range ob.edges {
-		ob.push(&ob.tgts[i][e.partition(ev.Key)], ev)
+	for i, e := range ob.n.downstream {
+		p := PartitionOf(ev.Key, len(e.chans))
+		buf := ob.bufs[i][p]
+		if buf == nil {
+			buf = ob.pool.get()
+		}
+		if buf = append(buf, ev); len(buf) == ob.pool.size {
+			ob.send(e.chans[p], buf)
+			buf = nil
+		}
+		ob.bufs[i][p] = buf
 	}
 }
 
-// push appends one event to a lane. Ring lanes fill the reserved slot
-// in place — no pool traffic, no channel operation; publish makes the
-// slot visible when the adaptive threshold is reached.
-func (ob *outbox) push(t *outTarget, ev Event) {
-	if r := t.cond.ring; r != nil {
-		if t.rsv == nil {
-			t.rsv = r.reserve(ob.done)
-		}
-		*t.rsv = append(*t.rsv, ev)
-		if len(*t.rsv) >= t.cur {
-			ob.shipRing(t, r)
-		}
-		return
-	}
-	if t.buf == nil {
-		t.buf = ob.pool.get()
-	}
-	t.buf = append(t.buf, ev)
-	if len(t.buf) >= ob.batch {
-		ob.ship(t)
-	}
-}
-
-// emitFrame bulk-emits a whole frame — the engine-side forward for
-// pass-through operators. Single-partition lanes take chunked appends
-// (a copy per chunk instead of a call per event); keyed multi-partition
-// edges still route per event.
-func (ob *outbox) emitFrame(evs []Event) {
-	if len(evs) == 0 {
-		return
-	}
-	ob.emitted += int64(len(evs))
-	if t := ob.single; t != nil {
-		ob.pushBulk(t, evs)
-		return
-	}
-	for i, e := range ob.edges {
-		if len(ob.tgts[i]) == 1 {
-			ob.pushBulk(&ob.tgts[i][0], evs)
-			continue
-		}
-		tg := ob.tgts[i]
-		for j := range evs {
-			ob.pushInto(&tg[e.partition(evs[j].Key)], evs[j])
-		}
-	}
-}
-
-// pushInto is push without the single-lane indirection (used by the
-// multi-partition bulk loop).
-func (ob *outbox) pushInto(t *outTarget, ev Event) { ob.push(t, ev) }
-
-func (ob *outbox) pushBulk(t *outTarget, evs []Event) {
-	if r := t.cond.ring; r != nil {
-		for len(evs) > 0 {
-			if t.rsv == nil {
-				t.rsv = r.reserve(ob.done)
-			}
-			space := t.cur - len(*t.rsv)
-			if space <= 0 {
-				ob.shipRing(t, r)
-				continue
-			}
-			k := space
-			if len(evs) < k {
-				k = len(evs)
-			}
-			*t.rsv = append(*t.rsv, evs[:k]...)
-			evs = evs[k:]
-		}
-		if t.rsv != nil && len(*t.rsv) >= t.cur {
-			ob.shipRing(t, r)
-		}
-		return
-	}
-	for len(evs) > 0 {
-		if t.buf == nil {
-			t.buf = ob.pool.get()
-		}
-		space := ob.batch - len(t.buf)
-		if space <= 0 {
-			ob.ship(t)
-			continue
-		}
-		k := space
-		if len(evs) < k {
-			k = len(evs)
-		}
-		t.buf = append(t.buf, evs[:k]...)
-		evs = evs[k:]
-	}
-	if t.buf != nil && len(t.buf) >= ob.batch {
-		ob.ship(t)
-	}
-}
-
-// shipRing publishes the reserved slot and adapts the lane's flush
-// threshold to the observed occupancy: a drained ring means the
-// consumer is waiting (halve toward 1 for latency), a backlog means it
-// is busy (double toward the batch size for throughput).
-func (ob *outbox) shipRing(t *outTarget, r *spscRing) {
-	occ := r.publish()
-	t.rsv = nil
-	if occ <= 1 {
-		if t.cur > 1 {
-			t.cur >>= 1
-		}
-	} else if t.cur < ob.batch {
-		t.cur <<= 1
-		if t.cur > ob.batch {
-			t.cur = ob.batch
-		}
-	}
-}
-
-// ship sends a full channel-lane frame, panicking with the abort
-// sentinel when the run died under a blocked send.
-func (ob *outbox) ship(t *outTarget) {
-	buf := t.buf
-	t.buf = nil
-	if !t.cond.send(buf, ob.done) {
+// send hands a frame downstream. A send blocked on a full channel of a
+// dead run unwinds the worker with the abort sentinel instead of
+// deadlocking it; the frame is dropped.
+func (ob *outbox) send(ch chan frame, fr frame) {
+	select {
+	case ch <- fr:
+	case <-ob.done:
 		panic(runAborted{})
 	}
 }
 
-// flush ships every partially filled lane downstream — the
-// flush-on-close path that keeps the final events of a stream from
-// being stranded. It runs after the worker's Flush, before the worker
-// releases its sender slots (so conduits close only after the last
-// partial frame is in flight). An aborted run stops flushing but keeps
-// unwinding.
+// flush ships every partial frame — the end-of-stream path that keeps a
+// worker's last events from being stranded. It runs after the worker's
+// Flush and before the worker releases its out-edges, so channels close
+// only after the last frame is in flight.
 func (ob *outbox) flush() {
-	for i := range ob.tgts {
-		for p := range ob.tgts[i] {
-			t := &ob.tgts[i][p]
-			if r := t.cond.ring; r != nil {
-				if t.rsv != nil && len(*t.rsv) > 0 {
-					r.publish()
-				}
-				t.rsv = nil
-				continue
-			}
-			buf := t.buf
-			t.buf = nil
-			if len(buf) == 0 {
-				continue
-			}
-			if !t.cond.send(buf, ob.done) {
-				return
+	for i, e := range ob.n.downstream {
+		for p, buf := range ob.bufs[i] {
+			if len(buf) > 0 {
+				ob.bufs[i][p] = nil
+				ob.send(e.chans[p], buf)
 			}
 		}
 	}
 }
 
-// fold merges the shard-local emitted count into the node's counter. It
+// fold merges the worker-local emitted count into the node's counter. It
 // runs deferred so the count survives an aborted worker too.
-func (ob *outbox) fold() {
-	ob.n.emitted.Add(ob.emitted)
-	ob.emitted = 0
-}
+func (ob *outbox) fold() { ob.n.emitted.Add(ob.emitted) }
 
 // Graph is a dataflow topology under construction.
 type Graph struct {
 	nodes     []*Node
 	chanSize  int
 	batchSize int
-	fuse      bool // on unless SetFusion(false)
 	// pool recycles frame buffers across the graph's runs (Run is
-	// sequential per graph): ring slots are harvested back into it at
-	// the end of each run.
+	// sequential per graph).
 	pool *framePool
 }
 
 // NewGraph returns an empty graph. Transport capacity is 256 frames per
-// edge partition (ring capacities round up to the next power of two);
-// transport batch size defaults to 64 events per frame.
-func NewGraph() *Graph { return &Graph{chanSize: 256, batchSize: 64, fuse: true} }
+// edge partition, enough to keep a worker busy through another's
+// scheduling gap; transport batch size defaults to 64 events per frame.
+func NewGraph() *Graph { return &Graph{chanSize: 256, batchSize: 64} }
 
 // SetBatchSize overrides the transport batch size: the number of events
 // accumulated per output buffer before a frame is shipped downstream.
@@ -546,9 +332,8 @@ func (g *Graph) AddFilter(name string, parallelism int, pred func(Event) bool) *
 	})
 }
 
-// AddSink registers a sink. fn is called from a single goroutine —
-// unless the planner replicates a nil-fn sink into parallel upstream
-// workers, which is only legal because there is no fn to call.
+// AddSink registers a sink. fn (which may be nil) is called from a
+// single goroutine.
 func (g *Graph) AddSink(name string, fn func(Event)) *Node {
 	n := &Node{name: name, kind: kindSink, parallelism: 1, sinkFn: fn}
 	g.nodes = append(g.nodes, n)
@@ -572,9 +357,7 @@ func (g *Graph) connect(from, to *Node, keyed bool) error {
 	if to.kind == kindSource {
 		return fmt.Errorf("stream: source %q cannot have upstream", to.name)
 	}
-	e := &edge{from: from, to: to, keyed: keyed}
-	from.downstream = append(from.downstream, e)
-	to.inputs++
+	from.downstream = append(from.downstream, &edge{from: from, to: to, keyed: keyed})
 	return nil
 }
 
@@ -588,7 +371,7 @@ func (g *Graph) Run() (*Metrics, error) { return g.RunContext(context.Background
 
 // RunContext executes the graph under the context. Cancelling the
 // context aborts the run — sources, workers, and sinks unwind even when
-// blocked on full or empty conduits or holding half-filled output
+// blocked on full or empty channels or holding half-filled output
 // frames, so no goroutines leak — and RunContext returns ctx.Err(). A
 // panicking processor likewise aborts the whole graph and surfaces as an
 // error instead of a deadlock.
@@ -601,10 +384,9 @@ func (g *Graph) RunContext(ctx context.Context) (*Metrics, error) {
 	}
 	m := newMetrics()
 	if g.pool == nil || g.pool.size != g.batchSize {
-		g.pool = newFramePool(g.batchSize)
+		g.pool = &framePool{size: g.batchSize}
 	}
 	pool := g.pool
-	segs, _ := g.plan(g.fuse)
 
 	runCtx, cancel := context.WithCancel(ctx)
 	defer cancel()
@@ -619,194 +401,113 @@ func (g *Graph) RunContext(ctx context.Context) (*Metrics, error) {
 			cancel()
 		})
 	}
-	// guard runs a worker body, translating the abort sentinel into a
-	// clean return and any other panic into a run-wide failure.
-	guard := func(name string, f func()) {
-		defer func() {
-			if r := recover(); r != nil {
-				if _, ok := r.(runAborted); ok {
-					return
-				}
-				fail(fmt.Errorf("stream: node %q panicked: %v", name, r))
-			}
-		}()
-		f()
-	}
 
-	// Materialize conduits on every cross-segment edge (fused-away edges
-	// keep conds == nil: their traffic moves by direct call inside a
-	// chain). A conduit is an SPSC ring when the planner can prove the
-	// single-producer/single-consumer shape, else a channel.
-	segOf := map[*Node]*segment{}
-	for _, s := range segs {
-		for _, n := range s.nodes {
-			segOf[n] = s
-		}
-	}
-	for _, s := range segs {
-		tail := s.tail()
-		for _, e := range tail.downstream {
+	// Fresh channels and counters on every edge; inputs lists each node's
+	// upstream edges.
+	inputs := map[*Node][]*edge{}
+	for _, n := range g.nodes {
+		n.emitted.Store(0)
+		n.processed.Store(0)
+		for _, e := range n.downstream {
 			parts := 1
 			if e.keyed {
 				parts = e.to.parallelism
 			}
-			e.conds = make([]*conduit, parts)
-			ring := ringEligible(e, s.par)
-			for i := range e.conds {
-				if ring {
-					e.conds[i] = &conduit{ring: newSPSCRing(g.chanSize, pool)}
-				} else {
-					e.conds[i] = &conduit{ch: make(chan frame, g.chanSize)}
-				}
+			e.chans = make([]chan frame, parts)
+			for i := range e.chans {
+				e.chans[i] = make(chan frame, g.chanSize)
+			}
+			e.open.Store(int32(n.parallelism))
+			inputs[e.to] = append(inputs[e.to], e)
+		}
+	}
+	// in merges the channels worker w of n reads: its own partition of
+	// every keyed input edge, and the shared channel of every other one.
+	in := func(n *Node, w int) <-chan frame {
+		var chans []chan frame
+		for _, e := range inputs[n] {
+			if e.keyed {
+				chans = append(chans, e.chans[w])
+			} else {
+				chans = append(chans, e.chans[0])
 			}
 		}
+		return merge(chans, done, g.chanSize)
 	}
 
 	var wg sync.WaitGroup
-	// Per-head input accounting: the conduits each segment head's
-	// workers read.
-	inConds := map[*Node][]*conduit{}
-	for _, s := range segs {
-		head := s.head()
-		if head.kind == kindSource {
-			continue
-		}
-		seen := map[*conduit]bool{}
-		for _, up := range g.nodes {
-			for _, e := range up.downstream {
-				if e.to != head || e.conds == nil {
-					continue
+	// start runs one worker of n: a panic other than the abort sentinel
+	// fails the run, and on every path the worker releases its out-edges.
+	start := func(n *Node, body func()) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			defer func() {
+				for _, e := range n.downstream {
+					e.release()
 				}
-				for _, cd := range e.conds {
-					if !seen[cd] {
-						seen[cd] = true
-						inConds[head] = append(inConds[head], cd)
+			}()
+			defer func() {
+				if r := recover(); r != nil {
+					if _, ok := r.(runAborted); !ok {
+						fail(fmt.Errorf("stream: node %q panicked: %v", n.name, r))
 					}
 				}
-			}
-		}
-	}
-
-	// Track, per conduit, how many senders feed it so it can be closed
-	// when they all finish.
-	senders := map[*conduit]*sync.WaitGroup{}
-	for _, s := range segs {
-		for _, e := range s.tail().downstream {
-			for _, cd := range e.conds {
-				if senders[cd] == nil {
-					senders[cd] = &sync.WaitGroup{}
-				}
-				senders[cd].Add(s.par)
-			}
-		}
-	}
-	var closers sync.WaitGroup
-	for cd, swg := range senders {
-		closers.Add(1)
-		go func(cd *conduit, swg *sync.WaitGroup) {
-			defer closers.Done()
-			swg.Wait()
-			cd.close()
-		}(cd, swg)
-	}
-
-	doneFor := func(s *segment) func() {
-		return func() {
-			for _, e := range s.tail().downstream {
-				for _, cd := range e.conds {
-					senders[cd].Done()
-				}
-			}
-		}
-	}
-
-	// Reset per-node counters so repeated Run calls start clean.
-	for _, n := range g.nodes {
-		n.emitted.Store(0)
-		n.processed.Store(0)
+			}()
+			body()
+		}()
 	}
 
 	m.start()
-	for _, s := range segs {
-		s := s
-		head := s.head()
-		switch head.kind {
+	for _, n := range g.nodes {
+		switch n.kind {
 		case kindSource:
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				defer doneFor(s)()
-				guard(head.name, func() {
-					ch := buildChain(s, g.batchSize, pool, done, m)
-					defer ch.fold()
-					head.gen(ch.rootEmit)
-					ch.finish()
-				})
-			}()
+			start(n, func() {
+				ob := newOutbox(n, pool, done)
+				defer ob.fold()
+				n.gen(ob.emit)
+				ob.flush()
+			})
 		case kindOperator:
-			conds := inConds[head]
-			if len(conds) == 0 {
-				// Disconnected segment: nothing to do, but release
-				// sender slots so downstream conduits close.
-				for w := 0; w < s.par; w++ {
-					doneFor(s)()
-				}
-				continue
-			}
-			keyed := keyedInbox(g, head)
-			for w := 0; w < s.par; w++ {
-				w := w
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					defer doneFor(s)()
-					guard(head.name, func() {
-						ch := buildChain(s, g.batchSize, pool, done, m)
-						defer ch.fold()
-						// Keyed inputs dedicate conduit w to worker w;
-						// shared inputs are consumed cooperatively.
-						mine := conds
-						if keyed {
-							mine = pickWorkerConds(g, head, w)
+			for w := 0; w < n.parallelism; w++ {
+				frames := in(n, w)
+				start(n, func() {
+					ob := newOutbox(n, pool, done)
+					defer ob.fold()
+					emit := EmitFunc(ob.emit)
+					proc := n.newProc()
+					fp, _ := proc.(FrameProcessor)
+					consume(frames, done, pool, func(fr frame) {
+						n.processed.Add(int64(len(fr)))
+						if fp != nil {
+							fp.ProcessFrame(fr, emit)
+							return
 						}
-						if len(mine) == 1 && mine[0].ring != nil {
-							ch.consumeRing(mine[0].ring)
-						} else {
-							ch.consumeChans(mine, g.chanSize, pool)
+						for i := range fr {
+							proc.Process(fr[i], emit)
 						}
 					})
-				}()
+					proc.Flush(emit)
+					ob.flush()
+				})
 			}
 		case kindSink:
-			conds := inConds[head]
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				guard(head.name, func() {
-					ch := buildChain(s, g.batchSize, pool, done, m)
-					defer ch.fold()
-					if len(conds) == 1 && conds[0].ring != nil {
-						ch.consumeRing(conds[0].ring)
-					} else {
-						ch.consumeChans(conds, g.chanSize, pool)
+			frames := in(n, 0)
+			start(n, func() {
+				consume(frames, done, pool, func(fr frame) {
+					n.processed.Add(int64(len(fr)))
+					m.recordFrame(n.name, fr)
+					if n.sinkFn != nil {
+						for i := range fr {
+							n.sinkFn(fr[i])
+						}
 					}
 				})
-			}()
+			})
 		}
 	}
 	wg.Wait()
-	closers.Wait()
 	m.stop()
-	// All goroutines are gone: recycle ring slot buffers for the next run.
-	for _, s := range segs {
-		for _, e := range s.tail().downstream {
-			for _, cd := range e.conds {
-				if cd.ring != nil {
-					cd.ring.harvest()
-				}
-			}
-		}
-	}
 	if runErr != nil {
 		return nil, runErr
 	}
@@ -816,34 +517,21 @@ func (g *Graph) RunContext(ctx context.Context) (*Metrics, error) {
 	return m, nil
 }
 
-// keyedInbox reports whether all edges into n are keyed.
-func keyedInbox(g *Graph, n *Node) bool {
-	any := false
-	for _, up := range g.nodes {
-		for _, e := range up.downstream {
-			if e.to == n {
-				any = true
-				if !e.keyed {
-					return false
-				}
+// consume hands every frame of in to deliver and recycles it, returning
+// when in closes; a dead run unwinds it with the abort sentinel.
+func consume(in <-chan frame, done <-chan struct{}, pool *framePool, deliver func(frame)) {
+	for {
+		select {
+		case fr, ok := <-in:
+			if !ok {
+				return
 			}
+			deliver(fr)
+			pool.put(fr)
+		case <-done:
+			panic(runAborted{})
 		}
 	}
-	return any
-}
-
-// pickWorkerConds returns the conduits assigned to worker w of node n
-// across all keyed input edges.
-func pickWorkerConds(g *Graph, n *Node, w int) []*conduit {
-	var out []*conduit
-	for _, up := range g.nodes {
-		for _, e := range up.downstream {
-			if e.to == n && e.keyed && w < len(e.conds) {
-				out = append(out, e.conds[w])
-			}
-		}
-	}
-	return out
 }
 
 // merge fans multiple frame channels into one, abandoning the fan-in
@@ -888,14 +576,20 @@ func merge(chans []chan frame, done <-chan struct{}, capacity int) <-chan frame 
 	return out
 }
 
+// validate rejects a graph Run could not finish correctly: duplicate
+// names, no source or sink, an edge into a node of another graph (its
+// events would go nowhere), and a cycle (a node on one feeds its own
+// input, which then never closes).
 func (g *Graph) validate() error {
 	names := map[string]bool{}
+	mine := map[*Node]bool{}
 	hasSource, hasSink := false, false
 	for _, n := range g.nodes {
 		if names[n.name] {
 			return fmt.Errorf("stream: duplicate node name %q", n.name)
 		}
 		names[n.name] = true
+		mine[n] = true
 		switch n.kind {
 		case kindSource:
 			hasSource = true
@@ -908,6 +602,39 @@ func (g *Graph) validate() error {
 	}
 	if !hasSink {
 		return fmt.Errorf("stream: graph has no sink")
+	}
+	for _, n := range g.nodes {
+		for _, e := range n.downstream {
+			if !mine[e.to] {
+				return fmt.Errorf("stream: node %q is connected to node %q of another graph", n.name, e.to.name)
+			}
+		}
+	}
+	// Depth-first search: reaching a node still on the path closes a cycle.
+	const onPath, finished = 1, 2
+	state := map[*Node]int8{}
+	var visit func(n *Node) *Node
+	visit = func(n *Node) *Node {
+		state[n] = onPath
+		for _, e := range n.downstream {
+			switch state[e.to] {
+			case onPath:
+				return e.to
+			case 0:
+				if c := visit(e.to); c != nil {
+					return c
+				}
+			}
+		}
+		state[n] = finished
+		return nil
+	}
+	for _, n := range g.nodes {
+		if state[n] == 0 {
+			if c := visit(n); c != nil {
+				return fmt.Errorf("stream: cycle through node %q", c.name)
+			}
+		}
 	}
 	return nil
 }

@@ -231,6 +231,69 @@ func TestValidation(t *testing.T) {
 	}
 }
 
+// TestValidateRejectsCycleAndForeignNode: Run refuses, with an error
+// naming the node, a graph it cannot finish correctly. On a cycle every
+// node on it feeds its own input, whose channel then never closes, so Run
+// would hang (it runs under a timeout here); an edge into a node of
+// another graph has no channel any worker reads, so its events would be
+// dropped without a word.
+func TestValidateRejectsCycleAndForeignNode(t *testing.T) {
+	source := func(g *Graph) *Node {
+		return g.AddSource("src", func(emit EmitFunc) {
+			for i := 0; i < 10; i++ {
+				emit(Event{Time: float64(i)})
+			}
+		})
+	}
+	pass := func(ev Event, emit EmitFunc) { emit(ev) }
+	for _, tc := range []struct {
+		name, node string
+		build      func() *Graph
+	}{
+		{"self-loop", "op", func() *Graph {
+			g := NewGraph()
+			op := g.AddMap("op", 1, pass)
+			must(t, g.Connect(source(g), op))
+			must(t, g.Connect(op, op))
+			must(t, g.Connect(op, g.AddSink("sink", nil)))
+			return g
+		}},
+		{"two-node-cycle", "a", func() *Graph {
+			g := NewGraph()
+			a, b := g.AddMap("a", 1, pass), g.AddMap("b", 2, pass)
+			must(t, g.Connect(source(g), a))
+			must(t, g.Connect(a, b))
+			must(t, g.ConnectKeyed(b, a))
+			must(t, g.Connect(b, g.AddSink("sink", nil)))
+			return g
+		}},
+		{"foreign-node", "other", func() *Graph {
+			g, h := NewGraph(), NewGraph()
+			src := source(g)
+			must(t, g.Connect(src, g.AddSink("out", nil)))
+			must(t, g.Connect(src, h.AddSink("other", nil)))
+			return g
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			g := tc.build()
+			errc := make(chan error, 1)
+			go func() {
+				_, err := g.Run()
+				errc <- err
+			}()
+			select {
+			case err := <-errc:
+				if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("%q", tc.node)) {
+					t.Errorf("Run error = %v, want one naming node %q", err, tc.node)
+				}
+			case <-time.After(5 * time.Second):
+				t.Fatal("Run did not return")
+			}
+		})
+	}
+}
+
 // TestSetBatchSizeRejectsNonPositive: a zero or negative transport
 // batch size is a configuration error, not a silent clamp.
 func TestSetBatchSizeRejectsNonPositive(t *testing.T) {
@@ -507,10 +570,6 @@ func TestFrameProcessorReceivesFrames(t *testing.T) {
 	const n = 1000
 	g := NewGraph()
 	g.SetBatchSize(16)
-	// Pin fused framing: the exact-frame-count assertions below rely on
-	// fixed micro-frame boundaries, which adaptive ring batching may
-	// legally shrink when this chain runs unfused.
-	g.SetFusion(true)
 	src := g.AddSource("src", func(emit EmitFunc) {
 		for i := 0; i < n; i++ {
 			emit(Event{Time: float64(i), Key: "k"})

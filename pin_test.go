@@ -12,12 +12,16 @@ import (
 	"context"
 	"fmt"
 	"os"
+	"sort"
 	"strings"
 	"testing"
 
 	"sound"
+	"sound/internal/astro"
 	"sound/internal/checker"
 	"sound/internal/checkpoint"
+	"sound/internal/core"
+	"sound/internal/smartgrid"
 	"sound/internal/stream"
 	"sound/internal/violation"
 )
@@ -191,61 +195,92 @@ func loadPinFixture(t *testing.T) sound.Series {
 // first evaluation, not at worker startup.
 func TestPinnedStreamBatchedGraphParity(t *testing.T) {
 	x := loadPinFixture(t)
-	for _, fuse := range []bool{true, false} {
-		for _, batch := range []int{1, 7, 64} {
-			for _, workers := range []int{1, 4} {
-				var sb strings.Builder
-				for _, tc := range []struct {
-					tag string
-					win sound.Windower
-				}{
-					{"sliding", sound.TimeWindow{Size: 12, Slide: 5}},
-					{"tumbling", sound.TimeWindow{Size: 9}},
-					{"count", sound.CountWindow{Size: 8, Slide: 3}},
-				} {
-					out := &checker.StreamOutcomes{}
-					factory, err := checker.NewStreamChecker(checker.StreamCheck{
-						Check: sound.Check{
-							Name: "range", Constraint: sound.FractionInRange(0, 13, 0.8),
-							SeriesNames: []string{"x"}, Window: tc.win,
-						},
-						Params:  sound.DefaultParams(),
-						Seed:    13,
-						Forward: true,
-						Out:     out,
-					})
-					if err != nil {
-						t.Fatal(err)
-					}
-					g := stream.NewGraph()
-					g.SetFusion(fuse)
-					g.SetBatchSize(batch)
-					src := g.AddSource("csv", func(emit stream.EmitFunc) {
-						for _, pt := range x {
-							emit(stream.Event{Time: pt.T, Key: "k", Value: pt.V, SigUp: pt.SigUp, SigDown: pt.SigDown})
-						}
-					})
-					chk := g.AddOperator("check", workers, factory)
-					if err := g.ConnectKeyed(src, chk); err != nil {
-						t.Fatal(err)
-					}
-					if err := g.Connect(chk, g.AddSink("sink", nil)); err != nil {
-						t.Fatal(err)
-					}
-					m, err := g.Run()
-					if err != nil {
-						t.Fatal(err)
-					}
-					if got := m.Count("sink"); got != int64(len(x)) {
-						t.Fatalf("fuse=%v batch=%d workers=%d %s: sink saw %d events, want %d", fuse, batch, workers, tc.tag, got, len(x))
-					}
-					c := out.Counts()
-					fmt.Fprintf(&sb, "stream/%s sat=%d viol=%d inc=%d\n", tc.tag, c.Satisfied, c.Violated, c.Inconclusive)
+	for _, batch := range []int{1, 7, 64} {
+		for _, workers := range []int{1, 4} {
+			var sb strings.Builder
+			for _, tc := range []struct {
+				tag string
+				win sound.Windower
+			}{
+				{"sliding", sound.TimeWindow{Size: 12, Slide: 5}},
+				{"tumbling", sound.TimeWindow{Size: 9}},
+				{"count", sound.CountWindow{Size: 8, Slide: 3}},
+			} {
+				out := &checker.StreamOutcomes{}
+				factory, err := checker.NewStreamChecker(checker.StreamCheck{
+					Check: sound.Check{
+						Name: "range", Constraint: sound.FractionInRange(0, 13, 0.8),
+						SeriesNames: []string{"x"}, Window: tc.win,
+					},
+					Params:  sound.DefaultParams(),
+					Seed:    13,
+					Forward: true,
+					Out:     out,
+				})
+				if err != nil {
+					t.Fatal(err)
 				}
-				diffLines(t, fmt.Sprintf("stream fuse=%v batch=%d workers=%d", fuse, batch, workers), sb.String(), pinnedStream)
+				g := stream.NewGraph()
+				g.SetBatchSize(batch)
+				src := g.AddSource("csv", func(emit stream.EmitFunc) {
+					for _, pt := range x {
+						emit(stream.Event{Time: pt.T, Key: "k", Value: pt.V, SigUp: pt.SigUp, SigDown: pt.SigDown})
+					}
+				})
+				chk := g.AddOperator("check", workers, factory)
+				if err := g.ConnectKeyed(src, chk); err != nil {
+					t.Fatal(err)
+				}
+				if err := g.Connect(chk, g.AddSink("sink", nil)); err != nil {
+					t.Fatal(err)
+				}
+				m, err := g.Run()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got := m.Count("sink"); got != int64(len(x)) {
+					t.Fatalf("batch=%d workers=%d %s: sink saw %d events, want %d", batch, workers, tc.tag, got, len(x))
+				}
+				c := out.Counts()
+				fmt.Fprintf(&sb, "stream/%s sat=%d viol=%d inc=%d\n", tc.tag, c.Satisfied, c.Violated, c.Inconclusive)
 			}
+			diffLines(t, fmt.Sprintf("stream batch=%d workers=%d", batch, workers), sb.String(), pinnedStream)
 		}
 	}
+}
+
+// TestPinnedStreamApps pins the SOUND-mode verdict counts of the astro and
+// smartgrid stream apps behind Figs. 4–6 (A-1..A-4; smartgrid attaches
+// S-1, S-4 and S-5) at 20 000 events, seed 1, c = 0.95, N = 100. At
+// parallelism 1 every node has one worker and every edge one producer, so
+// each check receives its events in one order and its counts are a
+// function of the graph alone, whatever the executor's scheduling.
+func TestPinnedStreamApps(t *testing.T) {
+	const events, seed = 20_000, 1
+	params := core.Params{Credibility: 0.95, MaxSamples: 100}
+	var sb strings.Builder
+	record := func(outs map[string]*checker.StreamOutcomes) {
+		names := make([]string, 0, len(outs))
+		for name := range outs {
+			names = append(names, name)
+		}
+		sort.Strings(names)
+		for _, name := range names {
+			c := outs[name].Counts()
+			fmt.Fprintf(&sb, "%s sat=%d viol=%d inc=%d\n", name, c.Satisfied, c.Violated, c.Inconclusive)
+		}
+	}
+	a := astro.BuildStream(astro.DefaultConfig(), astro.Sound, params, 1, events, seed)
+	if _, err := a.Run(); err != nil {
+		t.Fatal(err)
+	}
+	record(a.Outcomes)
+	s := smartgrid.BuildStream(smartgrid.DefaultConfig(), smartgrid.Sound, params, 1, events, seed)
+	if _, err := s.Run(); err != nil {
+		t.Fatal(err)
+	}
+	record(s.Outcomes)
+	diffLines(t, "stream apps", sb.String(), pinnedStreamApps)
 }
 
 // TestPinnedCheckpointRestoreParity is the acceptance pin for the
@@ -526,6 +561,14 @@ par3[28] o=⊤ n=5 s=5 p=0.1428571428571429 ci=[0.5407418735600996,0.99578925548
 	pinnedStream = `stream/sliding sat=2 viol=12 inc=9
 stream/tumbling sat=1 viol=5 inc=7
 stream/count sat=1 viol=10 inc=0
+`
+	pinnedStreamApps = `A-1 sat=16044 viol=918 inc=122
+A-2 sat=1994 viol=0 inc=0
+A-3 sat=75 viol=73 inc=11
+A-4 sat=98 viol=1 inc=7
+S-1 sat=19797 viol=203 inc=0
+S-4 sat=772 viol=0 inc=1
+S-5 sat=236 viol=13 inc=7
 `
 	pinnedViolation = `cp[0] idx=1 expl=[E1 (difference in data values)]
 cp[1] idx=2 expl=[E1 (difference in data values)]

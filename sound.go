@@ -27,13 +27,13 @@
 // drill-down) lives behind ChangePoints, NewAnalyzer, and
 // NewUpstreamAnalysis.
 //
-// Online checking runs the same compiled plans inside the streaming
-// engine (internal/stream; reached via the app binaries and
-// `soundcheck -stream`). The engine plans linear check topologies into
-// fused shards over single-producer ring edges with adaptive batching.
-// Fusion is a scheduling choice with no switch outside the tests, which
-// pin its outcomes bit-identical to the goroutine-per-node plan
-// (DESIGN.md §4j). Every stream operator seeds a window's draws from
+// Online checking runs the same compiled plans as stream operators
+// (NewStreamChecker), driven by the loop that owns them: a `soundserve`
+// shard hands its operator frames, `soundcheck -stream` calls Process
+// per CSV event, and the dataflow engine (internal/stream: a goroutine
+// per node worker, bounded channels of fixed-size frames, DESIGN.md §4j)
+// runs the stream apps behind `soundbench -exp fig4`–`fig6` with their
+// checks as side branches. Every stream operator seeds a window's draws from
 // the window itself — check class, route key, window coordinate — so
 // an online verdict does not depend on worker or shard count, batch
 // size, or which other checks are registered (DESIGN.md §4l). The batch
