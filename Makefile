@@ -45,7 +45,7 @@ bench-smoke:
 
 # fuzz smoke-runs the hostile-input fuzz targets for FUZZTIME each: the
 # snapshot codec (corrupt checkpoints must error, never panic, and
-# valid ones must re-encode bit-identically), the stream operator's
+# valid ones must re-encode bit-identically), the Mux operator's
 # restore (arbitrary payloads never panic DecodeOperator, and an
 # accepted one re-encodes to its own bytes), the kernel/closure
 # evaluation parity, the shared-lane/per-check scoring parity, the

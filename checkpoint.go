@@ -16,47 +16,55 @@ import (
 //	params, seed, done, _ := sound.RestoreSuite(suite, snap)
 //	results, _ := suite.RunFrom(ctx, params, seed, done) // finishes the rest
 //
-// Stream flow: whoever drives the operator snapshots it between two
-// calls — EncodeOperator writes its watermark and window groups, the
-// caller's StreamOutcomes.EncodeTo its counters — and DecodeOperator
-// loads the state into a fresh operator, which then resumes the stream
-// bit-identically (see cmd/soundcheck -checkpoint / -restore for a
-// complete wiring). A stream snapshot holds no RNG position, because
-// every window's draws are reseeded from the window's own coordinate
-// (codec version 3 — older snapshots are refused).
+// Stream flow: whoever drives a Mux operator snapshots it between two
+// calls — EncodeOperator writes each bucket's identity (its group class
+// and each member's name, naive flag and constraint bounds), watermark
+// and window groups, the caller's StreamOutcomes.EncodeTo its counters — and
+// DecodeOperator loads the state into a fresh operator of a Mux with the
+// same registrations, which then resumes the stream bit-identically (see
+// cmd/soundcheck -checkpoint / -restore for a complete wiring). A stream
+// snapshot holds no RNG position, because every window's draws are
+// reseeded from the window's own coordinate (codec version 4 — older
+// snapshots are refused).
 
 // EvictionPolicy bounds the keyed window state of a stream check
-// operator: idle-TTL sweeps driven by the event-time watermark, a live
-// group cap, and a byte budget with an evict-or-reject decision hook.
-// The zero value keeps every group forever.
+// operator: idle-TTL sweeps driven by the event-time watermark and a
+// live group cap that evicts the least-recently-touched group. The zero
+// value keeps every group forever.
 type EvictionPolicy = checker.EvictionPolicy
 
-// LifecycleCounts reports evicted groups, late-dropped events, and
-// admission-rejected events of a stream run.
+// LifecycleCounts reports evicted groups and late-dropped events of a
+// stream run (RejectedEvents is always 0).
 type LifecycleCounts = checker.LifecycleCounts
 
 // StreamOutcomes accumulates outcomes and lifecycle counters of online
 // checking; its Lifecycle method exposes the LifecycleCounts.
 type StreamOutcomes = checker.StreamOutcomes
 
-// StreamCheck configures the generic keyed stream check operator,
-// including its eviction policy.
-type StreamCheck = checker.StreamCheck
+// Mux is the registry behind the one online check operator: checks
+// register and deregister at runtime, and Mux.Factory makes the stream
+// operators that evaluate them, co-window checks sharing window state
+// and draws.
+type Mux = checker.Mux
 
-// NewStreamChecker compiles a check into a stream operator factory.
-func NewStreamChecker(cfg StreamCheck) (func() stream.Processor, error) {
-	return checker.NewStreamChecker(cfg)
-}
+// MuxCheck configures one registered check.
+type MuxCheck = checker.MuxCheck
 
-// EncodeOperator writes a stream check operator's state to enc; call it
-// between two calls into the operator.
+// NewMux returns an empty registry. forward passes every event through
+// the operator unchanged; evict bounds each bucket's keyed state.
+func NewMux(forward bool, evict EvictionPolicy) *Mux { return checker.NewMux(forward, evict) }
+
+// EncodeOperator writes a Mux operator's state to enc; call it between
+// two calls into the operator.
 func EncodeOperator(p stream.Processor, enc *checkpoint.Encoder) error {
 	return checker.EncodeOperator(p, enc)
 }
 
-// DecodeOperator loads EncodeOperator's output into a fresh operator
-// built from the same StreamCheck. It errors on a corrupt payload and
-// on an operator that has already seen events.
+// DecodeOperator loads EncodeOperator's output into a fresh operator of a
+// Mux holding the same registrations, bucketed the same way. It errors on
+// a corrupt payload, on different registrations (names, bucket split,
+// parameters, window, seed, naive flag, or a template constraint's
+// bounds), and on an operator that has already seen events.
 func DecodeOperator(p stream.Processor, dec *checkpoint.Decoder) error {
 	return checker.DecodeOperator(p, dec)
 }

@@ -12,11 +12,15 @@
 //	soundcheck -constraint range -min 0 -max 1 -naive normalized.csv
 //	soundcheck -constraint gt -threshold 10 -window time:20 -explain series.csv
 //
-// Streaming replays can be checkpointed and resumed: -checkpoint FILE
-// snapshots the full operator state every -checkpoint-every events,
+// -stream registers the check alone with a checker.Mux and hands the
+// merged events to one operator of it, the operator a soundserve shard
+// runs. Streaming replays can be checkpointed and resumed: -checkpoint
+// FILE snapshots the full operator state every -checkpoint-every events,
 // between two events handed to the operator, and -restore FILE resumes
 // a killed replay from the snapshot, producing outcome counts
-// bit-identical to an uninterrupted run:
+// bit-identical to an uninterrupted run. A snapshot taken under other
+// flags (constraint or its bounds, window, parameters, seed, inputs) is
+// refused:
 //
 //	soundcheck -stream -checkpoint state.ckp -checkpoint-every 1000 \
 //	    -constraint fraction -min 0 -max 13 -threshold 0.8 -window time:12:5 series.csv
@@ -255,8 +259,9 @@ func (c *csvCursor) close() {
 	}
 }
 
-// runStream replays the series through the generic online stream
-// operator, driven directly by this loop: events from all input files
+// runStream registers the check alone with a Mux and replays the series
+// through one operator of it, driven directly by this loop (the same
+// operator a soundserve shard runs): events from all input files
 // are merged in time order, keyed by file path, and routed to the check
 // inputs by key. The files are streamed — memory stays O(window), not
 // O(file) — and the outcome counts match what the check's windows
@@ -269,7 +274,9 @@ func (c *csvCursor) close() {
 // bit-identical to an uninterrupted one.
 func runStream(check sound.Check, paths []string, params sound.Params, seed uint64, naive bool, ckptPath string, every int, restorePath string) (map[sound.Outcome]int, error) {
 	out := &checker.StreamOutcomes{}
-	factory, err := checker.NewStreamChecker(checker.StreamCheck{
+	mux := checker.NewMux(false, checker.EvictionPolicy{})
+	err := mux.Register(checker.MuxCheck{
+		Name:   check.Name,
 		Check:  check,
 		Params: params,
 		Seed:   seed,
@@ -280,7 +287,7 @@ func runStream(check sound.Check, paths []string, params sound.Params, seed uint
 	if err != nil {
 		return nil, err
 	}
-	op := factory()
+	op := mux.Factory()()
 	fp := streamFingerprint(check, params, seed, naive)
 	var offset uint64
 	if restorePath != "" {
@@ -347,11 +354,12 @@ func runStream(check sound.Check, paths []string, params sound.Params, seed uint
 }
 
 // streamFingerprint identifies a replay configuration: restoring a
-// snapshot under different inputs, parameters, or seeds would resume
-// into a stream it does not belong to, so the mismatch fails loudly.
+// snapshot under different inputs, constraint bounds, parameters, or
+// seeds would resume into a stream it does not belong to, so the
+// mismatch fails loudly.
 func streamFingerprint(check sound.Check, params sound.Params, seed uint64, naive bool) string {
-	return fmt.Sprintf("soundcheck|%s|%s|%v|c=%g|n=%d|seed=%d|naive=%t|%s",
-		check.Name, check.Window, check.Constraint.Granularity, params.Credibility,
+	return fmt.Sprintf("soundcheck|%s|%+v|%s|%v|c=%g|n=%d|seed=%d|naive=%t|%s",
+		check.Name, check.Constraint.Spec, check.Window, check.Constraint.Granularity, params.Credibility,
 		params.MaxSamples, seed, naive, strings.Join(check.SeriesNames, ","))
 }
 

@@ -339,3 +339,22 @@ func TestStreamRestoreShorterInput(t *testing.T) {
 		t.Errorf("restore over 10 of 30 events: exit %d, stdout %q, stderr %q", code, out, errOut)
 	}
 }
+
+// TestStreamRestoreRejectsOtherBounds: a snapshot taken under -max 13 is
+// refused by a run with -max 5. Resuming it would mix windows judged
+// against one bound with windows judged against the other: it prints
+// ⊤ 1, ⊥ 6, where a -max 5 run prints ⊤ 0, ⊥ 7.
+func TestStreamRestoreRejectsOtherBounds(t *testing.T) {
+	fixture := filepath.Join("..", "..", "testdata", "gapped_borderline.csv")
+	ckpt := filepath.Join(t.TempDir(), "s.ckp")
+	args := func(max string) []string {
+		return []string{"-stream", "-constraint", "fraction", "-min", "0", "-max", max, "-threshold", "0.8", "-window", "time:9"}
+	}
+	if code, _, errOut := runTool(t, append(args("13"), "-checkpoint", ckpt, "-checkpoint-every", "10", fixture)...); code != 2 {
+		t.Fatalf("checkpointing run: exit %d, stderr %q", code, errOut)
+	}
+	code, out, errOut := runTool(t, append(args("5"), "-restore", ckpt, fixture)...)
+	if code != 1 || out != "" || !strings.Contains(errOut, "different run configuration") {
+		t.Errorf("restore under -max 5: exit %d, stdout %q, stderr %q; want exit 1 naming a different run configuration", code, out, errOut)
+	}
+}

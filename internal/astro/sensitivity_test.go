@@ -103,8 +103,10 @@ func TestGapsIncreaseCadenceSpread(t *testing.T) {
 		ds := Generate(cfg, 7)
 		worst := 0.0
 		for src := 0; src < cfg.Sources; src++ {
-			if g := ds.SourceLightCurve(src).MaxGap(); g > worst {
-				worst = g
+			for _, g := range ds.SourceLightCurve(src).Gaps() {
+				if g > worst {
+					worst = g
+				}
 			}
 		}
 		return worst

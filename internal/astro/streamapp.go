@@ -99,6 +99,22 @@ func BuildStream(cfg Config, mode Mode, params core.Params, parallelism, events 
 	})
 
 	checks := Checks(cfg)
+	// Each check node runs the operator of a Mux hosting that check alone.
+	checkOp := func(ck core.Check, seed uint64, out *checker.StreamOutcomes, route checker.RouteFunc) func() stream.Processor {
+		x := checker.NewMux(false, checker.EvictionPolicy{})
+		if err := x.Register(checker.MuxCheck{
+			Name:   ck.Name,
+			Check:  ck,
+			Params: params,
+			Seed:   seed,
+			Naive:  mode == BaseCheck,
+			Out:    out,
+			Route:  route,
+		}); err != nil {
+			panic(err)
+		}
+		return x.Factory()
+	}
 	attachUnary := func(name string, from *stream.Node, ck core.Check, keyed bool) {
 		if mode == BaseNom {
 			return
@@ -106,13 +122,7 @@ func BuildStream(cfg Config, mode Mode, params core.Params, parallelism, events 
 		out := &checker.StreamOutcomes{}
 		app.Outcomes[ck.Name] = out
 		chk := g.AddOperator("check-"+name, parallelism,
-			checker.MustStreamChecker(checker.StreamCheck{
-				Check:  ck,
-				Params: params,
-				Seed:   seed ^ uint64(len(name)*37),
-				Naive:  mode == BaseCheck,
-				Out:    out,
-			}))
+			checkOp(ck, seed^uint64(len(name)*37), out, nil))
 		if keyed {
 			mustConnectStream(g.ConnectKeyed(from, chk))
 		} else {
@@ -164,14 +174,7 @@ func BuildStream(cfg Config, mode Mode, params core.Params, parallelism, events 
 			// Binary checks pair the two tagged streams per worker; a
 			// single worker keeps flux/base association intact.
 			chk := g.AddOperator("check-"+name, 1,
-				checker.MustStreamChecker(checker.StreamCheck{
-					Check:  ck,
-					Params: params,
-					Seed:   seed ^ uint64(0xa3+i),
-					Naive:  mode == BaseCheck,
-					Out:    out,
-					Route:  checker.ByInputKeys("base", "flux"),
-				}))
+				checkOp(ck, seed^uint64(0xa3+i), out, checker.ByInputKeys("base", "flux")))
 			mustConnectStream(g.Connect(smooth, chk))
 		}
 	}

@@ -261,7 +261,23 @@ func DrawBlock(b *testing.B, strat resample.Strategy, n int) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*samples*n), "ns/value")
 }
 
-// StreamCheck measures the generic online stream-check operator on a
+// loneCheck returns the operator factory of a Mux hosting ck alone at
+// c = 0.95, N = 100, seed 7; forward makes the operator pass every event
+// through.
+func loneCheck(b *testing.B, forward bool, ck core.Check) func() stream.Processor {
+	x := checker.NewMux(forward, checker.EvictionPolicy{})
+	if err := x.Register(checker.MuxCheck{
+		Name:   ck.Name,
+		Check:  ck,
+		Params: core.Params{Credibility: 0.95, MaxSamples: 100},
+		Seed:   7,
+	}); err != nil {
+		b.Fatal(err)
+	}
+	return x.Factory()
+}
+
+// StreamCheck measures the online stream-check operator on a
 // keyed event stream (8 keys, 4096 events per iteration), driving
 // Process directly with a no-op emit so only the operator's own cost —
 // routing, window bookkeeping, and evaluation — is on the clock. The
@@ -274,15 +290,7 @@ func StreamCheck(b *testing.B, win sound.Windower) {
 		SeriesNames: []string{"s"},
 		Window:      win,
 	}
-	factory, err := checker.NewStreamChecker(checker.StreamCheck{
-		Check:   ck,
-		Params:  core.Params{Credibility: 0.95, MaxSamples: 100},
-		Seed:    7,
-		Forward: true,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
+	factory := loneCheck(b, true, ck)
 	keys := [8]string{"h0", "h1", "h2", "h3", "h4", "h5", "h6", "h7"}
 	events := make([]stream.Event, 4096)
 	for i := range events {
@@ -315,15 +323,7 @@ func StreamCheckKeyed(b *testing.B) {
 		SeriesNames: []string{"s"},
 		Window:      sound.TimeWindow{Size: 60},
 	}
-	factory, err := checker.NewStreamChecker(checker.StreamCheck{
-		Check:   ck,
-		Params:  core.Params{Credibility: 0.95, MaxSamples: 100},
-		Seed:    7,
-		Forward: true,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
+	factory := loneCheck(b, true, ck)
 	keys := [8]string{"h0", "h1", "h2", "h3", "h4", "h5", "h6", "h7"}
 	events := make([]stream.Event, 4096)
 	for i := range events {
@@ -359,14 +359,7 @@ func Checkpoint(b *testing.B, restore bool) {
 		Window:      sound.TimeWindow{Size: 60},
 	}
 	const nGroups = 256
-	factory, err := checker.NewStreamChecker(checker.StreamCheck{
-		Check:  ck,
-		Params: core.Params{Credibility: 0.95, MaxSamples: 100},
-		Seed:   7,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
+	factory := loneCheck(b, false, ck)
 	p := factory()
 	emit := func(stream.Event) {}
 	for i := 0; i < nGroups*16; i++ {

@@ -3,6 +3,7 @@ package checker
 import (
 	"context"
 	"fmt"
+	"math"
 
 	"sound/internal/checkpoint"
 	"sound/internal/core"
@@ -12,8 +13,8 @@ import (
 )
 
 // This file is the checker's half of the deterministic state lifecycle
-// (DESIGN.md §4i): the codec of one online operator's state, written and
-// read by whoever drives the operator, and the batch Suite's
+// (DESIGN.md §4i): the codec of one Mux operator's state, written and
+// read by the loop that drives the operator, and the batch Suite's
 // checkpoint/resume. The invariant everywhere is bit parity: a restored
 // run must produce the byte-identical outcome sequence an uninterrupted
 // run produces, which is why the codec carries exact float bits and the
@@ -21,37 +22,119 @@ import (
 // and why it carries no RNG position: a window's draws are seeded from
 // the window itself, so there is none to resume.
 
-// EncodeOperator writes the state of a stream check operator (a
-// processor made by NewStreamChecker's factory): its watermark and its
-// window groups. The operator's owner calls it between two calls into
-// the operator, so no event is half-ingested and no window is being
-// evaluated. Outcome counters are not operator state — they belong to
-// the caller's StreamOutcomes, which encodes itself (EncodeTo).
+// EncodeOperator writes the state of a Mux operator (a processor made by
+// Mux.Factory): the bucket count, then for each bucket in Mux order its
+// identity (encodeMembers) followed by its watermark and window groups.
+// The operator's owner calls it between two calls into the operator, so
+// no event is half-ingested and no window is being evaluated. Membership
+// specs and bucket counters are not written — the owner re-registers
+// the same checks before restoring — and neither are outcome counters:
+// they belong to the caller's StreamOutcomes, which encodes itself
+// (EncodeTo).
 func EncodeOperator(p stream.Processor, enc *checkpoint.Encoder) error {
-	c, ok := p.(*streamChecker)
+	o, ok := p.(*muxOp)
 	if !ok {
-		return fmt.Errorf("checker: %T is not a stream check operator", p)
+		return fmt.Errorf("checker: %T is not a Mux operator", p)
 	}
-	c.encodeState(enc)
+	o.sync()
+	enc.Int(len(o.instances))
+	for _, in := range o.instances {
+		in.op.encodeMembers(enc)
+		in.op.encodeState(enc)
+	}
+	return nil
+}
+
+// encodeMembers writes what a restore must find registered in a bucket:
+// the member count, the hash of the bucket's group class (parameters,
+// window, arity, seed), and per member its name, naive flag and kernel
+// spec (a template constraint's operation and bounds).
+func (c *streamChecker) encodeMembers(enc *checkpoint.Encoder) {
+	enc.Int(len(c.members))
+	enc.U64(c.members[0].plan.Class().Hash())
+	for _, m := range c.members {
+		enc.String(m.name)
+		enc.Bool(m.naive)
+		sp := m.check.Constraint.Spec
+		enc.Int(int(sp.Op))
+		enc.Bool(sp.Strict)
+		enc.Int(int(sp.Bins))
+		enc.F64(sp.A)
+		enc.F64(sp.B)
+		enc.F64(sp.C)
+	}
+}
+
+// checkMembers reads a bucket identity written by encodeMembers and
+// reports how it differs from the engine's registrations, if it does.
+func (c *streamChecker) checkMembers(dec *checkpoint.Decoder) error {
+	k := dec.Int()
+	class := dec.U64()
+	if err := dec.Err(); err != nil {
+		return err
+	}
+	if k != len(c.members) {
+		return fmt.Errorf("%d members, operator bucket has %d", k, len(c.members))
+	}
+	if class != c.members[0].plan.Class().Hash() {
+		return fmt.Errorf("other parameters, window or seed than the operator bucket")
+	}
+	for _, m := range c.members {
+		name, naive := dec.String(), dec.Bool()
+		op, strict, bins := dec.Int(), dec.Bool(), dec.Int()
+		a, b, cc := dec.U64(), dec.U64(), dec.U64()
+		if err := dec.Err(); err != nil {
+			return err
+		}
+		if name != m.name {
+			return fmt.Errorf("check %q where the operator holds %q", name, m.name)
+		}
+		// Compared as written, so an accepted payload re-encodes to its
+		// own bytes (a -0 bound is not the registered 0).
+		sp := m.check.Constraint.Spec
+		if naive != m.naive || op != int(sp.Op) || strict != sp.Strict || bins != int(sp.Bins) ||
+			a != math.Float64bits(sp.A) || b != math.Float64bits(sp.B) || cc != math.Float64bits(sp.C) {
+			return fmt.Errorf("check %q registered with another constraint or mode", name)
+		}
+	}
 	return nil
 }
 
 // DecodeOperator loads state written by EncodeOperator into a fresh
-// operator built from the same StreamCheck; fed the events that followed
-// the snapshot, it then evaluates what the snapshotted operator would
-// have. An operator that has already seen events (or been restored) is
-// refused, and so is a corrupt payload. After an error the operator
-// holds part of the payload and must be discarded.
+// operator of a Mux holding the same registrations, bucketed the same
+// way; fed the events that followed the snapshot, it then evaluates what
+// the snapshotted operator would have. An operator that has already seen
+// events (or been restored) is refused, and so is a corrupt payload or
+// one whose bucket list, group classes, member names, naive flags or
+// kernel specs differ from the operator's (a custom constraint's Fn
+// cannot be compared). After an error the operator holds part of the
+// payload and must be discarded.
 func DecodeOperator(p stream.Processor, dec *checkpoint.Decoder) error {
-	c, ok := p.(*streamChecker)
+	o, ok := p.(*muxOp)
 	if !ok {
-		return fmt.Errorf("checker: %T is not a stream check operator", p)
+		return fmt.Errorf("checker: %T is not a Mux operator", p)
 	}
-	if c.started {
+	if o.started {
 		return fmt.Errorf("checker: restoring into an operator that has already seen events")
 	}
-	c.started = true
-	return c.decodeState(dec)
+	o.started = true
+	o.sync()
+	n := dec.Int()
+	if err := dec.Err(); err != nil {
+		return err
+	}
+	if n != len(o.instances) {
+		return fmt.Errorf("checker: snapshot has %d buckets, operator has %d", n, len(o.instances))
+	}
+	for b, in := range o.instances {
+		if err := in.op.checkMembers(dec); err != nil {
+			return fmt.Errorf("checker: snapshot bucket %d: %w", b, err)
+		}
+		if err := in.op.decodeState(dec); err != nil {
+			return err
+		}
+	}
+	return dec.Err()
 }
 
 // EncodeTo writes the outcome and lifecycle counters.
@@ -61,7 +144,6 @@ func (so *StreamOutcomes) EncodeTo(enc *checkpoint.Encoder) {
 	enc.U64(uint64(so.inconclusive.Load()))
 	enc.U64(uint64(so.evictedGroups.Load()))
 	enc.U64(uint64(so.droppedLate.Load()))
-	enc.U64(uint64(so.rejectedEvents.Load()))
 }
 
 // DecodeFrom overwrites the counters with those written by EncodeTo.
@@ -71,12 +153,11 @@ func (so *StreamOutcomes) DecodeFrom(dec *checkpoint.Decoder) error {
 	so.inconclusive.Store(int64(dec.U64()))
 	so.evictedGroups.Store(int64(dec.U64()))
 	so.droppedLate.Store(int64(dec.U64()))
-	so.rejectedEvents.Store(int64(dec.U64()))
 	return dec.Err()
 }
 
-// encodeState serializes the operator: the watermark and the live
-// groups. With the recency list live (an eviction policy is set) groups
+// encodeState serializes one bucket's engine: the watermark and the
+// live groups. With the recency list live (an eviction policy is set) groups
 // go in LRU order, coldest first, so decode rebuilds the identical list
 // and with it identical future evictions; without one there is no list
 // to walk, and groups go in key order. No random state is written because
@@ -97,7 +178,7 @@ func (c *streamChecker) encodeState(enc *checkpoint.Encoder) {
 	}
 }
 
-// decodeState restores an operator serialized by encodeState. Groups of
+// decodeState restores an engine serialized by encodeState. Groups of
 // an operator without a recency list must arrive in strictly ascending
 // key order — the only order encodeState writes them in — so every
 // accepted payload re-encodes to its own bytes.
@@ -126,10 +207,6 @@ func (c *streamChecker) decodeState(dec *checkpoint.Decoder) error {
 		c.groups[g.key] = g
 		if c.evictOn {
 			c.lruPushFront(g) // encode order is coldest → hottest
-		}
-		if c.acct {
-			g.bytes = g.footprint()
-			c.liveBytes += g.bytes
 		}
 	}
 	return dec.Err()

@@ -40,26 +40,26 @@ func ckptEvents(n int) []stream.Event {
 	return evs
 }
 
-// newCkptOperator builds one operator and returns it with its outcome
-// counters; every outcome is appended to trace.
-func newCkptOperator(t testing.TB, evict EvictionPolicy, trace *[]string) (*streamChecker, *StreamOutcomes) {
+// newCkptOperator builds one operator of a Mux hosting ckptCheck alone
+// and returns it with its outcome counters; every outcome is appended to
+// trace.
+func newCkptOperator(t testing.TB, evict EvictionPolicy, trace *[]string) (*muxOp, *StreamOutcomes) {
 	t.Helper()
 	out := &StreamOutcomes{}
-	factory, err := NewStreamChecker(StreamCheck{
+	o, _ := loneOp(t, evict, MuxCheck{
 		Check:  ckptCheck(),
 		Params: core.DefaultParams(),
 		Seed:   4242,
 		Out:    out,
-		Evict:  evict,
 		OnOutcome: func(key string, o core.Outcome) {
 			*trace = append(*trace, fmt.Sprintf("%s=%d", key, o))
 		},
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return factory().(*streamChecker), out
+	return o, out
 }
+
+// liveGroups is the live group count of the operator's only bucket.
+func liveGroups(o *muxOp) int { return o.instances[0].op.LiveGroups() }
 
 // ckptCases are the two shapes of operator state: without an eviction
 // policy there is no recency list and groups are encoded in key order;
@@ -87,7 +87,7 @@ func ckptCases() []struct {
 
 // snapshotOperator writes the operator's state and the counters the
 // way soundcheck -stream does: counters first, operator state last.
-func snapshotOperator(t testing.TB, c *streamChecker, out *StreamOutcomes) []byte {
+func snapshotOperator(t testing.TB, c *muxOp, out *StreamOutcomes) []byte {
 	t.Helper()
 	enc := checkpoint.NewEncoder()
 	out.EncodeTo(enc)
@@ -99,7 +99,7 @@ func snapshotOperator(t testing.TB, c *streamChecker, out *StreamOutcomes) []byt
 
 // restoreOperator loads a snapshotOperator document into a fresh
 // operator and fresh counters.
-func restoreOperator(t testing.TB, snap []byte, evict EvictionPolicy, trace *[]string) (*streamChecker, *StreamOutcomes) {
+func restoreOperator(t testing.TB, snap []byte, evict EvictionPolicy, trace *[]string) (*muxOp, *StreamOutcomes) {
 	t.Helper()
 	c, out := newCkptOperator(t, evict, trace)
 	dec, err := checkpoint.NewDecoder(snap)
@@ -137,7 +137,7 @@ func TestOperatorRestoreParity(t *testing.T) {
 				orig.Process(ev, discardEmit)
 			}
 			snap := snapshotOperator(t, orig, origOut)
-			live := orig.LiveGroups()
+			live := liveGroups(orig)
 			if live == 0 {
 				t.Fatal("no live groups at the snapshot, parity test is vacuous")
 			}
@@ -155,8 +155,8 @@ func TestOperatorRestoreParity(t *testing.T) {
 
 			var restTrace []string
 			restored, out := restoreOperator(t, snap, tc.evict, &restTrace)
-			if restored.LiveGroups() != live {
-				t.Fatalf("restored operator has %d groups, want %d", restored.LiveGroups(), live)
+			if liveGroups(restored) != live {
+				t.Fatalf("restored operator has %d groups, want %d", liveGroups(restored), live)
 			}
 			if again := snapshotOperator(t, restored, out); !bytes.Equal(snap, again) {
 				t.Error("restored operator re-encodes to different bytes")
@@ -178,11 +178,147 @@ func TestOperatorRestoreParity(t *testing.T) {
 	}
 }
 
+// suiteMux registers a three-bucket suite on a fresh Mux: "range" and
+// "frac" share one bucket, "tight" has a private one, and "mono" is a
+// naive member on count windows. tweak, when non-nil, edits each
+// registration before it is made, to build an operator whose
+// registrations differ from the default suite's.
+func suiteMux(t testing.TB, evict EvictionPolicy, trace *[]string, tweak func(*MuxCheck)) *Mux {
+	t.Helper()
+	x := NewMux(false, evict)
+	reg := func(name string, c core.Constraint, win core.Windower, routeID string, naive bool) {
+		mc := MuxCheck{
+			Name:    name,
+			Check:   core.Check{Name: name, Constraint: c, SeriesNames: []string{"s"}, Window: win},
+			Params:  core.DefaultParams(),
+			Seed:    4242,
+			Naive:   naive,
+			RouteID: routeID,
+			OnOutcome: func(key string, o core.Outcome) {
+				*trace = append(*trace, fmt.Sprintf("%s/%s=%d", name, key, o))
+			},
+		}
+		if tweak != nil {
+			tweak(&mc)
+		}
+		if err := x.Register(mc); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sliding := core.TimeWindow{Size: 12, Slide: 5}
+	reg("range", core.Range(0, 100), sliding, "key", false)
+	reg("frac", core.FractionInRange(85, 100, 0.6), sliding, "key", false)
+	reg("tight", core.Range(0, 97), sliding, "", false)
+	reg("mono", core.MonotonicIncrease(false), core.CountWindow{Size: 8, Slide: 3}, "", true)
+	return x
+}
+
+// TestMuxOperatorRestoreParity is the restore contract of the one stream
+// operator: a Mux operator with a shared two-member bucket, a private
+// bucket and a naive member is interrupted between two ProcessFrame
+// calls, at frame sizes 1 and 64, with and without a group cap. The
+// restored operator must deliver the verdict stream the uninterrupted
+// one delivers and re-encode to the snapshot's bytes; an operator of a
+// Mux registered under other names, another bucket split, other bounds
+// under the same name, another seed or another naive flag, and an
+// operator that has seen events, must refuse the snapshot.
+func TestMuxOperatorRestoreParity(t *testing.T) {
+	// Mid-window for every group, off the 64-event frame grid, and right
+	// before the capped stream's "rare" key arrives at event 130: the cap
+	// then evicts the group the restored recency list names coldest, so a
+	// list restored in any other order changes the verdicts.
+	const mid = 130
+	feed := func(o *muxOp, evs []stream.Event, frame int) {
+		for len(evs) > 0 {
+			n := min(frame, len(evs))
+			o.ProcessFrame(evs[:n], discardEmit)
+			evs = evs[n:]
+		}
+	}
+	for _, tc := range ckptCases() {
+		for _, frame := range []int{1, 64} {
+			t.Run(fmt.Sprintf("%s/frame=%d", tc.name, frame), func(t *testing.T) {
+				var baseTrace []string
+				orig := suiteMux(t, tc.evict, &baseTrace, nil).Factory()().(*muxOp)
+				if len(orig.instances) != 3 {
+					t.Fatalf("suite runs in %d buckets, want 3", len(orig.instances))
+				}
+				feed(orig, tc.events[:mid], frame)
+				enc := checkpoint.NewRawEncoder()
+				if err := EncodeOperator(orig, enc); err != nil {
+					t.Fatal(err)
+				}
+				snap := enc.Finish()
+				tailStart := len(baseTrace)
+				feed(orig, tc.events[mid:], frame)
+				orig.Flush(discardEmit)
+				wantTail := baseTrace[tailStart:]
+				for _, name := range []string{"range", "frac", "tight", "mono"} {
+					if !slices.ContainsFunc(wantTail, func(s string) bool { return strings.HasPrefix(s, name+"/") }) {
+						t.Fatalf("check %q has no verdict after the snapshot, parity test is vacuous", name)
+					}
+				}
+
+				var restTrace []string
+				restored := suiteMux(t, tc.evict, &restTrace, nil).Factory()().(*muxOp)
+				if err := DecodeOperator(restored, checkpoint.NewRawDecoder(snap)); err != nil {
+					t.Fatal(err)
+				}
+				again := checkpoint.NewRawEncoder()
+				if err := EncodeOperator(restored, again); err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(again.Finish(), snap) {
+					t.Error("restored operator re-encodes to different bytes")
+				}
+				feed(restored, tc.events[mid:], frame)
+				restored.Flush(discardEmit)
+				if !slices.Equal(restTrace, wantTail) {
+					t.Errorf("restored verdict stream diverged:\n got %v\nwant %v", restTrace, wantTail)
+				}
+
+				var scratch []string
+				for name, tweak := range map[string]func(*MuxCheck){
+					"renamed": func(mc *MuxCheck) {
+						if mc.Name == "frac" {
+							mc.Name = "frac2"
+						}
+					},
+					"split": func(mc *MuxCheck) {
+						if mc.Name == "frac" {
+							mc.RouteID = ""
+						}
+					},
+					"same name, other bounds": func(mc *MuxCheck) {
+						if mc.Name == "tight" {
+							mc.Check.Constraint = core.Range(0, 96)
+						}
+					},
+					"other seed": func(mc *MuxCheck) { mc.Seed++ },
+					"naive flipped": func(mc *MuxCheck) {
+						if mc.Name == "mono" {
+							mc.Naive = false
+						}
+					},
+				} {
+					x := suiteMux(t, tc.evict, &scratch, tweak)
+					if err := DecodeOperator(x.Factory()(), checkpoint.NewRawDecoder(snap)); err == nil {
+						t.Errorf("%s registrations accepted the snapshot", name)
+					}
+				}
+				if err := DecodeOperator(orig, checkpoint.NewRawDecoder(snap)); err == nil || !strings.Contains(err.Error(), "already seen events") {
+					t.Errorf("restore into a used operator: err = %v", err)
+				}
+			})
+		}
+	}
+}
+
 // TestOperatorCorruptSnapshot: a flipped byte and a truncated document
 // fail at the header check; a garbage or truncated operator payload, a
 // payload whose groups are out of key order for an operator without a
 // recency list, an operator that has already seen events, and a
-// processor that is no check operator all return errors — none panics,
+// processor that is no Mux operator all return errors — none panics,
 // and none starts silently from empty state.
 func TestOperatorCorruptSnapshot(t *testing.T) {
 	var trace []string
@@ -218,12 +354,15 @@ func TestOperatorCorruptSnapshot(t *testing.T) {
 
 	// The same three groups written hottest key first: refused where the
 	// order must be key order, accepted as an LRU order by a capped one.
-	keys := c.sortedKeys()
+	eng := c.instances[0].op
+	keys := eng.sortedKeys()
 	rev := checkpoint.NewRawEncoder()
-	rev.F64(c.opWatermark)
+	rev.Int(1)
+	eng.encodeMembers(rev)
+	rev.F64(eng.opWatermark)
 	rev.Int(len(keys))
 	for i := len(keys) - 1; i >= 0; i-- {
-		c.groups[keys[i]].encodeTo(rev)
+		eng.groups[keys[i]].encodeTo(rev)
 	}
 	reversed := rev.Finish()
 	fresh, _ := newCkptOperator(t, EvictionPolicy{}, &trace)
@@ -240,10 +379,10 @@ func TestOperatorCorruptSnapshot(t *testing.T) {
 	}
 	var notCheck stream.Processor = stream.ProcessorFunc(func(stream.Event, stream.EmitFunc) {})
 	if err := EncodeOperator(notCheck, checkpoint.NewRawEncoder()); err == nil {
-		t.Error("EncodeOperator accepted a processor that is no check operator")
+		t.Error("EncodeOperator accepted a processor that is no Mux operator")
 	}
 	if err := DecodeOperator(notCheck, checkpoint.NewRawDecoder(payload)); err == nil {
-		t.Error("DecodeOperator accepted a processor that is no check operator")
+		t.Error("DecodeOperator accepted a processor that is no Mux operator")
 	}
 }
 
@@ -265,7 +404,7 @@ func FuzzOperatorRestore(f *testing.F) {
 		f.Add(enc.Finish())
 	}
 	f.Add([]byte{})
-	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 0, 1, 1, 'k'})
+	f.Add([]byte{1, 1, 5, 'r', 'a', 'n', 'g', 'e', 0, 0, 0, 0, 0, 0, 0, 0, 1, 1, 'k'})
 	cases := ckptCases()
 	f.Fuzz(func(t *testing.T, data []byte) {
 		for _, tc := range cases {

@@ -26,20 +26,15 @@ func soakChecker(t *testing.T, evict EvictionPolicy) (trace []string, out *Strea
 		Window:      core.TimeWindow{Size: 10},
 	}
 	out = &StreamOutcomes{}
-	factory, err := NewStreamChecker(StreamCheck{
+	proc, c := loneOp(t, evict, MuxCheck{
 		Check:  ck,
 		Params: core.DefaultParams(),
 		Seed:   99,
 		Out:    out,
-		Evict:  evict,
 		OnOutcome: func(key string, o core.Outcome) {
 			trace = append(trace, fmt.Sprintf("%s=%d", key, o))
 		},
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	proc := factory().(*streamChecker)
 	hot := [4]string{"h0", "h1", "h2", "h3"}
 	const nCold = 100_000
 	for i := 0; i < nCold; i++ {
@@ -50,7 +45,7 @@ func soakChecker(t *testing.T, evict EvictionPolicy) (trace []string, out *Strea
 				proc.Process(stream.Event{Time: tm, Key: h, Value: 93, SigUp: 4, SigDown: 4}, discardEmit)
 			}
 		}
-		if n := proc.LiveGroups(); n > maxLive {
+		if n := c.LiveGroups(); n > maxLive {
 			maxLive = n
 		}
 	}
@@ -83,9 +78,6 @@ func TestEvictionSoak100kKeys(t *testing.T) {
 	if lc.EvictedGroups < 90_000 {
 		t.Errorf("evicted %d groups, want ~100k-cap", lc.EvictedGroups)
 	}
-	if lc.RejectedEvents != 0 {
-		t.Errorf("rejected %d events, default policy must evict instead", lc.RejectedEvents)
-	}
 	if !slices.Equal(trace, base) {
 		t.Errorf("surviving-key outcome trace diverged: %d outcomes with eviction, %d without", len(trace), len(base))
 	}
@@ -103,26 +95,17 @@ func TestEvictionTTLSweep(t *testing.T) {
 		Window:      core.TimeWindow{Size: 10},
 	}
 	out := &StreamOutcomes{}
-	factory, err := NewStreamChecker(StreamCheck{
-		Check: ck,
-		Naive: true,
-		Out:   out,
-		Evict: EvictionPolicy{TTL: 5},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	proc := factory().(*streamChecker)
+	proc, c := loneOp(t, EvictionPolicy{TTL: 5}, MuxCheck{Check: ck, Naive: true, Out: out})
 	proc.Process(stream.Event{Time: 0, Key: "idle", Value: 1}, discardEmit)
 	proc.Process(stream.Event{Time: 1, Key: "busy", Value: 1}, discardEmit)
-	if proc.LiveGroups() != 2 {
-		t.Fatalf("live = %d, want 2", proc.LiveGroups())
+	if c.LiveGroups() != 2 {
+		t.Fatalf("live = %d, want 2", c.LiveGroups())
 	}
 	// Watermark 7 puts "idle" (last seen at 0) past the TTL of 5, while
 	// "busy" (refreshed at 4) stays inside it.
 	proc.Process(stream.Event{Time: 4, Key: "busy", Value: 1}, discardEmit)
 	proc.Process(stream.Event{Time: 7, Key: "busy", Value: 1}, discardEmit)
-	if proc.peek("idle") != nil {
+	if c.peek("idle") != nil {
 		t.Error("idle group survived a watermark 7 TTL-5 sweep")
 	}
 	if got := out.Lifecycle().EvictedGroups; got != 1 {
@@ -131,7 +114,7 @@ func TestEvictionTTLSweep(t *testing.T) {
 	// The key returns at t=40: it must re-anchor like a brand-new group,
 	// with its grid origin at 40 — not resume the old origin-0 grid.
 	proc.Process(stream.Event{Time: 40, Key: "idle", Value: 1}, discardEmit)
-	g := proc.peek("idle")
+	g := c.peek("idle")
 	if g == nil || !g.hasOrigin || g.origin != 40 {
 		t.Errorf("re-admitted group = %+v, want fresh anchor at t=40", g)
 	}
@@ -151,23 +134,14 @@ func TestEvictedKeyReturnsFresh(t *testing.T) {
 		Window:      core.TimeWindow{Size: 10},
 	}
 	out := &StreamOutcomes{}
-	factory, err := NewStreamChecker(StreamCheck{
-		Check: ck,
-		Naive: true,
-		Out:   out,
-		Evict: EvictionPolicy{MaxGroups: 2, TTL: 5},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	proc := factory().(*streamChecker)
+	proc, c := loneOp(t, EvictionPolicy{MaxGroups: 2, TTL: 5}, MuxCheck{Check: ck, Naive: true, Out: out})
 	fresh := func(key string, at float64, old *groupState) *groupState {
 		t.Helper()
-		g := proc.groups[key]
+		g := c.groups[key]
 		if g == nil || g == old || !g.hasOrigin || g.origin != at {
 			t.Fatalf("%s at t=%v: group %+v, want a new group anchored at %v", key, at, g, at)
 		}
-		if proc.peek(key) != g {
+		if c.peek(key) != g {
 			t.Fatalf("%s at t=%v: lookup cache and group map disagree", key, at)
 		}
 		return g
@@ -185,92 +159,15 @@ func TestEvictedKeyReturnsFresh(t *testing.T) {
 	// At the cap of two, z evicts the coldest group, x; x's return evicts y.
 	proc.Process(stream.Event{Time: 41, Key: "y", Value: 1}, discardEmit)
 	proc.Process(stream.Event{Time: 42, Key: "z", Value: 1}, discardEmit)
-	if proc.peek("x") != nil {
+	if c.peek("x") != nil {
 		t.Fatal("x survived z's admission at the cap")
 	}
 	proc.Process(stream.Event{Time: 43, Key: "x", Value: 1}, discardEmit)
 	fresh("x", 43, x1)
-	if proc.peek("y") != nil || proc.LiveGroups() != 2 {
-		t.Errorf("live = %d with y present %v, want z and x only", proc.LiveGroups(), proc.peek("y") != nil)
+	if c.peek("y") != nil || c.LiveGroups() != 2 {
+		t.Errorf("live = %d with y present %v, want z and x only", c.LiveGroups(), c.peek("y") != nil)
 	}
 	if got := out.Lifecycle().EvictedGroups; got != 4 {
 		t.Errorf("evicted = %d, want 4", got)
-	}
-}
-
-// TestEvictionRejectUnderPressure: OnPressure returning false refuses
-// the new key instead of evicting, and the refusal is counted.
-func TestEvictionRejectUnderPressure(t *testing.T) {
-	ck := core.Check{
-		Name:        "range",
-		Constraint:  core.Range(0, 100),
-		SeriesNames: []string{"s"},
-		Window:      core.TimeWindow{Size: 10},
-	}
-	out := &StreamOutcomes{}
-	factory, err := NewStreamChecker(StreamCheck{
-		Check: ck,
-		Naive: true,
-		Out:   out,
-		Evict: EvictionPolicy{
-			MaxGroups:  2,
-			OnPressure: func(string, int, int64) bool { return false },
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	proc := factory().(*streamChecker)
-	proc.Process(stream.Event{Time: 0, Key: "a", Value: 1}, discardEmit)
-	proc.Process(stream.Event{Time: 1, Key: "b", Value: 1}, discardEmit)
-	proc.Process(stream.Event{Time: 2, Key: "c", Value: 1}, discardEmit) // at cap: rejected
-	proc.Process(stream.Event{Time: 3, Key: "a", Value: 1}, discardEmit) // known key: admitted
-	if proc.LiveGroups() != 2 {
-		t.Errorf("live = %d, want 2", proc.LiveGroups())
-	}
-	lc := out.Lifecycle()
-	if lc.RejectedEvents != 1 || lc.EvictedGroups != 0 {
-		t.Errorf("lifecycle = %+v, want exactly 1 rejection and no evictions", lc)
-	}
-	if proc.peek("c") != nil {
-		t.Error("rejected key materialized a group")
-	}
-}
-
-// TestEvictionByteBudget: exceeding MaxBytes evicts the coldest groups,
-// but never the group that just grew — even when that group alone is
-// over budget.
-func TestEvictionByteBudget(t *testing.T) {
-	ck := core.Check{
-		Name:        "range",
-		Constraint:  core.Range(0, 100),
-		SeriesNames: []string{"s"},
-		Window:      core.TimeWindow{Size: 1000},
-	}
-	out := &StreamOutcomes{}
-	factory, err := NewStreamChecker(StreamCheck{
-		Check: ck,
-		Naive: true,
-		Out:   out,
-		Evict: EvictionPolicy{MaxBytes: 2 * (groupOverhead + 16*pointBytes)},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	proc := factory().(*streamChecker)
-	// Two cold groups, then one key grows far past the whole budget.
-	proc.Process(stream.Event{Time: 0, Key: "cold1", Value: 1}, discardEmit)
-	proc.Process(stream.Event{Time: 1, Key: "cold2", Value: 1}, discardEmit)
-	for i := 0; i < 100; i++ {
-		proc.Process(stream.Event{Time: float64(2 + i), Key: "big", Value: 1}, discardEmit)
-	}
-	if proc.peek("cold1") != nil || proc.peek("cold2") != nil {
-		t.Error("cold groups survived a blown byte budget")
-	}
-	if proc.peek("big") == nil {
-		t.Error("the growing group itself was evicted")
-	}
-	if got := out.Lifecycle().EvictedGroups; got != 2 {
-		t.Errorf("evicted = %d, want 2", got)
 	}
 }

@@ -19,7 +19,10 @@ import (
 // memberSpec is one check's compiled identity inside an operator,
 // shared by every worker instance (and across Mux bucket rebuilds, so
 // registration churn elsewhere never disturbs a member's counters).
+// name is the Mux registration handle; an operator snapshot records it so
+// a restore can verify it resumes the same registrations.
 type memberSpec struct {
+	name      string
 	check     core.Check
 	plan      *core.CheckPlan
 	naive     bool
@@ -27,9 +30,11 @@ type memberSpec struct {
 	onOutcome func(key string, o core.Outcome)
 }
 
-// newMemberSpec compiles one member check and validates it can stream.
-func newMemberSpec(ck core.Check, params core.Params, seed uint64, naive bool, out *StreamOutcomes, onOutcome func(string, core.Outcome)) (*memberSpec, error) {
-	plan, err := core.CompilePlan(ck, params, seed)
+// newMemberSpec compiles one registered check and validates it can
+// stream.
+func newMemberSpec(cfg MuxCheck) (*memberSpec, error) {
+	ck := cfg.Check
+	plan, err := core.CompilePlan(ck, cfg.Params, cfg.Seed)
 	if err != nil {
 		return nil, err
 	}
@@ -42,7 +47,7 @@ func newMemberSpec(ck core.Check, params core.Params, seed uint64, naive bool, o
 			return nil, fmt.Errorf("checker: check %q: session windows stream only for unary checks", ck.Name)
 		}
 	}
-	return &memberSpec{check: plan.Check(), plan: plan, naive: naive, out: out, onOutcome: onOutcome}, nil
+	return &memberSpec{name: cfg.Name, check: plan.Check(), plan: plan, naive: cfg.Naive, out: cfg.Out, onOutcome: cfg.OnOutcome}, nil
 }
 
 // deliver records one outcome with the member's sinks.
@@ -61,17 +66,38 @@ type GroupMetrics struct {
 	windows, memberEvals, draws, collapsed, retired, primes atomic.Int64
 }
 
-func (gm *GroupMetrics) record(ev core.GroupEval, members int) {
-	gm.windows.Add(1)
-	gm.memberEvals.Add(int64(members))
-	gm.draws.Add(int64(ev.Draws))
-	if ev.Collapsed != 0 {
-		// All-certain point windows collapse nothing, and there an atomic
-		// add per window is 1 % of a verdict's cost.
-		gm.collapsed.Add(int64(ev.Collapsed))
+// groupCounts is one worker's tally of a bucket's counters since its
+// last publish. It is plain memory: only the owning worker touches it.
+type groupCounts struct {
+	windows, memberEvals, draws, collapsed, retired, primes int64
+}
+
+func (n *groupCounts) record(ev core.GroupEval, members int) {
+	n.windows++
+	n.memberEvals += int64(members)
+	n.draws += int64(ev.Draws)
+	n.collapsed += int64(ev.Collapsed)
+	n.retired += int64(ev.Retired)
+	n.primes += int64(ev.Primes)
+}
+
+// publish moves a worker's tally into the shared counters and clears
+// it. The operator publishes at the end of a frame or a flush (see
+// processPublishEvery for per-event delivery), not once per fired
+// window, so a point-window lane pays one batch of atomic adds per frame
+// and the workers of one node do not bounce the bucket's counters
+// between cores at every window.
+func (gm *GroupMetrics) publish(n *groupCounts) {
+	if n.windows == 0 {
+		return
 	}
-	gm.retired.Add(int64(ev.Retired))
-	gm.primes.Add(int64(ev.Primes))
+	gm.windows.Add(n.windows)
+	gm.memberEvals.Add(n.memberEvals)
+	gm.draws.Add(n.draws)
+	gm.collapsed.Add(n.collapsed)
+	gm.retired.Add(n.retired)
+	gm.primes.Add(n.primes)
+	*n = groupCounts{}
 }
 
 // GroupMetricsSnapshot is a point-in-time read of a bucket's counters.

@@ -256,58 +256,6 @@ func TestPinnedLoneCheckInvariance(t *testing.T) {
 	}
 }
 
-// TestStreamCheckerMatchesLoneMux: NewStreamChecker is a Mux hosting that
-// one check — same operator, same window-derived seeds — so the two
-// deliver the same verdict stream.
-func TestStreamCheckerMatchesLoneMux(t *testing.T) {
-	cks := muxTestChecks()
-	events := muxTestEvents(3, 40)
-	for _, ck := range cks {
-		single := newVerdictLog()
-		factory, err := NewStreamChecker(StreamCheck{
-			Check:     ck,
-			Params:    core.DefaultParams(),
-			Seed:      11,
-			OnOutcome: single.add,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		g := stream.NewGraph()
-		src := g.AddSource("src", func(emit stream.EmitFunc) {
-			for _, ev := range events {
-				emit(ev)
-			}
-		})
-		if err := g.ConnectKeyed(src, g.AddOperator("check", 1, factory)); err != nil {
-			t.Fatal(err)
-		}
-		if err := g.Connect(src, g.AddSink("sink", nil)); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := g.Run(); err != nil {
-			t.Fatal(err)
-		}
-
-		multi := newVerdictLog()
-		x := NewMux(false, EvictionPolicy{})
-		if err := x.Register(MuxCheck{
-			Name:      ck.Name,
-			Check:     ck,
-			Params:    core.DefaultParams(),
-			Seed:      11,
-			OnOutcome: multi.add,
-		}); err != nil {
-			t.Fatal(err)
-		}
-		runMuxGraph(t, x, nil, events, 1, 0)
-		if !bytes.Equal(single.canon(), multi.canon()) {
-			t.Errorf("check %q: lone Mux verdicts differ from NewStreamChecker:\nmux:\n%s\nstream checker:\n%s",
-				ck.Name, multi.canon(), single.canon())
-		}
-	}
-}
-
 // TestMuxBucketsByClass: a bucket shares window machinery and params
 // class by construction — registrations that differ in either open their
 // own bucket instead of joining one, and naive members ride along.

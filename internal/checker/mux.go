@@ -116,13 +116,16 @@ func (x *Mux) Register(cfg MuxCheck) error {
 	if cfg.Name == "" {
 		return fmt.Errorf("checker: registered check needs a name")
 	}
-	m, err := newMemberSpec(cfg.Check, cfg.Params, cfg.Seed, cfg.Naive, cfg.Out, cfg.OnOutcome)
+	m, err := newMemberSpec(cfg)
 	if err != nil {
 		return err
 	}
-	route, err := resolveRoute(cfg.Route, &m.check, m.plan.Arity())
-	if err != nil {
-		return err
+	route := cfg.Route
+	if route == nil {
+		if m.plan.Arity() != 1 {
+			return fmt.Errorf("checker: check %q has arity %d and needs an explicit Route", m.check.Name, m.plan.Arity())
+		}
+		route = ByEventKey()
 	}
 	x.mu.Lock()
 	defer x.mu.Unlock()
@@ -227,7 +230,10 @@ type GroupStat struct {
 
 // GroupStats reports every bucket's membership and sharing counters,
 // bucket creation order. Counters aggregate across all workers and
-// shards hosting this Mux.
+// shards hosting this Mux and cover every frame and flush an operator
+// has finished. Under per-event Process a worker publishes once its
+// tally reaches processPublishEvery windows, so until its next frame or
+// flush the counters may trail that worker by fewer windows than that.
 func (x *Mux) GroupStats() []GroupStat {
 	x.mu.Lock()
 	defer x.mu.Unlock()
@@ -256,29 +262,35 @@ func (x *Mux) GroupStats() []GroupStat {
 	return stats
 }
 
-// Factory returns a per-worker Processor factory for wiring the Mux
-// into a stream graph (one call per graph node; the engine invokes the
-// factory once per worker). All workers of all graphs built from the
-// same Mux observe the same registry.
+// Factory returns a per-worker Processor factory: every online check
+// runs on an operator it makes. A stream graph invokes the factory once
+// per worker; a loop that drives one operator itself (a soundserve
+// shard, soundcheck -stream) calls it once. All operators built from the
+// same Mux observe the same registry, and EncodeOperator/DecodeOperator
+// snapshot and restore one of them.
 func (x *Mux) Factory() func() stream.Processor {
 	return func() stream.Processor { return newMuxOp(x) }
 }
 
-// muxInstance pairs a bucket with this worker's operator instance.
+// muxInstance pairs a bucket with this worker's window engine for it.
 type muxInstance struct {
 	bucket *muxBucket
 	gen    uint64
 	op     *streamChecker
 }
 
-// muxOp is one worker's view of the Mux: a list of per-bucket operator
-// instances, resynced from the registry at delivery boundaries.
-// Forwarding is done once here, never by the inner instances.
+// muxOp is one worker's view of the Mux and the only stream.Processor
+// in this package: a list of per-bucket window engines, resynced from
+// the registry at delivery boundaries. Forwarding, when the Mux asks for
+// it, is done once here for the whole suite.
 type muxOp struct {
 	mux       *Mux
 	seen      uint64
 	instances []*muxInstance
 	byBucket  map[*muxBucket]*muxInstance
+	// started is set by the first delivery or restore; DecodeOperator
+	// refuses an operator that has it.
+	started bool
 }
 
 func newMuxOp(x *Mux) *muxOp {
@@ -293,10 +305,14 @@ func newMuxOp(x *Mux) *muxOp {
 // coordinate, so churn elsewhere in the suite never perturbs a check's
 // verdict stream.
 func (o *muxOp) sync() {
-	v := o.mux.version.Load()
-	if v == o.seen {
-		return
+	if v := o.mux.version.Load(); v != o.seen {
+		o.resync(v)
 	}
+}
+
+// resync is sync's slow path, split off so the per-delivery version
+// check inlines.
+func (o *muxOp) resync(v uint64) {
 	x := o.mux
 	x.mu.Lock()
 	defer x.mu.Unlock()
@@ -308,9 +324,7 @@ func (o *muxOp) sync() {
 			in = &muxInstance{
 				bucket: b,
 				gen:    b.gen,
-				// forward=false: the muxOp forwards once for the whole
-				// suite; inner instances only ingest.
-				op: newOperator(o.bucketMembers(b), b.route, false, x.evict, b.metrics),
+				op:     newOperator(o.bucketMembers(b), b.route, x.evict, b.metrics),
 			}
 		} else if in.gen != b.gen {
 			in.op.installMembers(o.bucketMembers(b))
@@ -335,18 +349,29 @@ func (o *muxOp) bucketMembers(b *muxBucket) []*memberSpec {
 
 // Process implements stream.Processor.
 func (o *muxOp) Process(ev stream.Event, emit stream.EmitFunc) {
+	o.started = true
 	o.sync()
 	if o.mux.forward {
 		emit(ev)
 	}
 	for _, in := range o.instances {
 		in.op.ingest(ev)
+		if in.op.pending.windows >= processPublishEvery {
+			in.op.metrics.publish(&in.op.pending)
+		}
 	}
 }
+
+// processPublishEvery is the tally, in fired windows, at which per-event
+// Process publishes a bucket's counters: a frame's worth, so a caller
+// delivering one event at a time pays for the shared counters what a
+// frame caller pays (ProcessFrame and Flush publish when they end).
+const processPublishEvery = 64
 
 // ProcessFrame implements stream.FrameProcessor: ingest into every
 // bucket, membership synced once per frame.
 func (o *muxOp) ProcessFrame(evs []stream.Event, emit stream.EmitFunc) {
+	o.started = true
 	if o.mux.forward {
 		for i := range evs {
 			emit(evs[i])
@@ -357,14 +382,16 @@ func (o *muxOp) ProcessFrame(evs []stream.Event, emit stream.EmitFunc) {
 		for i := range evs {
 			in.op.ingest(evs[i])
 		}
+		in.op.metrics.publish(&in.op.pending)
 	}
 }
 
 // Flush implements stream.Processor: end-of-stream windows fire for
 // every bucket, in bucket order.
-func (o *muxOp) Flush(emit stream.EmitFunc) {
+func (o *muxOp) Flush(stream.EmitFunc) {
 	o.sync()
 	for _, in := range o.instances {
-		in.op.Flush(emit)
+		in.op.flush()
+		in.op.metrics.publish(&in.op.pending)
 	}
 }

@@ -1,7 +1,6 @@
 package checker
 
 import (
-	"fmt"
 	"math"
 	"slices"
 	"sort"
@@ -13,15 +12,13 @@ import (
 	"sound/internal/stream"
 )
 
-// This file provides the online instrumentation: stream-engine operators
-// that evaluate sanity checks in parallel to the nominal processing
-// (paper §IV-A, "evaluation is performed as soon as the data is available
-// and in parallel to the nominal data processing"). The operators are
-// pass-through: every input event is forwarded unchanged, and the check
-// work rides on top — exactly the overhead the paper measures in
-// Figs. 4-6.
+// This file provides the online instrumentation: the per-bucket window
+// engine behind the Mux operator (mux.go), which evaluates sanity checks
+// in parallel to the nominal processing (paper §IV-A, "evaluation is
+// performed as soon as the data is available and in parallel to the
+// nominal data processing").
 //
-// One generic operator serves every arity and window shape. It is driven
+// One generic engine serves every arity and window shape. It is driven
 // by the same compiled core.CheckPlan the batch paths run on, so window
 // boundaries, evaluator parameters, and decision tables cannot diverge
 // between offline checking and online instrumentation — the batch/stream
@@ -33,9 +30,8 @@ import (
 type StreamOutcomes struct {
 	satisfied, violated, inconclusive atomic.Int64
 	// Lifecycle counters (DESIGN.md §4i): groups reclaimed by the
-	// eviction policy, events dropped below the fired horizon, and
-	// events rejected by the admission policy.
-	evictedGroups, droppedLate, rejectedEvents atomic.Int64
+	// eviction policy and events dropped below the fired horizon.
+	evictedGroups, droppedLate atomic.Int64
 }
 
 // Add records one outcome.
@@ -62,23 +58,22 @@ func (so *StreamOutcomes) Counts() OutcomeCounts {
 // LifecycleCounts reports the state-lifecycle events of a stream run.
 type LifecycleCounts struct {
 	// EvictedGroups counts window groups reclaimed by the eviction
-	// policy (idle TTL, group cap, or byte budget).
+	// policy (idle TTL or group cap).
 	EvictedGroups int
 	// DroppedLate counts events below their group's fired horizon:
-	// every window containing them had already fired, so they were
-	// forwarded but not buffered.
+	// every window containing them had already fired, so they were not
+	// buffered.
 	DroppedLate int
-	// RejectedEvents counts events refused by the admission policy
-	// (OnPressure declined to evict for them).
+	// RejectedEvents is always 0: the eviction policy admits every
+	// event. The field stays for readers of the counter set.
 	RejectedEvents int
 }
 
 // Lifecycle returns the accumulated lifecycle counters.
 func (so *StreamOutcomes) Lifecycle() LifecycleCounts {
 	return LifecycleCounts{
-		EvictedGroups:  int(so.evictedGroups.Load()),
-		DroppedLate:    int(so.droppedLate.Load()),
-		RejectedEvents: int(so.rejectedEvents.Load()),
+		EvictedGroups: int(so.evictedGroups.Load()),
+		DroppedLate:   int(so.droppedLate.Load()),
 	}
 }
 
@@ -86,7 +81,7 @@ func (so *StreamOutcomes) Lifecycle() LifecycleCounts {
 // group. input selects the series slot (0-based, < the check's arity);
 // key selects the keyed window state, so windows are maintained per
 // group independently ("" keeps one global group). ok = false means the
-// event is not part of the check — it is forwarded but not buffered.
+// event is not part of the check and is not buffered.
 type RouteFunc func(ev stream.Event) (input int, key string, ok bool)
 
 // ByEventKey routes every event to input 0, grouped by the event's own
@@ -109,97 +104,13 @@ func ByInputKeys(tags ...string) RouteFunc {
 	}
 }
 
-// ByKeyedInputs routes events whose Key has the form "<group><sep><tag>"
-// to the input matching tag, windowed per group — per-key N-ary checks
-// (e.g. "house1/load" vs "house1/base" compared per house).
-func ByKeyedInputs(sep string, tags ...string) RouteFunc {
-	idx := make(map[string]int, len(tags))
-	for i, t := range tags {
-		idx[t] = i
-	}
-	return func(ev stream.Event) (int, string, bool) {
-		cut := -1
-		for j := len(ev.Key) - len(sep); j >= 0; j-- {
-			if ev.Key[j:j+len(sep)] == sep {
-				cut = j
-				break
-			}
-		}
-		if cut < 0 {
-			return 0, "", false
-		}
-		i, ok := idx[ev.Key[cut+len(sep):]]
-		return i, ev.Key[:cut], ok
-	}
-}
-
-// StreamCheck configures the generic N-ary keyed stream check operator.
-type StreamCheck struct {
-	// Check is the sanity check to evaluate online.
-	Check core.Check
-	// Params and Seed configure the SOUND evaluation (ignored by Naive).
-	Params core.Params
-	Seed   uint64
-	// Naive selects BASE_CHECK semantics instead of Alg. 1.
-	Naive bool
-	// Forward passes every input event downstream unchanged (inline
-	// instrumentation); false consumes the input (side-branch operator).
-	Forward bool
-	// Out accumulates the observed outcomes (may be nil).
-	Out *StreamOutcomes
-	// Route attributes events to check inputs and window groups. Nil
-	// defaults to ByEventKey for unary checks; checks of arity > 1
-	// must set it.
-	Route RouteFunc
-	// Evict bounds the operator's keyed state (zero value: keep every
-	// group forever).
-	Evict EvictionPolicy
-	// OnOutcome, when set, observes every (group key, outcome) pair in
-	// evaluation order, on the evaluating worker's goroutine.
-	OnOutcome func(key string, o core.Outcome)
-}
-
-// NewStreamChecker compiles the check into a core.CheckPlan and returns
-// a stream operator factory evaluating it online. The plan's window
-// assigner drives per-group window state for any arity: point-wise,
-// tumbling and sliding time windows, count windows, session windows
-// (unary), and global windows. It errors on checks that cannot run
-// online (custom batch-only windowers, missing routes).
-func NewStreamChecker(cfg StreamCheck) (func() stream.Processor, error) {
-	m, err := newMemberSpec(cfg.Check, cfg.Params, cfg.Seed, cfg.Naive, cfg.Out, cfg.OnOutcome)
-	if err != nil {
-		return nil, err
-	}
-	route, err := resolveRoute(cfg.Route, &cfg.Check, m.plan.Arity())
-	if err != nil {
-		return nil, err
-	}
-	members := []*memberSpec{m}
-	return func() stream.Processor {
-		return newOperator(members, route, cfg.Forward, cfg.Evict, nil)
-	}, nil
-}
-
-// resolveRoute applies the route-defaulting rules shared by
-// NewStreamChecker and Mux.Register.
-func resolveRoute(route RouteFunc, ck *core.Check, arity int) (RouteFunc, error) {
-	if route != nil {
-		return route, nil
-	}
-	if arity != 1 {
-		return nil, fmt.Errorf("checker: check %q has arity %d and needs an explicit Route", ck.Name, arity)
-	}
-	return ByEventKey(), nil
-}
-
 // newOperator assembles one worker instance of the generic operator for
 // the given member set. All members share the operator's window state
 // and the PlanGroup installMembers compiles for them.
-func newOperator(members []*memberSpec, route RouteFunc, forward bool, evict EvictionPolicy, gm *GroupMetrics) *streamChecker {
+func newOperator(members []*memberSpec, route RouteFunc, evict EvictionPolicy, gm *GroupMetrics) *streamChecker {
 	c := &streamChecker{
 		asg:     members[0].plan.Assigner(),
 		arity:   members[0].plan.Arity(),
-		forward: forward,
 		route:   route,
 		groups:  map[string]*groupState{},
 		evict:   evict,
@@ -211,23 +122,12 @@ func newOperator(members []*memberSpec, route RouteFunc, forward bool, evict Evi
 	// repeated policy re-derivation.
 	c.stateful = c.statefulGroups()
 	c.evictOn = c.evict.enabled()
-	c.acct = c.trackBytes()
 	return c
 }
 
-// MustStreamChecker is NewStreamChecker that panics on compile errors,
-// for wiring code with static check definitions.
-func MustStreamChecker(cfg StreamCheck) func() stream.Processor {
-	f, err := NewStreamChecker(cfg)
-	if err != nil {
-		panic(err)
-	}
-	return f
-}
-
-// streamChecker is one worker's instance of the generic operator. Keyed
-// partitioning guarantees a group's events reach one worker, so the
-// per-group state needs no locking. One operator hosts one or more
+// streamChecker is one Mux bucket's window engine inside one operator
+// instance. Keyed partitioning guarantees a group's events reach one
+// worker, so the per-group state needs no locking. One engine hosts one or more
 // member checks over ONE set of window buffers and extractions, and
 // evaluates every fired window's SOUND members through one
 // core.PlanGroup whose draws are derived from the window coordinate (see
@@ -240,30 +140,25 @@ type streamChecker struct {
 	// resBuf receives their results, in member order.
 	planGroup *core.PlanGroup
 	resBuf    []core.Result
-	metrics   *GroupMetrics
-	asg       core.WindowAssigner
-	arity     int
-	forward   bool
-	route     RouteFunc
-	groups    map[string]*groupState
+	// metrics is the bucket's shared counters; pending is this worker's
+	// tally since the last publish (see GroupMetrics.publish).
+	metrics *GroupMetrics
+	pending groupCounts
+	asg     core.WindowAssigner
+	arity   int
+	route   RouteFunc
+	groups  map[string]*groupState
 	// State lifecycle (DESIGN.md §4i): evict is the memory policy,
 	// onOutcome the outcome observer.
 	evict     EvictionPolicy
 	onOutcome func(key string, o core.Outcome)
-	// Cached lifecycle predicates (see the factory): statefulGroups,
-	// evict.enabled (which also gates the recency list), trackBytes
-	// respectively.
-	stateful, evictOn, acct bool
-	// started is set by the first delivery or restore; DecodeOperator
-	// refuses an operator that has it.
-	started bool
+	// Cached lifecycle predicates (see newOperator): statefulGroups and
+	// evict.enabled (which also gates the recency list).
+	stateful, evictOn bool
 	// LRU list of live groups (head = most recently touched), maintained
 	// for every stateful windowing kind while an eviction policy is set,
-	// so eviction and snapshots see a deterministic recency order, and
-	// the accounted footprint of all live groups (maintained only while
-	// the policy consumes it — see trackBytes).
+	// so eviction and snapshots see a deterministic recency order.
 	lruHead, lruTail *groupState
-	liveBytes        int64
 	// opWatermark is the worker-level event-time high-water mark that
 	// drives idle-group eviction.
 	opWatermark float64
@@ -301,8 +196,6 @@ type groupState struct {
 	// lastT is the maximum event time this group has received; the
 	// eviction sweep compares it against the worker's watermark.
 	lastT float64
-	// bytes is the group's last accounted footprint (see footprint).
-	bytes int64
 	// prev/next link the worker's LRU list (head = most recent).
 	prev, next *groupState
 	// Time-window grid state. The grid is anchored at origin, the group's
@@ -390,39 +283,11 @@ func (g *groupState) inputs(arity int) []series.Series {
 	return g.bufs
 }
 
-// Process implements stream.Processor.
-func (c *streamChecker) Process(ev stream.Event, emit stream.EmitFunc) {
-	c.started = true
-	if c.forward {
-		emit(ev) // pass-through first: the nominal pipeline is not delayed by buffering
-	}
-	c.ingest(ev)
-}
-
-// ProcessFrame implements stream.FrameProcessor: the whole transport
-// frame is forwarded and then ingested in one pass. Events are still
-// routed and window-checked one by one — a later event in the frame may
-// only be admissible because an earlier one fired a window — but the
-// per-frame loop shares the group-lookup cache across the frame's key
-// runs and fires due windows with the deferred bulk scan in ingest, so
-// the outcome sequence is identical to calling Process per event.
-func (c *streamChecker) ProcessFrame(evs []stream.Event, emit stream.EmitFunc) {
-	c.started = true
-	if c.forward {
-		for i := range evs {
-			emit(evs[i])
-		}
-	}
-	for i := range evs {
-		c.ingest(evs[i])
-	}
-}
-
-// ingest routes one event into its window group. It is the shared body
-// of Process and ProcessFrame. Around the window dispatch it runs the
+// ingest routes one event into its window group; the Mux operator calls
+// it per event for every bucket. Around the window dispatch it runs the
 // state lifecycle: advance the worker watermark (sweeping idle groups),
-// admit the event's group under the eviction policy, and re-account the
-// group's footprint after the event lands.
+// make room for the event's group under the group cap, and refresh the
+// group's recency after the event lands.
 func (c *streamChecker) ingest(ev stream.Event) {
 	input, key, ok := c.route(ev)
 	if !ok || input < 0 || input >= c.arity {
@@ -433,10 +298,7 @@ func (c *streamChecker) ingest(ev stream.Event) {
 			c.opWatermark = ev.Time
 			c.sweepIdle()
 		}
-		if !c.admit(key) {
-			c.noteRejected()
-			return
-		}
+		c.admit(key)
 	}
 	p := series.Point{T: ev.Time, V: ev.Value, SigUp: ev.SigUp, SigDown: ev.SigDown}
 	switch c.asg.Kind {
@@ -508,7 +370,7 @@ func (c *streamChecker) processPoint(key string, input int, p series.Point) {
 // batch TimeWindow, which starts at the union-span minimum; events
 // arriving out of order within a still-open window are buffered and
 // time-sorted before slicing, so they land in the correct windows. A
-// late event below the fired horizon is dropped (after forwarding):
+// late event below the fired horizon is dropped:
 // every window containing it has already fired, and re-opening a closed
 // window would evaluate the same boundaries twice.
 func (c *streamChecker) processTime(key string, input int, p series.Point) {
@@ -721,12 +583,12 @@ func (c *streamChecker) fireSession(g *groupState) {
 	g.sessOpen = false
 }
 
-// Flush implements stream.Processor: evaluate open windows in
+// flush evaluates the open windows at end of stream, in
 // deterministic group order. Incomplete point-wise tuples and partial
 // count windows are dropped, matching the batch windowing functions
 // (PointWindow truncates to the shortest series; CountWindow drops the
 // tail shorter than Size).
-func (c *streamChecker) Flush(stream.EmitFunc) {
+func (c *streamChecker) flush() {
 	for _, k := range c.sortedKeys() {
 		g := c.groups[k]
 		switch c.asg.Kind {
@@ -769,9 +631,7 @@ func (c *streamChecker) evaluate(key string, tuple core.WindowTuple, windowBits 
 	if c.planGroup != nil {
 		winSeed := c.planGroup.WindowSeed(stream.KeyHash(key), windowBits)
 		ev := c.planGroup.Evaluate(winSeed, tuple, c.resBuf)
-		if c.metrics != nil {
-			c.metrics.record(ev, len(c.resBuf))
-		}
+		c.pending.record(ev, len(c.resBuf))
 	}
 	si := 0
 	for _, m := range c.members {

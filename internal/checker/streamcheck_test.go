@@ -12,20 +12,47 @@ import (
 	"sound/internal/stream"
 )
 
-// runCheckGraph pushes the events through a single-worker instance of
-// the configured stream checker inside a real graph and returns the
-// observed outcome counts.
-func runCheckGraph(t *testing.T, cfg StreamCheck, events []stream.Event, keyed bool, workers int) OutcomeCounts {
+// loneMux registers cfg alone on a fresh Mux (named after its check
+// when cfg has no name) and returns the Mux.
+func loneMux(t testing.TB, forward bool, evict EvictionPolicy, cfg MuxCheck) *Mux {
+	t.Helper()
+	if cfg.Name == "" {
+		cfg.Name = cfg.Check.Name
+	}
+	x := NewMux(forward, evict)
+	if err := x.Register(cfg); err != nil {
+		t.Fatal(err)
+	}
+	return x
+}
+
+// muxFactory is the operator factory of a Mux hosting cfg alone.
+func muxFactory(t testing.TB, forward bool, cfg MuxCheck) func() stream.Processor {
+	t.Helper()
+	return loneMux(t, forward, EvictionPolicy{}, cfg).Factory()
+}
+
+// loneOp returns one operator of a Mux hosting cfg alone under the
+// eviction policy, with the window engine of its single bucket for
+// white-box assertions.
+func loneOp(t testing.TB, evict EvictionPolicy, cfg MuxCheck) (*muxOp, *streamChecker) {
+	t.Helper()
+	o := loneMux(t, false, evict, cfg).Factory()().(*muxOp)
+	return o, o.instances[0].op
+}
+
+// runCheckGraph pushes the events through a Mux operator hosting the
+// configured check inside a real graph and returns the observed outcome
+// counts.
+func runCheckGraph(t *testing.T, cfg MuxCheck, events []stream.Event, keyed bool, workers int) OutcomeCounts {
 	t.Helper()
 	out := cfg.Out
 	if out == nil {
 		out = &StreamOutcomes{}
 		cfg.Out = out
 	}
-	factory, err := NewStreamChecker(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	factory := muxFactory(t, false, cfg)
+	var err error
 	g := stream.NewGraph()
 	src := g.AddSource("src", func(emit stream.EmitFunc) {
 		for _, ev := range events {
@@ -71,10 +98,16 @@ func TestStreamCheckerPerKeyBinaryWindows(t *testing.T) {
 			)
 		}
 	}
-	counts := runCheckGraph(t, StreamCheck{
+	// "<group>/<tag>" keys: the tag picks the input, the group the
+	// window state.
+	route := func(ev stream.Event) (int, string, bool) {
+		grp, tag, ok := strings.Cut(ev.Key, "/")
+		return map[string]int{"x": 0, "y": 1}[tag], grp, ok
+	}
+	counts := runCheckGraph(t, MuxCheck{
 		Check: ck,
 		Naive: true,
-		Route: ByKeyedInputs("/", "x", "y"),
+		Route: route,
 	}, events, false, 1)
 	// 30 time units in tumbling windows of 10, per group: 3 windows × 2
 	// groups, every one satisfied (|x| >= |y| point counts are equal).
@@ -103,7 +136,7 @@ func TestStreamCheckerSlidingWindowsOnline(t *testing.T) {
 		events = append(events, stream.Event{Time: float64(i), Key: "k", Value: v})
 		s[i] = series.Point{T: float64(i), V: v}
 	}
-	counts := runCheckGraph(t, StreamCheck{Check: ck, Naive: true}, events, true, 1)
+	counts := runCheckGraph(t, MuxCheck{Check: ck, Naive: true}, events, true, 1)
 
 	batch := core.EvaluateAllNaive(ck.Constraint, win, []series.Series{s})
 	var want OutcomeCounts
@@ -143,7 +176,7 @@ func TestStreamCheckerOutOfOrderWithinWindow(t *testing.T) {
 			events = append(events, stream.Event{Time: t, Key: "k", Value: t})
 		}
 	}
-	counts := runCheckGraph(t, StreamCheck{Check: ck, Naive: true}, events, true, 1)
+	counts := runCheckGraph(t, MuxCheck{Check: ck, Naive: true}, events, true, 1)
 	if counts.Total() != 6 || counts.Satisfied != 6 {
 		t.Errorf("counts = %+v, want 6 satisfied windows despite shuffled arrival", counts)
 	}
@@ -200,7 +233,7 @@ func TestBatchStreamParityTumbling(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	streamNaive := runCheckGraph(t, StreamCheck{Check: ck, Naive: true}, events, true, 1)
+	streamNaive := runCheckGraph(t, MuxCheck{Check: ck, Naive: true}, events, true, 1)
 	if want := toCounts(batchNaive); streamNaive != want {
 		t.Errorf("naive: stream counts %+v != batch counts %+v", streamNaive, want)
 	}
@@ -223,7 +256,7 @@ func TestBatchStreamParityTumbling(t *testing.T) {
 			want.Inconclusive++
 		}
 	}
-	streamSound := runCheckGraph(t, StreamCheck{Check: ck, Seed: 77, Params: core.DefaultParams()}, events, true, 1)
+	streamSound := runCheckGraph(t, MuxCheck{Check: ck, Seed: 77, Params: core.DefaultParams()}, events, true, 1)
 	if streamSound != want {
 		t.Errorf("sound: stream counts %+v != batch counts %+v", streamSound, want)
 	}
@@ -274,7 +307,7 @@ func TestBatchStreamParityOffGridStart(t *testing.T) {
 		if want.Inconclusive == 0 {
 			t.Fatalf("%v: workload has no empty gap windows, test is vacuous", win)
 		}
-		got := runCheckGraph(t, StreamCheck{Check: ck, Naive: true}, events, true, 1)
+		got := runCheckGraph(t, MuxCheck{Check: ck, Naive: true}, events, true, 1)
 		if got != want {
 			t.Errorf("%v: stream counts %+v != batch counts %+v", win, got, want)
 		}
@@ -298,7 +331,7 @@ func TestStreamCheckerLateEventDropped(t *testing.T) {
 		{Time: 2, Key: "k", Value: 1}, // late: its only window already fired
 	}
 	out := &StreamOutcomes{}
-	counts := runCheckGraph(t, StreamCheck{Check: ck, Naive: true, Out: out}, events, true, 1)
+	counts := runCheckGraph(t, MuxCheck{Check: ck, Naive: true, Out: out}, events, true, 1)
 	// Exactly the grid windows [0,5) and [5,10) — no duplicate [0,5).
 	if counts.Total() != 2 {
 		t.Errorf("total = %d, want 2 (late event must not re-fire a closed window)", counts.Total())
@@ -330,7 +363,7 @@ func TestStreamCheckerCountHopping(t *testing.T) {
 	if n := len(core.EvaluateAllNaive(ck.Constraint, win, []series.Series{s})); n != 3 {
 		t.Fatalf("batch windows = %d, want 3", n)
 	}
-	counts := runCheckGraph(t, StreamCheck{Check: ck, Naive: true}, events, true, 1)
+	counts := runCheckGraph(t, MuxCheck{Check: ck, Naive: true}, events, true, 1)
 	if counts.Total() != 3 || counts.Satisfied != 3 {
 		t.Errorf("counts = %+v, want 3 satisfied hopping windows", counts)
 	}
@@ -349,7 +382,7 @@ func TestStreamCheckerGlobalAndSession(t *testing.T) {
 		SeriesNames: []string{"s"},
 		Window:      core.GlobalWindow{},
 	}
-	counts := runCheckGraph(t, StreamCheck{Check: global, Naive: true}, events, true, 1)
+	counts := runCheckGraph(t, MuxCheck{Check: global, Naive: true}, events, true, 1)
 	if counts.Total() != 1 || counts.Satisfied != 1 {
 		t.Errorf("global counts = %+v", counts)
 	}
@@ -368,7 +401,7 @@ func TestStreamCheckerGlobalAndSession(t *testing.T) {
 		SeriesNames: []string{"s"},
 		Window:      core.SessionWindow{Gap: 5},
 	}
-	counts = runCheckGraph(t, StreamCheck{Check: session, Naive: true}, sess, true, 1)
+	counts = runCheckGraph(t, MuxCheck{Check: session, Naive: true}, sess, true, 1)
 	if counts.Total() != 2 || counts.Satisfied != 2 {
 		t.Errorf("session counts = %+v", counts)
 	}
@@ -386,7 +419,7 @@ func TestStreamCheckerCountSliding(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		events = append(events, stream.Event{Time: float64(i), Key: "k", Value: float64(i)})
 	}
-	counts := runCheckGraph(t, StreamCheck{Check: ck, Naive: true}, events, true, 1)
+	counts := runCheckGraph(t, MuxCheck{Check: ck, Naive: true}, events, true, 1)
 	// Windows start at indices 0, 2, 4, 6 — index 8 has only 2 points
 	// left and is dropped, matching the batch CountWindow.
 	if counts.Total() != 4 || counts.Satisfied != 4 {
@@ -394,19 +427,32 @@ func TestStreamCheckerCountSliding(t *testing.T) {
 	}
 }
 
-// TestNewStreamCheckerRejects covers the compile-time errors.
-func TestNewStreamCheckerRejects(t *testing.T) {
-	binaryNoRoute := StreamCheck{Check: core.Check{
+// TestMuxRegisterRejects covers the compile-time errors: each leaves
+// the registry empty.
+func TestMuxRegisterRejects(t *testing.T) {
+	register := func(cfg MuxCheck) error {
+		x := NewMux(false, EvictionPolicy{})
+		cfg.Name = "c"
+		err := x.Register(cfg)
+		if err != nil && x.Len() != 0 {
+			t.Errorf("failed registration left %d checks", x.Len())
+		}
+		return err
+	}
+	if err := (NewMux(false, EvictionPolicy{})).Register(MuxCheck{Check: muxTestChecks()[0]}); err == nil {
+		t.Error("unnamed check accepted")
+	}
+	binaryNoRoute := MuxCheck{Check: core.Check{
 		Name:        "corr",
 		Constraint:  core.CorrelationAbove(0),
 		SeriesNames: []string{"a", "b"},
 		Window:      core.GlobalWindow{},
 	}}
-	if _, err := NewStreamChecker(binaryNoRoute); err == nil || !strings.Contains(err.Error(), "Route") {
+	if err := register(binaryNoRoute); err == nil || !strings.Contains(err.Error(), "Route") {
 		t.Errorf("binary check without route: err = %v", err)
 	}
 
-	sessionBinary := StreamCheck{
+	sessionBinary := MuxCheck{
 		Check: core.Check{
 			Name:        "corr",
 			Constraint:  core.CorrelationAbove(0),
@@ -415,18 +461,17 @@ func TestNewStreamCheckerRejects(t *testing.T) {
 		},
 		Route: ByInputKeys("a", "b"),
 	}
-	if _, err := NewStreamChecker(sessionBinary); err == nil {
+	if err := register(sessionBinary); err == nil {
 		t.Error("binary session check accepted")
 	}
 
-	invalid := StreamCheck{Check: core.Check{Name: "x"}}
-	if _, err := NewStreamChecker(invalid); err == nil {
+	if err := register(MuxCheck{Check: core.Check{Name: "x"}}); err == nil {
 		t.Error("invalid check accepted")
 	}
 
-	// Parameter validation must surface through the stream entry point
-	// exactly as through core.CompilePlan.
-	badParams := StreamCheck{
+	// Parameter validation must surface through registration exactly as
+	// through core.CompilePlan.
+	badParams := MuxCheck{
 		Check: core.Check{
 			Name:        "range",
 			Constraint:  core.Range(0, 1),
@@ -435,29 +480,12 @@ func TestNewStreamCheckerRejects(t *testing.T) {
 		},
 		Params: core.Params{CheckInterval: -1},
 	}
-	if _, err := NewStreamChecker(badParams); err == nil || !strings.Contains(err.Error(), "check interval") {
+	if err := register(badParams); err == nil || !strings.Contains(err.Error(), "check interval") {
 		t.Errorf("negative check interval: err = %v", err)
 	}
 	badParams.Params = core.Params{MinSamples: 50, MaxSamples: 10}
-	if _, err := NewStreamChecker(badParams); err == nil || !strings.Contains(err.Error(), "burn-in") {
+	if err := register(badParams); err == nil || !strings.Contains(err.Error(), "burn-in") {
 		t.Errorf("burn-in beyond budget: err = %v", err)
-	}
-}
-
-// TestByKeyedInputs pins the composite-key parsing.
-func TestByKeyedInputs(t *testing.T) {
-	route := ByKeyedInputs("/", "x", "y")
-	if in, key, ok := route(stream.Event{Key: "h1/x"}); !ok || in != 0 || key != "h1" {
-		t.Errorf("h1/x -> %d %q %v", in, key, ok)
-	}
-	if in, key, ok := route(stream.Event{Key: "a/b/y"}); !ok || in != 1 || key != "a/b" {
-		t.Errorf("a/b/y -> %d %q %v", in, key, ok)
-	}
-	if _, _, ok := route(stream.Event{Key: "h1/z"}); ok {
-		t.Error("unknown tag routed")
-	}
-	if _, _, ok := route(stream.Event{Key: "nosep"}); ok {
-		t.Error("separator-free key routed")
 	}
 }
 
@@ -615,12 +643,8 @@ func TestBatchStreamParitySlidingSharedExtraction(t *testing.T) {
 		}
 		for name, events := range deliveries {
 			var got []core.Outcome
-			factory, err := NewStreamChecker(StreamCheck{Check: ck, Params: params, Seed: seed,
+			proc, _ := loneOp(t, EvictionPolicy{}, MuxCheck{Check: ck, Params: params, Seed: seed,
 				OnOutcome: func(_ string, o core.Outcome) { got = append(got, o) }})
-			if err != nil {
-				t.Fatal(err)
-			}
-			proc := factory()
 			for _, ev := range events {
 				proc.Process(ev, func(stream.Event) {})
 			}
@@ -666,7 +690,7 @@ func TestStreamKernelPinnedFixture(t *testing.T) {
 				SeriesNames: []string{"x", "y"},
 				Window:      core.TimeWindow{Size: 16},
 			}
-			got := runCheckGraph(t, StreamCheck{
+			got := runCheckGraph(t, MuxCheck{
 				Check: ck,
 				Seed:  12345,
 				Route: ByInputKeys("x", "y"),

@@ -37,10 +37,13 @@ import (
 // snapshots (window draws are seeded from the window coordinate now); a
 // version-1 snapshot would resume under other seeds, so it is refused.
 // Version 3 replaced the per-worker registry record with one operator's
-// state written inline after the caller's own fields.
+// state written inline after the caller's own fields. Version 4 made that
+// operator the Mux operator — a bucket list, each bucket's identity
+// (group class, member names and constraints) before its state — and
+// dropped the rejected-events counter.
 const (
 	Magic   = "SNDCKP"
-	Version = 3
+	Version = 4
 )
 
 // Encoder appends primitive values to a growing buffer. The zero value

@@ -132,16 +132,17 @@ func TestHeaderValidation(t *testing.T) {
 		t.Error("future version accepted")
 	}
 	// Well-formed older documents (valid CRC) are refused by name: version
-	// 1 stream workers carried RNG positions, and version 2 wrapped them in
-	// a per-worker registry record this version no longer reads.
-	if Version != 3 {
-		t.Fatalf("Version = %d, want 3", Version)
+	// 1 stream workers carried RNG positions, version 2 wrapped them in a
+	// per-worker registry record, and version 3 held one lone-check
+	// operator without a bucket list.
+	if Version != 4 {
+		t.Fatalf("Version = %d, want 4", Version)
 	}
-	for _, v := range []uint16{1, 2} {
+	for _, v := range []uint16{1, 2, 3} {
 		old := append([]byte{}, data[:len(data)-4]...)
 		binary.LittleEndian.PutUint16(old[len(Magic):], v)
 		old = binary.LittleEndian.AppendUint32(old, crc32.ChecksumIEEE(old))
-		if _, err := NewDecoder(old); err == nil || !strings.Contains(err.Error(), fmt.Sprintf("version %d, want 3", v)) {
+		if _, err := NewDecoder(old); err == nil || !strings.Contains(err.Error(), fmt.Sprintf("version %d, want 4", v)) {
 			t.Errorf("version-%d document: err = %v, want a version mismatch", v, err)
 		}
 	}

@@ -42,12 +42,12 @@ func (pl *CheckPlan) Class() GroupClass {
 	return GroupClass{Params: pl.params, Assigner: pl.assigner, Arity: pl.check.Constraint.Arity, Seed: pl.seed}
 }
 
-// hash folds the class into a 64-bit group key by chaining the pure
+// Hash folds the class into a 64-bit group key by chaining the pure
 // splitmix64 finalizer over every field. It is a stable function of the
 // class values only — no map iteration, pointer identity, or process
 // state — so the window-derived RNG streams (WindowSeed) reproduce
 // across runs, restarts, and shard layouts.
-func (c GroupClass) hash() uint64 {
+func (c GroupClass) Hash() uint64 {
 	h := rng.Derive(0x534f554e44, c.Seed) // "SOUND"
 	h = rng.Derive(h, uint64(c.Assigner.Kind))
 	h = rng.Derive(h, math.Float64bits(c.Assigner.Size))
@@ -146,7 +146,7 @@ func NewPlanGroup(plans []*CheckPlan) (*PlanGroup, error) {
 	g := &PlanGroup{
 		blockLoop: blockLoop{params: plans[0].params, bounds: plans[0].bounds},
 		class:     cls,
-		hash:      cls.hash(),
+		hash:      cls.Hash(),
 		plans:     plans,
 		member:    make([]groupMember, len(plans)),
 	}
@@ -188,9 +188,6 @@ func (g *PlanGroup) Class() GroupClass { return g.class }
 
 // Members returns the number of plans in the group.
 func (g *PlanGroup) Members() int { return len(g.plans) }
-
-// Plans returns the member plans in group order.
-func (g *PlanGroup) Plans() []*CheckPlan { return g.plans }
 
 // WindowSeed derives the shared draw stream for one (group, key,
 // window) coordinate: chained splitmix64 finalization of the group key,

@@ -95,8 +95,11 @@ func TestTimeWindowCoversAllPoints(t *testing.T) {
 }
 
 func TestTimeWindowBinaryAlignment(t *testing.T) {
-	a := ramp(10, 1)         // span [0, 9]
-	b := ramp(5, 1).Shift(7) // span [7, 11]
+	a := ramp(10, 1) // span [0, 9]
+	b := ramp(5, 1)
+	for i := range b {
+		b[i].T += 7 // span [7, 11]
+	}
 	ws := TimeWindow{Size: 5}.Windows([]series.Series{a, b})
 	// union span [0, 11] -> windows starting 0, 5, 10
 	if len(ws) != 3 {

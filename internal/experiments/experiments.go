@@ -26,9 +26,6 @@ type Options struct {
 	Repeats int
 }
 
-// DefaultOptions returns the standard configuration.
-func DefaultOptions() Options { return Options{Seed: 1} }
-
 func (o Options) events(def, quick int) int {
 	if o.Events > 0 {
 		return o.Events

@@ -57,8 +57,8 @@ func FuzzParseCheck(f *testing.F) {
 		}
 		// An accepted spec must also be admissible: the compiled check
 		// has to stream (ParseCheck only emits streamable windows).
-		if _, err := checker.NewStreamChecker(checker.StreamCheck{
-			Check: cfg.Check, Params: cfg.Params, Seed: cfg.Seed, Route: cfg.Route,
+		if err := checker.NewMux(false, checker.EvictionPolicy{}).Register(checker.MuxCheck{
+			Name: cfg.Name, Check: cfg.Check, Params: cfg.Params, Seed: cfg.Seed, Route: cfg.Route,
 		}); err != nil {
 			t.Fatalf("accepted spec %q does not compile to a stream operator: %v", spec, err)
 		}

@@ -328,7 +328,9 @@ type CheckStats struct {
 	Satisfied    int    `json:"satisfied"`
 	Violated     int    `json:"violated"`
 	Inconclusive int    `json:"inconclusive"`
-	// Lifecycle counters (DESIGN.md §4i).
+	// Lifecycle counters (DESIGN.md §4i). RejectedEvents is always 0:
+	// the eviction policy admits every event; the field stays for
+	// readers of /stats.
 	EvictedGroups  int `json:"evicted_groups"`
 	DroppedLate    int `json:"dropped_late"`
 	RejectedEvents int `json:"rejected_events"`
@@ -394,13 +396,12 @@ func (s *Server) Stats() Stats {
 		c := cs.out.Counts()
 		lc := cs.out.Lifecycle()
 		st.Checks = append(st.Checks, CheckStats{
-			Name:           cs.cfg.Name,
-			Satisfied:      c.Satisfied,
-			Violated:       c.Violated,
-			Inconclusive:   c.Inconclusive,
-			EvictedGroups:  lc.EvictedGroups,
-			DroppedLate:    lc.DroppedLate,
-			RejectedEvents: lc.RejectedEvents,
+			Name:          cs.cfg.Name,
+			Satisfied:     c.Satisfied,
+			Violated:      c.Violated,
+			Inconclusive:  c.Inconclusive,
+			EvictedGroups: lc.EvictedGroups,
+			DroppedLate:   lc.DroppedLate,
 		})
 	}
 	st.Groups = s.mux.GroupStats()

@@ -140,7 +140,7 @@ func NewServer(cfg Config) (*Server, error) {
 		cfg.BatchSize = 64
 	}
 	evict := cfg.Evict
-	if !evictEnabled(evict) && len(cfg.Checks) > 0 {
+	if evict == (checker.EvictionPolicy{}) && len(cfg.Checks) > 0 {
 		evict = cfg.Checks[0].Evict
 	}
 	s := &Server{
@@ -222,10 +222,6 @@ func (s *Server) feed(i int, sh *shard, op checkOp) (err error) {
 	}
 	op.Flush(discard)
 	return nil
-}
-
-func evictEnabled(p checker.EvictionPolicy) bool {
-	return p.TTL > 0 || p.MaxGroups > 0 || p.MaxBytes > 0 || p.OnPressure != nil
 }
 
 // AddCheck admits one check at runtime: quota-checked, compiled, and

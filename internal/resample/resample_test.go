@@ -291,14 +291,14 @@ func TestBootstrapEstimatesMeanSamplingDistribution(t *testing.T) {
 	for i := range s {
 		s[i] = series.Point{T: float64(i), V: r.NormFloat64() * 3}
 	}
-	trueSD := stat.StdDev(s.Values())
+	trueSD := math.Sqrt(stat.Variance(s.Values()))
 	rs := New(Set, rng.New(13))
 	const draws = 4000
 	means := make([]float64, draws)
 	for d := 0; d < draws; d++ {
 		means[d] = stat.Mean(rs.Draw([]series.Series{s})[0])
 	}
-	se := stat.StdDev(means)
+	se := math.Sqrt(stat.Variance(means))
 	want := trueSD / math.Sqrt(float64(n))
 	if math.Abs(se-want) > 0.15*want {
 		t.Errorf("bootstrap SE = %v, want ~%v", se, want)

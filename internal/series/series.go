@@ -30,18 +30,6 @@ type Point struct {
 // Certain reports whether the point carries no value uncertainty.
 func (p Point) Certain() bool { return p.SigUp == 0 && p.SigDown == 0 }
 
-// Symmetric reports whether upward and downward uncertainty coincide.
-func (p Point) Symmetric() bool { return p.SigUp == p.SigDown }
-
-// RelUncertainty returns the mean relative uncertainty
-// (σ↑+σ↓)/(2·|v|) of the point, or 0 when the value is zero.
-func (p Point) RelUncertainty() float64 {
-	if p.V == 0 {
-		return 0
-	}
-	return (p.SigUp + p.SigDown) / (2 * math.Abs(p.V))
-}
-
 func (p Point) String() string {
 	return fmt.Sprintf("(t=%g v=%g +%g -%g)", p.T, p.V, p.SigUp, p.SigDown)
 }
@@ -192,19 +180,6 @@ func (s *Series) Append(p Point) error {
 	return nil
 }
 
-// Density returns points per unit time over the series' span, or 0 for
-// series shorter than 2 points.
-func (s Series) Density() float64 {
-	if len(s) < 2 {
-		return 0
-	}
-	d := s.Duration()
-	if d <= 0 {
-		return math.Inf(1)
-	}
-	return float64(len(s)-1) / d
-}
-
 // Gaps returns the inter-arrival times between consecutive points.
 func (s Series) Gaps() []float64 {
 	if len(s) < 2 {
@@ -215,17 +190,6 @@ func (s Series) Gaps() []float64 {
 		g[i-1] = s[i].T - s[i-1].T
 	}
 	return g
-}
-
-// MaxGap returns the largest inter-arrival time, 0 for short series.
-func (s Series) MaxGap() float64 {
-	max := 0.0
-	for _, g := range s.Gaps() {
-		if g > max {
-			max = g
-		}
-	}
-	return max
 }
 
 // MeanRelUncertainty returns the mean relative value uncertainty
@@ -282,24 +246,6 @@ func (s Series) ScaleUncertainty(fUp, fDown float64) Series {
 	for i := range out {
 		out[i].SigUp *= fUp
 		out[i].SigDown *= fDown
-	}
-	return out
-}
-
-// ScaleValues returns a copy with all values multiplied by f.
-func (s Series) ScaleValues(f float64) Series {
-	out := s.Clone()
-	for i := range out {
-		out[i].V *= f
-	}
-	return out
-}
-
-// Shift returns a copy with all timestamps shifted by dt.
-func (s Series) Shift(dt float64) Series {
-	out := s.Clone()
-	for i := range out {
-		out[i].T += dt
 	}
 	return out
 }

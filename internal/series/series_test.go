@@ -65,12 +65,9 @@ func TestSpanDurationDensity(t *testing.T) {
 	if d := s.Duration(); d != 9 {
 		t.Errorf("Duration() = %v", d)
 	}
-	if d := s.Density(); math.Abs(d-5.0/9.0) > 1e-12 {
-		t.Errorf("Density() = %v", d)
-	}
 	var empty Series
-	if d := empty.Density(); d != 0 {
-		t.Errorf("empty Density() = %v", d)
+	if d := empty.Duration(); d != 0 {
+		t.Errorf("empty Duration() = %v", d)
 	}
 }
 
@@ -79,9 +76,6 @@ func TestGapsAndMaxGap(t *testing.T) {
 	want := []float64{1, 2, 4, 1, 1}
 	if got := s.Gaps(); !reflect.DeepEqual(got, want) {
 		t.Errorf("Gaps() = %v, want %v", got, want)
-	}
-	if g := s.MaxGap(); g != 4 {
-		t.Errorf("MaxGap() = %v", g)
 	}
 }
 
@@ -316,15 +310,6 @@ func TestPointHelpers(t *testing.T) {
 	if p.Certain() {
 		t.Error("uncertain point reported certain")
 	}
-	if p.Symmetric() {
-		t.Error("asymmetric point reported symmetric")
-	}
-	if got := p.RelUncertainty(); math.Abs(got-0.5) > 1e-12 {
-		t.Errorf("RelUncertainty() = %v", got)
-	}
-	if (Point{V: 0, SigUp: 1}).RelUncertainty() != 0 {
-		t.Error("zero-value RelUncertainty should be 0")
-	}
 	if !(Point{T: 1, V: 2}).Certain() {
 		t.Error("certain point reported uncertain")
 	}
@@ -334,12 +319,5 @@ func TestFromValues(t *testing.T) {
 	s := FromValues(5, 6, 7)
 	if len(s) != 3 || s[2].T != 2 || s[2].V != 7 {
 		t.Errorf("FromValues = %v", s)
-	}
-}
-
-func TestShiftAndScaleValues(t *testing.T) {
-	s := paperExample().Shift(10).ScaleValues(2)
-	if s[0].T != 11 || s[0].V != 2 {
-		t.Errorf("shifted/scaled = %v", s[0])
 	}
 }

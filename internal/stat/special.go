@@ -7,13 +7,7 @@
 // package math and validated by property tests.
 package stat
 
-import (
-	"errors"
-	"math"
-)
-
-// ErrDomain is returned when an argument lies outside a function's domain.
-var ErrDomain = errors.New("stat: argument out of domain")
+import "math"
 
 // LogBeta returns ln B(a, b) = ln Γ(a) + ln Γ(b) − ln Γ(a+b).
 func LogBeta(a, b float64) float64 {

@@ -118,6 +118,26 @@ func pinBatch(t *testing.T) string {
 	return sb.String()
 }
 
+// pinStreamMux registers the pinned stream check — FractionInRange(0,
+// 13, 0.8) over win at seed 13 — alone on a Mux.
+func pinStreamMux(t *testing.T, forward bool, out *sound.StreamOutcomes, win sound.Windower) *sound.Mux {
+	t.Helper()
+	x := sound.NewMux(forward, sound.EvictionPolicy{})
+	if err := x.Register(sound.MuxCheck{
+		Name: "range",
+		Check: sound.Check{
+			Name: "range", Constraint: sound.FractionInRange(0, 13, 0.8),
+			SeriesNames: []string{"x"}, Window: win,
+		},
+		Params: sound.DefaultParams(),
+		Seed:   13,
+		Out:    out,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	return x
+}
+
 // pinStream runs the streaming scenarios: sliding time windows over gaps
 // and hopping count windows, with per-event outcomes accumulated.
 func pinStream(t *testing.T) string {
@@ -132,20 +152,8 @@ func pinStream(t *testing.T) string {
 		{"tumbling", sound.TimeWindow{Size: 9}},
 		{"count", sound.CountWindow{Size: 8, Slide: 3}},
 	} {
-		out := &checker.StreamOutcomes{}
-		factory, err := checker.NewStreamChecker(checker.StreamCheck{
-			Check: sound.Check{
-				Name: "range", Constraint: sound.FractionInRange(0, 13, 0.8),
-				SeriesNames: []string{"x"}, Window: tc.win,
-			},
-			Params: sound.DefaultParams(),
-			Seed:   13,
-			Out:    out,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		p := factory()
+		out := &sound.StreamOutcomes{}
+		p := pinStreamMux(t, false, out, tc.win).Factory()()
 		emit := func(stream.Event) {}
 		for _, pt := range x {
 			p.Process(stream.Event{Time: pt.T, Key: "k", Value: pt.V, SigUp: pt.SigUp, SigDown: pt.SigDown}, emit)
@@ -206,20 +214,8 @@ func TestPinnedStreamBatchedGraphParity(t *testing.T) {
 				{"tumbling", sound.TimeWindow{Size: 9}},
 				{"count", sound.CountWindow{Size: 8, Slide: 3}},
 			} {
-				out := &checker.StreamOutcomes{}
-				factory, err := checker.NewStreamChecker(checker.StreamCheck{
-					Check: sound.Check{
-						Name: "range", Constraint: sound.FractionInRange(0, 13, 0.8),
-						SeriesNames: []string{"x"}, Window: tc.win,
-					},
-					Params:  sound.DefaultParams(),
-					Seed:    13,
-					Forward: true,
-					Out:     out,
-				})
-				if err != nil {
-					t.Fatal(err)
-				}
+				out := &sound.StreamOutcomes{}
+				factory := pinStreamMux(t, true, out, tc.win).Factory()
 				g := stream.NewGraph()
 				g.SetBatchSize(batch)
 				src := g.AddSource("csv", func(emit stream.EmitFunc) {
@@ -304,19 +300,7 @@ func TestPinnedCheckpointRestoreParity(t *testing.T) {
 		{"count", sound.CountWindow{Size: 8, Slide: 3}},
 	}
 	newOp := func(out *sound.StreamOutcomes, win sound.Windower) stream.Processor {
-		factory, err := sound.NewStreamChecker(sound.StreamCheck{
-			Check: sound.Check{
-				Name: "range", Constraint: sound.FractionInRange(0, 13, 0.8),
-				SeriesNames: []string{"x"}, Window: win,
-			},
-			Params: sound.DefaultParams(),
-			Seed:   13,
-			Out:    out,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return factory()
+		return pinStreamMux(t, false, out, win).Factory()()
 	}
 	emit := func(stream.Event) {}
 	feed := func(p stream.Processor, pts []sound.Point, frame int) {

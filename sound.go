@@ -27,8 +27,9 @@
 // drill-down) lives behind ChangePoints, NewAnalyzer, and
 // NewUpstreamAnalysis.
 //
-// Online checking runs the same compiled plans as stream operators
-// (NewStreamChecker), driven by the loop that owns them: a `soundserve`
+// Online checking runs the same compiled plans on one kind of stream
+// operator: checks register with a Mux (NewMux), and Mux.Factory makes
+// the operators, driven by the loop that owns them: a `soundserve`
 // shard hands its operator frames, `soundcheck -stream` calls Process
 // per CSV event, and the dataflow engine (internal/stream: a goroutine
 // per node worker, bounded channels of fixed-size frames, DESIGN.md §4j)
