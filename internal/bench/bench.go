@@ -8,6 +8,7 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"math/rand"
 	"testing"
 
 	"sound"
@@ -47,6 +48,7 @@ func Specs() []Spec {
 		{"StreamCheck/sliding", func(b *testing.B) { StreamCheck(b, sound.TimeWindow{Size: 60, Slide: 30}) }},
 		{"StreamCheck/count", func(b *testing.B) { StreamCheck(b, sound.CountWindow{Size: 32}) }},
 		{"StreamCheck/keyed", StreamCheckKeyed},
+		{"StreamCheck/evict", StreamCheckEvict},
 		{"Decode/frame", DecodeFrame},
 		{"Decode/ndjson", DecodeNDJSON},
 		{"Decode/csv", DecodeCSV},
@@ -342,6 +344,59 @@ func StreamCheckKeyed(b *testing.B) {
 		p.Flush(emit)
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(events)), "ns/event")
+}
+
+// StreamCheckEvict measures the operator's churn path: one lone-bucket
+// Mux operator over 20 000 keys of Zipf(1.1) popularity under an idle TTL
+// and a 1024-group cap, fed 64-event frames through ProcessFrame. Most
+// events of a cold key find its group evicted, so the cap evicts another
+// before the key's group is made again from the evicted state (DESIGN.md
+// §4i). The operator lives across iterations, each of which replays the
+// same 8192 events one span later in event time, so allocs/op prices the
+// steady state of eviction and re-admission, not the operator's warm-up.
+func StreamCheckEvict(b *testing.B) {
+	const nKeys, nEvents, frameSize, tick = 20_000, 8192, 64, 1.0 / 16
+	ck := core.Check{
+		Name:        "range",
+		Constraint:  core.Range(0, 100),
+		SeriesNames: []string{"s"},
+		Window:      sound.TimeWindow{Size: 60},
+	}
+	x := checker.NewMux(false, checker.EvictionPolicy{TTL: 64, MaxGroups: 1024})
+	out := &checker.StreamOutcomes{}
+	if err := x.Register(checker.MuxCheck{
+		Name: ck.Name, Check: ck, Params: core.Params{Credibility: 0.95, MaxSamples: 100}, Seed: 7, Out: out,
+	}); err != nil {
+		b.Fatal(err)
+	}
+	fp := x.Factory()().(stream.FrameProcessor)
+	keys := make([]string, nKeys)
+	for i := range keys {
+		keys[i] = fmt.Sprintf("z%05d", i)
+	}
+	zipf := rand.NewZipf(rand.New(rand.NewSource(1)), 1.1, 1, nKeys-1)
+	events := make([]stream.Event, nEvents)
+	for i := range events {
+		events[i] = stream.Event{Time: float64(i) * tick, Key: keys[zipf.Uint64()], Value: 50}
+	}
+	emit := func(stream.Event) {}
+	pass := func() {
+		for at := 0; at < len(events); at += frameSize {
+			fp.ProcessFrame(events[at:at+frameSize], emit)
+		}
+		for i := range events {
+			events[i].Time += nEvents * tick
+		}
+	}
+	pass()
+	evicted := out.Lifecycle().EvictedGroups
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		pass()
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*nEvents), "ns/event")
+	b.ReportMetric(float64(out.Lifecycle().EvictedGroups-evicted)/float64(b.N*nEvents), "evicted/event")
 }
 
 // Checkpoint measures the deterministic state lifecycle's snapshot

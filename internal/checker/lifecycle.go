@@ -1,6 +1,9 @@
 package checker
 
-import "sound/internal/core"
+import (
+	"sound/internal/core"
+	"sound/internal/series"
+)
 
 // This file is the eviction half of the deterministic state lifecycle
 // (DESIGN.md §4i): watermark-driven reclamation of idle window groups
@@ -108,12 +111,20 @@ func (c *streamChecker) admit(key string) {
 // key re-anchors exactly like a fresh group: its first timestamp
 // becomes the new grid origin, the same semantics a brand-new key gets
 // (and the same re-anchoring an out-of-order first event triggers —
-// see processTime).
+// see processTime). The struct and its arrays go on the spare list for
+// the next new key (group), which never holds more groups than are live:
+// a sweep that empties the operator does not pin its peak state.
 func (c *streamChecker) evictGroup(g *groupState) {
 	delete(c.groups, g.key)
 	c.lruUnlink(g)
 	if c.lastG == g {
 		c.lastKey, c.lastG = "", nil
+	}
+	if live := len(c.groups); len(c.spare) < live {
+		c.spare = append(c.spare, g)
+	} else {
+		clear(c.spare[live:])
+		c.spare = c.spare[:live]
 	}
 	// Every member observes its shared state's lifecycle events: each
 	// check's counters stay meaningful even though the buffers are held
@@ -122,6 +133,30 @@ func (c *streamChecker) evictGroup(g *groupState) {
 		if m.out != nil {
 			m.out.evictedGroups.Add(1)
 		}
+	}
+}
+
+// reuse re-initialises an evicted group for key. Every field reads as in
+// &groupState{key: key}, except that the per-input buffers keep their
+// arrays, emptied, and the extractions wait, Reset, in spareExt: a fresh
+// group has none until its first fire (time windows) or event (count
+// windows) asks for them, and a snapshot records which it has. The
+// buffer sets a fresh group makes at its first event stay made, which is
+// the same state once the event that takes the group over has landed.
+func (g *groupState) reuse(key string) {
+	raw, bufs, pend, drop, ext := g.raw, g.bufs, g.pend, g.drop, g.ext
+	if ext == nil {
+		ext = g.spareExt
+	}
+	*g = groupState{key: key, raw: raw, bufs: bufs, pend: pend, drop: drop, spareExt: ext}
+	for _, set := range [...][]series.Series{raw, bufs, pend} {
+		for i := range set {
+			set[i] = set[i][:0]
+		}
+	}
+	clear(drop)
+	for i := range ext {
+		ext[i].Reset()
 	}
 }
 

@@ -1,10 +1,12 @@
 package checker
 
 import (
+	"bytes"
 	"fmt"
 	"slices"
 	"testing"
 
+	"sound/internal/checkpoint"
 	"sound/internal/core"
 	"sound/internal/stream"
 )
@@ -125,7 +127,10 @@ func TestEvictionTTLSweep(t *testing.T) {
 // an event that evicts its own key's group — cached by the key's previous
 // event — through the TTL sweep its timestamp triggers; the cap path
 // evicts a group a neighbour's admission cached. Either way the returning
-// key gets a new group whose grid is anchored at its own timestamp.
+// key's group is fresh by state: its grid is anchored at its own
+// timestamp, it holds its returning point alone, no window of it has
+// fired, and the cache agrees with the group map. Whether the struct is
+// new or one an evicted key left for reuse is not observable.
 func TestEvictedKeyReturnsFresh(t *testing.T) {
 	ck := core.Check{
 		Name:        "range",
@@ -135,24 +140,23 @@ func TestEvictedKeyReturnsFresh(t *testing.T) {
 	}
 	out := &StreamOutcomes{}
 	proc, c := loneOp(t, EvictionPolicy{MaxGroups: 2, TTL: 5}, MuxCheck{Check: ck, Naive: true, Out: out})
-	fresh := func(key string, at float64, old *groupState) *groupState {
+	fresh := func(key string, at float64) {
 		t.Helper()
 		g := c.groups[key]
-		if g == nil || g == old || !g.hasOrigin || g.origin != at {
-			t.Fatalf("%s at t=%v: group %+v, want a new group anchored at %v", key, at, g, at)
+		if g == nil || !g.hasOrigin || g.origin != at || g.fired ||
+			len(g.raw) != 1 || len(g.raw[0]) != 1 || g.raw[0][0].T != at {
+			t.Fatalf("%s at t=%v: group %+v, want fresh state anchored at %v holding one point", key, at, g, at)
 		}
 		if c.peek(key) != g {
 			t.Fatalf("%s at t=%v: lookup cache and group map disagree", key, at)
 		}
-		return g
 	}
 	proc.Process(stream.Event{Time: 0, Key: "x", Value: 1}, discardEmit)
 	proc.Process(stream.Event{Time: 1, Key: "y", Value: 1}, discardEmit)
 	proc.Process(stream.Event{Time: 2, Key: "x", Value: 1}, discardEmit) // admit finds x in the map and caches it
-	x0 := fresh("x", 0, nil)
 	// t=40 sweeps both groups, x's own among them, before x is admitted.
 	proc.Process(stream.Event{Time: 40, Key: "x", Value: 1}, discardEmit)
-	x1 := fresh("x", 40, x0)
+	fresh("x", 40)
 	if got := out.Lifecycle().EvictedGroups; got != 2 {
 		t.Fatalf("evicted = %d, want 2 (x and y swept at watermark 40)", got)
 	}
@@ -163,11 +167,115 @@ func TestEvictedKeyReturnsFresh(t *testing.T) {
 		t.Fatal("x survived z's admission at the cap")
 	}
 	proc.Process(stream.Event{Time: 43, Key: "x", Value: 1}, discardEmit)
-	fresh("x", 43, x1)
+	fresh("x", 43)
 	if c.peek("y") != nil || c.LiveGroups() != 2 {
 		t.Errorf("live = %d with y present %v, want z and x only", c.LiveGroups(), c.peek("y") != nil)
 	}
 	if got := out.Lifecycle().EvictedGroups; got != 4 {
 		t.Errorf("evicted = %d, want 4", got)
+	}
+}
+
+// TestEvictedStateReuse: new keys take over the state evicted keys leave
+// behind — a time-window group that has fired and holds extractions, a
+// count-window group with non-zero drop counts and start index — and
+// nothing of it shows. Keys live one after another, three at a time, so a
+// cap of three evicts only keys that are done: the verdict sequence must
+// equal that of an operator without a cap, and the snapshot of the
+// surviving keys, one of which has not fired yet, must be byte-identical
+// to that of a fresh operator fed their events alone.
+func TestEvictedStateReuse(t *testing.T) {
+	const nKeys, live = 12, 3
+	var events []stream.Event
+	for k := 0; k < nKeys; k++ {
+		for i := 0; i < 60; i++ {
+			events = append(events, stream.Event{Time: float64(10*k) + float64(i)/2, Key: fmt.Sprintf("k%02d", k),
+				Value: 97 + float64(i%7), SigUp: 2, SigDown: 1})
+		}
+	}
+	// A last key takes over an evicted group and has not fired a window
+	// when the snapshots are compared.
+	for i := 0; i < 3; i++ {
+		events = append(events, stream.Event{Time: float64(10*nKeys+10) + float64(i)/2, Key: "tail", Value: 99})
+	}
+	slices.SortStableFunc(events, func(a, b stream.Event) int {
+		switch {
+		case a.Time < b.Time:
+			return -1
+		case b.Time < a.Time:
+			return 1
+		}
+		return 0
+	})
+	for _, win := range []core.Windower{core.TimeWindow{Size: 10, Slide: 5}, core.CountWindow{Size: 8, Slide: 3}} {
+		t.Run(fmt.Sprintf("%T", win), func(t *testing.T) {
+			_, isCount := win.(core.CountWindow)
+			ck := core.Check{Name: "range", Constraint: core.Range(0, 100), SeriesNames: []string{"s"}, Window: win}
+			run := func(evict EvictionPolicy, evs []stream.Event) (*muxOp, *streamChecker, []string) {
+				var trace []string
+				proc, c := loneOp(t, evict, MuxCheck{Check: ck, Params: core.DefaultParams(), Seed: 5,
+					OnOutcome: func(key string, o core.Outcome) { trace = append(trace, fmt.Sprintf("%s=%d", key, o)) }})
+				structs := map[*groupState]bool{}
+				for _, ev := range evs {
+					if evict.MaxGroups > 0 && c.peek(ev.Key) == nil && c.LiveGroups() == evict.MaxGroups {
+						// The cap is about to evict: the victim must carry the
+						// state this test wants reused.
+						v := c.lruTail
+						if v.ext == nil || isCount && (v.nextIdx == 0 || v.drop[0] == 0) || !isCount && !v.fired {
+							t.Fatalf("victim %s holds no state worth reusing: %+v", v.key, v)
+						}
+					}
+					proc.Process(ev, discardEmit)
+					structs[c.peek(ev.Key)] = true
+				}
+				if evict.MaxGroups > 0 && len(structs) > live+1 {
+					t.Errorf("%d group structs for %d keys under a cap of %d: evicted state was not reused", len(structs), nKeys+1, live)
+				}
+				return proc, c, trace
+			}
+			_, _, want := run(EvictionPolicy{}, events)
+			capped, c, got := run(EvictionPolicy{MaxGroups: live}, events)
+			if len(want) == 0 || !slices.Equal(got, want) {
+				t.Fatalf("capped verdicts %v\nwant %v", got, want)
+			}
+			if c.LiveGroups() != live {
+				t.Fatalf("live = %d, want %d", c.LiveGroups(), live)
+			}
+			var survivors []stream.Event
+			for _, ev := range events {
+				if c.peek(ev.Key) != nil {
+					survivors = append(survivors, ev)
+				}
+			}
+			fresh, _, _ := run(EvictionPolicy{MaxGroups: live}, survivors)
+			snap := func(p *muxOp) []byte {
+				enc := checkpoint.NewEncoder()
+				if err := EncodeOperator(p, enc); err != nil {
+					t.Fatal(err)
+				}
+				return enc.Finish()
+			}
+			if !bytes.Equal(snap(capped), snap(fresh)) {
+				t.Error("snapshot of reused groups differs from a fresh operator's over the surviving events")
+			}
+		})
+	}
+}
+
+// TestSpareGroupsBounded: a TTL sweep that reclaims most groups keeps no
+// more evicted structs for reuse than there are live groups.
+func TestSpareGroupsBounded(t *testing.T) {
+	ck := core.Check{Name: "range", Constraint: core.Range(0, 100), SeriesNames: []string{"s"}, Window: core.TimeWindow{Size: 10}}
+	proc, c := loneOp(t, EvictionPolicy{TTL: 5}, MuxCheck{Check: ck, Naive: true})
+	for k := 0; k < 10; k++ {
+		proc.Process(stream.Event{Time: 0, Key: fmt.Sprintf("k%d", k), Value: 1}, discardEmit)
+	}
+	for k := 0; k < 4; k++ {
+		proc.Process(stream.Event{Time: 4, Key: fmt.Sprintf("k%d", k), Value: 1}, discardEmit)
+	}
+	// Watermark 7 sweeps the six keys last seen at 0.
+	proc.Process(stream.Event{Time: 7, Key: "k0", Value: 1}, discardEmit)
+	if c.LiveGroups() != 4 || len(c.spare) == 0 || len(c.spare) > c.LiveGroups() {
+		t.Errorf("live = %d, spare = %d: want 4 live and 1..4 spare", c.LiveGroups(), len(c.spare))
 	}
 }

@@ -155,6 +155,8 @@ func (s GroupMetricsSnapshot) SharedHitRatio() float64 {
 // suite changed.
 func (c *streamChecker) installMembers(members []*memberSpec) {
 	c.members = members
+	// Spare groups may carry extractions the new set would not keep.
+	c.spare = nil
 	var plans []*core.CheckPlan
 	for _, m := range members {
 		if !m.naive {

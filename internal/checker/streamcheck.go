@@ -167,20 +167,38 @@ type streamChecker struct {
 	// lookups hit the cache instead of the map.
 	lastKey string
 	lastG   *groupState
+	// spare holds evicted groups for group() to reuse, never more than
+	// there are live groups (see evictGroup).
+	spare []*groupState
 	// Reusable scratch keeps the per-event hot path allocation-free.
 	pointBuf series.Series
-	winBuf   [1]series.Series
-	// viewBuf is the per-fire view scratch handed to the evaluator; views
-	// are consumed within the evaluation call (the evaluator strips them
-	// from its Result), so one buffer serves every fire.
-	viewBuf []resample.View
+	// tupleBuf and viewBuf are the per-fire window-tuple and view scratch
+	// handed to the evaluator, and naiveVals the naive members' value
+	// columns. A window tuple lives for one evaluate call (see tuple), so
+	// one buffer of each serves every fire.
+	tupleBuf  []series.Series
+	viewBuf   []resample.View
+	naiveVals [][]float64
 }
 
 // useExt reports whether the operator maintains SoA extractions beside
 // its window buffers: only SOUND evaluation reads them.
 func (c *streamChecker) useExt() bool { return c.planGroup != nil }
 
-// views returns the k-slot view scratch.
+// tuple returns the k-slot window-tuple scratch. A window tuple lives
+// for one evaluate call: resBuf keeps it only until the next fire
+// overwrites it, and members' sinks see the key and the outcome alone. So
+// one buffer serves every fire, and once evaluate returns the window
+// buffers the tuple sliced may be compacted in place.
+func (c *streamChecker) tuple(k int) []series.Series {
+	if cap(c.tupleBuf) < k {
+		c.tupleBuf = make([]series.Series, k)
+	}
+	return c.tupleBuf[:k]
+}
+
+// views returns the k-slot view scratch, consumed like the tuple within
+// the evaluate call it is handed to.
 func (c *streamChecker) views(k int) []resample.View {
 	if cap(c.viewBuf) < k {
 		c.viewBuf = make([]resample.View, k)
@@ -228,11 +246,12 @@ type groupState struct {
 	// ext mirrors the window buffers (raw for time windows, bufs for
 	// count windows) as SoA extractions, kept in sync incrementally:
 	// in-order appends extend them, a fire-time reorder rebuilds, and the
-	// post-fire copy-down trims. Overlapping windows of one group then
+	// post-fire compaction trims. Overlapping windows of one group then
 	// prime the evaluator's resampling kernels through views into one
 	// shared extraction instead of re-extracting every window. Unused
-	// (nil) under naive evaluation.
-	ext []resample.Extraction
+	// (nil) under naive evaluation. spareExt holds a reused group's
+	// extractions, Reset, until extractions makes them its ext.
+	ext, spareExt []resample.Extraction
 	// session bounds.
 	sessStart, sessPrev float64
 	sessOpen            bool
@@ -242,7 +261,15 @@ func (c *streamChecker) group(key string) *groupState {
 	if g := c.peek(key); g != nil {
 		return g
 	}
-	g := &groupState{key: key}
+	var g *groupState
+	if n := len(c.spare); n > 0 {
+		g = c.spare[n-1]
+		c.spare[n-1] = nil
+		c.spare = c.spare[:n-1]
+		g.reuse(key)
+	} else {
+		g = &groupState{key: key}
+	}
 	c.groups[key] = g
 	if c.evictOn {
 		c.lruPushFront(g)
@@ -281,6 +308,18 @@ func (g *groupState) inputs(arity int) []series.Series {
 		g.bufs = make([]series.Series, arity)
 	}
 	return g.bufs
+}
+
+// extractions returns the group's per-input extractions, made on first
+// use: from spareExt when the group state was reused, else new.
+func (g *groupState) extractions(arity int) []resample.Extraction {
+	if g.ext == nil {
+		g.ext, g.spareExt = g.spareExt, nil
+		if g.ext == nil {
+			g.ext = make([]resample.Extraction, arity)
+		}
+	}
+	return g.ext
 }
 
 // ingest routes one event into its window group; the Mux operator calls
@@ -332,11 +371,12 @@ func (c *streamChecker) processPoint(key string, input int, p series.Point) {
 			c.pointBuf = make(series.Series, 1)
 		}
 		c.pointBuf[0] = p
-		c.winBuf[0] = c.pointBuf
+		ws := c.tuple(1)
+		ws[0] = c.pointBuf
 		// The point's own timestamp is the window coordinate: unary point
 		// checks keep no per-key state, and a duplicate timestamp simply
 		// reuses its draw stream (identical evidence → identical verdict).
-		c.evaluate(key, core.WindowTuple{Windows: c.winBuf[:], Start: p.T, End: p.T}, math.Float64bits(p.T))
+		c.evaluate(key, core.WindowTuple{Windows: ws, Start: p.T, End: p.T}, math.Float64bits(p.T))
 		return
 	}
 	g := c.group(key)
@@ -344,23 +384,34 @@ func (c *streamChecker) processPoint(key string, input int, p series.Point) {
 		g.pend = make([]series.Series, c.arity)
 	}
 	g.pend[input] = append(g.pend[input], p)
+	head := 0
+fire:
 	for {
-		ready := true
 		for i := range g.pend {
-			if len(g.pend[i]) == 0 {
-				ready = false
-				break
+			if len(g.pend[i]) <= head {
+				break fire
 			}
 		}
-		if !ready {
-			return
-		}
-		ws := make([]series.Series, c.arity)
+		ws := c.tuple(c.arity)
 		for i := range g.pend {
-			ws[i] = g.pend[i][:1:1]
-			g.pend[i] = g.pend[i][1:]
+			ws[i] = g.pend[i][head : head+1 : head+1]
 		}
+		head++
 		c.evaluate(key, core.WindowTuple{Windows: ws, Start: ws[0][0].T, End: ws[0][0].T}, math.Float64bits(ws[0][0].T))
+	}
+	if head == 0 {
+		return
+	}
+	for i, q := range g.pend {
+		// Drop the fired points. A queue left no longer than what fired
+		// moves its rest to the front of its array, copying no more points
+		// than fired, so inputs that keep pace never leave their arrays;
+		// one running far ahead advances its slice start instead.
+		if len(q)-head <= head {
+			g.pend[i] = q[:copy(q, q[head:])]
+		} else {
+			g.pend[i] = q[head:]
+		}
 	}
 }
 
@@ -421,8 +472,8 @@ func (c *streamChecker) fireDueTimeWindows(g *groupState, final bool) {
 		return
 	}
 	useExt := c.useExt()
-	if useExt && g.ext == nil {
-		g.ext = make([]resample.Extraction, c.arity)
+	if useExt {
+		g.extractions(c.arity)
 	}
 	for i := range g.raw {
 		reordered := sortByTime(g.raw[i])
@@ -447,7 +498,7 @@ func (c *streamChecker) fireDueTimeWindows(g *groupState, final bool) {
 		} else if end > g.watermark {
 			return
 		}
-		ws := make([]series.Series, c.arity)
+		ws := c.tuple(c.arity)
 		var ext []resample.View
 		if useExt {
 			ext = c.views(c.arity)
@@ -465,15 +516,12 @@ func (c *streamChecker) fireDueTimeWindows(g *groupState, final bool) {
 		g.fired = true
 		g.nextStart += c.asg.Slide
 		for i := range g.raw {
-			// Points below the next start belong only to fired windows.
-			// Copy down into a fresh array instead of re-slicing: the
-			// evaluated window aliased this one, so later appends must not
-			// clobber it — and the buffer must not grow unboundedly.
+			// Points below the next start belong only to fired windows:
+			// move the rest to the front of the same array, as TrimFront
+			// does for the extraction. The evaluated tuple sliced this
+			// array, but it lived for the evaluate call alone.
 			if n := g.raw[i].At(g.nextStart); n > 0 {
-				rest := g.raw[i][n:]
-				next := make(series.Series, len(rest), len(rest)+n)
-				copy(next, rest)
-				g.raw[i] = next
+				g.raw[i] = g.raw[i][:copy(g.raw[i], g.raw[i][n:])]
 				if useExt {
 					g.ext[i].TrimFront(n)
 				}
@@ -509,10 +557,7 @@ func (c *streamChecker) processCount(key string, input int, p series.Point) {
 		// Count windows never reorder (arrival order is the index), so the
 		// shared extraction extends one point at a time, in lockstep with
 		// the buffer.
-		if g.ext == nil {
-			g.ext = make([]resample.Extraction, c.arity)
-		}
-		g.ext[input].AppendPoint(p)
+		g.extractions(c.arity)[input].AppendPoint(p)
 	}
 	for {
 		for i := range bufs {
@@ -520,7 +565,7 @@ func (c *streamChecker) processCount(key string, input int, p series.Point) {
 				return
 			}
 		}
-		ws := make([]series.Series, c.arity)
+		ws := c.tuple(c.arity)
 		var ext []resample.View
 		if useExt {
 			ext = c.views(c.arity)
@@ -542,13 +587,9 @@ func (c *streamChecker) processCount(key string, input int, p series.Point) {
 			if n > len(bufs[i]) {
 				n = len(bufs[i])
 			}
-			// Copy down instead of re-slicing: the evaluated window
-			// aliased the array head, so the next append must not
-			// clobber it — and the buffer must not grow unboundedly.
-			rest := bufs[i][n:]
-			next := make(series.Series, len(rest), c.asg.Count+len(rest))
-			copy(next, rest)
-			bufs[i] = next
+			// Move the rest to the front of the same array: the evaluated
+			// tuple aliased its head, but only for the evaluate call.
+			bufs[i] = bufs[i][:copy(bufs[i], bufs[i][n:])]
 			g.drop[i] += n
 			if useExt {
 				g.ext[i].TrimFront(n)
@@ -576,8 +617,9 @@ func (c *streamChecker) processSession(key string, p series.Point) {
 func (c *streamChecker) fireSession(g *groupState) {
 	if len(g.bufs[0]) > 0 {
 		sortByTime(g.bufs[0])
-		c.winBuf[0] = g.bufs[0]
-		c.evaluate(g.key, core.WindowTuple{Windows: c.winBuf[:], Start: g.sessStart, End: g.sessPrev}, math.Float64bits(g.sessStart))
+		ws := c.tuple(1)
+		ws[0] = g.bufs[0]
+		c.evaluate(g.key, core.WindowTuple{Windows: ws, Start: g.sessStart, End: g.sessPrev}, math.Float64bits(g.sessStart))
 		g.bufs[0] = g.bufs[0][:0]
 	}
 	g.sessOpen = false
@@ -636,12 +678,37 @@ func (c *streamChecker) evaluate(key string, tuple core.WindowTuple, windowBits 
 	si := 0
 	for _, m := range c.members {
 		if m.naive {
-			m.deliver(key, core.EvaluateNaive(m.check.Constraint, tuple))
+			m.deliver(key, c.scoreNaive(m.check.Constraint, tuple))
 			continue
 		}
 		m.deliver(key, c.resBuf[si].Outcome)
 		si++
 	}
+}
+
+// scoreNaive is core.EvaluateNaive on the operator's value-column
+// scratch: the BASE_CHECK verdict of one fired window. The columns are
+// refilled for every naive member, since a constraint function may reorder
+// the values it is handed.
+func (c *streamChecker) scoreNaive(cons core.Constraint, tuple core.WindowTuple) core.Outcome {
+	if len(c.naiveVals) < len(tuple.Windows) {
+		c.naiveVals = make([][]float64, len(tuple.Windows))
+	}
+	vals, empty := c.naiveVals[:len(tuple.Windows)], true
+	for i, w := range tuple.Windows {
+		col := vals[i][:0]
+		for _, p := range w {
+			col = append(col, p.V)
+		}
+		vals[i], empty = col, empty && len(w) == 0
+	}
+	if empty {
+		return core.Inconclusive
+	}
+	if cons.Eval(vals) {
+		return core.Satisfied
+	}
+	return core.Violated
 }
 
 // sortByTime time-orders a window buffer in place, reporting whether it

@@ -701,3 +701,100 @@ func TestStreamKernelPinnedFixture(t *testing.T) {
 		})
 	}
 }
+
+// TestWindowFireAllocatesNothing pins the operator's steady state at zero
+// allocations: once warm, 64-event frames that fire windows of every
+// stateful shape — a tumbling and a sliding time window, a count window,
+// and a binary point-wise check routed ByInputKeys — allocate nothing,
+// for SOUND and naive members alike. Fired windows compact their buffers
+// in place and evaluate reads them through the operator's tuple scratch
+// (DESIGN.md §4d), and warm PlanGroup.Evaluate allocates nothing either.
+// Every frame fires at least one window of each bucket; the measured
+// block is many frames long and must allocate nothing at all.
+func TestWindowFireAllocatesNothing(t *testing.T) {
+	lessEq := core.Constraint{
+		Name:        "x<=y",
+		Granularity: core.PointWise,
+		Orderedness: core.Set,
+		Arity:       2,
+		Fn:          func(vals [][]float64) bool { return vals[0][0] <= vals[1][0] },
+	}
+	cases := []struct {
+		name   string
+		win    core.Windower
+		binary bool
+	}{
+		{"time:512", core.TimeWindow{Size: 512}, false},
+		{"time:1080:180", core.TimeWindow{Size: 1080, Slide: 180}, false},
+		{"count:64", core.CountWindow{Size: 64}, false},
+		{"point/binary", core.PointWindow{}, true},
+	}
+	const frameSize, warm, block = 64, 64, 32
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			x := NewMux(false, EvictionPolicy{})
+			out := &StreamOutcomes{}
+			register := func(name string, c core.Constraint, naive bool) {
+				t.Helper()
+				ck := core.Check{Name: name, Constraint: c, SeriesNames: []string{"x"}, Window: tc.win}
+				mc := MuxCheck{Name: name, Check: ck, Params: core.Params{MaxSamples: 100}, Seed: 7,
+					Naive: naive, RouteID: "r", Out: out}
+				if tc.binary {
+					ck.SeriesNames = []string{"x", "y"}
+					mc.Check, mc.Route = ck, ByInputKeys("x", "y")
+				}
+				if err := x.Register(mc); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if tc.binary {
+				register("le", lessEq, false)
+				register("le-naive", lessEq, true)
+			} else {
+				register("range", core.Range(0, 100), false)
+				register("fraction", core.FractionInRange(0, 100, 0.5), false)
+				register("range-naive", core.Range(0, 100), true)
+			}
+			op := x.Factory()().(stream.FrameProcessor)
+			// Unary shapes: one key per event, cycling over four, 32 time
+			// units apart per key, so each frame moves every key 512 time
+			// units or 16 points on. The count window holds one key, so
+			// each frame closes one of its windows.
+			keys := [4]string{"k0", "k1", "k2", "k3"}
+			frames := make([][]stream.Event, warm+2*block)
+			for f := range frames {
+				fr := make([]stream.Event, frameSize)
+				for e := range fr {
+					i := f*frameSize + e
+					ev := stream.Event{Key: keys[i%4], Time: float64(i/4) * 32,
+						Value: 98 + float64(i%5), SigUp: 2, SigDown: 1}
+					switch {
+					case tc.binary:
+						ev.Key, ev.Time = [2]string{"x", "y"}[i%2], float64(i/2)
+					case tc.name == "count:64":
+						ev.Key, ev.Time = "k0", float64(i)
+					}
+					fr[e] = ev
+				}
+				frames[f] = fr
+			}
+			next := 0
+			feed := func(n int) {
+				for ; n > 0; n-- {
+					op.ProcessFrame(frames[next], discardEmit)
+					next++
+				}
+			}
+			feed(warm)
+			before := out.Counts().Total()
+			if allocs := testing.AllocsPerRun(1, func() { feed(block) }); allocs != 0 {
+				t.Errorf("warm operator allocated %v times over %d frames, want 0", allocs, block)
+			}
+			// Three members per unary bucket, two per binary one, and at
+			// least one fire per frame in each.
+			if fired := out.Counts().Total() - before; fired < 2*2*block {
+				t.Fatalf("%d verdicts over %d frames: not every frame fires", fired, 2*block)
+			}
+		})
+	}
+}

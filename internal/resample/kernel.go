@@ -2,6 +2,7 @@ package resample
 
 import (
 	"math"
+	"slices"
 	"sort"
 
 	"sound/internal/series"
@@ -232,11 +233,35 @@ func (x *Extraction) accumMagnitudes(from int) {
 // ExtendFrom appends the points of w beyond the extraction's current
 // length, for callers whose window buffer only grows between fires: after
 // appending events to w, ExtendFrom(w) brings the extraction back in
-// sync at the cost of the new points only.
+// sync at the cost of the new points only. It is the AppendPoint loop in
+// one pass: each array grows once, runs merge as the points go in, and
+// the magnitude accumulators add in point order, so their bits — which a
+// snapshot carries — are the loop's.
 func (x *Extraction) ExtendFrom(w series.Series) {
-	for i := x.Len(); i < len(w); i++ {
-		x.AppendPoint(w[i])
+	n := x.Len()
+	if len(w) <= n {
+		return
 	}
+	add := w[n:]
+	x.Vals = slices.Grow(x.Vals, len(add))[:len(w)]
+	x.SigUp = slices.Grow(x.SigUp, len(add))[:len(w)]
+	x.SigDown = slices.Grow(x.SigDown, len(add))[:len(w)]
+	x.Tags = slices.Grow(x.Tags, len(add))[:len(w)]
+	vals, ups, downs, tags := x.Vals[n:], x.SigUp[n:], x.SigDown[n:], x.Tags[n:]
+	accV, accS, seen := x.accV, x.accS, x.seen
+	for i, p := range add {
+		t := classify(p)
+		vals[i], ups[i], downs[i], tags[i] = p.V, p.SigUp, p.SigDown, t
+		seen |= 1 << t
+		accV += math.Abs(p.V)
+		accS += math.Abs(p.SigUp) + math.Abs(p.SigDown)
+		if m := len(x.runs); m > 0 && x.runs[m-1].Class == t {
+			x.runs[m-1].Hi = n + i + 1
+		} else {
+			x.runs = append(x.runs, classRun{Lo: n + i, Hi: n + i + 1, Class: t})
+		}
+	}
+	x.accV, x.accS, x.seen = accV, accS, seen
 }
 
 // AppendPoint extends the extraction by one point.
@@ -259,8 +284,8 @@ func (x *Extraction) AppendPoint(p series.Point) {
 
 // TrimFront drops the first n points, copying the arrays down in place so
 // previously handed-out Views into the extraction must not be used after
-// a trim. Stream operators call it alongside their own window-buffer
-// copy-down.
+// a trim. Stream operators call it after a fire, when they compact the
+// window buffer it mirrors the same way.
 func (x *Extraction) TrimFront(n int) {
 	if n <= 0 {
 		return

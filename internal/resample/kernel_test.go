@@ -3,6 +3,7 @@ package resample
 import (
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"sound/internal/rng"
@@ -353,4 +354,64 @@ func FuzzKernelScalarParity(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestExtendFromMatchesAppendPoint: the one-pass ExtendFrom leaves the
+// extraction bit for bit where the AppendPoint loop does — arrays, class
+// runs and mix, and the exact bits of the magnitude accumulators a
+// snapshot carries — over mixed-class, one-sided and NaN points, extended
+// in uneven steps with trims between them.
+func TestExtendFromMatchesAppendPoint(t *testing.T) {
+	r := rng.New(3)
+	w := make(series.Series, 400)
+	for i := range w {
+		p := series.Point{T: float64(i), V: 100*r.Float64() - 50}
+		switch (i / (1 + i%5)) % 4 {
+		case 1:
+			p.SigUp, p.SigDown = 2, 2
+		case 2:
+			p.SigUp, p.SigDown = 0, 1.5 // one-sided
+		case 3:
+			p.SigUp, p.SigDown = 3*r.Float64(), r.Float64()
+		}
+		// NaN poisons an accumulator for good, so it comes last.
+		if i >= 360 && i%13 == 0 {
+			p.V = math.NaN()
+		}
+		if i == 390 {
+			p.SigUp = math.NaN()
+		}
+		w[i] = p
+	}
+	var one, loop Extraction
+	at, trimmed := 0, 0
+	for step := 1; at < len(w); step++ {
+		at = min(len(w), at+step*step%37+1)
+		cur := w[trimmed:at]
+		one.ExtendFrom(cur)
+		for i := loop.Len(); i < len(cur); i++ {
+			loop.AppendPoint(cur[i])
+		}
+		if !slices.Equal(bitsOf(one.Vals), bitsOf(loop.Vals)) || !slices.Equal(bitsOf(one.SigUp), bitsOf(loop.SigUp)) ||
+			!slices.Equal(bitsOf(one.SigDown), bitsOf(loop.SigDown)) || !slices.Equal(one.Tags, loop.Tags) ||
+			!slices.Equal(one.runs, loop.runs) || one.seen != loop.seen ||
+			math.Float64bits(one.accV) != math.Float64bits(loop.accV) ||
+			math.Float64bits(one.accS) != math.Float64bits(loop.accS) {
+			t.Fatalf("step %d (points %d..%d): ExtendFrom diverged from the AppendPoint loop", step, trimmed, at)
+		}
+		if step%3 == 0 {
+			n := (at - trimmed) / 2
+			one.TrimFront(n)
+			loop.TrimFront(n)
+			trimmed += n
+		}
+	}
+}
+
+func bitsOf(vs []float64) []uint64 {
+	out := make([]uint64, len(vs))
+	for i, v := range vs {
+		out[i] = math.Float64bits(v)
+	}
+	return out
 }
