@@ -50,7 +50,9 @@ bench-smoke:
 # accepted one re-encodes to its own bytes), the kernel/closure
 # evaluation parity, the shared-lane/per-check scoring parity, the
 # branch-free in-range count against its short-circuit oracle, the
-# closed-form level probability against its table bracket, the CSV
+# closed-form level probability against its table bracket, the decision
+# table's hinted threshold search against its binary-search oracle, the
+# incomplete beta function and the Beta quantile against the CDF, the CSV
 # reader, the wire decoders, and the check registration grammar
 # POST /checks exposes to untrusted clients. Long
 # exploratory runs: raise FUZZTIME or run `go test -fuzz` on one target
@@ -63,6 +65,9 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzGroupScoreParity -fuzztime=$(FUZZTIME) ./internal/core
 	$(GO) test -run='^$$' -fuzz=FuzzCountIn -fuzztime=$(FUZZTIME) ./internal/core
 	$(GO) test -run='^$$' -fuzz=FuzzLevelProb -fuzztime=$(FUZZTIME) ./internal/core
+	$(GO) test -run='^$$' -fuzz=FuzzSequentialBounds -fuzztime=$(FUZZTIME) ./internal/stat
+	$(GO) test -run='^$$' -fuzz=FuzzRegIncBeta -fuzztime=$(FUZZTIME) ./internal/stat
+	$(GO) test -run='^$$' -fuzz=FuzzBetaQuantileInverse -fuzztime=$(FUZZTIME) ./internal/stat
 	$(GO) test -run='^$$' -fuzz=FuzzKernelScalarParity -fuzztime=$(FUZZTIME) ./internal/resample
 	$(GO) test -run='^$$' -fuzz=FuzzReadCSV -fuzztime=$(FUZZTIME) ./internal/series
 	$(GO) test -run='^$$' -fuzz=FuzzWireDecode -fuzztime=$(FUZZTIME) ./internal/wire

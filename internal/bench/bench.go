@@ -18,6 +18,7 @@ import (
 	"sound/internal/resample"
 	"sound/internal/rng"
 	"sound/internal/series"
+	"sound/internal/stat"
 	"sound/internal/stream"
 	"sound/internal/wire"
 )
@@ -81,6 +82,8 @@ func Specs() []Spec {
 		{"Exact/fraction/n60/erfc", func(b *testing.B) { Exact(b, core.FractionInRange(0, 100, 0.5), 60, 0.8) }},
 		{"Exact/fraction/n1080/bracket", func(b *testing.B) { Exact(b, core.FractionInRange(0, 100, 0.5), 1080, 4) }},
 		{"Exact/fraction/n1080/erfc", func(b *testing.B) { Exact(b, core.FractionInRange(0, 100, 0.5), 1080, 0.72) }},
+		{"DecisionTable/n100", func(b *testing.B) { DecisionTable(b, 100) }},
+		{"DecisionTable/n1000", func(b *testing.B) { DecisionTable(b, 1000) }},
 		{"Score/fraction/borderline/n60", func(b *testing.B) { score(b, core.FractionInRange(0, 100, 0.5), 60, 100) }},
 		{"Score/fraction/borderline/n1080", func(b *testing.B) { score(b, core.FractionInRange(0, 100, 0.5), 1080, 100) }},
 		{"Score/fraction/clear/n60", func(b *testing.B) { score(b, core.FractionInRange(0, 100, 0.5), 60, 50) }},
@@ -582,6 +585,20 @@ func Exact(b *testing.B, c core.Constraint, n int, margin float64) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/point")
 	b.ReportMetric(float64(samples)/float64(b.N), "samples/window")
 	b.ReportMetric(float64(sat)/float64(samples), "sat/sample")
+}
+
+// DecisionTable prices building Alg. 1's decision table from scratch at
+// c = 0.95, flat prior, budget n — the thresholds and terminal intervals
+// stat.SequentialBounds computes, which a check's first registration pays
+// before its first event (the core cache holds a built table thereafter).
+func DecisionTable(b *testing.B, n int) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		accept, _, _, _ := stat.SequentialBounds(1, 1, 0.95, n)
+		if accept[n] > n {
+			b.Fatalf("no count accepts at n = %d", n)
+		}
+	}
 }
 
 // MultiCheck prices a suite of n co-window checks on one uncertain

@@ -18,11 +18,14 @@ type decisionBounds struct {
 	// Terminal credible intervals, precomputed so concluding a window
 	// needs no quantile work at all. With CheckInterval = 1 the satisfied
 	// count sits exactly on the boundary when the rule first fires, so
-	// acceptCI[i]/rejectCI[i] cover early stops and exhaustCI[s] covers
-	// running out of budget at sample N; larger check intervals or a
-	// burn-in can overshoot the boundary and fall back to a direct
-	// computation. Entries at sentinel boundaries stay zero and are never
-	// read.
+	// acceptCI[i]/rejectCI[i] (from stat.SequentialBounds, whose searches
+	// already computed one end of each) cover early stops and exhaustCI[s]
+	// covers running out of budget at sample N; larger check intervals or
+	// a burn-in can overshoot the boundary and fall back to a direct
+	// computation. exhaustCI is filled only for the counts strictly
+	// between rejectAt[N] and acceptAt[N], the only ones an Inconclusive
+	// stop at N can hold. Entries at sentinel boundaries or outside that
+	// band stay zero and are never read.
 	acceptCI, rejectCI, exhaustCI [][2]float64
 	// priorLower/priorUpper is the prior's credible interval, reported
 	// for windows with no data.
@@ -134,29 +137,14 @@ func boundsFor(p Params) *decisionBounds {
 	if v, ok := boundsCache.Load(key); ok {
 		return v.(*decisionBounds)
 	}
-	accept, reject := stat.SequentialBounds(p.PriorAlpha, p.PriorBeta, p.Credibility, p.MaxSamples)
-	b := &decisionBounds{
-		acceptAt:  accept,
-		rejectAt:  reject,
-		acceptCI:  make([][2]float64, p.MaxSamples+1),
-		rejectCI:  make([][2]float64, p.MaxSamples+1),
-		exhaustCI: make([][2]float64, p.MaxSamples+1),
-	}
-	ci := func(s, i int) [2]float64 {
-		lo, hi := stat.Beta{Alpha: p.PriorAlpha + float64(s), Beta: p.PriorBeta + float64(i-s)}.CredibleInterval(p.Credibility)
-		return [2]float64{lo, hi}
-	}
+	n := p.MaxSamples
+	b := &decisionBounds{exhaustCI: make([][2]float64, n+1)}
+	b.acceptAt, b.rejectAt, b.acceptCI, b.rejectCI = stat.SequentialBounds(p.PriorAlpha, p.PriorBeta, p.Credibility, n)
 	b.priorLower, b.priorUpper = stat.Beta{Alpha: p.PriorAlpha, Beta: p.PriorBeta}.CredibleInterval(p.Credibility)
-	for i := 1; i <= p.MaxSamples; i++ {
-		if accept[i] <= i {
-			b.acceptCI[i] = ci(accept[i], i)
-		}
-		if reject[i] >= 0 {
-			b.rejectCI[i] = ci(reject[i], i)
-		}
-	}
-	for s := 0; s <= p.MaxSamples; s++ {
-		b.exhaustCI[s] = ci(s, p.MaxSamples)
+	// finish reads exhaustCI[s] only for an Inconclusive stop at N, and the
+	// check at N always runs, so s lies strictly between the thresholds.
+	for s := b.rejectAt[n] + 1; s < b.acceptAt[n]; s++ {
+		b.exhaustCI[s][0], b.exhaustCI[s][1] = stat.Beta{Alpha: p.PriorAlpha + float64(s), Beta: p.PriorBeta + float64(n-s)}.CredibleInterval(p.Credibility)
 	}
 	if boundsCount.Load() >= boundsCacheLimit {
 		return b

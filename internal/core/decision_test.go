@@ -1,6 +1,11 @@
 package core
 
 import (
+	"encoding/binary"
+	"fmt"
+	"hash"
+	"hash/fnv"
+	"math"
 	"testing"
 
 	"sound/internal/series"
@@ -150,6 +155,85 @@ func TestReseedMatchesFreshEvaluator(t *testing.T) {
 			if !sameDecision(got, want) {
 				t.Errorf("round %d case %d: pooled %+v, fresh %+v", round, i, got, want)
 			}
+		}
+	}
+}
+
+// tableDigest folds into h every decision-table entry finish or the
+// no-data path can read: both thresholds at every index, acceptCI[i]
+// and rejectCI[i] where the boundary is a real count, exhaustCI[s] for
+// the counts strictly between the thresholds at N, and the prior
+// interval.
+func tableDigest(h hash.Hash64, b *decisionBounds, n int) {
+	var buf [8]byte
+	word := func(v uint64) {
+		binary.LittleEndian.PutUint64(buf[:], v)
+		h.Write(buf[:])
+	}
+	interval := func(ci [2]float64) {
+		word(math.Float64bits(ci[0]))
+		word(math.Float64bits(ci[1]))
+	}
+	for i := 0; i <= n; i++ {
+		word(uint64(b.acceptAt[i]))
+		word(uint64(b.rejectAt[i]))
+		if i > 0 && b.acceptAt[i] <= i {
+			interval(b.acceptCI[i])
+		}
+		if i > 0 && b.rejectAt[i] >= 0 {
+			interval(b.rejectCI[i])
+		}
+	}
+	for s := b.rejectAt[n] + 1; s < b.acceptAt[n]; s++ {
+		interval(b.exhaustCI[s])
+	}
+	interval([2]float64{b.priorLower, b.priorUpper})
+}
+
+// pinnedTableDigests are FNV-64a digests of tableDigest over every
+// credibility c ∈ {0.5, 0.8, 0.9, 0.95, 0.99, 0.999} × prior ∈ {(1, 1),
+// (½, ½), (2, 3), (1, 5), (7, 1)} at each budget N, and over (1, 1) at
+// c ∈ {0.95, 0.99} for N = 1000, recorded from the binary-search table
+// build with two-sided probes and an exhaustCI filled for every count.
+var pinnedTableDigests = map[int]string{
+	1:    "f804e9ea56a997f2",
+	2:    "86e6d224db7aa112",
+	3:    "2d10237fc76e0cd3",
+	10:   "6a4869f2e60d61e3",
+	25:   "fe467d9ce25aac43",
+	60:   "6bf2ec1ec55140a2",
+	100:  "172152e54d1dc276",
+	200:  "57db1d6189b654ae",
+	1000: "2853cd71c5c58fc5",
+}
+
+// TestDecisionTableDigests pins every table entry a verdict can report
+// to the values of the original construction, so a faster table build
+// cannot move a threshold or an interval bit.
+func TestDecisionTableDigests(t *testing.T) {
+	creds := []float64{0.5, 0.8, 0.9, 0.95, 0.99, 0.999}
+	priors := [][2]float64{{1, 1}, {0.5, 0.5}, {2, 3}, {1, 5}, {7, 1}}
+	digest := func(n int, creds []float64, priors [][2]float64) string {
+		h := fnv.New64a()
+		for _, c := range creds {
+			for _, pr := range priors {
+				p, err := Params{Credibility: c, MaxSamples: n, PriorAlpha: pr[0], PriorBeta: pr[1]}.normalized()
+				if err != nil {
+					t.Fatal(err)
+				}
+				tableDigest(h, boundsFor(p), n)
+			}
+		}
+		return fmt.Sprintf("%016x", h.Sum64())
+	}
+	got := map[int]string{}
+	for _, n := range []int{1, 2, 3, 10, 25, 60, 100, 200} {
+		got[n] = digest(n, creds, priors)
+	}
+	got[1000] = digest(1000, []float64{0.95, 0.99}, priors[:1])
+	for _, n := range []int{1, 2, 3, 10, 25, 60, 100, 200, 1000} {
+		if got[n] != pinnedTableDigests[n] {
+			t.Errorf("N=%d: table digest %s, pinned %s", n, got[n], pinnedTableDigests[n])
 		}
 	}
 }

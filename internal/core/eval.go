@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 
 	"sound/internal/resample"
 	"sound/internal/rng"
@@ -51,7 +52,9 @@ func (p Params) normalized() (Params, error) {
 	if p.Credibility == 0 {
 		p.Credibility = 0.95
 	}
-	if p.Credibility <= 0 || p.Credibility >= 1 {
+	// Written so that NaN fails too: a NaN level builds a table that never
+	// decides and, since NaN ≠ NaN, misses the table cache on every use.
+	if !(p.Credibility > 0 && p.Credibility < 1) {
 		return p, fmt.Errorf("core: credibility level %g outside (0, 1)", p.Credibility)
 	}
 	if p.MaxSamples == 0 {
@@ -66,8 +69,8 @@ func (p Params) normalized() (Params, error) {
 	if p.PriorBeta == 0 {
 		p.PriorBeta = 1
 	}
-	if p.PriorAlpha < 0 || p.PriorBeta < 0 {
-		return p, fmt.Errorf("core: negative prior (%g, %g)", p.PriorAlpha, p.PriorBeta)
+	if !(p.PriorAlpha > 0 && p.PriorBeta > 0) || math.IsInf(p.PriorAlpha, 1) || math.IsInf(p.PriorBeta, 1) {
+		return p, fmt.Errorf("core: prior (%g, %g) is not positive and finite", p.PriorAlpha, p.PriorBeta)
 	}
 	if p.CheckInterval == 0 {
 		p.CheckInterval = 1

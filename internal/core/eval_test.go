@@ -43,6 +43,14 @@ func TestParamsValidation(t *testing.T) {
 		{"negative max samples", Params{MaxSamples: -1}, "sample"},
 		{"negative prior alpha", Params{PriorAlpha: -1}, "prior"},
 		{"negative prior beta", Params{PriorBeta: -1}, "prior"},
+		// NaN compares false with everything and +Inf exceeds every bound,
+		// so both slip past sign checks written as rejections.
+		{"credibility NaN", Params{Credibility: math.NaN()}, "credibility"},
+		{"prior alpha NaN", Params{PriorAlpha: math.NaN()}, "prior"},
+		{"prior beta NaN", Params{PriorBeta: math.NaN()}, "prior"},
+		{"prior alpha +Inf", Params{PriorAlpha: math.Inf(1)}, "prior"},
+		{"prior beta +Inf", Params{PriorBeta: math.Inf(1)}, "prior"},
+		{"prior alpha -Inf", Params{PriorAlpha: math.Inf(-1)}, "prior"},
 		{"check interval defaults to 1", Params{CheckInterval: 0}, ""},
 		{"check interval negative", Params{CheckInterval: -1}, "check interval"},
 		{"check interval above one ok", Params{CheckInterval: 7}, ""},

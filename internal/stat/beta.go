@@ -106,15 +106,33 @@ func (d Beta) Quantile(p float64) float64 {
 // credibility level c in (0, 1): the [(1−c)/2, (1+c)/2] quantile pair.
 // This is the interval Alg. 1 compares against the neutral threshold 0.5.
 func (d Beta) CredibleInterval(c float64) (lower, upper float64) {
+	return d.credibleLower(c), d.credibleUpper(c)
+}
+
+// credibleLower is the lower end of CredibleInterval(c) alone, for
+// callers that read one end and should not pay a quantile inversion for
+// the other.
+func (d Beta) credibleLower(c float64) float64 {
 	if c <= 0 || c >= 1 {
 		if c >= 1 {
-			return 0, 1
+			return 0
 		}
-		m := d.Mean()
-		return m, m
+		return d.Mean()
 	}
 	tail := (1 - c) / 2
-	return d.Quantile(tail), d.Quantile(1 - tail)
+	return d.Quantile(tail)
+}
+
+// credibleUpper is the upper end of CredibleInterval(c) alone.
+func (d Beta) credibleUpper(c float64) float64 {
+	if c <= 0 || c >= 1 {
+		if c >= 1 {
+			return 1
+		}
+		return d.Mean()
+	}
+	tail := (1 - c) / 2
+	return d.Quantile(1 - tail)
 }
 
 // Sample draws a Beta variate using Jöhnk's method for small shapes and

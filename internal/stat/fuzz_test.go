@@ -36,6 +36,33 @@ func FuzzRegIncBeta(f *testing.F) {
 	})
 }
 
+// FuzzSequentialBounds extends TestSequentialBoundsMatchSearchOracle to
+// arbitrary priors α, β ∈ (0, 20], levels c ∈ (0, 1) and budgets n ≤ 200:
+// the hinted one-sided search must equal the sort.Search oracle.
+func FuzzSequentialBounds(f *testing.F) {
+	f.Add(1.0, 1.0, 0.95, uint8(100))
+	f.Add(0.5, 0.5, 0.99, uint8(200))
+	f.Add(7.0, 1.0, 0.5, uint8(60))
+	f.Add(19.9, 0.01, 0.999, uint8(37))
+	f.Fuzz(func(t *testing.T, alpha, beta, c float64, n uint8) {
+		if math.IsNaN(alpha) || math.IsNaN(beta) || math.IsNaN(c) ||
+			math.IsInf(alpha, 0) || math.IsInf(beta, 0) || math.IsInf(c, 0) {
+			return
+		}
+		// Fold onto (0, 20] as 20 − [0, 20), and onto [0, 1), skipping 0.
+		tc := boundsCase{
+			alpha: 20 - math.Mod(math.Abs(alpha), 20),
+			beta:  20 - math.Mod(math.Abs(beta), 20),
+			cred:  math.Mod(math.Abs(c), 1),
+			n:     int(n) % 201,
+		}
+		if tc.cred == 0 {
+			return
+		}
+		checkAgainstOracle(t, tc)
+	})
+}
+
 // FuzzBetaQuantileInverse checks that the quantile inverts the CDF for
 // arbitrary posterior shapes.
 func FuzzBetaQuantileInverse(f *testing.F) {

@@ -22,10 +22,19 @@ func LogBeta(a, b float64) float64 {
 // Numerical Recipes (Lentz's method) with the symmetry transformation for
 // fast convergence.
 func RegIncBeta(x, a, b float64) float64 {
-	switch {
-	case math.IsNaN(x) || math.IsNaN(a) || math.IsNaN(b):
+	if math.IsNaN(a) || math.IsNaN(b) || a <= 0 || b <= 0 {
 		return math.NaN()
-	case a <= 0 || b <= 0:
+	}
+	return regIncBeta(x, a, b, LogBeta(a, b))
+}
+
+// regIncBeta is RegIncBeta for shapes already known to be positive, with
+// lnB = LogBeta(a, b) supplied by the caller, so that InvRegIncBeta pays
+// for the three log-gamma evaluations once per inversion instead of once
+// per Newton step.
+func regIncBeta(x, a, b, lnB float64) float64 {
+	switch {
+	case math.IsNaN(x):
 		return math.NaN()
 	case x <= 0:
 		return 0
@@ -33,7 +42,7 @@ func RegIncBeta(x, a, b float64) float64 {
 		return 1
 	}
 	// ln of the prefactor x^a (1-x)^b / (a B(a,b)) without the leading a/b.
-	lnFront := a*math.Log(x) + b*math.Log1p(-x) - LogBeta(a, b)
+	lnFront := a*math.Log(x) + b*math.Log1p(-x) - lnB
 	if x < (a+1)/(a+b+2) {
 		return math.Exp(lnFront) * betaCF(x, a, b) / a
 	}
@@ -105,15 +114,16 @@ func InvRegIncBeta(p, a, b float64) float64 {
 	// Initial guess: mean of the distribution.
 	x := a / (a + b)
 	lo, hi := 0.0, 1.0
+	lnB := LogBeta(a, b)
 	for i := 0; i < 500; i++ {
-		f := RegIncBeta(x, a, b) - p
+		f := regIncBeta(x, a, b, lnB) - p
 		if f > 0 {
 			hi = x
 		} else {
 			lo = x
 		}
 		// Newton step using the Beta pdf as derivative.
-		pdf := math.Exp((a-1)*math.Log(x) + (b-1)*math.Log1p(-x) - LogBeta(a, b))
+		pdf := math.Exp((a-1)*math.Log(x) + (b-1)*math.Log1p(-x) - lnB)
 		var nx float64
 		if pdf > 0 && !math.IsInf(pdf, 0) {
 			nx = x - f/pdf

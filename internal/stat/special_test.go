@@ -123,6 +123,78 @@ func TestInvRegIncBetaInverse(t *testing.T) {
 	}
 }
 
+// invRegIncBetaPerStep is InvRegIncBeta as first written: ln B(a, b) is
+// recomputed twice per Newton step, once inside RegIncBeta and once for
+// the pdf. The hoisted version must return the same bits.
+func invRegIncBetaPerStep(p, a, b float64) float64 {
+	switch {
+	case math.IsNaN(p) || a <= 0 || b <= 0:
+		return math.NaN()
+	case p <= 0:
+		return 0
+	case p >= 1:
+		return 1
+	}
+	x := a / (a + b)
+	lo, hi := 0.0, 1.0
+	for i := 0; i < 500; i++ {
+		f := RegIncBeta(x, a, b) - p
+		if f > 0 {
+			hi = x
+		} else {
+			lo = x
+		}
+		pdf := math.Exp((a-1)*math.Log(x) + (b-1)*math.Log1p(-x) - LogBeta(a, b))
+		var nx float64
+		if pdf > 0 && !math.IsInf(pdf, 0) {
+			nx = x - f/pdf
+		}
+		if !(nx > lo && nx < hi) {
+			nx = (lo + hi) / 2
+		}
+		scale := math.Min(nx, 1-nx)
+		if math.Abs(nx-x) < 1e-14*scale+1e-300 {
+			return nx
+		}
+		x = nx
+	}
+	return x
+}
+
+// TestInvRegIncBetaHoistMatchesPerStep checks the LogBeta hoist bit for
+// bit: the decision-table posteriors, a ≪ 1 against b ≫ 1 and the
+// reverse, and shapes whose starting mean a/(a+b) rounds to 1 or 0 (the
+// x ≥ 1 and x ≤ 0 cases regIncBeta must keep), at the credible-interval
+// tails and extreme levels, plus random shapes.
+func TestInvRegIncBetaHoistMatchesPerStep(t *testing.T) {
+	same := func(p, a, b float64) bool {
+		got, want := InvRegIncBeta(p, a, b), invRegIncBetaPerStep(p, a, b)
+		return math.Float64bits(got) == math.Float64bits(want) || (math.IsNaN(got) && math.IsNaN(want))
+	}
+	shapes := [][2]float64{
+		{1e-3, 1e3}, {1e-6, 1e6}, {0.01, 500}, {1e3, 1e-3}, {500, 0.01},
+		{1e17, 1}, {1e20, 0.5}, {1, 1e17}, {0.5, 0.5}, {2, 3}, {7, 1},
+	}
+	for s := 0; s <= 1000; s += 37 {
+		shapes = append(shapes, [2]float64{1 + float64(s), 1 + float64(1000-s)})
+	}
+	ps := []float64{1e-300, 1e-10, 0.0005, 0.005, 0.025, 0.05, 0.25, 0.5, 0.75, 0.95, 0.975, 0.995, 0.9995, 1 - 1e-10}
+	for _, ab := range shapes {
+		for _, p := range ps {
+			if !same(p, ab[0], ab[1]) {
+				t.Errorf("InvRegIncBeta(%g, %g, %g) = %v, per-step LogBeta gives %v",
+					p, ab[0], ab[1], InvRegIncBeta(p, ab[0], ab[1]), invRegIncBetaPerStep(p, ab[0], ab[1]))
+			}
+		}
+	}
+	f := func(p, a, b float64) bool {
+		return same(math.Mod(math.Abs(p), 1), math.Mod(math.Abs(a), 300)+1e-4, math.Mod(math.Abs(b), 300)+1e-4)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
+		t.Error(err)
+	}
+}
+
 func TestInvRegIncBetaEdges(t *testing.T) {
 	if got := InvRegIncBeta(0, 2, 2); got != 0 {
 		t.Errorf("quantile(0) = %v", got)
