@@ -52,7 +52,8 @@ bench-smoke:
 # branch-free in-range count against its short-circuit oracle, the
 # closed-form level probability against its table bracket, the decision
 # table's hinted threshold search against its binary-search oracle, the
-# incomplete beta function and the Beta quantile against the CDF, the CSV
+# incomplete beta function and the Beta quantile against the CDF, the
+# extraction's per-point finiteness proof against a recount, the CSV
 # reader, the wire decoders, and the check registration grammar
 # POST /checks exposes to untrusted clients. Long
 # exploratory runs: raise FUZZTIME or run `go test -fuzz` on one target
@@ -69,6 +70,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzRegIncBeta -fuzztime=$(FUZZTIME) ./internal/stat
 	$(GO) test -run='^$$' -fuzz=FuzzBetaQuantileInverse -fuzztime=$(FUZZTIME) ./internal/stat
 	$(GO) test -run='^$$' -fuzz=FuzzKernelScalarParity -fuzztime=$(FUZZTIME) ./internal/resample
+	$(GO) test -run='^$$' -fuzz=FuzzExtractionSafe -fuzztime=$(FUZZTIME) ./internal/resample
 	$(GO) test -run='^$$' -fuzz=FuzzReadCSV -fuzztime=$(FUZZTIME) ./internal/series
 	$(GO) test -run='^$$' -fuzz=FuzzWireDecode -fuzztime=$(FUZZTIME) ./internal/wire
 	$(GO) test -run='^$$' -fuzz=FuzzParseCheck -fuzztime=$(FUZZTIME) ./internal/ingest

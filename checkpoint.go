@@ -24,8 +24,9 @@ import (
 // same registrations, which then resumes the stream bit-identically (see
 // cmd/soundcheck -checkpoint / -restore for a complete wiring). A stream
 // snapshot holds no RNG position, because every window's draws are
-// reseeded from the window's own coordinate (codec version 4 — older
-// snapshots are refused).
+// reseeded from the window's own coordinate, and no resampling
+// extraction, which the restore rebuilds from the buffered points (codec
+// version 5 — older snapshots are refused).
 
 // EvictionPolicy bounds the keyed window state of a stream check
 // operator: idle-TTL sweeps driven by the event-time watermark and a

@@ -68,8 +68,10 @@ func Specs() []Spec {
 		{"Explain/unary", func(b *testing.B) { Explain(b, 1) }},
 		{"Explain/binary", func(b *testing.B) { Explain(b, 2) }},
 		{"Summarize/parallel", Summarize},
-		{"Checkpoint/snapshot", func(b *testing.B) { Checkpoint(b, false) }},
-		{"Checkpoint/restore", func(b *testing.B) { Checkpoint(b, true) }},
+		{"Checkpoint/snapshot", func(b *testing.B) { Checkpoint(b, false, sound.TimeWindow{Size: 60}, 16) }},
+		{"Checkpoint/restore", func(b *testing.B) { Checkpoint(b, true, sound.TimeWindow{Size: 60}, 16) }},
+		{"Checkpoint/snapshot-sliding", func(b *testing.B) { Checkpoint(b, false, sound.TimeWindow{Size: 60, Slide: 10}, 250) }},
+		{"Checkpoint/restore-sliding", func(b *testing.B) { Checkpoint(b, true, sound.TimeWindow{Size: 60, Slide: 10}, 250) }},
 		{"MultiCheck/shared/checks1", func(b *testing.B) { MultiCheck(b, 1) }},
 		{"MultiCheck/shared/checks8", func(b *testing.B) { MultiCheck(b, 8) }},
 		{"MultiCheck/shared/checks64", func(b *testing.B) { MultiCheck(b, 64) }},
@@ -404,23 +406,26 @@ func StreamCheckEvict(b *testing.B) {
 
 // Checkpoint measures the deterministic state lifecycle's snapshot
 // codec (DESIGN.md §4i) on a populated keyed operator: 256 live groups
-// of a tumbling uncertain-range check, each mid-window with buffered
-// points. snapshot prices EncodeOperator — the stall the loop driving
-// the operator pays per checkpoint. restore prices decoding the document
-// into a fresh operator (DecodeOperator), the resume cost after a kill.
-// The ns/group metric normalizes by live group count.
-func Checkpoint(b *testing.B, restore bool) {
+// of an uncertain-range check on window win, each fed perKey events one
+// time unit apart. With 16 events into 60-unit windows no window has
+// fired and no group holds an extraction; with 250 events into sliding
+// windows every group has fired and holds one, which a restore rebuilds
+// at its next fire. snapshot prices EncodeOperator — the stall the loop
+// driving the operator pays per checkpoint. restore prices decoding the
+// document into a fresh operator (DecodeOperator), the resume cost after
+// a kill. The ns/group metric normalizes by live group count.
+func Checkpoint(b *testing.B, restore bool, win core.Windower, perKey int) {
 	ck := core.Check{
 		Name:        "range",
 		Constraint:  core.Range(0, 100),
 		SeriesNames: []string{"s"},
-		Window:      sound.TimeWindow{Size: 60},
+		Window:      win,
 	}
 	const nGroups = 256
 	factory := loneCheck(b, false, ck)
 	p := factory()
 	emit := func(stream.Event) {}
-	for i := 0; i < nGroups*16; i++ {
+	for i := 0; i < nGroups*perKey; i++ {
 		p.Process(stream.Event{
 			Time:    float64(i / nGroups),
 			Key:     fmt.Sprintf("k%04d", i%nGroups),

@@ -7,7 +7,6 @@ import (
 
 	"sound/internal/checkpoint"
 	"sound/internal/core"
-	"sound/internal/resample"
 	"sound/internal/series"
 	"sound/internal/stream"
 )
@@ -181,7 +180,9 @@ func (c *streamChecker) encodeState(enc *checkpoint.Encoder) {
 // decodeState restores an engine serialized by encodeState. Groups of
 // an operator without a recency list must arrive in strictly ascending
 // key order — the only order encodeState writes them in — so every
-// accepted payload re-encodes to its own bytes.
+// accepted payload re-encodes to its own bytes. No extraction is read:
+// count windows rebuild theirs from the restored buffers here
+// (resyncExtractions), time windows at their next fire.
 func (c *streamChecker) decodeState(dec *checkpoint.Decoder) error {
 	c.opWatermark = dec.F64()
 	n := dec.Int()
@@ -194,7 +195,7 @@ func (c *streamChecker) decodeState(dec *checkpoint.Decoder) error {
 	prev := ""
 	for i := 0; i < n; i++ {
 		g := &groupState{}
-		if err := g.decodeFrom(dec, c.arity, c.useExt()); err != nil {
+		if err := g.decodeFrom(dec, c.arity); err != nil {
 			return err
 		}
 		if c.groups[g.key] != nil {
@@ -209,6 +210,7 @@ func (c *streamChecker) decodeState(dec *checkpoint.Decoder) error {
 			c.lruPushFront(g) // encode order is coldest → hottest
 		}
 	}
+	c.resyncExtractions()
 	return dec.Err()
 }
 
@@ -285,9 +287,7 @@ func (g *groupState) encodeTo(enc *checkpoint.Encoder) {
 	enc.F64(g.nextStart)
 	enc.Bool(g.fired)
 	enc.F64(g.watermark)
-	encodeSeriesSet(enc, g.raw)
 	encodeSeriesSet(enc, g.bufs)
-	encodeSeriesSet(enc, g.pend)
 	if g.drop == nil {
 		enc.Bool(false)
 	} else {
@@ -295,24 +295,14 @@ func (g *groupState) encodeTo(enc *checkpoint.Encoder) {
 		enc.Ints(g.drop)
 	}
 	enc.Int(g.nextIdx)
-	if g.ext == nil {
-		enc.Bool(false)
-	} else {
-		enc.Bool(true)
-		enc.Int(len(g.ext))
-		for i := range g.ext {
-			g.ext[i].EncodeTo(enc)
-		}
-	}
 	enc.F64(g.sessStart)
 	enc.F64(g.sessPrev)
 	enc.Bool(g.sessOpen)
 }
 
-// decodeFrom restores one window group. useExt mirrors the operator's
-// evaluation mode: a SOUND snapshot restored into a naive operator (or
-// vice versa) is a configuration mismatch, surfaced as an error.
-func (g *groupState) decodeFrom(dec *checkpoint.Decoder, arity int, useExt bool) error {
+// decodeFrom restores one window group. Its extractions are not read:
+// they are a function of the buffers, rebuilt by decodeState.
+func (g *groupState) decodeFrom(dec *checkpoint.Decoder, arity int) error {
 	g.key = dec.String()
 	g.lastT = dec.F64()
 	g.hasOrigin = dec.Bool()
@@ -321,13 +311,7 @@ func (g *groupState) decodeFrom(dec *checkpoint.Decoder, arity int, useExt bool)
 	g.fired = dec.Bool()
 	g.watermark = dec.F64()
 	var err error
-	if g.raw, err = decodeSeriesSet(dec, arity); err != nil {
-		return err
-	}
 	if g.bufs, err = decodeSeriesSet(dec, arity); err != nil {
-		return err
-	}
-	if g.pend, err = decodeSeriesSet(dec, arity); err != nil {
 		return err
 	}
 	if dec.Bool() {
@@ -337,23 +321,6 @@ func (g *groupState) decodeFrom(dec *checkpoint.Decoder, arity int, useExt bool)
 		}
 	}
 	g.nextIdx = dec.Int()
-	if dec.Bool() {
-		if !useExt {
-			return fmt.Errorf("checker: snapshot carries extractions but the operator runs naive evaluation")
-		}
-		n := dec.Int()
-		if dec.Err() == nil && n != arity {
-			return fmt.Errorf("checker: snapshot has %d extraction slots, operator arity is %d", n, arity)
-		}
-		if dec.Err() == nil {
-			g.ext = make([]resample.Extraction, n)
-			for i := range g.ext {
-				if err := g.ext[i].DecodeFrom(dec); err != nil {
-					return err
-				}
-			}
-		}
-	}
 	g.sessStart = dec.F64()
 	g.sessPrev = dec.F64()
 	g.sessOpen = dec.Bool()

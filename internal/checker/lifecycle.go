@@ -1,9 +1,6 @@
 package checker
 
-import (
-	"sound/internal/core"
-	"sound/internal/series"
-)
+import "sound/internal/core"
 
 // This file is the eviction half of the deterministic state lifecycle
 // (DESIGN.md §4i): watermark-driven reclamation of idle window groups
@@ -140,19 +137,17 @@ func (c *streamChecker) evictGroup(g *groupState) {
 // &groupState{key: key}, except that the per-input buffers keep their
 // arrays, emptied, and the extractions wait, Reset, in spareExt: a fresh
 // group has none until its first fire (time windows) or event (count
-// windows) asks for them, and a snapshot records which it has. The
-// buffer sets a fresh group makes at its first event stay made, which is
-// the same state once the event that takes the group over has landed.
+// windows) asks for them. The buffer set a fresh group makes at its first
+// event stays made, which is the same state once the event that takes
+// the group over has landed.
 func (g *groupState) reuse(key string) {
-	raw, bufs, pend, drop, ext := g.raw, g.bufs, g.pend, g.drop, g.ext
+	bufs, drop, ext := g.bufs, g.drop, g.ext
 	if ext == nil {
 		ext = g.spareExt
 	}
-	*g = groupState{key: key, raw: raw, bufs: bufs, pend: pend, drop: drop, spareExt: ext}
-	for _, set := range [...][]series.Series{raw, bufs, pend} {
-		for i := range set {
-			set[i] = set[i][:0]
-		}
+	*g = groupState{key: key, bufs: bufs, drop: drop, spareExt: ext}
+	for i := range bufs {
+		bufs[i] = bufs[i][:0]
 	}
 	clear(drop)
 	for i := range ext {

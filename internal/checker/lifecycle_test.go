@@ -144,7 +144,7 @@ func TestEvictedKeyReturnsFresh(t *testing.T) {
 		t.Helper()
 		g := c.groups[key]
 		if g == nil || !g.hasOrigin || g.origin != at || g.fired ||
-			len(g.raw) != 1 || len(g.raw[0]) != 1 || g.raw[0][0].T != at {
+			len(g.bufs) != 1 || len(g.bufs[0]) != 1 || g.bufs[0][0].T != at {
 			t.Fatalf("%s at t=%v: group %+v, want fresh state anchored at %v holding one point", key, at, g, at)
 		}
 		if c.peek(key) != g {

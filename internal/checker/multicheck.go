@@ -180,12 +180,13 @@ func (c *streamChecker) installMembers(members []*memberSpec) {
 	}
 }
 
-// resyncExtractions reconciles live group state with a changed useExt
-// mode (a membership change added the first SOUND member or removed the
-// last one). Count windows keep their extraction in per-point lockstep
-// with the buffer, so a fresh extraction must be rebuilt immediately;
-// time windows rebuild lazily at the next fire (ExtendFrom on an empty
-// extraction extracts the full buffer); other kinds never use one.
+// resyncExtractions reconciles live group state with the useExt mode
+// after a membership change added the first SOUND member or removed the
+// last one, and after a restore, which reads no extraction. Count
+// windows keep their extraction in per-point lockstep with the buffer,
+// so a fresh extraction must be rebuilt immediately; time windows
+// rebuild lazily at the next fire (ExtendFrom on an empty extraction
+// extracts the full buffer); other kinds never use one.
 func (c *streamChecker) resyncExtractions() {
 	for _, g := range c.groups {
 		if !c.useExt() {

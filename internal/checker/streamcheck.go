@@ -228,11 +228,11 @@ type groupState struct {
 	nextStart float64
 	fired     bool
 	watermark float64
-	// raw accumulates the not-yet-consumed points per input for time
-	// windows; windows are sliced from it at fire time with the same
-	// SliceTime the batch path uses.
-	raw []series.Series
-	// bufs accumulates points per input for count/global/session kinds.
+	// bufs holds the not-yet-consumed points per input, for every window
+	// kind (the kind is fixed per operator): time windows slice it at fire
+	// time with the same SliceTime the batch path uses, count windows by
+	// absolute index, k-ary point tuples align its heads, and global and
+	// session windows evaluate it whole.
 	bufs []series.Series
 	// Count-window alignment: drop[i] is the absolute index of bufs[i][0]
 	// in input i's full point sequence; nextIdx is the absolute start
@@ -241,10 +241,8 @@ type groupState struct {
 	// CountWindow instead of re-slicing past the buffer end.
 	drop    []int
 	nextIdx int
-	// pend queues points per input for point-wise alignment (arity > 1).
-	pend []series.Series
-	// ext mirrors the window buffers (raw for time windows, bufs for
-	// count windows) as SoA extractions, kept in sync incrementally:
+	// ext mirrors the window buffers of time and count windows as SoA
+	// extractions, kept in sync incrementally:
 	// in-order appends extend them, a fire-time reorder rebuilds, and the
 	// post-fire compaction trims. Overlapping windows of one group then
 	// prime the evaluator's resampling kernels through views into one
@@ -379,22 +377,19 @@ func (c *streamChecker) processPoint(key string, input int, p series.Point) {
 		c.evaluate(key, core.WindowTuple{Windows: ws, Start: p.T, End: p.T}, math.Float64bits(p.T))
 		return
 	}
-	g := c.group(key)
-	if g.pend == nil {
-		g.pend = make([]series.Series, c.arity)
-	}
-	g.pend[input] = append(g.pend[input], p)
+	bufs := c.group(key).inputs(c.arity)
+	bufs[input] = append(bufs[input], p)
 	head := 0
 fire:
 	for {
-		for i := range g.pend {
-			if len(g.pend[i]) <= head {
+		for i := range bufs {
+			if len(bufs[i]) <= head {
 				break fire
 			}
 		}
 		ws := c.tuple(c.arity)
-		for i := range g.pend {
-			ws[i] = g.pend[i][head : head+1 : head+1]
+		for i := range bufs {
+			ws[i] = bufs[i][head : head+1 : head+1]
 		}
 		head++
 		c.evaluate(key, core.WindowTuple{Windows: ws, Start: ws[0][0].T, End: ws[0][0].T}, math.Float64bits(ws[0][0].T))
@@ -402,15 +397,15 @@ fire:
 	if head == 0 {
 		return
 	}
-	for i, q := range g.pend {
+	for i, q := range bufs {
 		// Drop the fired points. A queue left no longer than what fired
 		// moves its rest to the front of its array, copying no more points
 		// than fired, so inputs that keep pace never leave their arrays;
 		// one running far ahead advances its slice start instead.
 		if len(q)-head <= head {
-			g.pend[i] = q[:copy(q, q[head:])]
+			bufs[i] = q[:copy(q, q[head:])]
 		} else {
-			g.pend[i] = q[head:]
+			bufs[i] = q[head:]
 		}
 	}
 }
@@ -441,10 +436,8 @@ func (c *streamChecker) processTime(key string, input int, p series.Point) {
 		c.noteDroppedLate()
 		return
 	}
-	if g.raw == nil {
-		g.raw = make([]series.Series, c.arity)
-	}
-	g.raw[input] = append(g.raw[input], p)
+	bufs := g.inputs(c.arity)
+	bufs[input] = append(bufs[input], p)
 	if p.T > g.watermark {
 		g.watermark = p.T
 	}
@@ -475,8 +468,8 @@ func (c *streamChecker) fireDueTimeWindows(g *groupState, final bool) {
 	if useExt {
 		g.extractions(c.arity)
 	}
-	for i := range g.raw {
-		reordered := sortByTime(g.raw[i])
+	for i := range g.bufs {
+		reordered := sortByTime(g.bufs[i])
 		if !useExt {
 			continue
 		}
@@ -484,9 +477,9 @@ func (c *streamChecker) fireDueTimeWindows(g *groupState, final bool) {
 		// invalidates the extracted prefix (rebuild), in-order appends
 		// only add new points (extend).
 		if reordered {
-			g.ext[i].Extract(g.raw[i])
+			g.ext[i].Extract(g.bufs[i])
 		} else {
-			g.ext[i].ExtendFrom(g.raw[i])
+			g.ext[i].ExtendFrom(g.bufs[i])
 		}
 	}
 	for {
@@ -503,25 +496,25 @@ func (c *streamChecker) fireDueTimeWindows(g *groupState, final bool) {
 		if useExt {
 			ext = c.views(c.arity)
 		}
-		for i := range g.raw {
-			ws[i] = g.raw[i].SliceTime(start, end)
+		for i := range g.bufs {
+			ws[i] = g.bufs[i].SliceTime(start, end)
 			if useExt {
 				// series.At is the same lower bound SliceTime just used,
 				// so the view covers exactly the window's points.
-				lo := g.raw[i].At(start)
+				lo := g.bufs[i].At(start)
 				ext[i] = g.ext[i].Slice(lo, lo+len(ws[i]))
 			}
 		}
 		c.evaluate(g.key, core.WindowTuple{Windows: ws, Ext: ext, Start: start, End: end}, math.Float64bits(start))
 		g.fired = true
 		g.nextStart += c.asg.Slide
-		for i := range g.raw {
+		for i := range g.bufs {
 			// Points below the next start belong only to fired windows:
 			// move the rest to the front of the same array, as TrimFront
 			// does for the extraction. The evaluated tuple sliced this
 			// array, but it lived for the evaluate call alone.
-			if n := g.raw[i].At(g.nextStart); n > 0 {
-				g.raw[i] = g.raw[i][:copy(g.raw[i], g.raw[i][n:])]
+			if n := g.bufs[i].At(g.nextStart); n > 0 {
+				g.bufs[i] = g.bufs[i][:copy(g.bufs[i], g.bufs[i][n:])]
 				if useExt {
 					g.ext[i].TrimFront(n)
 				}

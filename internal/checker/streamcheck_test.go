@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"sound/internal/checkpoint"
 	"sound/internal/core"
 	"sound/internal/resample"
 	"sound/internal/series"
@@ -794,6 +795,100 @@ func TestWindowFireAllocatesNothing(t *testing.T) {
 			// least one fire per frame in each.
 			if fired := out.Counts().Total() - before; fired < 2*2*block {
 				t.Fatalf("%d verdicts over %d frames: not every frame fires", fired, 2*block)
+			}
+		})
+	}
+}
+
+// TestUnsafePointStaysInItsWindows: a NaN event makes the windows that
+// hold it unprovably finite, and no other. One key's borderline range
+// check runs on 2 000 events with and without a NaN value at t = 5:
+// every window without the NaN gets the NaN-free run's verdict, the
+// closed form decides every window the NaN-free run collapses except
+// the ones holding the NaN, and a snapshot taken right after the NaN and
+// restored into a fresh operator delivers the same verdicts.
+func TestUnsafePointStaysInItsWindows(t *testing.T) {
+	const n, nanAt = 2000, 5
+	events := func(nan bool) []stream.Event {
+		evs := make([]stream.Event, n)
+		for i := range evs {
+			evs[i] = stream.Event{Time: float64(i), Key: "k", Value: 99.56, SigUp: 0.8, SigDown: 0.8}
+		}
+		if nan {
+			evs[nanAt].Value = math.NaN()
+		}
+		return evs
+	}
+	// run replays evs through a fresh operator and returns its verdicts in
+	// firing order and the bucket's collapsed count. With snapAt ≥ 0 the
+	// operator is snapshotted after event snapAt and replaced by a fresh
+	// one restored from the snapshot (the collapsed count then misses the
+	// replaced operator's unpublished tally).
+	run := func(t *testing.T, win core.Windower, evs []stream.Event, snapAt int) ([]core.Outcome, int64) {
+		t.Helper()
+		var trace []core.Outcome
+		x := loneMux(t, false, EvictionPolicy{}, MuxCheck{
+			Check:     core.Check{Name: "range", Constraint: core.Range(0, 100), SeriesNames: []string{"s"}, Window: win},
+			Params:    core.DefaultParams(),
+			Seed:      11,
+			OnOutcome: func(_ string, o core.Outcome) { trace = append(trace, o) },
+		})
+		op := x.Factory()()
+		for i, ev := range evs {
+			op.Process(ev, discardEmit)
+			if i != snapAt {
+				continue
+			}
+			enc := checkpoint.NewRawEncoder()
+			if err := EncodeOperator(op, enc); err != nil {
+				t.Fatal(err)
+			}
+			op = x.Factory()()
+			if err := DecodeOperator(op, checkpoint.NewRawDecoder(enc.Finish())); err != nil {
+				t.Fatal(err)
+			}
+		}
+		op.Flush(discardEmit)
+		return trace, x.GroupStats()[0].Collapsed
+	}
+	// holds reports whether window k of a grid of the given size and slide
+	// (time units or points: event i sits at t = i) holds the NaN.
+	holds := func(size, slide int) func(k int) bool {
+		return func(k int) bool { return k*slide <= nanAt && nanAt < k*slide+size }
+	}
+	for _, tc := range []struct {
+		name  string
+		win   core.Windower
+		holds func(k int) bool
+	}{
+		{"time:2", core.TimeWindow{Size: 2}, holds(2, 2)},
+		{"time:10", core.TimeWindow{Size: 10}, holds(10, 10)},
+		{"time:20:5", core.TimeWindow{Size: 20, Slide: 5}, holds(20, 5)},
+		{"count:2:1", core.CountWindow{Size: 2, Slide: 1}, holds(2, 1)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			clean, cleanCollapsed := run(t, tc.win, events(false), -1)
+			dirty, dirtyCollapsed := run(t, tc.win, events(true), -1)
+			if len(dirty) != len(clean) {
+				t.Fatalf("%d verdicts with the NaN, %d without", len(dirty), len(clean))
+			}
+			held := 0
+			for k := range clean {
+				if tc.holds(k) {
+					held++
+				} else if dirty[k] != clean[k] {
+					t.Errorf("window %d holds no NaN but its verdict moved: %v, NaN-free %v", k, dirty[k], clean[k])
+				}
+			}
+			if cleanCollapsed == 0 {
+				t.Fatal("the NaN-free run collapsed no window, the test is vacuous")
+			}
+			if want := cleanCollapsed - int64(held); dirtyCollapsed != want {
+				t.Errorf("collapsed %d windows with the NaN, want %d (%d without, %d hold the NaN)",
+					dirtyCollapsed, want, cleanCollapsed, held)
+			}
+			if restored, _ := run(t, tc.win, events(true), nanAt); !slices.Equal(restored, dirty) {
+				t.Error("the run restored from a snapshot taken after the NaN delivered other verdicts")
 			}
 		})
 	}

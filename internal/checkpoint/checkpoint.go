@@ -40,10 +40,13 @@ import (
 // state written inline after the caller's own fields. Version 4 made that
 // operator the Mux operator — a bucket list, each bucket's identity
 // (group class, member names and constraints) before its state — and
-// dropped the rejected-events counter.
+// dropped the rejected-events counter. Version 5 writes one point-buffer
+// set per window group and no extractions, which a restore rebuilds from
+// the buffers: a window's finiteness proof is read from its own points
+// now, so an extraction carries no history a snapshot must keep.
 const (
 	Magic   = "SNDCKP"
-	Version = 4
+	Version = 5
 )
 
 // Encoder appends primitive values to a growing buffer. The zero value

@@ -12,15 +12,15 @@ import (
 // scores them row by row. A template constraint carries its declarative
 // KernelSpec next to the reference closure: when every primed window is
 // provably finite under perturbation (resample.Resampler.WindowSafe,
-// classified once per extraction) a row is scored by kernelSat, which
-// mirrors the closure's arithmetic exactly minus the per-draw finite()
-// scan the safety proof makes redundant. Constraints with user-supplied
-// functions (Spec.Op == KernelNone) and windows that cannot be proven
-// finite are scored by the closure on the same rows, so the kernel is a
-// pure optimization of the scoring form, not a second loop: the satisfied
-// verdicts — and therefore the sampled trajectory, the stopping index, and
-// the posterior — are bit-identical by construction, pinned by the
-// kernel-vs-closure property and fuzz tests.
+// read from the window's own points at prime time) a row is scored by
+// kernelSat, which mirrors the closure's arithmetic exactly minus the
+// per-draw finite() scan the safety proof makes redundant. Constraints
+// with user-supplied functions (Spec.Op == KernelNone) and windows that
+// cannot be proven finite are scored by the closure on the same rows, so
+// the kernel is a pure optimization of the scoring form, not a second
+// loop: the satisfied verdicts — and therefore the sampled trajectory,
+// the stopping index, and the posterior — are bit-identical by
+// construction, pinned by the kernel-vs-closure property and fuzz tests.
 
 // kernelBlockValues caps how many float64 values one drawn block may
 // hold across all windows, bounding the evaluator's resident sample
@@ -29,8 +29,9 @@ const kernelBlockValues = 4096
 
 // kernelSat reports whether one resample realization satisfies the
 // compiled spec. Precondition: every window of vals is provably finite
-// (all raw values and every perturbed draw, see Extraction.Safe), which
-// is what lets the finite() scans of the template closures be skipped;
+// (all raw values and every perturbed draw, see
+// resample.Resampler.WindowSafe), which is what lets the finite() scans
+// of the template closures be skipped;
 // every other operation matches the closure for the same spec
 // operation-for-operation, so the returned boolean is bit-identical to
 // Constraint.Fn on the same values.

@@ -120,11 +120,7 @@ func (s *Server) handleAddCheck(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, fmt.Errorf("empty check spec"))
 		return
 	}
-	params := s.cfg.DefaultParams
-	if params.Credibility == 0 {
-		params = core.DefaultParams()
-	}
-	cc, err := ParseCheck(spec, params, s.cfg.DefaultSeed, checker.EvictionPolicy{})
+	cc, err := ParseCheck(spec, s.cfg.DefaultParams, s.cfg.DefaultSeed, checker.EvictionPolicy{})
 	if err != nil {
 		httpError(w, http.StatusBadRequest, err)
 		return

@@ -724,6 +724,31 @@ func TestAddCheckStatusCodes(t *testing.T) {
 	}
 }
 
+// TestAddCheckKeepsPartialDefaultParams: a partly set Config.DefaultParams
+// reaches the checks POST /checks registers as it is — the fields it sets
+// keep their values, and only its zero fields take the core defaults when
+// the check compiles.
+func TestAddCheckKeepsPartialDefaultParams(t *testing.T) {
+	s, err := NewServer(Config{Shards: 1, DefaultSeed: 1, DefaultParams: core.Params{MaxSamples: 1000}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Drain()
+	rec := httptest.NewRecorder()
+	s.Handler().ServeHTTP(rec, httptest.NewRequest("POST", "/checks", strings.NewReader(sharedTrioSpecs[0])))
+	if rec.Code != http.StatusOK {
+		t.Fatalf("POST /checks: status %d: %s", rec.Code, rec.Body)
+	}
+	s.checkMu.Lock()
+	defer s.checkMu.Unlock()
+	if len(s.checks) != 1 {
+		t.Fatalf("%d checks registered, want 1", len(s.checks))
+	}
+	if got := s.checks[0].cfg.Params; got != (core.Params{MaxSamples: 1000}) {
+		t.Errorf("registered params %+v, want the configured MaxSamples 1000 and zero fields elsewhere", got)
+	}
+}
+
 // TestLoneCheckShardInvariance: one check per window class is the common
 // deployment, and its verdicts are a property of the data — the same
 // borderline multi-key stream through one shard and through four gives

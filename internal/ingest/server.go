@@ -57,8 +57,8 @@ type Config struct {
 	// member). Zero value: fall back to Checks[0].Evict, then unbounded.
 	Evict checker.EvictionPolicy
 	// DefaultParams and DefaultSeed configure dynamically registered
-	// checks whose spec doesn't override them. Zero DefaultParams means
-	// core.DefaultParams().
+	// checks whose spec doesn't override them. Each zero field of
+	// DefaultParams takes its core.DefaultParams() value.
 	DefaultParams core.Params
 	DefaultSeed   uint64
 }

@@ -90,7 +90,8 @@ type classRun struct {
 // maximal class-homogeneous runs the kernels iterate. Buffers are reused
 // across Extract calls. An Extraction does not alias the source window;
 // callers maintaining one incrementally (stream operators) keep it in
-// sync with AppendPoint and TrimFront.
+// sync with AppendPoint and TrimFront. It is a pure function of the
+// points it holds, however it was built.
 type Extraction struct {
 	Vals    []float64
 	SigUp   []float64
@@ -101,28 +102,26 @@ type Extraction struct {
 	// 1<<Class — kept current by Extract/AppendPoint/TrimFront so
 	// whole-extraction views answer classes() without scanning runs.
 	seen uint8
-	// accV/accS upper-bound the point magnitudes: accV >= Σ|v|,
-	// accS >= Σ(|σ↑|+|σ↓|), accumulated at extraction time and only ever
-	// grown by AppendPoint (TrimFront keeps them, which stays a valid
-	// bound for the remaining subset). Safe() derives the per-extraction
-	// finiteness classification from them — see Safe for the contract.
-	accV, accS float64
+	// unsafe holds, ascending, the positions of the points the finiteness
+	// proof fails on (unsafePoint), so a view is proven finite from its
+	// own points alone — see View.safe.
+	unsafe []int
 }
 
-// safeLimit bounds the magnitude accumulators: while accV/16 + accS stays
-// at or below MaxFloat64/16, every individual |v| + 16(σ↑+σ↓) is finite.
+// safeLimit bounds a point's magnitudes: while |v|/16 + (|σ↑|+|σ↓|)
+// stays at or below MaxFloat64/16, |v| + 16(σ↑+σ↓) is finite.
 const safeLimit = math.MaxFloat64 / 16
 
-// Safe reports whether every extracted point is certainly finite under
-// perturbation: all values and uncertainties are finite (a NaN anywhere
-// poisons the accumulators), and no perturbed value |v| + σ·|z| can
+// unsafePoint reports whether a point's perturbed value cannot be proven
+// finite: the proof needs the value and uncertainties finite (a NaN
+// fails the comparison) and no perturbed value |v| + σ·|z| able to
 // overflow to ±Inf — the ziggurat's largest possible |z| is
 // znR + 53·ln2/znR < 16, so |v| + 16(σ↑+σ↓) finite is sufficient. The
-// test is conservative (a false does not mean unsafe, only unprovable);
-// consumers that hoist per-draw finiteness checks out of their inner
-// loops fall back to the checking path when it fails.
-func (x *Extraction) Safe() bool {
-	return x.accV*0x1p-4+x.accS <= safeLimit
+// test is conservative (an unsafe point is only unprovable); consumers
+// that hoist per-draw finiteness checks out of their inner loops fall
+// back to the checking path for a window holding one.
+func unsafePoint(v, up, down float64) bool {
+	return !(math.Abs(v)*0x1p-4+(math.Abs(up)+math.Abs(down)) <= safeLimit)
 }
 
 // Len returns the number of extracted points.
@@ -136,7 +135,7 @@ func (x *Extraction) Reset() {
 	x.Tags = x.Tags[:0]
 	x.runs = x.runs[:0]
 	x.seen = 0
-	x.accV, x.accS = 0, 0
+	x.unsafe = x.unsafe[:0]
 }
 
 // Extract (re)builds the extraction from w, reusing buffers. The loop is
@@ -162,8 +161,10 @@ func (x *Extraction) Extract(w series.Series) {
 		x.Tags[0] = t
 		x.runs[0] = classRun{Lo: 0, Hi: 1, Class: t}
 		x.seen = 1 << t
-		x.accV = math.Abs(p.V)
-		x.accS = math.Abs(p.SigUp) + math.Abs(p.SigDown)
+		x.unsafe = x.unsafe[:0]
+		if unsafePoint(p.V, p.SigUp, p.SigDown) {
+			x.unsafe = append(x.unsafe, 0)
+		}
 		return
 	}
 	x.Vals = sliceFor(x.Vals, n)
@@ -171,6 +172,7 @@ func (x *Extraction) Extract(w series.Series) {
 	x.SigDown = sliceFor(x.SigDown, n)
 	x.Tags = tagsFor(x.Tags, n)
 	x.runs = x.runs[:0]
+	x.unsafe = x.unsafe[:0]
 	last := Class(0)
 	seen := uint8(0)
 	for i, p := range w {
@@ -180,6 +182,9 @@ func (x *Extraction) Extract(w series.Series) {
 		t := classify(p)
 		x.Tags[i] = t
 		seen |= 1 << t
+		if unsafePoint(p.V, p.SigUp, p.SigDown) {
+			x.unsafe = append(x.unsafe, i)
+		}
 		if i > 0 && t == last {
 			x.runs[len(x.runs)-1].Hi = i + 1
 			continue
@@ -188,55 +193,14 @@ func (x *Extraction) Extract(w series.Series) {
 		last = t
 	}
 	x.seen = seen
-	if n == 1 {
-		// Point-wise extraction: one point per prime, where the batched
-		// accumulator pass is all call overhead.
-		x.accV = math.Abs(x.Vals[0])
-		x.accS = math.Abs(x.SigUp[0]) + math.Abs(x.SigDown[0])
-		return
-	}
-	x.accV, x.accS = 0, 0
-	x.accumMagnitudes(0)
-}
-
-// accumMagnitudes folds points [from, Len) into the safety accumulators.
-// It runs as a separate pass over the SoA slices with four independent
-// partial sums, so the serial float-add latency chains overlap and the
-// pass costs well under a cycle per point; the combine order differs from
-// a sequential sum, which is fine — the accumulators are conservative
-// bounds, not replayed values.
-func (x *Extraction) accumMagnitudes(from int) {
-	var v0, v1, v2, v3, s0, s1, s2, s3 float64
-	vals := x.Vals[from:]
-	// Reslice to the common length so the compiler can prove every index
-	// below in bounds from the single loop condition.
-	ups, downs := x.SigUp[from:][:len(vals)], x.SigDown[from:][:len(vals)]
-	i := 0
-	for ; i+3 < len(vals); i += 4 {
-		v0 += math.Abs(vals[i])
-		v1 += math.Abs(vals[i+1])
-		v2 += math.Abs(vals[i+2])
-		v3 += math.Abs(vals[i+3])
-		s0 += math.Abs(ups[i]) + math.Abs(downs[i])
-		s1 += math.Abs(ups[i+1]) + math.Abs(downs[i+1])
-		s2 += math.Abs(ups[i+2]) + math.Abs(downs[i+2])
-		s3 += math.Abs(ups[i+3]) + math.Abs(downs[i+3])
-	}
-	for ; i < len(vals); i++ {
-		v0 += math.Abs(vals[i])
-		s0 += math.Abs(ups[i]) + math.Abs(downs[i])
-	}
-	x.accV += (v0 + v1) + (v2 + v3)
-	x.accS += (s0 + s1) + (s2 + s3)
 }
 
 // ExtendFrom appends the points of w beyond the extraction's current
 // length, for callers whose window buffer only grows between fires: after
 // appending events to w, ExtendFrom(w) brings the extraction back in
 // sync at the cost of the new points only. It is the AppendPoint loop in
-// one pass: each array grows once, runs merge as the points go in, and
-// the magnitude accumulators add in point order, so their bits — which a
-// snapshot carries — are the loop's.
+// one pass: each array grows once, and runs merge and unsafe positions
+// append as the points go in.
 func (x *Extraction) ExtendFrom(w series.Series) {
 	n := x.Len()
 	if len(w) <= n {
@@ -248,20 +212,21 @@ func (x *Extraction) ExtendFrom(w series.Series) {
 	x.SigDown = slices.Grow(x.SigDown, len(add))[:len(w)]
 	x.Tags = slices.Grow(x.Tags, len(add))[:len(w)]
 	vals, ups, downs, tags := x.Vals[n:], x.SigUp[n:], x.SigDown[n:], x.Tags[n:]
-	accV, accS, seen := x.accV, x.accS, x.seen
+	seen := x.seen
 	for i, p := range add {
 		t := classify(p)
 		vals[i], ups[i], downs[i], tags[i] = p.V, p.SigUp, p.SigDown, t
 		seen |= 1 << t
-		accV += math.Abs(p.V)
-		accS += math.Abs(p.SigUp) + math.Abs(p.SigDown)
+		if unsafePoint(p.V, p.SigUp, p.SigDown) {
+			x.unsafe = append(x.unsafe, n+i)
+		}
 		if m := len(x.runs); m > 0 && x.runs[m-1].Class == t {
 			x.runs[m-1].Hi = n + i + 1
 		} else {
 			x.runs = append(x.runs, classRun{Lo: n + i, Hi: n + i + 1, Class: t})
 		}
 	}
-	x.accV, x.accS, x.seen = accV, accS, seen
+	x.seen = seen
 }
 
 // AppendPoint extends the extraction by one point.
@@ -273,8 +238,9 @@ func (x *Extraction) AppendPoint(p series.Point) {
 	x.SigDown = append(x.SigDown, p.SigDown)
 	x.Tags = append(x.Tags, t)
 	x.seen |= 1 << t
-	x.accV += math.Abs(p.V)
-	x.accS += math.Abs(p.SigUp) + math.Abs(p.SigDown)
+	if unsafePoint(p.V, p.SigUp, p.SigDown) {
+		x.unsafe = append(x.unsafe, n)
+	}
 	if m := len(x.runs); m > 0 && x.runs[m-1].Class == t {
 		x.runs[m-1].Hi = n + 1
 		return
@@ -319,10 +285,13 @@ func (x *Extraction) TrimFront(n int) {
 	}
 	x.runs = runs
 	x.seen = seen
-	// accV/accS are left as-is: dropping points only shrinks the true
-	// magnitude sums, so the retained accumulators stay valid (if now
-	// looser) upper bounds. Streams that trim also append, and appends
-	// re-tighten nothing either way — Safe() only needs an upper bound.
+	unsafe := x.unsafe[:0]
+	for _, i := range x.unsafe {
+		if i >= n {
+			unsafe = append(unsafe, i-n)
+		}
+	}
+	x.unsafe = unsafe
 }
 
 // View returns a View covering the whole extraction.
@@ -399,6 +368,19 @@ func (v View) classes() (hasCertain, hasSym, hasAsym bool) {
 		}
 	}
 	return
+}
+
+// safe reports whether every point of the view is provably finite under
+// perturbation: no unsafe position falls in [Lo, Hi). An extraction
+// without unsafe points answers at once; otherwise a binary search finds
+// the first unsafe position at or above Lo.
+func (v View) safe() bool {
+	u := v.X.unsafe
+	if len(u) == 0 {
+		return true
+	}
+	i, _ := slices.BinarySearch(u, v.Lo)
+	return i == len(u) || u[i] >= v.Hi
 }
 
 // runStart returns the index of the first run overlapping point lo (the

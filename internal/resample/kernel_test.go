@@ -358,9 +358,9 @@ func FuzzKernelScalarParity(f *testing.F) {
 
 // TestExtendFromMatchesAppendPoint: the one-pass ExtendFrom leaves the
 // extraction bit for bit where the AppendPoint loop does — arrays, class
-// runs and mix, and the exact bits of the magnitude accumulators a
-// snapshot carries — over mixed-class, one-sided and NaN points, extended
-// in uneven steps with trims between them.
+// runs and mix, and the unsafe positions — over mixed-class, one-sided,
+// NaN and overflowing points, extended in uneven steps with trims between
+// them.
 func TestExtendFromMatchesAppendPoint(t *testing.T) {
 	r := rng.New(3)
 	w := make(series.Series, 400)
@@ -374,12 +374,13 @@ func TestExtendFromMatchesAppendPoint(t *testing.T) {
 		case 3:
 			p.SigUp, p.SigDown = 3*r.Float64(), r.Float64()
 		}
-		// NaN poisons an accumulator for good, so it comes last.
-		if i >= 360 && i%13 == 0 {
+		switch {
+		case i%13 == 0:
 			p.V = math.NaN()
-		}
-		if i == 390 {
+		case i%29 == 3:
 			p.SigUp = math.NaN()
+		case i%31 == 5:
+			p.SigDown = 1e308
 		}
 		w[i] = p
 	}
@@ -394,9 +395,7 @@ func TestExtendFromMatchesAppendPoint(t *testing.T) {
 		}
 		if !slices.Equal(bitsOf(one.Vals), bitsOf(loop.Vals)) || !slices.Equal(bitsOf(one.SigUp), bitsOf(loop.SigUp)) ||
 			!slices.Equal(bitsOf(one.SigDown), bitsOf(loop.SigDown)) || !slices.Equal(one.Tags, loop.Tags) ||
-			!slices.Equal(one.runs, loop.runs) || one.seen != loop.seen ||
-			math.Float64bits(one.accV) != math.Float64bits(loop.accV) ||
-			math.Float64bits(one.accS) != math.Float64bits(loop.accS) {
+			!slices.Equal(one.runs, loop.runs) || one.seen != loop.seen || !slices.Equal(one.unsafe, loop.unsafe) {
 			t.Fatalf("step %d (points %d..%d): ExtendFrom diverged from the AppendPoint loop", step, trimmed, at)
 		}
 		if step%3 == 0 {

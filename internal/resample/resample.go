@@ -128,7 +128,7 @@ type Resampler struct {
 
 // winMeta binds window slot wi to its SoA extraction view for a run of
 // Draw calls, plus the view's class mix (precomputed once so every draw
-// dispatches straight to the right kernel). The (ptr, n) pair identifies
+// dispatches straight to the right kernel) and its finiteness proof. The (ptr, n) pair identifies
 // the window slice the metadata was computed from; Draw only trusts it
 // for an identical slice, so stale metadata can never be applied to
 // different data that happens to occupy a reused buffer.
@@ -137,6 +137,9 @@ type winMeta struct {
 	n                           int
 	view                        View
 	hasCertain, hasSym, hasAsym bool
+	// safe records View.safe: every point of the window is provably
+	// finite under perturbation.
+	safe bool
 }
 
 // homogeneous reports whether the view holds points of at most one
@@ -213,6 +216,7 @@ func (rs *Resampler) PrimeViews(windows []series.Series, views []View) {
 			}
 			m.view = views[wi]
 			m.hasCertain, m.hasSym, m.hasAsym = m.view.classes()
+			m.safe = m.view.safe()
 			continue
 		}
 		rs.primeOwn(wi, w)
@@ -251,6 +255,7 @@ func (rs *Resampler) primeOwn(wi int, w series.Series) {
 	x.Extract(w)
 	m.view = x.View()
 	m.hasCertain, m.hasSym, m.hasAsym = m.view.classes()
+	m.safe = m.view.safe()
 }
 
 // PrimedAllCertain reports whether every window passed to the last Prime
@@ -731,13 +736,11 @@ func (rs *Resampler) drawPointBlock(windows []series.Series, K int, blk *Block) 
 }
 
 // WindowSafe reports whether window slot wi (as last primed) is provably
-// finite under perturbation — see Extraction.Safe. Consumers use it to
-// hoist per-draw finiteness checks out of constraint evaluation.
+// finite under perturbation, from the window's own points alone — see
+// unsafePoint. Consumers use it to hoist per-draw finiteness checks out
+// of constraint evaluation.
 func (rs *Resampler) WindowSafe(wi int) bool {
-	if wi >= len(rs.meta) || rs.meta[wi].view.X == nil {
-		return false
-	}
-	return rs.meta[wi].view.X.Safe()
+	return wi < len(rs.meta) && rs.meta[wi].safe
 }
 
 // Blocks splits a window into the subsequent blocks of size b = ⌈√n⌉ used
