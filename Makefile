@@ -54,7 +54,9 @@ bench-smoke:
 # table's hinted threshold search against its binary-search oracle, the
 # incomplete beta function and the Beta quantile against the CDF, the
 # extraction's per-point finiteness proof against a recount, the CSV
-# reader, the wire decoders, and the check registration grammar
+# reader, the wire decoders, the NDJSON fast path against its
+# encoding/json fallback, the JSON number scanner against
+# strconv.ParseFloat, and the check registration grammar
 # POST /checks exposes to untrusted clients. Long
 # exploratory runs: raise FUZZTIME or run `go test -fuzz` on one target
 # directly.
@@ -73,6 +75,8 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzExtractionSafe -fuzztime=$(FUZZTIME) ./internal/resample
 	$(GO) test -run='^$$' -fuzz=FuzzReadCSV -fuzztime=$(FUZZTIME) ./internal/series
 	$(GO) test -run='^$$' -fuzz=FuzzWireDecode -fuzztime=$(FUZZTIME) ./internal/wire
+	$(GO) test -run='^$$' -fuzz=FuzzNDJSONFastPath -fuzztime=$(FUZZTIME) ./internal/wire
+	$(GO) test -run='^$$' -fuzz=FuzzParseNumber -fuzztime=$(FUZZTIME) ./internal/wire
 	$(GO) test -run='^$$' -fuzz=FuzzParseCheck -fuzztime=$(FUZZTIME) ./internal/ingest
 
 # serve-smoke replays the pinned fixture through soundserve's TCP and

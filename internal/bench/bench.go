@@ -8,6 +8,7 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -51,7 +52,8 @@ func Specs() []Spec {
 		{"StreamCheck/keyed", StreamCheckKeyed},
 		{"StreamCheck/evict", StreamCheckEvict},
 		{"Decode/frame", DecodeFrame},
-		{"Decode/ndjson", DecodeNDJSON},
+		{"Decode/ndjson", func(b *testing.B) { DecodeNDJSON(b, wireEvents(1<<13)) }},
+		{"Decode/ndjson-manykeys", func(b *testing.B) { DecodeNDJSON(b, manyKeyEvents(1<<17)) }},
 		{"Decode/csv", DecodeCSV},
 		{"Draw/point/kernel", func(b *testing.B) { Draw(b, resample.Point) }},
 		{"Draw/set/kernel", func(b *testing.B) { Draw(b, resample.Set) }},
@@ -931,13 +933,36 @@ func DecodeFrame(b *testing.B) {
 	b.ReportMetric(float64(b.N)*nEvents/b.Elapsed().Seconds(), "points/sec")
 }
 
+// manyKeyEvents returns n events over 65 536 distinct keys in a
+// scrambled order, with seven-digit times and values of three decimals:
+// the line shapes of the benchmark's ndjson-manykeys workload, and a key
+// universe that fills the decoder's intern table and misses the caches.
+func manyKeyEvents(n int) []stream.Event {
+	const nKeys = 1 << 16
+	keys := make([]string, nKeys)
+	for i := range keys {
+		keys[i] = fmt.Sprintf("m%06d", i)
+	}
+	r := rand.New(rand.NewSource(5))
+	evs := make([]stream.Event, n)
+	for i := range evs {
+		k := (i * 40503) % nKeys
+		evs[i] = stream.Event{
+			Time:  math.Round((1e6+float64(i)*0.037)*1e3) / 1e3,
+			Key:   keys[k],
+			Value: math.Round((50+30*math.Sin(float64(k))+0.5*r.NormFloat64())*1e3) / 1e3,
+		}
+	}
+	return evs
+}
+
 // DecodeNDJSON prices the hand-rolled NDJSON fast path on well-formed
 // lines (the steady state of HTTP ingest): no encoding/json, zero
-// allocations per event.
-func DecodeNDJSON(b *testing.B) {
-	const nEvents = 1 << 13
+// allocations per event once the intern table holds every key.
+func DecodeNDJSON(b *testing.B, evs []stream.Event) {
+	nEvents := len(evs)
 	var data []byte
-	for _, ev := range wireEvents(nEvents) {
+	for _, ev := range evs {
 		data = wire.AppendNDJSON(data, ev)
 	}
 	r := bytes.NewReader(data)
@@ -967,7 +992,7 @@ func DecodeNDJSON(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		decodeAll()
 	}
-	b.ReportMetric(float64(b.N)*nEvents/b.Elapsed().Seconds(), "points/sec")
+	b.ReportMetric(float64(b.N)*float64(nEvents)/b.Elapsed().Seconds(), "points/sec")
 }
 
 // DecodeCSV prices the streaming CSV scanner soundcheck -stream reads

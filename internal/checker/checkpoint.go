@@ -165,15 +165,15 @@ func (so *StreamOutcomes) DecodeFrom(dec *checkpoint.Decoder) error {
 // an uninterrupted one would.
 func (c *streamChecker) encodeState(enc *checkpoint.Encoder) {
 	enc.F64(c.opWatermark)
-	enc.Int(len(c.groups))
+	enc.Int(c.groups.Len())
 	if c.evictOn {
 		for g := c.lruTail; g != nil; g = g.prev {
 			g.encodeTo(enc)
 		}
 		return
 	}
-	for _, k := range c.sortedKeys() {
-		c.groups[k].encodeTo(enc)
+	for _, g := range c.sortedGroups() {
+		g.encodeTo(enc)
 	}
 }
 
@@ -198,14 +198,15 @@ func (c *streamChecker) decodeState(dec *checkpoint.Decoder) error {
 		if err := g.decodeFrom(dec, c.arity); err != nil {
 			return err
 		}
-		if c.groups[g.key] != nil {
+		h := stream.KeyHash(g.key)
+		if _, dup := c.groups.Get(h, g.key); dup {
 			return fmt.Errorf("checker: duplicate group %q in snapshot", g.key)
 		}
 		if !c.evictOn && i > 0 && g.key <= prev {
 			return fmt.Errorf("checker: snapshot group %q out of key order", g.key)
 		}
 		prev = g.key
-		c.groups[g.key] = g
+		c.groups.Put(h, g.key, g)
 		if c.evictOn {
 			c.lruPushFront(g) // encode order is coldest → hottest
 		}

@@ -355,14 +355,14 @@ func TestOperatorCorruptSnapshot(t *testing.T) {
 	// The same three groups written hottest key first: refused where the
 	// order must be key order, accepted as an LRU order by a capped one.
 	eng := c.instances[0].op
-	keys := eng.sortedKeys()
+	groups := eng.sortedGroups()
 	rev := checkpoint.NewRawEncoder()
 	rev.Int(1)
 	eng.encodeMembers(rev)
 	rev.F64(eng.opWatermark)
-	rev.Int(len(keys))
-	for i := len(keys) - 1; i >= 0; i-- {
-		eng.groups[keys[i]].encodeTo(rev)
+	rev.Int(len(groups))
+	for i := len(groups) - 1; i >= 0; i-- {
+		groups[i].encodeTo(rev)
 	}
 	reversed := rev.Finish()
 	fresh, _ := newCkptOperator(t, EvictionPolicy{}, &trace)

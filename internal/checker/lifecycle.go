@@ -1,6 +1,9 @@
 package checker
 
-import "sound/internal/core"
+import (
+	"sound/internal/core"
+	"sound/internal/stream"
+)
 
 // This file is the eviction half of the deterministic state lifecycle
 // (DESIGN.md §4i): watermark-driven reclamation of idle window groups
@@ -99,7 +102,7 @@ func (c *streamChecker) admit(key string) {
 	if c.evict.MaxGroups <= 0 || c.peek(key) != nil {
 		return
 	}
-	for len(c.groups) >= c.evict.MaxGroups && c.lruTail != nil {
+	for c.groups.Len() >= c.evict.MaxGroups && c.lruTail != nil {
 		c.evictGroup(c.lruTail)
 	}
 }
@@ -112,12 +115,12 @@ func (c *streamChecker) admit(key string) {
 // the next new key (group), which never holds more groups than are live:
 // a sweep that empties the operator does not pin its peak state.
 func (c *streamChecker) evictGroup(g *groupState) {
-	delete(c.groups, g.key)
+	c.groups.Delete(stream.KeyHash(g.key), g.key)
 	c.lruUnlink(g)
 	if c.lastG == g {
 		c.lastKey, c.lastG = "", nil
 	}
-	if live := len(c.groups); len(c.spare) < live {
+	if live := c.groups.Len(); len(c.spare) < live {
 		c.spare = append(c.spare, g)
 	} else {
 		clear(c.spare[live:])
@@ -166,4 +169,4 @@ func (c *streamChecker) noteDroppedLate() {
 
 // LiveGroups returns the worker's live group count (test/diagnostic
 // hook; callers must not race the worker goroutine).
-func (c *streamChecker) LiveGroups() int { return len(c.groups) }
+func (c *streamChecker) LiveGroups() int { return c.groups.Len() }

@@ -142,7 +142,7 @@ func TestEvictedKeyReturnsFresh(t *testing.T) {
 	proc, c := loneOp(t, EvictionPolicy{MaxGroups: 2, TTL: 5}, MuxCheck{Check: ck, Naive: true, Out: out})
 	fresh := func(key string, at float64) {
 		t.Helper()
-		g := c.groups[key]
+		g, _ := c.groups.Get(stream.KeyHash(key), key)
 		if g == nil || !g.hasOrigin || g.origin != at || g.fired ||
 			len(g.bufs) != 1 || len(g.bufs[0]) != 1 || g.bufs[0][0].T != at {
 			t.Fatalf("%s at t=%v: group %+v, want fresh state anchored at %v holding one point", key, at, g, at)

@@ -175,7 +175,7 @@ func (c *streamChecker) installMembers(members []*memberSpec) {
 		c.planGroup = g
 		c.resBuf = make([]core.Result, len(plans))
 	}
-	if wasExt != c.useExt() && len(c.groups) > 0 {
+	if wasExt != c.useExt() && c.groups.Len() > 0 {
 		c.resyncExtractions()
 	}
 }
@@ -188,18 +188,16 @@ func (c *streamChecker) installMembers(members []*memberSpec) {
 // rebuild lazily at the next fire (ExtendFrom on an empty extraction
 // extracts the full buffer); other kinds never use one.
 func (c *streamChecker) resyncExtractions() {
-	for _, g := range c.groups {
-		if !c.useExt() {
-			g.ext = nil
-			continue
-		}
-		if c.asg.Kind == core.KindCount && g.bufs != nil {
+	c.groups.Range(func(_ string, g *groupState) bool {
+		switch {
+		case c.useExt() && c.asg.Kind == core.KindCount && g.bufs != nil:
 			g.ext = make([]resample.Extraction, c.arity)
 			for i := range g.bufs {
 				g.ext[i].Extract(g.bufs[i])
 			}
-		} else {
+		default:
 			g.ext = nil
 		}
-	}
+		return true
+	})
 }

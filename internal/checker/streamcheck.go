@@ -112,7 +112,6 @@ func newOperator(members []*memberSpec, route RouteFunc, evict EvictionPolicy, g
 		asg:     members[0].plan.Assigner(),
 		arity:   members[0].plan.Arity(),
 		route:   route,
-		groups:  map[string]*groupState{},
 		evict:   evict,
 		metrics: gm,
 	}
@@ -147,7 +146,10 @@ type streamChecker struct {
 	asg     core.WindowAssigner
 	arity   int
 	route   RouteFunc
-	groups  map[string]*groupState
+	// groups indexes the live groups by stream.KeyHash of their key. Its
+	// iteration order is never observable: snapshots and end-of-stream
+	// flushes walk the LRU list or sortedGroups.
+	groups stream.KeyTable[*groupState]
 	// State lifecycle (DESIGN.md §4i): evict is the memory policy,
 	// onOutcome the outcome observer.
 	evict     EvictionPolicy
@@ -164,7 +166,7 @@ type streamChecker struct {
 	opWatermark float64
 	// lastKey/lastG cache the most recent group lookup: events arrive in
 	// key runs (especially frame-at-a-time on keyed edges), so most
-	// lookups hit the cache instead of the map.
+	// lookups hit the cache instead of the table.
 	lastKey string
 	lastG   *groupState
 	// spare holds evicted groups for group() to reuse, never more than
@@ -256,49 +258,59 @@ type groupState struct {
 }
 
 func (c *streamChecker) group(key string) *groupState {
-	if g := c.peek(key); g != nil {
-		return g
+	if c.lastG != nil && c.lastKey == key {
+		return c.lastG
 	}
-	var g *groupState
-	if n := len(c.spare); n > 0 {
-		g = c.spare[n-1]
-		c.spare[n-1] = nil
-		c.spare = c.spare[:n-1]
-		g.reuse(key)
-	} else {
-		g = &groupState{key: key}
-	}
-	c.groups[key] = g
-	if c.evictOn {
-		c.lruPushFront(g)
-	}
-	c.lastKey, c.lastG = key, g
-	return g
+	return c.lookup(key, true)
 }
 
 // peek returns the group without creating it. A found group primes the
 // lookup cache, so the admission test and the window dispatch of one
-// event cost one map lookup between them; evictGroup drops the entry
+// event cost one table lookup between them; evictGroup drops the entry
 // with the group.
 func (c *streamChecker) peek(key string) *groupState {
 	if c.lastG != nil && c.lastKey == key {
 		return c.lastG
 	}
-	g := c.groups[key]
-	if g != nil {
-		c.lastKey, c.lastG = key, g
+	return c.lookup(key, false)
+}
+
+// lookup finds key in the group table after a lookup-cache miss and
+// primes the cache with the group. A missing group is made when create
+// is set (from the spare list first), else nil is returned.
+func (c *streamChecker) lookup(key string, create bool) *groupState {
+	h := stream.KeyHash(key)
+	g, ok := c.groups.Get(h, key)
+	if !ok {
+		if !create {
+			return nil
+		}
+		if n := len(c.spare); n > 0 {
+			g = c.spare[n-1]
+			c.spare[n-1] = nil
+			c.spare = c.spare[:n-1]
+			g.reuse(key)
+		} else {
+			g = &groupState{key: key}
+		}
+		c.groups.Put(h, key, g)
+		if c.evictOn {
+			c.lruPushFront(g)
+		}
 	}
+	c.lastKey, c.lastG = key, g
 	return g
 }
 
-// sortedKeys returns the live group keys in ascending order.
-func (c *streamChecker) sortedKeys() []string {
-	keys := make([]string, 0, len(c.groups))
-	for k := range c.groups {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
+// sortedGroups returns the live groups in ascending key order.
+func (c *streamChecker) sortedGroups() []*groupState {
+	gs := make([]*groupState, 0, c.groups.Len())
+	c.groups.Range(func(_ string, g *groupState) bool {
+		gs = append(gs, g)
+		return true
+	})
+	sort.Slice(gs, func(i, j int) bool { return gs[i].key < gs[j].key })
+	return gs
 }
 
 func (g *groupState) inputs(arity int) []series.Series {
@@ -624,8 +636,7 @@ func (c *streamChecker) fireSession(g *groupState) {
 // (PointWindow truncates to the shortest series; CountWindow drops the
 // tail shorter than Size).
 func (c *streamChecker) flush() {
-	for _, k := range c.sortedKeys() {
-		g := c.groups[k]
+	for _, g := range c.sortedGroups() {
 		switch c.asg.Kind {
 		case core.KindTumblingTime, core.KindSlidingTime:
 			// Fire the remaining grid slots batch would emit: every start

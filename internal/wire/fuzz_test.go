@@ -2,8 +2,10 @@ package wire
 
 import (
 	"bytes"
+	"encoding/json"
 	"io"
 	"math"
+	"strconv"
 	"testing"
 
 	"sound/internal/stream"
@@ -86,6 +88,81 @@ func FuzzWireDecode(f *testing.F) {
 				}
 				break
 			}
+		}
+	})
+}
+
+// FuzzNDJSONFastPath holds the NDJSON fast path to its fallback: when
+// fastParse decides a line, encoding/json must decide it the same way —
+// both reject it, or both accept it with the same key and the same bits
+// in all four numeric fields.
+func FuzzNDJSONFastPath(f *testing.F) {
+	for _, seed := range []string{
+		`{"key":"k","t":1,"v":2,"sig_up":3,"sig_down":4}`,
+		`{"key":"h7","t":1234567.891,"v":-98.125,"sig_up":0,"sig_down":1e-3}`,
+		` { "t" : 1.5 , "v" : -2e3 , "x" : [1] } `,
+		`{"t":1,"v":2,"a":true,"b":null,"c":"s","d":-0.0}`,
+		`{"T":1,"V":2,"ſig_up":3}`,
+		`{"key":"héllo","t":1,"v":2}`,
+		`{"t":NaN,"v":01}`,
+		`{"t":1,"v":2,}`,
+		`{"v":2}`,
+		`{"t":1e400,"v":2}`,
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, line []byte) {
+		fast, ok, ferr := NewNDJSONDecoder(nil).fastParse(line)
+		if !ok {
+			return
+		}
+		slow, serr := NewNDJSONDecoder(nil).slowParse(line)
+		if (ferr != nil) != (serr != nil) {
+			t.Fatalf("%q: fast path error %v, fallback error %v", line, ferr, serr)
+		}
+		if ferr != nil {
+			return
+		}
+		if fast.Key != slow.Key ||
+			math.Float64bits(fast.Time) != math.Float64bits(slow.Time) ||
+			math.Float64bits(fast.Value) != math.Float64bits(slow.Value) ||
+			math.Float64bits(fast.SigUp) != math.Float64bits(slow.SigUp) ||
+			math.Float64bits(fast.SigDown) != math.Float64bits(slow.SigDown) {
+			t.Fatalf("%q: fast path %+v, fallback %+v", line, fast, slow)
+		}
+	})
+}
+
+// FuzzParseNumber holds the JSON number scanner to strconv.ParseFloat
+// bit for bit, and to the JSON grammar: every token it accepts is a
+// valid JSON document, and every input that is one JSON number in
+// float64 range is accepted whole.
+func FuzzParseNumber(f *testing.F) {
+	for _, seed := range []string{
+		"0", "-0", "1", "-12.5", "1234567.891", "0.001", "1e22", "1e23",
+		"9007199254740993", "4503599627370497.5", "123456789012345678901",
+		"1.7976931348623157e308", "1e309", "5e-324", "1e-400", "0.1e-21",
+		"1E+2", "01", ".5", "1.", "+1", "0x1p-2", "1_0", "-", "1e", "NaN",
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		got, n, ok := scanNumber([]byte(s))
+		want, err := strconv.ParseFloat(s, 64)
+		isNumber := err == nil && len(s) > 0 && (s[0] == '-' || '0' <= s[0] && s[0] <= '9') && json.Valid([]byte(s))
+		if isNumber && (!ok || n != len(s)) {
+			t.Fatalf("%q: scanned %d bytes, ok %v; want the whole number", s, n, ok)
+		}
+		if !ok {
+			return
+		}
+		tok := s[:n]
+		if !json.Valid([]byte(tok)) {
+			t.Fatalf("%q: accepted %q, which is not JSON", s, tok)
+		}
+		want, err = strconv.ParseFloat(tok, 64)
+		if err != nil || math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("%q: scanned %v (%#x), strconv %v (%#x), %v", tok, got, math.Float64bits(got), want, math.Float64bits(want), err)
 		}
 	})
 }

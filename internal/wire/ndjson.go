@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"io"
 	"strconv"
+	"strings"
+	"unicode/utf8"
 
 	"sound/internal/stream"
 )
@@ -21,9 +23,10 @@ import (
 // steady state. Lines are scanned by a hand-rolled parser over the
 // reused line buffer; a line the fast path cannot prove it handles —
 // escape sequences in strings, nested objects or arrays, non-scalar
-// unknown fields — is re-parsed with encoding/json, so the fast path
-// never changes what is accepted, only what it costs. Errors are
-// sticky; blank lines are skipped.
+// unknown fields, tokens outside the JSON grammar — is re-parsed with
+// encoding/json, so the fast path never changes what is accepted, only
+// what it costs (FuzzNDJSONFastPath). Errors are sticky; blank lines
+// are skipped.
 type NDJSONDecoder struct {
 	lr   *lineReader
 	keys intern
@@ -82,114 +85,183 @@ func trimSpace(b []byte) []byte {
 	return b
 }
 
+// NDJSON field names the fast path decodes; any other name is skipped.
+const (
+	fieldOther = iota
+	fieldKey
+	fieldT
+	fieldV
+	fieldSigUp
+	fieldSigDown
+)
+
+// fieldOf names a field for the fast path. ok is false for a name that
+// encoding/json would match to a field although its bytes differ — it
+// matches names case-insensitively, under Unicode simple folding — so
+// that line goes to the fallback.
+func fieldOf(name []byte) (field int, ok bool) {
+	switch string(name) {
+	case "key":
+		return fieldKey, true
+	case "t":
+		return fieldT, true
+	case "v":
+		return fieldV, true
+	case "sig_up":
+		return fieldSigUp, true
+	case "sig_down":
+		return fieldSigDown, true
+	}
+	for _, known := range [...]string{"key", "t", "v", "sig_up", "sig_down"} {
+		if strings.EqualFold(unsafeString(name), known) {
+			return fieldOther, false
+		}
+	}
+	return fieldOther, true
+}
+
+// lineScan is the fast path's cursor over one line.
+type lineScan struct {
+	b []byte
+	i int
+}
+
+func (s *lineScan) skip() {
+	for s.i < len(s.b) && isSpace(s.b[s.i]) {
+		s.i++
+	}
+}
+
+// at reports whether the next byte is c.
+func (s *lineScan) at(c byte) bool { return s.i < len(s.b) && s.b[s.i] == c }
+
+// str returns the contents of the string that starts at the cursor. ok
+// is false — the line goes to the fallback — for an escape sequence,
+// which the fast path does not decode, and for a raw control byte,
+// which JSON forbids.
+func (s *lineScan) str() (v []byte, ok bool) {
+	if !s.at('"') {
+		return nil, false
+	}
+	start := s.i + 1
+	for j := start; j < len(s.b); j++ {
+		switch c := s.b[j]; {
+		case c == '"':
+			s.i = j + 1
+			return s.b[start:j], true
+		case c == '\\' || c < 0x20:
+			return nil, false
+		}
+	}
+	return nil, false
+}
+
+// literal consumes lit if the cursor is at it.
+func (s *lineScan) literal(lit string) bool {
+	if len(s.b)-s.i < len(lit) || string(s.b[s.i:s.i+len(lit)]) != lit {
+		return false
+	}
+	s.i += len(lit)
+	return true
+}
+
 // fastParse scans one flat JSON object without allocating. ok=false
 // defers the line to the stdlib fallback; err is only returned for
 // lines the fast path fully understood and can reject authoritatively
 // (it must match what the fallback would say, so rejections are never
-// fast-path-only).
+// fast-path-only). Whatever it accepts, encoding/json accepts with the
+// same values (FuzzNDJSONFastPath): members follow the JSON grammar,
+// numbers the RFC 8259 number grammar, and a shape it does not decode
+// itself — an escape, a nested value, a null or non-number in an event
+// field, a key that is not a string, a name that folds to a field name
+// — goes to the fallback.
 func (d *NDJSONDecoder) fastParse(b []byte) (ev stream.Event, ok bool, err error) {
-	i := 0
-	skip := func() {
-		for i < len(b) && isSpace(b[i]) {
-			i++
-		}
-	}
-	// scanString returns the contents of a quoted string starting at
-	// b[i] == '"'; any escape sequence punts to the fallback.
-	scanString := func() ([]byte, bool) {
-		if i >= len(b) || b[i] != '"' {
-			return nil, false
-		}
-		start := i + 1
-		for j := start; j < len(b); j++ {
-			switch b[j] {
-			case '\\':
-				return nil, false
-			case '"':
-				i = j + 1
-				return b[start:j], true
-			}
-		}
-		return nil, false
-	}
-	skip()
-	if i >= len(b) || b[i] != '{' {
+	s := lineScan{b: b}
+	s.skip()
+	if !s.at('{') {
 		return ev, false, nil
 	}
-	i++
+	s.i++
+	s.skip()
 	var seenT, seenV bool
-	for {
-		skip()
-		if i < len(b) && b[i] == '}' {
-			i++
-			break
-		}
-		name, sok := scanString()
-		if !sok {
-			return ev, false, nil
-		}
-		skip()
-		if i >= len(b) || b[i] != ':' {
-			return ev, false, nil
-		}
-		i++
-		skip()
-		if i >= len(b) {
-			return ev, false, nil
-		}
-		if b[i] == '"' {
-			val, sok := scanString()
+	if s.at('}') {
+		s.i++
+	} else {
+		for {
+			s.skip()
+			name, sok := s.str()
 			if !sok {
 				return ev, false, nil
 			}
-			if string(name) == "key" {
-				ev.Key = d.keys.get(val)
+			field, fok := fieldOf(name)
+			if !fok {
+				return ev, false, nil
 			}
-		} else if b[i] == '{' || b[i] == '[' {
-			return ev, false, nil
-		} else {
-			start := i
-			for i < len(b) && b[i] != ',' && b[i] != '}' && !isSpace(b[i]) {
-				i++
+			s.skip()
+			if !s.at(':') {
+				return ev, false, nil
 			}
-			tok := b[start:i]
-			var f float64
-			switch string(name) {
-			case "t", "v", "sig_up", "sig_down":
-				if f, err = parseFloatBytes(tok); err != nil {
-					// Could be null/true/false — shapes whose handling
-					// belongs to one place, the fallback.
-					return stream.Event{}, false, nil
+			s.i++
+			s.skip()
+			if s.i >= len(b) {
+				return ev, false, nil
+			}
+			switch c := b[s.i]; {
+			case field == fieldKey:
+				val, sok := s.str()
+				if !sok || !utf8.Valid(val) {
+					// Not a string, or invalid UTF-8, which encoding/json
+					// replaces: the fallback decides.
+					return ev, false, nil
 				}
+				ev.Key = d.keys.get(val)
+			case field != fieldOther:
+				f, n, nok := scanNumber(b[s.i:])
+				if !nok {
+					return ev, false, nil
+				}
+				s.i += n
+				switch field {
+				case fieldT:
+					ev.Time, seenT = f, true
+				case fieldV:
+					ev.Value, seenV = f, true
+				case fieldSigUp:
+					ev.SigUp = f
+				case fieldSigDown:
+					ev.SigDown = f
+				}
+			case c == '"':
+				if _, sok := s.str(); !sok {
+					return ev, false, nil
+				}
+			case c == '-' || '0' <= c && c <= '9':
+				_, n, nok := scanNumber(b[s.i:])
+				if !nok {
+					return ev, false, nil
+				}
+				s.i += n
 			default:
-				// Unknown scalar field: any bare token is skippable.
-				if len(tok) == 0 {
+				// An unknown field's bare token is skippable only if it is
+				// a JSON literal; objects and arrays go to the fallback.
+				if !s.literal("true") && !s.literal("false") && !s.literal("null") {
 					return ev, false, nil
 				}
 			}
-			switch string(name) {
-			case "t":
-				ev.Time, seenT = f, true
-			case "v":
-				ev.Value, seenV = f, true
-			case "sig_up":
-				ev.SigUp = f
-			case "sig_down":
-				ev.SigDown = f
+			s.skip()
+			if s.at(',') {
+				s.i++
+				continue
 			}
+			if s.at('}') {
+				s.i++
+				break
+			}
+			return stream.Event{}, false, nil
 		}
-		skip()
-		if i < len(b) && b[i] == ',' {
-			i++
-			continue
-		}
-		if i < len(b) && b[i] == '}' {
-			continue
-		}
-		return stream.Event{}, false, nil
 	}
-	skip()
-	if i != len(b) {
+	s.skip()
+	if s.i != len(b) {
 		return stream.Event{}, false, nil
 	}
 	if !seenT || !seenV {

@@ -28,6 +28,8 @@ import (
 	"io"
 	"strconv"
 	"unsafe"
+
+	"sound/internal/stream"
 )
 
 // maxLine bounds one NDJSON or CSV line. A missing newline in hostile
@@ -40,32 +42,30 @@ const maxLine = 1 << 20
 // unbounded memory in a long-lived decoder.
 const maxInterned = 1 << 16
 
-// intern deduplicates key strings. The map index with a string
-// conversion compiles to a no-allocation lookup, so a hit (the steady
-// state: a bounded set of series keys) costs nothing.
+// intern deduplicates key strings in a table indexed by stream.KeyHash:
+// a hit (the steady state: a bounded set of series keys) hashes a view
+// of the decoder's buffer and allocates nothing.
 type intern struct {
-	m map[string]string
+	t stream.KeyTable[struct{}]
 }
 
 func (it *intern) get(b []byte) string {
 	if len(b) == 0 {
 		return ""
 	}
-	if s, ok := it.m[string(b)]; ok {
+	h := stream.KeyHash(unsafeString(b))
+	if s, ok := it.t.Key(h, unsafeString(b)); ok {
 		return s
 	}
 	s := string(b)
-	if it.m == nil {
-		it.m = make(map[string]string)
-	}
-	if len(it.m) < maxInterned {
-		it.m[s] = s
+	if it.t.Len() < maxInterned {
+		it.t.Put(h, s, struct{}{})
 	}
 	return s
 }
 
 // unsafeString views a byte slice as a string for read-only use inside
-// one call (strconv.ParseFloat, map lookups). The caller must not
+// one call (strconv.ParseFloat, key lookups). The caller must not
 // retain the result past the life of b's backing array.
 func unsafeString(b []byte) string {
 	if len(b) == 0 {
@@ -74,8 +74,104 @@ func unsafeString(b []byte) string {
 	return unsafe.String(&b[0], len(b))
 }
 
-func parseFloatBytes(b []byte) (float64, error) {
-	return strconv.ParseFloat(unsafeString(b), 64)
+// exactPow10 holds the powers of ten a float64 represents exactly.
+var exactPow10 = [...]float64{
+	1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10, 1e11,
+	1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19, 1e20, 1e21, 1e22,
+}
+
+// scanNumber reads the JSON number (RFC 8259 §6) that starts b and
+// returns its value and byte length. The number ends at the first byte
+// the grammar cannot extend it with; whether that byte may follow a
+// number is the caller's business. ok is false when b does not start
+// with a JSON number, or when its value is out of float64 range (which
+// strconv.ParseFloat and encoding/json reject).
+//
+// The scan builds the decimal mantissa as it checks the grammar. A
+// mantissa below 2^53 scaled by 10^±22 at most is converted with one
+// IEEE multiply or divide of two exact operands, which is correctly
+// rounded: the exact case strconv.ParseFloat itself takes, so the bits
+// are the same. Every other number goes to strconv.ParseFloat.
+func scanNumber(b []byte) (f float64, n int, ok bool) {
+	i := 0
+	neg := i < len(b) && b[i] == '-'
+	if neg {
+		i++
+	}
+	var mant uint64
+	nd, exp := 0, 0 // significant digits in mant; decimal exponent of mant
+	long := false   // more significant digits than mant holds
+	if i >= len(b) {
+		return 0, 0, false
+	}
+	switch c := b[i]; {
+	case c == '0':
+		i++
+	case '1' <= c && c <= '9':
+		for ; i < len(b) && '0' <= b[i] && b[i] <= '9'; i++ {
+			if nd < 19 {
+				mant = mant*10 + uint64(b[i]-'0')
+				nd++
+			} else {
+				long = true
+			}
+		}
+	default:
+		return 0, 0, false
+	}
+	if i < len(b) && b[i] == '.' {
+		i++
+		start := i
+		for ; i < len(b) && '0' <= b[i] && b[i] <= '9'; i++ {
+			if nd < 19 {
+				mant = mant*10 + uint64(b[i]-'0')
+				if mant != 0 {
+					nd++
+				}
+				exp--
+			} else {
+				long = true
+			}
+		}
+		if i == start {
+			return 0, 0, false
+		}
+	}
+	if i < len(b) && (b[i] == 'e' || b[i] == 'E') {
+		i++
+		eneg := false
+		if i < len(b) && (b[i] == '+' || b[i] == '-') {
+			eneg = b[i] == '-'
+			i++
+		}
+		start, e := i, 0
+		for ; i < len(b) && '0' <= b[i] && b[i] <= '9'; i++ {
+			if e < 1e4 {
+				e = e*10 + int(b[i]-'0')
+			}
+		}
+		if i == start {
+			return 0, 0, false
+		}
+		if eneg {
+			e = -e
+		}
+		exp += e
+	}
+	if !long && mant < 1<<53 && -22 <= exp && exp <= 22 {
+		f = float64(mant)
+		if exp > 0 {
+			f *= exactPow10[exp]
+		} else if exp < 0 {
+			f /= exactPow10[-exp]
+		}
+		if neg {
+			f = -f
+		}
+		return f, i, true
+	}
+	f, err := strconv.ParseFloat(unsafeString(b[:i]), 64)
+	return f, i, err == nil
 }
 
 // lineReader yields '\n'-terminated lines from an io.Reader through one

@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"math/rand/v2"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -249,6 +251,22 @@ func TestNDJSONShapes(t *testing.T) {
 		{name: "garbage", line: `t=1 v=2`, bad: true},
 		{name: "trailing garbage", line: `{"t":1,"v":2} x`, bad: true},
 		{name: "string t", line: `{"t":"1","v":2}`, bad: true},
+		{name: "NaN t", line: `{"t":NaN,"v":2}`, bad: true},
+		{name: "-Inf v", line: `{"t":1,"v":-Inf}`, bad: true},
+		{name: "hex float", line: `{"t":0x1p-2,"v":2}`, bad: true},
+		{name: "plus sign", line: `{"t":+1,"v":2}`, bad: true},
+		{name: "bare fraction", line: `{"t":.5,"v":2}`, bad: true},
+		{name: "empty fraction", line: `{"t":1.,"v":2}`, bad: true},
+		{name: "leading zero", line: `{"t":01,"v":2}`, bad: true},
+		{name: "digit separator", line: `{"t":1_0,"v":2}`, bad: true},
+		{name: "trailing comma", line: `{"t":1,"v":2,}`, bad: true},
+		{name: "number key", line: `{"key":7,"t":1,"v":2}`, bad: true},
+		{name: "string sig_up", line: `{"t":1,"v":2,"sig_up":"x"}`, bad: true},
+		{name: "unknown bad literal", line: `{"t":1,"v":2,"x":tru}`, bad: true},
+		{name: "control byte in key", line: "{\"key\":\"a\x01b\",\"t\":1,\"v\":2}", bad: true},
+		{name: "folded names via fallback", line: `{"KEY":"k","T":1,"V":2}`, want: stream.Event{Key: "k", Time: 1, Value: 2}},
+		{name: "unknown literals and numbers", line: `{"a":true,"b":false,"c":null,"d":-0.5e+3,"t":1,"v":2}`, want: stream.Event{Time: 1, Value: 2}},
+		{name: "exponent forms", line: `{"t":1E2,"v":-25e-1,"sig_up":0.000,"sig_down":1e0}`, want: stream.Event{Time: 100, Value: -2.5, SigUp: 0, SigDown: 1}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -270,6 +288,68 @@ func TestNDJSONShapes(t *testing.T) {
 				t.Fatalf("got %+v, want %+v", got, tc.want)
 			}
 		})
+	}
+}
+
+// TestScanNumberMatchesStrconv compares the JSON number scanner with
+// strconv.ParseFloat bit for bit on random decimals around the edges of
+// its exact conversion: mantissas up to 2^53 and beyond, exponents up to
+// ±22 and beyond, leading and trailing zeros, and the float64 shortest
+// forms AppendNDJSON writes.
+func TestScanNumberMatchesStrconv(t *testing.T) {
+	r := rand.New(rand.NewPCG(7, 11))
+	check := func(s string) {
+		t.Helper()
+		got, n, ok := scanNumber([]byte(s))
+		want, err := strconv.ParseFloat(s, 64)
+		if err != nil {
+			if ok {
+				t.Fatalf("%q: scanned %v, strconv error %v", s, got, err)
+			}
+			return
+		}
+		if !ok || n != len(s) || math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("%q: scanned %v (%d bytes, ok %v), strconv %v", s, got, n, ok, want)
+		}
+	}
+	for i := 0; i < 200000; i++ {
+		var mant uint64
+		switch r.IntN(3) {
+		case 0:
+			mant = r.Uint64N(1 << 53)
+		case 1:
+			mant = 1<<53 - 2 + r.Uint64N(5)
+		default:
+			mant = r.Uint64()
+		}
+		digits := strconv.FormatUint(mant, 10)
+		if r.IntN(4) == 0 {
+			digits = strings.Repeat("0", r.IntN(4)) + digits + strings.Repeat("0", r.IntN(6))
+			digits = strings.TrimLeft(digits, "0")
+			if digits == "" {
+				digits = "0"
+			}
+		}
+		point := r.IntN(len(digits) + 1)
+		s := digits
+		if point < len(digits) {
+			s = digits[:point] + "." + digits[point:]
+			if point == 0 {
+				s = "0" + s
+			}
+		}
+		if r.IntN(2) == 0 {
+			s += "e" + strconv.Itoa(r.IntN(61)-30)
+		}
+		if r.IntN(2) == 0 {
+			s = "-" + s
+		}
+		check(s)
+		f := math.Float64frombits(r.Uint64())
+		if !math.IsNaN(f) && !math.IsInf(f, 0) {
+			check(strconv.FormatFloat(f, 'g', -1, 64))
+		}
+		check(strconv.FormatFloat(math.Round(r.Float64()*1e10)/1e3, 'g', -1, 64))
 	}
 }
 
