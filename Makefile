@@ -53,7 +53,8 @@ bench-smoke:
 # closed-form level probability against its table bracket, the decision
 # table's hinted threshold search against its binary-search oracle, the
 # incomplete beta function and the Beta quantile against the CDF, the
-# extraction's per-point finiteness proof against a recount, the CSV
+# finiteness proof of random extracted windows against a recount of
+# their points, the CSV
 # reader, the wire decoders, the NDJSON fast path against its
 # encoding/json fallback, the JSON number scanner against
 # strconv.ParseFloat, and the check registration grammar
@@ -122,7 +123,7 @@ ab:
 	fi; \
 	exit $$st
 
-# loc prints the two line counts ROADMAP item 4 tracks: non-test Go
+# loc prints the two line counts ROADMAP's Notes track: non-test Go
 # lines outside benchmark/, and the internal/{checker,core,stream}
 # subtotal.
 loc:

@@ -180,9 +180,7 @@ func (c *streamChecker) encodeState(enc *checkpoint.Encoder) {
 // decodeState restores an engine serialized by encodeState. Groups of
 // an operator without a recency list must arrive in strictly ascending
 // key order — the only order encodeState writes them in — so every
-// accepted payload re-encodes to its own bytes. No extraction is read:
-// count windows rebuild theirs from the restored buffers here
-// (resyncExtractions), time windows at their next fire.
+// accepted payload re-encodes to its own bytes.
 func (c *streamChecker) decodeState(dec *checkpoint.Decoder) error {
 	c.opWatermark = dec.F64()
 	n := dec.Int()
@@ -211,7 +209,6 @@ func (c *streamChecker) decodeState(dec *checkpoint.Decoder) error {
 			c.lruPushFront(g) // encode order is coldest → hottest
 		}
 	}
-	c.resyncExtractions()
 	return dec.Err()
 }
 
@@ -301,8 +298,7 @@ func (g *groupState) encodeTo(enc *checkpoint.Encoder) {
 	enc.Bool(g.sessOpen)
 }
 
-// decodeFrom restores one window group. Its extractions are not read:
-// they are a function of the buffers, rebuilt by decodeState.
+// decodeFrom restores one window group.
 func (g *groupState) decodeFrom(dec *checkpoint.Decoder, arity int) error {
 	g.key = dec.String()
 	g.lastT = dec.F64()

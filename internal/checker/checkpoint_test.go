@@ -15,7 +15,7 @@ import (
 )
 
 // ckptCheck is a borderline SOUND-mode sliding-window check: overlapping
-// windows keep shared extraction state alive across the snapshot, and
+// windows keep buffered points alive across the snapshot, and
 // borderline values keep the evaluator drawing samples, so any window
 // state the codec failed to carry would change the restored run's verdicts.
 func ckptCheck() core.Check {

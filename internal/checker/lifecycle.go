@@ -138,24 +138,16 @@ func (c *streamChecker) evictGroup(g *groupState) {
 
 // reuse re-initialises an evicted group for key. Every field reads as in
 // &groupState{key: key}, except that the per-input buffers keep their
-// arrays, emptied, and the extractions wait, Reset, in spareExt: a fresh
-// group has none until its first fire (time windows) or event (count
-// windows) asks for them. The buffer set a fresh group makes at its first
-// event stays made, which is the same state once the event that takes
-// the group over has landed.
+// arrays, emptied. The buffer set a fresh group makes at its first event
+// stays made, which is the same state once the event that takes the
+// group over has landed.
 func (g *groupState) reuse(key string) {
-	bufs, drop, ext := g.bufs, g.drop, g.ext
-	if ext == nil {
-		ext = g.spareExt
-	}
-	*g = groupState{key: key, bufs: bufs, drop: drop, spareExt: ext}
+	bufs, drop := g.bufs, g.drop
+	*g = groupState{key: key, bufs: bufs, drop: drop}
 	for i := range bufs {
 		bufs[i] = bufs[i][:0]
 	}
 	clear(drop)
-	for i := range ext {
-		ext[i].Reset()
-	}
 }
 
 // noteDroppedLate counts an event below its group's fired horizon.

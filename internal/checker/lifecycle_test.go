@@ -221,7 +221,7 @@ func TestEvictedStateReuse(t *testing.T) {
 						// The cap is about to evict: the victim must carry the
 						// state this test wants reused.
 						v := c.lruTail
-						if v.ext == nil || isCount && (v.nextIdx == 0 || v.drop[0] == 0) || !isCount && !v.fired {
+						if isCount && (v.nextIdx == 0 || v.drop[0] == 0) || !isCount && !v.fired {
 							t.Fatalf("victim %s holds no state worth reusing: %+v", v.key, v)
 						}
 					}

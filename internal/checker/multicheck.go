@@ -5,7 +5,6 @@ import (
 	"sync/atomic"
 
 	"sound/internal/core"
-	"sound/internal/resample"
 )
 
 // This file is the checker's half of window multiplexing (DESIGN.md
@@ -155,15 +154,12 @@ func (s GroupMetricsSnapshot) SharedHitRatio() float64 {
 // suite changed.
 func (c *streamChecker) installMembers(members []*memberSpec) {
 	c.members = members
-	// Spare groups may carry extractions the new set would not keep.
-	c.spare = nil
 	var plans []*core.CheckPlan
 	for _, m := range members {
 		if !m.naive {
 			plans = append(plans, m.plan)
 		}
 	}
-	wasExt := c.useExt()
 	c.planGroup, c.resBuf = nil, nil
 	if len(plans) > 0 {
 		g, err := core.NewPlanGroup(plans)
@@ -175,29 +171,4 @@ func (c *streamChecker) installMembers(members []*memberSpec) {
 		c.planGroup = g
 		c.resBuf = make([]core.Result, len(plans))
 	}
-	if wasExt != c.useExt() && c.groups.Len() > 0 {
-		c.resyncExtractions()
-	}
-}
-
-// resyncExtractions reconciles live group state with the useExt mode
-// after a membership change added the first SOUND member or removed the
-// last one, and after a restore, which reads no extraction. Count
-// windows keep their extraction in per-point lockstep with the buffer,
-// so a fresh extraction must be rebuilt immediately; time windows
-// rebuild lazily at the next fire (ExtendFrom on an empty extraction
-// extracts the full buffer); other kinds never use one.
-func (c *streamChecker) resyncExtractions() {
-	c.groups.Range(func(_ string, g *groupState) bool {
-		switch {
-		case c.useExt() && c.asg.Kind == core.KindCount && g.bufs != nil:
-			g.ext = make([]resample.Extraction, c.arity)
-			for i := range g.bufs {
-				g.ext[i].Extract(g.bufs[i])
-			}
-		default:
-			g.ext = nil
-		}
-		return true
-	})
 }

@@ -3,6 +3,7 @@ package checker
 import (
 	"bytes"
 	"fmt"
+	"reflect"
 	"sort"
 	"sync"
 	"testing"
@@ -364,6 +365,124 @@ func TestMuxDynamicRegistration(t *testing.T) {
 	}
 	if x.Len() != 0 || len(x.GroupStats()) != 0 {
 		t.Errorf("registry not empty after deregistering all: len=%d buckets=%d", x.Len(), len(x.GroupStats()))
+	}
+}
+
+// TestMemberJoinsLiveBucket: SOUND members that join a live bucket —
+// one that so far held only a naive member, with points buffered and
+// windows fired behind it — fire, key by key and in order, exactly the
+// verdicts an operator that had them from the start fires after the
+// join; and the same once they have left and come back. A group's state
+// is its points and its grid position, shared by every member, so a
+// member's windows cannot depend on when it joined.
+func TestMemberJoinsLiveBucket(t *testing.T) {
+	events := muxTestEvents(3, 60)
+	join, leave, back := len(events)/2, 5*len(events)/8, 3*len(events)/4
+	sound := []core.Constraint{core.Range(0, 13), core.MaxDelta(9)}
+	type verdict struct {
+		at int // index of the event being processed, len(events) at Flush
+		o  core.Outcome
+	}
+	type trail map[string][]verdict
+	for _, win := range []core.Windower{core.TimeWindow{Size: 10, Slide: 5}, core.CountWindow{Size: 8, Slide: 3}} {
+		t.Run(fmt.Sprintf("%T", win), func(t *testing.T) {
+			at := 0
+			register := func(x *Mux, c core.Constraint, naive bool) trail {
+				tr, name := trail{}, c.Name
+				if naive {
+					name = "naive " + name
+				}
+				ck := core.Check{Name: name, Constraint: c, SeriesNames: []string{"s"}, Window: win}
+				if err := x.Register(MuxCheck{Name: name, Check: ck, Params: core.DefaultParams(), Seed: 7,
+					Naive: naive, RouteID: "key",
+					OnOutcome: func(key string, o core.Outcome) { tr[key] = append(tr[key], verdict{at, o}) }}); err != nil {
+					t.Fatal(err)
+				}
+				return tr
+			}
+			run := func(x *Mux, before func(i int)) {
+				proc := x.Factory()()
+				for i, ev := range events {
+					at = i
+					before(i)
+					proc.Process(ev, discardEmit)
+				}
+				at = len(events)
+				proc.Flush(discardEmit)
+			}
+			// from keeps the verdicts fired in [lo, hi).
+			from := func(tr trail, lo, hi int) trail {
+				out := trail{}
+				for key, vs := range tr {
+					for _, v := range vs {
+						if v.at >= lo && v.at < hi {
+							out[key] = append(out[key], v)
+						}
+					}
+				}
+				return out
+			}
+
+			ref := NewMux(false, EvictionPolicy{})
+			refNaive := register(ref, core.Range(0, 13), true)
+			var want []trail
+			for _, c := range sound {
+				want = append(want, register(ref, c, false))
+			}
+			run(ref, func(int) {})
+
+			live := NewMux(false, EvictionPolicy{})
+			liveNaive := register(live, core.Range(0, 13), true)
+			joined, returned := make([]trail, len(sound)), make([]trail, len(sound))
+			run(live, func(i int) {
+				switch i {
+				case join, back:
+					got := joined
+					if i == back {
+						got = returned
+					}
+					for k, c := range sound {
+						got[k] = register(live, c, false)
+					}
+					if gs := live.GroupStats(); len(gs) != 1 || len(gs[0].Checks) != 1+len(sound) {
+						t.Fatalf("event %d: buckets %+v, want the naive member's bucket joined", i, gs)
+					}
+				case leave:
+					for _, c := range sound {
+						if err := live.Deregister(c.Name); err != nil {
+							t.Fatal(err)
+						}
+					}
+				}
+			})
+
+			if !reflect.DeepEqual(liveNaive, refNaive) {
+				t.Error("the naive member's verdicts moved when members joined and left")
+			}
+			for k, c := range sound {
+				before, after := from(want[k], 0, join), from(want[k], join, leave)
+				if len(before) == 0 || len(after) == 0 {
+					t.Fatalf("%s: %d keys fired before the join and %d after, test is vacuous", c.Name, len(before), len(after))
+				}
+				if !reflect.DeepEqual(joined[k], after) {
+					t.Errorf("%s after the join:\n got %v\nwant %v", c.Name, joined[k], after)
+				}
+				if again := from(want[k], back, len(events)+1); !reflect.DeepEqual(returned[k], again) {
+					t.Errorf("%s after re-registering:\n got %v\nwant %v", c.Name, returned[k], again)
+				}
+			}
+			seen := map[core.Outcome]bool{}
+			for _, tr := range want {
+				for _, vs := range tr {
+					for _, v := range vs {
+						seen[v.o] = true
+					}
+				}
+			}
+			if len(seen) < 2 {
+				t.Fatalf("every SOUND verdict is %v, test is vacuous", seen)
+			}
+		})
 	}
 }
 

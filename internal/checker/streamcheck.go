@@ -127,7 +127,7 @@ func newOperator(members []*memberSpec, route RouteFunc, evict EvictionPolicy, g
 // streamChecker is one Mux bucket's window engine inside one operator
 // instance. Keyed partitioning guarantees a group's events reach one
 // worker, so the per-group state needs no locking. One engine hosts one or more
-// member checks over ONE set of window buffers and extractions, and
+// member checks over ONE set of window buffers, and
 // evaluates every fired window's SOUND members through one
 // core.PlanGroup whose draws are derived from the window coordinate (see
 // evaluate) — for one member exactly as for many, so a verdict never
@@ -135,8 +135,8 @@ func newOperator(members []*memberSpec, route RouteFunc, evict EvictionPolicy, g
 type streamChecker struct {
 	members []*memberSpec
 	// planGroup evaluates the SOUND members (nil for a Naive-only bucket,
-	// which then maintains no SoA extractions either — see useExt);
-	// resBuf receives their results, in member order.
+	// which then extracts nothing); resBuf receives their results, in
+	// member order.
 	planGroup *core.PlanGroup
 	resBuf    []core.Result
 	// metrics is the bucket's shared counters; pending is this worker's
@@ -174,18 +174,16 @@ type streamChecker struct {
 	spare []*groupState
 	// Reusable scratch keeps the per-event hot path allocation-free.
 	pointBuf series.Series
-	// tupleBuf and viewBuf are the per-fire window-tuple and view scratch
-	// handed to the evaluator, and naiveVals the naive members' value
+	// tupleBuf is the per-fire window-tuple scratch handed to the
+	// evaluator, ext and views the fired windows' extractions and their
+	// views (see extract), and naiveVals the naive members' value
 	// columns. A window tuple lives for one evaluate call (see tuple), so
 	// one buffer of each serves every fire.
 	tupleBuf  []series.Series
-	viewBuf   []resample.View
+	ext       []resample.Extraction
+	views     []resample.View
 	naiveVals [][]float64
 }
-
-// useExt reports whether the operator maintains SoA extractions beside
-// its window buffers: only SOUND evaluation reads them.
-func (c *streamChecker) useExt() bool { return c.planGroup != nil }
 
 // tuple returns the k-slot window-tuple scratch. A window tuple lives
 // for one evaluate call: resBuf keeps it only until the next fire
@@ -199,13 +197,22 @@ func (c *streamChecker) tuple(k int) []series.Series {
 	return c.tupleBuf[:k]
 }
 
-// views returns the k-slot view scratch, consumed like the tuple within
-// the evaluate call it is handed to.
-func (c *streamChecker) views(k int) []resample.View {
-	if cap(c.viewBuf) < k {
-		c.viewBuf = make([]resample.View, k)
+// extract extracts each window of a fired tuple into the operator's
+// scratch and returns whole-window views of them, which every strategy
+// lane of the bucket primes from: one extraction per window per fire,
+// consumed like the tuple within the evaluate call it is handed to.
+func (c *streamChecker) extract(ws []series.Series) []resample.View {
+	if len(c.ext) < len(ws) {
+		c.ext = make([]resample.Extraction, len(ws))
+		c.views = make([]resample.View, len(ws))
+		for i := range c.ext {
+			c.views[i] = c.ext[i].View()
+		}
 	}
-	return c.viewBuf[:k]
+	for i, w := range ws {
+		c.ext[i].Extract(w)
+	}
+	return c.views[:len(ws)]
 }
 
 // groupState is the window state of one route group (one key, or the
@@ -243,15 +250,6 @@ type groupState struct {
 	// CountWindow instead of re-slicing past the buffer end.
 	drop    []int
 	nextIdx int
-	// ext mirrors the window buffers of time and count windows as SoA
-	// extractions, kept in sync incrementally:
-	// in-order appends extend them, a fire-time reorder rebuilds, and the
-	// post-fire compaction trims. Overlapping windows of one group then
-	// prime the evaluator's resampling kernels through views into one
-	// shared extraction instead of re-extracting every window. Unused
-	// (nil) under naive evaluation. spareExt holds a reused group's
-	// extractions, Reset, until extractions makes them its ext.
-	ext, spareExt []resample.Extraction
 	// session bounds.
 	sessStart, sessPrev float64
 	sessOpen            bool
@@ -318,18 +316,6 @@ func (g *groupState) inputs(arity int) []series.Series {
 		g.bufs = make([]series.Series, arity)
 	}
 	return g.bufs
-}
-
-// extractions returns the group's per-input extractions, made on first
-// use: from spareExt when the group state was reused, else new.
-func (g *groupState) extractions(arity int) []resample.Extraction {
-	if g.ext == nil {
-		g.ext, g.spareExt = g.spareExt, nil
-		if g.ext == nil {
-			g.ext = make([]resample.Extraction, arity)
-		}
-	}
-	return g.ext
 }
 
 // ingest routes one event into its window group; the Mux operator calls
@@ -456,10 +442,9 @@ func (c *streamChecker) processTime(key string, input int, p series.Point) {
 	// Only run the fire scan when the watermark has actually closed the
 	// earliest un-fired window — the same end <= watermark comparison the
 	// scan's loop would make before bailing out. Between fires, appends
-	// are O(1): buffer sorting and extraction sync are deferred to the
-	// next fire, where the reorder check and ExtendFrom/Extract rebuild
-	// produce the identical extraction state in bulk (frame-at-a-time
-	// when frames arrive batched) instead of once per event.
+	// are O(1): buffer sorting is deferred to the next fire, where one
+	// reorder check covers every event since the last (frame-at-a-time
+	// when frames arrive batched) instead of one per event.
 	if g.nextStart+c.asg.Size <= g.watermark {
 		c.fireDueTimeWindows(g, false)
 	}
@@ -476,23 +461,8 @@ func (c *streamChecker) fireDueTimeWindows(g *groupState, final bool) {
 	if !g.hasOrigin || c.asg.Size <= 0 || c.asg.Slide <= 0 {
 		return
 	}
-	useExt := c.useExt()
-	if useExt {
-		g.extractions(c.arity)
-	}
-	for i := range g.bufs {
-		reordered := sortByTime(g.bufs[i])
-		if !useExt {
-			continue
-		}
-		// Keep the shared extraction in sync with the buffer: a reorder
-		// invalidates the extracted prefix (rebuild), in-order appends
-		// only add new points (extend).
-		if reordered {
-			g.ext[i].Extract(g.bufs[i])
-		} else {
-			g.ext[i].ExtendFrom(g.bufs[i])
-		}
+	for _, buf := range g.bufs {
+		sortByTime(buf)
 	}
 	for {
 		start, end := g.nextStart, g.nextStart+c.asg.Size
@@ -504,32 +474,19 @@ func (c *streamChecker) fireDueTimeWindows(g *groupState, final bool) {
 			return
 		}
 		ws := c.tuple(c.arity)
-		var ext []resample.View
-		if useExt {
-			ext = c.views(c.arity)
-		}
 		for i := range g.bufs {
 			ws[i] = g.bufs[i].SliceTime(start, end)
-			if useExt {
-				// series.At is the same lower bound SliceTime just used,
-				// so the view covers exactly the window's points.
-				lo := g.bufs[i].At(start)
-				ext[i] = g.ext[i].Slice(lo, lo+len(ws[i]))
-			}
 		}
-		c.evaluate(g.key, core.WindowTuple{Windows: ws, Ext: ext, Start: start, End: end}, math.Float64bits(start))
+		c.evaluate(g.key, core.WindowTuple{Windows: ws, Start: start, End: end}, math.Float64bits(start))
 		g.fired = true
 		g.nextStart += c.asg.Slide
 		for i := range g.bufs {
 			// Points below the next start belong only to fired windows:
-			// move the rest to the front of the same array, as TrimFront
-			// does for the extraction. The evaluated tuple sliced this
-			// array, but it lived for the evaluate call alone.
+			// move the rest to the front of the same array. The evaluated
+			// tuple sliced this array, but it lived for the evaluate call
+			// alone.
 			if n := g.bufs[i].At(g.nextStart); n > 0 {
 				g.bufs[i] = g.bufs[i][:copy(g.bufs[i], g.bufs[i][n:])]
-				if useExt {
-					g.ext[i].TrimFront(n)
-				}
 			}
 		}
 	}
@@ -557,13 +514,6 @@ func (c *streamChecker) processCount(key string, input int, p series.Point) {
 		return
 	}
 	bufs[input] = append(bufs[input], p)
-	useExt := c.useExt()
-	if useExt {
-		// Count windows never reorder (arrival order is the index), so the
-		// shared extraction extends one point at a time, in lockstep with
-		// the buffer.
-		g.extractions(c.arity)[input].AppendPoint(p)
-	}
 	for {
 		for i := range bufs {
 			if g.drop[i]+len(bufs[i]) < g.nextIdx+c.asg.Count {
@@ -571,21 +521,14 @@ func (c *streamChecker) processCount(key string, input int, p series.Point) {
 			}
 		}
 		ws := c.tuple(c.arity)
-		var ext []resample.View
-		if useExt {
-			ext = c.views(c.arity)
-		}
 		for i := range bufs {
 			off := g.nextIdx - g.drop[i]
 			ws[i] = bufs[i][off : off+c.asg.Count : off+c.asg.Count]
-			if useExt {
-				ext[i] = g.ext[i].Slice(off, off+c.asg.Count)
-			}
 		}
 		start, end := ws[0][0].T, ws[0][len(ws[0])-1].T
 		// The absolute start index is the count window's coordinate: it is
 		// arrival-order-defined, identical on every worker layout.
-		c.evaluate(g.key, core.WindowTuple{Windows: ws, Ext: ext, Start: start, End: end}, uint64(g.nextIdx))
+		c.evaluate(g.key, core.WindowTuple{Windows: ws, Start: start, End: end}, uint64(g.nextIdx))
 		g.nextIdx += c.asg.CountSlide
 		for i := range bufs {
 			n := g.nextIdx - g.drop[i]
@@ -596,9 +539,6 @@ func (c *streamChecker) processCount(key string, input int, p series.Point) {
 			// tuple aliased its head, but only for the evaluate call.
 			bufs[i] = bufs[i][:copy(bufs[i], bufs[i][n:])]
 			g.drop[i] += n
-			if useExt {
-				g.ext[i].TrimFront(n)
-			}
 		}
 	}
 }
@@ -667,14 +607,16 @@ func (c *streamChecker) flush() {
 // bits for time and session windows, the absolute start index for
 // count windows, the point's timestamp bits for point tuples, 0 for
 // the global window). The SOUND members are evaluated by the bucket's
-// core.PlanGroup — one extraction and one sample matrix per lane — on
-// the draw stream seeded by PlanGroup.WindowSeed, a pure function of
+// core.PlanGroup — one extraction per window, shared by every lane
+// (extract), and one sample matrix per lane — on the draw stream seeded
+// by PlanGroup.WindowSeed, a pure function of
 // (group class, route key, window coordinate): verdicts depend only on
 // WHAT is evaluated, never on which worker evaluates it, in which order,
 // at which batch size, or how many co-members ride
 // along. That is the contract the invariance property tests pin.
 func (c *streamChecker) evaluate(key string, tuple core.WindowTuple, windowBits uint64) {
 	if c.planGroup != nil {
+		tuple.Ext = c.extract(tuple.Windows)
 		winSeed := c.planGroup.WindowSeed(stream.KeyHash(key), windowBits)
 		ev := c.planGroup.Evaluate(winSeed, tuple, c.resBuf)
 		c.pending.record(ev, len(c.resBuf))
@@ -715,10 +657,9 @@ func (c *streamChecker) scoreNaive(cons core.Constraint, tuple core.WindowTuple)
 	return core.Violated
 }
 
-// sortByTime time-orders a window buffer in place, reporting whether it
-// had to reorder; the common in-order case is detected with a linear
-// scan and left untouched.
-func sortByTime(s series.Series) bool {
+// sortByTime time-orders a window buffer in place; the common in-order
+// case is detected with a linear scan and left untouched.
+func sortByTime(s series.Series) {
 	for i := 1; i < len(s); i++ {
 		if s[i].T < s[i-1].T {
 			slices.SortStableFunc(s, func(a, b series.Point) int {
@@ -730,10 +671,9 @@ func sortByTime(s series.Series) bool {
 				}
 				return 0
 			})
-			return true
+			return
 		}
 	}
-	return false
 }
 
 // span returns the union time span of the buffers.

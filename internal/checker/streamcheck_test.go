@@ -521,22 +521,16 @@ func TestCompareOutcomesLengthMismatch(t *testing.T) {
 	}
 }
 
-// opaqueWindow hides the concrete window type so ClassifyWindow reports
-// KindCustom: batch execution then skips the shared-extraction attach and
-// every window is extracted on its own. It is the per-window reference
-// the shared-view paths must match bit for bit.
-type opaqueWindow struct{ core.Windower }
-
 // TestBatchStreamParitySlidingSharedExtraction pins batch/stream parity
-// end to end on overlapping windows with gaps: the stream checker's
-// incrementally-maintained shared extraction, views into one whole-series
-// extraction, and a fresh extraction per window all prime the same
-// kernels, so the batch windower's tuples evaluated at the window seed
-// the operator derives give, window by window, the results the stream
-// delivers — on *borderline* data, where a skew in what a window draws
-// shows up as a flipped verdict. Gaps in the series force empty grid
-// windows (which must draw nothing), and a re-run with out-of-order
-// arrivals exercises the stream's Extract-rebuild resync path.
+// end to end on overlapping windows with gaps: the stream operator's
+// per-fire extraction, a caller's own extraction of the window, and the
+// evaluator's extraction of a bare tuple all prime the same kernels, so
+// the batch windower's tuples evaluated at the window seed the operator
+// derives give, window by window, the results the stream delivers — on
+// *borderline* data, where a skew in what a window draws shows up as a
+// flipped verdict. Gaps in the series force empty grid windows (which
+// must draw nothing), and a re-run with out-of-order arrivals exercises
+// the stream's fire-time reorder.
 func TestBatchStreamParitySlidingSharedExtraction(t *testing.T) {
 	const seed = 424242
 	params := core.DefaultParams()
@@ -569,8 +563,8 @@ func TestBatchStreamParitySlidingSharedExtraction(t *testing.T) {
 		inOrder[i] = stream.Event{Time: p.T, Key: "k", Value: p.V, SigUp: p.SigUp, SigDown: p.SigDown}
 	}
 	// Shuffled delivery: swap a few adjacent pairs well above the fired
-	// horizon so windows see out-of-order arrivals and the stream falls
-	// back to a full extraction rebuild.
+	// horizon so windows see out-of-order arrivals and the stream sorts
+	// its buffer before it slices the window.
 	shuffled := append([]stream.Event(nil), inOrder...)
 	for _, i := range []int{10, 25, 60, 90} {
 		shuffled[i], shuffled[i+1] = shuffled[i+1], shuffled[i]
@@ -599,28 +593,27 @@ func TestBatchStreamParitySlidingSharedExtraction(t *testing.T) {
 		// Batch reference: the windower's tuples, each at the seed of its
 		// (key, window coordinate) — grid-start bits for time windows, the
 		// absolute start index for count windows — evaluated once through
-		// views into one whole-series extraction and once with a fresh
-		// extraction per window.
-		var whole resample.Extraction
-		whole.Extract(s)
+		// a view of the window's own extraction and once as a bare tuple
+		// the evaluator extracts itself.
+		var own resample.Extraction
 		tuples := win.Windows(ss)
 		want := make([]core.Outcome, len(tuples))
 		var tally StreamOutcomes
-		shared, perWindow := make([]core.Result, 1), make([]core.Result, 1)
+		viewed, bare := make([]core.Result, 1), make([]core.Result, 1)
 		for i, tu := range tuples {
-			lo, bits := s.At(tu.Start), math.Float64bits(tu.Start)
+			bits := math.Float64bits(tu.Start)
 			if !isTime {
-				lo = i * 3 // CountWindow.Slide
-				bits = uint64(lo)
+				bits = uint64(i * 3) // CountWindow.Slide
 			}
 			winSeed := g.WindowSeed(stream.KeyHash("k"), bits)
-			g.Evaluate(winSeed, tu, perWindow)
-			tu.Ext = []resample.View{whole.Slice(lo, lo+len(tu.Windows[0]))}
-			g.Evaluate(winSeed, tu, shared)
-			a, b := shared[0], perWindow[0]
+			g.Evaluate(winSeed, tu, bare)
+			own.Extract(tu.Windows[0])
+			tu.Ext = []resample.View{own.View()}
+			g.Evaluate(winSeed, tu, viewed)
+			a, b := viewed[0], bare[0]
 			if a.Outcome != b.Outcome || a.Samples != b.Samples ||
 				a.SatisfiedCount != b.SatisfiedCount || a.ViolationProb != b.ViolationProb {
-				t.Fatalf("%T window %d: shared extraction %+v != per-window extraction %+v",
+				t.Fatalf("%T window %d: own extraction %+v != evaluator's extraction %+v",
 					win, i, a, b)
 			}
 			want[i] = a.Outcome

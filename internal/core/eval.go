@@ -123,9 +123,8 @@ type Evaluator struct {
 	// next use after a Reseed; deriving lazily reproduces the split order
 	// of a freshly constructed evaluator.
 	rsStale [3]bool
-	// extc holds the shared per-series extractions EvaluateAll attaches
-	// to its window tuples, reused across calls.
-	extc extCache
+	// tuples is EvaluateAll's window-tuple buffer, reused across calls.
+	tuples []WindowTuple
 }
 
 // newEvaluator is the one place an Evaluator is assembled: normalized
@@ -260,12 +259,10 @@ func (l *blockLoop) finish(res *Result, countSatisfied int) {
 
 // EvaluateAll applies the windowing function and evaluates the constraint
 // on every window tuple, the densest coverage discussed in §IV-A
-// ("a constraint is evaluated for every index"). Each input series is
-// extracted into the evaluator's SoA scratch once and every tuple
-// evaluates through views into that shared extraction.
+// ("a constraint is evaluated for every index"). Each window is
+// extracted when it is evaluated.
 func (e *Evaluator) EvaluateAll(c Constraint, win Windower, ss []series.Series) []Result {
-	tuples := e.extc.windowTuples(win, ss)
-	e.extc.attach(ClassifyWindow(win), ss, tuples)
+	tuples := windowTuples(win, ss, &e.tuples)
 	out := make([]Result, len(tuples))
 	for i := range tuples {
 		e.evaluateInto(&out[i], &c, tuples[i])

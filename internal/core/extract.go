@@ -1,11 +1,6 @@
 package core
 
-import (
-	"sync"
-
-	"sound/internal/resample"
-	"sound/internal/series"
-)
+import "sound/internal/series"
 
 // windowerInto is the allocation-avoiding form of Windower implemented by
 // the index-based windowing functions whose tuple count is known up
@@ -26,104 +21,13 @@ func tupleSlice(buf []WindowTuple, n int) []WindowTuple {
 	return buf[:n]
 }
 
-// extCache owns the per-series SoA extractions an execution path shares
-// across all its window tuples, plus the flat view buffer attached to
-// them. Every recognized windowing function emits tuples whose windows
-// are sub-slices of the input series, so one extraction pass per series
-// replaces one per (window, evaluation): the evaluator's resampling
-// kernels prime from a View in O(1) instead of re-copying the window.
-//
-// The views alias the cache's buffers, which are overwritten by the next
-// attach call — producers must not let them escape the evaluation pass
-// (Evaluate strips Ext from the Results it returns).
-type extCache struct {
-	xs     []resample.Extraction
-	views  []resample.View
-	tuples []WindowTuple
-}
-
-// windowTuples materializes the windowing function's tuples, reusing the
-// cache's tuple buffer when the Windower supports it. The returned slice
-// is only valid until the next windowTuples call on this cache.
-func (xc *extCache) windowTuples(win Windower, ss []series.Series) []WindowTuple {
+// windowTuples materializes the windowing function's tuples, into *buf
+// when the Windower supports it. The returned slice is only valid until
+// *buf is next reused.
+func windowTuples(win Windower, ss []series.Series, buf *[]WindowTuple) []WindowTuple {
 	if wi, ok := win.(windowerInto); ok {
-		xc.tuples = wi.windowsInto(ss, xc.tuples)
-		return xc.tuples
+		*buf = wi.windowsInto(ss, *buf)
+		return *buf
 	}
 	return win.Windows(ss)
-}
-
-// extCachePool recycles extCaches across plan executions. A plan is
-// immutable and may run concurrently, so it cannot own one cache; the
-// pool keeps the extraction and view buffers (tens of KB for realistic
-// inputs) out of the per-run garbage instead.
-var extCachePool = sync.Pool{New: func() any { return new(extCache) }}
-
-// attach extracts each input series once and annotates every tuple with
-// per-slot views into the shared extractions. Tuples of unrecognized
-// windowing functions (KindCustom) are left untouched; the evaluator
-// falls back to extracting their windows itself.
-func (xc *extCache) attach(asg WindowAssigner, ss []series.Series, tuples []WindowTuple) {
-	if len(tuples) == 0 || asg.Kind == KindCustom {
-		return
-	}
-	k := len(ss)
-	xc.extract(ss)
-	need := len(tuples) * k
-	if cap(xc.views) < need {
-		xc.views = make([]resample.View, need)
-	}
-	xc.views = xc.views[:need]
-	for ti := range tuples {
-		t := &tuples[ti]
-		if len(t.Windows) != k {
-			continue
-		}
-		ext := xc.views[ti*k : (ti+1)*k : (ti+1)*k]
-		ok := true
-		for j := range t.Windows {
-			lo, valid := windowOffset(asg, ss[j], t)
-			if !valid {
-				ok = false
-				break
-			}
-			ext[j] = xc.xs[j].Slice(lo, lo+len(t.Windows[j]))
-		}
-		if ok {
-			t.Ext = ext
-		}
-	}
-}
-
-// extract (re)fills the cache's per-series SoA extractions.
-func (xc *extCache) extract(ss []series.Series) {
-	k := len(ss)
-	if cap(xc.xs) < k {
-		xs := make([]resample.Extraction, k)
-		copy(xs, xc.xs)
-		xc.xs = xs
-	}
-	xc.xs = xc.xs[:k]
-	for j := range ss {
-		xc.xs[j].Extract(ss[j])
-	}
-}
-
-// windowOffset returns the start index of tuple t's window within series
-// s — where the windowing function sliced it from. Index-based kinds
-// read it off the tuple directly; time-based kinds re-run the slice's
-// lower-bound search (series.At is exactly the lower bound SliceTime and
-// SliceTimeInclusive use, so the offset provably matches the window).
-func windowOffset(asg WindowAssigner, s series.Series, t *WindowTuple) (lo int, ok bool) {
-	switch asg.Kind {
-	case KindPoint:
-		return t.Index, true
-	case KindCount:
-		return int(t.Start), true
-	case KindGlobal:
-		return 0, true
-	case KindTumblingTime, KindSlidingTime, KindSession:
-		return s.At(t.Start), true
-	}
-	return 0, false
 }

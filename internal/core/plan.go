@@ -6,7 +6,6 @@ import (
 	"runtime"
 	"sync"
 
-	"sound/internal/resample"
 	"sound/internal/series"
 )
 
@@ -226,23 +225,19 @@ func (pl *CheckPlan) RunParallel(ctx context.Context, ss []series.Series, worker
 	return pl.runParallelTuples(ctx, ss, workers)
 }
 
+// tuplePool recycles runParallelTuples' tuple buffers: a plan is
+// immutable and may run concurrently, so it cannot own one. Only the
+// tuple structs are reused; Results keep fresh window slices.
+var tuplePool = sync.Pool{New: func() any { return new([]WindowTuple) }}
+
 func (pl *CheckPlan) runParallelTuples(ctx context.Context, ss []series.Series, workers int) ([]Result, error) {
-	if pl.assigner.Kind == KindPoint && len(ss) > 0 {
-		return pl.runParallelPoints(ctx, ss, workers)
-	}
-	// Extract each input series once, before the fan-out: the shared
-	// extractions are read-only to the workers (each primes its own
-	// evaluator-private metadata from the views), so no synchronization
-	// is needed and no worker re-extracts a window. The cache returns to
-	// the pool only after all workers are done with its views and tuples.
-	xc := extCachePool.Get().(*extCache)
-	defer extCachePool.Put(xc)
-	tuples := xc.windowTuples(pl.check.Window, ss)
+	buf := tuplePool.Get().(*[]WindowTuple)
+	defer tuplePool.Put(buf)
+	tuples := windowTuples(pl.check.Window, ss, buf)
 	out := make([]Result, len(tuples))
 	if len(tuples) == 0 {
 		return out, nil
 	}
-	xc.attach(pl.assigner, ss, tuples)
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
@@ -273,77 +268,6 @@ func (pl *CheckPlan) runParallelTuples(ctx context.Context, ss []series.Series, 
 				}
 				e.Reseed(pl.seed ^ (uint64(i)*0x9e3779b97f4a7c15 + 1))
 				e.evaluateInto(&out[i], &pl.check.Constraint, tuples[i])
-			}
-		}()
-	}
-	wg.Wait()
-	if ctx != nil && ctx.Err() != nil {
-		return nil, ctx.Err()
-	}
-	return out, nil
-}
-
-// runParallelPoints is runParallelTuples specialized for point windows —
-// one single-point window tuple per index, the densest windowing and the
-// dominant workload of Alg. 1. Each worker assembles its tuples on the
-// fly from the input series and the shared extractions instead of
-// walking a materialized tuple list, which removes two full passes over
-// the n tuples (construction and view attachment). Window membership,
-// per-index seeds, and the evaluation itself are exactly those of the
-// generic path, so results are bit-identical to it (pinned by tests).
-func (pl *CheckPlan) runParallelPoints(ctx context.Context, ss []series.Series, workers int) ([]Result, error) {
-	n := len(ss[0])
-	for _, s := range ss[1:] {
-		if len(s) < n {
-			n = len(s)
-		}
-	}
-	out := make([]Result, n)
-	if n == 0 {
-		return out, nil
-	}
-	k := len(ss)
-	xc := extCachePool.Get().(*extCache)
-	defer extCachePool.Put(xc)
-	xc.extract(ss)
-	// One flat backing array for all n Result window slices; Results
-	// retain these, so the backing cannot come from the pool.
-	flat := make([]series.Series, n*k)
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > n {
-		workers = n
-	}
-	var done <-chan struct{}
-	if ctx != nil {
-		done = ctx.Done()
-	}
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		w := w
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			e := pl.NewEvaluator(0)
-			views := make([]resample.View, k)
-			t := WindowTuple{Ext: views}
-			for i := w; i < n; i += workers {
-				select {
-				case <-done:
-					return
-				default:
-				}
-				ws := flat[i*k : (i+1)*k : (i+1)*k]
-				for j := range ss {
-					ws[j] = ss[j][i : i+1]
-					views[j] = xc.xs[j].Slice(i, i+1)
-				}
-				t.Windows = ws
-				t.Start, t.End = ss[0][i].T, ss[0][i].T
-				t.Index = i
-				e.Reseed(pl.seed ^ (uint64(i)*0x9e3779b97f4a7c15 + 1))
-				e.evaluateInto(&out[i], &pl.check.Constraint, t)
 			}
 		}()
 	}

@@ -13,12 +13,12 @@ import (
 type WindowTuple struct {
 	// Windows holds the k windows, aligned across the checked series.
 	Windows []series.Series
-	// Ext optionally carries per-slot views into shared SoA extractions
-	// of the checked series (index-aligned with Windows), letting the
-	// evaluator prime its resampling kernels without re-extracting the
-	// window. Views alias execution-scoped scratch buffers: they are
-	// valid only for the evaluation call the tuple is handed to, and the
-	// producer guarantees each valid view's content matches the window's
+	// Ext optionally carries per-slot views of each window's own SoA
+	// extraction (index-aligned with Windows), letting the evaluator
+	// prime its resampling kernels without extracting the window again.
+	// Views alias the producer's scratch: they are valid only for the
+	// evaluation call the tuple is handed to, and the producer
+	// guarantees each valid view was extracted from exactly its window's
 	// points. Nil (or a zero View per slot) means "extract from Windows".
 	Ext []resample.View
 	// Start and End delimit the window in time (time windows) or in

@@ -102,17 +102,25 @@ func (s *Server) Handler() http.Handler {
 	return mux
 }
 
+// maxCheckSpec is the largest POST /checks body accepted.
+const maxCheckSpec = 1 << 16
+
 // handleAddCheck registers one check at runtime. The body is a single
 // ParseCheck spec line (the same grammar as the -check flag), e.g.
 //
 //	curl -X POST :7071/checks -d 'range;min=0;max=100;window=time:60;name=rng'
 //
 // Registration is admission-controlled by Config.MaxChecks (429 on
-// quota) and rejected once the server drains (503).
+// quota) and rejected once the server drains (503). A body over
+// maxCheckSpec bytes is refused whole (413), never parsed as a prefix.
 func (s *Server) handleAddCheck(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(io.LimitReader(r.Body, 1<<16))
+	body, err := io.ReadAll(io.LimitReader(r.Body, maxCheckSpec+1))
 	if err != nil {
 		httpError(w, http.StatusBadRequest, err)
+		return
+	}
+	if len(body) > maxCheckSpec {
+		httpError(w, http.StatusRequestEntityTooLarge, fmt.Errorf("check spec longer than %d bytes", maxCheckSpec))
 		return
 	}
 	spec := strings.TrimSpace(string(body))

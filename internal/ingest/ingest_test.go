@@ -704,6 +704,7 @@ func TestAddCheckStatusCodes(t *testing.T) {
 		{"unparsable spec", "not;a;valid;spec", false, http.StatusBadRequest},
 		{"uncompilable check whose name quotes the conflict text",
 			"corr;threshold=0.3;window=session:5;route=inputs:a,b;name=already registered", false, http.StatusBadRequest},
+		{"body over 64 KiB", "gt;threshold=5;name=" + strings.Repeat("a", 1<<16), false, http.StatusRequestEntityTooLarge},
 		{"second", sharedTrioSpecs[1], false, http.StatusOK},
 		{"over quota", sharedTrioSpecs[2], false, http.StatusTooManyRequests},
 		{"after drain", sharedTrioSpecs[2], true, http.StatusServiceUnavailable},

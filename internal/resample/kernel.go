@@ -2,8 +2,6 @@ package resample
 
 import (
 	"math"
-	"slices"
-	"sort"
 
 	"sound/internal/series"
 )
@@ -52,7 +50,7 @@ import (
 // it, is bit-identical; the one unobservable exception is the sign bit
 // of a NaN result, which a NaN σ↓ can flip.
 //
-// Only a gather over a view that mixes symmetric and asymmetric points
+// Only a gather over a window that mixes symmetric and asymmetric points
 // keeps a per-point loop (materializeView): its draw kinds interleave in
 // a data-dependent order no single fill reproduces. There is no
 // window-size cutoff. Measured per Draw on single-class windows against
@@ -88,24 +86,22 @@ type classRun struct {
 // Extraction is the SoA form of one window: parallel flat slices of
 // values, directional uncertainties, and per-point class tags, plus the
 // maximal class-homogeneous runs the kernels iterate. Buffers are reused
-// across Extract calls. An Extraction does not alias the source window;
-// callers maintaining one incrementally (stream operators) keep it in
-// sync with AppendPoint and TrimFront. It is a pure function of the
-// points it holds, however it was built.
+// across Extract calls. An Extraction does not alias the source window:
+// it is a pure function of the points of the one window it was last
+// extracted from.
 type Extraction struct {
 	Vals    []float64
 	SigUp   []float64
 	SigDown []float64
 	Tags    []Class
 	runs    []classRun
-	// seen is the class mix of the whole extraction, a bitmask of
-	// 1<<Class — kept current by Extract/AppendPoint/TrimFront so
-	// whole-extraction views answer classes() without scanning runs.
+	// seen is the class mix of the window, a bitmask of 1<<Class, so
+	// priming answers classes() without scanning runs.
 	seen uint8
-	// unsafe holds, ascending, the positions of the points the finiteness
-	// proof fails on (unsafePoint), so a view is proven finite from its
-	// own points alone — see View.safe.
-	unsafe []int
+	// unsafe records whether any point fails the finiteness proof
+	// (unsafePoint), so the window is proven finite from its own points
+	// alone — see safe.
+	unsafe bool
 }
 
 // safeLimit bounds a point's magnitudes: while |v|/16 + (|σ↑|+|σ↓|)
@@ -135,12 +131,12 @@ func (x *Extraction) Reset() {
 	x.Tags = x.Tags[:0]
 	x.runs = x.runs[:0]
 	x.seen = 0
-	x.unsafe = x.unsafe[:0]
+	x.unsafe = false
 }
 
-// Extract (re)builds the extraction from w, reusing buffers. The loop is
-// kept flat (no AppendPoint) because point-wise checks re-extract a
-// one-point window per evaluation — prime cost is on the hot path there.
+// Extract (re)builds the extraction from w, reusing buffers. Point-wise
+// checks re-extract a one-point window per evaluation — prime cost is on
+// the hot path there — so that shape skips the general loop.
 func (x *Extraction) Extract(w series.Series) {
 	n := len(w)
 	if n == 1 && cap(x.Vals) >= 1 && cap(x.SigUp) >= 1 && cap(x.SigDown) >= 1 &&
@@ -161,10 +157,7 @@ func (x *Extraction) Extract(w series.Series) {
 		x.Tags[0] = t
 		x.runs[0] = classRun{Lo: 0, Hi: 1, Class: t}
 		x.seen = 1 << t
-		x.unsafe = x.unsafe[:0]
-		if unsafePoint(p.V, p.SigUp, p.SigDown) {
-			x.unsafe = append(x.unsafe, 0)
-		}
+		x.unsafe = unsafePoint(p.V, p.SigUp, p.SigDown)
 		return
 	}
 	x.Vals = sliceFor(x.Vals, n)
@@ -172,9 +165,8 @@ func (x *Extraction) Extract(w series.Series) {
 	x.SigDown = sliceFor(x.SigDown, n)
 	x.Tags = tagsFor(x.Tags, n)
 	x.runs = x.runs[:0]
-	x.unsafe = x.unsafe[:0]
 	last := Class(0)
-	seen := uint8(0)
+	seen, unsafe := uint8(0), false
 	for i, p := range w {
 		x.Vals[i] = p.V
 		x.SigUp[i] = p.SigUp
@@ -182,9 +174,7 @@ func (x *Extraction) Extract(w series.Series) {
 		t := classify(p)
 		x.Tags[i] = t
 		seen |= 1 << t
-		if unsafePoint(p.V, p.SigUp, p.SigDown) {
-			x.unsafe = append(x.unsafe, i)
-		}
+		unsafe = unsafe || unsafePoint(p.V, p.SigUp, p.SigDown)
 		if i > 0 && t == last {
 			x.runs[len(x.runs)-1].Hi = i + 1
 			continue
@@ -192,116 +182,11 @@ func (x *Extraction) Extract(w series.Series) {
 		x.runs = append(x.runs, classRun{Lo: i, Hi: i + 1, Class: t})
 		last = t
 	}
-	x.seen = seen
+	x.seen, x.unsafe = seen, unsafe
 }
 
-// ExtendFrom appends the points of w beyond the extraction's current
-// length, for callers whose window buffer only grows between fires: after
-// appending events to w, ExtendFrom(w) brings the extraction back in
-// sync at the cost of the new points only. It is the AppendPoint loop in
-// one pass: each array grows once, and runs merge and unsafe positions
-// append as the points go in.
-func (x *Extraction) ExtendFrom(w series.Series) {
-	n := x.Len()
-	if len(w) <= n {
-		return
-	}
-	add := w[n:]
-	x.Vals = slices.Grow(x.Vals, len(add))[:len(w)]
-	x.SigUp = slices.Grow(x.SigUp, len(add))[:len(w)]
-	x.SigDown = slices.Grow(x.SigDown, len(add))[:len(w)]
-	x.Tags = slices.Grow(x.Tags, len(add))[:len(w)]
-	vals, ups, downs, tags := x.Vals[n:], x.SigUp[n:], x.SigDown[n:], x.Tags[n:]
-	seen := x.seen
-	for i, p := range add {
-		t := classify(p)
-		vals[i], ups[i], downs[i], tags[i] = p.V, p.SigUp, p.SigDown, t
-		seen |= 1 << t
-		if unsafePoint(p.V, p.SigUp, p.SigDown) {
-			x.unsafe = append(x.unsafe, n+i)
-		}
-		if m := len(x.runs); m > 0 && x.runs[m-1].Class == t {
-			x.runs[m-1].Hi = n + i + 1
-		} else {
-			x.runs = append(x.runs, classRun{Lo: n + i, Hi: n + i + 1, Class: t})
-		}
-	}
-	x.seen = seen
-}
-
-// AppendPoint extends the extraction by one point.
-func (x *Extraction) AppendPoint(p series.Point) {
-	t := classify(p)
-	n := len(x.Vals)
-	x.Vals = append(x.Vals, p.V)
-	x.SigUp = append(x.SigUp, p.SigUp)
-	x.SigDown = append(x.SigDown, p.SigDown)
-	x.Tags = append(x.Tags, t)
-	x.seen |= 1 << t
-	if unsafePoint(p.V, p.SigUp, p.SigDown) {
-		x.unsafe = append(x.unsafe, n)
-	}
-	if m := len(x.runs); m > 0 && x.runs[m-1].Class == t {
-		x.runs[m-1].Hi = n + 1
-		return
-	}
-	x.runs = append(x.runs, classRun{Lo: n, Hi: n + 1, Class: t})
-}
-
-// TrimFront drops the first n points, copying the arrays down in place so
-// previously handed-out Views into the extraction must not be used after
-// a trim. Stream operators call it after a fire, when they compact the
-// window buffer it mirrors the same way.
-func (x *Extraction) TrimFront(n int) {
-	if n <= 0 {
-		return
-	}
-	if n >= x.Len() {
-		x.Reset()
-		return
-	}
-	m := copy(x.Vals, x.Vals[n:])
-	x.Vals = x.Vals[:m]
-	copy(x.SigUp, x.SigUp[n:])
-	x.SigUp = x.SigUp[:m]
-	copy(x.SigDown, x.SigDown[n:])
-	x.SigDown = x.SigDown[:m]
-	copy(x.Tags, x.Tags[n:])
-	x.Tags = x.Tags[:m]
-	// Rebuild the run list over the shifted tags; runs are few, and the
-	// scan is linear in their count plus the clipped first run.
-	runs := x.runs[:0]
-	seen := uint8(0)
-	for _, r := range x.runs {
-		if r.Hi <= n {
-			continue
-		}
-		lo := r.Lo - n
-		if lo < 0 {
-			lo = 0
-		}
-		runs = append(runs, classRun{Lo: lo, Hi: r.Hi - n, Class: r.Class})
-		seen |= 1 << r.Class
-	}
-	x.runs = runs
-	x.seen = seen
-	unsafe := x.unsafe[:0]
-	for _, i := range x.unsafe {
-		if i >= n {
-			unsafe = append(unsafe, i-n)
-		}
-	}
-	x.unsafe = unsafe
-}
-
-// View returns a View covering the whole extraction.
-func (x *Extraction) View() View { return View{X: x, Lo: 0, Hi: x.Len()} }
-
-// Slice returns a View of the half-open point range [lo, hi) — the
-// window-overlap primitive: sliding/count stream windows hand the kernels
-// overlapping sub-slices of one shared extraction instead of re-extracting
-// each window.
-func (x *Extraction) Slice(lo, hi int) View { return View{X: x, Lo: lo, Hi: hi} }
+// View returns a View of the extraction.
+func (x *Extraction) View() View { return View{X: x} }
 
 // classify maps a point to its perturbation class with exactly the branch
 // structure of PerturbValue, so class tags and the scalar path can never
@@ -316,79 +201,32 @@ func classify(p series.Point) Class {
 	return ClassAsymmetric
 }
 
-// View is a half-open range of an Extraction — one window, possibly a
-// sub-slice of a larger shared extraction. The zero View means "no
-// extraction available"; consumers fall back to extracting themselves.
+// classes reports which perturbation classes occur in the extraction.
+func (x *Extraction) classes() (hasCertain, hasSym, hasAsym bool) {
+	s := x.seen
+	return s&(1<<ClassCertain) != 0, s&(1<<ClassSymmetric) != 0, s&(1<<ClassAsymmetric) != 0
+}
+
+// safe reports whether every point of the extraction is provably finite
+// under perturbation.
+func (x *Extraction) safe() bool { return !x.unsafe }
+
+// View is one window's extraction, handed beside the window so an
+// evaluation primes from it instead of extracting again. The zero View
+// means "no extraction available"; consumers fall back to extracting
+// themselves.
 type View struct {
-	X      *Extraction
-	Lo, Hi int
+	X *Extraction
 }
 
 // Len returns the number of points in the view.
-func (v View) Len() int { return v.Hi - v.Lo }
+func (v View) Len() int { return v.X.Len() }
 
 // ValidFor reports whether the view is usable as the extraction of an
-// n-point window: non-nil, in bounds, and of matching length. It cannot
-// verify the extracted values match the window's — that is the caller's
-// contract when passing shared extractions through WindowTuple.
-func (v View) ValidFor(n int) bool {
-	return v.X != nil && v.Lo >= 0 && v.Hi-v.Lo == n && v.Hi <= v.X.Len()
-}
-
-// classes reports which perturbation classes occur inside the view. A
-// whole-extraction view answers from the cached mix; small sub-ranges
-// scan their tags directly; larger ones scan the overlapping runs,
-// located by binary search so narrow views over a long shared extraction
-// (point windows sliding over a series) stay O(log runs), not O(runs).
-func (v View) classes() (hasCertain, hasSym, hasAsym bool) {
-	x := v.X
-	if v.Lo == 0 && v.Hi == x.Len() {
-		s := x.seen
-		return s&(1<<ClassCertain) != 0, s&(1<<ClassSymmetric) != 0, s&(1<<ClassAsymmetric) != 0
-	}
-	if v.Len() <= 16 {
-		var s uint8
-		for _, t := range x.Tags[v.Lo:v.Hi] {
-			s |= 1 << t
-		}
-		return s&(1<<ClassCertain) != 0, s&(1<<ClassSymmetric) != 0, s&(1<<ClassAsymmetric) != 0
-	}
-	for ri := x.runStart(v.Lo); ri < len(x.runs); ri++ {
-		r := x.runs[ri]
-		if r.Lo >= v.Hi {
-			break
-		}
-		switch r.Class {
-		case ClassCertain:
-			hasCertain = true
-		case ClassSymmetric:
-			hasSym = true
-		case ClassAsymmetric:
-			hasAsym = true
-		}
-	}
-	return
-}
-
-// safe reports whether every point of the view is provably finite under
-// perturbation: no unsafe position falls in [Lo, Hi). An extraction
-// without unsafe points answers at once; otherwise a binary search finds
-// the first unsafe position at or above Lo.
-func (v View) safe() bool {
-	u := v.X.unsafe
-	if len(u) == 0 {
-		return true
-	}
-	i, _ := slices.BinarySearch(u, v.Lo)
-	return i == len(u) || u[i] >= v.Hi
-}
-
-// runStart returns the index of the first run overlapping point lo (the
-// first run with Hi > lo). Runs partition [0, Len) in order, so binary
-// search applies.
-func (x *Extraction) runStart(lo int) int {
-	return sort.Search(len(x.runs), func(i int) bool { return x.runs[i].Hi > lo })
-}
+// n-point window: non-nil and of matching length. It cannot verify the
+// extracted values match the window's — that is the caller's contract
+// when passing extractions through WindowTuple.
+func (v View) ValidFor(n int) bool { return v.X != nil && v.X.Len() == n }
 
 // fill draws n standard normals into the resampler's scratch, or — when
 // asym is set — n coin/normal pairs into its two halves. Filling zero
@@ -462,27 +300,17 @@ func (rs *Resampler) perturbSplit(out, vals, up, down []float64) {
 	applySplit(out, vals, up, down, coin, z)
 }
 
-// perturbView is the point-perturbation kernel: it fills buf with one
-// perturbed realization of the view's points, run by run in index order.
-// Certain runs are block copies; symmetric runs batch their normals
-// through NormFill and asymmetric runs their coin/normal pairs through
-// CoinNormFill, each followed by a gather-free apply loop. The RNG
-// stream consumed is exactly that of PerturbValue applied point by point.
-func (rs *Resampler) perturbView(v View, buf []float64) {
-	x := v.X
-	for ri := x.runStart(v.Lo); ri < len(x.runs); ri++ {
-		run := x.runs[ri]
-		if run.Lo >= v.Hi {
-			break
-		}
+// perturbRuns is the point-perturbation kernel: it fills buf with one
+// perturbed realization of the extraction's points, run by run in index
+// order. Certain runs are block copies; symmetric runs batch their
+// normals through NormFill and asymmetric runs their coin/normal pairs
+// through CoinNormFill, each followed by a gather-free apply loop. The
+// RNG stream consumed is exactly that of PerturbValue applied point by
+// point.
+func (rs *Resampler) perturbRuns(x *Extraction, buf []float64) {
+	for _, run := range x.runs {
 		lo, hi := run.Lo, run.Hi
-		if lo < v.Lo {
-			lo = v.Lo
-		}
-		if hi > v.Hi {
-			hi = v.Hi
-		}
-		out := buf[lo-v.Lo : hi-v.Lo]
+		out := buf[lo:hi]
 		switch run.Class {
 		case ClassCertain:
 			copy(out, x.Vals[lo:hi])
@@ -495,14 +323,14 @@ func (rs *Resampler) perturbView(v View, buf []float64) {
 }
 
 // materializeView is the bootstrap-gather kernel: it fills buf with the
-// perturbed values of the view's points at the given view-relative
-// indices. The class mix of the view (precomputed at prime time) selects
-// the kernel: an all-certain view is a pure gather; a view with one
+// perturbed values of the window's points at the given indices. The
+// class mix of the window (precomputed at prime time) selects the
+// kernel: an all-certain window is a pure gather; a window with one
 // uncertain class batches all its draws in one fill — NormFill for
 // symmetric points, CoinNormFill for asymmetric ones — and when certain
 // points are mixed in, the class sequence along idx determines which
 // gathered points consume a draw, so a counting pass replaces the
-// per-point branch-and-call; views mixing symmetric and asymmetric
+// per-point branch-and-call; windows mixing symmetric and asymmetric
 // points interleave two draw kinds no single fill reproduces and run
 // the scalar tag switch, which still beats the struct path by reading
 // flat arrays.
@@ -539,9 +367,7 @@ func (rs *Resampler) materializeView(m *winMeta, idx []int, buf []float64) {
 		if !m.hasCertain {
 			// All asymmetric: every gathered point consumes one pair.
 			coin, z := rs.fill(len(idx), true)
-			for i, j := range idx {
-				buf[i] = vals[j] + math.Abs(z[i])*splitStep(coin[i], up[j], down[j])
-			}
+			gatherSplit(buf, idx, vals, up, down, coin, z)
 			return
 		}
 		tags := m.tags()
@@ -572,8 +398,21 @@ func (rs *Resampler) materializeView(m *winMeta, idx []int, buf []float64) {
 	}
 }
 
+// gatherSplit emits the split-normal perturbation of the points at idx:
+// buf[i] = vals[j] + |z[i]|·splitStep(coin[i], up[j], down[j]) for
+// j = idx[i], the arithmetic of applySplit. It is a function of its own
+// so the loop gets the registers to itself: written inside
+// materializeView, the compiler spilled several of its operands to the
+// stack and reloaded them on every point.
+func gatherSplit(buf []float64, idx []int, vals, up, down, coin, z []float64) {
+	buf, coin, z = buf[:len(idx)], coin[:len(idx)], z[:len(idx)]
+	for i, j := range idx {
+		buf[i] = vals[j] + math.Abs(z[i])*splitStep(coin[i], up[j], down[j])
+	}
+}
+
 // countUncertain counts the gathered points that consume a draw, in a
-// view whose uncertain points all share one class.
+// window whose uncertain points all share one class.
 func countUncertain(tags []Class, idx []int) int {
 	draws := 0
 	for _, j := range idx {

@@ -3,7 +3,6 @@ package resample
 import (
 	"fmt"
 	"math"
-	"slices"
 	"testing"
 
 	"sound/internal/rng"
@@ -14,7 +13,7 @@ import (
 // the package comment in kernel.go): for identical RNG state, the batched
 // per-class kernels draw exactly the sequence the scalar PerturbValue
 // path draws — same values, same randomness consumed — for every
-// strategy, every point-class mix, and views at any offset into a shared
+// strategy, every point-class mix, and windows primed from a caller's
 // extraction. The scalar reference is the unprimed resampler, whose Draw
 // falls back to PerturbValue per point (for Point) and per gathered index
 // (for Set and Sequence).
@@ -273,9 +272,10 @@ func TestKernelScalarParityMixedClasses(t *testing.T) {
 	}
 }
 
-// TestKernelScalarParityViews proves parity holds for views at arbitrary
-// offsets into a shared extraction — the window-overlap path the batch
-// and stream executors use.
+// TestKernelScalarParityViews proves parity holds when the kernels prime
+// from a caller's extraction of the window — the path the stream
+// operator and the violation analyzer take — for windows at arbitrary
+// offsets of a series.
 func TestKernelScalarParityViews(t *testing.T) {
 	gen := rng.New(7)
 	backing := make(series.Series, 64)
@@ -283,11 +283,11 @@ func TestKernelScalarParityViews(t *testing.T) {
 		backing[i] = classPoint(float64(i), byte(gen.Intn(5)), float64(gen.Intn(64))/16)
 	}
 	var x Extraction
-	x.Extract(backing)
 	for _, span := range [][2]int{{0, 64}, {3, 4}, {10, 13}, {17, 42}, {63, 64}, {5, 30}} {
 		lo, hi := span[0], span[1]
 		w := backing[lo:hi]
-		views := []View{x.Slice(lo, hi)}
+		x.Extract(w)
+		views := []View{x.View()}
 		for _, strat := range []Strategy{Point, Set, Sequence} {
 			checkDrawParity(t, strat, uint64(lo*100+hi), []series.Series{w}, views, 40)
 		}
@@ -295,7 +295,7 @@ func TestKernelScalarParityViews(t *testing.T) {
 }
 
 // TestKernelScalarParityKAry covers aligned k-ary draws through views of
-// distinct extractions.
+// each window's own extraction.
 func TestKernelScalarParityKAry(t *testing.T) {
 	gen := rng.New(99)
 	mk := func() series.Series {
@@ -306,11 +306,11 @@ func TestKernelScalarParityKAry(t *testing.T) {
 		return w
 	}
 	w1, w2 := mk(), mk()
-	var x1, x2 Extraction
-	x1.Extract(w1)
-	x2.Extract(w2)
 	windows := []series.Series{w1[4:20], w2[8:24]}
-	views := []View{x1.Slice(4, 20), x2.Slice(8, 24)}
+	var x1, x2 Extraction
+	x1.Extract(windows[0])
+	x2.Extract(windows[1])
+	views := []View{x1.View(), x2.View()}
 	for _, strat := range []Strategy{Point, Set, Sequence} {
 		checkDrawParity(t, strat, 1234, windows, views, 40)
 	}
@@ -354,63 +354,4 @@ func FuzzKernelScalarParity(f *testing.F) {
 			}
 		}
 	})
-}
-
-// TestExtendFromMatchesAppendPoint: the one-pass ExtendFrom leaves the
-// extraction bit for bit where the AppendPoint loop does — arrays, class
-// runs and mix, and the unsafe positions — over mixed-class, one-sided,
-// NaN and overflowing points, extended in uneven steps with trims between
-// them.
-func TestExtendFromMatchesAppendPoint(t *testing.T) {
-	r := rng.New(3)
-	w := make(series.Series, 400)
-	for i := range w {
-		p := series.Point{T: float64(i), V: 100*r.Float64() - 50}
-		switch (i / (1 + i%5)) % 4 {
-		case 1:
-			p.SigUp, p.SigDown = 2, 2
-		case 2:
-			p.SigUp, p.SigDown = 0, 1.5 // one-sided
-		case 3:
-			p.SigUp, p.SigDown = 3*r.Float64(), r.Float64()
-		}
-		switch {
-		case i%13 == 0:
-			p.V = math.NaN()
-		case i%29 == 3:
-			p.SigUp = math.NaN()
-		case i%31 == 5:
-			p.SigDown = 1e308
-		}
-		w[i] = p
-	}
-	var one, loop Extraction
-	at, trimmed := 0, 0
-	for step := 1; at < len(w); step++ {
-		at = min(len(w), at+step*step%37+1)
-		cur := w[trimmed:at]
-		one.ExtendFrom(cur)
-		for i := loop.Len(); i < len(cur); i++ {
-			loop.AppendPoint(cur[i])
-		}
-		if !slices.Equal(bitsOf(one.Vals), bitsOf(loop.Vals)) || !slices.Equal(bitsOf(one.SigUp), bitsOf(loop.SigUp)) ||
-			!slices.Equal(bitsOf(one.SigDown), bitsOf(loop.SigDown)) || !slices.Equal(one.Tags, loop.Tags) ||
-			!slices.Equal(one.runs, loop.runs) || one.seen != loop.seen || !slices.Equal(one.unsafe, loop.unsafe) {
-			t.Fatalf("step %d (points %d..%d): ExtendFrom diverged from the AppendPoint loop", step, trimmed, at)
-		}
-		if step%3 == 0 {
-			n := (at - trimmed) / 2
-			one.TrimFront(n)
-			loop.TrimFront(n)
-			trimmed += n
-		}
-	}
-}
-
-func bitsOf(vs []float64) []uint64 {
-	out := make([]uint64, len(vs))
-	for i, v := range vs {
-		out[i] = math.Float64bits(v)
-	}
-	return out
 }

@@ -126,36 +126,37 @@ type Resampler struct {
 	autoN, autoB int
 }
 
-// winMeta binds window slot wi to its SoA extraction view for a run of
-// Draw calls, plus the view's class mix (precomputed once so every draw
-// dispatches straight to the right kernel) and its finiteness proof. The (ptr, n) pair identifies
-// the window slice the metadata was computed from; Draw only trusts it
-// for an identical slice, so stale metadata can never be applied to
-// different data that happens to occupy a reused buffer.
+// winMeta binds window slot wi to its SoA extraction for a run of Draw
+// calls, plus the extraction's class mix (precomputed once so every draw
+// dispatches straight to the right kernel) and its finiteness proof. The
+// (ptr, n) pair identifies the window slice the metadata was computed
+// from; Draw only trusts it for an identical slice, so stale metadata can
+// never be applied to different data that happens to occupy a reused
+// buffer.
 type winMeta struct {
 	ptr                         *series.Point
 	n                           int
-	view                        View
+	x                           *Extraction
 	hasCertain, hasSym, hasAsym bool
-	// safe records View.safe: every point of the window is provably
+	// safe records Extraction.safe: every point of the window is provably
 	// finite under perturbation.
 	safe bool
 }
 
-// homogeneous reports whether the view holds points of at most one
+// homogeneous reports whether the window holds points of at most one
 // perturbation class, so one kernel covers it without run dispatch.
 func (m *winMeta) homogeneous() bool {
 	return !(m.hasCertain && m.uncertain()) && !(m.hasSym && m.hasAsym)
 }
 
-// uncertain reports whether any point of the view consumes randomness.
+// uncertain reports whether any point of the window consumes randomness.
 func (m *winMeta) uncertain() bool { return m.hasSym || m.hasAsym }
 
 // vals, sigUp, sigDown and tags are the window's SoA spans.
-func (m *winMeta) vals() []float64    { return m.view.X.Vals[m.view.Lo:m.view.Hi] }
-func (m *winMeta) tags() []Class      { return m.view.X.Tags[m.view.Lo:m.view.Hi] }
-func (m *winMeta) sigUp() []float64   { return m.view.X.SigUp[m.view.Lo:m.view.Hi] }
-func (m *winMeta) sigDown() []float64 { return m.view.X.SigDown[m.view.Lo:m.view.Hi] }
+func (m *winMeta) vals() []float64    { return m.x.Vals }
+func (m *winMeta) tags() []Class      { return m.x.Tags }
+func (m *winMeta) sigUp() []float64   { return m.x.SigUp }
+func (m *winMeta) sigDown() []float64 { return m.x.SigDown }
 
 // New returns a Resampler with the given strategy and random source.
 func New(strategy Strategy, r *rng.Rand) *Resampler {
@@ -195,28 +196,19 @@ func (rs *Resampler) Prime(windows []series.Series) {
 	}
 }
 
-// PrimeViews primes the resampler from caller-maintained extractions:
+// PrimeViews primes the resampler from caller-held extractions:
 // views[wi] is used as the extraction of windows[wi] when it is valid for
-// that window's length, skipping the per-window extraction pass
-// entirely. Invalid (zero) views fall back to extracting from the raw
-// points, so callers can mix shared and unextracted windows freely.
-// The caller guarantees a valid view's SoA content matches the window's
-// points — stream operators and the violation analyzer maintain that
-// invariant incrementally; the (ptr, n) identity guard still protects
-// against Draw being handed different windows afterwards.
+// that window's length, skipping the window's extraction pass. Invalid
+// (zero) views fall back to extracting from the raw points, so callers
+// can mix extracted and unextracted windows freely. The caller
+// guarantees a valid view was extracted from exactly the window's
+// points; the (ptr, n) identity guard still protects against Draw being
+// handed different windows afterwards.
 func (rs *Resampler) PrimeViews(windows []series.Series, views []View) {
 	rs.sizeMeta(len(windows))
 	for wi, w := range windows {
 		if wi < len(views) && views[wi].ValidFor(len(w)) {
-			m := &rs.meta[wi]
-			m.n = len(w)
-			m.ptr = nil
-			if len(w) > 0 {
-				m.ptr = &w[0]
-			}
-			m.view = views[wi]
-			m.hasCertain, m.hasSym, m.hasAsym = m.view.classes()
-			m.safe = m.view.safe()
+			rs.meta[wi].bind(w, views[wi].X)
 			continue
 		}
 		rs.primeOwn(wi, w)
@@ -237,12 +229,6 @@ func (rs *Resampler) sizeMeta(k int) {
 // owned extractions grow on demand so fully view-primed runs never touch
 // them.
 func (rs *Resampler) primeOwn(wi int, w series.Series) {
-	m := &rs.meta[wi]
-	m.n = len(w)
-	m.ptr = nil
-	if len(w) > 0 {
-		m.ptr = &w[0]
-	}
 	if wi >= len(rs.own) {
 		if wi >= cap(rs.own) {
 			own := make([]Extraction, wi+1, 2*(wi+1))
@@ -253,9 +239,19 @@ func (rs *Resampler) primeOwn(wi int, w series.Series) {
 	}
 	x := &rs.own[wi]
 	x.Extract(w)
-	m.view = x.View()
-	m.hasCertain, m.hasSym, m.hasAsym = m.view.classes()
-	m.safe = m.view.safe()
+	rs.meta[wi].bind(w, x)
+}
+
+// bind points the metadata at window w and its extraction x.
+func (m *winMeta) bind(w series.Series, x *Extraction) {
+	m.n = len(w)
+	m.ptr = nil
+	if len(w) > 0 {
+		m.ptr = &w[0]
+	}
+	m.x = x
+	m.hasCertain, m.hasSym, m.hasAsym = x.classes()
+	m.safe = x.safe()
 }
 
 // PrimedAllCertain reports whether every window passed to the last Prime
@@ -356,7 +352,7 @@ func (rs *Resampler) drawSampleInto(windows []series.Series, out [][]float64) {
 func (rs *Resampler) drawPoint(m *winMeta, buf []float64) {
 	switch {
 	case !m.homogeneous():
-		rs.perturbView(m.view, buf)
+		rs.perturbRuns(m.x, buf)
 	case m.hasSym:
 		rs.perturbSym(buf, m.vals(), m.sigUp())
 	case m.hasAsym:

@@ -2,16 +2,14 @@ package resample
 
 import (
 	"math"
-	"slices"
 	"testing"
 
 	"sound/internal/series"
 )
 
 // TestExtractionSafe pins the per-point finiteness proof: which points
-// fail |v|/16 + (|σ↑|+|σ↓|) ≤ MaxFloat64/16, that one failing point makes
-// the windows holding it unprovable and no other, and that trimming it
-// away restores the proof.
+// fail |v|/16 + (|σ↑|+|σ↓|) ≤ MaxFloat64/16, and that one failing point
+// makes the windows holding it unprovable and no other.
 func TestExtractionSafe(t *testing.T) {
 	above := math.Nextafter(safeLimit, math.Inf(1))
 	for _, tc := range []struct {
@@ -41,38 +39,31 @@ func TestExtractionSafe(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			var x Extraction
 			x.Extract(series.Series{tc.p})
-			if x.View().safe() != tc.safe {
-				t.Fatalf("one-point extraction: safe = %v, want %v", x.View().safe(), tc.safe)
+			if x.safe() != tc.safe {
+				t.Fatalf("one-point extraction: safe = %v, want %v", x.safe(), tc.safe)
 			}
 			// The same point in the middle of safe neighbours: the whole
-			// extraction follows the point, the views beside it are safe.
+			// window follows the point, the windows beside it are safe.
 			w := series.Series{{T: 0, V: 1}, {T: 1, V: 2, SigUp: 1, SigDown: 1}, tc.p, {T: 3, V: 4}}
 			w[2].T = 2
 			x.Extract(w)
-			if x.View().safe() != tc.safe {
-				t.Fatalf("four-point extraction: safe = %v, want %v", x.View().safe(), tc.safe)
+			if x.safe() != tc.safe {
+				t.Fatalf("four-point extraction: safe = %v, want %v", x.safe(), tc.safe)
 			}
 			for _, span := range [][2]int{{0, 2}, {3, 4}, {0, 0}, {1, 3}, {2, 3}, {0, 4}} {
 				want := tc.safe || span[0] > 2 || span[1] <= 2
-				if got := primedSafe(w[span[0]:span[1]], x.Slice(span[0], span[1])); got != want {
-					t.Errorf("view [%d, %d): WindowSafe = %v, want %v", span[0], span[1], got, want)
+				if got := primedSafe(w[span[0]:span[1]]); got != want {
+					t.Errorf("window [%d, %d): WindowSafe = %v, want %v", span[0], span[1], got, want)
 				}
-			}
-			// Trimming the point away (and every point before it) leaves a
-			// safe extraction.
-			x.TrimFront(3)
-			if !x.View().safe() || x.Len() != 1 {
-				t.Errorf("after trimming the point: safe = %v with %d points, want a safe one-point extraction", x.View().safe(), x.Len())
 			}
 		})
 	}
 }
 
-// primedSafe primes a resampler with w through view and reports
-// WindowSafe for it.
-func primedSafe(w series.Series, view View) bool {
+// primedSafe primes a resampler with w and reports WindowSafe for it.
+func primedSafe(w series.Series) bool {
 	rs := New(Point, nil)
-	rs.PrimeViews([]series.Series{w}, []View{view})
+	rs.Prime([]series.Series{w})
 	return rs.WindowSafe(0)
 }
 
@@ -101,11 +92,11 @@ func fuzzPoint(t float64, kind, mag byte) series.Point {
 	return p
 }
 
-// FuzzExtractionSafe drives an extraction through random Extract,
-// ExtendFrom, AppendPoint and TrimFront steps beside a plain point buffer
-// it mirrors. After every step the unsafe positions must be exactly a
-// recount over the buffer, and WindowSafe on views of it must equal a
-// scan of the view's points.
+// FuzzExtractionSafe extracts random windows, hostile points included,
+// into one reused extraction. After every Extract the extraction's proof,
+// and WindowSafe on a resampler primed through its view, must equal a
+// recount over the window's points: no verdict of an earlier window may
+// leak into the next.
 func FuzzExtractionSafe(f *testing.F) {
 	f.Add([]byte{0, 1, 10, 2, 1, 20, 1, 4, 3, 3, 2, 5, 6, 7})
 	f.Add([]byte{1, 2, 0, 1, 0, 2, 3, 1, 2, 2, 1, 9, 9})
@@ -122,44 +113,22 @@ func FuzzExtractionSafe(f *testing.F) {
 			return b
 		}
 		for step := 0; len(data) > 0 && step < 256; step++ {
-			switch op := next(); op % 4 {
-			case 0: // Extract a rebuilt buffer.
-				w = w[:0]
-				for n := int(next() % 24); n > 0; n-- {
-					w = append(w, fuzzPoint(float64(len(w)), next(), next()))
-				}
-				x.Extract(w)
-			case 1: // AppendPoint.
-				p := fuzzPoint(float64(len(w)), next(), next())
-				w = append(w, p)
-				x.AppendPoint(p)
-			case 2: // Buffer appends, then ExtendFrom.
-				for n := int(next() % 8); n > 0; n-- {
-					w = append(w, fuzzPoint(float64(len(w)), next(), next()))
-				}
-				x.ExtendFrom(w)
-			case 3: // TrimFront, as a fired window compacts its buffer.
-				n := int(next()) % (len(w) + 1)
-				w = w[:copy(w, w[n:])]
-				x.TrimFront(n)
+			w = w[:0]
+			for n := int(next() % 24); n > 0; n-- {
+				w = append(w, fuzzPoint(float64(len(w)), next(), next()))
 			}
-			var want []int
-			for i, p := range w {
-				if unsafePoint(p.V, p.SigUp, p.SigDown) {
-					want = append(want, i)
-				}
+			x.Extract(w)
+			want := true
+			for _, p := range w {
+				want = want && !unsafePoint(p.V, p.SigUp, p.SigDown)
 			}
-			if x.Len() != len(w) || !slices.Equal(x.unsafe, want) {
-				t.Fatalf("step %d: %d points with unsafe positions %v, want %d with %v", step, x.Len(), x.unsafe, len(w), want)
+			if x.Len() != len(w) || x.safe() != want {
+				t.Fatalf("step %d: %d points with safe = %v, want %d with %v", step, x.Len(), x.safe(), len(w), want)
 			}
-			lo := int(next()) % (len(w) + 1)
-			hi := lo + int(next())%(len(w)-lo+1)
-			scan := true
-			for _, p := range w[lo:hi] {
-				scan = scan && !unsafePoint(p.V, p.SigUp, p.SigDown)
-			}
-			if got := primedSafe(w[lo:hi], x.Slice(lo, hi)); got != scan {
-				t.Fatalf("step %d: view [%d, %d) WindowSafe = %v, its points say %v", step, lo, hi, got, scan)
+			rs := New(Point, nil)
+			rs.PrimeViews([]series.Series{w}, []View{x.View()})
+			if got := rs.WindowSafe(0); got != want {
+				t.Fatalf("step %d: WindowSafe through the view = %v, its points say %v", step, got, want)
 			}
 		}
 	})

@@ -13,6 +13,7 @@ func FuzzRegIncBeta(f *testing.F) {
 	f.Add(0.0, 1.0, 1.0)
 	f.Add(0.999, 100.0, 0.001)
 	f.Add(0.5, 1e-6, 1e6)
+	f.Add(1.4802973661668753e-16, 0.20136055510204082, 1.3333243333333333e+06) // 1 − x inexact
 	f.Fuzz(func(t *testing.T, x, a, b float64) {
 		got := RegIncBeta(x, a, b)
 		if a <= 0 || b <= 0 || math.IsNaN(x) || math.IsNaN(a) || math.IsNaN(b) {
@@ -28,9 +29,14 @@ func FuzzRegIncBeta(f *testing.F) {
 			if math.IsNaN(got) || got < -1e-9 || got > 1+1e-9 {
 				t.Fatalf("I_%v(%v, %v) = %v outside [0,1]", x, a, b, got)
 			}
-			sym := 1 - RegIncBeta(1-x, b, a)
-			if math.Abs(got-sym) > 1e-6 {
-				t.Fatalf("symmetry violated: %v vs %v (x=%v a=%v b=%v)", got, sym, x, a, b)
+			// The identity needs exact complements: 1 − x rounds below
+			// x = 0.5, so compare at x' = 1 − y, y = fl(1 − x), which
+			// Sterbenz's lemma makes exact (x' = x from x = 0.5 up).
+			y := 1 - x
+			lhs := RegIncBeta(1-y, a, b)
+			sym := 1 - RegIncBeta(y, b, a)
+			if math.Abs(lhs-sym) > 1e-6 {
+				t.Fatalf("symmetry violated: %v vs %v (x=%v a=%v b=%v)", lhs, sym, 1-y, a, b)
 			}
 		}
 	})
