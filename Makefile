@@ -47,8 +47,9 @@ bench-smoke:
 # snapshot codec (corrupt checkpoints must error, never panic, and
 # valid ones must re-encode bit-identically), the Mux operator's
 # restore (arbitrary payloads never panic DecodeOperator, and an
-# accepted one re-encodes to its own bytes), the kernel/closure
-# evaluation parity, the shared-lane/per-check scoring parity, the
+# accepted one re-encodes to its own bytes), the template evaluation
+# against its reference closure (referenceFn) run as a user constraint,
+# the shared-lane/per-check scoring parity, the
 # branch-free in-range count against its short-circuit oracle, the
 # closed-form level probability against its table bracket, the decision
 # table's hinted threshold search against its binary-search oracle, the
@@ -58,7 +59,9 @@ bench-smoke:
 # reader, the wire decoders, the NDJSON fast path against its
 # encoding/json fallback, the JSON number scanner against
 # strconv.ParseFloat, and the check registration grammar
-# POST /checks exposes to untrusted clients. Long
+# POST /checks exposes to untrusted clients (every accepted spec
+# registers and builds an operator that survives an event and a
+# Flush). Long
 # exploratory runs: raise FUZZTIME or run `go test -fuzz` on one target
 # directly.
 FUZZTIME ?= 10s

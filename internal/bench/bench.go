@@ -104,11 +104,10 @@ func Specs() []Spec {
 // windows Alg. 1 samples deepest, where an in-range test per value is a
 // coin flip) and mean 50 well inside it. 256 distinct rows cycle so that a
 // branch predictor cannot memorize one row's outcomes. The constraint is
-// applied through its closure, the only scoring form reachable from
-// outside internal/core: it runs the compiled kernel's row reduction
-// behind one finiteness scan of the row, which is on the clock for both
-// kinds of row (internal/core's BenchmarkCountIn times the reduction
-// alone).
+// applied through Constraint.Eval, the only scoring form reachable from
+// outside internal/core: it runs the kernel's row reduction behind the
+// template's finiteness guard, which is on the clock for both kinds of
+// row (internal/core's BenchmarkCountIn times the reduction alone).
 func score(b *testing.B, c core.Constraint, n int, mean float64) {
 	r := rng.New(1)
 	rows := make([][][]float64, 256)

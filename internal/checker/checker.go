@@ -78,26 +78,7 @@ func (s *Suite) Run(params core.Params, seed uint64) (map[string][]core.Result, 
 // RunContext is Run honoring ctx between checks: a cancelled context
 // stops the suite and returns ctx.Err().
 func (s *Suite) RunContext(ctx context.Context, params core.Params, seed uint64) (map[string][]core.Result, error) {
-	plans, err := s.compile(params, seed)
-	if err != nil {
-		return nil, err
-	}
-	out := make(map[string][]core.Result, len(plans))
-	for _, pl := range plans {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		ss, err := s.resolve(pl.Check())
-		if err != nil {
-			return nil, err
-		}
-		res, err := pl.Run(ss)
-		if err != nil {
-			return nil, err
-		}
-		out[pl.Check().Name] = res
-	}
-	return out, nil
+	return s.RunFrom(ctx, params, seed, nil)
 }
 
 // RunParallel evaluates every check with SOUND using a worker pool for

@@ -458,7 +458,8 @@ func RestoreSuite(s *Suite, data []byte) (core.Params, uint64, map[string][]core
 // RunFrom completes a partially evaluated suite: checks present in done
 // are adopted as-is, the rest run with their compile-time seeds. Since
 // check i's seed depends only on (seed, i), the combined result map is
-// bit-identical to an uninterrupted RunContext with the same arguments.
+// bit-identical to an uninterrupted RunContext with the same arguments
+// (which is RunFrom with nothing done).
 func (s *Suite) RunFrom(ctx context.Context, params core.Params, seed uint64, done map[string][]core.Result) (map[string][]core.Result, error) {
 	plans, err := s.compile(params, seed)
 	if err != nil {

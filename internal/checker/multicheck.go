@@ -99,52 +99,6 @@ func (gm *GroupMetrics) publish(n *groupCounts) {
 	*n = groupCounts{}
 }
 
-// GroupMetricsSnapshot is a point-in-time read of a bucket's counters.
-type GroupMetricsSnapshot struct {
-	// Windows is the number of PlanGroup window evaluations.
-	Windows int64
-	// MemberEvals is the number of member verdicts those produced.
-	MemberEvals int64
-	// Draws is the number of sample rows physically drawn — flat in the
-	// member count, the multiplexing win, and zero for a lane whose
-	// members all collapsed.
-	Draws int64
-	// Collapsed is the number of member verdicts decided from the closed
-	// form of their sample bit, without rows (core/level.go).
-	Collapsed int64
-	// RetiredEarly counts row-scoring members that stopped consuming the
-	// shared stream before its last draw (Alg. 1 decided them early).
-	RetiredEarly int64
-	// Primes is the number of extractions primed (one per strategy lane
-	// per window); MemberEvals − Primes extractions were shared.
-	Primes int64
-}
-
-// Snapshot reads the counters.
-func (gm *GroupMetrics) Snapshot() GroupMetricsSnapshot {
-	return GroupMetricsSnapshot{
-		Windows:      gm.windows.Load(),
-		MemberEvals:  gm.memberEvals.Load(),
-		Draws:        gm.draws.Load(),
-		Collapsed:    gm.collapsed.Load(),
-		RetiredEarly: gm.retired.Load(),
-		Primes:       gm.primes.Load(),
-	}
-}
-
-// SharedHitRatio is the fraction of member evaluations that reused an
-// extraction primed for another member: 1 − Primes/MemberEvals.
-func (s GroupMetricsSnapshot) SharedHitRatio() float64 {
-	if s.MemberEvals == 0 {
-		return 0
-	}
-	r := 1 - float64(s.Primes)/float64(s.MemberEvals)
-	if r < 0 {
-		return 0
-	}
-	return r
-}
-
 // installMembers (re)binds the member set of a worker instance and
 // compiles the bucket's core.PlanGroup from its SOUND members (none for a
 // Naive-only bucket, which is scored inline). Nothing is carried over from

@@ -492,7 +492,7 @@ func TestMemberJoinsLiveBucket(t *testing.T) {
 func TestMuxDrawsFlat(t *testing.T) {
 	base := muxTestChecks()
 	events := muxTestEvents(2, 64)
-	run := func(n int) GroupMetricsSnapshot {
+	run := func(n int) GroupStat {
 		x := NewMux(false, EvictionPolicy{})
 		for i := 0; i < n; i++ {
 			ck := base[i%len(base)]
@@ -505,9 +505,7 @@ func TestMuxDrawsFlat(t *testing.T) {
 			}
 		}
 		runMuxGraph(t, x, nil, events, 1, 0)
-		x.mu.Lock()
-		defer x.mu.Unlock()
-		return x.order[0].metrics.Snapshot()
+		return x.GroupStats()[0]
 	}
 	s2 := run(2)
 	s8 := run(8)

@@ -247,17 +247,20 @@ func (x *Mux) GroupStats() []GroupStat {
 				sound++
 			}
 		}
-		snap := b.metrics.Snapshot()
-		stats = append(stats, GroupStat{
-			Checks:                   names,
-			Shared:                   sound >= 2,
-			Windows:                  snap.Windows,
-			MemberEvals:              snap.MemberEvals,
-			Draws:                    snap.Draws,
-			Collapsed:                snap.Collapsed,
-			RetiredEarly:             snap.RetiredEarly,
-			SharedExtractionHitRatio: snap.SharedHitRatio(),
-		})
+		gm := b.metrics
+		st := GroupStat{
+			Checks:       names,
+			Shared:       sound >= 2,
+			Windows:      gm.windows.Load(),
+			MemberEvals:  gm.memberEvals.Load(),
+			Draws:        gm.draws.Load(),
+			Collapsed:    gm.collapsed.Load(),
+			RetiredEarly: gm.retired.Load(),
+		}
+		if st.MemberEvals > 0 {
+			st.SharedExtractionHitRatio = max(0, 1-float64(gm.primes.Load())/float64(st.MemberEvals))
+		}
+		stats = append(stats, st)
 	}
 	return stats
 }

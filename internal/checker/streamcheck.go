@@ -458,7 +458,7 @@ func (c *streamChecker) processTime(key string, input int, p series.Point) {
 // grid slots across data gaps are evaluated too, so the stream emits
 // the identical window tuple sequence.
 func (c *streamChecker) fireDueTimeWindows(g *groupState, final bool) {
-	if !g.hasOrigin || c.asg.Size <= 0 || c.asg.Slide <= 0 {
+	if !g.hasOrigin {
 		return
 	}
 	for _, buf := range g.bufs {
@@ -500,9 +500,6 @@ func (c *streamChecker) fireDueTimeWindows(g *groupState, final bool) {
 // hopping (Slide > Size), where the points in the skipped gap are
 // discarded on arrival just as batch never materializes them.
 func (c *streamChecker) processCount(key string, input int, p series.Point) {
-	if c.asg.Count <= 0 || c.asg.CountSlide <= 0 {
-		return
-	}
 	g := c.group(key)
 	bufs := g.inputs(c.arity)
 	if g.drop == nil {

@@ -73,15 +73,14 @@ func (o Orderedness) String() string {
 // Ordered reports whether the constraint relies on point ordering.
 func (o Orderedness) Ordered() bool { return o != Set }
 
-// KernelOp identifies which compiled evaluation kernel implements a
-// constraint's predicate. Every Table IV template (and the §IV-C
-// generalizations behind it) maps to one op; KernelNone marks
-// user-supplied functions that only the closure path can evaluate.
+// KernelOp identifies a template's predicate. Every Table IV template
+// (and the §IV-C generalizations behind it) maps to one op; KernelNone
+// marks a user constraint, which is its Fn.
 type KernelOp uint8
 
 const (
-	// KernelNone means the constraint has no compiled form; evaluation
-	// always goes through the Fn closure.
+	// KernelNone means the constraint is no template: Fn is its
+	// predicate.
 	KernelNone KernelOp = iota
 	// KernelRange is a <= x <= b on every value.
 	KernelRange
@@ -114,13 +113,11 @@ const (
 	KernelKLBelow
 )
 
-// KernelSpec is the declarative form of a template constraint: the
-// operation plus its numeric parameters. The evaluator lowers a spec to
-// a block kernel that scores a whole matrix of resampled realizations
-// per call with finiteness classified once per extraction instead of
-// once per draw (see internal/core/kernel.go); the Fn closure remains
-// the reference semantics, the fallback for KernelNone, and the parity
-// oracle for the kernel tests.
+// KernelSpec is a template constraint: the operation plus its numeric
+// parameters. It is the template's whole definition — the constructors
+// leave Fn nil — and Constraint.Eval scores it; the evaluator scores its
+// rows with the kernel alone when the windows are provably finite (see
+// internal/core/kernel.go).
 type KernelSpec struct {
 	Op KernelOp
 	// Strict selects the strict variant of KernelMonotone.
@@ -135,12 +132,12 @@ type KernelSpec struct {
 }
 
 // Constraint is a sanity constraint φᵏ: (V*)ᵏ → {⊤, ⊥} together with its
-// taxonomy classification (paper Def. 1). Fn receives the k value
-// sequences of a window tuple and must be deterministic and free of side
-// effects; γ calls it on resampled realizations of the window. Spec, when
-// non-zero, is the compiled form of Fn: template constructors fill both,
-// and γ evaluates through the block kernel compiled from Spec whenever
-// the primed windows are provably finite, falling back to Fn otherwise.
+// taxonomy classification (paper Def. 1). The predicate is exactly one of
+// Spec, for a template, or Fn, for a user constraint: template
+// constructors set Spec and leave Fn nil, so call Eval, not Fn. Fn
+// receives the k value sequences of a window tuple and must be
+// deterministic and free of side effects; γ calls it on resampled
+// realizations of the window.
 type Constraint struct {
 	Name        string
 	Description string
@@ -153,8 +150,8 @@ type Constraint struct {
 
 // Validate checks structural well-formedness of the constraint.
 func (c Constraint) Validate() error {
-	if c.Fn == nil {
-		return fmt.Errorf("core: constraint %q has nil function", c.Name)
+	if (c.Fn != nil) == (c.Spec.Op != KernelNone) {
+		return fmt.Errorf("core: constraint %q needs exactly one of a kernel spec and a function", c.Name)
 	}
 	if c.Arity < 1 {
 		return fmt.Errorf("core: constraint %q has arity %d", c.Name, c.Arity)
@@ -171,11 +168,13 @@ func (c Constraint) Strategy() resample.Strategy {
 	return resample.ForConstraint(c.Granularity == PointWise, c.Orderedness.Ordered())
 }
 
-// Eval applies the constraint function, guarding against NaN poisoning:
-// a window realization with non-finite values never satisfies the
-// constraint silently; the function result is taken as-is but callers can
-// rely on Fn receiving exactly the values passed here.
+// Eval reports whether the realization vals satisfies the constraint: a
+// template through its spec, a user constraint through Fn, whose result
+// is taken as-is.
 func (c Constraint) Eval(vals [][]float64) bool {
+	if c.Spec.Op != KernelNone {
+		return c.Spec.holds(vals)
+	}
 	return c.Fn(vals)
 }
 
@@ -210,10 +209,10 @@ func (o Outcome) String() string {
 // Conclusive reports whether the outcome is ⊤ or ⊥.
 func (o Outcome) Conclusive() bool { return o != Inconclusive }
 
-// finite reports whether all values of all sequences are finite, used by
-// templates that must reject NaN/Inf-poisoned windows. v-v is exactly 0
-// for a finite v and NaN for a NaN or an infinity: one comparison per
-// value where IsNaN || IsInf makes three.
+// finite reports whether all values of all sequences are finite, the
+// guard by which templates reject NaN/Inf-poisoned windows. v-v is
+// exactly 0 for a finite v and NaN for a NaN or an infinity: one
+// comparison per value where IsNaN || IsInf makes three.
 func finite(vals ...[]float64) bool {
 	for _, vs := range vals {
 		for _, v := range vs {

@@ -367,6 +367,9 @@ func (ck Check) Validate() error {
 	if ck.Window == nil {
 		return fmt.Errorf("core: check %q has nil windowing function", ck.Name)
 	}
+	if !ClassifyWindow(ck.Window).valid() {
+		return fmt.Errorf("core: check %q has window %+v: sizes, slides and gaps must be positive and finite, counts at least 1", ck.Name, ck.Window)
+	}
 	return nil
 }
 

@@ -327,9 +327,51 @@ func TestCheckValidate(t *testing.T) {
 		t.Error("nil window accepted")
 	}
 	bad3 := ok
-	bad3.Constraint.Fn = nil
+	bad3.Constraint.Fn, bad3.Constraint.Spec = nil, KernelSpec{}
 	if err := bad3.Validate(); err == nil {
-		t.Error("nil constraint fn accepted")
+		t.Error("constraint with neither fn nor spec accepted")
+	}
+}
+
+// TestCheckValidateWindows: a window whose classified parameters cannot
+// place events — a NaN, infinite, zero or negative time size, slide or
+// session gap, a count below 1 — is refused; the windows around them are
+// not.
+func TestCheckValidateWindows(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	ck := Check{Name: "w", Constraint: Range(0, 100), SeriesNames: []string{"v"}}
+	for _, tc := range []struct {
+		win Windower
+		ok  bool
+	}{
+		{TimeWindow{Size: nan}, false},
+		{SessionWindow{Gap: nan}, false},
+		{TimeWindow{Size: 0}, false},
+		{TimeWindow{Size: -5}, false},
+		{SessionWindow{Gap: 0}, false},
+		{SessionWindow{Gap: -1}, false},
+		{CountWindow{Size: 0}, false},
+		{CountWindow{Size: -3}, false},
+		{TimeWindow{Size: inf}, false},
+		{TimeWindow{Size: 10, Slide: nan}, false},
+		{TimeWindow{Size: 10, Slide: inf}, false},
+		{SessionWindow{Gap: inf}, false},
+		{TimeWindow{Size: 10}, true},
+		{TimeWindow{Size: 10, Slide: 3}, true},
+		{TimeWindow{Size: 10, Slide: -1}, true}, // slide defaults to the size
+		{CountWindow{Size: 1}, true},
+		{CountWindow{Size: 5, Slide: -2}, true},
+		{SessionWindow{Gap: 5}, true},
+		{PointWindow{}, true},
+		{GlobalWindow{}, true},
+	} {
+		ck.Window = tc.win
+		if err := ck.Validate(); (err == nil) != tc.ok {
+			t.Errorf("%#v: Validate = %v, want ok %v", tc.win, err, tc.ok)
+		}
+		if _, err := CompilePlan(ck, DefaultParams(), 1); (err == nil) != tc.ok {
+			t.Errorf("%#v: CompilePlan = %v, want ok %v", tc.win, err, tc.ok)
+		}
 	}
 }
 
@@ -367,6 +409,16 @@ func TestConstraintValidate(t *testing.T) {
 	if err := bad.Validate(); err == nil {
 		t.Error("ordered point-wise constraint accepted")
 	}
+	both := Range(0, 1)
+	both.Fn = func([][]float64) bool { return true }
+	if err := both.Validate(); err == nil {
+		t.Error("constraint with both a spec and a fn accepted")
+	}
+	neither := Range(0, 1)
+	neither.Spec = KernelSpec{}
+	if err := neither.Validate(); err == nil {
+		t.Error("constraint with neither a spec nor a fn accepted")
+	}
 }
 
 func TestTaxonomyStrings(t *testing.T) {
@@ -389,11 +441,10 @@ func TestTaxonomyStrings(t *testing.T) {
 }
 
 // evaluateScalar is Alg. 1 as the paper writes it — draw one sample,
-// score it with the closure, consult the decision rule — on e's own
-// resampler stream. It is the loop Evaluator ran for closure constraints
-// before the block loop (kernel.go) served every constraint, kept here as
-// the oracle the block loop must match sample for sample on non-empty
-// windows.
+// score it with Eval, consult the decision rule — on e's own resampler
+// stream. It is the loop Evaluator ran for user constraints before the
+// block loop (kernel.go) served every constraint, kept here as the oracle
+// the block loop must match sample for sample on non-empty windows.
 func evaluateScalar(e *Evaluator, c Constraint, w WindowTuple) Result {
 	res := Result{Window: WindowTuple{Windows: w.Windows, Start: w.Start, End: w.End, Index: w.Index}}
 	rs := e.resampler(c.Strategy())
@@ -415,9 +466,10 @@ func evaluateScalar(e *Evaluator, c Constraint, w WindowTuple) Result {
 // two evaluators of one seed over consecutive windows, so a block that
 // consumed one draw more or fewer than the per-sample loop shows up in the
 // next window's result, not only in the resampler positions compared at
-// the end. The constraints are the ones the closure scores inside the
-// block loop: a user Fn, a template with its spec cleared, and a template
-// over a window whose non-finite σ fails the kernel's precondition.
+// the end. The constraints are the ones Eval scores inside the block
+// loop: a user Fn, a template's reference closure as a user Fn, and a
+// template over a window whose non-finite σ fails the kernel's
+// precondition.
 func TestEvaluateMatchesScalarOracle(t *testing.T) {
 	// Order-sensitive, so the sequence strategy's block order matters too.
 	weightedMeanBelow := func(thresh float64) func([][]float64) bool {

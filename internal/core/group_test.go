@@ -434,7 +434,7 @@ func replayLane(g *PlanGroup, lane *groupLane, winSeed uint64, w WindowTuple) la
 					if !rep.scored[li] || rep.outcome[li] != Inconclusive {
 						continue
 					}
-					if g.member[mi].cons.Fn(vals) {
+					if referenceSat(g.member[mi].cons, vals) {
 						rep.satisfied[li]++
 					}
 					rep.samples[li] = i + s

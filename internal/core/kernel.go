@@ -9,18 +9,20 @@ import (
 // compiled constraint kernels that score its rows.
 //
 // The evaluator draws blocks of K samples with resample.DrawBlock and
-// scores them row by row. A template constraint carries its declarative
-// KernelSpec next to the reference closure: when every primed window is
+// scores them row by row. A template constraint is its declarative
+// KernelSpec, and its Fn is nil: call Constraint.Eval. Its predicate is
+// written once, in kernelSat, and KernelSpec.holds prefixes it with the
+// op's finiteness guard to make Eval. When every primed window is
 // provably finite under perturbation (resample.Resampler.WindowSafe,
-// read from the window's own points at prime time) a row is scored by
-// kernelSat, which mirrors the closure's arithmetic exactly minus the
-// per-draw finite() scan the safety proof makes redundant. Constraints
-// with user-supplied functions (Spec.Op == KernelNone) and windows that
-// cannot be proven finite are scored by the closure on the same rows, so
-// the kernel is a pure optimization of the scoring form, not a second
-// loop: the satisfied verdicts — and therefore the sampled trajectory,
-// the stopping index, and the posterior — are bit-identical by
-// construction, pinned by the kernel-vs-closure property and fuzz tests.
+// read from the window's own points at prime time) the guard cannot
+// fail, so a row is scored by kernelSat alone; user constraints
+// (Spec.Op == KernelNone) and windows that cannot be proven finite are
+// scored by Eval on the same rows. Both
+// forms return the same boolean for every row, so the satisfied verdicts
+// — and therefore the sampled trajectory, the stopping index, and the
+// posterior — do not depend on which one ran. The test oracle
+// referenceFn (reference_test.go) restates every template's predicate
+// apart from kernelSat.
 
 // kernelBlockValues caps how many float64 values one drawn block may
 // hold across all windows, bounding the evaluator's resident sample
@@ -28,13 +30,9 @@ import (
 const kernelBlockValues = 4096
 
 // kernelSat reports whether one resample realization satisfies the
-// compiled spec. Precondition: every window of vals is provably finite
-// (all raw values and every perturbed draw, see
-// resample.Resampler.WindowSafe), which is what lets the finite() scans
-// of the template closures be skipped;
-// every other operation matches the closure for the same spec
-// operation-for-operation, so the returned boolean is bit-identical to
-// Constraint.Fn on the same values.
+// template sp. Precondition: every window of vals the op reads is finite
+// (KernelSpec.holds checks it; on a provably finite window, see
+// resample.Resampler.WindowSafe, the evaluator may skip that check).
 func kernelSat(sp *KernelSpec, vals [][]float64) bool {
 	switch sp.Op {
 	case KernelRange:
@@ -125,6 +123,39 @@ func kernelSat(sp *KernelSpec, vals [][]float64) bool {
 	return false
 }
 
+// holds is the template sp as a predicate on any row: the finiteness
+// guard of its op, then kernelSat. The count ignores values; the
+// correlation and R² ops take their statistic as it comes, and a NaN
+// statistic fails every threshold.
+func (sp *KernelSpec) holds(vals [][]float64) bool {
+	switch sp.Op {
+	case KernelCountAtLeast, KernelCorrAbove, KernelCorrBelow, KernelRSquaredAbove:
+	case KernelLowerMeanDelta, KernelKSBelow, KernelKLBelow:
+		if !finite(vals[0], vals[1]) {
+			return false
+		}
+	default:
+		if !finite(vals[0]) {
+			return false
+		}
+	}
+	return kernelSat(sp, vals)
+}
+
+// meanAbsDelta is the mean absolute first difference of a row of at
+// least two values.
+func meanAbsDelta(vs []float64) float64 {
+	sum := 0.0
+	for i := 1; i < len(vs); i++ {
+		d := vs[i] - vs[i-1]
+		if d < 0 {
+			d = -d
+		}
+		sum += d
+	}
+	return sum / float64(len(vs)-1)
+}
+
 // kernelReady reports whether all k primed window slots are provably
 // finite under perturbation, the precondition for the kernel path.
 func kernelReady(rs *resample.Resampler, k int) bool {
@@ -164,8 +195,8 @@ func (l *blockLoop) rowVals(nw int) [][]float64 {
 
 // scoreBlock scores every sample of the current block and returns how many
 // satisfied the constraint — the block's contribution to countSatisfied.
-// Each row goes through the compiled kernel when kernel is set (the caller
-// checked its precondition) and through the constraint's closure otherwise.
+// Each row goes through the kernel alone when kernel is set (the caller
+// checked its precondition) and through Constraint.Eval otherwise.
 func (l *blockLoop) scoreBlock(c *Constraint, kernel bool, k int) int {
 	vals := l.rowVals(len(l.blk.Data))
 	sat := 0

@@ -11,16 +11,15 @@ import (
 
 // These tests pin the central contract of the compiled kernel path: for
 // every template constraint, every parameter configuration, and every
-// window class mix, evaluating through the block kernel must produce a
-// Result bit-identical to the per-sample closure loop — same outcome,
-// same stopping index, same satisfied count, and the same posterior
-// floats. The closure path is forced by clearing Spec on a copy of the
-// constraint, which is exactly the representation of a user-supplied Fn.
+// window class mix, evaluating the template must produce a Result
+// bit-identical to evaluating its reference closure (referenceFn) as a
+// user constraint — same outcome, same stopping index, same satisfied
+// count, and the same posterior floats.
 
-// forceClosure returns a copy of c that can only evaluate through the
-// reference closure path.
+// forceClosure returns c as a user constraint whose Fn is the template's
+// reference closure: it evaluates through Fn on every path.
 func forceClosure(c Constraint) Constraint {
-	c.Spec = KernelSpec{}
+	c.Fn, c.Spec = referenceFn(c.Spec), KernelSpec{}
 	return c
 }
 

@@ -403,7 +403,7 @@ func TestCollapseFallbacks(t *testing.T) {
 	userFn := Constraint{Name: "user-max-below", Granularity: WindowTime, Orderedness: Set, Arity: 1,
 		Fn: func(vals [][]float64) bool { return stat.Max(vals[0]) <= 100 }}
 	binary := Constraint{Name: "binary-range", Granularity: PointWise, Orderedness: Set, Arity: 2,
-		Spec: KernelSpec{Op: KernelRange, A: 0, B: 100}, Fn: func(vals [][]float64) bool { return Range(0, 100).Fn(vals[:1]) }}
+		Spec: KernelSpec{Op: KernelRange, A: 0, B: 100}}
 	for _, tc := range []struct {
 		name    string
 		cons    Constraint

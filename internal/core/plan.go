@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"math"
 	"runtime"
 	"sync"
 
@@ -99,6 +100,25 @@ func ClassifyWindow(w Windower) WindowAssigner {
 		return WindowAssigner{Kind: KindSession, Gap: win.Gap}
 	}
 	return WindowAssigner{Kind: KindCustom}
+}
+
+// valid reports whether the assigner's parameters can place events: a
+// time window's size and slide and a session's gap positive and finite,
+// a count window's size and slide at least 1. A NaN size breaks the
+// class a streaming group is keyed by, a zero or negative one never
+// closes a window, and a zero gap or count fires on every event or on
+// none.
+func (a WindowAssigner) valid() bool {
+	pos := func(x float64) bool { return x > 0 && x <= math.MaxFloat64 }
+	switch a.Kind {
+	case KindTumblingTime, KindSlidingTime:
+		return pos(a.Size) && pos(a.Slide)
+	case KindCount:
+		return a.Count >= 1 && a.CountSlide >= 1
+	case KindSession:
+		return pos(a.Gap)
+	}
+	return true
 }
 
 // CheckPlan is a sanity check compiled for execution: the check is

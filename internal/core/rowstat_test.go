@@ -185,7 +185,7 @@ func TestRowStatParity(t *testing.T) {
 		vals := [][]float64{row}
 		for i := range cons {
 			c := &cons[i]
-			viaKernel, viaFn := kernelSat(&c.Spec, vals), c.Fn(vals)
+			viaKernel, viaFn := kernelSat(&c.Spec, vals), referenceFn(c.Spec)(vals)
 			viaStat := viaKernel
 			if c.Spec.Op == KernelMaxDelta {
 				viaStat = statSat(t, c, row)

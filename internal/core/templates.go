@@ -1,15 +1,13 @@
 package core
 
-import (
-	"fmt"
-
-	"sound/internal/stat"
-)
+import "fmt"
 
 // This file implements the constraint templates of paper §IV-C plus the
-// concrete check constraints of Table IV (S-1..S-5, A-1..A-4). Every
-// template rejects windows containing non-finite values: NaN or ±Inf in
-// a data product is itself a sanity violation.
+// concrete check constraints of Table IV (S-1..S-5, A-1..A-4). A template
+// is its KernelSpec and nothing else; Constraint.Eval scores it
+// (KernelSpec.holds in kernel.go). Every template that reads values
+// rejects windows containing non-finite ones: NaN or ±Inf in a data
+// product is itself a sanity violation.
 
 // Range returns a unary point-wise constraint a <= x <= b (template
 // "numeric ranges"; checks S-1 and A-1 of Table IV).
@@ -21,17 +19,6 @@ func Range(a, b float64) Constraint {
 		Orderedness: Set,
 		Arity:       1,
 		Spec:        KernelSpec{Op: KernelRange, A: a, B: b},
-		Fn: func(vals [][]float64) bool {
-			if !finite(vals[0]) {
-				return false
-			}
-			for _, v := range vals[0] {
-				if v < a || v > b {
-					return false
-				}
-			}
-			return true
-		},
 	}
 }
 
@@ -45,38 +32,19 @@ func GreaterThan(t float64) Constraint {
 		Orderedness: Set,
 		Arity:       1,
 		Spec:        KernelSpec{Op: KernelGreaterThan, A: t},
-		Fn: func(vals [][]float64) bool {
-			if !finite(vals[0]) {
-				return false
-			}
-			for _, v := range vals[0] {
-				if !(v > t) {
-					return false
-				}
-			}
-			return true
-		},
 	}
 }
 
 // NonNegative is the common numeric-range special case x >= 0.
 func NonNegative() Constraint {
-	c := GreaterThan(0)
-	c.Name = "non-negative"
-	c.Description = "value >= 0"
-	c.Spec = KernelSpec{Op: KernelNonNegative}
-	c.Fn = func(vals [][]float64) bool {
-		if !finite(vals[0]) {
-			return false
-		}
-		for _, v := range vals[0] {
-			if v < 0 {
-				return false
-			}
-		}
-		return true
+	return Constraint{
+		Name:        "non-negative",
+		Description: "value >= 0",
+		Granularity: PointWise,
+		Orderedness: Set,
+		Arity:       1,
+		Spec:        KernelSpec{Op: KernelNonNegative},
 	}
-	return c
 }
 
 // FractionInRange returns a unary windowed set constraint requiring at
@@ -91,13 +59,6 @@ func FractionInRange(a, b, frac float64) Constraint {
 		Orderedness: Set,
 		Arity:       1,
 		Spec:        KernelSpec{Op: KernelFractionInRange, A: a, B: b, C: frac},
-		Fn: func(vals [][]float64) bool {
-			vs := vals[0]
-			if len(vs) == 0 || !finite(vs) {
-				return false
-			}
-			return float64(countIn(vs, a, b))/float64(len(vs)) >= frac
-		},
 	}
 }
 
@@ -116,21 +77,6 @@ func MonotonicIncrease(strict bool) Constraint {
 		Orderedness: SequenceIndex,
 		Arity:       1,
 		Spec:        KernelSpec{Op: KernelMonotone, Strict: strict},
-		Fn: func(vals [][]float64) bool {
-			vs := vals[0]
-			if !finite(vs) {
-				return false
-			}
-			for i := 1; i < len(vs); i++ {
-				if strict && !(vs[i-1] < vs[i]) {
-					return false
-				}
-				if !strict && !(vs[i-1] <= vs[i]) {
-					return false
-				}
-			}
-			return true
-		},
 	}
 }
 
@@ -144,14 +90,6 @@ func MaxDelta(a float64) Constraint {
 		Orderedness: Set,
 		Arity:       1,
 		Spec:        KernelSpec{Op: KernelMaxDelta, A: a},
-		Fn: func(vals [][]float64) bool {
-			vs := vals[0]
-			if len(vs) == 0 || !finite(vs) {
-				return false
-			}
-			lo, hi := extremes(vs)
-			return hi-lo < a
-		},
 	}
 }
 
@@ -167,9 +105,6 @@ func CountAtLeast() Constraint {
 		Orderedness: Set,
 		Arity:       2,
 		Spec:        KernelSpec{Op: KernelCountAtLeast},
-		Fn: func(vals [][]float64) bool {
-			return len(vals[0]) >= len(vals[1])
-		},
 	}
 }
 
@@ -183,13 +118,6 @@ func StdNonZero() Constraint {
 		Orderedness: Set,
 		Arity:       1,
 		Spec:        KernelSpec{Op: KernelStdNonZero},
-		Fn: func(vals [][]float64) bool {
-			vs := vals[0]
-			if len(vs) < 2 || !finite(vs) {
-				return false
-			}
-			return stat.Variance(vs) != 0
-		},
 	}
 }
 
@@ -204,26 +132,7 @@ func LowerMeanDelta() Constraint {
 		Orderedness: SequenceIndex,
 		Arity:       2,
 		Spec:        KernelSpec{Op: KernelLowerMeanDelta},
-		Fn: func(vals [][]float64) bool {
-			x, y := vals[0], vals[1]
-			if len(x) < 2 || len(y) < 2 || !finite(x, y) {
-				return false
-			}
-			return meanAbsDelta(x) < meanAbsDelta(y)
-		},
 	}
-}
-
-func meanAbsDelta(vs []float64) float64 {
-	sum := 0.0
-	for i := 1; i < len(vs); i++ {
-		d := vs[i] - vs[i-1]
-		if d < 0 {
-			d = -d
-		}
-		sum += d
-	}
-	return sum / float64(len(vs)-1)
 }
 
 // CorrelationAbove returns a binary windowed sequence constraint
@@ -237,10 +146,6 @@ func CorrelationAbove(t float64) Constraint {
 		Orderedness: SequenceIndex,
 		Arity:       2,
 		Spec:        KernelSpec{Op: KernelCorrAbove, A: t},
-		Fn: func(vals [][]float64) bool {
-			r := stat.Pearson(vals[0], vals[1])
-			return r > t // NaN fails, as intended
-		},
 	}
 }
 
@@ -255,13 +160,6 @@ func CorrelationBelow(t float64) Constraint {
 		Orderedness: SequenceIndex,
 		Arity:       2,
 		Spec:        KernelSpec{Op: KernelCorrBelow, A: t},
-		Fn: func(vals [][]float64) bool {
-			r := stat.Pearson(vals[0], vals[1])
-			if r < 0 {
-				r = -r
-			}
-			return r < t // NaN fails
-		},
 	}
 }
 
@@ -275,9 +173,6 @@ func RSquaredAbove(t float64) Constraint {
 		Orderedness: SequenceIndex,
 		Arity:       2,
 		Spec:        KernelSpec{Op: KernelRSquaredAbove, A: t},
-		Fn: func(vals [][]float64) bool {
-			return stat.RSquared(vals[0], vals[1]) > t
-		},
 	}
 }
 
@@ -292,12 +187,6 @@ func KSDistanceBelow(t float64) Constraint {
 		Orderedness: Set,
 		Arity:       2,
 		Spec:        KernelSpec{Op: KernelKSBelow, A: t},
-		Fn: func(vals [][]float64) bool {
-			if len(vals[0]) == 0 || len(vals[1]) == 0 || !finite(vals[0], vals[1]) {
-				return false
-			}
-			return stat.KSTest2Samp(vals[0], vals[1]).Statistic < t
-		},
 	}
 }
 
@@ -312,12 +201,5 @@ func KLDivergenceBelow(t float64, bins int) Constraint {
 		Orderedness: Set,
 		Arity:       2,
 		Spec:        KernelSpec{Op: KernelKLBelow, A: t, Bins: int32(bins)},
-		Fn: func(vals [][]float64) bool {
-			if len(vals[0]) == 0 || len(vals[1]) == 0 || !finite(vals[0], vals[1]) {
-				return false
-			}
-			d := stat.KLDivergence(vals[0], vals[1], bins)
-			return d < t // NaN fails
-		},
 	}
 }

@@ -36,16 +36,16 @@ func TestFinite(t *testing.T) {
 
 func TestRangeConstraint(t *testing.T) {
 	c := Range(0, 10)
-	if !c.Fn(v(0, 5, 10)) {
+	if !c.Eval(v(0, 5, 10)) {
 		t.Error("boundary values rejected")
 	}
-	if c.Fn(v(5, 11)) {
+	if c.Eval(v(5, 11)) {
 		t.Error("out-of-range accepted")
 	}
-	if c.Fn(v(math.NaN())) {
+	if c.Eval(v(math.NaN())) {
 		t.Error("NaN accepted")
 	}
-	if c.Fn(v(math.Inf(1))) {
+	if c.Eval(v(math.Inf(1))) {
 		t.Error("Inf accepted")
 	}
 	if err := c.Validate(); err != nil {
@@ -55,79 +55,79 @@ func TestRangeConstraint(t *testing.T) {
 
 func TestGreaterThanConstraint(t *testing.T) {
 	c := GreaterThan(0.5)
-	if !c.Fn(v(0.6, 0.9)) {
+	if !c.Eval(v(0.6, 0.9)) {
 		t.Error("valid rejected")
 	}
-	if c.Fn(v(0.5)) {
+	if c.Eval(v(0.5)) {
 		t.Error("boundary should fail strict >")
 	}
-	if c.Fn(v(math.NaN())) {
+	if c.Eval(v(math.NaN())) {
 		t.Error("NaN accepted")
 	}
 }
 
 func TestNonNegative(t *testing.T) {
 	c := NonNegative()
-	if !c.Fn(v(0, 1, 2)) {
+	if !c.Eval(v(0, 1, 2)) {
 		t.Error("zero rejected")
 	}
-	if c.Fn(v(-0.001)) {
+	if c.Eval(v(-0.001)) {
 		t.Error("negative accepted")
 	}
 }
 
 func TestFractionInRange(t *testing.T) {
 	c := FractionInRange(0, 1, 0.8)
-	if !c.Fn(v(0.1, 0.5, 0.9, 0.99, 5)) { // 4/5 = 0.8
+	if !c.Eval(v(0.1, 0.5, 0.9, 0.99, 5)) { // 4/5 = 0.8
 		t.Error("exactly-at-fraction rejected")
 	}
-	if c.Fn(v(0.1, 5, 6, 7, 8)) {
+	if c.Eval(v(0.1, 5, 6, 7, 8)) {
 		t.Error("low fraction accepted")
 	}
-	if c.Fn(v()) {
+	if c.Eval(v()) {
 		t.Error("empty window accepted")
 	}
 }
 
 func TestMonotonicIncrease(t *testing.T) {
 	strict := MonotonicIncrease(true)
-	if !strict.Fn(v(1, 2, 3)) {
+	if !strict.Eval(v(1, 2, 3)) {
 		t.Error("increasing rejected")
 	}
-	if strict.Fn(v(1, 2, 2)) {
+	if strict.Eval(v(1, 2, 2)) {
 		t.Error("plateau accepted by strict")
 	}
 	loose := MonotonicIncrease(false)
-	if !loose.Fn(v(1, 2, 2)) {
+	if !loose.Eval(v(1, 2, 2)) {
 		t.Error("plateau rejected by non-strict")
 	}
-	if loose.Fn(v(1, 2, 1.5)) {
+	if loose.Eval(v(1, 2, 1.5)) {
 		t.Error("decrease accepted")
 	}
-	if !loose.Fn(v(7)) {
+	if !loose.Eval(v(7)) {
 		t.Error("singleton should satisfy monotonicity")
 	}
 }
 
 func TestMaxDelta(t *testing.T) {
 	c := MaxDelta(5)
-	if !c.Fn(v(1, 3, 5)) {
+	if !c.Eval(v(1, 3, 5)) {
 		t.Error("small delta rejected")
 	}
-	if c.Fn(v(1, 7)) {
+	if c.Eval(v(1, 7)) {
 		t.Error("large delta accepted")
 	}
-	if c.Fn(v()) {
+	if c.Eval(v()) {
 		t.Error("empty window accepted")
 	}
 }
 
 func TestCountAtLeast(t *testing.T) {
 	c := CountAtLeast()
-	if !c.Fn(v2([]float64{1, 2, 3}, []float64{1, 2})) {
+	if !c.Eval(v2([]float64{1, 2, 3}, []float64{1, 2})) {
 		t.Error("|x|>=|y| rejected")
 	}
-	if c.Fn(v2([]float64{1}, []float64{1, 2})) {
+	if c.Eval(v2([]float64{1}, []float64{1, 2})) {
 		t.Error("|x|<|y| accepted")
 	}
 	if c.Arity != 2 {
@@ -137,13 +137,13 @@ func TestCountAtLeast(t *testing.T) {
 
 func TestStdNonZero(t *testing.T) {
 	c := StdNonZero()
-	if !c.Fn(v(1, 2, 3)) {
+	if !c.Eval(v(1, 2, 3)) {
 		t.Error("varying window rejected")
 	}
-	if c.Fn(v(4, 4, 4)) {
+	if c.Eval(v(4, 4, 4)) {
 		t.Error("frozen window accepted")
 	}
-	if c.Fn(v(4)) {
+	if c.Eval(v(4)) {
 		t.Error("singleton window accepted (no variance evidence)")
 	}
 }
@@ -152,13 +152,13 @@ func TestLowerMeanDelta(t *testing.T) {
 	c := LowerMeanDelta()
 	smooth := []float64{1, 1.1, 1.2, 1.3}
 	rough := []float64{1, 3, 0, 4}
-	if !c.Fn(v2(smooth, rough)) {
+	if !c.Eval(v2(smooth, rough)) {
 		t.Error("smooth-vs-rough rejected")
 	}
-	if c.Fn(v2(rough, smooth)) {
+	if c.Eval(v2(rough, smooth)) {
 		t.Error("rough-vs-smooth accepted")
 	}
-	if c.Fn(v2([]float64{1}, rough)) {
+	if c.Eval(v2([]float64{1}, rough)) {
 		t.Error("too-short window accepted")
 	}
 }
@@ -166,13 +166,13 @@ func TestLowerMeanDelta(t *testing.T) {
 func TestCorrelationAbove(t *testing.T) {
 	c := CorrelationAbove(0.2)
 	x := []float64{1, 2, 3, 4, 5}
-	if !c.Fn(v2(x, []float64{2, 4, 6, 8, 10})) {
+	if !c.Eval(v2(x, []float64{2, 4, 6, 8, 10})) {
 		t.Error("correlated rejected")
 	}
-	if c.Fn(v2(x, []float64{5, 1, 4, 2, 3})) {
+	if c.Eval(v2(x, []float64{5, 1, 4, 2, 3})) {
 		t.Error("uncorrelated accepted")
 	}
-	if c.Fn(v2(x, []float64{1, 1, 1, 1, 1})) {
+	if c.Eval(v2(x, []float64{1, 1, 1, 1, 1})) {
 		t.Error("zero-variance (NaN corr) accepted")
 	}
 }
@@ -180,10 +180,10 @@ func TestCorrelationAbove(t *testing.T) {
 func TestCorrelationBelow(t *testing.T) {
 	c := CorrelationBelow(0.5)
 	x := []float64{1, 2, 3, 4, 5}
-	if c.Fn(v2(x, []float64{2, 4, 6, 8, 10})) {
+	if c.Eval(v2(x, []float64{2, 4, 6, 8, 10})) {
 		t.Error("perfectly correlated accepted by anti-correlation check")
 	}
-	if c.Fn(v2(x, []float64{-1, -2, -3, -4, -5})) {
+	if c.Eval(v2(x, []float64{-1, -2, -3, -4, -5})) {
 		t.Error("perfect anticorrelation accepted (absolute value)")
 	}
 }
@@ -191,10 +191,10 @@ func TestCorrelationBelow(t *testing.T) {
 func TestRSquaredAbove(t *testing.T) {
 	c := RSquaredAbove(0.8)
 	obs := []float64{1, 2, 3, 4, 5}
-	if !c.Fn(v2(obs, []float64{1.1, 1.9, 3.1, 3.9, 5.1})) {
+	if !c.Eval(v2(obs, []float64{1.1, 1.9, 3.1, 3.9, 5.1})) {
 		t.Error("good prediction rejected")
 	}
-	if c.Fn(v2(obs, []float64{5, 4, 3, 2, 1})) {
+	if c.Eval(v2(obs, []float64{5, 4, 3, 2, 1})) {
 		t.Error("bad prediction accepted")
 	}
 }
@@ -202,13 +202,13 @@ func TestRSquaredAbove(t *testing.T) {
 func TestKSDistanceBelow(t *testing.T) {
 	c := KSDistanceBelow(0.5)
 	x := []float64{1, 2, 3, 4, 5}
-	if !c.Fn(v2(x, []float64{1.1, 2.1, 3.1, 4.1, 5.1})) {
+	if !c.Eval(v2(x, []float64{1.1, 2.1, 3.1, 4.1, 5.1})) {
 		t.Error("similar distributions rejected")
 	}
-	if c.Fn(v2(x, []float64{100, 101, 102, 103, 104})) {
+	if c.Eval(v2(x, []float64{100, 101, 102, 103, 104})) {
 		t.Error("disjoint distributions accepted")
 	}
-	if c.Fn(v2(nil, x)) {
+	if c.Eval(v2(nil, x)) {
 		t.Error("empty window accepted")
 	}
 }
@@ -224,11 +224,45 @@ func TestKLDivergenceBelow(t *testing.T) {
 		z[i] = r.NormFloat64() + 5
 	}
 	c := KLDivergenceBelow(0.5, 15)
-	if !c.Fn(v2(x, y)) {
+	if !c.Eval(v2(x, y)) {
 		t.Error("same distribution rejected")
 	}
-	if c.Fn(v2(x, z)) {
+	if c.Eval(v2(x, z)) {
 		t.Error("shifted distribution accepted")
+	}
+}
+
+// TestTemplateEvalMatchesReference checks Eval — KernelSpec.holds, the
+// op's finiteness guard before kernelSat — against every template's
+// reference closure on the rows the kernel path never sees: NaN, ±Inf and
+// −0, the empty row, one value and ties, and for the binary templates
+// every pairing, so a bad value sits in either input.
+func TestTemplateEvalMatchesReference(t *testing.T) {
+	nan, inf, negZero := math.NaN(), math.Inf(1), math.Copysign(0, -1)
+	rows := [][]float64{
+		{}, {1}, {negZero}, {nan}, {inf}, {-inf},
+		{2, 2, 2}, {1, 2, 2, 3}, {3, 2, 1}, {0, negZero, 1}, {negZero, 0},
+		{1, nan, 3}, {1, 2, inf}, {-inf, 0.5, 1.5}, {0.5, 1, 1.5, 4, 6},
+	}
+	cons := append(parityConstraints(),
+		Range(negZero, 0), GreaterThan(-inf), MaxDelta(0), FractionInRange(0, 2, 0.5),
+		CorrelationAbove(-1), CorrelationBelow(inf), RSquaredAbove(-inf), KSDistanceBelow(1), KLDivergenceBelow(inf, 3))
+	for _, c := range cons {
+		ref := referenceFn(c.Spec)
+		check := func(vals [][]float64) {
+			if got, want := c.Eval(vals), ref(vals); got != want {
+				t.Errorf("%s on %v: Eval %v, reference %v", c.Name, vals, got, want)
+			}
+		}
+		for _, x := range rows {
+			if c.Arity == 1 {
+				check(v(x...))
+				continue
+			}
+			for _, y := range rows {
+				check(v2(x, y))
+			}
+		}
 	}
 }
 
@@ -241,6 +275,9 @@ func TestAllTemplatesValidate(t *testing.T) {
 	} {
 		if err := c.Validate(); err != nil {
 			t.Errorf("%s: %v", c.Name, err)
+		}
+		if c.Fn != nil || c.Spec.Op == KernelNone {
+			t.Errorf("%s: a template is its spec alone, got Fn set %v and op %d", c.Name, c.Fn != nil, c.Spec.Op)
 		}
 		if c.Name == "" || c.Description == "" {
 			t.Errorf("template missing name/description: %+v", c)

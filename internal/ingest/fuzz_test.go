@@ -6,14 +6,17 @@ import (
 
 	"sound/internal/checker"
 	"sound/internal/core"
+	"sound/internal/stream"
 )
 
 // FuzzParseCheck throws hostile registration specs at the
 // constraint;window;route=... grammar — the surface POST /checks
 // exposes to untrusted clients. The contract: never panic, never
-// accept a spec without naming the check, and keep the accept/reject
+// accept a spec without naming the check, keep the accept/reject
 // decision stable (a spec that parses once parses identically again —
-// the grammar is pure).
+// the grammar is pure), and build a running operator from every spec it
+// accepts: Register takes it, and the operator survives an event and a
+// Flush.
 func FuzzParseCheck(f *testing.F) {
 	for _, spec := range []string{
 		"range;min=0;max=100;window=time:60",
@@ -32,6 +35,10 @@ func FuzzParseCheck(f *testing.F) {
 		"range;seed=18446744073709551615",
 		"range;seed=18446744073709551616",
 		"\x00;window=time:1",
+		"range;window=time:NaN",
+		"range;window=session:NaN",
+		"range;window=time:0",
+		"range;window=session:0",
 		"range;route=inputs:" + strings.Repeat("a,", 50) + "b",
 	} {
 		f.Add(spec)
@@ -45,7 +52,7 @@ func FuzzParseCheck(f *testing.F) {
 			}
 			return
 		}
-		if cfg.Name == "" || cfg.Check.Constraint.Fn == nil || cfg.Route == nil || cfg.Check.Window == nil {
+		if cfg.Name == "" || cfg.Check.Constraint.Validate() != nil || cfg.Route == nil || cfg.Check.Window == nil {
 			t.Fatalf("accepted spec %q produced incomplete config %+v", spec, cfg)
 		}
 		if cfg.RouteSpec == "" {
@@ -56,11 +63,19 @@ func FuzzParseCheck(f *testing.F) {
 			t.Fatalf("re-parse diverged: %+v vs %+v (err %v)", cfg, cfg2, err2)
 		}
 		// An accepted spec must also be admissible: the compiled check
-		// has to stream (ParseCheck only emits streamable windows).
-		if err := checker.NewMux(false, checker.EvictionPolicy{}).Register(checker.MuxCheck{
+		// has to stream (ParseCheck only emits streamable windows), and
+		// the operator built from it has to run. One event on the check's
+		// first input, then Flush: no accepted window fires more than one
+		// window on it.
+		x := checker.NewMux(false, checker.EvictionPolicy{})
+		if err := x.Register(checker.MuxCheck{
 			Name: cfg.Name, Check: cfg.Check, Params: cfg.Params, Seed: cfg.Seed, Route: cfg.Route,
 		}); err != nil {
 			t.Fatalf("accepted spec %q does not compile to a stream operator: %v", spec, err)
 		}
+		op := x.Factory()()
+		emit := func(stream.Event) {}
+		op.Process(stream.Event{Key: cfg.Check.SeriesNames[0], Value: 1}, emit)
+		op.Flush(emit)
 	})
 }

@@ -504,7 +504,7 @@ func TestParseCheck(t *testing.T) {
 			t.Errorf("ParseCheck(%q): %v", spec, err)
 			continue
 		}
-		if cfg.Name == "" || cfg.Check.Constraint.Fn == nil || cfg.Route == nil {
+		if cfg.Name == "" || cfg.Check.Constraint.Validate() != nil || cfg.Route == nil {
 			t.Errorf("ParseCheck(%q): incomplete config %+v", spec, cfg)
 		}
 	}
@@ -704,6 +704,8 @@ func TestAddCheckStatusCodes(t *testing.T) {
 		{"unparsable spec", "not;a;valid;spec", false, http.StatusBadRequest},
 		{"uncompilable check whose name quotes the conflict text",
 			"corr;threshold=0.3;window=session:5;route=inputs:a,b;name=already registered", false, http.StatusBadRequest},
+		{"NaN window size", "range;min=0;max=100;window=time:NaN;name=bad", false, http.StatusBadRequest},
+		{"zero window size", "range;min=0;max=100;window=time:0;name=bad", false, http.StatusBadRequest},
 		{"body over 64 KiB", "gt;threshold=5;name=" + strings.Repeat("a", 1<<16), false, http.StatusRequestEntityTooLarge},
 		{"second", sharedTrioSpecs[1], false, http.StatusOK},
 		{"over quota", sharedTrioSpecs[2], false, http.StatusTooManyRequests},
@@ -722,6 +724,36 @@ func TestAddCheckStatusCodes(t *testing.T) {
 		if resp.StatusCode != tc.want {
 			t.Errorf("%s: status %d, want %d", tc.name, resp.StatusCode, tc.want)
 		}
+	}
+}
+
+// TestBadWindowLeavesShardsRunning: POST /checks with a window that
+// cannot place events (a NaN size, whose group class differs from
+// itself) is refused, and a healthy check beside it keeps its shard
+// alive and every verdict.
+func TestBadWindowLeavesShardsRunning(t *testing.T) {
+	cc, err := ParseCheck("range;min=0;max=100;window=point", core.DefaultParams(), 1, checker.EvictionPolicy{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := NewServer(Config{Shards: 2, Checks: []CheckConfig{cc}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := httptest.NewRecorder()
+	s.Handler().ServeHTTP(rec, httptest.NewRequest("POST", "/checks", strings.NewReader("range;min=0;max=100;window=time:NaN;name=bad")))
+	if rec.Code != http.StatusBadRequest {
+		t.Errorf("POST /checks with window=time:NaN: status %d, want 400", rec.Code)
+	}
+	const n = 500
+	postEvents(t, s, 0, n, 0)
+	if err := s.Drain(); err != nil {
+		t.Fatal(err)
+	}
+	st := s.Stats()
+	c := st.Checks[0]
+	if st.Consumed != n || st.Dropped != 0 || c.Satisfied+c.Violated+c.Inconclusive != n {
+		t.Errorf("consumed %d, dropped %d, %d verdicts; want all %d events checked", st.Consumed, st.Dropped, c.Satisfied+c.Violated+c.Inconclusive, n)
 	}
 }
 

@@ -1,8 +1,9 @@
 // Package ingest is the always-on checking service: a long-lived server
 // that accepts events over TCP (binary frames) and HTTP (NDJSON),
-// fans them out to per-shard stream.Graph instances by the engine's
-// stable key hash, and runs registered checks online with live counters
-// and an outcome feed (DESIGN.md §4k).
+// fans them out to shards by the engine's stable key hash — one
+// goroutine per shard driving a checker.Mux operator — and runs
+// registered checks online with live counters and an outcome feed
+// (DESIGN.md §4k).
 package ingest
 
 import (
@@ -197,6 +198,11 @@ func ParseCheck(spec string, params core.Params, seed uint64, evict checker.Evic
 		cfg.Check = core.Check{Name: name, Constraint: c, SeriesNames: tags, Window: win}
 	default:
 		return fail(fmt.Errorf("unknown route %q (want event or inputs:<a>,<b>)", route))
+	}
+	// The grammar refuses what Register would: a window that cannot
+	// place events fails here, not in a running shard.
+	if err := cfg.Check.Validate(); err != nil {
+		return fail(err)
 	}
 	// The normalized route string is the sharing token: checks parsed
 	// with the same route (and window/params class) multiplex onto one

@@ -300,7 +300,7 @@ func TestE6HoldsDifferentBlockCounts(t *testing.T) {
 	// Block alignment parity on same-verdict monotone data too.
 	mono := tuple(series.FromValues(1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11), series.FromValues(1, 2, 3))
 	cm := core.MonotonicIncrease(true)
-	cm.Arity = 2
+	cm.Arity, cm.Spec = 2, core.KernelSpec{}
 	cm.Fn = func(vals [][]float64) bool {
 		for _, vs := range vals {
 			for i := 1; i < len(vs); i++ {
@@ -325,7 +325,7 @@ func TestE6HoldsDegenerateWindows(t *testing.T) {
 	}
 	withEmpty := core.WindowTuple{Windows: []series.Series{series.FromValues(1, 2, 3), {}}}
 	cc := c
-	cc.Arity = 2
+	cc.Arity, cc.Spec = 2, core.KernelSpec{}
 	cc.Fn = func(vals [][]float64) bool { return true }
 	if E6Holds(cc, withEmpty) {
 		t.Error("E6 held for a tuple with an empty window")
