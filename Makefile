@@ -47,7 +47,10 @@ bench-smoke:
 # snapshot codec (corrupt checkpoints must error, never panic, and
 # valid ones must re-encode bit-identically), the Mux operator's
 # restore (arbitrary payloads never panic DecodeOperator, and an
-# accepted one re-encodes to its own bytes), the template evaluation
+# accepted one re-encodes to its own bytes), batch↔stream window parity
+# (one key's disordered and hostile event times through a Mux operator
+# give the batch windower's windows over the events it accepted), the
+# template evaluation
 # against its reference closure (referenceFn) run as a user constraint,
 # the shared-lane/per-check scoring parity, the
 # branch-free in-range count against its short-circuit oracle, the
@@ -68,6 +71,7 @@ FUZZTIME ?= 10s
 fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzCheckpointRoundTrip -fuzztime=$(FUZZTIME) ./internal/checkpoint
 	$(GO) test -run='^$$' -fuzz=FuzzOperatorRestore -fuzztime=$(FUZZTIME) ./internal/checker
+	$(GO) test -run='^$$' -fuzz=FuzzWindowReplay -fuzztime=$(FUZZTIME) ./internal/checker
 	$(GO) test -run='^$$' -fuzz=FuzzKernelClosureParity -fuzztime=$(FUZZTIME) ./internal/core
 	$(GO) test -run='^$$' -fuzz=FuzzGroupScoreParity -fuzztime=$(FUZZTIME) ./internal/core
 	$(GO) test -run='^$$' -fuzz=FuzzCountIn -fuzztime=$(FUZZTIME) ./internal/core

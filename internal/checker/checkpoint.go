@@ -276,15 +276,15 @@ func decodeSeriesSet(dec *checkpoint.Decoder, arity int) ([]series.Series, error
 	return set, nil
 }
 
-// encodeTo serializes one window group.
+// encodeTo serializes one window group, its grid in version 5's order.
 func (g *groupState) encodeTo(enc *checkpoint.Encoder) {
 	enc.String(g.key)
 	enc.F64(g.lastT)
-	enc.Bool(g.hasOrigin)
-	enc.F64(g.origin)
-	enc.F64(g.nextStart)
-	enc.Bool(g.fired)
-	enc.F64(g.watermark)
+	enc.Bool(g.grid.HasOrigin)
+	enc.F64(g.grid.Origin)
+	enc.F64(g.grid.Start)
+	enc.Bool(g.grid.Fired)
+	enc.F64(g.grid.Watermark)
 	encodeSeriesSet(enc, g.bufs)
 	if g.drop == nil {
 		enc.Bool(false)
@@ -292,21 +292,21 @@ func (g *groupState) encodeTo(enc *checkpoint.Encoder) {
 		enc.Bool(true)
 		enc.Ints(g.drop)
 	}
-	enc.Int(g.nextIdx)
-	enc.F64(g.sessStart)
-	enc.F64(g.sessPrev)
-	enc.Bool(g.sessOpen)
+	enc.Int(g.grid.NextIdx)
+	enc.F64(g.grid.SessStart)
+	enc.F64(g.grid.SessPrev)
+	enc.Bool(g.grid.SessOpen)
 }
 
 // decodeFrom restores one window group.
 func (g *groupState) decodeFrom(dec *checkpoint.Decoder, arity int) error {
 	g.key = dec.String()
 	g.lastT = dec.F64()
-	g.hasOrigin = dec.Bool()
-	g.origin = dec.F64()
-	g.nextStart = dec.F64()
-	g.fired = dec.Bool()
-	g.watermark = dec.F64()
+	g.grid.HasOrigin = dec.Bool()
+	g.grid.Origin = dec.F64()
+	g.grid.Start = dec.F64()
+	g.grid.Fired = dec.Bool()
+	g.grid.Watermark = dec.F64()
 	var err error
 	if g.bufs, err = decodeSeriesSet(dec, arity); err != nil {
 		return err
@@ -317,10 +317,10 @@ func (g *groupState) decodeFrom(dec *checkpoint.Decoder, arity int) error {
 			return fmt.Errorf("checker: snapshot has %d drop slots, operator arity is %d", len(g.drop), arity)
 		}
 	}
-	g.nextIdx = dec.Int()
-	g.sessStart = dec.F64()
-	g.sessPrev = dec.F64()
-	g.sessOpen = dec.Bool()
+	g.grid.NextIdx = dec.Int()
+	g.grid.SessStart = dec.F64()
+	g.grid.SessPrev = dec.F64()
+	g.grid.SessOpen = dec.Bool()
 	return dec.Err()
 }
 

@@ -111,7 +111,7 @@ func (c *streamChecker) admit(key string) {
 // key re-anchors exactly like a fresh group: its first timestamp
 // becomes the new grid origin, the same semantics a brand-new key gets
 // (and the same re-anchoring an out-of-order first event triggers —
-// see processTime). The struct and its arrays go on the spare list for
+// see core.Grid.Admit). The struct and its arrays go on the spare list for
 // the next new key (group), which never holds more groups than are live:
 // a sweep that empties the operator does not pin its peak state.
 func (c *streamChecker) evictGroup(g *groupState) {
@@ -150,7 +150,7 @@ func (g *groupState) reuse(key string) {
 	clear(drop)
 }
 
-// noteDroppedLate counts an event below its group's fired horizon.
+// noteDroppedLate counts an event its group's grid did not admit.
 func (c *streamChecker) noteDroppedLate() {
 	for _, m := range c.members {
 		if m.out != nil {

@@ -117,7 +117,7 @@ func TestEvictionTTLSweep(t *testing.T) {
 	// with its grid origin at 40 — not resume the old origin-0 grid.
 	proc.Process(stream.Event{Time: 40, Key: "idle", Value: 1}, discardEmit)
 	g := c.peek("idle")
-	if g == nil || !g.hasOrigin || g.origin != 40 {
+	if g == nil || !g.grid.HasOrigin || g.grid.Origin != 40 {
 		t.Errorf("re-admitted group = %+v, want fresh anchor at t=40", g)
 	}
 }
@@ -143,7 +143,7 @@ func TestEvictedKeyReturnsFresh(t *testing.T) {
 	fresh := func(key string, at float64) {
 		t.Helper()
 		g, _ := c.groups.Get(stream.KeyHash(key), key)
-		if g == nil || !g.hasOrigin || g.origin != at || g.fired ||
+		if g == nil || !g.grid.HasOrigin || g.grid.Origin != at || g.grid.Fired ||
 			len(g.bufs) != 1 || len(g.bufs[0]) != 1 || g.bufs[0][0].T != at {
 			t.Fatalf("%s at t=%v: group %+v, want fresh state anchored at %v holding one point", key, at, g, at)
 		}
@@ -221,7 +221,7 @@ func TestEvictedStateReuse(t *testing.T) {
 						// The cap is about to evict: the victim must carry the
 						// state this test wants reused.
 						v := c.lruTail
-						if isCount && (v.nextIdx == 0 || v.drop[0] == 0) || !isCount && !v.fired {
+						if isCount && (v.grid.NextIdx == 0 || v.drop[0] == 0) || !isCount && !v.grid.Fired {
 							t.Fatalf("victim %s holds no state worth reusing: %+v", v.key, v)
 						}
 					}

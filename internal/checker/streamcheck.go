@@ -30,7 +30,7 @@ import (
 type StreamOutcomes struct {
 	satisfied, violated, inconclusive atomic.Int64
 	// Lifecycle counters (DESIGN.md §4i): groups reclaimed by the
-	// eviction policy and events dropped below the fired horizon.
+	// eviction policy and events no unfired window can hold.
 	evictedGroups, droppedLate atomic.Int64
 }
 
@@ -60,9 +60,10 @@ type LifecycleCounts struct {
 	// EvictedGroups counts window groups reclaimed by the eviction
 	// policy (idle TTL or group cap).
 	EvictedGroups int
-	// DroppedLate counts events below their group's fired horizon:
-	// every window containing them had already fired, so they were not
-	// buffered.
+	// DroppedLate counts events no unfired window can hold, which were
+	// not buffered: every window containing them had already fired, or
+	// the window cannot place their time (a time grid whose slide does
+	// not move at that time, NaN or ±Inf; core.Grid.Admit).
 	DroppedLate int
 	// RejectedEvents is always 0: the eviction policy admits every
 	// event. The field stays for readers of the counter set.
@@ -225,34 +226,16 @@ type groupState struct {
 	lastT float64
 	// prev/next link the worker's LRU list (head = most recent).
 	prev, next *groupState
-	// Time-window grid state. The grid is anchored at origin, the group's
-	// first observed timestamp, and replicates the batch TimeWindow loop
-	// verbatim: starts advance from origin by slide with the same float
-	// accumulation. nextStart is the start of the earliest un-fired
-	// window; fired records whether any window has fired yet (while it is
-	// false an out-of-order arrival below origin may still re-anchor the
-	// grid, exactly as a batch run over the full series would).
-	origin    float64
-	hasOrigin bool
-	nextStart float64
-	fired     bool
-	watermark float64
 	// bufs holds the not-yet-consumed points per input, for every window
-	// kind (the kind is fixed per operator): time windows slice it at fire
-	// time with the same SliceTime the batch path uses, count windows by
-	// absolute index, k-ary point tuples align its heads, and global and
-	// session windows evaluate it whole.
+	// kind (the kind is fixed per operator): grid windows are sliced out
+	// of it by grid.Next and k-ary point tuples align its heads.
 	bufs []series.Series
-	// Count-window alignment: drop[i] is the absolute index of bufs[i][0]
-	// in input i's full point sequence; nextIdx is the absolute start
-	// index of the earliest un-fired count window. Tracking absolute
-	// indices lets Slide > Size hop over points exactly like the batch
-	// CountWindow instead of re-slicing past the buffer end.
-	drop    []int
-	nextIdx int
-	// session bounds.
-	sessStart, sessPrev float64
-	sessOpen            bool
+	// drop[i] is the absolute index of bufs[i][0] in input i's full point
+	// sequence (count windows only; nil for every other kind).
+	drop []int
+	// grid is the group's window position (core.Grid): the same grid the
+	// batch windowers replay, fed here event by event.
+	grid core.Grid
 }
 
 func (c *streamChecker) group(key string) *groupState {
@@ -311,9 +294,13 @@ func (c *streamChecker) sortedGroups() []*groupState {
 	return gs
 }
 
-func (g *groupState) inputs(arity int) []series.Series {
+// inputs returns the group's buffers (and a count window's drop counts).
+func (c *streamChecker) inputs(g *groupState) []series.Series {
 	if g.bufs == nil {
-		g.bufs = make([]series.Series, arity)
+		g.bufs = make([]series.Series, c.arity)
+	}
+	if g.drop == nil && c.asg.Kind == core.KindCount {
+		g.drop = make([]int, c.arity)
 	}
 	return g.bufs
 }
@@ -336,19 +323,10 @@ func (c *streamChecker) ingest(ev stream.Event) {
 		c.admit(key)
 	}
 	p := series.Point{T: ev.Time, V: ev.Value, SigUp: ev.SigUp, SigDown: ev.SigDown}
-	switch c.asg.Kind {
-	case core.KindPoint:
+	if c.asg.Kind == core.KindPoint {
 		c.processPoint(key, input, p)
-	case core.KindTumblingTime, core.KindSlidingTime:
-		c.processTime(key, input, p)
-	case core.KindCount:
-		c.processCount(key, input, p)
-	case core.KindGlobal:
-		g := c.group(key)
-		bufs := g.inputs(c.arity)
-		bufs[input] = append(bufs[input], p)
-	case core.KindSession:
-		c.processSession(key, p)
+	} else {
+		c.processGrid(key, input, p)
 	}
 	if c.evictOn && c.stateful {
 		if g := c.peek(key); g != nil {
@@ -375,7 +353,7 @@ func (c *streamChecker) processPoint(key string, input int, p series.Point) {
 		c.evaluate(key, core.WindowTuple{Windows: ws, Start: p.T, End: p.T}, math.Float64bits(p.T))
 		return
 	}
-	bufs := c.group(key).inputs(c.arity)
+	bufs := c.inputs(c.group(key))
 	bufs[input] = append(bufs[input], p)
 	head := 0
 fire:
@@ -408,194 +386,62 @@ fire:
 	}
 }
 
-// processTime buffers the event and fires every time window the group's
-// watermark — the maximum event time seen — has closed. The window grid
-// is anchored at the group's first observed timestamp, matching the
-// batch TimeWindow, which starts at the union-span minimum; events
-// arriving out of order within a still-open window are buffered and
-// time-sorted before slicing, so they land in the correct windows. A
-// late event below the fired horizon is dropped:
-// every window containing it has already fired, and re-opening a closed
-// window would evaluate the same boundaries twice.
-func (c *streamChecker) processTime(key string, input int, p series.Point) {
+// processGrid admits the event to its group's grid, buffers it, and
+// fires the windows it made due. An event the grid does not admit is
+// dropped and counted: no unfired window can hold it. Between fires an
+// event costs the admission, an append and Due's comparison; buffer
+// sorting is deferred to the next fire, where one reorder check covers
+// every event since the last.
+func (c *streamChecker) processGrid(key string, input int, p series.Point) {
 	g := c.group(key)
-	if !g.hasOrigin {
-		g.origin, g.nextStart, g.watermark = p.T, p.T, p.T
-		g.hasOrigin = true
-	} else if p.T < g.origin && !g.fired {
-		// Out-of-order arrival before the anchor while no window has
-		// fired yet: shift the grid to the new first timestamp, exactly
-		// what a batch run over the full series would use.
-		g.origin, g.nextStart = p.T, p.T
-	}
-	if p.T < g.nextStart {
-		// Every window containing p (starts in (p.T−size, p.T]) already
-		// fired; dropping keeps each window's boundaries evaluated once.
+	if !g.grid.Admit(&c.asg, p.T) {
 		c.noteDroppedLate()
 		return
 	}
-	bufs := g.inputs(c.arity)
+	bufs := c.inputs(g)
 	bufs[input] = append(bufs[input], p)
-	if p.T > g.watermark {
-		g.watermark = p.T
-	}
-	// Only run the fire scan when the watermark has actually closed the
-	// earliest un-fired window — the same end <= watermark comparison the
-	// scan's loop would make before bailing out. Between fires, appends
-	// are O(1): buffer sorting is deferred to the next fire, where one
-	// reorder check covers every event since the last (frame-at-a-time
-	// when frames arrive batched) instead of one per event.
-	if g.nextStart+c.asg.Size <= g.watermark {
-		c.fireDueTimeWindows(g, false)
+	if g.grid.Due(&c.asg, false) {
+		c.fire(g, false)
 	}
 }
 
-// fireDueTimeWindows evaluates, in grid order, every window the group's
-// watermark has closed (end <= watermark); with final it extends to
-// every window batch would emit (start <= last timestamp). The loop
-// replicates batch TimeWindow.Windows verbatim — same anchor, same
-// float accumulation of starts, same half-open SliceTime — and empty
-// grid slots across data gaps are evaluated too, so the stream emits
-// the identical window tuple sequence.
-func (c *streamChecker) fireDueTimeWindows(g *groupState, final bool) {
-	if !g.hasOrigin {
-		return
+// fire evaluates, in grid order, every window of the group that is due
+// (with final, every window still open), then trims the buffers once.
+// Time, session and global buffers are time-sorted first; count buffers
+// keep arrival order. Each tuple lives for its evaluate call alone, so
+// the buffers it sliced may be compacted after the last one.
+func (c *streamChecker) fire(g *groupState, final bool) {
+	if c.asg.Kind != core.KindCount {
+		for _, buf := range g.bufs {
+			sortByTime(buf)
+		}
 	}
-	for _, buf := range g.bufs {
-		sortByTime(buf)
-	}
+	fired := false
 	for {
-		start, end := g.nextStart, g.nextStart+c.asg.Size
-		if final {
-			if start > g.watermark {
-				return
-			}
-		} else if end > g.watermark {
-			return
+		tuple, coord, ok := g.grid.Next(&c.asg, g.bufs, g.drop, final, c.tuple(c.arity))
+		if !ok {
+			break
 		}
-		ws := c.tuple(c.arity)
-		for i := range g.bufs {
-			ws[i] = g.bufs[i].SliceTime(start, end)
-		}
-		c.evaluate(g.key, core.WindowTuple{Windows: ws, Start: start, End: end}, math.Float64bits(start))
-		g.fired = true
-		g.nextStart += c.asg.Slide
-		for i := range g.bufs {
-			// Points below the next start belong only to fired windows:
-			// move the rest to the front of the same array. The evaluated
-			// tuple sliced this array, but it lived for the evaluate call
-			// alone.
-			if n := g.bufs[i].At(g.nextStart); n > 0 {
-				g.bufs[i] = g.bufs[i][:copy(g.bufs[i], g.bufs[i][n:])]
-			}
-		}
+		c.evaluate(g.key, tuple, coord)
+		fired = true
+	}
+	if fired {
+		g.grid.Trim(&c.asg, g.bufs, g.drop)
 	}
 }
 
-// processCount accumulates per-input buffers and fires count windows as
-// soon as every input covers the next window's absolute index range
-// [nextIdx, nextIdx+count) — index-aligned across inputs exactly like
-// the batch CountWindow. Absolute indices (buffer offset + drop count)
-// make every slide legal: overlapping (Slide < Size), tumbling, and
-// hopping (Slide > Size), where the points in the skipped gap are
-// discarded on arrival just as batch never materializes them.
-func (c *streamChecker) processCount(key string, input int, p series.Point) {
-	g := c.group(key)
-	bufs := g.inputs(c.arity)
-	if g.drop == nil {
-		g.drop = make([]int, c.arity)
-	}
-	if g.drop[input]+len(bufs[input]) < g.nextIdx {
-		// The point's index falls in a gap the slide hopped over.
-		g.drop[input]++
-		return
-	}
-	bufs[input] = append(bufs[input], p)
-	for {
-		for i := range bufs {
-			if g.drop[i]+len(bufs[i]) < g.nextIdx+c.asg.Count {
-				return
-			}
-		}
-		ws := c.tuple(c.arity)
-		for i := range bufs {
-			off := g.nextIdx - g.drop[i]
-			ws[i] = bufs[i][off : off+c.asg.Count : off+c.asg.Count]
-		}
-		start, end := ws[0][0].T, ws[0][len(ws[0])-1].T
-		// The absolute start index is the count window's coordinate: it is
-		// arrival-order-defined, identical on every worker layout.
-		c.evaluate(g.key, core.WindowTuple{Windows: ws, Start: start, End: end}, uint64(g.nextIdx))
-		g.nextIdx += c.asg.CountSlide
-		for i := range bufs {
-			n := g.nextIdx - g.drop[i]
-			if n > len(bufs[i]) {
-				n = len(bufs[i])
-			}
-			// Move the rest to the front of the same array: the evaluated
-			// tuple aliased its head, but only for the evaluate call.
-			bufs[i] = bufs[i][:copy(bufs[i], bufs[i][n:])]
-			g.drop[i] += n
-		}
-	}
-}
-
-// processSession extends or closes the group's gap-delimited session
-// (unary checks only, enforced at compile time).
-func (c *streamChecker) processSession(key string, p series.Point) {
-	g := c.group(key)
-	bufs := g.inputs(1)
-	if g.sessOpen && p.T-g.sessPrev > c.asg.Gap {
-		c.fireSession(g)
-	}
-	if !g.sessOpen {
-		g.sessOpen = true
-		g.sessStart = p.T
-	}
-	bufs[0] = append(bufs[0], p)
-	g.sessPrev = p.T
-}
-
-func (c *streamChecker) fireSession(g *groupState) {
-	if len(g.bufs[0]) > 0 {
-		sortByTime(g.bufs[0])
-		ws := c.tuple(1)
-		ws[0] = g.bufs[0]
-		c.evaluate(g.key, core.WindowTuple{Windows: ws, Start: g.sessStart, End: g.sessPrev}, math.Float64bits(g.sessStart))
-		g.bufs[0] = g.bufs[0][:0]
-	}
-	g.sessOpen = false
-}
-
-// flush evaluates the open windows at end of stream, in
-// deterministic group order. Incomplete point-wise tuples and partial
-// count windows are dropped, matching the batch windowing functions
+// flush evaluates the open windows at end of stream, in deterministic
+// group order: every time window batch would emit, the open session and
+// the global window. Incomplete point-wise tuples and partial count
+// windows are dropped, matching the batch windowing functions
 // (PointWindow truncates to the shortest series; CountWindow drops the
 // tail shorter than Size).
 func (c *streamChecker) flush() {
+	if c.asg.Kind == core.KindPoint {
+		return
+	}
 	for _, g := range c.sortedGroups() {
-		switch c.asg.Kind {
-		case core.KindTumblingTime, core.KindSlidingTime:
-			// Fire the remaining grid slots batch would emit: every start
-			// at or below the last observed timestamp.
-			c.fireDueTimeWindows(g, true)
-		case core.KindGlobal:
-			nonEmpty := false
-			for _, buf := range g.bufs {
-				sortByTime(buf)
-				if len(buf) > 0 {
-					nonEmpty = true
-				}
-			}
-			if nonEmpty {
-				start, end := span(g.bufs)
-				c.evaluate(g.key, core.WindowTuple{Windows: g.bufs, Start: start, End: end}, 0)
-			}
-		case core.KindSession:
-			if g.sessOpen {
-				c.fireSession(g)
-			}
-		}
+		c.fire(g, true)
 	}
 }
 
@@ -671,26 +517,4 @@ func sortByTime(s series.Series) {
 			return
 		}
 	}
-}
-
-// span returns the union time span of the buffers.
-func span(bufs []series.Series) (start, end float64) {
-	init := false
-	for _, buf := range bufs {
-		if len(buf) == 0 {
-			continue
-		}
-		a, b := buf[0].T, buf[len(buf)-1].T
-		if !init {
-			start, end, init = a, b, true
-			continue
-		}
-		if a < start {
-			start = a
-		}
-		if b > end {
-			end = b
-		}
-	}
-	return start, end
 }

@@ -368,7 +368,7 @@ func (ck Check) Validate() error {
 		return fmt.Errorf("core: check %q has nil windowing function", ck.Name)
 	}
 	if !ClassifyWindow(ck.Window).valid() {
-		return fmt.Errorf("core: check %q has window %+v: sizes, slides and gaps must be positive and finite, counts at least 1", ck.Name, ck.Window)
+		return fmt.Errorf("core: check %q has window %+v: sizes, slides and gaps must be positive and finite, counts at least 1, a time window at most %d slides long", ck.Name, ck.Window, maxOverlap)
 	}
 	return nil
 }

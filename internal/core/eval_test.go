@@ -356,6 +356,9 @@ func TestCheckValidateWindows(t *testing.T) {
 		{TimeWindow{Size: 10, Slide: nan}, false},
 		{TimeWindow{Size: 10, Slide: inf}, false},
 		{SessionWindow{Gap: inf}, false},
+		{TimeWindow{Size: 10, Slide: 1e-300}, false},
+		{TimeWindow{Size: 4097, Slide: 1}, false},
+		{TimeWindow{Size: 4096, Slide: 1}, true}, // the overlap cap itself
 		{TimeWindow{Size: 10}, true},
 		{TimeWindow{Size: 10, Slide: 3}, true},
 		{TimeWindow{Size: 10, Slide: -1}, true}, // slide defaults to the size

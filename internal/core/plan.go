@@ -56,9 +56,9 @@ func (k WindowKind) String() string {
 
 // WindowAssigner is the compiled, engine-neutral form of a windowing
 // function ψ: its kind plus the numeric parameters needed to assign any
-// event-time (or index) coordinate to window boundaries. Batch execution
-// keeps using the original Windower to materialize tuples; streaming
-// operators use the assigner to maintain open windows incrementally.
+// event-time (or index) coordinate to window boundaries. A Grid runs it:
+// the built-in batch windowers replay one over whole series, and the
+// streaming operator keeps one per key and feeds it event by event.
 type WindowAssigner struct {
 	Kind WindowKind
 	// Size and Slide configure time windows (Slide == Size when
@@ -104,15 +104,16 @@ func ClassifyWindow(w Windower) WindowAssigner {
 
 // valid reports whether the assigner's parameters can place events: a
 // time window's size and slide and a session's gap positive and finite,
-// a count window's size and slide at least 1. A NaN size breaks the
-// class a streaming group is keyed by, a zero or negative one never
-// closes a window, and a zero gap or count fires on every event or on
-// none.
+// a time window's size at most maxOverlap slides, a count window's size
+// and slide at least 1. A NaN size breaks the class a streaming group
+// is keyed by, a zero or negative one never closes a window, a zero gap
+// or count fires on every event or on none, and a slide far below the
+// size puts every point in that many windows.
 func (a WindowAssigner) valid() bool {
 	pos := func(x float64) bool { return x > 0 && x <= math.MaxFloat64 }
 	switch a.Kind {
 	case KindTumblingTime, KindSlidingTime:
-		return pos(a.Size) && pos(a.Slide)
+		return pos(a.Size) && pos(a.Slide) && a.Size/a.Slide <= maxOverlap
 	case KindCount:
 		return a.Count >= 1 && a.CountSlide >= 1
 	case KindSession:
@@ -201,10 +202,21 @@ func (pl *CheckPlan) EvaluatorAt(seed uint64) *Evaluator {
 	return newEvaluator(pl.params, pl.bounds, seed)
 }
 
-// checkSeries verifies the runtime inputs match the compiled arity.
+// checkSeries verifies the runtime inputs match the compiled arity and
+// that the window can place every point's time (see
+// WindowAssigner.places): a time grid never advances past a time its
+// slide cannot move, so such a series is refused instead of run.
 func (pl *CheckPlan) checkSeries(ss []series.Series) error {
 	if len(ss) != pl.check.Constraint.Arity {
 		return fmt.Errorf("core: check %q given %d series, want %d", pl.check.Name, len(ss), pl.check.Constraint.Arity)
+	}
+	for i, s := range ss {
+		for _, p := range s {
+			if !pl.assigner.places(p.T) {
+				return fmt.Errorf("core: check %q: series %q has time %g, which window %v cannot place",
+					pl.check.Name, pl.check.SeriesNames[i], p.T, pl.check.Window)
+			}
+		}
 	}
 	return nil
 }

@@ -2,7 +2,9 @@ package core
 
 import (
 	"context"
+	"math"
 	"reflect"
+	"strings"
 	"testing"
 
 	"sound/internal/series"
@@ -84,6 +86,55 @@ func TestPlanArityMismatch(t *testing.T) {
 	}
 	if _, err := pl.RunParallel(context.Background(), nil, 2); err == nil {
 		t.Error("arity mismatch accepted by RunParallel")
+	}
+}
+
+// TestPlanRefusesUnplaceableTime: a series holding a time its window
+// cannot place is refused with an error naming the series and the time,
+// by every run path, instead of run: a time window would walk its grid
+// without end on such a series, since start + size == start at
+// t = 1.7e18 for size 10, and at 2⁵³+4 adding a slide of 1 rounds back
+// to the start. Windows that place every time run.
+func TestPlanRefusesUnplaceableTime(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, tc := range []struct {
+		win Windower
+		ts  []float64
+		bad string // the time the error must name; "" runs
+	}{
+		{TimeWindow{Size: 10}, []float64{0, 1.7e18}, "1.7e+18"},
+		{TimeWindow{Size: 60, Slide: 10}, []float64{1.7e18}, "1.7e+18"},
+		{TimeWindow{Size: 1}, []float64{0x1p53 + 2, 0x1p53 + 6}, "9.007199254740994e+15"},
+		{TimeWindow{Size: 10}, []float64{0, inf}, "+Inf"},
+		{TimeWindow{Size: 10}, []float64{nan, 1}, "NaN"},
+		{SessionWindow{Gap: 5}, []float64{0, inf}, "+Inf"},
+		{SessionWindow{Gap: 5}, []float64{-inf, 0}, "-Inf"},
+		{TimeWindow{Size: 1e9}, []float64{1.7e18, 1.7e18 + 5e9}, ""},
+		{SessionWindow{Gap: 5}, []float64{1e300}, ""},
+		{CountWindow{Size: 1}, []float64{0, inf}, ""},
+		{GlobalWindow{}, []float64{nan, 1}, ""},
+	} {
+		s := make(series.Series, len(tc.ts))
+		for i, ts := range tc.ts {
+			s[i] = series.Point{T: ts, V: 1}
+		}
+		ck := Check{Name: "r", Constraint: Range(0, 2), SeriesNames: []string{"speed"}, Window: tc.win}
+		pl, err := CompilePlan(ck, DefaultParams(), 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ss := []series.Series{s}
+		_, errRun := pl.Run(ss)
+		_, errNaive := pl.RunNaive(ss)
+		_, errPar := pl.RunParallel(context.Background(), ss, 2)
+		for _, err := range []error{errRun, errNaive, errPar} {
+			switch {
+			case tc.bad == "" && err != nil:
+				t.Errorf("%v on %v: %v, want a run", tc.win, tc.ts, err)
+			case tc.bad != "" && (err == nil || !strings.Contains(err.Error(), `"speed"`) || !strings.Contains(err.Error(), tc.bad)):
+				t.Errorf("%v on %v: err = %v, want one naming series \"speed\" and time %s", tc.win, tc.ts, err, tc.bad)
+			}
+		}
 	}
 }
 

@@ -58,7 +58,11 @@ func (PointWindow) windowsInto(ss []series.Series, buf []WindowTuple) []WindowTu
 			n = len(s)
 		}
 	}
-	out := tupleSlice(buf, n)
+	out := buf
+	if cap(out) < n {
+		out = make([]WindowTuple, n)
+	}
+	out = out[:n]
 	// One flat backing array for all n window slices instead of one
 	// allocation per tuple; full-capacity sub-slices keep tuples isolated.
 	// The backing array is always fresh — Results retain the window slices
@@ -87,47 +91,7 @@ type TimeWindow struct {
 
 // Windows implements Windower.
 func (w TimeWindow) Windows(ss []series.Series) []WindowTuple {
-	if len(ss) == 0 || w.Size <= 0 {
-		return nil
-	}
-	slide := w.Slide
-	if slide <= 0 {
-		slide = w.Size
-	}
-	// Union span across the k series.
-	first, last := 0.0, 0.0
-	init := false
-	for _, s := range ss {
-		if len(s) == 0 {
-			continue
-		}
-		a, b := s.Span()
-		if !init {
-			first, last, init = a, b, true
-			continue
-		}
-		if a < first {
-			first = a
-		}
-		if b > last {
-			last = b
-		}
-	}
-	if !init {
-		return nil
-	}
-	var out []WindowTuple
-	idx := 0
-	for start := first; start <= last; start += slide {
-		end := start + w.Size
-		ws := make([]series.Series, len(ss))
-		for k, s := range ss {
-			ws[k] = s.SliceTime(start, end)
-		}
-		out = append(out, WindowTuple{Windows: ws, Start: start, End: end, Index: idx})
-		idx++
-	}
-	return out
+	return replay(ClassifyWindow(w), ss)
 }
 
 func (w TimeWindow) String() string {
@@ -147,41 +111,7 @@ type CountWindow struct {
 
 // Windows implements Windower.
 func (w CountWindow) Windows(ss []series.Series) []WindowTuple {
-	return w.windowsInto(ss, nil)
-}
-
-func (w CountWindow) windowsInto(ss []series.Series, buf []WindowTuple) []WindowTuple {
-	if len(ss) == 0 || w.Size <= 0 {
-		return nil
-	}
-	slide := w.Slide
-	if slide <= 0 {
-		slide = w.Size
-	}
-	n := len(ss[0])
-	for _, s := range ss[1:] {
-		if len(s) < n {
-			n = len(s)
-		}
-	}
-	if n < w.Size {
-		return nil
-	}
-	count := (n-w.Size)/slide + 1
-	k := len(ss)
-	out := tupleSlice(buf, count)
-	flat := make([]series.Series, count*k)
-	idx := 0
-	for start := 0; start+w.Size <= n; start += slide {
-		end := start + w.Size
-		ws := flat[idx*k : (idx+1)*k : (idx+1)*k]
-		for j, s := range ss {
-			ws[j] = s[start:end]
-		}
-		out[idx] = WindowTuple{Windows: ws, Start: float64(start), End: float64(end), Index: idx}
-		idx++
-	}
-	return out
+	return replay(ClassifyWindow(w), ss)
 }
 
 func (w CountWindow) String() string {
@@ -195,25 +125,8 @@ func (w CountWindow) String() string {
 type GlobalWindow struct{}
 
 // Windows implements Windower.
-func (GlobalWindow) Windows(ss []series.Series) []WindowTuple {
-	if len(ss) == 0 {
-		return nil
-	}
-	ws := make([]series.Series, len(ss))
-	start, end := 0.0, 0.0
-	for k, s := range ss {
-		ws[k] = s
-		if len(s) > 0 {
-			a, b := s.Span()
-			if k == 0 || a < start {
-				start = a
-			}
-			if k == 0 || b > end {
-				end = b
-			}
-		}
-	}
-	return []WindowTuple{{Windows: ws, Start: start, End: end, Index: 0}}
+func (w GlobalWindow) Windows(ss []series.Series) []WindowTuple {
+	return replay(ClassifyWindow(w), ss)
 }
 
 func (GlobalWindow) String() string { return "global" }
@@ -231,31 +144,7 @@ type SessionWindow struct {
 
 // Windows implements Windower.
 func (w SessionWindow) Windows(ss []series.Series) []WindowTuple {
-	if len(ss) == 0 || w.Gap <= 0 || len(ss[0]) == 0 {
-		return nil
-	}
-	driver := ss[0]
-	var out []WindowTuple
-	idx := 0
-	start := driver[0].T
-	prev := driver[0].T
-	flush := func(endInclusive float64) {
-		ws := make([]series.Series, len(ss))
-		for k, s := range ss {
-			ws[k] = s.SliceTimeInclusive(start, endInclusive)
-		}
-		out = append(out, WindowTuple{Windows: ws, Start: start, End: endInclusive, Index: idx})
-		idx++
-	}
-	for _, p := range driver[1:] {
-		if p.T-prev > w.Gap {
-			flush(prev)
-			start = p.T
-		}
-		prev = p.T
-	}
-	flush(prev)
-	return out
+	return replay(ClassifyWindow(w), ss)
 }
 
 func (w SessionWindow) String() string {

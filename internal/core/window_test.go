@@ -167,6 +167,12 @@ func TestGlobalWindow(t *testing.T) {
 	if ws[0].End != 14 {
 		t.Errorf("global end = %v", ws[0].End)
 	}
+	// An empty first series spans nothing: the window starts at the
+	// first point of the others.
+	ws = GlobalWindow{}.Windows([]series.Series{{}, {{T: 5}, {T: 9}}})
+	if len(ws) != 1 || ws[0].Start != 5 || ws[0].End != 9 {
+		t.Errorf("global window over an empty and a [5, 9] series = %+v, want [5, 9]", ws)
+	}
 }
 
 func TestWindowerStrings(t *testing.T) {

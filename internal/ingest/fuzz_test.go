@@ -39,6 +39,8 @@ func FuzzParseCheck(f *testing.F) {
 		"range;window=session:NaN",
 		"range;window=time:0",
 		"range;window=session:0",
+		"range;window=time:10:1e-300",
+		"range;window=time:4096:1",
 		"range;route=inputs:" + strings.Repeat("a,", 50) + "b",
 	} {
 		f.Add(spec)

@@ -706,6 +706,7 @@ func TestAddCheckStatusCodes(t *testing.T) {
 			"corr;threshold=0.3;window=session:5;route=inputs:a,b;name=already registered", false, http.StatusBadRequest},
 		{"NaN window size", "range;min=0;max=100;window=time:NaN;name=bad", false, http.StatusBadRequest},
 		{"zero window size", "range;min=0;max=100;window=time:0;name=bad", false, http.StatusBadRequest},
+		{"slide 10^301 times below the size", "range;min=0;max=100;window=time:10:1e-300;name=bad", false, http.StatusBadRequest},
 		{"body over 64 KiB", "gt;threshold=5;name=" + strings.Repeat("a", 1<<16), false, http.StatusRequestEntityTooLarge},
 		{"second", sharedTrioSpecs[1], false, http.StatusOK},
 		{"over quota", sharedTrioSpecs[2], false, http.StatusTooManyRequests},
