@@ -97,6 +97,9 @@ serve-smoke:
 # ab measures a claimed gain the way the choosing-metrics guide asks:
 # PAIRS alternating parent/change runs of the standing benchmark's
 # workload WL at seed SEED on this box, in the foreground, one at a time.
+# WL=all runs every workload of BENCHMARK.json (AB_WORKLOADS) in turn,
+# each with its own PAIRS pairs, runs file and summary: the no-regression
+# check over every workload in one command.
 # The parent is commit REF exported under the git-ignored .bench_build/
 # (a plain `git archive` tree: nothing to unregister if the run is
 # killed, removed on exit either way); the change is the working tree.
@@ -104,27 +107,38 @@ serve-smoke:
 # sides' medians and quartiles and the change's win count
 # (soundbench -ab) over the pairs whose two runs were both valid, and
 # fails if a run printed no result or wrong outputs (a busy host) or a
-# soundserve child outlived its run.
+# soundserve child outlived its run. Each run's whole record is kept
+# beside the runs file as <workload>-seed<SEED>-<pair>-<side>.json: why
+# a run was invalid (loadgen_invalid_slices,
+# paced_backlog_drained_within_1s) is read there.
 REF ?= HEAD
 WL ?= suite-sliding
 PAIRS ?= 10
 SEED ?= 1
+AB_WORKLOADS = frames-clearcut mc-borderline suite-sliding ndjson-manykeys
 ab:
 	@set -eu; \
 	ref=$$(git rev-parse --short '$(REF)^{commit}'); \
-	dir=.bench_build/ab/$$ref; runs=.bench_build/ab/$(WL)-seed$(SEED).txt; \
+	dir=.bench_build/ab/$$ref; \
 	trap 'rm -rf "$$dir"' EXIT; trap 'exit 130' INT TERM; \
 	rm -rf "$$dir"; mkdir -p "$$dir"; git archive "$$ref" | tar -x -C "$$dir"; \
-	: > "$$runs"; \
+	wls='$(WL)'; [ "$$wls" != all ] || wls='$(AB_WORKLOADS)'; \
 	run() { \
-		line=$$($(GO) -C "$$2/benchmark" run sound/benchmark --workload $(WL) --seed $(SEED) | tail -n 1); \
+		line=$$($(GO) -C "$$2/benchmark" run sound/benchmark --workload $$wl --seed $(SEED) | tail -n 1); \
+		rec="$$2/benchmark/out/record-$$wl.json"; \
+		if [ "$$rec" -nt "$$runs" ]; then cp "$$rec" ".bench_build/ab/$$wl-seed$(SEED)-$$i-$$1.json"; fi; \
 		printf '%s %s\n' "$$1" "$$line" >> "$$runs"; \
 	}; \
-	for i in $$(seq 1 $(PAIRS)); do \
-		echo "ab: pair $$i/$(PAIRS): $(WL), seed $(SEED), parent $$ref" >&2; \
-		if [ $$((i % 2)) -eq 1 ]; then run parent "$$dir"; run change .; else run change .; run parent "$$dir"; fi; \
+	st=0; \
+	for wl in $$wls; do \
+		runs=.bench_build/ab/$$wl-seed$(SEED).txt; : > "$$runs"; \
+		for i in $$(seq 1 $(PAIRS)); do \
+			echo "ab: pair $$i/$(PAIRS): $$wl, seed $(SEED), parent $$ref" >&2; \
+			if [ $$((i % 2)) -eq 1 ]; then run parent "$$dir"; run change .; else run change .; run parent "$$dir"; fi; \
+		done; \
+		echo "ab: $$wl, seed $(SEED), parent $$ref, runs in $$runs"; \
+		$(GO) run ./cmd/soundbench -ab "$$runs" || st=1; \
 	done; \
-	st=0; $(GO) run ./cmd/soundbench -ab "$$runs" || st=$$?; \
 	if pgrep -x soundserve >/dev/null; then \
 		echo "ab: a soundserve process outlived the runs:" >&2; pgrep -xa soundserve >&2; st=1; \
 	fi; \

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
-	"time"
 
 	"sound/internal/checker"
 	"sound/internal/core"
@@ -93,14 +92,14 @@ func BuildStream(cfg Config, mode Mode, params core.Params, parallelism, events 
 				Value:   flux,
 				SigUp:   up,
 				SigDown: down,
-				Created: time.Now(),
+				Created: stream.Now(),
 			})
 		}
 	})
 
 	checks := Checks(cfg)
 	// Each check node runs the operator of a Mux hosting that check alone.
-	checkOp := func(ck core.Check, seed uint64, out *checker.StreamOutcomes, route checker.RouteFunc) func() stream.Processor {
+	checkOp := func(ck core.Check, seed uint64, out *checker.StreamOutcomes, route checker.Route) func() stream.Processor {
 		x := checker.NewMux(false, checker.EvictionPolicy{})
 		if err := x.Register(checker.MuxCheck{
 			Name:   ck.Name,

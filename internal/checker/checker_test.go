@@ -5,7 +5,6 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"sound/internal/core"
 	"sound/internal/pipeline"
@@ -154,7 +153,7 @@ func TestUnaryStreamCheckerPointWise(t *testing.T) {
 			if i%10 == 0 {
 				v = 50 // clear violation
 			}
-			emit(stream.Event{Time: float64(i), Key: "k", Value: v, Created: time.Now()})
+			emit(stream.Event{Time: float64(i), Key: "k", Value: v, Created: stream.Now()})
 		}
 	})
 	chk := g.AddOperator("check", 2, muxFactory(t, true, MuxCheck{Check: ck, Params: core.DefaultParams(), Seed: 7, Out: &out}))

@@ -196,15 +196,14 @@ func (c *streamChecker) decodeState(dec *checkpoint.Decoder) error {
 		if err := g.decodeFrom(dec, c.arity); err != nil {
 			return err
 		}
-		h := stream.KeyHash(g.key)
-		if _, dup := c.groups.Get(h, g.key); dup {
+		if _, dup := c.groups.Get(g.hash, g.key); dup {
 			return fmt.Errorf("checker: duplicate group %q in snapshot", g.key)
 		}
 		if !c.evictOn && i > 0 && g.key <= prev {
 			return fmt.Errorf("checker: snapshot group %q out of key order", g.key)
 		}
 		prev = g.key
-		c.groups.Put(h, g.key, g)
+		c.groups.Put(g.hash, g.key, g)
 		if c.evictOn {
 			c.lruPushFront(g) // encode order is coldest → hottest
 		}
@@ -298,9 +297,11 @@ func (g *groupState) encodeTo(enc *checkpoint.Encoder) {
 	enc.Bool(g.grid.SessOpen)
 }
 
-// decodeFrom restores one window group.
+// decodeFrom restores one window group. The key's hash is not in the
+// snapshot: it is computed here.
 func (g *groupState) decodeFrom(dec *checkpoint.Decoder, arity int) error {
 	g.key = dec.String()
+	g.hash = stream.KeyHash(g.key)
 	g.lastT = dec.F64()
 	g.grid.HasOrigin = dec.Bool()
 	g.grid.Origin = dec.F64()

@@ -1,9 +1,6 @@
 package checker
 
-import (
-	"sound/internal/core"
-	"sound/internal/stream"
-)
+import "sound/internal/core"
 
 // This file is the eviction half of the deterministic state lifecycle
 // (DESIGN.md §4i): watermark-driven reclamation of idle window groups
@@ -98,8 +95,8 @@ func (c *streamChecker) sweepIdle() {
 // admit applies the MaxGroups cap before an event materializes a new
 // group: a known key needs no room; at the cap a new key evicts the
 // least-recently-touched groups until one slot is free.
-func (c *streamChecker) admit(key string) {
-	if c.evict.MaxGroups <= 0 || c.peek(key) != nil {
+func (c *streamChecker) admit(key string, h uint64) {
+	if c.evict.MaxGroups <= 0 || c.peek(key, h) != nil {
 		return
 	}
 	for c.groups.Len() >= c.evict.MaxGroups && c.lruTail != nil {
@@ -115,7 +112,7 @@ func (c *streamChecker) admit(key string) {
 // the next new key (group), which never holds more groups than are live:
 // a sweep that empties the operator does not pin its peak state.
 func (c *streamChecker) evictGroup(g *groupState) {
-	c.groups.Delete(stream.KeyHash(g.key), g.key)
+	c.groups.Delete(g.hash, g.key)
 	c.lruUnlink(g)
 	if c.lastG == g {
 		c.lastKey, c.lastG = "", nil
@@ -136,14 +133,14 @@ func (c *streamChecker) evictGroup(g *groupState) {
 	}
 }
 
-// reuse re-initialises an evicted group for key. Every field reads as in
-// &groupState{key: key}, except that the per-input buffers keep their
-// arrays, emptied. The buffer set a fresh group makes at its first event
-// stays made, which is the same state once the event that takes the
-// group over has landed.
-func (g *groupState) reuse(key string) {
+// reuse re-initialises an evicted group for key, whose hash is h. Every
+// field reads as in &groupState{key: key, hash: h}, except that the
+// per-input buffers keep their arrays, emptied. The buffer set a fresh
+// group makes at its first event stays made, which is the same state
+// once the event that takes the group over has landed.
+func (g *groupState) reuse(key string, h uint64) {
 	bufs, drop := g.bufs, g.drop
-	*g = groupState{key: key, bufs: bufs, drop: drop}
+	*g = groupState{key: key, hash: h, bufs: bufs, drop: drop}
 	for i := range bufs {
 		bufs[i] = bufs[i][:0]
 	}

@@ -107,7 +107,7 @@ func TestEvictionTTLSweep(t *testing.T) {
 	// "busy" (refreshed at 4) stays inside it.
 	proc.Process(stream.Event{Time: 4, Key: "busy", Value: 1}, discardEmit)
 	proc.Process(stream.Event{Time: 7, Key: "busy", Value: 1}, discardEmit)
-	if c.peek("idle") != nil {
+	if c.peek("idle", stream.KeyHash("idle")) != nil {
 		t.Error("idle group survived a watermark 7 TTL-5 sweep")
 	}
 	if got := out.Lifecycle().EvictedGroups; got != 1 {
@@ -116,7 +116,7 @@ func TestEvictionTTLSweep(t *testing.T) {
 	// The key returns at t=40: it must re-anchor like a brand-new group,
 	// with its grid origin at 40 — not resume the old origin-0 grid.
 	proc.Process(stream.Event{Time: 40, Key: "idle", Value: 1}, discardEmit)
-	g := c.peek("idle")
+	g := c.peek("idle", stream.KeyHash("idle"))
 	if g == nil || !g.grid.HasOrigin || g.grid.Origin != 40 {
 		t.Errorf("re-admitted group = %+v, want fresh anchor at t=40", g)
 	}
@@ -147,7 +147,7 @@ func TestEvictedKeyReturnsFresh(t *testing.T) {
 			len(g.bufs) != 1 || len(g.bufs[0]) != 1 || g.bufs[0][0].T != at {
 			t.Fatalf("%s at t=%v: group %+v, want fresh state anchored at %v holding one point", key, at, g, at)
 		}
-		if c.peek(key) != g {
+		if c.peek(key, stream.KeyHash(key)) != g {
 			t.Fatalf("%s at t=%v: lookup cache and group map disagree", key, at)
 		}
 	}
@@ -163,13 +163,13 @@ func TestEvictedKeyReturnsFresh(t *testing.T) {
 	// At the cap of two, z evicts the coldest group, x; x's return evicts y.
 	proc.Process(stream.Event{Time: 41, Key: "y", Value: 1}, discardEmit)
 	proc.Process(stream.Event{Time: 42, Key: "z", Value: 1}, discardEmit)
-	if c.peek("x") != nil {
+	if c.peek("x", stream.KeyHash("x")) != nil {
 		t.Fatal("x survived z's admission at the cap")
 	}
 	proc.Process(stream.Event{Time: 43, Key: "x", Value: 1}, discardEmit)
 	fresh("x", 43)
-	if c.peek("y") != nil || c.LiveGroups() != 2 {
-		t.Errorf("live = %d with y present %v, want z and x only", c.LiveGroups(), c.peek("y") != nil)
+	if c.peek("y", stream.KeyHash("y")) != nil || c.LiveGroups() != 2 {
+		t.Errorf("live = %d with y present %v, want z and x only", c.LiveGroups(), c.peek("y", stream.KeyHash("y")) != nil)
 	}
 	if got := out.Lifecycle().EvictedGroups; got != 4 {
 		t.Errorf("evicted = %d, want 4", got)
@@ -217,7 +217,7 @@ func TestEvictedStateReuse(t *testing.T) {
 					OnOutcome: func(key string, o core.Outcome) { trace = append(trace, fmt.Sprintf("%s=%d", key, o)) }})
 				structs := map[*groupState]bool{}
 				for _, ev := range evs {
-					if evict.MaxGroups > 0 && c.peek(ev.Key) == nil && c.LiveGroups() == evict.MaxGroups {
+					if evict.MaxGroups > 0 && c.peek(ev.Key, stream.KeyHash(ev.Key)) == nil && c.LiveGroups() == evict.MaxGroups {
 						// The cap is about to evict: the victim must carry the
 						// state this test wants reused.
 						v := c.lruTail
@@ -226,7 +226,7 @@ func TestEvictedStateReuse(t *testing.T) {
 						}
 					}
 					proc.Process(ev, discardEmit)
-					structs[c.peek(ev.Key)] = true
+					structs[c.peek(ev.Key, stream.KeyHash(ev.Key))] = true
 				}
 				if evict.MaxGroups > 0 && len(structs) > live+1 {
 					t.Errorf("%d group structs for %d keys under a cap of %d: evicted state was not reused", len(structs), nKeys+1, live)
@@ -243,7 +243,7 @@ func TestEvictedStateReuse(t *testing.T) {
 			}
 			var survivors []stream.Event
 			for _, ev := range events {
-				if c.peek(ev.Key) != nil {
+				if c.peek(ev.Key, stream.KeyHash(ev.Key)) != nil {
 					survivors = append(survivors, ev)
 				}
 			}

@@ -53,15 +53,15 @@ type MuxCheck struct {
 	Seed   uint64
 	// Naive selects BASE_CHECK semantics.
 	Naive bool
-	// Route attributes events; nil defaults to ByEventKey for unary
-	// checks.
-	Route RouteFunc
+	// Route attributes events; the zero Route, by event key, serves
+	// unary checks only.
+	Route Route
 	// RouteID names the route for sharing purposes: registrations with
 	// equal RouteID and equal group class land in the same bucket and
 	// share window state and draws. Empty means the route is private —
-	// the check gets its own bucket. Routes cannot be compared as
-	// functions, so the caller vouches that equal RouteIDs mean equal
-	// routing.
+	// the check gets its own bucket. The bucket runs its first
+	// registrant's Route, so the caller vouches that equal RouteIDs mean
+	// equal routing.
 	RouteID string
 	// Out receives the check's own outcome and lifecycle counters.
 	Out *StreamOutcomes
@@ -90,7 +90,7 @@ type muxUnit struct {
 type muxBucket struct {
 	key     muxBucketKey
 	units   []*muxUnit
-	route   RouteFunc
+	route   Route
 	metrics *GroupMetrics
 	gen     uint64
 }
@@ -121,11 +121,8 @@ func (x *Mux) Register(cfg MuxCheck) error {
 		return err
 	}
 	route := cfg.Route
-	if route == nil {
-		if m.plan.Arity() != 1 {
-			return fmt.Errorf("checker: check %q has arity %d and needs an explicit Route", m.check.Name, m.plan.Arity())
-		}
-		route = ByEventKey()
+	if route == nil && m.plan.Arity() != 1 {
+		return fmt.Errorf("checker: check %q has arity %d and needs an explicit Route", m.check.Name, m.plan.Arity())
 	}
 	x.mu.Lock()
 	defer x.mu.Unlock()
@@ -358,7 +355,7 @@ func (o *muxOp) Process(ev stream.Event, emit stream.EmitFunc) {
 		emit(ev)
 	}
 	for _, in := range o.instances {
-		in.op.ingest(ev)
+		in.op.ingest(&ev)
 		if in.op.pending.windows >= processPublishEvery {
 			in.op.metrics.publish(&in.op.pending)
 		}
@@ -383,7 +380,7 @@ func (o *muxOp) ProcessFrame(evs []stream.Event, emit stream.EmitFunc) {
 	o.sync()
 	for _, in := range o.instances {
 		for i := range evs {
-			in.op.ingest(evs[i])
+			in.op.ingest(&evs[i])
 		}
 		in.op.metrics.publish(&in.op.pending)
 	}

@@ -78,37 +78,28 @@ func (so *StreamOutcomes) Lifecycle() LifecycleCounts {
 	}
 }
 
-// RouteFunc attributes an event to a check input and a window-state
-// group. input selects the series slot (0-based, < the check's arity);
-// key selects the keyed window state, so windows are maintained per
-// group independently ("" keeps one global group). ok = false means the
-// event is not part of the check and is not buffered.
-type RouteFunc func(ev stream.Event) (input int, key string, ok bool)
-
-// ByEventKey routes every event to input 0, grouped by the event's own
-// partitioning key — the default for unary checks on keyed streams.
-func ByEventKey() RouteFunc {
-	return func(ev stream.Event) (int, string, bool) { return 0, ev.Key, true }
-}
+// Route attributes events to a check's inputs and window groups. The
+// zero Route routes every event to input 0, grouped by the event's own
+// key: the route of a unary check on a keyed stream. A tag list made by
+// ByInputKeys routes an event whose key is the i-th tag to input i, all
+// inputs sharing one global window group (key ""); an event whose key is
+// no tag is not part of the check and is not buffered.
+type Route []string
 
 // ByInputKeys routes events whose Key equals the i-th tag to input i,
 // all sharing one global window group: the route of a k-ary check whose
-// inputs arrive as k tagged series on one stream.
-func ByInputKeys(tags ...string) RouteFunc {
-	idx := make(map[string]int, len(tags))
-	for i, t := range tags {
-		idx[t] = i
-	}
-	return func(ev stream.Event) (int, string, bool) {
-		i, ok := idx[ev.Key]
-		return i, "", ok
-	}
-}
+// inputs arrive as k tagged series on one stream. A key listed twice
+// routes to its last position.
+func ByInputKeys(tags ...string) Route { return append(Route{}, tags...) }
+
+// globalKeyHash is stream.KeyHash of the global group's key "", the
+// group every event of a tag route lands in.
+var globalKeyHash = stream.KeyHash("")
 
 // newOperator assembles one worker instance of the generic operator for
 // the given member set. All members share the operator's window state
 // and the PlanGroup installMembers compiles for them.
-func newOperator(members []*memberSpec, route RouteFunc, evict EvictionPolicy, gm *GroupMetrics) *streamChecker {
+func newOperator(members []*memberSpec, route Route, evict EvictionPolicy, gm *GroupMetrics) *streamChecker {
 	c := &streamChecker{
 		asg:     members[0].plan.Assigner(),
 		arity:   members[0].plan.Arity(),
@@ -146,7 +137,7 @@ type streamChecker struct {
 	pending groupCounts
 	asg     core.WindowAssigner
 	arity   int
-	route   RouteFunc
+	route   Route
 	// groups indexes the live groups by stream.KeyHash of their key. Its
 	// iteration order is never observable: snapshots and end-of-stream
 	// flushes walk the LRU list or sortedGroups.
@@ -219,8 +210,11 @@ func (c *streamChecker) extract(ws []series.Series) []resample.View {
 // groupState is the window state of one route group (one key, or the
 // global group "").
 type groupState struct {
-	// key is the route group's identity, fixed at creation.
-	key string
+	// key is the route group's identity, fixed at creation, and hash its
+	// stream.KeyHash: the group table's index and the window seed's key
+	// coordinate.
+	key  string
+	hash uint64
 	// lastT is the maximum event time this group has received; the
 	// eviction sweep compares it against the worker's watermark.
 	lastT float64
@@ -238,29 +232,32 @@ type groupState struct {
 	grid core.Grid
 }
 
-func (c *streamChecker) group(key string) *groupState {
+// group returns key's group, making it when it is missing. h is
+// stream.KeyHash(key), as the event carried it or the route computed it:
+// no group operation hashes the key.
+func (c *streamChecker) group(key string, h uint64) *groupState {
 	if c.lastG != nil && c.lastKey == key {
 		return c.lastG
 	}
-	return c.lookup(key, true)
+	return c.lookup(key, h, true)
 }
 
 // peek returns the group without creating it. A found group primes the
 // lookup cache, so the admission test and the window dispatch of one
 // event cost one table lookup between them; evictGroup drops the entry
 // with the group.
-func (c *streamChecker) peek(key string) *groupState {
+func (c *streamChecker) peek(key string, h uint64) *groupState {
 	if c.lastG != nil && c.lastKey == key {
 		return c.lastG
 	}
-	return c.lookup(key, false)
+	return c.lookup(key, h, false)
 }
 
-// lookup finds key in the group table after a lookup-cache miss and
-// primes the cache with the group. A missing group is made when create
-// is set (from the spare list first), else nil is returned.
-func (c *streamChecker) lookup(key string, create bool) *groupState {
-	h := stream.KeyHash(key)
+// lookup finds key, whose hash is h, in the group table after a
+// lookup-cache miss and primes the cache with the group. A missing group
+// is made when create is set (from the spare list first), else nil is
+// returned.
+func (c *streamChecker) lookup(key string, h uint64, create bool) *groupState {
 	g, ok := c.groups.Get(h, key)
 	if !ok {
 		if !create {
@@ -270,9 +267,9 @@ func (c *streamChecker) lookup(key string, create bool) *groupState {
 			g = c.spare[n-1]
 			c.spare[n-1] = nil
 			c.spare = c.spare[:n-1]
-			g.reuse(key)
+			g.reuse(key, h)
 		} else {
-			g = &groupState{key: key}
+			g = &groupState{key: key, hash: h}
 		}
 		c.groups.Put(h, key, g)
 		if c.evictOn {
@@ -310,36 +307,52 @@ func (c *streamChecker) inputs(g *groupState) []series.Series {
 // state lifecycle: advance the worker watermark (sweeping idle groups),
 // make room for the event's group under the group cap, and refresh the
 // group's recency after the event lands.
-func (c *streamChecker) ingest(ev stream.Event) {
-	input, key, ok := c.route(ev)
-	if !ok || input < 0 || input >= c.arity {
-		return
+func (c *streamChecker) ingest(ev *stream.Event) {
+	input, key, h := 0, ev.Key, uint64(0)
+	if c.route == nil {
+		h = ev.KeyHash()
+	} else {
+		input, key, h = c.inputOf(ev.Key), "", globalKeyHash
+		if input < 0 || input >= c.arity {
+			return
+		}
 	}
 	if c.evictOn && c.stateful {
 		if ev.Time > c.opWatermark {
 			c.opWatermark = ev.Time
 			c.sweepIdle()
 		}
-		c.admit(key)
+		c.admit(key, h)
 	}
 	p := series.Point{T: ev.Time, V: ev.Value, SigUp: ev.SigUp, SigDown: ev.SigDown}
 	if c.asg.Kind == core.KindPoint {
-		c.processPoint(key, input, p)
+		c.processPoint(key, h, input, p)
 	} else {
-		c.processGrid(key, input, p)
+		c.processGrid(key, h, input, p)
 	}
 	if c.evictOn && c.stateful {
-		if g := c.peek(key); g != nil {
+		if g := c.peek(key, h); g != nil {
 			c.touch(g, ev.Time)
 		}
 	}
+}
+
+// inputOf returns the input a tag route sends key to: the last position
+// of key among the tags, or -1 when key is no tag.
+func (c *streamChecker) inputOf(key string) int {
+	for i := len(c.route) - 1; i >= 0; i-- {
+		if c.route[i] == key {
+			return i
+		}
+	}
+	return -1
 }
 
 // processPoint evaluates single-point tuples. Unary checks evaluate
 // immediately on a reused buffer; k-ary checks align the inputs by
 // arrival order per group, evaluating as soon as every input has a
 // pending point — the streaming mirror of PointWindow's index alignment.
-func (c *streamChecker) processPoint(key string, input int, p series.Point) {
+func (c *streamChecker) processPoint(key string, h uint64, input int, p series.Point) {
 	if c.arity == 1 {
 		if c.pointBuf == nil {
 			c.pointBuf = make(series.Series, 1)
@@ -350,10 +363,10 @@ func (c *streamChecker) processPoint(key string, input int, p series.Point) {
 		// The point's own timestamp is the window coordinate: unary point
 		// checks keep no per-key state, and a duplicate timestamp simply
 		// reuses its draw stream (identical evidence → identical verdict).
-		c.evaluate(key, core.WindowTuple{Windows: ws, Start: p.T, End: p.T}, math.Float64bits(p.T))
+		c.evaluate(key, h, core.WindowTuple{Windows: ws, Start: p.T, End: p.T}, math.Float64bits(p.T))
 		return
 	}
-	bufs := c.inputs(c.group(key))
+	bufs := c.inputs(c.group(key, h))
 	bufs[input] = append(bufs[input], p)
 	head := 0
 fire:
@@ -368,7 +381,7 @@ fire:
 			ws[i] = bufs[i][head : head+1 : head+1]
 		}
 		head++
-		c.evaluate(key, core.WindowTuple{Windows: ws, Start: ws[0][0].T, End: ws[0][0].T}, math.Float64bits(ws[0][0].T))
+		c.evaluate(key, h, core.WindowTuple{Windows: ws, Start: ws[0][0].T, End: ws[0][0].T}, math.Float64bits(ws[0][0].T))
 	}
 	if head == 0 {
 		return
@@ -392,8 +405,8 @@ fire:
 // event costs the admission, an append and Due's comparison; buffer
 // sorting is deferred to the next fire, where one reorder check covers
 // every event since the last.
-func (c *streamChecker) processGrid(key string, input int, p series.Point) {
-	g := c.group(key)
+func (c *streamChecker) processGrid(key string, h uint64, input int, p series.Point) {
+	g := c.group(key, h)
 	if !g.grid.Admit(&c.asg, p.T) {
 		c.noteDroppedLate()
 		return
@@ -422,7 +435,7 @@ func (c *streamChecker) fire(g *groupState, final bool) {
 		if !ok {
 			break
 		}
-		c.evaluate(g.key, tuple, coord)
+		c.evaluate(g.key, g.hash, tuple, coord)
 		fired = true
 	}
 	if fired {
@@ -445,7 +458,8 @@ func (c *streamChecker) flush() {
 	}
 }
 
-// evaluate runs every member check on one fired window. windowBits is
+// evaluate runs every member check on one fired window of the group
+// key, whose stream.KeyHash is keyHash. windowBits is
 // the window's stable coordinate within its route group (grid-start
 // bits for time and session windows, the absolute start index for
 // count windows, the point's timestamp bits for point tuples, 0 for
@@ -457,10 +471,10 @@ func (c *streamChecker) flush() {
 // WHAT is evaluated, never on which worker evaluates it, in which order,
 // at which batch size, or how many co-members ride
 // along. That is the contract the invariance property tests pin.
-func (c *streamChecker) evaluate(key string, tuple core.WindowTuple, windowBits uint64) {
+func (c *streamChecker) evaluate(key string, keyHash uint64, tuple core.WindowTuple, windowBits uint64) {
 	if c.planGroup != nil {
 		tuple.Ext = c.extract(tuple.Windows)
-		winSeed := c.planGroup.WindowSeed(stream.KeyHash(key), windowBits)
+		winSeed := c.planGroup.WindowSeed(keyHash, windowBits)
 		ev := c.planGroup.Evaluate(winSeed, tuple, c.resBuf)
 		c.pending.record(ev, len(c.resBuf))
 	}

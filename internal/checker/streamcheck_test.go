@@ -78,45 +78,6 @@ func runCheckGraph(t *testing.T, cfg MuxCheck, events []stream.Event, keyed bool
 	return out.Counts()
 }
 
-// TestStreamCheckerPerKeyBinaryWindows runs a binary check with per-key
-// window state — the shape neither of the old hand-written operators
-// supported: windows of the (x, y) pair are maintained independently per
-// group via a composite-key route.
-func TestStreamCheckerPerKeyBinaryWindows(t *testing.T) {
-	ck := core.Check{
-		Name:        "count",
-		Constraint:  core.CountAtLeast(),
-		SeriesNames: []string{"x", "y"},
-		Window:      core.TimeWindow{Size: 10},
-	}
-	var events []stream.Event
-	for i := 0; i < 30; i++ {
-		t := float64(i)
-		for _, grp := range []string{"g1", "g2"} {
-			events = append(events,
-				stream.Event{Time: t, Key: grp + "/x", Value: 1},
-				stream.Event{Time: t, Key: grp + "/y", Value: 2},
-			)
-		}
-	}
-	// "<group>/<tag>" keys: the tag picks the input, the group the
-	// window state.
-	route := func(ev stream.Event) (int, string, bool) {
-		grp, tag, ok := strings.Cut(ev.Key, "/")
-		return map[string]int{"x": 0, "y": 1}[tag], grp, ok
-	}
-	counts := runCheckGraph(t, MuxCheck{
-		Check: ck,
-		Naive: true,
-		Route: route,
-	}, events, false, 1)
-	// 30 time units in tumbling windows of 10, per group: 3 windows × 2
-	// groups, every one satisfied (|x| >= |y| point counts are equal).
-	if counts.Total() != 6 || counts.Satisfied != 6 {
-		t.Errorf("counts = %+v, want 6 satisfied windows", counts)
-	}
-}
-
 // TestStreamCheckerSlidingWindowsOnline evaluates overlapping time
 // windows online and requires the same window set a batch run produces.
 func TestStreamCheckerSlidingWindowsOnline(t *testing.T) {

@@ -54,7 +54,7 @@ func FuzzParseCheck(f *testing.F) {
 			}
 			return
 		}
-		if cfg.Name == "" || cfg.Check.Constraint.Validate() != nil || cfg.Route == nil || cfg.Check.Window == nil {
+		if cfg.Name == "" || cfg.Check.Constraint.Validate() != nil || !routeOK(cfg) || cfg.Check.Window == nil {
 			t.Fatalf("accepted spec %q produced incomplete config %+v", spec, cfg)
 		}
 		if cfg.RouteSpec == "" {
@@ -80,4 +80,15 @@ func FuzzParseCheck(f *testing.F) {
 		op.Process(stream.Event{Key: cfg.Check.SeriesNames[0], Value: 1}, emit)
 		op.Flush(emit)
 	})
+}
+
+// routeOK reports whether cfg's Route is the value its RouteSpec names:
+// the zero Route (by event key) for "event", the tag list of
+// "inputs:<a>,<b>", one tag per input.
+func routeOK(cfg CheckConfig) bool {
+	if cfg.RouteSpec == "event" {
+		return cfg.Route == nil
+	}
+	tags, ok := strings.CutPrefix(cfg.RouteSpec, "inputs:")
+	return ok && cfg.Route != nil && strings.Join(cfg.Route, ",") == tags && len(cfg.Route) == len(cfg.Check.SeriesNames)
 }

@@ -210,7 +210,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 			json.NewEncoder(w).Encode(map[string]any{"error": err.Error(), "ingested": n})
 			return
 		}
-		rt.add(ev)
+		rt.add(&ev)
 		n++
 	}
 	rt.flush()

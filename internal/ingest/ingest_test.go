@@ -34,12 +34,44 @@ func (p *recordProc) Flush(stream.EmitFunc)                      {}
 // so the partition a keyed edge picked is visible as which instance saw
 // the key: every instance's keys must share one PartitionOf value,
 // distinct instances must hold distinct values, and shardOf must be that
-// value. If these ever diverged, a key's events could reach a shard that
-// does not own its window state.
+// value — for an event that carries no hash and for the events both
+// wire decoders made, which carry the hash they computed. If these ever
+// diverged, a key's events could reach a shard that does not own its
+// window state.
 func TestShardAssignmentMatchesPartitioner(t *testing.T) {
 	keys := []string{"", "k", "x", "y", "series/with/path", "héllo-wörld", strings.Repeat("long", 100)}
 	for i := 0; i < 500; i++ {
 		keys = append(keys, fmt.Sprintf("key-%d-%x", i, i*2654435761))
+	}
+	decoded := map[string][]stream.Event{}
+	var frame, lines []byte
+	for _, k := range keys {
+		var err error
+		if frame, err = wire.AppendFrame(frame, []stream.Event{{Key: k}}); err != nil {
+			t.Fatal(err)
+		}
+		lines = wire.AppendNDJSON(lines, stream.Event{Key: k})
+	}
+	fd := wire.NewFrameDecoder(bytes.NewReader(frame))
+	for {
+		evs, err := fd.Next()
+		if err != nil {
+			break
+		}
+		decoded[evs[0].Key] = append(decoded[evs[0].Key], evs[0])
+	}
+	nd := wire.NewNDJSONDecoder(bytes.NewReader(lines))
+	for {
+		ev, err := nd.Next()
+		if err != nil {
+			break
+		}
+		decoded[ev.Key] = append(decoded[ev.Key], ev)
+	}
+	for _, k := range keys {
+		if evs := decoded[k]; len(evs) != 2 || evs[0].Hash == 0 || evs[1].Hash == 0 {
+			t.Fatalf("key %q: decoded %+v, want one event with its hash from each decoder", k, evs)
+		}
 	}
 	for _, parts := range []int{1, 2, 4, 7} {
 		var (
@@ -82,8 +114,13 @@ func TestShardAssignmentMatchesPartitioner(t *testing.T) {
 					t.Errorf("parts=%d: instance %d saw %q (partition %d) and %q (partition %d)",
 						parts, i, p.keys[0], stream.PartitionOf(p.keys[0], parts), k, part)
 				}
-				if got := srv.shardOf(k); got != part {
+				if got := srv.shardOf(&stream.Event{Key: k}); got != part {
 					t.Errorf("parts=%d key %q: shardOf %d != PartitionOf %d", parts, k, got, part)
+				}
+				for _, ev := range decoded[k] {
+					if got := srv.shardOf(&ev); got != part {
+						t.Errorf("parts=%d key %q: shardOf a decoded event %d != PartitionOf %d", parts, k, got, part)
+					}
 				}
 			}
 			if len(p.keys) == 0 {
@@ -504,7 +541,7 @@ func TestParseCheck(t *testing.T) {
 			t.Errorf("ParseCheck(%q): %v", spec, err)
 			continue
 		}
-		if cfg.Name == "" || cfg.Check.Constraint.Validate() != nil || cfg.Route == nil {
+		if cfg.Name == "" || cfg.Check.Constraint.Validate() != nil || !routeOK(cfg) {
 			t.Errorf("ParseCheck(%q): incomplete config %+v", spec, cfg)
 		}
 	}

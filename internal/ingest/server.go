@@ -20,13 +20,13 @@ type CheckConfig struct {
 	Params core.Params
 	Seed   uint64
 	Naive  bool
-	Route  checker.RouteFunc
+	Route  checker.Route
 	// RouteSpec names the route for multiplexing: checks with equal
 	// RouteSpec, window spec, and params class share one window buffer,
 	// one extraction, and one sample matrix per window (DESIGN.md §4l).
-	// ParseCheck fills it from the route=... grammar; a nil Route
-	// defaults to "event". A custom Route with an empty RouteSpec is
-	// conservatively private — it never shares a bucket.
+	// ParseCheck fills it from the route=... grammar; the zero Route (by
+	// event key) is always "event". A tag Route with an empty RouteSpec
+	// is conservatively private — it never shares a bucket.
 	RouteSpec string
 	// Evict of the first check is the graph-wide policy when Config.Evict
 	// is unset; eviction is per bucket, never per check.
@@ -37,9 +37,9 @@ type CheckConfig struct {
 type Config struct {
 	// Shards is the number of independent shards events fan out to
 	// (default 4), each one lane and one goroutine running the suite.
-	// Routing is stream.PartitionOf over the event key — the engine's
-	// keyed-edge partitioner — so a key's events always land on the shard
-	// that owns its window state.
+	// Routing is the event key's hash modulo Shards, which is
+	// stream.PartitionOf — the engine's keyed-edge partitioner — so a
+	// key's events always land on the shard that owns its window state.
 	Shards int
 	// BatchSize is the transport frame size, both for the shard input
 	// lanes and for the frames a shard hands its check operator
@@ -328,20 +328,22 @@ func (s *Server) newRouter() *router {
 	return &router{s: s, bufs: make([][]stream.Event, len(s.shards))}
 }
 
-// shardOf is the ingest-side shard assignment. It MUST match the
-// engine's keyed-edge partitioner bit-for-bit (property-tested against
-// a live keyed graph): the shard is the key's home for window state.
-func (s *Server) shardOf(key string) int {
-	return stream.PartitionOf(key, len(s.shards))
+// shardOf is the ingest-side shard assignment: the key's hash, as the
+// decoder carried it, modulo the shard count. It MUST equal
+// stream.PartitionOf, the engine's keyed-edge partitioner, bit-for-bit
+// (property-tested against a live keyed graph): the shard is the key's
+// home for window state.
+func (s *Server) shardOf(ev *stream.Event) int {
+	return int(ev.KeyHash() % uint64(len(s.shards)))
 }
 
-func (rt *router) add(ev stream.Event) {
-	i := rt.s.shardOf(ev.Key)
+func (rt *router) add(ev *stream.Event) {
+	i := rt.s.shardOf(ev)
 	buf := rt.bufs[i]
 	if buf == nil {
 		buf = rt.s.getFrame()
 	}
-	buf = append(buf, ev)
+	buf = append(buf, *ev)
 	if len(buf) >= rt.s.cfg.BatchSize {
 		rt.bufs[i] = nil
 		rt.s.send(i, buf)
@@ -352,7 +354,7 @@ func (rt *router) add(ev stream.Event) {
 
 func (rt *router) addFrame(evs []stream.Event) {
 	for i := range evs {
-		rt.add(evs[i])
+		rt.add(&evs[i])
 	}
 }
 

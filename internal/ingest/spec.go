@@ -187,7 +187,6 @@ func ParseCheck(spec string, params core.Params, seed uint64, evict checker.Evic
 		if arity != 1 {
 			return fail(fmt.Errorf("constraint %q takes %d inputs; use route=inputs:<a>,<b>", constraint, arity))
 		}
-		cfg.Route = checker.ByEventKey()
 		cfg.Check = core.Check{Name: name, Constraint: c, SeriesNames: []string{"v"}, Window: win}
 	case strings.HasPrefix(route, "inputs:"):
 		tags := strings.Split(strings.TrimPrefix(route, "inputs:"), ",")

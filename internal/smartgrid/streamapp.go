@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
-	"time"
 
 	"sound/internal/checker"
 	"sound/internal/core"
@@ -93,7 +92,7 @@ func BuildStream(cfg Config, mode Mode, params core.Params, parallelism, events 
 				Value:   load,
 				SigUp:   sig,
 				SigDown: sig,
-				Created: time.Now(),
+				Created: stream.Now(),
 			})
 		}
 	})

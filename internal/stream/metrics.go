@@ -12,8 +12,8 @@ import (
 // matching the evaluation metrics of paper §VI-A.
 type Metrics struct {
 	mu       sync.Mutex
-	began    time.Time
-	ended    time.Time
+	began    int64 // Now clock
+	ended    int64
 	counts   map[string]int64
 	buckets  map[string]map[int64]int64 // sink -> bucket index -> count
 	latency  map[string]*latencySamples
@@ -68,8 +68,8 @@ func (l *latencySamples) add(v float64) {
 	l.stride *= 2
 }
 
-func (m *Metrics) start() { m.began = time.Now() }
-func (m *Metrics) stop()  { m.ended = time.Now() }
+func (m *Metrics) start() { m.began = Now() }
+func (m *Metrics) stop()  { m.ended = Now() }
 
 // recordFrame folds a whole transport frame into the sink's metrics
 // under a single lock acquisition and a single clock read: counts and
@@ -81,7 +81,7 @@ func (m *Metrics) recordFrame(sink string, evs []Event) {
 	if len(evs) == 0 {
 		return
 	}
-	now := time.Now()
+	now := Now()
 	m.mu.Lock()
 	m.counts[sink] += int64(len(evs))
 	b := m.buckets[sink]
@@ -90,7 +90,7 @@ func (m *Metrics) recordFrame(sink string, evs []Event) {
 		m.buckets[sink] = b
 	}
 	// The frame arrived at one instant; all its events land in one bucket.
-	b[now.Sub(m.began).Nanoseconds()/m.bucketNS] += int64(len(evs))
+	b[(now-m.began)/m.bucketNS] += int64(len(evs))
 	l := m.latency[sink]
 	if l == nil {
 		l = &latencySamples{stride: latencyStride}
@@ -98,15 +98,15 @@ func (m *Metrics) recordFrame(sink string, evs []Event) {
 	}
 	for i := range evs {
 		l.seen++
-		if !evs[i].Created.IsZero() && l.seen%l.stride == 0 {
-			l.add(now.Sub(evs[i].Created).Seconds())
+		if evs[i].Created != 0 && l.seen%l.stride == 0 {
+			l.add(float64(now-evs[i].Created) / 1e9)
 		}
 	}
 	m.mu.Unlock()
 }
 
 // Duration returns the wall-clock run time.
-func (m *Metrics) Duration() time.Duration { return m.ended.Sub(m.began) }
+func (m *Metrics) Duration() time.Duration { return time.Duration(m.ended - m.began) }
 
 // Count returns the number of events that reached the named sink.
 func (m *Metrics) Count(sink string) int64 {

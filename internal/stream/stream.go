@@ -27,16 +27,41 @@ import (
 )
 
 // Event is a record flowing through the engine: an event-time timestamp,
-// a partitioning key, a value with the SOUND asymmetric uncertainty
-// model, and the wall-clock creation time used for latency measurement.
+// a partitioning key and its hash, a value with the SOUND asymmetric
+// uncertainty model, and the creation time used for latency measurement.
+// It is 64 bytes, one cache line, with one pointer (the key's).
 type Event struct {
-	Time    float64 // event time (domain units)
-	Key     string  // partitioning key ("house:plug", source name, ...)
+	Time float64 // event time (domain units)
+	Key  string  // partitioning key ("house:plug", source name, ...)
+	// Hash is KeyHash(Key) as a decoder computed it, or 0 when nothing
+	// did; read it through (*Event).KeyHash. Code that changes Key must
+	// set Hash to 0 (or to the new key's hash).
+	Hash    uint64
 	Value   float64
 	SigUp   float64
 	SigDown float64
-	Created time.Time // wall-clock emission time at the source
+	Created int64 // emission time at the source on the Now clock; 0 when unset
 }
+
+// KeyHash returns KeyHash(ev.Key): the carried Hash when a decoder set
+// it, else the hash computed here. The shard router, the check
+// operator's group table and the window seed all read the key's hash
+// through it, so a decoded event's key is hashed once.
+func (ev *Event) KeyHash() uint64 {
+	if ev.Hash != 0 {
+		return ev.Hash
+	}
+	return keyHash(ev.Key)
+}
+
+// epoch is the origin of the Now clock.
+var epoch = time.Now()
+
+// Now returns the engine's latency clock: nanoseconds since a
+// process-local origin, read from the monotonic clock, so it never runs
+// backwards and is never 0 (the unset Event.Created). Sources stamp
+// Created with it; the sinks' latency recorder reads it again.
+func Now() int64 { return int64(time.Since(epoch)) + 1 }
 
 // EmitFunc forwards an event to all downstream operators.
 type EmitFunc func(Event)

@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+	"unsafe"
 )
 
 // buildLinear builds source -> op(parallelism) -> sink counting events.
@@ -15,7 +16,7 @@ func buildLinear(t *testing.T, n int, parallelism int, proc func(Event, EmitFunc
 	g := NewGraph()
 	src := g.AddSource("src", func(emit EmitFunc) {
 		for i := 0; i < n; i++ {
-			emit(Event{Time: float64(i), Key: fmt.Sprintf("k%d", i%7), Value: float64(i), Created: time.Now()})
+			emit(Event{Time: float64(i), Key: fmt.Sprintf("k%d", i%7), Value: float64(i), Created: Now()})
 		}
 	})
 	op := g.AddMap("op", parallelism, proc)
@@ -317,7 +318,7 @@ func TestWindowAggregatorTumbling(t *testing.T) {
 	src := g.AddSource("src", func(emit EmitFunc) {
 		for i := 0; i < 60; i++ {
 			for _, k := range []string{"a", "b"} {
-				emit(Event{Time: float64(i), Key: k, Value: float64(i), Created: time.Now()})
+				emit(Event{Time: float64(i), Key: k, Value: float64(i), Created: Now()})
 			}
 		}
 	})
@@ -379,7 +380,7 @@ func TestMetricsLatency(t *testing.T) {
 	g := NewGraph()
 	src := g.AddSource("src", func(emit EmitFunc) {
 		for i := 0; i < 2000; i++ {
-			emit(Event{Time: float64(i), Created: time.Now()})
+			emit(Event{Time: float64(i), Created: Now()})
 		}
 	})
 	slow := g.AddMap("slow", 1, func(ev Event, emit EmitFunc) {
@@ -471,7 +472,7 @@ func TestFrameAggregatedCountsParity(t *testing.T) {
 			g.SetBatchSize(batch)
 			src := g.AddSource("src", func(emit EmitFunc) {
 				for i := 0; i < n; i++ {
-					emit(Event{Time: float64(i), Key: fmt.Sprintf("k%d", i%31), Created: time.Now()})
+					emit(Event{Time: float64(i), Key: fmt.Sprintf("k%d", i%31), Created: Now()})
 				}
 			})
 			op := g.AddMap("op", 4, func(ev Event, emit EmitFunc) { emit(ev) })
@@ -530,10 +531,10 @@ func TestLatencySamplesBounded(t *testing.T) {
 	const n = 5_000_000
 	const step = 10 * time.Minute
 	g := NewGraph()
-	t0 := time.Now()
+	t0 := Now()
 	src := g.AddSource("src", func(emit EmitFunc) {
 		for i := 0; i < n; i++ {
-			emit(Event{Time: float64(i), Created: t0.Add(-time.Duration(i) * step)})
+			emit(Event{Time: float64(i), Created: t0 - int64(i)*int64(step)})
 		}
 	})
 	must(t, g.Connect(src, g.AddSink("out", nil)))
@@ -559,6 +560,55 @@ func TestLatencySamplesBounded(t *testing.T) {
 	for j, lat := range ls {
 		if got, want := event(lat), (j+1)*stride-1; got != want {
 			t.Fatalf("sample %d is event %d, want %d (stride %d)", j, got, want, stride)
+		}
+	}
+}
+
+// TestEventLayout pins Event to one 64-byte cache line: transport frames
+// are slices of events, and the ingest lanes and the shard loops copy
+// every event into them.
+func TestEventLayout(t *testing.T) {
+	if got := unsafe.Sizeof(Event{}); got != 64 {
+		t.Fatalf("Event is %d bytes, want 64", got)
+	}
+}
+
+// TestNowClock: the latency clock never runs backwards and never reads
+// 0, the value of an unset Created, and a sink samples no latency from
+// an event whose Created is unset. Of 1024 unset events and then 1024
+// stamped ones, the every-16th sampling takes the 64 stamped events whose
+// ordinal at the sink is a multiple of 16, and nothing else.
+func TestNowClock(t *testing.T) {
+	prev := Now()
+	for i := 0; i < 10000; i++ {
+		now := Now()
+		if now <= 0 || now < prev {
+			t.Fatalf("Now read %d after %d", now, prev)
+		}
+		prev = now
+	}
+	g := NewGraph()
+	src := g.AddSource("src", func(emit EmitFunc) {
+		for i := 0; i < 2048; i++ {
+			ev := Event{Time: float64(i)}
+			if i >= 1024 {
+				ev.Created = Now()
+			}
+			emit(ev)
+		}
+	})
+	must(t, g.Connect(src, g.AddSink("out", nil)))
+	m, err := g.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ls := m.Latencies("out", 0)
+	if len(ls) != 1024/latencyStride {
+		t.Fatalf("%d latency samples, want %d", len(ls), 1024/latencyStride)
+	}
+	for _, l := range ls {
+		if l < 0 || l > 60 {
+			t.Fatalf("latency %v s out of range", l)
 		}
 	}
 }

@@ -97,9 +97,7 @@ func MeanAggregator() func(key string, windowStart float64, events []Event) (Eve
 			sum += e.Value
 			up += e.SigUp
 			down += e.SigDown
-			if e.Created.After(out.Created) {
-				out.Created = e.Created
-			}
+			out.Created = max(out.Created, e.Created)
 		}
 		n := float64(len(events))
 		out.Value = sum / n

@@ -91,7 +91,8 @@ func (e *FrameEncoder) Encode(evs []stream.Event) error {
 
 // FrameDecoder reads binary frames from a stream with zero per-event
 // allocations in steady state: the payload buffer, the event slice, and
-// the interned key strings are all reused across frames.
+// the interned key strings are all reused across frames. Every decoded
+// event carries its key's hash (Event.Hash).
 //
 // Every error is sticky. In particular a short read inside a frame (a
 // torn write at the producer, a dropped connection) surfaces as
@@ -183,11 +184,12 @@ func (d *FrameDecoder) next() ([]stream.Event, error) {
 			return nil, fmt.Errorf("wire: event %d: bad key length", i)
 		}
 		cur += n
-		key := d.keys.get(payload[cur : cur+int(klen)])
+		key, hash := d.keys.get(payload[cur : cur+int(klen)])
 		cur += int(klen)
 		evs = append(evs, stream.Event{
 			Time:    math.Float64frombits(binary.LittleEndian.Uint64(payload[cur:])),
 			Key:     key,
+			Hash:    hash,
 			Value:   math.Float64frombits(binary.LittleEndian.Uint64(payload[cur+8:])),
 			SigUp:   math.Float64frombits(binary.LittleEndian.Uint64(payload[cur+16:])),
 			SigDown: math.Float64frombits(binary.LittleEndian.Uint64(payload[cur+24:])),

@@ -12,10 +12,11 @@ import (
 )
 
 // FuzzWireDecode throws arbitrary bytes at all three wire decoders.
-// Invariants: no decoder may panic; frames that do decode must
-// round-trip bit-identically through the encoder; and every error must
-// be sticky — after the first failure a decoder keeps returning the
-// same error instead of resynchronizing into garbage.
+// Invariants: no decoder may panic; every event the frame and NDJSON
+// decoders return carries its key's stream.KeyHash; frames that do
+// decode must round-trip bit-identically through the encoder; and every
+// error must be sticky — after the first failure a decoder keeps
+// returning the same error instead of resynchronizing into garbage.
 func FuzzWireDecode(f *testing.F) {
 	valid, err := AppendFrame(nil, []stream.Event{
 		{Time: 1, Key: "k", Value: 2.5, SigUp: 0.5, SigDown: 0.25},
@@ -43,6 +44,9 @@ func FuzzWireDecode(f *testing.F) {
 					}
 					return
 				}
+				for i := range evs {
+					checkHash(t, evs[i])
+				}
 				// A frame the decoder accepted must re-encode and decode
 				// to the same events (canonical bytes may differ: the
 				// wire tolerates non-minimal uvarints, the encoder does
@@ -68,14 +72,17 @@ func FuzzWireDecode(f *testing.F) {
 
 		nd := NewNDJSONDecoder(bytes.NewReader(data))
 		for {
-			if _, err := nd.Next(); err != nil {
-				if err != io.EOF {
-					if _, again := nd.Next(); again != err {
-						t.Fatalf("ndjson error not sticky: %v then %v", err, again)
-					}
-				}
-				break
+			ev, err := nd.Next()
+			if err == nil {
+				checkHash(t, ev)
+				continue
 			}
+			if err != io.EOF {
+				if _, again := nd.Next(); again != err {
+					t.Fatalf("ndjson error not sticky: %v then %v", err, again)
+				}
+			}
+			break
 		}
 
 		sc := NewCSVScanner(bytes.NewReader(data))
@@ -92,10 +99,20 @@ func FuzzWireDecode(f *testing.F) {
 	})
 }
 
+// checkHash fails the test unless ev carries its key's hash, as every
+// event a decoder returns must.
+func checkHash(t *testing.T, ev stream.Event) {
+	t.Helper()
+	if ev.Hash != stream.KeyHash(ev.Key) {
+		t.Fatalf("event of key %q carries hash %#x, want stream.KeyHash %#x", ev.Key, ev.Hash, stream.KeyHash(ev.Key))
+	}
+}
+
 // FuzzNDJSONFastPath holds the NDJSON fast path to its fallback: when
 // fastParse decides a line, encoding/json must decide it the same way —
-// both reject it, or both accept it with the same key and the same bits
-// in all four numeric fields.
+// both reject it, or both accept it with the same key, the key's hash
+// and the same bits in all four numeric fields. A line either path
+// accepts carries its key's stream.KeyHash.
 func FuzzNDJSONFastPath(f *testing.F) {
 	for _, seed := range []string{
 		`{"key":"k","t":1,"v":2,"sig_up":3,"sig_down":4}`,
@@ -113,17 +130,21 @@ func FuzzNDJSONFastPath(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, line []byte) {
 		fast, ok, ferr := NewNDJSONDecoder(nil).fastParse(line)
+		slow, serr := NewNDJSONDecoder(nil).slowParse(line)
+		if serr == nil {
+			checkHash(t, slow)
+		}
 		if !ok {
 			return
 		}
-		slow, serr := NewNDJSONDecoder(nil).slowParse(line)
 		if (ferr != nil) != (serr != nil) {
 			t.Fatalf("%q: fast path error %v, fallback error %v", line, ferr, serr)
 		}
 		if ferr != nil {
 			return
 		}
-		if fast.Key != slow.Key ||
+		checkHash(t, fast)
+		if fast.Key != slow.Key || fast.Hash != slow.Hash ||
 			math.Float64bits(fast.Time) != math.Float64bits(slow.Time) ||
 			math.Float64bits(fast.Value) != math.Float64bits(slow.Value) ||
 			math.Float64bits(fast.SigUp) != math.Float64bits(slow.SigUp) ||

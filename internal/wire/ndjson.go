@@ -25,8 +25,8 @@ import (
 // escape sequences in strings, nested objects or arrays, non-scalar
 // unknown fields, tokens outside the JSON grammar — is re-parsed with
 // encoding/json, so the fast path never changes what is accepted, only
-// what it costs (FuzzNDJSONFastPath). Errors are sticky; blank lines
-// are skipped.
+// what it costs (FuzzNDJSONFastPath). Both paths set Event.Hash.
+// Errors are sticky; blank lines are skipped.
 type NDJSONDecoder struct {
 	lr   *lineReader
 	keys intern
@@ -177,6 +177,7 @@ func (s *lineScan) literal(lit string) bool {
 // — goes to the fallback.
 func (d *NDJSONDecoder) fastParse(b []byte) (ev stream.Event, ok bool, err error) {
 	s := lineScan{b: b}
+	ev.Hash = emptyKeyHash
 	s.skip()
 	if !s.at('{') {
 		return ev, false, nil
@@ -214,7 +215,7 @@ func (d *NDJSONDecoder) fastParse(b []byte) (ev stream.Event, ok bool, err error
 					// replaces: the fallback decides.
 					return ev, false, nil
 				}
-				ev.Key = d.keys.get(val)
+				ev.Key, ev.Hash = d.keys.get(val)
 			case field != fieldOther:
 				f, n, nok := scanNumber(b[s.i:])
 				if !nok {
@@ -296,9 +297,11 @@ func (d *NDJSONDecoder) slowParse(b []byte) (stream.Event, error) {
 	if ej.T == nil || ej.V == nil {
 		return stream.Event{}, fmt.Errorf("missing required field %q", missingField(ej.T != nil))
 	}
+	key, hash := d.keys.get([]byte(ej.Key))
 	return stream.Event{
 		Time:    *ej.T,
-		Key:     d.keys.get([]byte(ej.Key)),
+		Key:     key,
+		Hash:    hash,
 		Value:   *ej.V,
 		SigUp:   ej.SigUp,
 		SigDown: ej.SigDown,

@@ -49,19 +49,26 @@ type intern struct {
 	t stream.KeyTable[struct{}]
 }
 
-func (it *intern) get(b []byte) string {
+// emptyKeyHash is stream.KeyHash(""), the hash of an event without a key.
+var emptyKeyHash = stream.KeyHash("")
+
+// get returns the interned copy of key b and its stream.KeyHash. The
+// hash is the one the table lookup computes anyway: a decoder stores it
+// in Event.Hash, so nothing downstream hashes the key again. It is never
+// read from the wire, so a client cannot choose a shard or a seed.
+func (it *intern) get(b []byte) (string, uint64) {
 	if len(b) == 0 {
-		return ""
+		return "", emptyKeyHash
 	}
 	h := stream.KeyHash(unsafeString(b))
 	if s, ok := it.t.Key(h, unsafeString(b)); ok {
-		return s
+		return s, h
 	}
 	s := string(b)
 	if it.t.Len() < maxInterned {
 		it.t.Put(h, s, struct{}{})
 	}
-	return s
+	return s, h
 }
 
 // unsafeString views a byte slice as a string for read-only use inside
