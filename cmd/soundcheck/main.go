@@ -34,11 +34,13 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"strconv"
 	"strings"
 
 	"sound"
 	"sound/internal/checker"
 	"sound/internal/checkpoint"
+	"sound/internal/core"
 	"sound/internal/ingest"
 	"sound/internal/series"
 	"sound/internal/stream"
@@ -55,7 +57,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("soundcheck", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		constraint = fs.String("constraint", "range", "constraint template: range, gt, nonneg, fraction, monotonic, maxdelta, stdnonzero, corr, nocorr, r2, ks, count")
+		constraint = fs.String("constraint", "range", "constraint template: range, gt, nonneg, fraction, monotonic, maxdelta, count, stdnonzero, lowerdelta, corr, nocorr, r2, ks (kl also reads bins, which only a soundserve spec sets)")
 		minV       = fs.Float64("min", 0, "lower bound (range, fraction)")
 		maxV       = fs.Float64("max", 1, "upper bound (range, fraction)")
 		threshold  = fs.Float64("threshold", 0.2, "threshold (gt, fraction, maxdelta, corr, nocorr, r2, ks)")
@@ -288,7 +290,10 @@ func runStream(check sound.Check, paths []string, params sound.Params, seed uint
 		return nil, err
 	}
 	op := mux.Factory()()
-	fp := streamFingerprint(check, params, seed, naive)
+	fp, err := streamFingerprint(check, params, seed, naive)
+	if err != nil {
+		return nil, err
+	}
 	var offset uint64
 	if restorePath != "" {
 		if offset, err = readSnapshot(restorePath, fp, op, out); err != nil {
@@ -356,11 +361,15 @@ func runStream(check sound.Check, paths []string, params sound.Params, seed uint
 // streamFingerprint identifies a replay configuration: restoring a
 // snapshot under different inputs, constraint bounds, parameters, or
 // seeds would resume into a stream it does not belong to, so the
-// mismatch fails loudly.
-func streamFingerprint(check sound.Check, params sound.Params, seed uint64, naive bool) string {
-	return fmt.Sprintf("soundcheck|%s|%+v|%s|%v|c=%g|n=%d|seed=%d|naive=%t|%s",
-		check.Name, check.Constraint.Spec, check.Window, check.Constraint.Granularity, params.Credibility,
-		params.MaxSamples, seed, naive, strings.Join(check.SeriesNames, ","))
+// mismatch fails loudly. The constraint enters as its template text.
+func streamFingerprint(check sound.Check, params sound.Params, seed uint64, naive bool) (string, error) {
+	tmpl, err := core.FormatTemplate(check.Constraint)
+	if err != nil {
+		return "", err
+	}
+	return fmt.Sprintf("soundcheck|%s|%s|%s|c=%g|n=%d|seed=%d|naive=%t|%s",
+		check.Name, tmpl, check.Window, params.Credibility,
+		params.MaxSamples, seed, naive, strings.Join(check.SeriesNames, ",")), nil
 }
 
 // writeSnapshot persists one snapshot: fingerprint, replay offset,
@@ -423,11 +432,24 @@ func readSnapshot(path, fp string, op stream.Processor, out *checker.StreamOutco
 	return offset, nil
 }
 
-// buildConstraint and buildWindow delegate to internal/ingest so
-// soundcheck and soundserve resolve the same template and window
-// vocabulary from one implementation.
+// buildConstraint resolves the -constraint template through the
+// template table, filling exactly the keys the template reads from
+// -min, -max and -threshold; buildWindow reads -window with the server's
+// window grammar.
 func buildConstraint(name string, min, max, threshold float64) (sound.Constraint, int, error) {
-	return ingest.BuildConstraint(name, min, max, threshold)
+	keys, err := core.TemplateKeys(name)
+	if err != nil {
+		return sound.Constraint{}, 0, err
+	}
+	flags := map[string]float64{"min": min, "max": max, "threshold": threshold}
+	text := name
+	for _, k := range keys {
+		if v, ok := flags[k]; ok {
+			text += ";" + k + "=" + strconv.FormatFloat(v, 'g', -1, 64)
+		}
+	}
+	c, err := core.ParseTemplate(text)
+	return c, c.Arity, err
 }
 
 func buildWindow(spec string) (sound.Windower, error) {

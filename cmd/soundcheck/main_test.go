@@ -188,7 +188,7 @@ func TestBuildWindowVariants(t *testing.T) {
 
 func TestBuildConstraintCoverage(t *testing.T) {
 	names := []string{"range", "gt", "nonneg", "fraction", "monotonic", "maxdelta",
-		"stdnonzero", "corr", "nocorr", "r2", "ks", "count"}
+		"stdnonzero", "lowerdelta", "corr", "nocorr", "r2", "ks", "count"}
 	for _, name := range names {
 		c, arity, err := buildConstraint(name, 0, 1, 0.5)
 		if err != nil {

@@ -1,12 +1,14 @@
 // Command soundprofile suggests sanity constraints from trusted CSV data
 // series (t,v[,sig_up[,sig_down]]), the constraint-definition assist the
-// paper motivates in §II. Each suggestion prints the equivalent
-// soundcheck invocation so accepting one is a copy-paste.
-//
-// Usage:
+// paper motivates in §II. Each suggestion prints its check spec
+// (ingest.FormatCheck), which soundserve -check and POST /checks accept
+// as is: the check's inputs are routed from events keyed by the series
+// names, each a file name without its extension. Accepting a suggestion
+// is a copy-paste:
 //
 //	soundprofile load.csv work.csv flux.csv
 //	soundprofile -mincorr 0.5 a.csv b.csv
+//	curl -X POST --data '<printed spec>' http://localhost:7071/checks
 package main
 
 import (
@@ -17,7 +19,8 @@ import (
 	"path/filepath"
 	"strings"
 
-	"sound/internal/core"
+	"sound/internal/checker"
+	"sound/internal/ingest"
 	"sound/internal/profile"
 	"sound/internal/series"
 )
@@ -68,49 +71,20 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 0
 	}
 	for _, sug := range sugs {
-		fmt.Fprintf(stdout, "[%.2f] %s\n       evidence: %s\n       try: %s\n",
-			sug.Score, sug.Check.Name, sug.Evidence, soundcheckInvocation(sug, fs.Args(), data))
+		spec, err := ingest.FormatCheck(ingest.CheckConfig{
+			Name:  sug.Check.Name,
+			Check: sug.Check,
+			Seed:  specSeed,
+			Route: checker.ByInputKeys(sug.Check.SeriesNames...),
+		})
+		if err != nil {
+			spec = "none: " + err.Error()
+		}
+		fmt.Fprintf(stdout, "[%.2f] %s\n       evidence: %s\n       spec: %s\n",
+			sug.Score, sug.Check.Name, sug.Evidence, spec)
 	}
 	return 0
 }
 
-// soundcheckInvocation renders the equivalent soundcheck command line.
-func soundcheckInvocation(sug profile.Suggestion, paths []string, data map[string]series.Series) string {
-	pathOf := func(name string) string {
-		for _, p := range paths {
-			if strings.TrimSuffix(filepath.Base(p), filepath.Ext(p)) == name {
-				return p
-			}
-		}
-		return name + ".csv"
-	}
-	c := sug.Check.Constraint
-	var b strings.Builder
-	b.WriteString("soundcheck ")
-	switch {
-	case strings.HasPrefix(c.Name, "range"):
-		var lo, hi float64
-		fmt.Sscanf(c.Name, "range[%g,%g]", &lo, &hi)
-		fmt.Fprintf(&b, "-constraint range -min %g -max %g", lo, hi)
-	case strings.HasPrefix(c.Name, "monotonic"):
-		b.WriteString("-constraint monotonic")
-	case c.Name == "non-negative":
-		b.WriteString("-constraint nonneg")
-	case strings.HasPrefix(c.Name, "corr>"):
-		var t float64
-		fmt.Sscanf(c.Name, "corr>[%g]", &t)
-		fmt.Fprintf(&b, "-constraint corr -threshold %g", t)
-	default:
-		fmt.Fprintf(&b, "-constraint %s", c.Name)
-	}
-	switch w := sug.Check.Window.(type) {
-	case core.CountWindow:
-		fmt.Fprintf(&b, " -window count:%d", w.Size)
-	case core.TimeWindow:
-		fmt.Fprintf(&b, " -window time:%g", w.Size)
-	}
-	for _, name := range sug.Check.SeriesNames {
-		fmt.Fprintf(&b, " %s", pathOf(name))
-	}
-	return b.String()
-}
+// specSeed is the seed a printed spec names: soundserve's default.
+const specSeed = 1

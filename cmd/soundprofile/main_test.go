@@ -6,8 +6,15 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
+
+	"sound/internal/checker"
+	"sound/internal/core"
+	"sound/internal/ingest"
+	"sound/internal/profile"
+	"sound/internal/series"
 )
 
 func writeSeries(t *testing.T, dir, name string, gen func(i int) (tt, v float64), n int) string {
@@ -25,6 +32,10 @@ func writeSeries(t *testing.T, dir, name string, gen func(i int) (tt, v float64)
 	return path
 }
 
+// TestProfileSuggestsAndPrintsInvocations: every suggestion prints a
+// spec that ParseCheck accepts and that parses back to the suggestion
+// itself — its kernel spec bit for bit, its window, and its series as the
+// check's routed inputs.
 func TestProfileSuggestsAndPrintsInvocations(t *testing.T) {
 	dir := t.TempDir()
 	load := writeSeries(t, dir, "load.csv", func(i int) (float64, float64) {
@@ -33,25 +44,60 @@ func TestProfileSuggestsAndPrintsInvocations(t *testing.T) {
 	counter := writeSeries(t, dir, "counter.csv", func(i int) (float64, float64) {
 		return float64(i), float64(i * i)
 	}, 120)
+	twice := writeSeries(t, dir, "twice.csv", func(i int) (float64, float64) {
+		return float64(i), float64(2*i*i) + 1
+	}, 120)
 
 	var out, errb bytes.Buffer
-	if code := run([]string{load, counter}, &out, &errb); code != 0 {
+	if code := run([]string{"-mincorr", "0.7", "-margin", "1.5", load, counter, twice}, &out, &errb); code != 0 {
 		t.Fatalf("exit = %d, stderr = %s", code, errb.String())
 	}
 	text := out.String()
-	for _, want := range []string{
-		"suggested-range(load)",
-		"suggested-monotone(counter)",
-		"try: soundcheck -constraint",
-		"evidence:",
-	} {
+	for _, want := range []string{"suggested-range(load)", "suggested-monotone(counter)", "suggested-corr(", "evidence:"} {
 		if !strings.Contains(text, want) {
 			t.Errorf("output missing %q:\n%s", want, text)
 		}
 	}
-	// The printed invocation must reference the actual file path.
-	if !strings.Contains(text, "counter.csv") {
-		t.Error("invocation does not reference the input file")
+
+	data := map[string]series.Series{}
+	for _, path := range []string{load, counter, twice} {
+		f, err := os.Open(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, err := series.ReadCSV(f)
+		f.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		data[strings.TrimSuffix(filepath.Base(path), ".csv")] = s
+	}
+	sugs := profile.Suggest(data, profile.Options{RangeMargin: 1.5, MinCorrelation: 0.7})
+	var specs []string
+	for _, line := range strings.Split(text, "\n") {
+		if spec, ok := strings.CutPrefix(strings.TrimSpace(line), "spec: "); ok {
+			specs = append(specs, spec)
+		}
+	}
+	if len(specs) != len(sugs) {
+		t.Fatalf("%d specs printed for %d suggestions:\n%s", len(specs), len(sugs), text)
+	}
+	for i, sug := range sugs {
+		cc, err := ingest.ParseCheck(specs[i], core.DefaultParams(), 0, checker.EvictionPolicy{})
+		if err != nil {
+			t.Errorf("%s: %v", sug.Check.Name, err)
+			continue
+		}
+		got, want := cc.Check.Constraint.Spec, sug.Check.Constraint.Spec
+		if got.Op != want.Op || got.Strict != want.Strict || got.Bins != want.Bins ||
+			math.Float64bits(got.A) != math.Float64bits(want.A) ||
+			math.Float64bits(got.B) != math.Float64bits(want.B) ||
+			math.Float64bits(got.C) != math.Float64bits(want.C) {
+			t.Errorf("%s: spec %q parses to kernel %+v, want %+v", sug.Check.Name, specs[i], got, want)
+		}
+		if cc.Name != sug.Check.Name || cc.Check.Window != sug.Check.Window || !slices.Equal(cc.Check.SeriesNames, sug.Check.SeriesNames) {
+			t.Errorf("%s: spec %q parses to %q over %v on %v", sug.Check.Name, specs[i], cc.Name, cc.Check.SeriesNames, cc.Check.Window)
+		}
 	}
 }
 

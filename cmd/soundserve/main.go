@@ -4,13 +4,17 @@
 // evaluates the registered checks online with live counters and a
 // streaming outcome feed.
 //
-// Checks are registered with repeatable -check specs (see
-// internal/ingest.ParseCheck for the grammar):
+// Checks are registered with repeatable -check specs, or at runtime
+// with POST /checks (see internal/ingest.ParseCheck for the grammar; the
+// template tokens and their keys are internal/core's template table):
 //
 //	soundserve -http :7071 -check 'range;min=0;max=100;window=time:60'
 //	soundserve -tcp :7070 -http :7071 \
 //	    -check 'name=lat-vs-load;constraint=corr;threshold=0.3;window=time:120;route=inputs:latency,load' \
 //	    -ttl 3600 -max-groups 100000
+//
+// Every accepted spec has one canonical text (ingest.FormatCheck), which
+// GET /checks lists under "specs" and soundprofile prints.
 //
 // SIGINT/SIGTERM drains gracefully: intake stops, every shard flushes
 // its final windows, and the final counter snapshot is printed.
@@ -18,7 +22,9 @@
 // -selftest replays a CSV fixture through both wire paths (TCP frames,
 // HTTP NDJSON) against a fresh server each and diffs the verdict
 // counters against a direct single-process evaluation of the same
-// checks — the shard fan-in parity contract, checked end to end:
+// checks — the shard fan-in parity contract, checked end to end. The
+// HTTP pass registers each check by its canonical text, so it also
+// checks that the text is the check:
 //
 //	soundserve -selftest -fixture testdata/gapped_borderline.csv
 package main
@@ -246,7 +252,7 @@ func runSelftest(fixture string, specs []string, params sound.Params, seed uint6
 	if err != nil {
 		return fail(stderr, fmt.Errorf("tcp pass: %w", err))
 	}
-	httpc, httpGroups, err := selftestHTTP(specs, params, seed, evict, evs, shards, batch)
+	httpc, httpGroups, err := selftestHTTP(cfgs, params, seed, evict, evs, shards, batch)
 	if err != nil {
 		return fail(stderr, fmt.Errorf("http pass: %w", err))
 	}
@@ -416,10 +422,11 @@ func waitIngested(srv *ingest.Server, n int) {
 // selftestHTTP replays the events as one NDJSON POST against a fresh
 // server listening on a real loopback socket, then drains over HTTP.
 // The server starts with ZERO checks: the suite is registered live over
-// POST /checks, so the pass also proves dynamic registration is
-// semantics-free — a check added over the wire counts exactly like one
-// configured at boot.
-func selftestHTTP(specs []string, params sound.Params, seed uint64, evict checker.EvictionPolicy, evs []stream.Event, shards, batch int) (map[string]counts3, []checker.GroupStat, error) {
+// POST /checks, each as its canonical spec (ingest.FormatCheck), so the
+// pass also proves that dynamic registration is semantics-free and that
+// the canonical text is the check: a check written out, sent over the
+// wire and parsed back counts exactly like the one configured at boot.
+func selftestHTTP(cfgs []ingest.CheckConfig, params sound.Params, seed uint64, evict checker.EvictionPolicy, evs []stream.Event, shards, batch int) (map[string]counts3, []checker.GroupStat, error) {
 	srv, err := ingest.NewServer(ingest.Config{
 		Shards: shards, BatchSize: batch,
 		Evict: evict, DefaultParams: params, DefaultSeed: seed,
@@ -436,7 +443,11 @@ func selftestHTTP(specs []string, params sound.Params, seed uint64, evict checke
 	defer hsrv.Close()
 	base := "http://" + ln.Addr().String()
 
-	for _, spec := range specs {
+	for _, cfg := range cfgs {
+		spec, err := ingest.FormatCheck(cfg)
+		if err != nil {
+			return nil, nil, err
+		}
 		resp, err := http.Post(base+"/checks", "text/plain", strings.NewReader(spec))
 		if err != nil {
 			return nil, nil, err

@@ -3,7 +3,6 @@ package checker
 import (
 	"context"
 	"fmt"
-	"math"
 
 	"sound/internal/checkpoint"
 	"sound/internal/core"
@@ -46,21 +45,16 @@ func EncodeOperator(p stream.Processor, enc *checkpoint.Encoder) error {
 
 // encodeMembers writes what a restore must find registered in a bucket:
 // the member count, the hash of the bucket's group class (parameters,
-// window, arity, seed), and per member its name, naive flag and kernel
-// spec (a template constraint's operation and bounds).
+// window, arity, seed), and per member its name, naive flag and template
+// text (core.FormatTemplate; "" for a user constraint, which is known by
+// its name alone).
 func (c *streamChecker) encodeMembers(enc *checkpoint.Encoder) {
 	enc.Int(len(c.members))
 	enc.U64(c.members[0].plan.Class().Hash())
 	for _, m := range c.members {
 		enc.String(m.name)
 		enc.Bool(m.naive)
-		sp := m.check.Constraint.Spec
-		enc.Int(int(sp.Op))
-		enc.Bool(sp.Strict)
-		enc.Int(int(sp.Bins))
-		enc.F64(sp.A)
-		enc.F64(sp.B)
-		enc.F64(sp.C)
+		enc.String(m.template)
 	}
 }
 
@@ -79,9 +73,7 @@ func (c *streamChecker) checkMembers(dec *checkpoint.Decoder) error {
 		return fmt.Errorf("other parameters, window or seed than the operator bucket")
 	}
 	for _, m := range c.members {
-		name, naive := dec.String(), dec.Bool()
-		op, strict, bins := dec.Int(), dec.Bool(), dec.Int()
-		a, b, cc := dec.U64(), dec.U64(), dec.U64()
+		name, naive, template := dec.String(), dec.Bool(), dec.String()
 		if err := dec.Err(); err != nil {
 			return err
 		}
@@ -90,9 +82,7 @@ func (c *streamChecker) checkMembers(dec *checkpoint.Decoder) error {
 		}
 		// Compared as written, so an accepted payload re-encodes to its
 		// own bytes (a -0 bound is not the registered 0).
-		sp := m.check.Constraint.Spec
-		if naive != m.naive || op != int(sp.Op) || strict != sp.Strict || bins != int(sp.Bins) ||
-			a != math.Float64bits(sp.A) || b != math.Float64bits(sp.B) || cc != math.Float64bits(sp.C) {
+		if naive != m.naive || template != m.template {
 			return fmt.Errorf("check %q registered with another constraint or mode", name)
 		}
 	}
@@ -105,7 +95,7 @@ func (c *streamChecker) checkMembers(dec *checkpoint.Decoder) error {
 // the snapshotted operator would have. An operator that has already seen
 // events (or been restored) is refused, and so is a corrupt payload or
 // one whose bucket list, group classes, member names, naive flags or
-// kernel specs differ from the operator's (a custom constraint's Fn
+// template texts differ from the operator's (a custom constraint's Fn
 // cannot be compared). After an error the operator holds part of the
 // payload and must be discarded.
 func DecodeOperator(p stream.Processor, dec *checkpoint.Decoder) error {

@@ -3,7 +3,10 @@ package checker
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"fmt"
+	"hash/crc32"
+	"math"
 	"reflect"
 	"slices"
 	"strings"
@@ -219,9 +222,10 @@ func suiteMux(t testing.TB, evict EvictionPolicy, trace *[]string, tweak func(*M
 // calls, at frame sizes 1 and 64, with and without a group cap. The
 // restored operator must deliver the verdict stream the uninterrupted
 // one delivers and re-encode to the snapshot's bytes; an operator of a
-// Mux registered under other names, another bucket split, other bounds
-// under the same name, another seed or another naive flag, and an
-// operator that has seen events, must refuse the snapshot.
+// Mux registered under other names, another bucket split, another
+// template text under the same name (other bounds, a -0 bound, the
+// strict variant, a user constraint), another seed or another naive
+// flag, and an operator that has seen events, must refuse the snapshot.
 func TestMuxOperatorRestoreParity(t *testing.T) {
 	// Mid-window for every group, off the 64-event frame grid, and right
 	// before the capped stream's "rare" key arrives at event 130: the cap
@@ -294,6 +298,23 @@ func TestMuxOperatorRestoreParity(t *testing.T) {
 							mc.Check.Constraint = core.Range(0, 96)
 						}
 					},
+					"same name, a -0 bound": func(mc *MuxCheck) {
+						if mc.Name == "tight" {
+							mc.Check.Constraint = core.Range(math.Copysign(0, -1), 97)
+						}
+					},
+					"same name, strict variant": func(mc *MuxCheck) {
+						if mc.Name == "mono" {
+							mc.Check.Constraint = core.MonotonicIncrease(true)
+						}
+					},
+					"same name, user constraint": func(mc *MuxCheck) {
+						if mc.Name == "tight" {
+							c := mc.Check.Constraint
+							mc.Check.Constraint = core.Constraint{Name: c.Name, Granularity: c.Granularity, Orderedness: c.Orderedness,
+								Arity: 1, Fn: func(vals [][]float64) bool { return true }}
+						}
+					},
 					"other seed": func(mc *MuxCheck) { mc.Seed++ },
 					"naive flipped": func(mc *MuxCheck) {
 						if mc.Name == "mono" {
@@ -327,6 +348,14 @@ func TestOperatorCorruptSnapshot(t *testing.T) {
 		c.Process(ev, discardEmit)
 	}
 	snap := snapshotOperator(t, c, out)
+
+	// A version-5 document, its checksum intact, is refused by version.
+	v5 := append([]byte(nil), snap[:len(snap)-4]...)
+	binary.LittleEndian.PutUint16(v5[len(checkpoint.Magic):], 5)
+	v5 = binary.LittleEndian.AppendUint32(v5, crc32.ChecksumIEEE(v5))
+	if _, err := checkpoint.NewDecoder(v5); err == nil || !strings.Contains(err.Error(), "version 5, want 6") {
+		t.Errorf("version-5 document: err = %v, want the version mismatch", err)
+	}
 
 	flipped := append([]byte(nil), snap...)
 	flipped[len(flipped)/2] ^= 0x40
@@ -383,6 +412,44 @@ func TestOperatorCorruptSnapshot(t *testing.T) {
 	}
 	if err := DecodeOperator(notCheck, checkpoint.NewRawDecoder(payload)); err == nil {
 		t.Error("DecodeOperator accepted a processor that is no Mux operator")
+	}
+}
+
+// TestRestoreUserConstraintByName: a user constraint has no template
+// text, so a snapshot knows it by its name alone and restores into an
+// operator whose same-named check holds another function.
+func TestRestoreUserConstraintByName(t *testing.T) {
+	user := func(bound float64) MuxCheck {
+		ck := ckptCheck()
+		ck.Constraint = core.Constraint{Name: "below", Granularity: core.PointWise, Arity: 1,
+			Fn: func(vals [][]float64) bool { return slices.Max(append([]float64{math.Inf(-1)}, vals[0]...)) < bound }}
+		return MuxCheck{Name: "user", Check: ck, Params: core.DefaultParams(), Seed: 4242}
+	}
+	orig, _ := loneOp(t, EvictionPolicy{}, user(100))
+	for _, ev := range ckptEvents(60) {
+		orig.Process(ev, discardEmit)
+	}
+	enc := checkpoint.NewRawEncoder()
+	if err := EncodeOperator(orig, enc); err != nil {
+		t.Fatal(err)
+	}
+	snap := enc.Finish()
+	restored, _ := loneOp(t, EvictionPolicy{}, user(50))
+	if err := DecodeOperator(restored, checkpoint.NewRawDecoder(snap)); err != nil {
+		t.Fatalf("same-named user constraint refused: %v", err)
+	}
+	again := checkpoint.NewRawEncoder()
+	if err := EncodeOperator(restored, again); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(again.Finish(), snap) {
+		t.Error("restored operator re-encodes to different bytes")
+	}
+	renamed := user(100)
+	renamed.Name = "other"
+	x, _ := loneOp(t, EvictionPolicy{}, renamed)
+	if err := DecodeOperator(x, checkpoint.NewRawDecoder(snap)); err == nil {
+		t.Error("a user constraint under another name accepted the snapshot")
 	}
 }
 

@@ -18,10 +18,12 @@ import (
 // memberSpec is one check's compiled identity inside an operator,
 // shared by every worker instance (and across Mux bucket rebuilds, so
 // registration churn elsewhere never disturbs a member's counters).
-// name is the Mux registration handle; an operator snapshot records it so
+// name is the Mux registration handle and template the constraint's
+// text ("" for a user constraint); an operator snapshot records both so
 // a restore can verify it resumes the same registrations.
 type memberSpec struct {
 	name      string
+	template  string
 	check     core.Check
 	plan      *core.CheckPlan
 	naive     bool
@@ -46,7 +48,10 @@ func newMemberSpec(cfg MuxCheck) (*memberSpec, error) {
 			return nil, fmt.Errorf("checker: check %q: session windows stream only for unary checks", ck.Name)
 		}
 	}
-	return &memberSpec{name: cfg.Name, check: plan.Check(), plan: plan, naive: cfg.Naive, out: cfg.Out, onOutcome: cfg.OnOutcome}, nil
+	// CompilePlan validated the constraint, so the text is missing only
+	// for a user constraint.
+	template, _ := core.FormatTemplate(ck.Constraint)
+	return &memberSpec{name: cfg.Name, template: template, check: plan.Check(), plan: plan, naive: cfg.Naive, out: cfg.Out, onOutcome: cfg.OnOutcome}, nil
 }
 
 // deliver records one outcome with the member's sinks.

@@ -44,9 +44,12 @@ import (
 // set per window group and no extractions, which a restore rebuilds from
 // the buffers: a window's finiteness proof is read from its own points
 // now, so an extraction carries no history a snapshot must keep.
+// Version 6 identifies each bucket member by its name, naive flag and
+// template text (core.FormatTemplate) in place of the kernel spec's
+// fields.
 const (
 	Magic   = "SNDCKP"
-	Version = 5
+	Version = 6
 )
 
 // Encoder appends primitive values to a growing buffer. The zero value

@@ -134,16 +134,17 @@ func TestHeaderValidation(t *testing.T) {
 	// Well-formed older documents (valid CRC) are refused by name: version
 	// 1 stream workers carried RNG positions, version 2 wrapped them in a
 	// per-worker registry record, version 3 held one lone-check operator
-	// without a bucket list, and version 4 groups carried three buffer
-	// sets and their extractions.
-	if Version != 5 {
-		t.Fatalf("Version = %d, want 5", Version)
+	// without a bucket list, version 4 groups carried three buffer sets
+	// and their extractions, and version 5 members carried kernel spec
+	// fields in place of their template text.
+	if Version != 6 {
+		t.Fatalf("Version = %d, want 6", Version)
 	}
-	for _, v := range []uint16{1, 2, 3, 4} {
+	for _, v := range []uint16{1, 2, 3, 4, 5} {
 		old := append([]byte{}, data[:len(data)-4]...)
 		binary.LittleEndian.PutUint16(old[len(Magic):], v)
 		old = binary.LittleEndian.AppendUint32(old, crc32.ChecksumIEEE(old))
-		if _, err := NewDecoder(old); err == nil || !strings.Contains(err.Error(), fmt.Sprintf("version %d, want 5", v)) {
+		if _, err := NewDecoder(old); err == nil || !strings.Contains(err.Error(), fmt.Sprintf("version %d, want 6", v)) {
 			t.Errorf("version-%d document: err = %v, want a version mismatch", v, err)
 		}
 	}

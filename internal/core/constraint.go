@@ -122,7 +122,7 @@ type KernelSpec struct {
 	Op KernelOp
 	// Strict selects the strict variant of KernelMonotone.
 	Strict bool
-	// Bins configures the KernelKLBelow histogram.
+	// Bins configures the KernelKLBelow histogram, 1..MaxKLBins.
 	Bins int32
 	// A, B, C parameterize the op: KernelRange uses [A, B];
 	// KernelGreaterThan, KernelMaxDelta, the correlation/R² thresholds
@@ -130,6 +130,9 @@ type KernelSpec struct {
 	// with minimum fraction C.
 	A, B, C float64
 }
+
+// MaxKLBins bounds KernelSpec.Bins.
+const MaxKLBins = 4096
 
 // Constraint is a sanity constraint φᵏ: (V*)ᵏ → {⊤, ⊥} together with its
 // taxonomy classification (paper Def. 1). The predicate is exactly one of
@@ -152,6 +155,14 @@ type Constraint struct {
 func (c Constraint) Validate() error {
 	if (c.Fn != nil) == (c.Spec.Op != KernelNone) {
 		return fmt.Errorf("core: constraint %q needs exactly one of a kernel spec and a function", c.Name)
+	}
+	if int(c.Spec.Op) >= len(templates) {
+		return fmt.Errorf("core: constraint %q has unknown kernel op %d", c.Name, c.Spec.Op)
+	}
+	// A histogram of no bins scores NaN, and every bin is allocated for
+	// every row scored, so the bin count is bounded on both sides.
+	if c.Spec.Op == KernelKLBelow && (c.Spec.Bins < 1 || c.Spec.Bins > MaxKLBins) {
+		return fmt.Errorf("core: constraint %q has %d histogram bins, want 1..%d", c.Name, c.Spec.Bins, MaxKLBins)
 	}
 	if c.Arity < 1 {
 		return fmt.Errorf("core: constraint %q has arity %d", c.Name, c.Arity)

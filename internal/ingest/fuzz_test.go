@@ -16,7 +16,9 @@ import (
 // decision stable (a spec that parses once parses identically again —
 // the grammar is pure), and build a running operator from every spec it
 // accepts: Register takes it, and the operator survives an event and a
-// Flush.
+// Flush. Every accepted spec has one canonical text: FormatCheck writes
+// it, ParseCheck reads it back — under any default seed — to the same
+// config bit for bit, and that config formats to the same bytes.
 func FuzzParseCheck(f *testing.F) {
 	for _, spec := range []string{
 		"range;min=0;max=100;window=time:60",
@@ -42,6 +44,22 @@ func FuzzParseCheck(f *testing.F) {
 		"range;window=time:10:1e-300",
 		"range;window=time:4096:1",
 		"range;route=inputs:" + strings.Repeat("a,", 50) + "b",
+		"nonneg;window=time:10",
+		"monotonic;strict=true;window=count:5",
+		"maxdelta;threshold=9;window=count:8:3",
+		"stdnonzero;window=count:4",
+		"lowerdelta;window=count:16;route=inputs:x,y",
+		"nocorr;threshold=0.5;window=time:30;route=inputs:x,y",
+		"r2;threshold=0.9;window=count:16;route=inputs:obs,pred",
+		"ks;threshold=0.3;window=time:20:10;route=inputs:a,b",
+		"kl;threshold=0.5;bins=16;window=count:32;route=inputs:a,b",
+		"kl;threshold=0.5;bins=2147483647;route=inputs:a,b",
+		"nonneg;min=5",
+		"range;min=1;min=5;max=9",
+		"corr;threshold=0.3;window=count:8;route=inputs:a,a",
+		"range;route=inputs:",
+		"count;route=inputs:a ,b;name= x=y",
+		"range;min=-0;max=0x1p-1074;seed=0",
 	} {
 		f.Add(spec)
 	}
@@ -64,6 +82,7 @@ func FuzzParseCheck(f *testing.F) {
 		if err2 != nil || cfg2.Name != cfg.Name || cfg2.RouteSpec != cfg.RouteSpec {
 			t.Fatalf("re-parse diverged: %+v vs %+v (err %v)", cfg, cfg2, err2)
 		}
+		roundTrip(t, cfg, params, checker.EvictionPolicy{})
 		// An accepted spec must also be admissible: the compiled check
 		// has to stream (ParseCheck only emits streamable windows), and
 		// the operator built from it has to run. One event on the check's

@@ -89,7 +89,7 @@ func (s *Server) serveConn(conn net.Conn) {
 //	POST   /drain          graceful drain; responds with the final Stats
 //	POST   /checks         register a check (body: ParseCheck spec text)
 //	DELETE /checks/{name}  deregister a check by name
-//	GET    /checks         registered names + multiplexing group stats
+//	GET    /checks         registered names, their specs + multiplexing group stats
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /ingest", s.handleIngest)
@@ -161,11 +161,13 @@ func (s *Server) handleRemoveCheck(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleListChecks(w http.ResponseWriter, r *http.Request) {
+	names, specs := s.listChecks()
 	w.Header().Set("Content-Type", "application/json")
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	enc.Encode(map[string]any{
-		"checks": s.CheckNames(),
+		"checks": names,
+		"specs":  specs,
 		"groups": s.GroupStats(),
 	})
 }

@@ -534,6 +534,9 @@ func TestParseCheck(t *testing.T) {
 		"constraint=fraction;min=0;max=13;threshold=0.8;window=time:12:5;name=frac",
 		"corr;threshold=0.3;window=time:120;route=inputs:latency,load",
 		"monotonic;window=count:10;seed=99",
+		"monotonic;strict=true;window=count:10",
+		"lowerdelta;window=count:16;route=inputs:x,y",
+		"kl;threshold=0.5;bins=16;window=count:32;route=inputs:x,y",
 	}
 	for _, spec := range good {
 		cfg, err := ParseCheck(spec, params, 1, checker.EvictionPolicy{})
@@ -555,6 +558,13 @@ func TestParseCheck(t *testing.T) {
 		"range;route=inputs:a,b", // arity mismatch the other way
 		"range;min=NOPE",         // bad float
 		"range;stray",            // bare token past position 0
+		"range;constraint=gt",    // constraint given twice
+		"nonneg;min=5",           // a key the template does not read
+		"range;min=1;min=5",      // a repeated key
+		"range;name=a;name=b",    // a repeated check key
+		"count;route=inputs:a,a", // an input key routed twice
+		"range;route=inputs:",    // an empty input key
+		"kl;threshold=1;bins=0;route=inputs:a,b",
 	}
 	for _, spec := range bad {
 		if _, err := ParseCheck(spec, params, 1, checker.EvictionPolicy{}); err == nil {
@@ -745,6 +755,12 @@ func TestAddCheckStatusCodes(t *testing.T) {
 		{"zero window size", "range;min=0;max=100;window=time:0;name=bad", false, http.StatusBadRequest},
 		{"slide 10^301 times below the size", "range;min=0;max=100;window=time:10:1e-300;name=bad", false, http.StatusBadRequest},
 		{"body over 64 KiB", "gt;threshold=5;name=" + strings.Repeat("a", 1<<16), false, http.StatusRequestEntityTooLarge},
+		{"key the template does not read", "nonneg;min=5;name=unread", false, http.StatusBadRequest},
+		{"repeated key", "range;min=1;min=5;max=9;name=repeated", false, http.StatusBadRequest},
+		{"route names an input key twice", "corr;threshold=0.3;window=count:8;route=inputs:a,a;name=twice", false, http.StatusBadRequest},
+		{"empty input key", "range;route=inputs:;name=empty-key", false, http.StatusBadRequest},
+		{"KL histogram of 2^31-1 bins", "kl;threshold=0.5;bins=2147483647;route=inputs:a,b;name=huge", false, http.StatusBadRequest},
+		{"KL histogram of no bins", "kl;threshold=0.5;bins=0;route=inputs:a,b;name=nobins", false, http.StatusBadRequest},
 		{"second", sharedTrioSpecs[1], false, http.StatusOK},
 		{"over quota", sharedTrioSpecs[2], false, http.StatusTooManyRequests},
 		{"after drain", sharedTrioSpecs[2], true, http.StatusServiceUnavailable},

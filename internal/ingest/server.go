@@ -89,8 +89,9 @@ func discard(stream.Event) {}
 // and the outcome counters aggregated across shards. The evaluation
 // itself lives in the shared Mux bucket the check was admitted to.
 type checkState struct {
-	cfg CheckConfig
-	out *checker.StreamOutcomes
+	cfg  CheckConfig
+	spec string // FormatCheck(cfg); "" for a check with no text form
+	out  *checker.StreamOutcomes
 }
 
 // Server fans inbound events out to the shards and owns their
@@ -246,6 +247,7 @@ func (s *Server) AddCheck(cc CheckConfig) error {
 	}
 	name := cc.Name
 	cs := &checkState{cfg: cc, out: &checker.StreamOutcomes{}}
+	cs.spec, _ = FormatCheck(cc) // its error means no text: ""
 	err := s.mux.Register(checker.MuxCheck{
 		Name:    cc.Name,
 		Check:   cc.Check,
@@ -287,13 +289,22 @@ func (s *Server) RemoveCheck(name string) error {
 
 // CheckNames returns the registered check names in registration order.
 func (s *Server) CheckNames() []string {
+	names, _ := s.listChecks()
+	return names
+}
+
+// listChecks returns the registered checks' names and specs in
+// registration order, read under one lock so the two lists pair up. A
+// check with no text form, such as a naive one or a user constraint
+// registered through Config.Checks, has the spec "".
+func (s *Server) listChecks() (names, specs []string) {
 	s.checkMu.Lock()
 	defer s.checkMu.Unlock()
-	names := make([]string, len(s.checks))
+	names, specs = make([]string, len(s.checks)), make([]string, len(s.checks))
 	for i, cs := range s.checks {
-		names[i] = cs.cfg.Name
+		names[i], specs[i] = cs.cfg.Name, cs.spec
 	}
-	return names
+	return names, specs
 }
 
 // GroupStats reports the multiplexing buckets: member checks, whether

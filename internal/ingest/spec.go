@@ -7,50 +7,21 @@
 package ingest
 
 import (
+	"errors"
 	"fmt"
+	"math"
+	"slices"
 	"strconv"
 	"strings"
+	"unicode"
 
 	"sound/internal/checker"
 	"sound/internal/core"
 )
 
-// BuildConstraint resolves a constraint template by CLI name. The
-// returned arity is the number of input series the template consumes.
-// Shared by soundcheck and soundserve so both front-ends accept the
-// same vocabulary.
-func BuildConstraint(name string, min, max, threshold float64) (core.Constraint, int, error) {
-	switch name {
-	case "range":
-		return core.Range(min, max), 1, nil
-	case "gt":
-		return core.GreaterThan(threshold), 1, nil
-	case "nonneg":
-		return core.NonNegative(), 1, nil
-	case "fraction":
-		return core.FractionInRange(min, max, threshold), 1, nil
-	case "monotonic":
-		return core.MonotonicIncrease(false), 1, nil
-	case "maxdelta":
-		return core.MaxDelta(threshold), 1, nil
-	case "stdnonzero":
-		return core.StdNonZero(), 1, nil
-	case "corr":
-		return core.CorrelationAbove(threshold), 2, nil
-	case "nocorr":
-		return core.CorrelationBelow(threshold), 2, nil
-	case "r2":
-		return core.RSquaredAbove(threshold), 2, nil
-	case "ks":
-		return core.KSDistanceBelow(threshold), 2, nil
-	case "count":
-		return core.CountAtLeast(), 2, nil
-	}
-	return core.Constraint{}, 0, fmt.Errorf("unknown constraint %q", name)
-}
-
-// BuildWindow parses a CLI window spec: point, global, session:<gap>,
-// time:<size>[:<slide>], or count:<size>[:<slide>].
+// BuildWindow parses a window spec: point, global, session:<gap>,
+// time:<size>[:<slide>], or count:<size>[:<slide>]. formatWindow writes
+// it.
 func BuildWindow(spec string) (core.Windower, error) {
 	parts := strings.Split(spec, ":")
 	switch parts[0] {
@@ -101,29 +72,63 @@ func BuildWindow(spec string) (core.Windower, error) {
 	return nil, fmt.Errorf("unknown window spec %q", spec)
 }
 
-// ParseCheck parses one soundserve -check registration. The spec is a
+// formatWindow writes a built-in windower as the spec BuildWindow reads
+// back into it; a slide of zero (the tumbling default) is left out.
+func formatWindow(w core.Windower) (string, error) {
+	switch w := w.(type) {
+	case core.PointWindow:
+		return "point", nil
+	case core.GlobalWindow:
+		return "global", nil
+	case core.SessionWindow:
+		return "session:" + formatFloat(w.Gap), nil
+	case core.TimeWindow:
+		s := "time:" + formatFloat(w.Size)
+		if math.Float64bits(w.Slide) != 0 {
+			s += ":" + formatFloat(w.Slide)
+		}
+		return s, nil
+	case core.CountWindow:
+		s := "count:" + strconv.Itoa(w.Size)
+		if w.Slide != 0 {
+			s += ":" + strconv.Itoa(w.Slide)
+		}
+		return s, nil
+	}
+	return "", fmt.Errorf("window %v has no text form", w)
+}
+
+func formatFloat(f float64) string { return strconv.FormatFloat(f, 'g', -1, 64) }
+
+// ParseCheck parses one check spec: the text soundserve -check and
+// POST /checks take and FormatCheck writes. The spec is a
 // semicolon-separated key=value list; a bare first token is shorthand
 // for constraint=<token>:
 //
 //	range;min=0;max=100;window=time:60
 //	name=latency-vs-load;constraint=corr;threshold=0.3;window=time:120;route=inputs:latency,load
 //
-// Keys: constraint (required), name (defaults to the constraint name),
-// min, max, threshold, window (default point), seed (overrides the
-// server default), route — "event" (default: group by the event key;
-// unary constraints only) or "inputs:a,b" (route events whose keys are
-// the named series into the check's inputs; arity must match).
-// params and evict carry the server-wide defaults into the config.
+// constraint (required) names the template, and the keys the template
+// reads (core.TemplateKeys: min, max, threshold, strict, bins) set its
+// parameters; a key it does not read is an error, and one left out is
+// zero. The check's own keys: name (defaults to the constraint token),
+// window (default point), seed (overrides the server default), and
+// route — "event" (default: group by the event key; unary constraints
+// only) or "inputs:a,b" (route events whose keys are the named series
+// into the check's inputs: one distinct, non-empty key per input). No
+// key may be given twice. params and evict carry the server-wide
+// defaults into the config.
 func ParseCheck(spec string, params core.Params, seed uint64, evict checker.EvictionPolicy) (CheckConfig, error) {
 	var (
-		name, constraint    string
-		window              = "point"
-		route               = "event"
-		min, max, threshold float64
+		name, constraint string
+		window           = "point"
+		route            = "event"
+		template         []string
 	)
 	fail := func(err error) (CheckConfig, error) {
 		return CheckConfig{}, fmt.Errorf("check spec %q: %w", spec, err)
 	}
+	seen := map[string]bool{}
 	for i, kv := range strings.Split(spec, ";") {
 		kv = strings.TrimSpace(kv)
 		if kv == "" {
@@ -131,13 +136,15 @@ func ParseCheck(spec string, params core.Params, seed uint64, evict checker.Evic
 		}
 		k, v, ok := strings.Cut(kv, "=")
 		if !ok {
-			if i == 0 {
-				constraint = kv
-				continue
+			if i != 0 {
+				return fail(fmt.Errorf("%q is not key=value", kv))
 			}
-			return fail(fmt.Errorf("%q is not key=value", kv))
+			k, v = "constraint", kv
 		}
-		var err error
+		if seen[k] {
+			return fail(fmt.Errorf("key %q given twice", k))
+		}
+		seen[k] = true
 		switch k {
 		case "constraint":
 			constraint = v
@@ -147,25 +154,19 @@ func ParseCheck(spec string, params core.Params, seed uint64, evict checker.Evic
 			window = v
 		case "route":
 			route = v
-		case "min":
-			min, err = strconv.ParseFloat(v, 64)
-		case "max":
-			max, err = strconv.ParseFloat(v, 64)
-		case "threshold":
-			threshold, err = strconv.ParseFloat(v, 64)
 		case "seed":
-			seed, err = strconv.ParseUint(v, 10, 64)
+			var err error
+			if seed, err = strconv.ParseUint(v, 10, 64); err != nil {
+				return fail(fmt.Errorf("bad seed: %w", err))
+			}
 		default:
-			return fail(fmt.Errorf("unknown key %q", k))
-		}
-		if err != nil {
-			return fail(fmt.Errorf("bad %s: %w", k, err))
+			template = append(template, kv)
 		}
 	}
 	if constraint == "" {
 		return fail(fmt.Errorf("missing constraint"))
 	}
-	c, arity, err := BuildConstraint(constraint, min, max, threshold)
+	c, err := core.ParseTemplate(strings.Join(append([]string{constraint}, template...), ";"))
 	if err != nil {
 		return fail(err)
 	}
@@ -184,14 +185,19 @@ func ParseCheck(spec string, params core.Params, seed uint64, evict checker.Evic
 	}
 	switch {
 	case route == "event":
-		if arity != 1 {
-			return fail(fmt.Errorf("constraint %q takes %d inputs; use route=inputs:<a>,<b>", constraint, arity))
+		if c.Arity != 1 {
+			return fail(fmt.Errorf("constraint %q takes %d inputs; use route=inputs:<a>,<b>", constraint, c.Arity))
 		}
 		cfg.Check = core.Check{Name: name, Constraint: c, SeriesNames: []string{"v"}, Window: win}
 	case strings.HasPrefix(route, "inputs:"):
 		tags := strings.Split(strings.TrimPrefix(route, "inputs:"), ",")
-		if len(tags) != arity {
-			return fail(fmt.Errorf("constraint %q takes %d inputs, route names %d", constraint, arity, len(tags)))
+		if len(tags) != c.Arity {
+			return fail(fmt.Errorf("constraint %q takes %d inputs, route names %d", constraint, c.Arity, len(tags)))
+		}
+		for i, tag := range tags {
+			if tag == "" || slices.Contains(tags[:i], tag) {
+				return fail(fmt.Errorf("route %q names an empty or repeated input key", route))
+			}
 		}
 		cfg.Route = checker.ByInputKeys(tags...)
 		cfg.Check = core.Check{Name: name, Constraint: c, SeriesNames: tags, Window: win}
@@ -208,4 +214,52 @@ func ParseCheck(spec string, params core.Params, seed uint64, evict checker.Evic
 	// operator bucket.
 	cfg.RouteSpec = route
 	return cfg, nil
+}
+
+// FormatCheck writes cc as the spec ParseCheck reads back into it:
+//
+//	<token>;<every key the template reads>;window=…;route=…;seed=…;name=…
+//
+// ParseCheck(FormatCheck(cc), params, anySeed, evict) equals cc for
+// every cc that ParseCheck accepted with those params and evict, and
+// formatting that result again gives the same bytes. Params and Evict
+// have no keys. A naive check, a user constraint (Fn), a window other
+// than the built-in ones, and a name or input key the grammar could not
+// have produced are errors.
+func FormatCheck(cc CheckConfig) (string, error) {
+	fail := func(err error) (string, error) { return "", fmt.Errorf("check %q: %w", cc.Name, err) }
+	if cc.Naive {
+		return fail(errors.New("a naive check has no text form"))
+	}
+	tmpl, err := core.FormatTemplate(cc.Check.Constraint)
+	if err != nil {
+		return fail(err)
+	}
+	win, err := formatWindow(cc.Check.Window)
+	if err != nil {
+		return fail(err)
+	}
+	route := "event"
+	if cc.Route != nil {
+		for i, tag := range cc.Route {
+			if tag == "" || strings.ContainsAny(tag, ",;") || slices.Contains(cc.Route[:i], tag) {
+				return fail(fmt.Errorf("input key %q has no text form", tag))
+			}
+		}
+		route = "inputs:" + strings.Join(cc.Route, ",")
+		if !spellable(route) {
+			return fail(errors.New("the route ends in white space"))
+		}
+	}
+	if !spellable(cc.Name) {
+		return fail(errors.New("the name has no text form"))
+	}
+	return tmpl + ";window=" + win + ";route=" + route + ";seed=" + strconv.FormatUint(cc.Seed, 10) + ";name=" + cc.Name, nil
+}
+
+// spellable reports whether ParseCheck can produce s as a value: it is
+// not empty, holds no ';', and does not end in the white space that
+// ParseCheck trims off every key=value pair.
+func spellable(s string) bool {
+	return s != "" && !strings.Contains(s, ";") && strings.TrimRightFunc(s, unicode.IsSpace) == s
 }
