@@ -1,16 +1,20 @@
-// Command soundcheck evaluates a sanity constraint over one or two CSV
-// data series from the command line, with SOUND's quality-aware
-// evaluation or the naive baseline.
+// Command soundcheck evaluates one check over CSV data series from the
+// command line, with SOUND's quality-aware evaluation or the naive
+// baseline. -check takes the spec soundserve -check and POST /checks
+// take (ingest.ParseCheck; the default seed is 1), so a soundprofile
+// suggestion runs here as printed. The CSV files bind in order to the
+// check's inputs: one file for a unary check, one per route=inputs: key
+// for a check over k series.
 //
 // CSV layout: t,v[,sig_up[,sig_down]] with an optional header row.
 //
 // Examples:
 //
-//	soundcheck -constraint range -min 0 -max 100 series.csv
-//	soundcheck -constraint monotonic -window count:10 work.csv
-//	soundcheck -constraint corr -threshold 0.2 -window time:30 a.csv b.csv
-//	soundcheck -constraint range -min 0 -max 1 -naive normalized.csv
-//	soundcheck -constraint gt -threshold 10 -window time:20 -explain series.csv
+//	soundcheck -check 'range;min=0;max=100' series.csv
+//	soundcheck -check 'monotonic;window=count:10' work.csv
+//	soundcheck -check 'corr;threshold=0.2;window=time:30;route=inputs:a,b' a.csv b.csv
+//	soundcheck -check 'range;min=0;max=1' -naive normalized.csv
+//	soundcheck -check 'gt;threshold=10;window=time:20' -explain series.csv
 //
 // -stream registers the check alone with a checker.Mux and hands the
 // merged events to one operator of it, the operator a soundserve shard
@@ -18,15 +22,14 @@
 // FILE snapshots the full operator state every -checkpoint-every events,
 // between two events handed to the operator, and -restore FILE resumes
 // a killed replay from the snapshot, producing outcome counts
-// bit-identical to an uninterrupted run. A snapshot taken under other
-// flags (constraint or its bounds, window, parameters, seed, inputs) is
-// refused:
+// bit-identical to an uninterrupted run. A snapshot taken under another
+// check spec, other parameters, -naive or other files is refused:
 //
 //	soundcheck -stream -checkpoint state.ckp -checkpoint-every 1000 \
-//	    -constraint fraction -min 0 -max 13 -threshold 0.8 -window time:12:5 series.csv
+//	    -check 'fraction;min=0;max=13;threshold=0.8;window=time:12:5' series.csv
 //	# ... killed mid-stream; resume:
 //	soundcheck -stream -restore state.ckp \
-//	    -constraint fraction -min 0 -max 13 -threshold 0.8 -window time:12:5 series.csv
+//	    -check 'fraction;min=0;max=13;threshold=0.8;window=time:12:5' series.csv
 package main
 
 import (
@@ -34,13 +37,11 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"strconv"
 	"strings"
 
 	"sound"
 	"sound/internal/checker"
 	"sound/internal/checkpoint"
-	"sound/internal/core"
 	"sound/internal/ingest"
 	"sound/internal/series"
 	"sound/internal/stream"
@@ -57,14 +58,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("soundcheck", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		constraint = fs.String("constraint", "range", "constraint template: range, gt, nonneg, fraction, monotonic, maxdelta, count, stdnonzero, lowerdelta, corr, nocorr, r2, ks (kl also reads bins, which only a soundserve spec sets)")
-		minV       = fs.Float64("min", 0, "lower bound (range, fraction)")
-		maxV       = fs.Float64("max", 1, "upper bound (range, fraction)")
-		threshold  = fs.Float64("threshold", 0.2, "threshold (gt, fraction, maxdelta, corr, nocorr, r2, ks)")
-		window     = fs.String("window", "point", "windowing: point, global, session:<gap>, time:<size>[:<slide>], count:<size>[:<slide>]")
+		spec       = fs.String("check", "", "check spec, as soundserve -check takes it: 'range;min=0;max=100;window=time:60' (seed 1 unless seed= is given); the CSV files bind in order to its inputs")
 		cred       = fs.Float64("c", 0.95, "credibility level c")
 		maxSamples = fs.Int("n", 100, "maximum sample size N")
-		seed       = fs.Uint64("seed", 1, "deterministic seed")
 		naive      = fs.Bool("naive", false, "use the naive (quality-ignorant) evaluation")
 		streaming  = fs.Bool("stream", false, "replay the series through the online check operator (summary only)")
 		ckptPath   = fs.String("checkpoint", "", "with -stream: snapshot operator state to this file every -checkpoint-every events")
@@ -77,12 +73,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 1
 	}
 
-	c, arity, err := buildConstraint(*constraint, *minV, *maxV, *threshold)
+	params := sound.Params{Credibility: *cred, MaxSamples: *maxSamples}
+	cc, err := ingest.ParseCheck(*spec, params, 1, checker.EvictionPolicy{})
 	if err != nil {
 		return fail(stderr, err)
 	}
-	if fs.NArg() != arity {
-		return fail(stderr, fmt.Errorf("constraint %q needs %d series file(s), got %d", *constraint, arity, fs.NArg()))
+	check := cc.Check
+	if fs.NArg() != len(check.SeriesNames) {
+		return fail(stderr, fmt.Errorf("check %q reads %d series file(s), got %d", cc.Name, len(check.SeriesNames), fs.NArg()))
 	}
 	// Batch evaluation needs whole series in memory; the streaming replay
 	// reads the files incrementally inside runStream (O(window) memory).
@@ -102,12 +100,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 
-	win, err := buildWindow(*window)
-	if err != nil {
-		return fail(stderr, err)
-	}
-	check := sound.Check{Name: *constraint, Constraint: c, SeriesNames: fs.Args(), Window: win}
-
 	if *explain && (*naive || *streaming) {
 		return fail(stderr, fmt.Errorf("-explain needs the full SOUND evaluation (drop -naive/-stream)"))
 	}
@@ -122,21 +114,20 @@ func run(args []string, stdout, stderr io.Writer) int {
 	var results []sound.Result
 	if *streaming {
 		var err error
-		counts, err = runStream(check, fs.Args(), sound.Params{Credibility: *cred, MaxSamples: *maxSamples}, *seed, *naive, *ckptPath, *ckptEvery, *restore)
+		counts, err = runStream(cc, fs.Args(), *naive, *ckptPath, *ckptEvery, *restore)
 		if err != nil {
 			return fail(stderr, err)
 		}
 	} else if *naive {
-		tuples := win.Windows(ss)
-		for _, tuple := range tuples {
-			o := sound.EvaluateNaive(c, tuple)
+		for _, tuple := range check.Window.Windows(ss) {
+			o := sound.EvaluateNaive(check.Constraint, tuple)
 			counts[o]++
 			if *verbose {
 				fmt.Fprintf(stdout, "window %d [%g, %g): %v\n", tuple.Index, tuple.Start, tuple.End, o)
 			}
 		}
 	} else {
-		eval, err := sound.NewEvaluator(sound.Params{Credibility: *cred, MaxSamples: *maxSamples}, *seed)
+		eval, err := sound.NewEvaluator(params, cc.Seed)
 		if err != nil {
 			return fail(stderr, err)
 		}
@@ -154,10 +145,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	total := counts[sound.Satisfied] + counts[sound.Violated] + counts[sound.Inconclusive]
 	fmt.Fprintf(stdout, "%s: %d windows — ⊤ %d, ⊥ %d, ⊣ %d\n",
-		check.Name, total, counts[sound.Satisfied], counts[sound.Violated], counts[sound.Inconclusive])
+		cc.Name, total, counts[sound.Satisfied], counts[sound.Violated], counts[sound.Inconclusive])
 	if *explain {
-		params := sound.Params{Credibility: *cred, MaxSamples: *maxSamples}
-		a, err := sound.NewAnalyzer(params, *seed)
+		a, err := sound.NewAnalyzer(params, cc.Seed)
 		if err != nil {
 			return fail(stderr, err)
 		}
@@ -264,33 +254,34 @@ func (c *csvCursor) close() {
 // runStream registers the check alone with a Mux and replays the series
 // through one operator of it, driven directly by this loop (the same
 // operator a soundserve shard runs): events from all input files
-// are merged in time order, keyed by file path, and routed to the check
-// inputs by key. The files are streamed — memory stays O(window), not
-// O(file) — and the outcome counts match what the check's windows
-// produce online.
+// are merged in time order, file i's keyed by the check's input i, and
+// routed to the check inputs by key. The files are streamed — memory
+// stays O(window), not O(file) — and the outcome counts match what the
+// check's windows produce online.
 //
 // With ckptPath the loop writes a snapshot every `every` events — the
 // operator state, the outcome counters and the replay offset, taken
 // between two Process calls; with restorePath they are loaded back, the
 // first offset events are skipped, and the resumed replay is
 // bit-identical to an uninterrupted one.
-func runStream(check sound.Check, paths []string, params sound.Params, seed uint64, naive bool, ckptPath string, every int, restorePath string) (map[sound.Outcome]int, error) {
+func runStream(cc ingest.CheckConfig, paths []string, naive bool, ckptPath string, every int, restorePath string) (map[sound.Outcome]int, error) {
+	inputs := cc.Check.SeriesNames
 	out := &checker.StreamOutcomes{}
 	mux := checker.NewMux(false, checker.EvictionPolicy{})
 	err := mux.Register(checker.MuxCheck{
-		Name:   check.Name,
-		Check:  check,
-		Params: params,
-		Seed:   seed,
+		Name:   cc.Name,
+		Check:  cc.Check,
+		Params: cc.Params,
+		Seed:   cc.Seed,
 		Naive:  naive,
 		Out:    out,
-		Route:  checker.ByInputKeys(check.SeriesNames...),
+		Route:  checker.ByInputKeys(inputs...),
 	})
 	if err != nil {
 		return nil, err
 	}
 	op := mux.Factory()()
-	fp, err := streamFingerprint(check, params, seed, naive)
+	fp, err := streamFingerprint(cc, paths, naive)
 	if err != nil {
 		return nil, err
 	}
@@ -339,7 +330,7 @@ func runStream(check sound.Check, paths []string, params sound.Params, seed uint
 		if sent <= offset {
 			continue
 		}
-		op.Process(stream.Event{Time: p.T, Key: check.SeriesNames[best], Value: p.V, SigUp: p.SigUp, SigDown: p.SigDown}, discard)
+		op.Process(stream.Event{Time: p.T, Key: inputs[best], Value: p.V, SigUp: p.SigUp, SigDown: p.SigDown}, discard)
 		if ckptPath != "" && sent%uint64(every) == 0 {
 			if err := writeSnapshot(ckptPath, fp, sent, op, out); err != nil {
 				return nil, fmt.Errorf("writing checkpoint: %w", err)
@@ -359,17 +350,16 @@ func runStream(check sound.Check, paths []string, params sound.Params, seed uint
 }
 
 // streamFingerprint identifies a replay configuration: restoring a
-// snapshot under different inputs, constraint bounds, parameters, or
-// seeds would resume into a stream it does not belong to, so the
-// mismatch fails loudly. The constraint enters as its template text.
-func streamFingerprint(check sound.Check, params sound.Params, seed uint64, naive bool) (string, error) {
-	tmpl, err := core.FormatTemplate(check.Constraint)
+// snapshot under another check, other parameters or other files would
+// resume into a stream it does not belong to, so the mismatch fails
+// loudly. The check enters as its canonical spec (ingest.FormatCheck).
+func streamFingerprint(cc ingest.CheckConfig, paths []string, naive bool) (string, error) {
+	text, err := ingest.FormatCheck(cc)
 	if err != nil {
 		return "", err
 	}
-	return fmt.Sprintf("soundcheck|%s|%s|%s|c=%g|n=%d|seed=%d|naive=%t|%s",
-		check.Name, tmpl, check.Window, params.Credibility,
-		params.MaxSamples, seed, naive, strings.Join(check.SeriesNames, ",")), nil
+	return fmt.Sprintf("soundcheck|%s|c=%g|n=%d|naive=%t|%s",
+		text, cc.Params.Credibility, cc.Params.MaxSamples, naive, strings.Join(paths, ",")), nil
 }
 
 // writeSnapshot persists one snapshot: fingerprint, replay offset,
@@ -430,28 +420,4 @@ func readSnapshot(path, fp string, op stream.Processor, out *checker.StreamOutco
 		return 0, fmt.Errorf("%s: %d trailing bytes after the operator state", path, rem)
 	}
 	return offset, nil
-}
-
-// buildConstraint resolves the -constraint template through the
-// template table, filling exactly the keys the template reads from
-// -min, -max and -threshold; buildWindow reads -window with the server's
-// window grammar.
-func buildConstraint(name string, min, max, threshold float64) (sound.Constraint, int, error) {
-	keys, err := core.TemplateKeys(name)
-	if err != nil {
-		return sound.Constraint{}, 0, err
-	}
-	flags := map[string]float64{"min": min, "max": max, "threshold": threshold}
-	text := name
-	for _, k := range keys {
-		if v, ok := flags[k]; ok {
-			text += ";" + k + "=" + strconv.FormatFloat(v, 'g', -1, 64)
-		}
-	}
-	c, err := core.ParseTemplate(text)
-	return c, c.Arity, err
-}
-
-func buildWindow(spec string) (sound.Windower, error) {
-	return ingest.BuildWindow(spec)
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -29,7 +30,7 @@ func runTool(t *testing.T, args ...string) (int, string, string) {
 
 func TestRangeCheckClean(t *testing.T) {
 	path := writeCSV(t, "s.csv", "t,v\n1,5\n2,6\n3,7\n")
-	code, out, _ := runTool(t, "-constraint", "range", "-min", "0", "-max", "10", path)
+	code, out, _ := runTool(t, "-check", "range;min=0;max=10", path)
 	if code != 0 {
 		t.Fatalf("exit = %d", code)
 	}
@@ -40,7 +41,7 @@ func TestRangeCheckClean(t *testing.T) {
 
 func TestRangeCheckViolationExitCode(t *testing.T) {
 	path := writeCSV(t, "s.csv", "t,v\n1,5\n2,600\n")
-	code, out, _ := runTool(t, "-constraint", "range", "-min", "0", "-max", "10", path)
+	code, out, _ := runTool(t, "-check", "range;min=0;max=10", path)
 	if code != 2 {
 		t.Fatalf("exit = %d, want 2", code)
 	}
@@ -51,7 +52,7 @@ func TestRangeCheckViolationExitCode(t *testing.T) {
 
 func TestVerboseOutput(t *testing.T) {
 	path := writeCSV(t, "s.csv", "t,v\n1,5\n")
-	_, out, _ := runTool(t, "-constraint", "range", "-min", "0", "-max", "10", "-v", path)
+	_, out, _ := runTool(t, "-check", "range;min=0;max=10", "-v", path)
 	if !strings.Contains(out, "window 0") || !strings.Contains(out, "P(viol)") {
 		t.Errorf("verbose output = %q", out)
 	}
@@ -59,7 +60,7 @@ func TestVerboseOutput(t *testing.T) {
 
 func TestNaiveMode(t *testing.T) {
 	path := writeCSV(t, "s.csv", "t,v,sig_up,sig_down\n1,10.2,0.1,5\n")
-	code, out, _ := runTool(t, "-constraint", "range", "-min", "0", "-max", "10", "-naive", path)
+	code, out, _ := runTool(t, "-check", "range;min=0;max=10", "-naive", path)
 	if code != 2 {
 		t.Fatalf("naive exit = %d", code)
 	}
@@ -71,7 +72,7 @@ func TestNaiveMode(t *testing.T) {
 func TestBinaryConstraint(t *testing.T) {
 	a := writeCSV(t, "a.csv", "t,v\n1,1\n2,2\n3,3\n4,4\n5,5\n6,6\n")
 	b := writeCSV(t, "b.csv", "t,v\n1,2\n2,4\n3,6\n4,8\n5,10\n6,12\n")
-	code, out, _ := runTool(t, "-constraint", "corr", "-threshold", "0.2", "-window", "global", a, b)
+	code, out, _ := runTool(t, "-check", "corr;threshold=0.2;window=global;route=inputs:a,b", a, b)
 	if code != 0 {
 		t.Fatalf("exit = %d (%s)", code, out)
 	}
@@ -82,7 +83,7 @@ func TestBinaryConstraint(t *testing.T) {
 
 func TestSessionWindowSpec(t *testing.T) {
 	path := writeCSV(t, "s.csv", "t,v\n1,5\n2,5\n50,5\n51,5\n")
-	code, out, _ := runTool(t, "-constraint", "maxdelta", "-threshold", "10", "-window", "session:10", path)
+	code, out, _ := runTool(t, "-check", "maxdelta;threshold=10;window=session:10", path)
 	if code != 0 {
 		t.Fatalf("exit = %d", code)
 	}
@@ -111,7 +112,7 @@ func explainCSV(t *testing.T) string {
 // out over however many workers the host has and prints the same text.
 func TestExplainFlag(t *testing.T) {
 	path := explainCSV(t)
-	_, out, _ := runTool(t, "-constraint", "gt", "-threshold", "10", "-window", "time:10", "-explain", path)
+	_, out, _ := runTool(t, "-check", "gt;threshold=10;window=time:10", "-explain", path)
 	const want = "gt: 8 windows — ⊤ 4, ⊥ 4, ⊣ 0\n" +
 		"check gt: ⊤ 4  ⊥ 4  ⊣ 0  — 1 change point(s)\n" +
 		"  E4 (high value uncertainty): 1\n"
@@ -123,7 +124,7 @@ func TestExplainFlag(t *testing.T) {
 func TestExplainRejectsNaiveAndStream(t *testing.T) {
 	path := writeCSV(t, "s.csv", "t,v\n1,5\n")
 	for _, extra := range []string{"-naive", "-stream"} {
-		code, _, errOut := runTool(t, "-constraint", "range", "-min", "0", "-max", "10", "-explain", extra, path)
+		code, _, errOut := runTool(t, "-check", "range;min=0;max=10", "-explain", extra, path)
 		if code != 1 || !strings.Contains(errOut, "explain") {
 			t.Errorf("%s: exit = %d, stderr = %q", extra, code, errOut)
 		}
@@ -133,13 +134,26 @@ func TestExplainRejectsNaiveAndStream(t *testing.T) {
 func TestUsageErrors(t *testing.T) {
 	path := writeCSV(t, "s.csv", "t,v\n1,5\n")
 	cases := [][]string{
-		{"-constraint", "bogus", path},
-		{"-constraint", "corr", path},            // arity mismatch
-		{"-window", "time", path},                // missing size
-		{"-window", "martian:3", path},           // unknown window
-		{"-constraint", "range", "/nonexistent"}, // unreadable file
-		{"-c", "7", path},                        // invalid credibility
-		{"-explain", "-parallel", path},          // -explain always fans out; no flag picks
+		{path},                    // no check
+		{"-check", "bogus", path}, // unknown constraint
+		{"-check", "corr;route=inputs:a,b", path}, // one file for two inputs
+		{"-check", "range", path, path},           // two files for one input
+		{"-check", "corr", path, path},            // a binary check needs route=inputs:
+		{"-check", "range;window=time", path},     // missing size
+		{"-check", "range;window=martian:3", path},
+		{"-check", "range;window=time:1:2:3", path}, // the window texts the grammar refuses
+		{"-check", "range;window=time:10:1:2", path},
+		{"-check", "range;window=point:junk", path},
+		{"-check", "range;window=session:5:9", path},
+		{"-check", "range;window=global:x", path},
+		{"-check", "range;window=time:10:-5", path},
+		{"-check", "range;window=count:4:-3", path},
+		{"-check", "range", "/nonexistent"},  // unreadable file
+		{"-c", "7", "-check", "range", path}, // invalid credibility
+		{"-explain", "-parallel", path},      // -explain always fans out; no flag picks
+		{"-constraint", "range", path},       // the check is one -check spec
+		{"-check", "range", "-window", "count:4", path},
+		{"-check", "range", "-seed", "2", path},
 	}
 	for _, args := range cases {
 		code, _, errOut := runTool(t, args...)
@@ -154,50 +168,9 @@ func TestUsageErrors(t *testing.T) {
 
 func TestGarbageCSVRejected(t *testing.T) {
 	path := writeCSV(t, "s.csv", "t,v\n1,notanumber\n")
-	code, _, errOut := runTool(t, "-constraint", "range", path)
+	code, _, errOut := runTool(t, "-check", "range", path)
 	if code != 1 || !strings.Contains(errOut, "soundcheck") {
 		t.Errorf("exit = %d, stderr = %q", code, errOut)
-	}
-}
-
-func TestBuildWindowVariants(t *testing.T) {
-	for spec, want := range map[string]string{
-		"point":      "point",
-		"global":     "global",
-		"time:5":     "time(size=5)",
-		"time:6:2":   "time(size=6, slide=2)",
-		"count:4":    "count(size=4)",
-		"count:4:1":  "count(size=4, slide=1)",
-		"session:10": "session(gap=10)",
-	} {
-		w, err := buildWindow(spec)
-		if err != nil {
-			t.Errorf("%s: %v", spec, err)
-			continue
-		}
-		if w.String() != want {
-			t.Errorf("%s: String() = %q, want %q", spec, w.String(), want)
-		}
-	}
-	for _, bad := range []string{"time:x", "count:x", "session:x", "count:3:y", "time:3:y"} {
-		if _, err := buildWindow(bad); err == nil {
-			t.Errorf("%s accepted", bad)
-		}
-	}
-}
-
-func TestBuildConstraintCoverage(t *testing.T) {
-	names := []string{"range", "gt", "nonneg", "fraction", "monotonic", "maxdelta",
-		"stdnonzero", "lowerdelta", "corr", "nocorr", "r2", "ks", "count"}
-	for _, name := range names {
-		c, arity, err := buildConstraint(name, 0, 1, 0.5)
-		if err != nil {
-			t.Errorf("%s: %v", name, err)
-			continue
-		}
-		if arity != c.Arity {
-			t.Errorf("%s: reported arity %d, constraint arity %d", name, arity, c.Arity)
-		}
 	}
 }
 
@@ -208,7 +181,7 @@ func TestBuildConstraintCoverage(t *testing.T) {
 func TestStreamQuotedCSVFallback(t *testing.T) {
 	plain := writeCSV(t, "plain.csv", "t,v\n1,5\n2,6\n3,700\n4,8\n")
 	quoted := writeCSV(t, "quoted.csv", "t,v\n1,5\n2,6\n\"3\",\"700\"\n4,8\n")
-	args := []string{"-constraint", "range", "-min", "0", "-max", "10", "-window", "count:2", "-stream"}
+	args := []string{"-check", "range;min=0;max=10;window=count:2", "-stream"}
 	codeP, outP, _ := runTool(t, append(args, plain)...)
 	codeQ, outQ, _ := runTool(t, append(args, quoted)...)
 	if codeP != codeQ || outP != outQ {
@@ -220,7 +193,7 @@ func TestStreamQuotedCSVFallback(t *testing.T) {
 // mode must abort the replay with exit 1 and name the file.
 func TestStreamGarbageCSVRejected(t *testing.T) {
 	path := writeCSV(t, "s.csv", "t,v\n1,5\n2,notanumber\n")
-	code, _, errOut := runTool(t, "-constraint", "range", "-min", "0", "-max", "10", "-stream", path)
+	code, _, errOut := runTool(t, "-check", "range;min=0;max=10", "-stream", path)
 	if code != 1 || !strings.Contains(errOut, "s.csv") {
 		t.Errorf("exit = %d, stderr = %q", code, errOut)
 	}
@@ -233,7 +206,7 @@ func TestStreamGarbageCSVRejected(t *testing.T) {
 func TestStreamTwoFileMerge(t *testing.T) {
 	a := writeCSV(t, "a.csv", "t,v\n1,1\n2,2\n3,3\n4,4\n5,5\n6,6\n")
 	b := writeCSV(t, "b.csv", "t,v\n1,2\n2,4\n3,6\n4,8\n5,10\n6,12\n")
-	code, out, errOut := runTool(t, "-constraint", "corr", "-threshold", "0.2", "-window", "global", "-stream", a, b)
+	code, out, errOut := runTool(t, "-check", "corr;threshold=0.2;window=global;route=inputs:a,b", "-stream", a, b)
 	if code != 0 {
 		t.Fatalf("exit = %d (stdout %q, stderr %q)", code, out, errOut)
 	}
@@ -256,7 +229,7 @@ func TestCheckpointFailedWriteKeepsPrevious(t *testing.T) {
 	}
 	data := writeCSV(t, "s.csv", csv.String())
 	ckpt := filepath.Join(t.TempDir(), "state.ckp")
-	args := []string{"-constraint", "range", "-min", "0", "-max", "10", "-window", "count:4", "-stream",
+	args := []string{"-check", "range;min=0;max=10;window=count:4", "-stream",
 		"-checkpoint", ckpt, "-checkpoint-every", "10", data}
 	if code, _, errOut := runTool(t, args...); code == 1 || errOut != "" {
 		t.Fatalf("first run: exit %d, stderr %q", code, errOut)
@@ -289,7 +262,7 @@ func TestCheckpointFailedWriteKeepsPrevious(t *testing.T) {
 
 // streamFixtureArgs are the pinned fixture's stream flags for one window.
 func streamFixtureArgs(window string) []string {
-	return []string{"-stream", "-constraint", "fraction", "-min", "0", "-max", "13", "-threshold", "0.8", "-window", window}
+	return []string{"-stream", "-check", "fraction;min=0;max=13;threshold=0.8;window=" + window}
 }
 
 // TestStreamRestoreParity: a -checkpoint run, then -restore from its
@@ -340,15 +313,15 @@ func TestStreamRestoreShorterInput(t *testing.T) {
 	}
 }
 
-// TestStreamRestoreRejectsOtherBounds: a snapshot taken under -max 13 is
-// refused by a run with -max 5. Resuming it would mix windows judged
+// TestStreamRestoreRejectsOtherBounds: a snapshot taken under max=13 is
+// refused by a run with max=5. Resuming it would mix windows judged
 // against one bound with windows judged against the other: it prints
-// ⊤ 1, ⊥ 6, where a -max 5 run prints ⊤ 0, ⊥ 7.
+// ⊤ 1, ⊥ 6, where a max=5 run prints ⊤ 0, ⊥ 7.
 func TestStreamRestoreRejectsOtherBounds(t *testing.T) {
 	fixture := filepath.Join("..", "..", "testdata", "gapped_borderline.csv")
 	ckpt := filepath.Join(t.TempDir(), "s.ckp")
 	args := func(max string) []string {
-		return []string{"-stream", "-constraint", "fraction", "-min", "0", "-max", max, "-threshold", "0.8", "-window", "time:9"}
+		return []string{"-stream", "-check", "fraction;min=0;max=" + max + ";threshold=0.8;window=time:9"}
 	}
 	if code, _, errOut := runTool(t, append(args("13"), "-checkpoint", ckpt, "-checkpoint-every", "10", fixture)...); code != 2 {
 		t.Fatalf("checkpointing run: exit %d, stderr %q", code, errOut)
@@ -356,5 +329,79 @@ func TestStreamRestoreRejectsOtherBounds(t *testing.T) {
 	code, out, errOut := runTool(t, append(args("5"), "-restore", ckpt, fixture)...)
 	if code != 1 || out != "" || !strings.Contains(errOut, "different run configuration") {
 		t.Errorf("restore under -max 5: exit %d, stdout %q, stderr %q; want exit 1 naming a different run configuration", code, out, errOut)
+	}
+}
+
+// fixture is the pinned gapped, borderline series: 40 points.
+var fixture = filepath.Join("..", "..", "testdata", "gapped_borderline.csv")
+
+// TestPinnedExamples runs every soundcheck example of README.md and the
+// package doc on the pinned fixture (a two-input example reads it as
+// both inputs) and pins its output and exit code. The counts are the
+// ones the earlier six-flag form (-constraint -min -max -threshold
+// -window -seed) printed for the same checks. A resume case also runs a
+// -checkpoint leg (every 30 events: the fixture is shorter than the
+// examples' 1000) and a -restore leg, which print the same. Batch and
+// stream draw from different seeds, so their counts may differ.
+func TestPinnedExamples(t *testing.T) {
+	const fraction = "fraction;min=0;max=13;threshold=0.8;window=time:12:5"
+	for _, tc := range []struct {
+		args   []string
+		inputs int
+		resume bool
+		want   string
+		code   int
+	}{
+		{[]string{"-check", "range;min=0;max=100"}, 1, false, "range: 40 windows — ⊤ 40, ⊥ 0, ⊣ 0\n", 0},
+		{[]string{"-check", "range;min=0;max=800"}, 1, false, "range: 40 windows — ⊤ 40, ⊥ 0, ⊣ 0\n", 0},
+		{[]string{"-check", "monotonic;window=count:10"}, 1, false, "monotonic: 4 windows — ⊤ 0, ⊥ 4, ⊣ 0\n", 2},
+		{[]string{"-check", "corr;threshold=0.2;window=time:30;route=inputs:a,b"}, 2, false, "corr: 4 windows — ⊤ 4, ⊥ 0, ⊣ 0\n", 0},
+		{[]string{"-check", "range;min=0;max=1", "-naive"}, 1, false, "range: 40 windows — ⊤ 0, ⊥ 40, ⊣ 0\n", 2},
+		{[]string{"-check", "range;min=0;max=1", "-naive", "-stream"}, 1, false, "range: 40 windows — ⊤ 0, ⊥ 40, ⊣ 0\n", 2},
+		{[]string{"-check", "gt;threshold=10;window=time:20", "-explain"}, 1, false,
+			"gt: 6 windows — ⊤ 3, ⊥ 3, ⊣ 0\n" +
+				"check gt: ⊤ 3  ⊥ 3  ⊣ 0  — 4 change point(s)\n" +
+				"  E1 (difference in data values): 4\n", 2},
+		{[]string{"-check", "range;min=0;max=800;window=time:60", "-stream"}, 1, false, "range: 2 windows — ⊤ 2, ⊥ 0, ⊣ 0\n", 0},
+		{[]string{"-check", fraction}, 1, false, "fraction: 23 windows — ⊤ 3, ⊥ 12, ⊣ 8\n", 2},
+		{[]string{"-check", fraction, "-naive", "-stream"}, 1, false, "fraction: 23 windows — ⊤ 3, ⊥ 12, ⊣ 8\n", 2},
+		{[]string{"-check", fraction, "-stream"}, 1, true, "fraction: 23 windows — ⊤ 2, ⊥ 13, ⊣ 8\n", 2},
+		{[]string{"-check", "range;min=0;max=100;window=time:12:5;seed=9", "-stream"}, 1, true, "range: 23 windows — ⊤ 15, ⊥ 0, ⊣ 8\n", 0},
+	} {
+		args := slices.Clone(tc.args)
+		for range tc.inputs {
+			args = append(args, fixture)
+		}
+		legs := [][]string{args}
+		if tc.resume {
+			ckpt := filepath.Join(t.TempDir(), "st.ckp")
+			legs = append(legs,
+				append([]string{"-checkpoint", ckpt, "-checkpoint-every", "30"}, args...),
+				append([]string{"-restore", ckpt}, args...))
+		}
+		for _, leg := range legs {
+			if code, out, errOut := runTool(t, leg...); code != tc.code || out != tc.want {
+				t.Errorf("%v: exit %d, stdout %q, stderr %q; want exit %d, %q", leg, code, out, errOut, tc.code, tc.want)
+			}
+		}
+	}
+}
+
+// TestStreamOneFileTwoInputs: one file passed for both inputs of a
+// binary check feeds both in the stream replay too, so -stream cuts the
+// windows batch cuts and, the two inputs being one series, reaches the
+// same verdicts.
+func TestStreamOneFileTwoInputs(t *testing.T) {
+	for window, want := range map[string]string{
+		"count:4": "corr: 10 windows — ⊤ 10, ⊥ 0, ⊣ 0\n",
+		"point":   "corr: 40 windows — ⊤ 0, ⊥ 40, ⊣ 0\n",
+		"global":  "corr: 1 windows — ⊤ 1, ⊥ 0, ⊣ 0\n",
+	} {
+		args := []string{"-check", "corr;threshold=0.2;window=" + window + ";route=inputs:a,b", fixture, fixture}
+		_, batch, _ := runTool(t, args...)
+		_, streamed, errOut := runTool(t, append([]string{"-stream"}, args...)...)
+		if batch != want || streamed != want {
+			t.Errorf("%s: batch %q, stream %q (stderr %q); want %q from both", window, batch, streamed, errOut, want)
+		}
 	}
 }

@@ -367,8 +367,8 @@ func (ck Check) Validate() error {
 	if ck.Window == nil {
 		return fmt.Errorf("core: check %q has nil windowing function", ck.Name)
 	}
-	if !ClassifyWindow(ck.Window).valid() {
-		return fmt.Errorf("core: check %q has window %+v: sizes, slides and gaps must be positive and finite, counts at least 1, a time window at most %d slides long", ck.Name, ck.Window, maxOverlap)
+	if err := validWindow(ck.Window); err != nil {
+		return fmt.Errorf("core: check %q: %w", ck.Name, err)
 	}
 	return nil
 }

@@ -361,9 +361,9 @@ func TestCheckValidateWindows(t *testing.T) {
 		{TimeWindow{Size: 4096, Slide: 1}, true}, // the overlap cap itself
 		{TimeWindow{Size: 10}, true},
 		{TimeWindow{Size: 10, Slide: 3}, true},
-		{TimeWindow{Size: 10, Slide: -1}, true}, // slide defaults to the size
+		{TimeWindow{Size: 10, Slide: -1}, false}, // only 0 means the size
 		{CountWindow{Size: 1}, true},
-		{CountWindow{Size: 5, Slide: -2}, true},
+		{CountWindow{Size: 5, Slide: -2}, false},
 		{SessionWindow{Gap: 5}, true},
 		{PointWindow{}, true},
 		{GlobalWindow{}, true},

@@ -80,7 +80,7 @@ func ClassifyWindow(w Windower) WindowAssigner {
 		return WindowAssigner{Kind: KindPoint}
 	case TimeWindow:
 		slide := win.Slide
-		if slide <= 0 {
+		if slide == 0 {
 			slide = win.Size
 		}
 		kind := KindTumblingTime
@@ -90,7 +90,7 @@ func ClassifyWindow(w Windower) WindowAssigner {
 		return WindowAssigner{Kind: kind, Size: win.Size, Slide: slide}
 	case CountWindow:
 		slide := win.Slide
-		if slide <= 0 {
+		if slide == 0 {
 			slide = win.Size
 		}
 		return WindowAssigner{Kind: KindCount, Count: win.Size, CountSlide: slide}
@@ -120,6 +120,14 @@ func (a WindowAssigner) valid() bool {
 		return pos(a.Gap)
 	}
 	return true
+}
+
+// validWindow refuses a windower whose assigner cannot place events.
+func validWindow(w Windower) error {
+	if !ClassifyWindow(w).valid() {
+		return fmt.Errorf("window %v: sizes, slides and gaps must be positive and finite, counts at least 1, a time window at most %d slides long", w, maxOverlap)
+	}
+	return nil
 }
 
 // CheckPlan is a sanity check compiled for execution: the check is

@@ -18,6 +18,14 @@ import (
 // shortest precision that round-trips, so -0, ±Inf and every bound a
 // text can hold come back bit for bit (a NaN is read as the one NaN
 // strconv.ParseFloat returns).
+//
+// A window's text is one of point, global, session:<gap>,
+// time:<size>[:<slide>] and count:<size>[:<slide>]. ParseWindow reads it
+// and FormatWindow (the built-in windowers' String) writes it. One grid
+// has one text: a slide equal to the size, 0 or -0 reads as the
+// canonical Slide 0 and is written by leaving it out, and a text with
+// more parts than its kind takes, a negative slide, or any other window
+// that places no events is refused.
 
 // templateText is one template's row: its spec token, the keys it reads
 // in canonical order, and its constructor, which sets arity, name and
@@ -56,13 +64,6 @@ func templateByToken(token string) (templateText, error) {
 		}
 	}
 	return templateText{}, fmt.Errorf("unknown constraint %q", token)
-}
-
-// TemplateKeys returns the keys the template spelled token reads, in
-// canonical order.
-func TemplateKeys(token string) ([]string, error) {
-	t, err := templateByToken(token)
-	return slices.Clone(t.keys), err
 }
 
 // ParseTemplate builds a template constraint from its text: the spec
@@ -149,3 +150,69 @@ func FormatTemplate(c Constraint) (string, error) {
 	}
 	return string(b), nil
 }
+
+// ParseWindow reads a window's text into the built-in windower it names,
+// with its slide in canonical form. FormatWindow writes that windower
+// back to the same text.
+func ParseWindow(text string) (Windower, error) {
+	parts := strings.Split(text, ":")
+	kind, args := parts[0], parts[1:]
+	var (
+		w   Windower
+		err error
+	)
+	switch n := len(args); {
+	case kind == "point" && n == 0:
+		w = PointWindow{}
+	case kind == "global" && n == 0:
+		w = GlobalWindow{}
+	case kind == "session" && n == 1:
+		var gap float64
+		gap, err = strconv.ParseFloat(args[0], 64)
+		w = SessionWindow{Gap: gap}
+	case kind == "time" && (n == 1 || n == 2):
+		var tw TimeWindow
+		if tw.Size, err = strconv.ParseFloat(args[0], 64); err == nil && n == 2 {
+			tw.Slide, err = strconv.ParseFloat(args[1], 64)
+		}
+		if tw.Slide == tw.Size || tw.Slide == 0 {
+			tw.Slide = 0 // tumbling; -0 reads as 0
+		}
+		w = tw
+	case kind == "count" && (n == 1 || n == 2):
+		var cw CountWindow
+		if cw.Size, err = strconv.Atoi(args[0]); err == nil && n == 2 {
+			cw.Slide, err = strconv.Atoi(args[1])
+		}
+		if cw.Slide == cw.Size {
+			cw.Slide = 0
+		}
+		w = cw
+	default:
+		return nil, fmt.Errorf("window %q is none of point, global, session:<gap>, time:<size>[:<slide>], count:<size>[:<slide>]", text)
+	}
+	if err != nil {
+		return nil, fmt.Errorf("window %q: %w", text, err)
+	}
+	if err := validWindow(w); err != nil {
+		return nil, err
+	}
+	return w, nil
+}
+
+// FormatWindow writes a built-in windower as the text ParseWindow reads
+// back into a windower with the same grid (the same windower, when its
+// slide is canonical). A window that places no events and a windower of
+// another type have no text form and are errors.
+func FormatWindow(w Windower) (string, error) {
+	switch w.(type) {
+	case PointWindow, GlobalWindow, SessionWindow, TimeWindow, CountWindow:
+		if err := validWindow(w); err != nil {
+			return "", err
+		}
+		return w.String(), nil
+	}
+	return "", fmt.Errorf("core: window %v has no text form", w)
+}
+
+func formatFloat(f float64) string { return strconv.FormatFloat(f, 'g', -1, 64) }

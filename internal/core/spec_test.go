@@ -65,10 +65,6 @@ func TestTemplateTextExamples(t *testing.T) {
 			t.Errorf("%s: FormatTemplate = %q, %v; want %q", tc.c.Name, got, err, tc.want)
 		}
 	}
-	keys, err := TemplateKeys("fraction")
-	if err != nil || strings.Join(keys, ",") != "min,max,threshold" {
-		t.Errorf("TemplateKeys(fraction) = %v, %v", keys, err)
-	}
 }
 
 // TestTemplateFloatsRoundTrip: every bound a text can hold comes back
@@ -138,5 +134,65 @@ func TestValidateBoundsKLBins(t *testing.T) {
 	}
 	if err := (Constraint{Name: "bogus", Arity: 1, Spec: KernelSpec{Op: KernelKLBelow + 1}}).Validate(); err == nil {
 		t.Error("a kernel op past the table validates")
+	}
+}
+
+// TestParseWindow: each window text reads into its built-in windower,
+// whose String and FormatWindow give the canonical text of its grid and
+// parse back to it; the other spellings of one grid read to the same
+// windower, and every text that names no grid is refused.
+func TestParseWindow(t *testing.T) {
+	for text, want := range map[string]string{
+		"point":      "point",
+		"global":     "global",
+		"time:5":     "time:5",
+		"time:6:2":   "time:6:2",
+		"time:10:20": "time:10:20",
+		"time:10:10": "time:10",
+		"time:10:0":  "time:10",
+		"time:10:-0": "time:10",
+		"time:1e1":   "time:10",
+		"time:0.1":   "time:0.1",
+		"count:4":    "count:4",
+		"count:4:1":  "count:4:1",
+		"count:4:4":  "count:4",
+		"count:4:0":  "count:4",
+		"count:+4":   "count:4",
+		"session:10": "session:10",
+	} {
+		w, err := ParseWindow(text)
+		if err != nil {
+			t.Errorf("%s: %v", text, err)
+			continue
+		}
+		got, err := FormatWindow(w)
+		if err != nil || got != want || w.String() != want {
+			t.Errorf("%s: FormatWindow = %q, %v, String = %q; want %q", text, got, err, w.String(), want)
+		}
+		if back, err := ParseWindow(got); err != nil || back != w {
+			t.Errorf("%s: %q parses back to %#v, %v; want %#v", text, got, back, err, w)
+		}
+	}
+	for _, bad := range []string{
+		"", "time", "martian:3", "time:x", "count:x", "session:x", "count:3:y", "time:3:y",
+		"time:1:2:3", "point:junk", "point:", "session:5:9", "global:x", "time:10:-5", "count:4:-3",
+		"time:0", "time:NaN", "time:+Inf", "session:0", "count:0", "time:10:1e-300",
+	} {
+		if w, err := ParseWindow(bad); err == nil {
+			t.Errorf("ParseWindow(%q) accepted %#v", bad, w)
+		}
+	}
+}
+
+// TestFormatWindowRefuses: a windower of another type and a built-in one
+// that places no events have no text.
+func TestFormatWindowRefuses(t *testing.T) {
+	for _, w := range []Windower{
+		&TimeWindow{Size: 1}, customWindower{},
+		TimeWindow{Size: 10, Slide: -5}, CountWindow{Size: 4, Slide: -3}, SessionWindow{}, TimeWindow{Size: math.NaN()},
+	} {
+		if text, err := FormatWindow(w); err == nil {
+			t.Errorf("%#v formatted as %q", w, text)
+		}
 	}
 }

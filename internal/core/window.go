@@ -1,7 +1,7 @@
 package core
 
 import (
-	"fmt"
+	"strconv"
 
 	"sound/internal/resample"
 	"sound/internal/series"
@@ -86,7 +86,7 @@ func (PointWindow) String() string { return "point" }
 // of their spans; a window covers timestamps in [start, start+Size).
 type TimeWindow struct {
 	Size  float64
-	Slide float64 // defaults to Size (tumbling) when <= 0
+	Slide float64 // 0 means Size (tumbling); a negative slide is invalid
 }
 
 // Windows implements Windower.
@@ -94,11 +94,14 @@ func (w TimeWindow) Windows(ss []series.Series) []WindowTuple {
 	return replay(ClassifyWindow(w), ss)
 }
 
+// String returns the window's text (FormatWindow): "time:<size>", with
+// ":<slide>" when the slide is neither 0 nor the size.
 func (w TimeWindow) String() string {
-	if w.Slide > 0 && w.Slide != w.Size {
-		return fmt.Sprintf("time(size=%g, slide=%g)", w.Size, w.Slide)
+	s := "time:" + formatFloat(w.Size)
+	if w.Slide != 0 && w.Slide != w.Size {
+		s += ":" + formatFloat(w.Slide)
 	}
-	return fmt.Sprintf("time(size=%g)", w.Size)
+	return s
 }
 
 // CountWindow is a sliding (or tumbling) window over point indices:
@@ -106,7 +109,7 @@ func (w TimeWindow) String() string {
 // For k > 1 the series are aligned by index.
 type CountWindow struct {
 	Size  int
-	Slide int // defaults to Size (tumbling) when <= 0
+	Slide int // 0 means Size (tumbling); a negative slide is invalid
 }
 
 // Windows implements Windower.
@@ -114,11 +117,14 @@ func (w CountWindow) Windows(ss []series.Series) []WindowTuple {
 	return replay(ClassifyWindow(w), ss)
 }
 
+// String returns the window's text (FormatWindow): "count:<size>", with
+// ":<slide>" when the slide is neither 0 nor the size.
 func (w CountWindow) String() string {
-	if w.Slide > 0 && w.Slide != w.Size {
-		return fmt.Sprintf("count(size=%d, slide=%d)", w.Size, w.Slide)
+	s := "count:" + strconv.Itoa(w.Size)
+	if w.Slide != 0 && w.Slide != w.Size {
+		s += ":" + strconv.Itoa(w.Slide)
 	}
-	return fmt.Sprintf("count(size=%d)", w.Size)
+	return s
 }
 
 // GlobalWindow emits a single window tuple covering each whole series.
@@ -147,6 +153,5 @@ func (w SessionWindow) Windows(ss []series.Series) []WindowTuple {
 	return replay(ClassifyWindow(w), ss)
 }
 
-func (w SessionWindow) String() string {
-	return fmt.Sprintf("session(gap=%g)", w.Gap)
-}
+// String returns the window's text (FormatWindow): "session:<gap>".
+func (w SessionWindow) String() string { return "session:" + formatFloat(w.Gap) }

@@ -1,6 +1,7 @@
 package ingest
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -18,7 +19,10 @@ import (
 // accepts: Register takes it, and the operator survives an event and a
 // Flush. Every accepted spec has one canonical text: FormatCheck writes
 // it, ParseCheck reads it back — under any default seed — to the same
-// config bit for bit, and that config formats to the same bytes.
+// config bit for bit, and that config formats to the same bytes. One
+// grid has one text: the second argument, read as a window, formats and
+// parses back to itself, and to the bytes of the spec's window when the
+// two windows' assigners are equal.
 func FuzzParseCheck(f *testing.F) {
 	for _, spec := range []string{
 		"range;min=0;max=100;window=time:60",
@@ -60,11 +64,35 @@ func FuzzParseCheck(f *testing.F) {
 		"range;route=inputs:",
 		"count;route=inputs:a ,b;name= x=y",
 		"range;min=-0;max=0x1p-1074;seed=0",
+		"range;window=time:1:2:3",
+		"range;window=time:10:1:2",
+		"range;window=point:junk",
+		"range;window=session:5:9",
+		"range;window=global:x",
+		"range;window=time:10:-5",
+		"range;window=count:4:-3",
 	} {
-		f.Add(spec)
+		f.Add(spec, "")
+	}
+	for _, texts := range [][2]string{
+		{"time:10", "time:10:10"},
+		{"time:10:0", "time:10:-0"},
+		{"time:12:5", "time:1.2e1:5"},
+		{"count:4", "count:4:4"},
+		{"count:4:0", "count:+4"},
+		{"session:5", "session:5.0"},
+	} {
+		f.Add("range;window="+texts[0], texts[1])
 	}
 	params := core.DefaultParams()
-	f.Fuzz(func(t *testing.T, spec string) {
+	f.Fuzz(func(t *testing.T, spec, window string) {
+		w2, werr := core.ParseWindow(window)
+		if werr == nil {
+			text, err := core.FormatWindow(w2)
+			if back, err2 := core.ParseWindow(text); err != nil || err2 != nil || !sameBits(reflect.ValueOf(back), reflect.ValueOf(w2)) {
+				t.Fatalf("window %q formats as %q, which parses to %#v (%v, %v)", window, text, back, err, err2)
+			}
+		}
 		cfg, err := ParseCheck(spec, params, 7, checker.EvictionPolicy{})
 		if err != nil {
 			if !strings.Contains(err.Error(), "check spec") {
@@ -83,6 +111,12 @@ func FuzzParseCheck(f *testing.F) {
 			t.Fatalf("re-parse diverged: %+v vs %+v (err %v)", cfg, cfg2, err2)
 		}
 		roundTrip(t, cfg, params, checker.EvictionPolicy{})
+		if werr == nil && core.ClassifyWindow(w2) == core.ClassifyWindow(cfg.Check.Window) {
+			a, _ := core.FormatWindow(w2)
+			if b, _ := core.FormatWindow(cfg.Check.Window); a != b {
+				t.Fatalf("one grid, two texts: %q and %q", a, b)
+			}
+		}
 		// An accepted spec must also be admissible: the compiled check
 		// has to stream (ParseCheck only emits streamable windows), and
 		// the operator built from it has to run. One event on the check's

@@ -761,6 +761,12 @@ func TestAddCheckStatusCodes(t *testing.T) {
 		{"empty input key", "range;route=inputs:;name=empty-key", false, http.StatusBadRequest},
 		{"KL histogram of 2^31-1 bins", "kl;threshold=0.5;bins=2147483647;route=inputs:a,b;name=huge", false, http.StatusBadRequest},
 		{"KL histogram of no bins", "kl;threshold=0.5;bins=0;route=inputs:a,b;name=nobins", false, http.StatusBadRequest},
+		{"window with an extra part", "range;window=time:1:2:3;name=w1", false, http.StatusBadRequest},
+		{"point window with an argument", "range;window=point:junk;name=w2", false, http.StatusBadRequest},
+		{"session window with an extra part", "range;window=session:5:9;name=w3", false, http.StatusBadRequest},
+		{"global window with an argument", "range;window=global:x;name=w4", false, http.StatusBadRequest},
+		{"negative time slide", "range;window=time:10:-5;name=w5", false, http.StatusBadRequest},
+		{"negative count slide", "range;window=count:4:-3;name=w6", false, http.StatusBadRequest},
 		{"second", sharedTrioSpecs[1], false, http.StatusOK},
 		{"over quota", sharedTrioSpecs[2], false, http.StatusTooManyRequests},
 		{"after drain", sharedTrioSpecs[2], true, http.StatusServiceUnavailable},

@@ -9,7 +9,6 @@ package ingest
 import (
 	"errors"
 	"fmt"
-	"math"
 	"slices"
 	"strconv"
 	"strings"
@@ -18,87 +17,6 @@ import (
 	"sound/internal/checker"
 	"sound/internal/core"
 )
-
-// BuildWindow parses a window spec: point, global, session:<gap>,
-// time:<size>[:<slide>], or count:<size>[:<slide>]. formatWindow writes
-// it.
-func BuildWindow(spec string) (core.Windower, error) {
-	parts := strings.Split(spec, ":")
-	switch parts[0] {
-	case "point":
-		return core.PointWindow{}, nil
-	case "global":
-		return core.GlobalWindow{}, nil
-	case "session":
-		if len(parts) < 2 {
-			return nil, fmt.Errorf("session window needs a gap: session:<gap>")
-		}
-		gap, err := strconv.ParseFloat(parts[1], 64)
-		if err != nil {
-			return nil, err
-		}
-		return core.SessionWindow{Gap: gap}, nil
-	case "time":
-		if len(parts) < 2 {
-			return nil, fmt.Errorf("time window needs a size: time:<size>[:<slide>]")
-		}
-		size, err := strconv.ParseFloat(parts[1], 64)
-		if err != nil {
-			return nil, err
-		}
-		w := core.TimeWindow{Size: size}
-		if len(parts) > 2 {
-			if w.Slide, err = strconv.ParseFloat(parts[2], 64); err != nil {
-				return nil, err
-			}
-		}
-		return w, nil
-	case "count":
-		if len(parts) < 2 {
-			return nil, fmt.Errorf("count window needs a size: count:<size>[:<slide>]")
-		}
-		size, err := strconv.Atoi(parts[1])
-		if err != nil {
-			return nil, err
-		}
-		w := core.CountWindow{Size: size}
-		if len(parts) > 2 {
-			if w.Slide, err = strconv.Atoi(parts[2]); err != nil {
-				return nil, err
-			}
-		}
-		return w, nil
-	}
-	return nil, fmt.Errorf("unknown window spec %q", spec)
-}
-
-// formatWindow writes a built-in windower as the spec BuildWindow reads
-// back into it; a slide of zero (the tumbling default) is left out.
-func formatWindow(w core.Windower) (string, error) {
-	switch w := w.(type) {
-	case core.PointWindow:
-		return "point", nil
-	case core.GlobalWindow:
-		return "global", nil
-	case core.SessionWindow:
-		return "session:" + formatFloat(w.Gap), nil
-	case core.TimeWindow:
-		s := "time:" + formatFloat(w.Size)
-		if math.Float64bits(w.Slide) != 0 {
-			s += ":" + formatFloat(w.Slide)
-		}
-		return s, nil
-	case core.CountWindow:
-		s := "count:" + strconv.Itoa(w.Size)
-		if w.Slide != 0 {
-			s += ":" + strconv.Itoa(w.Slide)
-		}
-		return s, nil
-	}
-	return "", fmt.Errorf("window %v has no text form", w)
-}
-
-func formatFloat(f float64) string { return strconv.FormatFloat(f, 'g', -1, 64) }
 
 // ParseCheck parses one check spec: the text soundserve -check and
 // POST /checks take and FormatCheck writes. The spec is a
@@ -109,11 +27,11 @@ func formatFloat(f float64) string { return strconv.FormatFloat(f, 'g', -1, 64) 
 //	name=latency-vs-load;constraint=corr;threshold=0.3;window=time:120;route=inputs:latency,load
 //
 // constraint (required) names the template, and the keys the template
-// reads (core.TemplateKeys: min, max, threshold, strict, bins) set its
-// parameters; a key it does not read is an error, and one left out is
-// zero. The check's own keys: name (defaults to the constraint token),
-// window (default point), seed (overrides the server default), and
-// route — "event" (default: group by the event key; unary constraints
+// reads (among min, max, threshold, strict, bins) set its parameters; a
+// key it does not read is an error, and one left out is zero. The
+// check's own keys: name (defaults to the constraint token), window
+// (core.ParseWindow's text, default point), seed (overrides the server
+// default), and route — "event" (default: group by the event key; unary constraints
 // only) or "inputs:a,b" (route events whose keys are the named series
 // into the check's inputs: one distinct, non-empty key per input). No
 // key may be given twice. params and evict carry the server-wide
@@ -170,7 +88,7 @@ func ParseCheck(spec string, params core.Params, seed uint64, evict checker.Evic
 	if err != nil {
 		return fail(err)
 	}
-	win, err := BuildWindow(window)
+	win, err := core.ParseWindow(window)
 	if err != nil {
 		return fail(err)
 	}
@@ -235,7 +153,7 @@ func FormatCheck(cc CheckConfig) (string, error) {
 	if err != nil {
 		return fail(err)
 	}
-	win, err := formatWindow(cc.Check.Window)
+	win, err := core.FormatWindow(cc.Check.Window)
 	if err != nil {
 		return fail(err)
 	}
