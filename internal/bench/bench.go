@@ -594,13 +594,15 @@ func Exact(b *testing.B, c core.Constraint, n int, margin float64) {
 }
 
 // DecisionTable prices building Alg. 1's decision table from scratch at
-// c = 0.95, flat prior, budget n — the thresholds and terminal intervals
-// stat.SequentialBounds computes, which a check's first registration pays
-// before its first event (the core cache holds a built table thereafter).
+// c = 0.95, flat prior, budget n: the two thresholds per sample index
+// stat.SequentialBounds computes, one tail mass per probe, which a check's
+// first registration pays before its first event (the core cache holds a
+// built table thereafter). The terminal credible intervals are not part
+// of the build: a verdict computes each the first time it reads it.
 func DecisionTable(b *testing.B, n int) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		accept, _, _, _ := stat.SequentialBounds(1, 1, 0.95, n)
+		accept, _ := stat.SequentialBounds(1, 1, 0.95, n)
 		if accept[n] > n {
 			b.Fatalf("no count accepts at n = %d", n)
 		}

@@ -15,21 +15,66 @@ import (
 // comparisons.
 type decisionBounds struct {
 	acceptAt, rejectAt []int
-	// Terminal credible intervals, precomputed so concluding a window
-	// needs no quantile work at all. With CheckInterval = 1 the satisfied
-	// count sits exactly on the boundary when the rule first fires, so
-	// acceptCI[i]/rejectCI[i] (from stat.SequentialBounds, whose searches
-	// already computed one end of each) cover early stops and exhaustCI[s]
-	// covers running out of budget at sample N; larger check intervals or
-	// a burn-in can overshoot the boundary and fall back to a direct
-	// computation. exhaustCI is filled only for the counts strictly
-	// between rejectAt[N] and acceptAt[N], the only ones an Inconclusive
-	// stop at N can hold. Entries at sentinel boundaries or outside that
-	// band stay zero and are never read.
-	acceptCI, rejectCI, exhaustCI [][2]float64
+	// Terminal credible intervals, each computed the first time finish
+	// reads it. With CheckInterval = 1 the satisfied count sits exactly on
+	// the boundary when the rule first fires, so acceptCI[i]/rejectCI[i],
+	// the intervals at (acceptAt[i], i) and (rejectAt[i], i), cover early
+	// stops, and exhaustCI covers running out of budget at sample N;
+	// larger check intervals or a burn-in can overshoot the boundary and
+	// fall back to a direct computation. exhaustCI[k] is the interval at
+	// count rejectAt[N]+1+k: only the counts strictly between the two
+	// thresholds at N, the ones an Inconclusive stop at N can hold, have an
+	// entry. Entries at sentinel boundaries are never read.
+	acceptCI, rejectCI, exhaustCI []lazyCI
+	// fill serializes first fills, so that a filled entry is written once.
+	fill sync.Mutex
+	// alpha, beta, cred are the prior and credibility the intervals are
+	// computed at.
+	alpha, beta, cred float64
 	// priorLower/priorUpper is the prior's credible interval, reported
 	// for windows with no data.
 	priorLower, priorUpper float64
+}
+
+// lazyCI is one terminal credible interval, valid once ready is set.
+type lazyCI struct {
+	ready  atomic.Bool
+	lo, hi float64
+}
+
+// acceptInterval, rejectInterval and exhaustInterval return the terminal
+// intervals finish reports: at the ⊤ and ⊥ boundaries after n samples,
+// and at count s after the budget's last sample n = N, with s strictly
+// between that sample's thresholds.
+func (b *decisionBounds) acceptInterval(n int) (lower, upper float64) {
+	return b.interval(&b.acceptCI[n], b.acceptAt[n], n)
+}
+
+func (b *decisionBounds) rejectInterval(n int) (lower, upper float64) {
+	return b.interval(&b.rejectCI[n], b.rejectAt[n], n)
+}
+
+func (b *decisionBounds) exhaustInterval(s, n int) (lower, upper float64) {
+	return b.interval(&b.exhaustCI[s-b.rejectAt[n]-1], s, n)
+}
+
+// interval returns entry e, the credible interval of the posterior after
+// s satisfied of n samples. A filled entry costs one atomic load; the
+// first read computes it with Beta.CredibleInterval, so every reader sees
+// the bits a direct computation gives. Concurrent first reads may each
+// compute it, and only the first to take the lock stores it.
+func (b *decisionBounds) interval(e *lazyCI, s, n int) (lower, upper float64) {
+	if e.ready.Load() {
+		return e.lo, e.hi
+	}
+	lower, upper = stat.Beta{Alpha: b.alpha + float64(s), Beta: b.beta + float64(n-s)}.CredibleInterval(b.cred)
+	b.fill.Lock()
+	if !e.ready.Load() {
+		e.lo, e.hi = lower, upper
+		e.ready.Store(true)
+	}
+	b.fill.Unlock()
+	return lower, upper
 }
 
 // decide applies the decision rule of Alg. 1 after idx samples with cs
@@ -130,22 +175,14 @@ var (
 const boundsCacheLimit = 1024
 
 // boundsFor returns the shared decision table for normalized params,
-// computing and caching it on first use. Concurrent first uses may
-// compute the table redundantly; the result is identical either way.
+// building and caching it on first use. Concurrent first uses may build
+// the table redundantly; the result is identical either way.
 func boundsFor(p Params) *decisionBounds {
 	key := boundsKey{alpha: p.PriorAlpha, beta: p.PriorBeta, cred: p.Credibility, maxSamples: p.MaxSamples}
 	if v, ok := boundsCache.Load(key); ok {
 		return v.(*decisionBounds)
 	}
-	n := p.MaxSamples
-	b := &decisionBounds{exhaustCI: make([][2]float64, n+1)}
-	b.acceptAt, b.rejectAt, b.acceptCI, b.rejectCI = stat.SequentialBounds(p.PriorAlpha, p.PriorBeta, p.Credibility, n)
-	b.priorLower, b.priorUpper = stat.Beta{Alpha: p.PriorAlpha, Beta: p.PriorBeta}.CredibleInterval(p.Credibility)
-	// finish reads exhaustCI[s] only for an Inconclusive stop at N, and the
-	// check at N always runs, so s lies strictly between the thresholds.
-	for s := b.rejectAt[n] + 1; s < b.acceptAt[n]; s++ {
-		b.exhaustCI[s][0], b.exhaustCI[s][1] = stat.Beta{Alpha: p.PriorAlpha + float64(s), Beta: p.PriorBeta + float64(n-s)}.CredibleInterval(p.Credibility)
-	}
+	b := newDecisionBounds(p)
 	if boundsCount.Load() >= boundsCacheLimit {
 		return b
 	}
@@ -153,5 +190,26 @@ func boundsFor(p Params) *decisionBounds {
 		return v.(*decisionBounds)
 	}
 	boundsCount.Add(1)
+	return b
+}
+
+// newDecisionBounds builds the decision table for normalized params: the
+// thresholds and the prior's interval, with every terminal interval left
+// for its first read.
+func newDecisionBounds(p Params) *decisionBounds {
+	n := p.MaxSamples
+	b := &decisionBounds{
+		acceptCI: make([]lazyCI, n+1),
+		rejectCI: make([]lazyCI, n+1),
+		alpha:    p.PriorAlpha,
+		beta:     p.PriorBeta,
+		cred:     p.Credibility,
+	}
+	b.acceptAt, b.rejectAt = stat.SequentialBounds(p.PriorAlpha, p.PriorBeta, p.Credibility, n)
+	b.priorLower, b.priorUpper = stat.Beta{Alpha: p.PriorAlpha, Beta: p.PriorBeta}.CredibleInterval(p.Credibility)
+	// finish reads exhaustCI only for an Inconclusive stop at N, and the
+	// check at N always runs, so the count lies strictly between the
+	// thresholds.
+	b.exhaustCI = make([]lazyCI, b.acceptAt[n]-b.rejectAt[n]-1)
 	return b
 }

@@ -6,6 +6,7 @@ import (
 	"hash"
 	"hash/fnv"
 	"math"
+	"sync"
 	"testing"
 
 	"sound/internal/series"
@@ -160,34 +161,34 @@ func TestReseedMatchesFreshEvaluator(t *testing.T) {
 }
 
 // tableDigest folds into h every decision-table entry finish or the
-// no-data path can read: both thresholds at every index, acceptCI[i]
-// and rejectCI[i] where the boundary is a real count, exhaustCI[s] for
-// the counts strictly between the thresholds at N, and the prior
-// interval.
+// no-data path can read: both thresholds at every index, the accept and
+// reject intervals at i where the boundary is a real count, the exhaust
+// intervals at the counts strictly between the thresholds at N, and the
+// prior interval. It reads the intervals through finish's accessors.
 func tableDigest(h hash.Hash64, b *decisionBounds, n int) {
 	var buf [8]byte
 	word := func(v uint64) {
 		binary.LittleEndian.PutUint64(buf[:], v)
 		h.Write(buf[:])
 	}
-	interval := func(ci [2]float64) {
-		word(math.Float64bits(ci[0]))
-		word(math.Float64bits(ci[1]))
+	interval := func(lower, upper float64) {
+		word(math.Float64bits(lower))
+		word(math.Float64bits(upper))
 	}
 	for i := 0; i <= n; i++ {
 		word(uint64(b.acceptAt[i]))
 		word(uint64(b.rejectAt[i]))
 		if i > 0 && b.acceptAt[i] <= i {
-			interval(b.acceptCI[i])
+			interval(b.acceptInterval(i))
 		}
 		if i > 0 && b.rejectAt[i] >= 0 {
-			interval(b.rejectCI[i])
+			interval(b.rejectInterval(i))
 		}
 	}
 	for s := b.rejectAt[n] + 1; s < b.acceptAt[n]; s++ {
-		interval(b.exhaustCI[s])
+		interval(b.exhaustInterval(s, n))
 	}
-	interval([2]float64{b.priorLower, b.priorUpper})
+	interval(b.priorLower, b.priorUpper)
 }
 
 // pinnedTableDigests are FNV-64a digests of tableDigest over every
@@ -235,6 +236,95 @@ func TestDecisionTableDigests(t *testing.T) {
 		if got[n] != pinnedTableDigests[n] {
 			t.Errorf("N=%d: table digest %s, pinned %s", n, got[n], pinnedTableDigests[n])
 		}
+	}
+}
+
+// checkTerminalIntervals reports the first terminal interval of table b
+// (budget n) that differs from Beta.CredibleInterval at its counts, bit
+// for bit, reading every boundary and band entry through finish's
+// accessors.
+func checkTerminalIntervals(t *testing.T, p Params, b *decisionBounds) {
+	t.Helper()
+	n := p.MaxSamples
+	same := func(what string, s, i int, lower, upper float64) {
+		wantLo, wantHi := stat.Beta{Alpha: p.PriorAlpha + float64(s), Beta: p.PriorBeta + float64(i-s)}.CredibleInterval(p.Credibility)
+		if math.Float64bits(lower) != math.Float64bits(wantLo) || math.Float64bits(upper) != math.Float64bits(wantHi) {
+			t.Errorf("%+v %s at s=%d i=%d: [%v, %v], CredibleInterval [%v, %v]", p, what, s, i, lower, upper, wantLo, wantHi)
+		}
+	}
+	for i := 1; i <= n; i++ {
+		if s := b.acceptAt[i]; s <= i {
+			lower, upper := b.acceptInterval(i)
+			same("accept", s, i, lower, upper)
+		}
+		if s := b.rejectAt[i]; s >= 0 {
+			lower, upper := b.rejectInterval(i)
+			same("reject", s, i, lower, upper)
+		}
+	}
+	for s := b.rejectAt[n] + 1; s < b.acceptAt[n]; s++ {
+		lower, upper := b.exhaustInterval(s, n)
+		same("exhaust", s, n, lower, upper)
+	}
+}
+
+// TestTerminalIntervalsMatchCredibleInterval holds every terminal
+// interval a verdict can report to Beta.CredibleInterval at the counts
+// it stands for, over every budget × credibility × prior of the stat
+// tables' grid.
+func TestTerminalIntervalsMatchCredibleInterval(t *testing.T) {
+	for _, n := range []int{1, 2, 3, 10, 25, 60, 100, 200} {
+		for _, c := range []float64{0.5, 0.8, 0.9, 0.95, 0.99, 0.999} {
+			for _, pr := range [][2]float64{{1, 1}, {0.5, 0.5}, {2, 3}, {1, 5}, {7, 1}, {0.01, 19.9}, {19.9, 0.01}} {
+				p, err := Params{Credibility: c, MaxSamples: n, PriorAlpha: pr[0], PriorBeta: pr[1]}.normalized()
+				if err != nil {
+					t.Fatal(err)
+				}
+				checkTerminalIntervals(t, p, newDecisionBounds(p))
+			}
+		}
+	}
+}
+
+// TestTerminalIntervalsConcurrentFirstReads has goroutines race to fill
+// every terminal interval of one cold N = 1000 table, each reading every
+// entry, and then holds every entry to CredibleInterval bit for bit; run
+// under -race it also proves the first fills race-free. A filled entry
+// must read without allocating.
+func TestTerminalIntervalsConcurrentFirstReads(t *testing.T) {
+	p, err := Params{Credibility: 0.95, MaxSamples: 1000}.normalized()
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := newDecisionBounds(p)
+	n := p.MaxSamples
+	readAll := func(offset int) {
+		for k := 0; k < n; k++ {
+			i := 1 + (k+offset)%n
+			if b.acceptAt[i] <= i {
+				b.acceptInterval(i)
+			}
+			if b.rejectAt[i] >= 0 {
+				b.rejectInterval(i)
+			}
+		}
+		for s := b.rejectAt[n] + 1; s < b.acceptAt[n]; s++ {
+			b.exhaustInterval(s, n)
+		}
+	}
+	const readers = 8
+	var wg sync.WaitGroup
+	for g := 0; g < readers; g++ {
+		wg.Add(1)
+		go func(offset int) {
+			defer wg.Done()
+			readAll(offset)
+		}(g * n / readers)
+	}
+	wg.Wait()
+	checkTerminalIntervals(t, p, b)
+	if allocs := testing.AllocsPerRun(10, func() { readAll(0) }); allocs != 0 {
+		t.Errorf("reading %d filled intervals allocated %v times", 2*n, allocs)
 	}
 }
 

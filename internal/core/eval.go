@@ -228,7 +228,7 @@ func (e *Evaluator) evaluateInto(res *Result, c *Constraint, w WindowTuple) {
 
 // finish fills the posterior summary of a terminated evaluation in
 // place: the satisfied count, violation probability, and the credible
-// interval the decision rule saw at its last check (from the precomputed
+// interval the decision rule saw at its last check (from the shared
 // terminal tables whenever the count sits on a boundary, which it always
 // does with CheckInterval = 1). It takes a pointer because Result embeds
 // the window tuple — passing it by value puts two struct copies on the
@@ -238,11 +238,11 @@ func (l *blockLoop) finish(res *Result, countSatisfied int) {
 	s, n := countSatisfied, res.Samples
 	switch {
 	case res.Outcome == Satisfied && s == b.acceptAt[n]:
-		res.Lower, res.Upper = b.acceptCI[n][0], b.acceptCI[n][1]
+		res.Lower, res.Upper = b.acceptInterval(n)
 	case res.Outcome == Violated && s == b.rejectAt[n]:
-		res.Lower, res.Upper = b.rejectCI[n][0], b.rejectCI[n][1]
+		res.Lower, res.Upper = b.rejectInterval(n)
 	case res.Outcome == Inconclusive && n == p.MaxSamples && n >= p.MinSamples:
-		res.Lower, res.Upper = b.exhaustCI[s][0], b.exhaustCI[s][1]
+		res.Lower, res.Upper = b.exhaustInterval(s, n)
 	case n >= p.MinSamples:
 		// Boundary overshoot (CheckInterval > 1 or a burn-in): compute
 		// the interval the last check saw directly, memoized by counts.

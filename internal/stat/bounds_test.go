@@ -2,15 +2,14 @@ package stat
 
 import (
 	"fmt"
-	"math"
 	"sort"
 	"testing"
 )
 
 // sequentialBoundsSearch is SequentialBounds as first written: a fresh
 // sort.Search over s ∈ [0, i] per threshold, every probe a full two-sided
-// CredibleInterval. It is the oracle the hinted one-sided search must
-// match threshold for threshold.
+// CredibleInterval. It is the oracle the CDF-probing walks must match
+// threshold for threshold.
 func sequentialBoundsSearch(alpha, beta, c float64, n int) (acceptAt, rejectAt []int) {
 	acceptAt = make([]int, n+1)
 	rejectAt = make([]int, n+1)
@@ -41,78 +40,103 @@ func (tc boundsCase) String() string {
 	return fmt.Sprintf("α=%g β=%g c=%g n=%d", tc.alpha, tc.beta, tc.cred, tc.n)
 }
 
+// boundsPriors are the priors the table tests share: flat, Jeffreys,
+// mild, pessimistic and optimistic, and two near-degenerate ones that
+// put almost all prior mass at one end.
+var boundsPriors = [][2]float64{{1, 1}, {0.5, 0.5}, {2, 3}, {1, 5}, {7, 1}, {0.01, 19.9}, {19.9, 0.01}}
+
+// largeTables are the N = 1000 tables of the benchmark's borderline
+// workload, at every credibility down to 1 − 10⁻⁶, for the flat prior and
+// the two near-degenerate ones.
+func largeTables() []boundsCase {
+	var cases []boundsCase
+	for _, c := range []float64{0.8, 0.9, 0.95, 0.99, 0.999, 0.999999} {
+		for _, pr := range [][2]float64{{1, 1}, {0.01, 19.9}, {19.9, 0.01}} {
+			cases = append(cases, boundsCase{pr[0], pr[1], c, 1000})
+		}
+	}
+	return cases
+}
+
 // boundsGrid is the parameter grid the parity and structure tests share:
-// every budget × credibility × prior, plus the N = 1000 tables of the
-// benchmark's borderline workload at the flat prior.
+// every budget × credibility × prior, plus largeTables.
 func boundsGrid() []boundsCase {
 	var grid []boundsCase
 	for _, n := range []int{1, 2, 3, 10, 25, 60, 100, 200} {
 		for _, c := range []float64{0.5, 0.8, 0.9, 0.95, 0.99, 0.999} {
-			for _, pr := range [][2]float64{{1, 1}, {0.5, 0.5}, {2, 3}, {1, 5}, {7, 1}} {
+			for _, pr := range boundsPriors {
 				grid = append(grid, boundsCase{pr[0], pr[1], c, n})
 			}
 		}
 	}
-	return append(grid, boundsCase{1, 1, 0.95, 1000}, boundsCase{1, 1, 0.99, 1000})
+	return append(grid, largeTables()...)
+}
+
+// probes counts the probes the hinted walks of SequentialBounds make to
+// find the thresholds accept and reject: row i's ⊤ walk probes every
+// count from row i−1's threshold up to its own, and its ⊥ walk every count
+// from one above row i−1's down to its own, a sentinel not included.
+func probes(accept, reject []int) int {
+	k := 0
+	for i := 1; i < len(accept); i++ {
+		a0, r0 := 0, 1
+		if i > 1 {
+			a0, r0 = accept[i-1], reject[i-1]+1
+		}
+		k += accept[i] - a0 + r0 - reject[i]
+		if accept[i] <= i {
+			k++
+		}
+		if reject[i] >= 0 {
+			k++
+		}
+	}
+	return k
 }
 
 // checkAgainstOracle reports the first threshold where SequentialBounds
-// and the sort.Search oracle disagree, and the first terminal interval
-// that differs from CredibleInterval at its boundary count.
-func checkAgainstOracle(t *testing.T, tc boundsCase) {
+// and the sort.Search oracle disagree, and returns how many probes the
+// build made and how many of them fell back to the quantile comparison.
+func checkAgainstOracle(t *testing.T, tc boundsCase) (probed, fallbacks int) {
 	t.Helper()
-	accept, reject, acceptCI, rejectCI := SequentialBounds(tc.alpha, tc.beta, tc.cred, tc.n)
+	accept, reject, fallbacks := sequentialBounds(tc.alpha, tc.beta, tc.cred, tc.n)
 	wantAccept, wantReject := sequentialBoundsSearch(tc.alpha, tc.beta, tc.cred, tc.n)
-	if len(accept) != tc.n+1 || len(reject) != tc.n+1 || len(acceptCI) != tc.n+1 || len(rejectCI) != tc.n+1 {
-		t.Fatalf("%v: table lengths %d/%d/%d/%d, want %d", tc, len(accept), len(reject), len(acceptCI), len(rejectCI), tc.n+1)
-	}
-	ci := func(s, i int) [2]float64 {
-		lo, hi := Beta{Alpha: tc.alpha + float64(s), Beta: tc.beta + float64(i-s)}.CredibleInterval(tc.cred)
-		return [2]float64{lo, hi}
-	}
-	same := func(a, b [2]float64) bool {
-		return math.Float64bits(a[0]) == math.Float64bits(b[0]) && math.Float64bits(a[1]) == math.Float64bits(b[1])
+	if len(accept) != tc.n+1 || len(reject) != tc.n+1 {
+		t.Fatalf("%v: table lengths %d/%d, want %d", tc, len(accept), len(reject), tc.n+1)
 	}
 	for i := 0; i <= tc.n; i++ {
 		if accept[i] != wantAccept[i] || reject[i] != wantReject[i] {
 			t.Fatalf("%v i=%d: thresholds (accept %d, reject %d), oracle (%d, %d)",
 				tc, i, accept[i], reject[i], wantAccept[i], wantReject[i])
 		}
-		var want [2]float64
-		if i > 0 && accept[i] <= i {
-			want = ci(accept[i], i)
-		}
-		if !same(acceptCI[i], want) {
-			t.Fatalf("%v i=%d: acceptCI %v, CredibleInterval at s=%d %v", tc, i, acceptCI[i], accept[i], want)
-		}
-		want = [2]float64{}
-		if i > 0 && reject[i] >= 0 {
-			want = ci(reject[i], i)
-		}
-		if !same(rejectCI[i], want) {
-			t.Fatalf("%v i=%d: rejectCI %v, CredibleInterval at s=%d %v", tc, i, rejectCI[i], reject[i], want)
-		}
 	}
+	return probes(accept, reject), fallbacks
 }
 
-// TestSequentialBoundsMatchSearchOracle pins the hinted one-sided search
-// to the sort.Search construction it replaced, threshold for threshold,
-// and its terminal intervals to CredibleInterval bit for bit, over the
-// whole grid.
+// TestSequentialBoundsMatchSearchOracle pins the CDF-probing walks to the
+// quantile-based sort.Search construction they replaced, threshold for
+// threshold, over the whole grid, and logs how many probes fell back to
+// a quantile comparison.
 func TestSequentialBoundsMatchSearchOracle(t *testing.T) {
+	var probed, fell int
 	for _, tc := range boundsGrid() {
-		checkAgainstOracle(t, tc)
+		p, f := checkAgainstOracle(t, tc)
+		probed, fell = probed+p, fell+f
 	}
+	t.Logf("%d of %d probes fell back to the quantile comparison", fell, probed)
 }
 
-// TestSequentialBoundsMatchDirectRule checks, exhaustively over every
-// reachable (s, i) state with i ≤ n, that the precomputed thresholds
-// reproduce the direct credible-interval rule: conclude ⊤ iff the
-// interval's lower bound exceeds 0.5 and ⊥ iff its upper bound falls
-// below 0.5. Several priors and credibilities cover symmetric,
-// optimistic, pessimistic, and diffuse cases.
+// TestSequentialBoundsMatchDirectRule checks that the precomputed
+// thresholds reproduce the direct credible-interval rule: conclude ⊤ iff
+// the interval's lower bound exceeds 0.5 and ⊥ iff its upper bound falls
+// below 0.5. At n = 120 it visits every reachable (s, i) state; on
+// largeTables it visits every row at the three counts on either side of
+// each threshold, where a probe's rounding could move it. Several priors
+// and credibilities cover symmetric, optimistic, pessimistic, diffuse and
+// near-degenerate cases.
 func TestSequentialBoundsMatchDirectRule(t *testing.T) {
-	cases := []struct {
+	var cases []boundsCase
+	for _, tc := range []struct {
 		alpha, beta, cred float64
 	}{
 		{1, 1, 0.95},
@@ -122,28 +146,34 @@ func TestSequentialBoundsMatchDirectRule(t *testing.T) {
 		{5, 2, 0.9},
 		{0.5, 0.5, 0.95},
 		{10, 10, 0.999},
+		{0.01, 19.9, 0.95},
+		{19.9, 0.01, 0.95},
+	} {
+		cases = append(cases, boundsCase{tc.alpha, tc.beta, tc.cred, 120})
 	}
-	const n = 120
+	cases = append(cases, largeTables()...)
 	for _, tc := range cases {
-		accept, reject, _, _ := SequentialBounds(tc.alpha, tc.beta, tc.cred, n)
-		if len(accept) != n+1 || len(reject) != n+1 {
-			t.Fatalf("α=%g β=%g c=%g: table lengths %d/%d, want %d", tc.alpha, tc.beta, tc.cred, len(accept), len(reject), n+1)
+		accept, reject := SequentialBounds(tc.alpha, tc.beta, tc.cred, tc.n)
+		if len(accept) != tc.n+1 || len(reject) != tc.n+1 {
+			t.Fatalf("%v: table lengths %d/%d, want %d", tc, len(accept), len(reject), tc.n+1)
 		}
 		if accept[0] != 1 || reject[0] != -1 {
-			t.Errorf("α=%g β=%g c=%g: index 0 = (%d, %d), want sentinels (1, -1)", tc.alpha, tc.beta, tc.cred, accept[0], reject[0])
+			t.Errorf("%v: index 0 = (%d, %d), want sentinels (1, -1)", tc, accept[0], reject[0])
 		}
-		for i := 1; i <= n; i++ {
+		for i := 1; i <= tc.n; i++ {
 			for s := 0; s <= i; s++ {
+				near := s-accept[i] >= -3 && s-accept[i] < 3 || s-reject[i] > -3 && s-reject[i] <= 3
+				if tc.n > 120 && !near {
+					continue
+				}
 				lower, upper := Beta{Alpha: tc.alpha + float64(s), Beta: tc.beta + float64(i-s)}.CredibleInterval(tc.cred)
 				wantAccept := lower > 0.5
 				wantReject := upper < 0.5
 				if got := s >= accept[i]; got != wantAccept {
-					t.Fatalf("α=%g β=%g c=%g s=%d i=%d: table accept=%v, direct rule=%v (lower=%g)",
-						tc.alpha, tc.beta, tc.cred, s, i, got, wantAccept, lower)
+					t.Fatalf("%v s=%d i=%d: table accept=%v, direct rule=%v (lower=%g)", tc, s, i, got, wantAccept, lower)
 				}
 				if got := s <= reject[i]; got != wantReject {
-					t.Fatalf("α=%g β=%g c=%g s=%d i=%d: table reject=%v, direct rule=%v (upper=%g)",
-						tc.alpha, tc.beta, tc.cred, s, i, got, wantReject, upper)
+					t.Fatalf("%v s=%d i=%d: table reject=%v, direct rule=%v (upper=%g)", tc, s, i, got, wantReject, upper)
 				}
 			}
 		}
@@ -159,7 +189,7 @@ func TestSequentialBoundsMatchDirectRule(t *testing.T) {
 // to row 2 on.
 func TestSequentialBoundsMonotone(t *testing.T) {
 	for _, tc := range boundsGrid() {
-		accept, reject, _, _ := SequentialBounds(tc.alpha, tc.beta, tc.cred, tc.n)
+		accept, reject := SequentialBounds(tc.alpha, tc.beta, tc.cred, tc.n)
 		for i := 1; i <= tc.n; i++ {
 			if reject[i] >= accept[i] {
 				t.Errorf("%v: overlapping decisions at i=%d: reject=%d accept=%d", tc, i, reject[i], accept[i])
