@@ -48,9 +48,10 @@ bench-smoke:
 # valid ones must re-encode bit-identically), the Mux operator's
 # restore (arbitrary payloads never panic DecodeOperator, and an
 # accepted one re-encodes to its own bytes), batch↔stream window parity
-# (one key's disordered and hostile event times through a Mux operator
-# give the batch windower's windows over the events it accepted), the
-# template evaluation
+# for every built-in window, point windows included (one key's
+# disordered and hostile event times through a Mux operator give the
+# batch windower's windows over the events it accepted), the template
+# evaluation
 # against its reference closure (referenceFn) run as a user constraint,
 # the shared-lane/per-check scoring parity, the
 # branch-free in-range count against its short-circuit oracle, the
@@ -58,8 +59,8 @@ bench-smoke:
 # table's hinted threshold search against its binary-search oracle, the
 # incomplete beta function and the Beta quantile against the CDF, the
 # finiteness proof of random extracted windows against a recount of
-# their points, the CSV
-# reader, the wire decoders, the NDJSON fast path against its
+# their points, the CSV and
+# JSON series readers, the wire decoders, the NDJSON fast path against its
 # encoding/json fallback, the JSON number scanner against
 # strconv.ParseFloat, and the check registration grammar
 # POST /checks exposes to untrusted clients (every accepted spec
@@ -82,6 +83,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzKernelScalarParity -fuzztime=$(FUZZTIME) ./internal/resample
 	$(GO) test -run='^$$' -fuzz=FuzzExtractionSafe -fuzztime=$(FUZZTIME) ./internal/resample
 	$(GO) test -run='^$$' -fuzz=FuzzReadCSV -fuzztime=$(FUZZTIME) ./internal/series
+	$(GO) test -run='^$$' -fuzz=FuzzReadJSON -fuzztime=$(FUZZTIME) ./internal/series
 	$(GO) test -run='^$$' -fuzz=FuzzWireDecode -fuzztime=$(FUZZTIME) ./internal/wire
 	$(GO) test -run='^$$' -fuzz=FuzzNDJSONFastPath -fuzztime=$(FUZZTIME) ./internal/wire
 	$(GO) test -run='^$$' -fuzz=FuzzParseNumber -fuzztime=$(FUZZTIME) ./internal/wire

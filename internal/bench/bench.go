@@ -212,7 +212,7 @@ func mixedDrawWindow() series.Series {
 func Draw(b *testing.B, strat resample.Strategy) {
 	windows := []series.Series{mixedDrawWindow()}
 	rs := resample.New(strat, rng.New(1))
-	rs.Prime(windows)
+	rs.PrimeViews(windows, nil)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -239,7 +239,7 @@ func Kernel(b *testing.B, sigUp, sigDown float64) {
 	w := classWindow(64, sigUp, sigDown)
 	windows := []series.Series{w}
 	rs := resample.New(resample.Point, rng.New(1))
-	rs.Prime(windows)
+	rs.PrimeViews(windows, nil)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -259,7 +259,7 @@ func DrawBlock(b *testing.B, strat resample.Strategy, n int) {
 	const samples = 16
 	windows := []series.Series{classWindow(n, 3, 1)}
 	rs := resample.New(strat, rng.New(1))
-	rs.Prime(windows)
+	rs.PrimeViews(windows, nil)
 	var blk resample.Block
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"sound/internal/checkpoint"
 	"sound/internal/core"
 	"sound/internal/series"
 	"sound/internal/stream"
@@ -15,7 +16,7 @@ import (
 
 // placeable restates the grid's admission rule for one time: a time
 // window needs |t|·2⁻⁵³ below its smallest step, a session a finite t;
-// count and global windows place every time.
+// point, count and global windows place every time.
 func placeable(a core.WindowAssigner, t float64) bool {
 	switch a.Kind {
 	case core.KindTumblingTime, core.KindSlidingTime:
@@ -34,8 +35,8 @@ func placeable(a core.WindowAssigner, t float64) bool {
 // and the operator's DroppedLate.
 //
 // The accepted events are the ones a window held — every time window
-// with Slide ≤ Size tiles its span, and sessions and the global window
-// hold every point — and for count windows all of them. A window holds
+// with Slide ≤ Size tiles its span, and sessions, point windows and the
+// global window hold every point — and for count windows all of them. A window holds
 // the events that had arrived when it fired: a sliding window fired
 // before an event of its span arrived lacks it, while the windows still
 // open get it. So each batch window is compared with those of its events
@@ -100,11 +101,12 @@ func replayWindows(t testing.TB, win core.Windower, arrivals []float64) (windows
 		inOrder = inOrder && !(ts < last)
 		last = ts
 	}
-	if (inOrder || asg.Kind == core.KindCount || asg.Kind == core.KindGlobal) && dropped != unplaceable {
+	byArrival := asg.Kind == core.KindCount || asg.Kind == core.KindPoint
+	if (inOrder || byArrival || asg.Kind == core.KindGlobal) && dropped != unplaceable {
 		t.Fatalf("%v: %d dropped, want the %d times it cannot place", win, dropped, unplaceable)
 	}
 
-	if asg.Kind != core.KindCount {
+	if !byArrival {
 		sortByTime(acc) // the order the stream's buffers are sliced in
 	}
 	ss := []series.Series{acc}
@@ -161,14 +163,15 @@ func timesBytes(ts ...float64) []byte {
 // key's events go through a Mux operator (replayWindows) and must give
 // the windows, window contents and naive outcomes of the batch windower
 // over the events the operator accepted. kind picks a tumbling (0),
-// sliding (1), count (2), session (3) or global (4) window of the given
-// size and slide (count: both as integers; session: size is the gap).
+// sliding (1), count (2), session (3), global (4) or point (5) window of
+// the given size and slide (count: both as integers; session: size is
+// the gap; point and global: neither).
 // raw holds the times, 8 little-endian bytes each; with order k > 0 they
 // are sorted and each run of k%8+1 consecutive events arrives reversed,
 // with order 0 they arrive as given. Inputs without an event, and inputs
 // whose time windows would number more than 4096, are skipped.
 func FuzzWindowReplay(f *testing.F) {
-	const tumbling, sliding, count, session, global = 0, 1, 2, 3, 4
+	const tumbling, sliding, count, session, global, point = 0, 1, 2, 3, 4, 5
 	seq := func(n int) []float64 {
 		ts := make([]float64, n)
 		for i := range ts {
@@ -214,12 +217,14 @@ func FuzzWindowReplay(f *testing.F) {
 		{sliding, 20, 5, 5, timesBytes(seq(60)...)},
 		{tumbling, 10, 0, 0, timesBytes(0, math.NaN(), 1.7e18, math.Inf(1), 5, 30, math.Inf(-1))},
 		{session, 5, 0, 0, timesBytes(math.NaN(), 1, math.Inf(1), 2)},
+		{point, 0, 0, 0, timesBytes(3, math.NaN(), 1, math.Inf(1), 2, math.Inf(-1), 2)},
+		{point, 0, 0, 3, offGrid},
 	} {
 		f.Add(s.kind, s.size, s.slide, s.order, s.raw)
 	}
 	f.Fuzz(func(t *testing.T, kind uint8, size, slide float64, order uint8, raw []byte) {
 		var win core.Windower
-		switch kind % 5 {
+		switch kind % 6 {
 		case tumbling:
 			win = core.TimeWindow{Size: size}
 		case sliding:
@@ -234,8 +239,10 @@ func FuzzWindowReplay(f *testing.F) {
 			win = core.CountWindow{Size: int(size), Slide: int(slide)}
 		case session:
 			win = core.SessionWindow{Gap: size}
-		default:
+		case global:
 			win = core.GlobalWindow{}
+		default:
+			win = core.PointWindow{}
 		}
 		ck := core.Check{Name: "w", Constraint: core.Range(0, 1), SeriesNames: []string{"s"}, Window: win}
 		if ck.Validate() != nil {
@@ -353,5 +360,115 @@ func TestUnresolvableEventTime(t *testing.T) {
 				t.Errorf("%d windows, %d dropped; want %d and %d", windows, dropped, tc.windows, tc.dropped)
 			}
 		})
+	}
+}
+
+// TestBinaryPointParity: a binary point check on a tag route pairs each
+// input's i-th point, however unevenly the inputs arrive. x runs 150
+// points ahead of y, then both come in bursts of uneven length, and
+// each input's times run backwards within each run of four, so a time
+// sort would reorder them. The stream's tuples and naive outcomes must be batch
+// PointWindow's over each input's points in arrival order. A snapshot
+// taken while x is over 100 points ahead and restored into a fresh
+// operator must deliver the rest of the uninterrupted run's outcomes,
+// SOUND and naive alike.
+func TestBinaryPointParity(t *testing.T) {
+	const nx, ny, ahead, snapAt = 400, 370, 150, 170
+	xs, ys := make(series.Series, nx), make(series.Series, ny)
+	for i := range xs {
+		xs[i] = series.Point{T: float64(i) + 3 - 2*float64(i%4), V: float64(i) + 0.25*float64(i%3), SigUp: 1, SigDown: 0.5}
+	}
+	for i := range ys {
+		ys[i] = series.Point{T: float64(i) + 3.5 - 2*float64(i%4), V: float64(i) + 0.5*float64(i%5) - 0.75, SigUp: 0.5, SigDown: 1}
+	}
+	var events []stream.Event
+	send := func(key string, p series.Point) {
+		events = append(events, stream.Event{Key: key, Time: p.T, Value: p.V, SigUp: p.SigUp, SigDown: p.SigDown})
+	}
+	for _, p := range xs[:ahead] {
+		send("x", p)
+	}
+	for i, x, y := 0, ahead, 0; x < nx || y < ny; i++ {
+		for n := 1 + i%4; n > 0 && x < nx; n, x = n-1, x+1 {
+			send("x", xs[x])
+		}
+		for n := 1 + i*7%5; n > 0 && y < ny; n, y = n-1, y+1 {
+			send("y", ys[y])
+		}
+	}
+
+	le := func(v [][]float64) bool { return v[0][0] <= v[1][0] }
+	type run struct {
+		op           *muxOp
+		sound, naive []core.Outcome
+		pairs        [][2]float64 // the values of each tuple the naive member scored
+	}
+	newRun := func() *run {
+		r := &run{}
+		x := NewMux(false, EvictionPolicy{})
+		for _, naive := range []bool{false, true} {
+			cons := core.Constraint{Name: "x<=y", Granularity: core.PointWise, Orderedness: core.Set, Arity: 2, Fn: le}
+			mc := MuxCheck{Name: "le", Params: core.Params{MaxSamples: 100}, Seed: 7, Route: ByInputKeys("x", "y"), RouteID: "xy",
+				OnOutcome: func(_ string, o core.Outcome) { r.sound = append(r.sound, o) }}
+			if naive {
+				cons.Fn = func(v [][]float64) bool {
+					r.pairs = append(r.pairs, [2]float64{v[0][0], v[1][0]})
+					return le(v)
+				}
+				mc.Name, mc.Naive = "le-naive", true
+				mc.OnOutcome = func(_ string, o core.Outcome) { r.naive = append(r.naive, o) }
+			}
+			mc.Check = core.Check{Name: mc.Name, Constraint: cons, SeriesNames: []string{"x", "y"}, Window: core.PointWindow{}}
+			if err := x.Register(mc); err != nil {
+				t.Fatal(err)
+			}
+		}
+		r.op = x.Factory()().(*muxOp)
+		return r
+	}
+
+	full, cut := newRun(), newRun()
+	var snap []byte
+	var soundAt, naiveAt int
+	for i, ev := range events {
+		if i == snapAt {
+			if g := full.op.instances[0].op.peek("", globalKeyHash); g == nil || len(g.bufs[0])-len(g.bufs[1]) < 100 {
+				t.Fatalf("x is not 100 points ahead of y at the snapshot")
+			}
+			enc := checkpoint.NewRawEncoder()
+			if err := EncodeOperator(full.op, enc); err != nil {
+				t.Fatal(err)
+			}
+			snap, soundAt, naiveAt = enc.Finish(), len(full.sound), len(full.naive)
+			if err := DecodeOperator(cut.op, checkpoint.NewRawDecoder(snap)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		full.op.Process(ev, discardEmit)
+		if i >= snapAt {
+			cut.op.Process(ev, discardEmit)
+		}
+	}
+	full.op.Flush(discardEmit)
+	cut.op.Flush(discardEmit)
+
+	ss := []series.Series{xs, ys}
+	tuples := core.PointWindow{}.Windows(ss)
+	if len(tuples) != ny || len(full.pairs) != ny || len(full.sound) != ny {
+		t.Fatalf("%d batch tuples, the stream scored %d and gave %d SOUND verdicts; want %d", len(tuples), len(full.pairs), len(full.sound), ny)
+	}
+	for i, tu := range tuples {
+		if want := [2]float64{tu.Windows[0][0].V, tu.Windows[1][0].V}; full.pairs[i] != want {
+			t.Fatalf("tuple %d: the stream scored %v, batch has %v", i, full.pairs[i], want)
+		}
+	}
+	if batch := core.EvaluateAllNaive(core.Constraint{Name: "x<=y", Granularity: core.PointWise, Arity: 2, Fn: le}, core.PointWindow{}, ss); !slices.Equal(full.naive, batch) {
+		t.Fatalf("stream naive outcomes %v, batch %v", full.naive, batch)
+	}
+	if !slices.Equal(cut.sound, full.sound[soundAt:]) || !slices.Equal(cut.naive, full.naive[naiveAt:]) {
+		t.Fatalf("the restored run's outcomes differ from the uninterrupted run's after the snapshot")
+	}
+	if len(cut.naive) == 0 || len(cut.naive) == ny {
+		t.Fatalf("the restored run gave %d of %d verdicts: the snapshot is not mid-stream", len(cut.naive), ny)
 	}
 }

@@ -1,9 +1,9 @@
 package checker
 
 import (
+	"cmp"
 	"math"
 	"slices"
-	"sort"
 	"sync/atomic"
 
 	"sound/internal/core"
@@ -221,8 +221,8 @@ type groupState struct {
 	// prev/next link the worker's LRU list (head = most recent).
 	prev, next *groupState
 	// bufs holds the not-yet-consumed points per input, for every window
-	// kind (the kind is fixed per operator): grid windows are sliced out
-	// of it by grid.Next and k-ary point tuples align its heads.
+	// kind (the kind is fixed per operator): grid.Next slices the windows
+	// out of it.
 	bufs []series.Series
 	// drop[i] is the absolute index of bufs[i][0] in input i's full point
 	// sequence (count windows only; nil for every other kind).
@@ -287,7 +287,7 @@ func (c *streamChecker) sortedGroups() []*groupState {
 		gs = append(gs, g)
 		return true
 	})
-	sort.Slice(gs, func(i, j int) bool { return gs[i].key < gs[j].key })
+	slices.SortFunc(gs, func(a, b *groupState) int { return cmp.Compare(a.key, b.key) })
 	return gs
 }
 
@@ -325,8 +325,8 @@ func (c *streamChecker) ingest(ev *stream.Event) {
 		c.admit(key, h)
 	}
 	p := series.Point{T: ev.Time, V: ev.Value, SigUp: ev.SigUp, SigDown: ev.SigDown}
-	if c.asg.Kind == core.KindPoint {
-		c.processPoint(key, h, input, p)
+	if !c.stateful {
+		c.evaluatePoint(key, h, p)
 	} else {
 		c.processGrid(key, h, input, p)
 	}
@@ -348,55 +348,20 @@ func (c *streamChecker) inputOf(key string) int {
 	return -1
 }
 
-// processPoint evaluates single-point tuples. Unary checks evaluate
-// immediately on a reused buffer; k-ary checks align the inputs by
-// arrival order per group, evaluating as soon as every input has a
-// pending point — the streaming mirror of PointWindow's index alignment.
-func (c *streamChecker) processPoint(key string, h uint64, input int, p series.Point) {
-	if c.arity == 1 {
-		if c.pointBuf == nil {
-			c.pointBuf = make(series.Series, 1)
-		}
-		c.pointBuf[0] = p
-		ws := c.tuple(1)
-		ws[0] = c.pointBuf
-		// The point's own timestamp is the window coordinate: unary point
-		// checks keep no per-key state, and a duplicate timestamp simply
-		// reuses its draw stream (identical evidence → identical verdict).
-		c.evaluate(key, h, core.WindowTuple{Windows: ws, Start: p.T, End: p.T}, math.Float64bits(p.T))
-		return
+// evaluatePoint evaluates a unary point window: the event is its own
+// window, on a reused buffer. Its operator keeps no per-key state, so
+// no grid either.
+func (c *streamChecker) evaluatePoint(key string, h uint64, p series.Point) {
+	if c.pointBuf == nil {
+		c.pointBuf = make(series.Series, 1)
 	}
-	bufs := c.inputs(c.group(key, h))
-	bufs[input] = append(bufs[input], p)
-	head := 0
-fire:
-	for {
-		for i := range bufs {
-			if len(bufs[i]) <= head {
-				break fire
-			}
-		}
-		ws := c.tuple(c.arity)
-		for i := range bufs {
-			ws[i] = bufs[i][head : head+1 : head+1]
-		}
-		head++
-		c.evaluate(key, h, core.WindowTuple{Windows: ws, Start: ws[0][0].T, End: ws[0][0].T}, math.Float64bits(ws[0][0].T))
-	}
-	if head == 0 {
-		return
-	}
-	for i, q := range bufs {
-		// Drop the fired points. A queue left no longer than what fired
-		// moves its rest to the front of its array, copying no more points
-		// than fired, so inputs that keep pace never leave their arrays;
-		// one running far ahead advances its slice start instead.
-		if len(q)-head <= head {
-			bufs[i] = q[:copy(q, q[head:])]
-		} else {
-			bufs[i] = q[head:]
-		}
-	}
+	c.pointBuf[0] = p
+	ws := c.tuple(1)
+	ws[0] = c.pointBuf
+	// The point's own timestamp is the window coordinate, as in the
+	// grid: a duplicate timestamp simply reuses its draw stream
+	// (identical evidence → identical verdict).
+	c.evaluate(key, h, core.WindowTuple{Windows: ws, Start: p.T, End: p.T}, math.Float64bits(p.T))
 }
 
 // processGrid admits the event to its group's grid, buffers it, and
@@ -420,22 +385,24 @@ func (c *streamChecker) processGrid(key string, h uint64, input int, p series.Po
 
 // fire evaluates, in grid order, every window of the group that is due
 // (with final, every window still open), then trims the buffers once.
-// Time, session and global buffers are time-sorted first; count buffers
-// keep arrival order. Each tuple lives for its evaluate call alone, so
-// the buffers it sliced may be compacted after the last one.
+// Time, session and global buffers are time-sorted first; point and
+// count buffers keep arrival order. Each tuple lives for its evaluate
+// call alone, so the buffers it sliced may be compacted after the last
+// one.
 func (c *streamChecker) fire(g *groupState, final bool) {
-	if c.asg.Kind != core.KindCount {
+	if c.asg.Kind != core.KindCount && c.asg.Kind != core.KindPoint {
 		for _, buf := range g.bufs {
 			sortByTime(buf)
 		}
 	}
 	fired := false
 	for {
-		tuple, coord, ok := g.grid.Next(&c.asg, g.bufs, g.drop, final, c.tuple(c.arity))
+		slots := c.tuple(c.arity)
+		start, end, coord, ok := g.grid.Next(&c.asg, g.bufs, g.drop, final, slots)
 		if !ok {
 			break
 		}
-		c.evaluate(g.key, g.hash, tuple, coord)
+		c.evaluate(g.key, g.hash, core.WindowTuple{Windows: slots, Start: start, End: end}, coord)
 		fired = true
 	}
 	if fired {
@@ -445,14 +412,11 @@ func (c *streamChecker) fire(g *groupState, final bool) {
 
 // flush evaluates the open windows at end of stream, in deterministic
 // group order: every time window batch would emit, the open session and
-// the global window. Incomplete point-wise tuples and partial count
-// windows are dropped, matching the batch windowing functions
-// (PointWindow truncates to the shortest series; CountWindow drops the
-// tail shorter than Size).
+// the global window. Incomplete point tuples and partial count windows
+// are dropped, matching the batch windowing functions (PointWindow
+// truncates to the shortest series; CountWindow drops the tail shorter
+// than Size).
 func (c *streamChecker) flush() {
-	if c.asg.Kind == core.KindPoint {
-		return
-	}
 	for _, g := range c.sortedGroups() {
 		c.fire(g, true)
 	}

@@ -82,7 +82,7 @@ func TestEvaluateMatchesDirectRule(t *testing.T) {
 			// resampler produces the same perturbations in the same order.
 			ref := MustEvaluator(params, seed)
 			rs := ref.resampler(c.Strategy())
-			rs.Prime(w.Windows)
+			rs.PrimeViews(w.Windows, nil)
 			p := ref.Params()
 			verdicts := make([]bool, p.MaxSamples)
 			for i := range verdicts {

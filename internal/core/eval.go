@@ -214,11 +214,7 @@ func (e *Evaluator) evaluateInto(res *Result, c *Constraint, w WindowTuple) {
 	}
 	strat := c.Strategy()
 	rs := e.resampler(strat)
-	if w.Ext != nil {
-		rs.PrimeViews(w.Windows, w.Ext)
-	} else {
-		rs.Prime(w.Windows)
-	}
+	rs.PrimeViews(w.Windows, w.Ext)
 	if strat == resample.Point && rs.PrimedAllCertain() {
 		e.replayCertain(res, c.Eval(rs.Draw(w.Windows)))
 		return

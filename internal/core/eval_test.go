@@ -451,7 +451,7 @@ func TestTaxonomyStrings(t *testing.T) {
 func evaluateScalar(e *Evaluator, c Constraint, w WindowTuple) Result {
 	res := Result{Window: WindowTuple{Windows: w.Windows, Start: w.Start, End: w.End, Index: w.Index}}
 	rs := e.resampler(c.Strategy())
-	rs.Prime(w.Windows)
+	rs.PrimeViews(w.Windows, nil)
 	p := e.params
 	countSatisfied := 0
 	for res.Samples < p.MaxSamples && res.Outcome == Inconclusive {

@@ -7,13 +7,13 @@ import (
 )
 
 // Grid is the position of a built-in windowing function over k point
-// buffers: the one implementation of the time, count, session and
-// global windows. The batch windowers replay a fresh Grid over their
+// buffers: the one implementation of the point, time, count, session
+// and global windows. The batch windowers replay a fresh Grid over their
 // input (replay); the stream operator keeps one per key and feeds it
 // event by event. The grid holds coordinates only: the caller owns the
-// buffers, keeps them time-sorted (count windows: in arrival order) when
-// it calls Next, and decides when to Trim them. The methods take the
-// assigner by pointer, since the stream calls Admit per event.
+// buffers, keeps them time-sorted (point and count windows: in arrival
+// order) when it calls Next, and decides when to Trim them. The methods
+// take the assigner by pointer, since the stream calls Admit per event.
 type Grid struct {
 	// Origin anchors a time grid: its first admitted time, or an earlier
 	// one admitted before any window fired. Start is the next window's
@@ -25,7 +25,8 @@ type Grid struct {
 	// was emitted.
 	HasOrigin, Fired bool
 	// NextIdx is the absolute index of the next count window's first
-	// point in each input's full point sequence.
+	// point in each input's full point sequence, and the number of point
+	// tuples fired since the last Trim (0 after it).
 	NextIdx int
 	// SessStart and SessPrev are the open session's smallest and largest
 	// time, SessOpen whether one is open.
@@ -62,14 +63,14 @@ func (a WindowAssigner) places(t float64) bool {
 //     when at most Gap past its largest time. A time before its start is
 //     late, except within Gap of it while nothing has fired, when it
 //     becomes the start. A time further out makes the session due.
-//   - Count: every event is admitted; global: every event until the
-//     window fired.
+//   - Point and count: every event is admitted; global: every event
+//     until the window fired.
 func (g *Grid) Admit(a *WindowAssigner, t float64) bool {
 	if !a.places(t) {
 		return false
 	}
 	switch a.Kind {
-	case KindCount:
+	case KindPoint, KindCount:
 		return true
 	case KindGlobal:
 		return !g.Fired
@@ -103,9 +104,9 @@ func (g *Grid) Admit(a *WindowAssigner, t float64) bool {
 
 // Due reports whether Next may have a window to emit: a time window
 // whose end the watermark reached, a session the watermark left by
-// more than Gap, any count window (Next decides from the buffers), and
-// with final every window still open. It is the one test the stream
-// makes per event, and inlines.
+// more than Gap, any point or count window (Next decides from the
+// buffers), and with final every window still open. It is the one test
+// the stream makes per event, and inlines.
 func (g *Grid) Due(a *WindowAssigner, final bool) bool {
 	switch a.Kind {
 	case KindTumblingTime, KindSlidingTime:
@@ -113,20 +114,35 @@ func (g *Grid) Due(a *WindowAssigner, final bool) bool {
 	case KindSession:
 		return g.SessOpen && (final || g.Watermark-g.SessPrev > a.Gap)
 	}
-	return final || a.Kind == KindCount
+	return final || a.Kind == KindCount || a.Kind == KindPoint
 }
 
 // Next slices the next due window out of the buffers into slots (one
-// per buffer) and moves past it. It returns the tuple, its coordinate
-// (the start's bits for time and session windows, the absolute start
-// index for count windows, 0 for the global window) and whether a
-// window was due. drop[i] is the absolute index of bufs[i][0] (count
-// windows only). With final the time windows up to the
-// watermark, the open session and the global window are due too; a
-// partial count window never is. The caller sets the tuple's Index.
-func (g *Grid) Next(a *WindowAssigner, bufs []series.Series, drop []int, final bool, slots []series.Series) (tu WindowTuple, coord uint64, ok bool) {
-	var start, end float64
+// per buffer) and moves past it. It returns the window's bounds (a
+// WindowTuple's Start and End), its coordinate (the start's bits for
+// point, time and session windows, the absolute start index for count
+// windows, 0 for the global window) and whether a window was due. drop[i] is the absolute index of bufs[i][0] (count
+// windows only). A point tuple is each buffer's next unfired point,
+// aligned by index, and starts and ends at the first one's time. With
+// final the time windows up to the watermark, the open session and the
+// global window are due too; a partial count window or point tuple
+// never is. The bounds come back as plain values, not in a WindowTuple:
+// a returned struct that large costs the batch replay a store-forwarding
+// stall per window.
+func (g *Grid) Next(a *WindowAssigner, bufs []series.Series, drop []int, final bool, slots []series.Series) (start, end float64, coord uint64, ok bool) {
 	switch a.Kind {
+	case KindPoint:
+		// A point grid's position is NextIdx alone: it never sets Fired.
+		i := g.NextIdx
+		for j, b := range bufs {
+			if i >= len(b) {
+				return
+			}
+			slots[j] = b[i : i+1 : i+1]
+		}
+		g.NextIdx++
+		t := bufs[0][i].T
+		return t, t, math.Float64bits(t), true
 	case KindTumblingTime, KindSlidingTime:
 		start, end = g.Start, g.Start+a.Size
 		if !g.HasOrigin || start > g.Watermark || !final && end > g.Watermark {
@@ -185,18 +201,27 @@ func (g *Grid) Next(a *WindowAssigner, bufs []series.Series, drop []int, final b
 		return
 	}
 	g.Fired = true
-	return WindowTuple{Windows: slots, Start: start, End: end}, coord, true
+	return start, end, coord, true
 }
 
 // Trim drops from the buffers, in place, every point no window after
-// the grid's position can hold: points below the next time window's
-// start or the open session's start, count points below the next
-// window's index (advancing drop), and everything once the global window
-// or the last session has fired. Each buffer keeps its array.
+// the grid's position can hold: the fired point tuples, points below the
+// next time window's start or the open session's start, count points
+// below the next window's index (advancing drop), and everything once
+// the global window or the last session has fired. Each buffer keeps its
+// array. A point buffer left no longer than what fired moves its rest to
+// the front, copying no more points than fired, so inputs that keep pace
+// never leave their arrays; one running far ahead advances its slice
+// start instead.
 func (g *Grid) Trim(a *WindowAssigner, bufs []series.Series, drop []int) {
 	for i, b := range bufs {
 		var n int
 		switch a.Kind {
+		case KindPoint:
+			if n = g.NextIdx; len(b)-n > n {
+				bufs[i] = b[n:]
+				continue
+			}
 		case KindTumblingTime, KindSlidingTime:
 			n = b.At(g.Start)
 		case KindCount:
@@ -215,6 +240,9 @@ func (g *Grid) Trim(a *WindowAssigner, bufs []series.Series, drop []int) {
 		if n > 0 {
 			bufs[i] = b[:copy(b, b[n:])]
 		}
+	}
+	if a.Kind == KindPoint {
+		g.NextIdx = 0
 	}
 }
 
@@ -242,9 +270,11 @@ func span(ss []series.Series) (start, end float64) {
 // never trimmed, so every window aliases its input. The first and last
 // time of each series (of the driver alone for sessions) anchor the
 // grid and set its watermark; Next with final then emits every window.
-func replay(a WindowAssigner, ss []series.Series) []WindowTuple {
+// The tuples are appended to buf[:0], so a caller that recycles its
+// tuple buffer allocates only the windows' slots.
+func replay(a WindowAssigner, ss []series.Series, buf []WindowTuple) []WindowTuple {
 	if len(ss) == 0 || !a.valid() {
-		return nil
+		return buf[:0]
 	}
 	var g Grid
 	anchors := ss
@@ -257,20 +287,25 @@ func replay(a WindowAssigner, ss []series.Series) []WindowTuple {
 			g.Admit(&a, s[len(s)-1].T)
 		}
 	}
-	// The windows' slots come from shared chunks; full-capacity
-	// sub-slices keep tuples isolated.
-	var out []WindowTuple
+	// The windows' slots come from shared chunks, always fresh: results
+	// keep them past the tuple buffer's reuse. Full-capacity sub-slices
+	// keep tuples isolated.
+	out := buf[:0]
 	var flat []series.Series
 	drop := make([]int, len(ss))
 	for k := len(ss); ; flat = flat[k:] {
 		if len(flat) < k {
 			flat = make([]series.Series, 64*k)
 		}
-		tu, _, ok := g.Next(&a, ss, drop, true, flat[:k:k])
+		slots := flat[:k:k]
+		start, end, _, ok := g.Next(&a, ss, drop, true, slots)
 		if !ok {
 			return out
 		}
-		tu.Index = len(out)
-		out = append(out, tu)
+		// Fill the appended tuple in place: a tuple built aside and
+		// copied in stalls on store forwarding.
+		out = append(out, WindowTuple{})
+		tu := &out[len(out)-1]
+		tu.Windows, tu.Start, tu.End, tu.Index = slots, start, end, len(out)-1
 	}
 }

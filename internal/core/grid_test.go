@@ -23,7 +23,7 @@ func drain(t *testing.T, g *Grid, a *WindowAssigner, bufs []series.Series, drop 
 	t.Helper()
 	slots := make([]series.Series, len(bufs))
 	for {
-		tu, coord, ok := g.Next(a, bufs, drop, final, slots)
+		_, _, coord, ok := g.Next(a, bufs, drop, final, slots)
 		if !ok {
 			return coords, held
 		}
@@ -33,7 +33,7 @@ func drain(t *testing.T, g *Grid, a *WindowAssigner, bufs []series.Series, drop 
 			coords = append(coords, math.Float64frombits(coord))
 		}
 		var ts []float64
-		for _, p := range tu.Windows[0] {
+		for _, p := range slots[0] {
 			ts = append(ts, p.T)
 		}
 		held = append(held, ts)

@@ -245,11 +245,7 @@ func (g *PlanGroup) Evaluate(winSeed uint64, w WindowTuple, out []Result) GroupE
 		lane.r.Reseed(rng.Derive(winSeed, laneStream(lane.strat)))
 		rs := lane.rs
 		rs.Reseed(lane.r)
-		if w.Ext != nil {
-			rs.PrimeViews(w.Windows, w.Ext)
-		} else {
-			rs.Prime(w.Windows)
-		}
+		rs.PrimeViews(w.Windows, w.Ext)
 		ev.Primes++
 		if lane.strat == resample.Point && rs.PrimedAllCertain() {
 			// Every member's verdict is constant across samples: score the

@@ -106,7 +106,7 @@ func TestPlanGroupMemberInvariance(t *testing.T) {
 			lane := g1.lanes[0]
 			lane.r.Reseed(rng.Derive(winSeed, laneStream(lane.strat)))
 			lane.rs.Reseed(lane.r)
-			lane.rs.Prime(tu.Windows)
+			lane.rs.PrimeViews(tu.Windows, nil)
 			evL, viaLane := GroupEval{Primes: 1}, make([]Result, 1)
 			g1.evaluateLane(lane, lane.members, tu, viaLane, &evL)
 			if !sameResult(viaLane[0], solo[0]) || evL != ev1 {
@@ -404,7 +404,7 @@ func replayLane(g *PlanGroup, lane *groupLane, winSeed uint64, w WindowTuple) la
 	}
 	r.Reseed(rng.Derive(winSeed, laneStream(lane.strat)))
 	rs.Reseed(r)
-	rs.Prime(w.Windows)
+	rs.PrimeViews(w.Windows, nil)
 	n := len(lane.members)
 	rep := laneReplay{samples: make([]int, n), satisfied: make([]int, n), outcome: make([]Outcome, n), scored: make([]bool, n)}
 	chunk := blockChunk(w, maxS)

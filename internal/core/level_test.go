@@ -72,7 +72,7 @@ func levelSpecs(strat resample.Strategy) []Constraint {
 // primedLane returns a resampler of the strategy primed with the window.
 func primedLane(strat resample.Strategy, seed uint64, w series.Series) *resample.Resampler {
 	rs := resample.New(strat, rng.New(seed))
-	rs.Prime([]series.Series{w})
+	rs.PrimeViews([]series.Series{w}, nil)
 	return rs
 }
 
@@ -311,7 +311,7 @@ func TestCollapseOperatingCharacteristic(t *testing.T) {
 			samples[0] = append(samples[0], float64(out[0].Samples))
 			lane.r.Reseed(rng.Derive(winSeed, laneStream(lane.strat)))
 			lane.rs.Reseed(lane.r)
-			lane.rs.Prime(tu.Windows)
+			lane.rs.PrimeViews(tu.Windows, nil)
 			var mc Result
 			g.evaluateBlocks(&mc, &tc.cons, lane.rs, tu)
 			hist[1][mc.Outcome]++

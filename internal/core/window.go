@@ -45,38 +45,7 @@ type PointWindow struct{}
 
 // Windows implements Windower.
 func (w PointWindow) Windows(ss []series.Series) []WindowTuple {
-	return w.windowsInto(ss, nil)
-}
-
-func (PointWindow) windowsInto(ss []series.Series, buf []WindowTuple) []WindowTuple {
-	if len(ss) == 0 {
-		return nil
-	}
-	n := len(ss[0])
-	for _, s := range ss[1:] {
-		if len(s) < n {
-			n = len(s)
-		}
-	}
-	out := buf
-	if cap(out) < n {
-		out = make([]WindowTuple, n)
-	}
-	out = out[:n]
-	// One flat backing array for all n window slices instead of one
-	// allocation per tuple; full-capacity sub-slices keep tuples isolated.
-	// The backing array is always fresh — Results retain the window slices
-	// long after a pooled tuple buffer has been reused.
-	k := len(ss)
-	flat := make([]series.Series, n*k)
-	for i := 0; i < n; i++ {
-		ws := flat[i*k : (i+1)*k : (i+1)*k]
-		for j, s := range ss {
-			ws[j] = s[i : i+1]
-		}
-		out[i] = WindowTuple{Windows: ws, Start: ss[0][i].T, End: ss[0][i].T, Index: i}
-	}
-	return out
+	return replay(ClassifyWindow(w), ss, nil)
 }
 
 func (PointWindow) String() string { return "point" }
@@ -91,7 +60,7 @@ type TimeWindow struct {
 
 // Windows implements Windower.
 func (w TimeWindow) Windows(ss []series.Series) []WindowTuple {
-	return replay(ClassifyWindow(w), ss)
+	return replay(ClassifyWindow(w), ss, nil)
 }
 
 // String returns the window's text (FormatWindow): "time:<size>", with
@@ -114,7 +83,7 @@ type CountWindow struct {
 
 // Windows implements Windower.
 func (w CountWindow) Windows(ss []series.Series) []WindowTuple {
-	return replay(ClassifyWindow(w), ss)
+	return replay(ClassifyWindow(w), ss, nil)
 }
 
 // String returns the window's text (FormatWindow): "count:<size>", with
@@ -132,7 +101,7 @@ type GlobalWindow struct{}
 
 // Windows implements Windower.
 func (w GlobalWindow) Windows(ss []series.Series) []WindowTuple {
-	return replay(ClassifyWindow(w), ss)
+	return replay(ClassifyWindow(w), ss, nil)
 }
 
 func (GlobalWindow) String() string { return "global" }
@@ -150,7 +119,7 @@ type SessionWindow struct {
 
 // Windows implements Windower.
 func (w SessionWindow) Windows(ss []series.Series) []WindowTuple {
-	return replay(ClassifyWindow(w), ss)
+	return replay(ClassifyWindow(w), ss, nil)
 }
 
 // String returns the window's text (FormatWindow): "session:<gap>".

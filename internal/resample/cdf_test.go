@@ -32,7 +32,7 @@ func cdfIntervals() []Interval {
 
 func singlePoint(p series.Point) *Resampler {
 	rs := New(Point, rng.New(1))
-	rs.Prime([]series.Series{{p}})
+	rs.PrimeViews([]series.Series{{p}}, nil)
 	return rs
 }
 
@@ -93,7 +93,7 @@ func TestMissBoundsBracketMiss(t *testing.T) {
 			w[i].SigDown *= 3 * r.Float64()
 		}
 		rs := New(Set, rng.New(1))
-		rs.Prime([]series.Series{w})
+		rs.PrimeViews([]series.Series{w}, nil)
 		if !rs.WindowSafe(0) || !rs.MissBounds(0, &set, out) {
 			t.Fatalf("trial %d: window refused", trial)
 		}
@@ -111,7 +111,7 @@ func TestMissBoundsBracketMiss(t *testing.T) {
 	}
 	far := series.Series{{V: 50, SigUp: 2, SigDown: 1}, {V: 60}, {V: 40, SigUp: 1}}
 	rs := New(Point, rng.New(1))
-	rs.Prime([]series.Series{far})
+	rs.PrimeViews([]series.Series{far}, nil)
 	var one Intervals
 	one.Add(Interval{A: 0, B: 100})
 	if !rs.MissBounds(0, &one, out) || out[0] != (MissBound{}) {
@@ -119,7 +119,7 @@ func TestMissBoundsBracketMiss(t *testing.T) {
 	}
 	for _, bad := range []series.Point{{V: 50, SigUp: -1, SigDown: 1}, {V: 50, SigUp: 1, SigDown: -1}, {V: 50, SigUp: -2, SigDown: -2}} {
 		w := append(series.Series{bad}, far...)
-		rs.Prime([]series.Series{w})
+		rs.PrimeViews([]series.Series{w}, nil)
 		if rs.MissBounds(0, &one, out) {
 			t.Errorf("%v: negative uncertainty accepted", bad)
 		}
@@ -140,7 +140,7 @@ func BenchmarkMissBounds(b *testing.B) {
 			w[i] = series.Point{T: float64(i), V: 100 - kind.margin + 1.5*r.NormFloat64(), SigUp: 2, SigDown: 1}
 		}
 		rs := New(Point, rng.New(1))
-		rs.Prime([]series.Series{w})
+		rs.PrimeViews([]series.Series{w}, nil)
 		var set Intervals
 		set.Add(Interval{A: 0, B: 100})
 		out := make([]MissBound, 1)

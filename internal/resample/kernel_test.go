@@ -82,11 +82,7 @@ func windowFromBytes(data []byte) series.Series {
 func primedPair(strat Strategy, seed uint64, windows []series.Series, views []View) (kernel, scalar *Resampler) {
 	kernel = New(strat, rng.New(seed))
 	scalar = New(strat, rng.New(seed))
-	if views != nil {
-		kernel.PrimeViews(windows, views)
-	} else {
-		kernel.Prime(windows)
-	}
+	kernel.PrimeViews(windows, views)
 	return kernel, scalar
 }
 

@@ -28,7 +28,7 @@ func TestPrimedDrawMatchesUnprimed(t *testing.T) {
 		w := []series.Series{mixedWindow()}
 		primed := New(strat, rng.New(77))
 		plain := New(strat, rng.New(77))
-		primed.Prime(w)
+		primed.PrimeViews(w, nil)
 		for d := 0; d < 200; d++ {
 			got := primed.Draw(w)
 			want := plain.Draw(w)
@@ -50,7 +50,7 @@ func TestPrimedDrawMatchesUnprimed(t *testing.T) {
 func TestPrimeStaleMetadataIgnored(t *testing.T) {
 	rs := New(Point, rng.New(3))
 	a := series.Series{{T: 0, V: 1}, {T: 1, V: 2}}
-	rs.Prime([]series.Series{a})
+	rs.PrimeViews([]series.Series{a}, nil)
 	if !rs.PrimedAllCertain() {
 		t.Fatal("certain window not detected")
 	}
@@ -60,11 +60,11 @@ func TestPrimeStaleMetadataIgnored(t *testing.T) {
 	if out[0][0] != 9 || out[0][1] != 8 {
 		t.Errorf("stale metadata applied: got %v, want [9 8]", out[0])
 	}
-	// Same slice mutated in place under identical header: Prime must be
+	// Same slice mutated in place under identical header: PrimeViews must be
 	// called again by the owner; identity check alone cannot catch this.
-	rs.Prime([]series.Series{b})
+	rs.PrimeViews([]series.Series{b}, nil)
 	b[0].V = 42
-	rs.Prime([]series.Series{b})
+	rs.PrimeViews([]series.Series{b}, nil)
 	if out := rs.Draw([]series.Series{b}); out[0][0] != 42 {
 		t.Errorf("re-prime did not refresh values: got %v", out[0][0])
 	}

@@ -182,28 +182,21 @@ func (rs *Resampler) Reseed(parent *rng.Rand) {
 	parent.SplitInto(rs.r)
 }
 
-// Prime precomputes per-window metadata for a run of Draw calls over the
-// same windows (Alg. 1 draws the same tuple up to N times): certainty
-// flags, extracted values, and split-normal branch weights. Priming is
-// optional — Draw verifies slice identity and silently falls back to the
-// unprimed per-point path when the windows differ — but it turns
-// all-certain windows into plain copies and removes a per-point addition
-// from every uncertain draw.
-func (rs *Resampler) Prime(windows []series.Series) {
-	rs.sizeMeta(len(windows))
-	for wi, w := range windows {
-		rs.primeOwn(wi, w)
-	}
-}
-
-// PrimeViews primes the resampler from caller-held extractions:
-// views[wi] is used as the extraction of windows[wi] when it is valid for
-// that window's length, skipping the window's extraction pass. Invalid
-// (zero) views fall back to extracting from the raw points, so callers
-// can mix extracted and unextracted windows freely. The caller
-// guarantees a valid view was extracted from exactly the window's
-// points; the (ptr, n) identity guard still protects against Draw being
-// handed different windows afterwards.
+// PrimeViews precomputes per-window metadata for a run of Draw calls
+// over the same windows (Alg. 1 draws the same tuple up to N times):
+// certainty flags, extracted values, and split-normal branch weights.
+// Priming is optional — Draw verifies slice identity and silently falls
+// back to the unprimed per-point path when the windows differ — but it
+// turns all-certain windows into plain copies and removes a per-point
+// addition from every uncertain draw.
+//
+// views[wi], when valid for that window's length, is used as the
+// extraction of windows[wi], skipping the window's extraction pass; a
+// missing or zero view extracts from the raw points, so callers can mix
+// extracted and unextracted windows freely, and nil views extract every
+// window. The caller guarantees a valid view was extracted from exactly
+// the window's points; the (ptr, n) identity guard still protects
+// against Draw being handed different windows afterwards.
 func (rs *Resampler) PrimeViews(windows []series.Series, views []View) {
 	rs.sizeMeta(len(windows))
 	for wi, w := range windows {
@@ -224,10 +217,10 @@ func (rs *Resampler) sizeMeta(k int) {
 }
 
 // primeOwn extracts window slot wi into the resampler's own scratch
-// extraction, which is reused across Prime calls — an Evaluator walking
-// EvaluateAll windows re-extracts into the same buffers every time. The
-// owned extractions grow on demand so fully view-primed runs never touch
-// them.
+// extraction, which is reused across PrimeViews calls — an Evaluator
+// walking EvaluateAll windows re-extracts into the same buffers every
+// time. The owned extractions grow on demand so fully view-primed runs
+// never touch them.
 func (rs *Resampler) primeOwn(wi int, w series.Series) {
 	if wi >= len(rs.own) {
 		if wi >= cap(rs.own) {
@@ -254,9 +247,10 @@ func (m *winMeta) bind(w series.Series, x *Extraction) {
 	m.safe = x.safe()
 }
 
-// PrimedAllCertain reports whether every window passed to the last Prime
-// call is entirely certain — in which case a Point-strategy Draw returns
-// the raw values and consumes no randomness, so all draws are identical.
+// PrimedAllCertain reports whether every window passed to the last
+// PrimeViews call is entirely certain — in which case a Point-strategy
+// Draw returns the raw values and consumes no randomness, so all draws
+// are identical.
 func (rs *Resampler) PrimedAllCertain() bool {
 	for i := range rs.meta {
 		if rs.meta[i].uncertain() {

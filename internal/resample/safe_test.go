@@ -63,7 +63,7 @@ func TestExtractionSafe(t *testing.T) {
 // primedSafe primes a resampler with w and reports WindowSafe for it.
 func primedSafe(w series.Series) bool {
 	rs := New(Point, nil)
-	rs.Prime([]series.Series{w})
+	rs.PrimeViews([]series.Series{w}, nil)
 	return rs.WindowSafe(0)
 }
 

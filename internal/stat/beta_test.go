@@ -4,47 +4,17 @@ import (
 	"math"
 	"testing"
 	"testing/quick"
-
-	"sound/internal/rng"
 )
 
-func TestNewBetaValidation(t *testing.T) {
-	if _, err := NewBeta(0, 1); err == nil {
-		t.Error("alpha=0 accepted")
-	}
-	if _, err := NewBeta(1, -2); err == nil {
-		t.Error("negative beta accepted")
-	}
-	if _, err := NewBeta(math.NaN(), 1); err == nil {
-		t.Error("NaN alpha accepted")
-	}
-	if _, err := NewBeta(2, 3); err != nil {
-		t.Errorf("valid params rejected: %v", err)
-	}
-}
-
 func TestFlatPriorIsUniform(t *testing.T) {
-	d := FlatPrior()
+	d := Beta{Alpha: 1, Beta: 1}
 	if d.Mean() != 0.5 {
 		t.Errorf("mean = %v", d.Mean())
 	}
 	for _, x := range []float64{0.1, 0.5, 0.9} {
-		if !close(d.PDF(x), 1, 1e-12) {
-			t.Errorf("PDF(%v) = %v, want 1", x, d.PDF(x))
-		}
 		if !close(d.CDF(x), x, 1e-12) {
 			t.Errorf("CDF(%v) = %v, want %v", x, d.CDF(x), x)
 		}
-	}
-}
-
-func TestObservePosterior(t *testing.T) {
-	post := FlatPrior().Observe(7, 3)
-	if post.Alpha != 8 || post.Beta != 4 {
-		t.Errorf("posterior = %+v", post)
-	}
-	if !close(post.Mean(), 8.0/12.0, 1e-12) {
-		t.Errorf("posterior mean = %v", post.Mean())
 	}
 }
 
@@ -53,50 +23,10 @@ func TestBetaMoments(t *testing.T) {
 	if !close(d.Mean(), 0.25, 1e-12) {
 		t.Errorf("mean = %v", d.Mean())
 	}
-	want := 2.0 * 6.0 / (64 * 9)
-	if !close(d.Variance(), want, 1e-12) {
-		t.Errorf("variance = %v, want %v", d.Variance(), want)
-	}
-	if !close(d.Mode(), 1.0/6.0, 1e-12) {
-		t.Errorf("mode = %v", d.Mode())
-	}
-}
-
-func TestBetaPDFIntegratesToOne(t *testing.T) {
-	for _, d := range []Beta{{1, 1}, {2, 5}, {0.5, 0.5}, {10, 3}} {
-		const n = 20000
-		sum := 0.0
-		for i := 0; i < n; i++ {
-			x := (float64(i) + 0.5) / n
-			sum += d.PDF(x) / n
-		}
-		tol := 1e-3
-		if d.Alpha < 1 || d.Beta < 1 {
-			tol = 0.02 // integrable singularities at the edges
-		}
-		if !close(sum, 1, tol) {
-			t.Errorf("Beta(%v,%v) PDF integrates to %v", d.Alpha, d.Beta, sum)
-		}
-	}
-}
-
-func TestBetaPDFEdgeCases(t *testing.T) {
-	if got := (Beta{0.5, 2}).PDF(0); !math.IsInf(got, 1) {
-		t.Errorf("PDF(0) with alpha<1 = %v", got)
-	}
-	if got := (Beta{2, 2}).PDF(0); got != 0 {
-		t.Errorf("PDF(0) with alpha>1 = %v", got)
-	}
-	if got := (Beta{2, 2}).PDF(-0.1); got != 0 {
-		t.Errorf("PDF outside support = %v", got)
-	}
-	if got := (Beta{1, 3}).PDF(0); got != 3 {
-		t.Errorf("PDF(0) with alpha=1 = %v, want beta", got)
-	}
 }
 
 func TestCredibleIntervalProperties(t *testing.T) {
-	d := FlatPrior().Observe(80, 20)
+	d := Beta{Alpha: 81, Beta: 21}
 	lo95, hi95 := d.CredibleInterval(0.95)
 	lo99, hi99 := d.CredibleInterval(0.99)
 	if !(lo95 < d.Mean() && d.Mean() < hi95) {
@@ -114,7 +44,7 @@ func TestCredibleIntervalProperties(t *testing.T) {
 func TestCredibleIntervalQuickNesting(t *testing.T) {
 	// Property: for any posterior and c1 < c2, CI(c1) ⊆ CI(c2).
 	f := func(succ, fail uint8, c1, c2 float64) bool {
-		d := FlatPrior().Observe(int(succ), int(fail))
+		d := Beta{Alpha: 1 + float64(succ), Beta: 1 + float64(fail)}
 		a := math.Mod(math.Abs(c1), 0.98) + 0.01
 		b := math.Mod(math.Abs(c2), 0.98) + 0.01
 		if a > b {
@@ -130,7 +60,7 @@ func TestCredibleIntervalQuickNesting(t *testing.T) {
 }
 
 func TestCredibleIntervalDegenerateLevels(t *testing.T) {
-	d := FlatPrior().Observe(5, 5)
+	d := Beta{Alpha: 6, Beta: 6}
 	lo, hi := d.CredibleInterval(1)
 	if lo != 0 || hi != 1 {
 		t.Errorf("c=1 CI = [%v,%v]", lo, hi)
@@ -148,38 +78,5 @@ func TestBetaQuantileMatchesCDF(t *testing.T) {
 		if !close(d.CDF(x), p, 1e-9) {
 			t.Errorf("CDF(Quantile(%v)) = %v", p, d.CDF(x))
 		}
-	}
-}
-
-func TestBetaSampleMoments(t *testing.T) {
-	r := rng.New(123)
-	for _, d := range []Beta{{2, 5}, {0.5, 0.5}, {10, 10}} {
-		const n = 100000
-		var sum, sumSq float64
-		for i := 0; i < n; i++ {
-			x := d.Sample(r.Float64, r.NormFloat64)
-			if x < 0 || x > 1 {
-				t.Fatalf("Beta sample %v outside [0,1]", x)
-			}
-			sum += x
-			sumSq += x * x
-		}
-		mean := sum / n
-		variance := sumSq/n - mean*mean
-		if !close(mean, d.Mean(), 0.01) {
-			t.Errorf("Beta(%v,%v) sample mean = %v, want %v", d.Alpha, d.Beta, mean, d.Mean())
-		}
-		if !close(variance, d.Variance(), 0.01) {
-			t.Errorf("Beta(%v,%v) sample variance = %v, want %v", d.Alpha, d.Beta, variance, d.Variance())
-		}
-	}
-}
-
-func TestModeEdgeShapes(t *testing.T) {
-	if got := (Beta{0.5, 2}).Mode(); got != 0 {
-		t.Errorf("mode of Beta(0.5,2) = %v", got)
-	}
-	if got := (Beta{2, 0.5}).Mode(); got != 1 {
-		t.Errorf("mode of Beta(2,0.5) = %v", got)
 	}
 }

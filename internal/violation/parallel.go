@@ -16,8 +16,8 @@ import (
 // saturates the pool. Determinism needs no coordination because every
 // unit's random stream derives from (base seed, change point, window)
 // alone (see Analyzer): any worker may process any unit in any order and
-// the reports stay bit-identical to a sequential Explain pass, for every
-// worker count.
+// the reports are bit-identical for every worker count, Explain's one
+// worker included.
 
 // explainUnit addresses one unit of explanation work: input window j of
 // change point cp, or the whole-tuple E6 assessment when j == -1.
@@ -37,23 +37,27 @@ func ExplainAll(ctx context.Context, c core.Constraint, cps []ChangePoint, param
 	return explainAll(ctx, c, cps, base, workers)
 }
 
-// explainAll fans the (change point × window) units out over pooled
-// analyzers derived from base.
+// explainAll fans the (change point × window) units out over base and
+// pooled analyzers derived from it; with one worker it runs on base
+// alone, on the calling goroutine.
 func explainAll(ctx context.Context, c core.Constraint, cps []ChangePoint, base *Analyzer, workers int) ([]Report, error) {
 	reports := make([]Report, len(cps))
-	if len(cps) == 0 {
-		return reports, nil
-	}
-	perWindow := make([][][]Explanation, len(cps))
 	e6 := make([]bool, len(cps))
-	var units []explainUnit
+	n := 0
 	for i, cp := range cps {
-		k := len(cp.Neg.Windows)
-		perWindow[i] = make([][]Explanation, k)
-		if c.Orderedness.Ordered() {
+		reports[i] = Report{ChangePoint: cp, PerWindow: make([][]Explanation, len(cp.Neg.Windows))}
+		n += len(cp.Neg.Windows)
+	}
+	ordered := c.Orderedness.Ordered()
+	if ordered {
+		n += len(cps)
+	}
+	units := make([]explainUnit, 0, n)
+	for i, cp := range cps {
+		if ordered {
 			units = append(units, explainUnit{cp: i, j: -1})
 		}
-		for j := 0; j < k; j++ {
+		for j := range cp.Neg.Windows {
 			units = append(units, explainUnit{cp: i, j: j})
 		}
 	}
@@ -67,41 +71,50 @@ func explainAll(ctx context.Context, c core.Constraint, cps []ChangePoint, base 
 	if ctx != nil {
 		done = ctx.Done()
 	}
+	// Worker 0 runs on the caller with base itself, the others on
+	// goroutines with derived analyzers.
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		a := base
-		if w > 0 {
-			a = base.derive()
-		}
-		w := w
+	for w := 1; w < workers; w++ {
 		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for u := w; u < len(units); u += workers {
-				select {
-				case <-done:
-					return
-				default:
-				}
-				unit := units[u]
-				if unit.j < 0 {
-					// E6 is deterministic (no random stream): pure
-					// block-wise evaluation of the violated tuple.
-					e6[unit.cp] = E6Holds(c, cps[unit.cp].Neg)
-					continue
-				}
-				perWindow[unit.cp][unit.j] = a.explainWindow(c, cps[unit.cp], unit.j)
-			}
-		}()
+		go base.derive().explainUnits(&wg, c, reports, e6, units, w, workers, done)
 	}
+	base.explainUnits(nil, c, reports, e6, units, 0, workers, done)
 	wg.Wait()
 	if ctx != nil && ctx.Err() != nil {
 		return nil, ctx.Err()
 	}
-	for i, cp := range cps {
-		reports[i] = assembleReport(Report{ChangePoint: cp, PerWindow: perWindow[i]}, e6[i])
+	for i := range reports {
+		reports[i] = assembleReport(reports[i], e6[i])
 	}
 	return reports, nil
+}
+
+// explainUnits runs units[first], units[first+stride], … on the
+// analyzer: each window's explanations go into its report's PerWindow,
+// each E6 verdict into e6. It stops between units once done is closed,
+// and marks wg done, if given, when it returns. Its goroutines are
+// started on it directly, not on a closure, so that Explain's one
+// worker moves none of explainAll's locals to the heap.
+func (a *Analyzer) explainUnits(wg *sync.WaitGroup, c core.Constraint, reports []Report, e6 []bool, units []explainUnit, first, stride int, done <-chan struct{}) {
+	if wg != nil {
+		defer wg.Done()
+	}
+	for u := first; u < len(units); u += stride {
+		select {
+		case <-done:
+			return
+		default:
+		}
+		unit := units[u]
+		cp := &reports[unit.cp].ChangePoint
+		if unit.j < 0 {
+			// E6 is deterministic (no random stream): pure block-wise
+			// evaluation of the violated tuple.
+			e6[unit.cp] = E6Holds(c, cp.Neg)
+			continue
+		}
+		reports[unit.cp].PerWindow[unit.j] = a.explainWindow(c, *cp, unit.j)
+	}
 }
 
 // SummarizeParallel is the violation analysis of a result sequence with

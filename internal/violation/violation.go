@@ -198,19 +198,12 @@ func (a *Analyzer) reseedWindow(cp ChangePoint, j int) {
 
 // Explain assesses the explanations E2–E6 for each of the k input
 // windows of the change point and falls back to E1 when none applies
-// (paper §V-B). The constraint must be the one the check evaluates.
+// (paper §V-B). The constraint must be the one the check evaluates. It
+// is explainAll over the one change point, on this analyzer alone.
 func (a *Analyzer) Explain(c core.Constraint, cp ChangePoint) Report {
-	rep := Report{ChangePoint: cp}
-	k := len(cp.Neg.Windows)
-	rep.PerWindow = make([][]Explanation, k)
-
-	// E6 concerns the whole check, not a single input window: the
-	// violated tuple is spurious if φ holds on every resampling block.
-	e6 := c.Orderedness.Ordered() && a.checkE6(c, cp.Neg)
-	for j := 0; j < k; j++ {
-		rep.PerWindow[j] = a.explainWindow(c, cp, j)
-	}
-	return assembleReport(rep, e6)
+	// Without a context explainAll cannot fail.
+	reps, _ := explainAll(nil, c, []ChangePoint{cp}, a, 1)
+	return reps[0]
 }
 
 // explainWindow assesses E2–E5 for input window j of the change point
@@ -235,9 +228,8 @@ func (a *Analyzer) explainWindow(c core.Constraint, cp ChangePoint, j int) []Exp
 }
 
 // assembleReport fills a report's Explanations from its PerWindow slices
-// and the E6 verdict, applying Eq. 1's E1 fallback. The aggregation is
-// shared by the sequential and parallel paths so their reports cannot
-// diverge.
+// and the E6 verdict (E6 concerns the whole check, not a single input
+// window), applying Eq. 1's E1 fallback.
 func assembleReport(rep Report, e6 bool) Report {
 	var confirmed [7]bool
 	confirmed[E6ResamplingFalsePositive] = e6
@@ -383,11 +375,6 @@ func scaleToReference(w, ref series.Series) series.Series {
 		fDown = ref.MeanRelUncertaintyDir(false) / d
 	}
 	return w.ScaleUncertainty(fUp, fDown)
-}
-
-// checkE6 delegates to E6Holds.
-func (a *Analyzer) checkE6(c core.Constraint, neg core.WindowTuple) bool {
-	return E6Holds(c, neg)
 }
 
 // E6Holds tests the resampling-false-positive condition: the violation is
