@@ -47,10 +47,11 @@ bench-smoke:
 # snapshot codec (corrupt checkpoints must error, never panic, and
 # valid ones must re-encode bit-identically), the Mux operator's
 # restore (arbitrary payloads never panic DecodeOperator, and an
-# accepted one re-encodes to its own bytes), batch↔stream window parity
-# for every built-in window, point windows included (one key's
-# disordered and hostile event times through a Mux operator give the
-# batch windower's windows over the events it accepted), the template
+# accepted one re-encodes to its own bytes), batch↔stream parity of
+# windows and verdicts for every built-in window, point windows included
+# (one key's disordered and hostile event times through a Mux operator
+# give the batch windower's windows over the events it accepted, and
+# its SOUND members CheckPlan.Run's verdicts over them), the template
 # evaluation
 # against its reference closure (referenceFn) run as a user constraint,
 # the shared-lane/per-check scoring parity, the

@@ -8,25 +8,22 @@ import (
 
 // Deterministic state lifecycle (DESIGN.md §4i): bounded-memory keyed
 // state for long-running stream checks, and bit-identical
-// checkpoint/restore for both the batch Suite and the online operator.
+// checkpoint/restore for the online operator. A batch run needs no
+// snapshot: every window's draws are seeded from the window itself, so
+// re-running a check reproduces its results, and `soundcheck -stream
+// -checkpoint` is the one resume path.
 //
-// Batch flow:
-//
-//	snap, _ := suite.Checkpoint(params, seed, partial)   // Suite method
-//	params, seed, done, _ := sound.RestoreSuite(suite, snap)
-//	results, _ := suite.RunFrom(ctx, params, seed, done) // finishes the rest
-//
-// Stream flow: whoever drives a Mux operator snapshots it between two
-// calls — EncodeOperator writes each bucket's identity (its group class
-// and each member's name, naive flag and constraint bounds), watermark
-// and window groups, the caller's StreamOutcomes.EncodeTo its counters — and
-// DecodeOperator loads the state into a fresh operator of a Mux with the
-// same registrations, which then resumes the stream bit-identically (see
-// cmd/soundcheck -checkpoint / -restore for a complete wiring). A stream
-// snapshot holds no RNG position, because every window's draws are
-// reseeded from the window's own coordinate, and no resampling
-// extraction, which the restore rebuilds from the buffered points (codec
-// version 5 — older snapshots are refused).
+// Whoever drives a Mux operator snapshots it between two calls —
+// EncodeOperator writes each bucket's identity (its group class and
+// each member's name, naive flag and template text), and per window
+// group its grid position and buffered points, the caller's
+// StreamOutcomes.EncodeTo its counters — and DecodeOperator loads the
+// state into a fresh operator of a Mux with the same registrations,
+// which then resumes the stream bit-identically (see cmd/soundcheck
+// -checkpoint / -restore for a complete wiring). A snapshot holds no RNG
+// position, because every window's draws are reseeded from the window's
+// own coordinate, and no resampling extraction, which is rebuilt when a
+// window is evaluated (codec version 6 — older snapshots are refused).
 
 // EvictionPolicy bounds the keyed window state of a stream check
 // operator: idle-TTL sweeps driven by the event-time watermark and a
@@ -68,12 +65,4 @@ func EncodeOperator(p stream.Processor, enc *checkpoint.Encoder) error {
 // bounds), and on an operator that has already seen events.
 func DecodeOperator(p stream.Processor, dec *checkpoint.Decoder) error {
 	return checker.DecodeOperator(p, dec)
-}
-
-// RestoreSuite loads a Suite.Checkpoint document, returning the
-// serialized parameters, seed, and completed results (windows
-// regenerated from the pipeline). Completing the run with
-// Suite.RunFrom is bit-identical to an uninterrupted run.
-func RestoreSuite(s *Suite, data []byte) (Params, uint64, map[string][]Result, error) {
-	return checker.RestoreSuite(s, data)
 }

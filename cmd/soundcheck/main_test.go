@@ -341,8 +341,10 @@ var fixture = filepath.Join("..", "..", "testdata", "gapped_borderline.csv")
 // ones the earlier six-flag form (-constraint -min -max -threshold
 // -window -seed) printed for the same checks. A resume case also runs a
 // -checkpoint leg (every 30 events: the fixture is shorter than the
-// examples' 1000) and a -restore leg, which print the same. Batch and
-// stream draw from different seeds, so their counts may differ.
+// examples' 1000) and a -restore leg, which print the same. Every case
+// also runs in the other mode (-stream added, or dropped), which must
+// print the same counts line: batch seeds each window as the stream
+// does. -explain, which needs batch, is left out of its stream twin.
 func TestPinnedExamples(t *testing.T) {
 	const fraction = "fraction;min=0;max=13;threshold=0.8;window=time:12:5"
 	for _, tc := range []struct {
@@ -359,11 +361,11 @@ func TestPinnedExamples(t *testing.T) {
 		{[]string{"-check", "range;min=0;max=1", "-naive"}, 1, false, "range: 40 windows — ⊤ 0, ⊥ 40, ⊣ 0\n", 2},
 		{[]string{"-check", "range;min=0;max=1", "-naive", "-stream"}, 1, false, "range: 40 windows — ⊤ 0, ⊥ 40, ⊣ 0\n", 2},
 		{[]string{"-check", "gt;threshold=10;window=time:20", "-explain"}, 1, false,
-			"gt: 6 windows — ⊤ 3, ⊥ 3, ⊣ 0\n" +
-				"check gt: ⊤ 3  ⊥ 3  ⊣ 0  — 4 change point(s)\n" +
-				"  E1 (difference in data values): 4\n", 2},
+			"gt: 6 windows — ⊤ 2, ⊥ 3, ⊣ 1\n" +
+				"check gt: ⊤ 2  ⊥ 3  ⊣ 1  — 3 change point(s)\n" +
+				"  E1 (difference in data values): 3\n", 2},
 		{[]string{"-check", "range;min=0;max=800;window=time:60", "-stream"}, 1, false, "range: 2 windows — ⊤ 2, ⊥ 0, ⊣ 0\n", 0},
-		{[]string{"-check", fraction}, 1, false, "fraction: 23 windows — ⊤ 3, ⊥ 12, ⊣ 8\n", 2},
+		{[]string{"-check", fraction}, 1, false, "fraction: 23 windows — ⊤ 2, ⊥ 13, ⊣ 8\n", 2},
 		{[]string{"-check", fraction, "-naive", "-stream"}, 1, false, "fraction: 23 windows — ⊤ 3, ⊥ 12, ⊣ 8\n", 2},
 		{[]string{"-check", fraction, "-stream"}, 1, true, "fraction: 23 windows — ⊤ 2, ⊥ 13, ⊣ 8\n", 2},
 		{[]string{"-check", "range;min=0;max=100;window=time:12:5;seed=9", "-stream"}, 1, true, "range: 23 windows — ⊤ 15, ⊥ 0, ⊣ 8\n", 0},
@@ -383,6 +385,14 @@ func TestPinnedExamples(t *testing.T) {
 			if code, out, errOut := runTool(t, leg...); code != tc.code || out != tc.want {
 				t.Errorf("%v: exit %d, stdout %q, stderr %q; want exit %d, %q", leg, code, out, errOut, tc.code, tc.want)
 			}
+		}
+		twin := slices.DeleteFunc(slices.Clone(args), func(a string) bool { return a == "-stream" || a == "-explain" })
+		if !slices.Contains(args, "-stream") {
+			twin = append([]string{"-stream"}, twin...)
+		}
+		line, _, _ := strings.Cut(tc.want, "\n")
+		if code, out, errOut := runTool(t, twin...); code != tc.code || out != line+"\n" {
+			t.Errorf("%v: exit %d, stdout %q, stderr %q; want exit %d, %q, as %v prints", twin, code, out, errOut, tc.code, line+"\n", args)
 		}
 	}
 }

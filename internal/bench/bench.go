@@ -6,6 +6,7 @@ package bench
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"io"
 	"math"
@@ -170,19 +171,25 @@ func EvaluateSequenceCheck(b *testing.B) {
 	}
 }
 
-// EvaluateAllParallel measures the pooled-evaluator parallel path over
-// 500 uncertain point windows; allocs/op tracks the O(workers) pooling
-// claim.
+// EvaluateAllParallel measures the parallel batch path over 500
+// uncertain point windows, compiling the check and running it at
+// GOMAXPROCS workers; allocs/op tracks that a worker's PlanGroup is built
+// once, not per window.
 func EvaluateAllParallel(b *testing.B) {
 	s := make(sound.Series, 500)
 	for i := range s {
 		s[i] = sound.Point{T: float64(i), V: 10, SigUp: 1, SigDown: 1}
 	}
+	check := sound.Check{Name: "gt", Constraint: sound.GreaterThan(5), SeriesNames: []string{"s"}, Window: sound.PointWindow{}}
 	params := sound.Params{Credibility: 0.95, MaxSamples: 100}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := sound.EvaluateAllParallel(sound.GreaterThan(5), sound.PointWindow{}, []sound.Series{s}, params, 1, 0); err != nil {
+		pl, err := sound.CompilePlan(check, params, 1)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := pl.RunParallel(context.Background(), []sound.Series{s}, 0); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -830,6 +837,9 @@ func AblationBlockBootstrap(b *testing.B, block bool) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		// A batch window is seeded from the window itself: each iteration
+		// takes its own seed, so it is an independent realization.
+		eval.Reseed(2 + uint64(i))
 		results, err := check.Run(eval, []sound.Series{data})
 		if err != nil {
 			b.Fatal(err)
@@ -865,6 +875,9 @@ func AblationDecisionRule(b *testing.B, credibility float64) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		// A batch window is seeded from the window itself: each iteration
+		// takes its own seed, so it is an independent realization.
+		eval.Reseed(3 + uint64(i))
 		results, err := check.Run(eval, []sound.Series{borderline})
 		if err != nil {
 			b.Fatal(err)

@@ -75,17 +75,16 @@ func (s *Suite) Run(params core.Params, seed uint64) (map[string][]core.Result, 
 	return s.RunContext(context.Background(), params, seed)
 }
 
-// RunContext is Run honoring ctx between checks: a cancelled context
+// RunContext is Run honoring ctx between windows: a cancelled context
 // stops the suite and returns ctx.Err().
 func (s *Suite) RunContext(ctx context.Context, params core.Params, seed uint64) (map[string][]core.Result, error) {
-	return s.RunFrom(ctx, params, seed, nil)
+	return s.RunParallelContext(ctx, params, seed, 1)
 }
 
 // RunParallel evaluates every check with SOUND using a worker pool for
-// the window evaluations (workers <= 0 selects GOMAXPROCS). Outcomes are
-// deterministic for a fixed (params, seed) and independent of the worker
-// count, but use different random streams than Run, so the two are not
-// bit-identical to each other.
+// the window evaluations (workers <= 0 selects GOMAXPROCS). Every window
+// is seeded from the window itself (core.CheckPlan.RunParallel), so the
+// results equal Run's at any worker count.
 func (s *Suite) RunParallel(params core.Params, seed uint64, workers int) (map[string][]core.Result, error) {
 	return s.RunParallelContext(context.Background(), params, seed, workers)
 }

@@ -1,19 +1,16 @@
 package checker
 
 import (
-	"context"
 	"fmt"
 
 	"sound/internal/checkpoint"
-	"sound/internal/core"
 	"sound/internal/series"
 	"sound/internal/stream"
 )
 
 // This file is the checker's half of the deterministic state lifecycle
 // (DESIGN.md §4i): the codec of one Mux operator's state, written and
-// read by the loop that drives the operator, and the batch Suite's
-// checkpoint/resume. The invariant everywhere is bit parity: a restored
+// read by the loop that drives the operator. The invariant is bit parity: a restored
 // run must produce the byte-identical outcome sequence an uninterrupted
 // run produces, which is why the codec carries exact float bits and the
 // LRU order instead of approximations that would merely "look right" —
@@ -313,168 +310,4 @@ func (g *groupState) decodeFrom(dec *checkpoint.Decoder, arity int) error {
 	g.grid.SessPrev = dec.F64()
 	g.grid.SessOpen = dec.Bool()
 	return dec.Err()
-}
-
-// ---------------------------------------------------------------------
-// Batch suite checkpointing.
-//
-// A batch Suite run is a sequence of independently seeded checks (check
-// i always draws stream seed + i·0x9e37, see compile), so its resumable
-// state is simply "which checks finished, with which results". Windows
-// are not serialized: they are pure functions of the pipeline, and
-// RestoreSuite regenerates them, validating the count so a checkpoint
-// from a different pipeline or check list fails loudly instead of
-// misattributing results.
-
-// Checkpoint serializes suite progress: the evaluation parameters, the
-// base seed, and the completed checks' results (a subset of the suite's
-// checks, e.g. the partial output of an interrupted run).
-func (s *Suite) Checkpoint(params core.Params, seed uint64, done map[string][]core.Result) ([]byte, error) {
-	if err := s.checkNames(); err != nil {
-		return nil, err
-	}
-	known := make(map[string]bool, len(s.Checks))
-	for _, ck := range s.Checks {
-		known[ck.Name] = true
-	}
-	for name := range done {
-		if !known[name] {
-			return nil, fmt.Errorf("checker: checkpoint has results for unknown check %q", name)
-		}
-	}
-	enc := checkpoint.NewEncoder()
-	enc.F64(params.Credibility)
-	enc.Int(params.MaxSamples)
-	enc.F64(params.PriorAlpha)
-	enc.F64(params.PriorBeta)
-	enc.Int(params.CheckInterval)
-	enc.Int(params.MinSamples)
-	enc.Int(params.BlockSize)
-	enc.U64(seed)
-	// Completed checks in suite order, so the document is deterministic.
-	names := make([]string, 0, len(done))
-	for _, ck := range s.Checks {
-		if _, ok := done[ck.Name]; ok {
-			names = append(names, ck.Name)
-		}
-	}
-	enc.Int(len(names))
-	for _, name := range names {
-		enc.String(name)
-		rs := done[name]
-		enc.Int(len(rs))
-		for _, r := range rs {
-			enc.Int(int(r.Outcome))
-			enc.Int(r.Samples)
-			enc.Int(r.SatisfiedCount)
-			enc.F64(r.ViolationProb)
-			enc.F64(r.Lower)
-			enc.F64(r.Upper)
-			enc.Int(r.Window.Index)
-		}
-	}
-	return enc.Finish(), nil
-}
-
-// RestoreSuite loads a Checkpoint document against the suite,
-// regenerating each completed check's window tuples from the pipeline
-// and re-attaching them to the serialized results by index.
-func RestoreSuite(s *Suite, data []byte) (core.Params, uint64, map[string][]core.Result, error) {
-	var params core.Params
-	dec, err := checkpoint.NewDecoder(data)
-	if err != nil {
-		return params, 0, nil, err
-	}
-	params.Credibility = dec.F64()
-	params.MaxSamples = dec.Int()
-	params.PriorAlpha = dec.F64()
-	params.PriorBeta = dec.F64()
-	params.CheckInterval = dec.Int()
-	params.MinSamples = dec.Int()
-	params.BlockSize = dec.Int()
-	seed := dec.U64()
-	checks := make(map[string]core.Check, len(s.Checks))
-	for _, ck := range s.Checks {
-		checks[ck.Name] = ck
-	}
-	n := dec.Int()
-	if err := dec.Err(); err != nil {
-		return params, 0, nil, err
-	}
-	done := make(map[string][]core.Result, n)
-	for i := 0; i < n; i++ {
-		name := dec.String()
-		ck, ok := checks[name]
-		if !ok {
-			return params, 0, nil, fmt.Errorf("checker: checkpoint has results for unknown check %q", name)
-		}
-		ss, err := s.resolve(ck)
-		if err != nil {
-			return params, 0, nil, err
-		}
-		tuples := ck.Window.Windows(ss)
-		m := dec.Int()
-		if err := dec.Err(); err != nil {
-			return params, 0, nil, err
-		}
-		if m != len(tuples) {
-			return params, 0, nil, fmt.Errorf("checker: check %q has %d windows in the checkpoint but %d in the pipeline — data or check definition changed since the snapshot", name, m, len(tuples))
-		}
-		rs := make([]core.Result, m)
-		for j := 0; j < m; j++ {
-			rs[j] = core.Result{
-				Outcome:        core.Outcome(dec.Int()),
-				Samples:        dec.Int(),
-				SatisfiedCount: dec.Int(),
-				ViolationProb:  dec.F64(),
-				Lower:          dec.F64(),
-				Upper:          dec.F64(),
-			}
-			idx := dec.Int()
-			if dec.Err() == nil {
-				if idx < 0 || idx >= len(tuples) {
-					return params, 0, nil, fmt.Errorf("checker: check %q result %d references window %d of %d", name, j, idx, len(tuples))
-				}
-				rs[j].Window = tuples[idx]
-			}
-		}
-		done[name] = rs
-	}
-	if err := dec.Err(); err != nil {
-		return params, 0, nil, err
-	}
-	return params, seed, done, nil
-}
-
-// RunFrom completes a partially evaluated suite: checks present in done
-// are adopted as-is, the rest run with their compile-time seeds. Since
-// check i's seed depends only on (seed, i), the combined result map is
-// bit-identical to an uninterrupted RunContext with the same arguments
-// (which is RunFrom with nothing done).
-func (s *Suite) RunFrom(ctx context.Context, params core.Params, seed uint64, done map[string][]core.Result) (map[string][]core.Result, error) {
-	plans, err := s.compile(params, seed)
-	if err != nil {
-		return nil, err
-	}
-	out := make(map[string][]core.Result, len(plans))
-	for _, pl := range plans {
-		name := pl.Check().Name
-		if rs, ok := done[name]; ok {
-			out[name] = rs
-			continue
-		}
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		ss, err := s.resolve(pl.Check())
-		if err != nil {
-			return nil, err
-		}
-		rs, err := pl.Run(ss)
-		if err != nil {
-			return nil, err
-		}
-		out[name] = rs
-	}
-	return out, nil
 }

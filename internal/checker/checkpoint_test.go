@@ -2,12 +2,10 @@ package checker
 
 import (
 	"bytes"
-	"context"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
 	"math"
-	"reflect"
 	"slices"
 	"strings"
 	"testing"
@@ -490,75 +488,4 @@ func FuzzOperatorRestore(f *testing.F) {
 			}
 		}
 	})
-}
-
-// TestSuiteCheckpointResume: interrupt a batch suite after its first
-// check, checkpoint the partial results, restore, and finish with
-// RunFrom — the combined map must be deeply identical to an
-// uninterrupted run, including the regenerated window tuples.
-func TestSuiteCheckpointResume(t *testing.T) {
-	s := buildSuite(t)
-	params := core.DefaultParams()
-	const seed = 42
-	full, err := s.Run(params, seed)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// "Interrupted" after the first check only.
-	first := s.Checks[0].Name
-	partial := map[string][]core.Result{first: full[first]}
-	snap, err := s.Checkpoint(params, seed, partial)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	gotParams, gotSeed, done, err := RestoreSuite(s, snap)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if gotSeed != seed {
-		t.Errorf("restored seed = %d, want %d", gotSeed, seed)
-	}
-	if !reflect.DeepEqual(gotParams, params) {
-		t.Errorf("restored params = %+v, want %+v", gotParams, params)
-	}
-	if !reflect.DeepEqual(done, partial) {
-		t.Error("restored results differ from the checkpointed partial map")
-	}
-	resumed, err := s.RunFrom(context.Background(), gotParams, gotSeed, done)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(resumed, full) {
-		t.Error("resumed suite differs from uninterrupted run")
-	}
-}
-
-// TestSuiteCheckpointValidation covers the loud-failure paths: results
-// for a check the suite does not know, and a checkpoint whose window
-// count no longer matches the pipeline.
-func TestSuiteCheckpointValidation(t *testing.T) {
-	s := buildSuite(t)
-	params := core.DefaultParams()
-	full, err := s.Run(params, 42)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	if _, err := s.Checkpoint(params, 42, map[string][]core.Result{"ghost": nil}); err == nil || !strings.Contains(err.Error(), "unknown check") {
-		t.Errorf("unknown-check checkpoint: err = %v", err)
-	}
-
-	second := s.Checks[1].Name
-	snap, err := s.Checkpoint(params, 42, map[string][]core.Result{second: full[second]})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Change the windowing of the completed check: the regenerated tuple
-	// count no longer matches and the restore must refuse.
-	s.Checks[1].Window = core.TimeWindow{Size: 25}
-	if _, _, _, err := RestoreSuite(s, snap); err == nil || !strings.Contains(err.Error(), "windows") {
-		t.Errorf("window-count mismatch: err = %v", err)
-	}
 }

@@ -28,11 +28,14 @@ func placeable(a core.WindowAssigner, t float64) bool {
 }
 
 // replayWindows hands one key's events, arriving at the given times
-// (event i carries value i, its arrival index), one at a time to a Mux
-// operator whose one naive member records every window it scores, then
-// flushes. It checks the operator's windows against the batch windower
-// over the events the operator accepted, and returns the window count
-// and the operator's DroppedLate.
+// (event i carries value i, its arrival index, with error bars 2 up and
+// 1 down), one at a time to a Mux operator, then flushes. The operator
+// hosts a naive member that records every window it scores and, in a
+// second bucket on the tag route soundcheck -stream uses, two SOUND
+// members. It checks the operator's windows against the batch windower
+// over the events the operator accepted, and each SOUND verdict against
+// CheckPlan.Run's over them: batch seeds every window as the stream does.
+// It returns the window count and the naive bucket's DroppedLate.
 //
 // The accepted events are the ones a window held — every time window
 // with Slide ≤ Size tiles its span, and sessions, point windows and the
@@ -61,7 +64,7 @@ func replayWindows(t testing.TB, win core.Windower, arrivals []float64) (windows
 		}}
 	asg := core.ClassifyWindow(win)
 	out := &StreamOutcomes{}
-	op, _ := loneOp(t, EvictionPolicy{}, MuxCheck{
+	x := loneMux(t, false, EvictionPolicy{}, MuxCheck{
 		Check: core.Check{Name: "ids", Constraint: cons, SeriesNames: []string{"s"}, Window: win},
 		Naive: true, Out: out,
 		OnOutcome: func(_ string, o core.Outcome) {
@@ -69,9 +72,27 @@ func replayWindows(t testing.TB, win core.Windower, arrivals []float64) (windows
 			firedAt = append(firedAt, arrived)
 		},
 	})
+	// The SOUND members: a level template, decided from its closed form,
+	// and one that draws rows, borderline on the middle arrivals.
+	soundChecks := []core.Check{
+		{Name: "gt", Constraint: core.GreaterThan(float64(len(arrivals)) / 2), SeriesNames: []string{"s"}, Window: win},
+		{Name: "delta", Constraint: core.MaxDelta(3), SeriesNames: []string{"s"}, Window: win},
+	}
+	soundParams := core.Params{MaxSamples: 30}
+	soundTrace := make([][]core.Outcome, len(soundChecks))
+	for i, ck := range soundChecks {
+		if err := x.Register(MuxCheck{
+			Name: ck.Name, Check: ck, Params: soundParams, Seed: 3,
+			Route: ByInputKeys("k"), RouteID: "tags",
+			OnOutcome: func(_ string, o core.Outcome) { soundTrace[i] = append(soundTrace[i], o) },
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	op := x.Factory()()
 	for i, ts := range arrivals {
 		arrived = i + 1
-		op.Process(stream.Event{Time: ts, Key: "k", Value: float64(i)}, discardEmit)
+		op.Process(stream.Event{Time: ts, Key: "k", Value: float64(i), SigUp: 2, SigDown: 1}, discardEmit)
 	}
 	op.Flush(discardEmit)
 	record = false
@@ -86,7 +107,7 @@ func replayWindows(t testing.TB, win core.Windower, arrivals []float64) (windows
 	var acc series.Series // in arrival order
 	for i, ts := range arrivals {
 		if held[i] || asg.Kind == core.KindCount {
-			acc = append(acc, series.Point{T: ts, V: float64(i)})
+			acc = append(acc, series.Point{T: ts, V: float64(i), SigUp: 2, SigDown: 1})
 		}
 	}
 	if len(acc)+dropped != len(arrivals) {
@@ -145,6 +166,23 @@ func replayWindows(t testing.TB, win core.Windower, arrivals []float64) (windows
 	if !lacked {
 		if batch := core.EvaluateAllNaive(cons, win, ss); !slices.Equal(trace, batch) {
 			t.Fatalf("%v: stream outcomes %v, batch over the accepted events %v", win, trace, batch)
+		}
+		for i, ck := range soundChecks {
+			pl, err := core.CompilePlan(ck, soundParams, 3)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rs, err := pl.Run(ss)
+			if err != nil {
+				t.Fatal(err)
+			}
+			batch := make([]core.Outcome, len(rs))
+			for k, r := range rs {
+				batch[k] = r.Outcome
+			}
+			if !slices.Equal(soundTrace[i], batch) {
+				t.Fatalf("%v %s: stream verdicts %v, CheckPlan.Run over the accepted events %v", win, ck.Name, soundTrace[i], batch)
+			}
 		}
 	}
 	return len(trace), dropped

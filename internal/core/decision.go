@@ -158,8 +158,8 @@ func (b *decisionBounds) nextDecision(cs, i, minS, ci, maxS int) int {
 }
 
 // The boundary table depends only on (prior, credibility, N), so it is
-// shared process-wide: sequential evaluators, EvaluateAllParallel
-// workers, and stream checkers with the same Params all reuse one table.
+// shared process-wide: evaluators, batch workers and stream checkers
+// with the same Params all reuse one table.
 type boundsKey struct {
 	alpha, beta, cred float64
 	maxSamples        int
@@ -212,4 +212,62 @@ func newDecisionBounds(p Params) *decisionBounds {
 	// thresholds.
 	b.exhaustCI = make([]lazyCI, b.acceptAt[n]-b.rejectAt[n]-1)
 	return b
+}
+
+// oc returns Alg. 1's exact operating characteristic on a window whose
+// samples each satisfy the constraint independently with probability p:
+// the probabilities of ⊤, ⊥ and ⊣ and the expected number of samples
+// drawn. It is one forward pass over (samples n, satisfied k): each step
+// moves mass to (n, k+1) with weight p and to (n, k) with weight 1 − p,
+// then absorbs every cell decide concludes at — the schedule is decide's
+// own, never restated — and what is left after sample maxS is ⊣.
+func (b *decisionBounds) oc(p float64, minS, ci, maxS int) (sat, viol, inc, samples float64) {
+	mass := make([]float64, maxS+1)
+	mass[0] = 1
+	for n := 1; n <= maxS; n++ {
+		for k := n; k >= 0; k-- {
+			m := (1 - p) * mass[k]
+			if k > 0 {
+				m += p * mass[k-1]
+			}
+			mass[k] = m
+		}
+		for k := 0; k <= n; k++ {
+			switch b.decide(k, n, minS, ci, maxS) {
+			case Satisfied:
+				sat += mass[k]
+			case Violated:
+				viol += mass[k]
+			default:
+				continue
+			}
+			samples += float64(n) * mass[k]
+			mass[k] = 0
+		}
+	}
+	for _, m := range mass {
+		inc += m
+	}
+	return sat, viol, inc, samples + float64(maxS)*inc
+}
+
+// OutcomeLaw is the exact law of one Alg. 1 run: the probability of each
+// outcome and the expected number of samples drawn.
+type OutcomeLaw struct {
+	Satisfied, Violated, Inconclusive float64
+	Samples                           float64
+}
+
+// OperatingCharacteristic returns the exact OutcomeLaw of Alg. 1 under
+// params (normalized first) on a window whose sample bits are independent
+// Bernoulli(p): the law every evaluation path — drawn rows or a collapsed
+// closed form — realizes on such a window.
+func OperatingCharacteristic(params Params, p float64) (OutcomeLaw, error) {
+	pn, err := params.normalized()
+	if err != nil {
+		return OutcomeLaw{}, err
+	}
+	var l OutcomeLaw
+	l.Satisfied, l.Violated, l.Inconclusive, l.Samples = boundsFor(pn).oc(p, pn.MinSamples, pn.CheckInterval, pn.MaxSamples)
+	return l, nil
 }

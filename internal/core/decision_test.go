@@ -370,3 +370,123 @@ func TestNextDecisionMatchesReferenceScan(t *testing.T) {
 		}
 	}
 }
+
+// enumerateOC is oc's oracle: every one of the 2ᴺ bit sequences, each
+// walked through decide until it concludes or runs out, weighted by its
+// probability pᵏ(1 − p)ᴺ⁻ᵏ. The 2ᴺ terms are summed with compensation,
+// so the oracle's own rounding stays far below the tolerance.
+func enumerateOC(b *decisionBounds, p float64, minS, ci, maxS int) (sat, viol, inc, samples float64) {
+	var sum [4]kahan
+	for seq := 0; seq < 1<<maxS; seq++ {
+		ones := 0
+		for i := 0; i < maxS; i++ {
+			ones += seq >> i & 1
+		}
+		w := math.Pow(p, float64(ones)) * math.Pow(1-p, float64(maxS-ones))
+		o, n, cs := Inconclusive, 0, 0
+		for n < maxS && o == Inconclusive {
+			cs += seq >> n & 1
+			n++
+			o = b.decide(cs, n, minS, ci, maxS)
+		}
+		switch o {
+		case Satisfied:
+			sum[0].add(w)
+		case Violated:
+			sum[1].add(w)
+		default:
+			sum[2].add(w)
+		}
+		sum[3].add(w * float64(n))
+	}
+	return sum[0].s, sum[1].s, sum[2].s, sum[3].s
+}
+
+// kahan is a compensated running sum.
+type kahan struct{ s, c float64 }
+
+func (k *kahan) add(x float64) {
+	y := x - k.c
+	t := k.s + y
+	k.c = (t - k.s) - y
+	k.s = t
+}
+
+// TestOperatingCharacteristicMatchesEnumeration holds the forward DP to
+// brute force over all 2ᴺ sample-bit sequences, for N ≤ 14, check
+// intervals {1, 3, N}, burn-ins {0, 5}, flat and skewed priors and two
+// credibility levels: the two must agree to 1e-12.
+func TestOperatingCharacteristicMatchesEnumeration(t *testing.T) {
+	for _, n := range []int{1, 2, 5, 9, 14} {
+		for _, ci := range []int{1, 3, n} {
+			for _, minS := range []int{0, 5} {
+				if minS > n {
+					continue
+				}
+				for _, prior := range [][2]float64{{1, 1}, {2, 0.5}} {
+					for _, cred := range []float64{0.8, 0.95} {
+						p := Params{Credibility: cred, MaxSamples: n, CheckInterval: ci, MinSamples: minS, PriorAlpha: prior[0], PriorBeta: prior[1]}
+						pn, err := p.normalized()
+						if err != nil {
+							t.Fatal(err)
+						}
+						b := boundsFor(pn)
+						for _, q := range []float64{0, 0.1, 0.5, 0.73, 1} {
+							want := [4]float64{}
+							want[0], want[1], want[2], want[3] = enumerateOC(b, q, minS, ci, n)
+							l, err := OperatingCharacteristic(p, q)
+							if err != nil {
+								t.Fatal(err)
+							}
+							got := [4]float64{l.Satisfied, l.Violated, l.Inconclusive, l.Samples}
+							for i := range got {
+								if math.Abs(got[i]-want[i]) > 1e-12 {
+									t.Fatalf("%+v p=%v: DP %v, enumeration %v", p, q, got, want)
+								}
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestOperatingCharacteristicShape checks the two properties that make
+// P(⊤ | ½) the worst false-⊤ rate over p < ½: P(⊤ | p) is non-decreasing
+// in p, and under a symmetric prior P(⊤ | p) = P(⊥ | 1 − p). It also pins
+// the default cell (N = 100, c = 0.95, checked every sample): a window
+// exactly on its constraint concludes ⊤ with probability 0.158, after
+// 77.2 samples on average.
+func TestOperatingCharacteristicShape(t *testing.T) {
+	for _, p := range []Params{
+		DefaultParams(),
+		{Credibility: 0.9, MaxSamples: 60, CheckInterval: 5, MinSamples: 10},
+		{Credibility: 0.99, MaxSamples: 200, PriorAlpha: 3, PriorBeta: 3},
+		{Credibility: 0.95, MaxSamples: 100, CheckInterval: 100},
+	} {
+		prev := -1.0
+		for i := 0; i <= 100; i++ {
+			q := float64(i) / 100
+			l, err := OperatingCharacteristic(p, q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if l.Satisfied < prev-1e-15 {
+				t.Errorf("%+v: P(⊤ | %v) = %v falls below P(⊤ | %v) = %v", p, q, l.Satisfied, float64(i-1)/100, prev)
+			}
+			prev = l.Satisfied
+			mirror, _ := OperatingCharacteristic(p, 1-q)
+			if math.Abs(l.Satisfied-mirror.Violated) > 1e-12 {
+				t.Errorf("%+v: P(⊤ | %v) = %v, P(⊥ | %v) = %v", p, q, l.Satisfied, 1-q, mirror.Violated)
+			}
+		}
+	}
+	l, err := OperatingCharacteristic(DefaultParams(), 0.5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := fmt.Sprintf("%.3f %.1f", l.Satisfied, l.Samples); got != "0.158 77.2" {
+		t.Errorf("default cell: P(⊤ | ½), E[samples] = %s, want 0.158 77.2", got)
+	}
+}

@@ -93,10 +93,11 @@ type Result struct {
 	Outcome Outcome
 	// Samples is the number of samples Alg. 1 consumed before it stopped;
 	// early stopping usually keeps this far below N. Each is one drawn
-	// realization, except in a stream lane that decided the check from the
-	// closed-form probability of its sample bit (level.go): there a sample
-	// is one Bernoulli bit and no row was drawn for it — GroupEval.Draws
-	// counts rows.
+	// realization, except in a PlanGroup lane — every batch run and every
+	// stream operator — that decided the check from the closed-form
+	// probability of its sample bit (level.go): there a sample is one
+	// Bernoulli bit and no row was drawn for it — GroupEval.Draws counts
+	// rows.
 	Samples int
 	// SatisfiedCount is how many sampled realizations satisfied φ.
 	SatisfiedCount int
@@ -123,14 +124,15 @@ type Evaluator struct {
 	// next use after a Reseed; deriving lazily reproduces the split order
 	// of a freshly constructed evaluator.
 	rsStale [3]bool
-	// tuples is EvaluateAll's window-tuple buffer, reused across calls.
-	tuples []WindowTuple
+	// seed is the seed the evaluator was built or last reseeded with:
+	// Check.Run's base seed, whatever Evaluate has drawn since.
+	seed uint64
 }
 
 // newEvaluator is the one place an Evaluator is assembled: normalized
 // parameters, their decision table, and a base stream at exactly seed.
 func newEvaluator(p Params, b *decisionBounds, seed uint64) *Evaluator {
-	return &Evaluator{blockLoop: blockLoop{params: p, bounds: b}, r: rng.New(seed)}
+	return &Evaluator{blockLoop: blockLoop{params: p, bounds: b}, r: rng.New(seed), seed: seed}
 }
 
 // NewEvaluator returns an Evaluator with the given parameters and seed.
@@ -163,6 +165,7 @@ func (e *Evaluator) Params() Params { return e.params }
 // identical to a per-window evaluator without per-window allocation.
 func (e *Evaluator) Reseed(seed uint64) {
 	e.r.Reseed(seed)
+	e.seed = seed
 	for i := range e.rs {
 		e.rsStale[i] = e.rs[i] != nil
 	}
@@ -189,19 +192,20 @@ func (e *Evaluator) Derive(seed uint64) *Evaluator {
 //
 // A window tuple with no data points at all cannot provide evidence and
 // yields ⊣ with zero samples.
+//
+// Successive calls continue one random stream, so a window's verdict
+// depends on what the evaluator evaluated before it; the batch runs
+// (Check.Run, CheckPlan.Run) seed each window from the window itself
+// instead. The Result carries the tuple without w.Ext, which aliases
+// caller-scoped scratch valid only during this call.
 func (e *Evaluator) Evaluate(c Constraint, w WindowTuple) Result {
 	var res Result
 	e.evaluateInto(&res, &c, w)
 	return res
 }
 
-// evaluateInto runs Evaluate writing into a zeroed *res, so the batch
-// loops fill their result slices in place instead of copying the full
-// Result struct (which embeds the window tuple) per window. The tuple is
-// copied field by field: w.Ext aliases caller-scoped scratch that is only
-// valid during this call, so the Result must not carry it into longer-
-// lived hands (violation analysis retains Result windows) — and skipping
-// it also skips one write barrier per window.
+// evaluateInto runs Evaluate into a zeroed *res. The tuple is copied
+// field by field: copying it whole would carry w.Ext.
 func (e *Evaluator) evaluateInto(res *Result, c *Constraint, w WindowTuple) {
 	res.Window.Windows = w.Windows
 	res.Window.Start = w.Start
@@ -251,19 +255,6 @@ func (l *blockLoop) finish(res *Result, countSatisfied int) {
 	}
 	res.SatisfiedCount = s
 	res.ViolationProb = 1 - (p.PriorAlpha+float64(s))/(p.PriorAlpha+p.PriorBeta+float64(n))
-}
-
-// EvaluateAll applies the windowing function and evaluates the constraint
-// on every window tuple, the densest coverage discussed in §IV-A
-// ("a constraint is evaluated for every index"). Each window is
-// extracted when it is evaluated.
-func (e *Evaluator) EvaluateAll(c Constraint, win Windower, ss []series.Series) []Result {
-	tuples := windowTuples(win, ss, &e.tuples)
-	out := make([]Result, len(tuples))
-	for i := range tuples {
-		e.evaluateInto(&out[i], &c, tuples[i])
-	}
-	return out
 }
 
 // ciMemo caches equal-tailed credible intervals by observation counts;
@@ -370,13 +361,15 @@ func (ck Check) Validate() error {
 }
 
 // Run evaluates the check on the given series (resolved in the order of
-// SeriesNames) with the evaluator. It compiles a throwaway plan per
-// call; callers evaluating the same check repeatedly should CompilePlan
-// once and use the plan's Run* methods.
+// SeriesNames), on every window tuple — the densest coverage discussed in
+// §IV-A ("a constraint is evaluated for every index"). It reads only the
+// evaluator's parameters and the seed it was built or last reseeded with,
+// and returns what CompilePlan(ck, e.Params(), seed).Run(ss) returns:
+// each window seeded from the window itself, as the stream seeds it.
+// Callers evaluating the same check repeatedly should CompilePlan once.
 func (ck Check) Run(e *Evaluator, ss []series.Series) ([]Result, error) {
-	pl, err := CompilePlan(ck, e.Params(), 0)
-	if err != nil {
+	if err := ck.Validate(); err != nil {
 		return nil, err
 	}
-	return pl.RunWith(e, ss)
+	return newPlan(ck, e.params, e.bounds, e.seed).Run(ss)
 }

@@ -188,6 +188,16 @@ func TestEvaluateDeterministicUnderSeed(t *testing.T) {
 	}
 }
 
+// runAll runs a unary check of c over win on s with the evaluator.
+func runAll(t *testing.T, e *Evaluator, c Constraint, win Windower, s series.Series) []Result {
+	t.Helper()
+	rs, err := Check{Name: c.Name, Constraint: c, SeriesNames: []string{"s"}, Window: win}.Run(e, []series.Series{s})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rs
+}
+
 func TestHigherCredibilityNeedsMoreSamples(t *testing.T) {
 	// Moderate uncertainty near the threshold: raising c should not
 	// decrease the number of samples needed (averaged over windows).
@@ -198,7 +208,7 @@ func TestHigherCredibilityNeedsMoreSamples(t *testing.T) {
 	total := func(c float64, seed uint64) int {
 		e := MustEvaluator(Params{Credibility: c, MaxSamples: 300}, seed)
 		sum := 0
-		for _, res := range e.EvaluateAll(GreaterThan(10), PointWindow{}, []series.Series{s}) {
+		for _, res := range runAll(t, e, GreaterThan(10), PointWindow{}, s) {
 			sum += res.Samples
 		}
 		return sum
@@ -236,7 +246,7 @@ func TestCheckIntervalDelaysDecision(t *testing.T) {
 func TestEvaluateAllCoverage(t *testing.T) {
 	s := series.FromValues(1, 2, 3, 4, 5, 6)
 	e := MustEvaluator(DefaultParams(), 10)
-	results := e.EvaluateAll(NonNegative(), PointWindow{}, []series.Series{s})
+	results := runAll(t, e, NonNegative(), PointWindow{}, s)
 	if len(results) != 6 {
 		t.Fatalf("got %d results", len(results))
 	}

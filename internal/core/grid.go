@@ -271,8 +271,12 @@ func span(ss []series.Series) (start, end float64) {
 // time of each series (of the driver alone for sessions) anchor the
 // grid and set its watermark; Next with final then emits every window.
 // The tuples are appended to buf[:0], so a caller that recycles its
-// tuple buffer allocates only the windows' slots.
-func replay(a WindowAssigner, ss []series.Series, buf []WindowTuple) []WindowTuple {
+// tuple buffer allocates only the windows' slots. A non-nil coords gets
+// each tuple's coordinate from Next, index-aligned with the tuples.
+func replay(a WindowAssigner, ss []series.Series, buf []WindowTuple, coords *[]uint64) []WindowTuple {
+	if coords != nil {
+		*coords = (*coords)[:0]
+	}
 	if len(ss) == 0 || !a.valid() {
 		return buf[:0]
 	}
@@ -289,18 +293,29 @@ func replay(a WindowAssigner, ss []series.Series, buf []WindowTuple) []WindowTup
 	}
 	// The windows' slots come from shared chunks, always fresh: results
 	// keep them past the tuple buffer's reuse. Full-capacity sub-slices
-	// keep tuples isolated.
+	// keep tuples isolated. Chunks hold 4 tuples' slots, doubling to 64,
+	// so a run of a few windows does not clear and collect 64.
 	out := buf[:0]
 	var flat []series.Series
-	drop := make([]int, len(ss))
+	chunk := 4
+	var dropBuf [2]int
+	drop := dropBuf[:]
+	if len(ss) > len(dropBuf) {
+		drop = make([]int, len(ss))
+	}
+	drop = drop[:len(ss)]
 	for k := len(ss); ; flat = flat[k:] {
 		if len(flat) < k {
-			flat = make([]series.Series, 64*k)
+			flat = make([]series.Series, chunk*k)
+			chunk = min(2*chunk, 64)
 		}
 		slots := flat[:k:k]
-		start, end, _, ok := g.Next(&a, ss, drop, true, slots)
+		start, end, coord, ok := g.Next(&a, ss, drop, true, slots)
 		if !ok {
 			return out
+		}
+		if coords != nil {
+			*coords = append(*coords, coord)
 		}
 		// Fill the appended tuple in place: a tuple built aside and
 		// copied in stalls on store forwarding.

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"sound/internal/resample"
 	"sound/internal/rng"
@@ -139,32 +140,61 @@ type PlanGroup struct {
 // NewPlanGroup compiles a group from plans that must all share one
 // GroupClass (the caller buckets by CheckPlan.Class()).
 func NewPlanGroup(plans []*CheckPlan) (*PlanGroup, error) {
+	g := new(PlanGroup)
+	if err := g.bind(plans); err != nil {
+		return nil, err
+	}
+	return g, nil
+}
+
+// bind makes g the group of plans. The lanes of a previous binding are
+// kept for the strategies plans use again — generators, resampler and
+// scratch — so a pooled group rebinds without building them anew.
+// Nothing of a previous binding reaches a verdict: every stream a lane
+// draws from is reseeded from the window before its first draw, and the
+// memoized intervals are dropped when the parameters change.
+func (g *PlanGroup) bind(plans []*CheckPlan) error {
 	if len(plans) == 0 {
-		return nil, fmt.Errorf("core: empty plan group")
+		return fmt.Errorf("core: empty plan group")
 	}
 	cls := plans[0].Class()
-	g := &PlanGroup{
-		blockLoop: blockLoop{params: plans[0].params, bounds: plans[0].bounds},
-		class:     cls,
-		hash:      cls.Hash(),
-		plans:     plans,
-		member:    make([]groupMember, len(plans)),
-	}
-	byStrat := map[resample.Strategy]*groupLane{}
-	for i, pl := range plans {
+	for _, pl := range plans[1:] {
 		if pl.Class() != cls {
-			return nil, fmt.Errorf("core: plan %q class differs from group class", pl.check.Name)
+			return fmt.Errorf("core: plan %q class differs from group class", pl.check.Name)
 		}
+	}
+	if g.class != cls { // a new group's zero class matches no plan's
+		if g.params != cls.Params {
+			g.memo = ciMemo{}
+		}
+		g.class, g.hash = cls, cls.Hash()
+	}
+	g.params, g.bounds = plans[0].params, plans[0].bounds
+	g.plans = plans
+	g.member = slices.Grow(g.member[:0], len(plans))[:len(plans)]
+	var spare [3]*groupLane // by strategy
+	for _, l := range g.lanes {
+		spare[l.strat] = l
+	}
+	g.lanes = g.lanes[:0]
+	for i, pl := range g.plans {
 		strat := pl.check.Constraint.Strategy()
-		lane := byStrat[strat]
-		if lane == nil {
-			r := rng.New(0)
-			rs := resample.New(strat, r.Split())
-			if strat == resample.Sequence && g.params.BlockSize > 0 {
-				rs.SetBlockSize(g.params.BlockSize)
+		var lane *groupLane
+		for _, l := range g.lanes {
+			if l.strat == strat {
+				lane = l
 			}
-			lane = &groupLane{strat: strat, r: r, rs: rs, u: rng.New(0)}
-			byStrat[strat] = lane
+		}
+		if lane == nil {
+			if lane = spare[strat]; lane == nil {
+				r := rng.New(0)
+				lane = &groupLane{strat: strat, r: r, rs: resample.New(strat, r.Split()), u: rng.New(0)}
+			}
+			if strat == resample.Sequence {
+				lane.rs.SetBlockSize(g.params.BlockSize)
+			}
+			lane.members, lane.stats = lane.members[:0], lane.stats[:0]
+			lane.levels.Reset()
 			g.lanes = append(g.lanes, lane)
 		}
 		lane.members = append(lane.members, i)
@@ -177,10 +207,11 @@ func NewPlanGroup(plans []*CheckPlan) (*PlanGroup, error) {
 		g.member[i] = m
 	}
 	for _, lane := range g.lanes {
-		lane.miss = make([]resample.MissBound, len(lane.levels.All))
-		lane.exact = make([]levelExact, len(lane.levels.All))
+		n := len(lane.levels.All)
+		lane.miss = slices.Grow(lane.miss[:0], n)[:n]
+		lane.exact = slices.Grow(lane.exact[:0], n)[:n]
 	}
-	return g, nil
+	return nil
 }
 
 // Class returns the group's bucket key.
@@ -188,6 +219,13 @@ func (g *PlanGroup) Class() GroupClass { return g.class }
 
 // Members returns the number of plans in the group.
 func (g *PlanGroup) Members() int { return len(g.plans) }
+
+// batchKeyHash is the key coordinate of every batch window's seed:
+// stream.KeyHash(""), the hash of the key "" of the one group a tag route
+// puts every event in. A batch run of a check therefore draws what the
+// stream draws for the same windows under soundcheck -stream's tag route
+// (internal/stream cannot be imported here; a test pins the value).
+const batchKeyHash = 0xf52a15e9a9b5e89b
 
 // WindowSeed derives the shared draw stream for one (group, key,
 // window) coordinate: chained splitmix64 finalization of the group key,
@@ -211,7 +249,10 @@ func bitStream(s resample.Strategy) uint64 { return uint64(s) + 4 }
 
 // Evaluate runs Alg. 1 for every member on the window tuple, writing
 // member i's result to out[i] (len(out) must be Members()). Each lane is
-// reseeded from the window seed and primed once. Members whose sample bit
+// primed once, and reseeded from the window seed only when a member is
+// left to draw rows: a lane of certain points or of collapsed members
+// draws none, and the seed is a function of the window alone, so a lane
+// that skips it draws nothing another would. Members whose sample bit
 // has a closed-form probability on this window are decided first, from the
 // lane's uniform stream, without a row (collapse); what runs for the rest
 // is chosen by their count. One member has nothing to share and takes the
@@ -242,9 +283,7 @@ func (g *PlanGroup) Evaluate(winSeed uint64, w WindowTuple, out []Result) GroupE
 		return ev
 	}
 	for _, lane := range g.lanes {
-		lane.r.Reseed(rng.Derive(winSeed, laneStream(lane.strat)))
 		rs := lane.rs
-		rs.Reseed(lane.r)
 		rs.PrimeViews(w.Windows, w.Ext)
 		ev.Primes++
 		if lane.strat == resample.Point && rs.PrimedAllCertain() {
@@ -262,8 +301,12 @@ func (g *PlanGroup) Evaluate(winSeed uint64, w WindowTuple, out []Result) GroupE
 			rows = g.collapse(lane, winSeed, len(w.Windows[0]), out)
 			ev.Collapsed += len(lane.members) - len(rows)
 		}
+		if len(rows) == 0 {
+			continue
+		}
+		lane.r.Reseed(rng.Derive(winSeed, laneStream(lane.strat)))
+		rs.Reseed(lane.r)
 		switch len(rows) {
-		case 0:
 		case 1:
 			mi := rows[0]
 			g.evaluateBlocks(&out[mi], g.member[mi].cons, rs, w)
@@ -284,10 +327,13 @@ func (g *PlanGroup) Evaluate(winSeed uint64, w WindowTuple, out []Result) GroupE
 // the larger p satisfies every sample a member with the smaller p does, as
 // nested thresholds do on a shared row — and no verdict depends on member
 // index or count. p itself is only computed when some consumed u_s falls
-// inside the table bracket of it.
+// inside the table bracket of it. A member whose p is exactly 0 or 1 reads
+// no uniform: every bit is 0, or 1, whatever its uniform, so the decision
+// schedule alone decides it; the stream is seeded at the first uniform a
+// member reads.
 func (g *PlanGroup) collapse(lane *groupLane, winSeed uint64, n int, out []Result) []int {
-	lane.u.Reseed(rng.Derive(winSeed, bitStream(lane.strat)))
 	lane.us = lane.us[:0]
+	seeded := false
 	clear(lane.exact)
 	p := g.params
 	maxS, minS, ci := p.MaxSamples, p.MinSamples, p.CheckInterval
@@ -300,9 +346,19 @@ func (g *PlanGroup) collapse(lane *groupLane, winSeed uint64, n int, out []Resul
 		}
 		sp, res := &m.cons.Spec, &out[mi]
 		lo, hi := bracketP(lane.miss[m.level], sp, lane.strat, n)
+		if lo >= 1 || hi <= 0 {
+			var cs int
+			res.Outcome, res.Samples, cs = g.bounds.replayConstant(lo >= 1, minS, ci, maxS)
+			g.finish(res, cs)
+			continue
+		}
 		cs, i := 0, 0
 		for i < maxS && res.Outcome == Inconclusive {
 			if i == len(lane.us) {
+				if !seeded {
+					lane.u.Reseed(rng.Derive(winSeed, bitStream(lane.strat)))
+					seeded = true
+				}
 				lane.us = append(lane.us, lane.u.Float64())
 			}
 			u := lane.us[i]

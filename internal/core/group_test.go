@@ -629,3 +629,48 @@ func FuzzGroupScoreParity(f *testing.F) {
 		}
 	})
 }
+
+// TestPlanGroupRebind holds a rebound group — the batch runs' pooled
+// groups are rebound to every plan they run — to a group built fresh for
+// the same plans: across strategies, block sizes, parameter sets and
+// member counts, on a certain window (decided past its boundary under
+// CheckInterval 7, so the interval comes from the memo) and an uncertain
+// one, every Result and GroupEval must be equal.
+func TestPlanGroupRebind(t *testing.T) {
+	certain := WindowTuple{Windows: []series.Series{series.FromValues(50, 51, 52, 53)}}
+	uncertain := WindowTuple{Windows: []series.Series{groupTestSeries(12)}}
+	win := CountWindow{Size: 4}
+	suites := [][]*CheckPlan{
+		compilePlans(t, []Constraint{Range(0, 100)}, win, Params{Credibility: 0.9, CheckInterval: 7}, 1),
+		compilePlans(t, []Constraint{Range(0, 100)}, win, Params{Credibility: 0.8, CheckInterval: 7}, 1),
+		compilePlans(t, []Constraint{MonotonicIncrease(false), MaxDelta(4)}, win, Params{BlockSize: 2, MaxSamples: 40}, 2),
+		compilePlans(t, []Constraint{FractionInRange(0, 60, 0.5), MaxDelta(4), GreaterThan(3)}, win, Params{MaxSamples: 40}, 3),
+		compilePlans(t, []Constraint{MonotonicIncrease(true)}, win, Params{MaxSamples: 40}, 4),
+	}
+	var g PlanGroup
+	for i, plans := range suites {
+		if err := g.bind(plans); err != nil {
+			t.Fatal(err)
+		}
+		fresh, err := NewPlanGroup(plans)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, w := range []WindowTuple{certain, uncertain} {
+			got, want := make([]Result, len(plans)), make([]Result, len(plans))
+			seed := fresh.WindowSeed(0x51, 7)
+			if g.WindowSeed(0x51, 7) != seed {
+				t.Fatalf("suite %d: rebound window seed differs", i)
+			}
+			evGot, evWant := g.Evaluate(seed, w, got), fresh.Evaluate(seed, w, want)
+			if evGot != evWant {
+				t.Errorf("suite %d: rebound %+v, fresh %+v", i, evGot, evWant)
+			}
+			for m := range got {
+				if !sameResult(got[m], want[m]) {
+					t.Errorf("suite %d member %d: rebound %+v, fresh %+v", i, m, got[m], want[m])
+				}
+			}
+		}
+	}
+}

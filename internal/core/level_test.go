@@ -274,12 +274,13 @@ func collapseWindow(r *rng.Rand, n int, margin float64) series.Series {
 // TestCollapseOperatingCharacteristic runs Alg. 1 both ways on the same
 // lane — collapsed (PlanGroup.Evaluate) and row-scoring (evaluateBlocks on
 // the lane's draw stream) — over thousands of window seeds at satisfaction
-// probabilities on both sides of ½ and near 1, and compares what a caller
-// can observe: the outcome histogram (χ², 2 d.o.f.) and the mean number of
-// samples (z). The two use different random streams, so agreement is in
-// law, which is the whole claim.
+// probabilities on both sides of ½ and near 1, and holds each against
+// Alg. 1's exact law at the window's closed-form p (OperatingCharacteristic):
+// the outcome histogram by χ² (2 d.o.f.) and the mean number of samples by
+// z. The exact law is what both evaluations claim to realize.
 func TestCollapseOperatingCharacteristic(t *testing.T) {
 	const seeds = 2500
+	params := Params{MaxSamples: 60}
 	for _, tc := range []struct {
 		cons   Constraint
 		n      int
@@ -291,7 +292,7 @@ func TestCollapseOperatingCharacteristic(t *testing.T) {
 		{FractionInRange(0, 100, 0.5), 40, 0.70}, // p ≈ 0.64
 		{Range(0, 100), 3, 4.95},                 // p ≈ 0.98
 	} {
-		plans := compilePlans(t, []Constraint{tc.cons}, CountWindow{Size: tc.n}, Params{MaxSamples: 60}, 9)
+		plans := compilePlans(t, []Constraint{tc.cons}, CountWindow{Size: tc.n}, params, 9)
 		g, err := NewPlanGroup(plans)
 		if err != nil {
 			t.Fatal(err)
@@ -318,20 +319,39 @@ func TestCollapseOperatingCharacteristic(t *testing.T) {
 			samples[1] = append(samples[1], float64(mc.Samples))
 		}
 		_, _, p := levelP(t, lane.rs, &tc.cons.Spec, lane.strat, tc.n)
-		chi2 := 0.0
-		for o := range hist[0] {
-			if a, b := hist[0][o], hist[1][o]; a+b > 0 {
-				chi2 += (a - b) * (a - b) / (a + b)
+		law, err := OperatingCharacteristic(params, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var want [3]float64
+		want[Inconclusive], want[Satisfied], want[Violated] = law.Inconclusive, law.Satisfied, law.Violated
+		for way, name := range []string{"collapsed", "rows"} {
+			// Outcomes expected fewer than 5 times are pooled into one
+			// cell, where the χ² approximation still holds.
+			chi2, rareE, rareO := 0.0, 0.0, 0.0
+			for o, q := range want {
+				if e := q * seeds; e >= 5 {
+					chi2 += (hist[way][o] - e) * (hist[way][o] - e) / e
+				} else {
+					rareE, rareO = rareE+e, rareO+hist[way][o]
+				}
 			}
-		}
-		m0, m1 := stat.Mean(samples[0]), stat.Mean(samples[1])
-		z := (m0 - m1) / math.Sqrt((stat.Variance(samples[0])+stat.Variance(samples[1]))/seeds)
-		t.Logf("%s n=%d p=%.3f: collapsed ⊣/⊤/⊥ %v mean samples %.2f, rows %v %.2f; χ² %.2f, z %.2f", tc.cons.Name, tc.n, p, hist[0], m0, hist[1], m1, chi2, z)
-		if chi2 > 18.4 { // P(χ²₂ > 18.4) = 10⁻⁴
-			t.Errorf("%s p=%.3f: outcome histograms differ, collapsed %v rows %v (χ² = %.1f)", tc.cons.Name, p, hist[0], hist[1], chi2)
-		}
-		if math.Abs(z) > 4 {
-			t.Errorf("%s p=%.3f: mean samples %.2f collapsed, %.2f on rows (z = %.2f)", tc.cons.Name, p, m0, m1, z)
+			switch {
+			case rareE > 0:
+				chi2 += (rareO - rareE) * (rareO - rareE) / rareE
+			case rareO > 0:
+				chi2 = math.Inf(1) // an outcome of probability 0
+			}
+			m := stat.Mean(samples[way])
+			z := (m - law.Samples) / math.Sqrt(stat.Variance(samples[way])/seeds)
+			t.Logf("%s n=%d p=%.3f %s: ⊣/⊤/⊥ %v against %.1f/%.1f/%.1f, χ² %.2f; mean samples %.2f against %.2f, z %.2f",
+				tc.cons.Name, tc.n, p, name, hist[way], want[0]*seeds, want[1]*seeds, want[2]*seeds, chi2, m, law.Samples, z)
+			if chi2 > 18.4 { // P(χ²₂ > 18.4) = 10⁻⁴
+				t.Errorf("%s p=%.3f %s: outcome histogram %v against the exact law %v (χ² = %.1f)", tc.cons.Name, p, name, hist[way], want, chi2)
+			}
+			if math.Abs(z) > 4 {
+				t.Errorf("%s p=%.3f %s: mean samples %.2f against the exact %.2f (z = %.2f)", tc.cons.Name, p, name, m, law.Samples, z)
+			}
 		}
 	}
 }

@@ -1,49 +1,66 @@
 package core
 
 import (
+	"context"
+	"reflect"
 	"runtime"
 	"testing"
 
 	"sound/internal/series"
 )
 
+// runParallel compiles a unary check of c over win and runs it on s
+// with the parallel batch path.
+func runParallel(c Constraint, win Windower, s series.Series, params Params, seed uint64, workers int) ([]Result, error) {
+	pl, err := CompilePlan(Check{Name: c.Name, Constraint: c, SeriesNames: []string{"s"}, Window: win}, params, seed)
+	if err != nil {
+		return nil, err
+	}
+	return pl.RunParallel(context.Background(), []series.Series{s}, workers)
+}
+
 // TestEvaluateAllParallelMatchesAcrossWorkerCounts requires bit-identical
-// results — every Result field, not just the outcome — for any worker
-// count, including the sequential case and more workers than cores. This
-// pins down the pooled-evaluator contract: per-window reseeding must make
-// evaluator reuse invisible.
+// results of the parallel batch path — every Result field, not just the
+// outcome — for any worker count, including the sequential Run and more
+// workers than cores: every window is seeded from its own coordinate, so
+// which worker evaluates it is invisible.
 func TestEvaluateAllParallelMatchesAcrossWorkerCounts(t *testing.T) {
 	s := make(series.Series, 200)
 	for i := range s {
 		s[i] = series.Point{T: float64(i), V: 10 + float64(i%5), SigUp: 2, SigDown: 2}
 	}
-	params := Params{Credibility: 0.95, MaxSamples: 50}
-	ref, err := EvaluateAllParallel(GreaterThan(9), PointWindow{}, []series.Series{s}, params, 7, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{2, 7, 16, runtime.GOMAXPROCS(0), 0} {
-		got, err := EvaluateAllParallel(GreaterThan(9), PointWindow{}, []series.Series{s}, params, 7, workers)
+	for _, tc := range []struct {
+		cons Constraint
+		win  Windower
+		s    series.Series
+	}{
+		{GreaterThan(9), PointWindow{}, s},
+		{MonotonicIncrease(false), TimeWindow{Size: 10, Slide: 3}, uncertainSeries(60)},
+	} {
+		params := Params{Credibility: 0.95, MaxSamples: 50}
+		pl, err := CompilePlan(Check{Name: "c", Constraint: tc.cons, SeriesNames: []string{"s"}, Window: tc.win}, params, 7)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(got) != len(ref) {
-			t.Fatalf("workers=%d: %d results, want %d", workers, len(got), len(ref))
+		ref, err := pl.Run([]series.Series{tc.s})
+		if err != nil {
+			t.Fatal(err)
 		}
-		for i := range ref {
-			g, r := got[i], ref[i]
-			if g.Outcome != r.Outcome || g.Samples != r.Samples ||
-				g.SatisfiedCount != r.SatisfiedCount || g.ViolationProb != r.ViolationProb ||
-				g.Lower != r.Lower || g.Upper != r.Upper {
-				t.Fatalf("workers=%d: window %d diverged: %+v vs %+v", workers, i, g, r)
+		for _, workers := range []int{1, 2, 3, 7, 16, runtime.GOMAXPROCS(0), 0} {
+			got, err := runParallel(tc.cons, tc.win, tc.s, params, 7, workers)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, ref) {
+				t.Fatalf("%v workers=%d: RunParallel differs from Run", tc.win, workers)
 			}
 		}
 	}
 }
 
 // TestEvaluateAllParallelMatchesSequentialEvaluator ties the parallel
-// path to the plain per-window evaluation loop with the same seed
-// derivation, so both entry points report identical evidence.
+// path to the sequential evaluator entry point, Check.Run, at the same
+// seed: both report identical evidence.
 func TestEvaluateAllParallelMatchesSequentialEvaluator(t *testing.T) {
 	s := make(series.Series, 64)
 	for i := range s {
@@ -51,23 +68,18 @@ func TestEvaluateAllParallelMatchesSequentialEvaluator(t *testing.T) {
 	}
 	params := Params{Credibility: 0.95, MaxSamples: 60}
 	const seed = 11
-	got, err := EvaluateAllParallel(GreaterThan(9), PointWindow{}, []series.Series{s}, params, seed, 3)
+	got, err := runParallel(GreaterThan(9), PointWindow{}, s, params, seed, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tuples := PointWindow{}.Windows([]series.Series{s})
-	for i, w := range tuples {
-		want := MustEvaluator(params, seed^(uint64(i)*0x9e3779b97f4a7c15+1)).Evaluate(GreaterThan(9), w)
-		g := got[i]
-		if g.Outcome != want.Outcome || g.Samples != want.Samples ||
-			g.SatisfiedCount != want.SatisfiedCount || g.Lower != want.Lower || g.Upper != want.Upper {
-			t.Fatalf("window %d: parallel %+v, sequential %+v", i, g, want)
-		}
+	want := runAll(t, MustEvaluator(params, seed), GreaterThan(9), PointWindow{}, s)
+	if !reflect.DeepEqual(got, want) {
+		t.Error("RunParallel differs from Check.Run at the same seed")
 	}
 }
 
 func TestEvaluateAllParallelEmpty(t *testing.T) {
-	out, err := EvaluateAllParallel(NonNegative(), PointWindow{}, []series.Series{{}}, DefaultParams(), 1, 4)
+	out, err := runParallel(NonNegative(), PointWindow{}, series.Series{}, DefaultParams(), 1, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +89,7 @@ func TestEvaluateAllParallelEmpty(t *testing.T) {
 }
 
 func TestEvaluateAllParallelValidatesParams(t *testing.T) {
-	if _, err := EvaluateAllParallel(NonNegative(), PointWindow{}, nil, Params{Credibility: 2}, 1, 1); err == nil {
+	if _, err := runParallel(NonNegative(), PointWindow{}, nil, Params{Credibility: 2}, 1, 1); err == nil {
 		t.Error("invalid params accepted")
 	}
 }
@@ -157,7 +169,7 @@ func BenchmarkEvaluateAllParallel(b *testing.B) {
 	params := Params{Credibility: 0.95, MaxSamples: 100}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := EvaluateAllParallel(GreaterThan(5), PointWindow{}, []series.Series{s}, params, 1, 0); err != nil {
+		if _, err := runParallel(GreaterThan(5), PointWindow{}, s, params, 1, 0); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -152,25 +152,17 @@ func CompilePlan(ck Check, params Params, seed uint64) (*CheckPlan, error) {
 	if err := ck.Validate(); err != nil {
 		return nil, err
 	}
-	return newPlan(ck, params, seed)
-}
-
-// newPlan compiles without structural validation, for internal paths
-// that assemble the check from already-checked parts (and for
-// EvaluateAllParallel, which takes a bare constraint and no check to
-// validate).
-func newPlan(ck Check, params Params, seed uint64) (*CheckPlan, error) {
 	p, err := params.normalized()
 	if err != nil {
 		return nil, err
 	}
-	return &CheckPlan{
-		check:    ck,
-		params:   p,
-		seed:     seed,
-		assigner: ClassifyWindow(ck.Window),
-		bounds:   boundsFor(p),
-	}, nil
+	return newPlan(ck, p, boundsFor(p), seed), nil
+}
+
+// newPlan assembles a plan of a validated check from normalized
+// parameters and their decision table.
+func newPlan(ck Check, p Params, b *decisionBounds, seed uint64) *CheckPlan {
+	return &CheckPlan{check: ck, params: p, seed: seed, assigner: ClassifyWindow(ck.Window), bounds: b}
 }
 
 // Compile is CompilePlan bound to the check.
@@ -192,14 +184,6 @@ func (pl *CheckPlan) Arity() int { return pl.check.Constraint.Arity }
 
 // Assigner returns the compiled window assigner.
 func (pl *CheckPlan) Assigner() WindowAssigner { return pl.assigner }
-
-// NewEvaluator returns an evaluator seeded Seed()+seedOffset. It skips
-// parameter re-validation and shares the plan's precomputed decision
-// table; the result is indistinguishable from
-// NewEvaluator(Params(), Seed()+seedOffset).
-func (pl *CheckPlan) NewEvaluator(seedOffset uint64) *Evaluator {
-	return newEvaluator(pl.params, pl.bounds, pl.seed+seedOffset)
-}
 
 // EvaluatorAt returns an evaluator with the plan's normalized parameters
 // and shared decision table, seeded at exactly seed (not offset by the
@@ -229,19 +213,10 @@ func (pl *CheckPlan) checkSeries(ss []series.Series) error {
 	return nil
 }
 
-// RunWith evaluates the plan on the series with the caller's evaluator —
-// the sequential batch path of Alg. 1.
-func (pl *CheckPlan) RunWith(e *Evaluator, ss []series.Series) ([]Result, error) {
-	if err := pl.checkSeries(ss); err != nil {
-		return nil, err
-	}
-	return e.EvaluateAll(pl.check.Constraint, pl.check.Window, ss), nil
-}
-
-// Run evaluates the plan sequentially with a fresh evaluator seeded at
-// the plan's base seed.
+// Run evaluates the plan's windows in order on the calling goroutine:
+// RunParallel with one worker.
 func (pl *CheckPlan) Run(ss []series.Series) ([]Result, error) {
-	return pl.RunWith(pl.NewEvaluator(0), ss)
+	return pl.RunParallel(context.Background(), ss, 1)
 }
 
 // RunNaive evaluates the plan with BASE_CHECK semantics. Window tuples
@@ -253,27 +228,31 @@ func (pl *CheckPlan) RunNaive(ss []series.Series) ([]Outcome, error) {
 	return EvaluateAllNaive(pl.check.Constraint, pl.check.Window, ss), nil
 }
 
+// batchPool recycles RunParallel's window scratch, and loneGroups the
+// one-member groups its workers evaluate through (rebound to each plan;
+// see PlanGroup.bind): a plan is immutable and may run concurrently, so
+// it cannot own either, and a short run would otherwise pay more to build
+// a group's lanes than to evaluate its windows.
+var (
+	batchPool  = sync.Pool{New: func() any { return new(batchWindows) }}
+	loneGroups = sync.Pool{New: func() any { return new(PlanGroup) }}
+)
+
 // RunParallel evaluates the plan's windows with up to workers goroutines
-// (0 selects GOMAXPROCS). Every window is evaluated under a private,
-// per-window derived seed, so results are deterministic for a fixed plan
-// and independent of the worker count. A cancelled context stops the
-// workers between windows and returns ctx.Err().
+// (0 selects GOMAXPROCS; one runs on the caller's goroutine). Each worker
+// evaluates its windows through its own one-member PlanGroup, at the seed
+// the stream gives the same window: WindowSeed of the tag route's key ""
+// and the window's coordinate. So a batch verdict is the verdict
+// soundcheck -stream prints, and the worker count changes only the
+// speed. A cancelled context stops the workers between windows and
+// returns ctx.Err().
 func (pl *CheckPlan) RunParallel(ctx context.Context, ss []series.Series, workers int) ([]Result, error) {
 	if err := pl.checkSeries(ss); err != nil {
 		return nil, err
 	}
-	return pl.runParallelTuples(ctx, ss, workers)
-}
-
-// tuplePool recycles runParallelTuples' tuple buffers: a plan is
-// immutable and may run concurrently, so it cannot own one. Only the
-// tuple structs are reused; Results keep fresh window slices.
-var tuplePool = sync.Pool{New: func() any { return new([]WindowTuple) }}
-
-func (pl *CheckPlan) runParallelTuples(ctx context.Context, ss []series.Series, workers int) ([]Result, error) {
-	buf := tuplePool.Get().(*[]WindowTuple)
-	defer tuplePool.Put(buf)
-	tuples := windowTuples(pl.check.Window, ss, buf)
+	b := batchPool.Get().(*batchWindows)
+	defer batchPool.Put(b)
+	tuples := b.fill(pl.check.Window, ss)
 	out := make([]Result, len(tuples))
 	if len(tuples) == 0 {
 		return out, nil
@@ -281,39 +260,44 @@ func (pl *CheckPlan) runParallelTuples(ctx context.Context, ss []series.Series, 
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > len(tuples) {
-		workers = len(tuples)
+	workers = min(workers, len(tuples))
+	done := ctx.Done()
+	if workers == 1 {
+		pl.evalWindows(tuples, b.coords, out, 0, 1, done)
+	} else {
+		var wg sync.WaitGroup
+		n := workers // captured here, so a one-worker run allocates no closure state
+		for w := range n {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				pl.evalWindows(tuples, b.coords, out, w, n, done)
+			}()
+		}
+		wg.Wait()
 	}
-	var done <-chan struct{}
-	if ctx != nil {
-		done = ctx.Done()
-	}
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		w := w
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			// One pooled evaluator per worker (params pre-normalized and
-			// bounds pre-resolved by the plan), reseeded per window from
-			// the window index alone: allocations stay O(workers) while
-			// the per-window streams — and therefore the results — stay
-			// independent of the worker count.
-			e := pl.NewEvaluator(0)
-			for i := w; i < len(tuples); i += workers {
-				select {
-				case <-done:
-					return
-				default:
-				}
-				e.Reseed(pl.seed ^ (uint64(i)*0x9e3779b97f4a7c15 + 1))
-				e.evaluateInto(&out[i], &pl.check.Constraint, tuples[i])
-			}
-		}()
-	}
-	wg.Wait()
-	if ctx != nil && ctx.Err() != nil {
-		return nil, ctx.Err()
+	if err := ctx.Err(); err != nil {
+		return nil, err
 	}
 	return out, nil
+}
+
+// evalWindows is one RunParallel worker: it evaluates windows w,
+// w+workers, … into out through a pooled one-member group, each at
+// WindowSeed(batchKeyHash, its coordinate), and stops between windows
+// once done is closed.
+func (pl *CheckPlan) evalWindows(tuples []WindowTuple, coords []uint64, out []Result, w, workers int, done <-chan struct{}) {
+	g := loneGroups.Get().(*PlanGroup)
+	defer loneGroups.Put(g)
+	// A lone plan is its own group class, so this cannot fail. The group's
+	// own plan slice holds it, so binding allocates nothing.
+	_ = g.bind(append(g.plans[:0], pl))
+	for i := w; i < len(tuples); i += workers {
+		select {
+		case <-done:
+			return
+		default:
+		}
+		g.Evaluate(g.WindowSeed(batchKeyHash, coords[i]), tuples[i], out[i:i+1])
+	}
 }

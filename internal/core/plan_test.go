@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"sound/internal/series"
+	"sound/internal/stream"
 )
 
 func TestClassifyWindow(t *testing.T) {
@@ -148,85 +149,93 @@ func uncertainSeries(n int) series.Series {
 	return s
 }
 
-// TestPlanRunMatchesLegacySequential pins the compiled path to the
-// pre-plan sequential algorithm: an evaluator built with
-// NewEvaluator(params, seed) running EvaluateAll directly. Bit-identical
-// Results, not just outcomes.
-func TestPlanRunMatchesLegacySequential(t *testing.T) {
-	ss := []series.Series{uncertainSeries(60)}
-	ck := Check{Name: "gt", Constraint: GreaterThan(11), SeriesNames: []string{"s"}, Window: TimeWindow{Size: 8}}
-	params := Params{Credibility: 0.95, MaxSamples: 60}
+// TestPlanRunMatchesWindowSeededGroup pins what a batch run is, for
+// every built-in window kind and a custom one: each window tuple
+// evaluated by a lone PlanGroup.Evaluate at WindowSeed of
+// stream.KeyHash("") — the key of the group a tag route puts every event
+// in — and the window's grid coordinate (a custom window's tuple index).
+// Plan.Run and Check.Run must return exactly that, bit for bit, and
+// Check.Run must read only the evaluator's seed, not its stream position.
+func TestPlanRunMatchesWindowSeededGroup(t *testing.T) {
+	if batchKeyHash != stream.KeyHash("") {
+		t.Fatalf("batchKeyHash = %#x, stream.KeyHash(\"\") = %#x", uint64(batchKeyHash), stream.KeyHash(""))
+	}
+	s := uncertainSeries(60)
+	for i := range s {
+		s[i].T += float64(7 * (i / 9)) // gaps, so sessions split
+	}
+	ss := []series.Series{s}
 	const seed = 42
-
-	legacy := MustEvaluator(params, seed).EvaluateAll(ck.Constraint, ck.Window, ss)
-
-	pl, err := CompilePlan(ck, params, seed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := pl.Run(ss)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, legacy) {
-		t.Error("plan.Run diverged from legacy NewEvaluator+EvaluateAll results")
-	}
-
-	// Check.Run (the facade path) must agree too.
-	viaCheck, err := ck.Run(MustEvaluator(params, seed), ss)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(viaCheck, legacy) {
-		t.Error("Check.Run diverged from legacy results")
-	}
-}
-
-// TestPlanRunParallelMatchesLegacy pins the parallel path to the
-// pre-plan per-window derived-seed algorithm: a fresh evaluator seeded
-// seed ^ (i·0x9e3779b97f4a7c15 + 1) per window tuple.
-func TestPlanRunParallelMatchesLegacy(t *testing.T) {
-	ss := []series.Series{uncertainSeries(60)}
-	ck := Check{Name: "gt", Constraint: GreaterThan(11), SeriesNames: []string{"s"}, Window: CountWindow{Size: 6}}
-	params := Params{Credibility: 0.95, MaxSamples: 60}
-	const seed = 99
-
-	tuples := ck.Window.Windows(ss)
-	legacy := make([]Result, len(tuples))
-	for i, tuple := range tuples {
-		e := MustEvaluator(params, seed^(uint64(i)*0x9e3779b97f4a7c15+1))
-		legacy[i] = e.Evaluate(ck.Constraint, tuple)
-	}
-
-	pl, err := CompilePlan(ck, params, seed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{1, 3, 16} {
-		got, err := pl.RunParallel(context.Background(), ss, workers)
-		if err != nil {
-			t.Fatal(err)
+	// Three parameter sets, in turn: the batch runs rebind pooled groups
+	// across plans, windows and parameters (the last two memoize
+	// overshoot intervals at different levels), which must not show.
+	for _, params := range []Params{
+		{Credibility: 0.95, MaxSamples: 60},
+		{Credibility: 0.9, MaxSamples: 40, CheckInterval: 3, BlockSize: 2},
+		{Credibility: 0.8, MaxSamples: 40, CheckInterval: 3},
+	} {
+		for _, tc := range []struct {
+			win  Windower
+			cons Constraint
+		}{
+			{PointWindow{}, GreaterThan(11)},
+			{TimeWindow{Size: 8}, GreaterThan(11)},
+			{TimeWindow{Size: 12, Slide: 5}, FractionInRange(9, 14, 0.6)},
+			{CountWindow{Size: 6, Slide: 4}, MonotonicIncrease(false)},
+			{SessionWindow{Gap: 3}, MaxDelta(5)},
+			{GlobalWindow{}, StdNonZero()},
+			{countedWindower{CountWindow{Size: 7}}, GreaterThan(11)},
+		} {
+			ck := Check{Name: "c", Constraint: tc.cons, SeriesNames: []string{"s"}, Window: tc.win}
+			pl, err := CompilePlan(ck, params, seed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var coords []uint64
+			tuples := replay(pl.Assigner(), ss, nil, &coords)
+			if pl.Assigner().Kind == KindCustom {
+				tuples, coords = tc.win.Windows(ss), nil
+				for _, tu := range tuples {
+					coords = append(coords, uint64(tu.Index))
+				}
+			}
+			if len(tuples) < 2 && pl.Assigner().Kind != KindGlobal {
+				t.Fatalf("%v: %d windows", tc.win, len(tuples))
+			}
+			g, err := NewPlanGroup([]*CheckPlan{pl})
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := make([]Result, len(tuples))
+			for i, tu := range tuples {
+				g.Evaluate(g.WindowSeed(stream.KeyHash(""), coords[i]), tu, want[i:i+1])
+			}
+			got, err := pl.Run(ss)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("%v: plan.Run differs from PlanGroup.Evaluate at the window seeds", tc.win)
+			}
+			e := MustEvaluator(params, seed)
+			e.Evaluate(tc.cons, tuples[0]) // moves the stream, not the seed
+			viaCheck, err := ck.Run(e, ss)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(viaCheck, want) {
+				t.Errorf("%v: Check.Run differs from PlanGroup.Evaluate at the window seeds", tc.win)
+			}
 		}
-		if !reflect.DeepEqual(got, legacy) {
-			t.Errorf("workers=%d: RunParallel diverged from legacy per-window seeding", workers)
-		}
 	}
 }
 
-func TestPlanNewEvaluatorMatchesNewEvaluator(t *testing.T) {
-	ck := Check{Name: "gt", Constraint: GreaterThan(11), SeriesNames: []string{"s"}, Window: PointWindow{}}
-	params := Params{Credibility: 0.95, MaxSamples: 60}
-	pl, err := CompilePlan(ck, params, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tuple := PointWindow{}.Windows([]series.Series{uncertainSeries(1)})[0]
-	a := pl.NewEvaluator(3).Evaluate(ck.Constraint, tuple)
-	b := MustEvaluator(params, 10).Evaluate(ck.Constraint, tuple)
-	if !reflect.DeepEqual(a, b) {
-		t.Error("plan.NewEvaluator(off) != NewEvaluator(params, seed+off)")
-	}
-}
+// countedWindower is a custom windowing function: a count window the
+// classifier does not recognize.
+type countedWindower struct{ w CountWindow }
+
+func (c countedWindower) Windows(ss []series.Series) []WindowTuple { return c.w.Windows(ss) }
+func (c countedWindower) String() string                           { return "counted" }
 
 func TestEvaluatorAtAndDeriveMatchNewEvaluator(t *testing.T) {
 	ck := Check{Name: "gt", Constraint: GreaterThan(11), SeriesNames: []string{"s"}, Window: PointWindow{}}
@@ -245,6 +254,40 @@ func TestEvaluatorAtAndDeriveMatchNewEvaluator(t *testing.T) {
 	base := MustEvaluator(params, 999)
 	if got := base.Derive(123).Evaluate(ck.Constraint, tuple); !reflect.DeepEqual(want, got) {
 		t.Error("evaluator.Derive(seed) != NewEvaluator(params, seed)")
+	}
+}
+
+// TestPlanRunParallelMatchesLegacy pins the parallel batch path of a
+// count window to the reference evaluation of each window on its own:
+// a lone PlanGroup.Evaluate at the window's seed, for any worker count.
+func TestPlanRunParallelMatchesLegacy(t *testing.T) {
+	ss := []series.Series{uncertainSeries(60)}
+	ck := Check{Name: "gt", Constraint: GreaterThan(11), SeriesNames: []string{"s"}, Window: CountWindow{Size: 6}}
+	params := Params{Credibility: 0.95, MaxSamples: 60}
+	const seed = 99
+
+	pl, err := CompilePlan(ck, params, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var coords []uint64
+	tuples := replay(pl.Assigner(), ss, nil, &coords)
+	g, err := NewPlanGroup([]*CheckPlan{pl})
+	if err != nil {
+		t.Fatal(err)
+	}
+	legacy := make([]Result, len(tuples))
+	for i, tu := range tuples {
+		g.Evaluate(g.WindowSeed(stream.KeyHash(""), coords[i]), tu, legacy[i:i+1])
+	}
+	for _, workers := range []int{1, 3, 16} {
+		got, err := pl.RunParallel(context.Background(), ss, workers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, legacy) {
+			t.Errorf("workers=%d: RunParallel diverged from per-window seeded evaluation", workers)
+		}
 	}
 }
 

@@ -45,7 +45,7 @@ type PointWindow struct{}
 
 // Windows implements Windower.
 func (w PointWindow) Windows(ss []series.Series) []WindowTuple {
-	return replay(ClassifyWindow(w), ss, nil)
+	return replay(ClassifyWindow(w), ss, nil, nil)
 }
 
 func (PointWindow) String() string { return "point" }
@@ -60,7 +60,7 @@ type TimeWindow struct {
 
 // Windows implements Windower.
 func (w TimeWindow) Windows(ss []series.Series) []WindowTuple {
-	return replay(ClassifyWindow(w), ss, nil)
+	return replay(ClassifyWindow(w), ss, nil, nil)
 }
 
 // String returns the window's text (FormatWindow): "time:<size>", with
@@ -83,7 +83,7 @@ type CountWindow struct {
 
 // Windows implements Windower.
 func (w CountWindow) Windows(ss []series.Series) []WindowTuple {
-	return replay(ClassifyWindow(w), ss, nil)
+	return replay(ClassifyWindow(w), ss, nil, nil)
 }
 
 // String returns the window's text (FormatWindow): "count:<size>", with
@@ -101,7 +101,7 @@ type GlobalWindow struct{}
 
 // Windows implements Windower.
 func (w GlobalWindow) Windows(ss []series.Series) []WindowTuple {
-	return replay(ClassifyWindow(w), ss, nil)
+	return replay(ClassifyWindow(w), ss, nil, nil)
 }
 
 func (GlobalWindow) String() string { return "global" }
@@ -119,7 +119,7 @@ type SessionWindow struct {
 
 // Windows implements Windower.
 func (w SessionWindow) Windows(ss []series.Series) []WindowTuple {
-	return replay(ClassifyWindow(w), ss, nil)
+	return replay(ClassifyWindow(w), ss, nil, nil)
 }
 
 // String returns the window's text (FormatWindow): "session:<gap>".

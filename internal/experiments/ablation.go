@@ -58,6 +58,9 @@ func RunAblation(opts Options) (*AblationResult, error) {
 		samples, windows := 0, 0
 		start := time.Now()
 		for rep := 0; rep < repeat; rep++ {
+			// A batch run seeds each window from the window itself, so
+			// each repeat takes its own seed to be a fresh realization.
+			eval.Reseed(opts.Seed + uint64(rep))
 			results, err := rangeCheck.Run(eval, []series.Series{clear})
 			if err != nil {
 				return nil, err

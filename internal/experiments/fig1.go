@@ -83,14 +83,21 @@ func RunFig1(opts Options) (*Fig1Result, error) {
 		},
 	}
 	win := core.TimeWindow{Size: 10}
-	// A short burn-in (MinSamples) keeps the illustrative example free of
-	// the false conclusions that early repeated looks can produce on an
-	// exactly borderline window.
-	eval, err := core.NewEvaluator(core.Params{Credibility: 0.99, MaxSamples: 1000, MinSamples: 25}, opts.Seed)
+	// Window 4 is exactly borderline (p = ½). Checked after every sample,
+	// Alg. 1 concludes there with probability 0.150 at c = 0.99, N = 1000
+	// (0.127 with a 25-sample burn-in; core.OperatingCharacteristic):
+	// the repeated-looks cost of sequential testing. Checked once, at the
+	// full budget, it concludes with probability 0.010, so the example
+	// shows the test's answer, not the cost of its early looks.
+	eval, err := core.NewEvaluator(core.Params{Credibility: 0.99, MaxSamples: 1000, CheckInterval: 1000}, opts.Seed)
 	if err != nil {
 		return nil, err
 	}
-	tuples := win.Windows([]series.Series{s})
+	check := core.Check{Name: constraint.Name, Constraint: constraint, SeriesNames: []string{"s"}, Window: win}
+	results, err := check.Run(eval, []series.Series{s})
+	if err != nil {
+		return nil, err
+	}
 	res := &Fig1Result{Threshold: threshold, Series: s}
 	comments := []string{
 		"agreement: clearly satisfied",
@@ -98,13 +105,12 @@ func RunFig1(opts Options) (*Fig1Result, error) {
 		"naive false satisfaction: uncertainty suggests crossings",
 		"naive overconfident: evidence too weak for any conclusion",
 	}
-	for i, tuple := range tuples {
-		r := eval.Evaluate(constraint, tuple)
+	for i, r := range results {
 		w := Fig1Window{
-			Start:         tuple.Start,
-			End:           tuple.End,
-			Points:        len(tuple.Windows[0]),
-			Naive:         core.EvaluateNaive(constraint, tuple),
+			Start:         r.Window.Start,
+			End:           r.Window.End,
+			Points:        len(r.Window.Windows[0]),
+			Naive:         core.EvaluateNaive(constraint, r.Window),
 			Sound:         r.Outcome,
 			ViolationProb: r.ViolationProb,
 		}

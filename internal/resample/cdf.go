@@ -166,6 +166,11 @@ type end struct {
 	open bool // a value equal to x misses (lower ends only)
 }
 
+// Reset empties the set, keeping its arrays.
+func (s *Intervals) Reset() {
+	s.All, s.upper, s.lower = s.All[:0], s.upper[:0], s.lower[:0]
+}
+
 // Add returns the index in All of iv, appending it on first use.
 func (s *Intervals) Add(iv Interval) int {
 	for i := range s.All {

@@ -217,9 +217,8 @@ func (rs *Resampler) sizeMeta(k int) {
 }
 
 // primeOwn extracts window slot wi into the resampler's own scratch
-// extraction, which is reused across PrimeViews calls — an Evaluator
-// walking EvaluateAll windows re-extracts into the same buffers every
-// time. The owned extractions grow on demand so fully view-primed runs
+// extraction, which is reused across PrimeViews calls — a batch run
+// walking its windows re-extracts into the same buffers every time. The owned extractions grow on demand so fully view-primed runs
 // never touch them.
 func (rs *Resampler) primeOwn(wi int, w series.Series) {
 	if wi >= len(rs.own) {

@@ -108,8 +108,14 @@ func pinBatch(t *testing.T) string {
 	// Parallel path: identical for 1 and 3 workers by construction, so pin
 	// a single worker count.
 	for _, workers := range []int{3} {
-		rs, err := sound.EvaluateAllParallel(sound.GreaterThan(5), sound.TimeWindow{Size: 10, Slide: 4},
-			[]sound.Series{x}, sound.DefaultParams(), 7, workers)
+		pl, err := sound.CompilePlan(sound.Check{
+			Name: "gt", Constraint: sound.GreaterThan(5),
+			SeriesNames: []string{"x"}, Window: sound.TimeWindow{Size: 10, Slide: 4},
+		}, sound.DefaultParams(), 7)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rs, err := pl.RunParallel(context.Background(), []sound.Series{x}, workers)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -455,7 +461,7 @@ point[1] o=⊤ n=5 s=5 p=0.1428571428571429 ci=[0.5407418735600996,0.99578925548
 point[2] o=⊤ n=5 s=5 p=0.1428571428571429 ci=[0.5407418735600996,0.9957892554855106]
 point[3] o=⊤ n=8 s=7 p=0.19999999999999996 ci=[0.5175034850826628,0.9718550265221019]
 point[4] o=⊤ n=5 s=5 p=0.1428571428571429 ci=[0.5407418735600996,0.9957892554855106]
-point[5] o=⊤ n=22 s=16 p=0.29166666666666663 ci=[0.5159480295975583,0.8678971203019001]
+point[5] o=⊤ n=16 s=12 p=0.2777777777777778 ci=[0.5010067267954199,0.8968644856296808]
 point[6] o=⊤ n=11 s=9 p=0.23076923076923073 ci=[0.515862251314033,0.9451393554720078]
 point[7] o=⊥ n=5 s=0 p=0.8571428571428572 ci=[0.0042107445144894395,0.4592581264399004]
 point[8] o=⊥ n=5 s=0 p=0.8571428571428572 ci=[0.0042107445144894395,0.4592581264399004]
@@ -471,12 +477,12 @@ point[17] o=⊤ n=5 s=5 p=0.1428571428571429 ci=[0.5407418735600996,0.9957892554
 point[18] o=⊤ n=5 s=5 p=0.1428571428571429 ci=[0.5407418735600996,0.9957892554855106]
 point[19] o=⊤ n=5 s=5 p=0.1428571428571429 ci=[0.5407418735600996,0.9957892554855106]
 point[20] o=⊤ n=5 s=5 p=0.1428571428571429 ci=[0.5407418735600996,0.9957892554855106]
-point[21] o=⊤ n=11 s=9 p=0.23076923076923073 ci=[0.515862251314033,0.9451393554720078]
+point[21] o=⊤ n=14 s=11 p=0.25 ci=[0.519108866193147,0.9221284537089565]
 point[22] o=⊤ n=5 s=5 p=0.1428571428571429 ci=[0.5407418735600996,0.9957892554855106]
 point[23] o=⊥ n=5 s=0 p=0.8571428571428572 ci=[0.0042107445144894395,0.4592581264399004]
 point[24] o=⊥ n=5 s=0 p=0.8571428571428572 ci=[0.0042107445144894395,0.4592581264399004]
 point[25] o=⊥ n=5 s=0 p=0.8571428571428572 ci=[0.0042107445144894395,0.4592581264399004]
-point[26] o=⊥ n=5 s=0 p=0.8571428571428572 ci=[0.0042107445144894395,0.4592581264399004]
+point[26] o=⊥ n=8 s=1 p=0.8 ci=[0.028144973477898176,0.48249651491733736]
 point[27] o=⊥ n=5 s=0 p=0.8571428571428572 ci=[0.0042107445144894395,0.4592581264399004]
 point[28] o=⊥ n=5 s=0 p=0.8571428571428572 ci=[0.0042107445144894395,0.4592581264399004]
 point[29] o=⊥ n=5 s=0 p=0.8571428571428572 ci=[0.0042107445144894395,0.4592581264399004]
@@ -489,7 +495,7 @@ point[35] o=⊤ n=5 s=5 p=0.1428571428571429 ci=[0.5407418735600996,0.9957892554
 point[36] o=⊤ n=5 s=5 p=0.1428571428571429 ci=[0.5407418735600996,0.9957892554855106]
 point[37] o=⊤ n=5 s=5 p=0.1428571428571429 ci=[0.5407418735600996,0.9957892554855106]
 point[38] o=⊤ n=5 s=5 p=0.1428571428571429 ci=[0.5407418735600996,0.9957892554855106]
-point[39] o=⊥ n=39 s=13 p=0.6585365853658536 ci=[0.2062824908707669,0.4912948754784485]
+point[39] o=⊥ n=76 s=29 p=0.6153846153846154 ci=[0.2804622611792988,0.494375179508165]
 set[0] o=⊤ n=5 s=5 p=0.1428571428571429 ci=[0.5407418735600996,0.9957892554855106]
 set[1] o=⊤ n=5 s=5 p=0.1428571428571429 ci=[0.5407418735600996,0.9957892554855106]
 set[2] o=⊣ n=0 s=0 p=0.5 ci=[0.025000000000000022,0.975]
@@ -512,7 +518,7 @@ mono[2] o=⊥ n=5 s=0 p=0.8571428571428572 ci=[0.0042107445144894395,0.459258126
 mono[3] o=⊥ n=5 s=0 p=0.8571428571428572 ci=[0.0042107445144894395,0.4592581264399004]
 mono[4] o=⊥ n=5 s=0 p=0.8571428571428572 ci=[0.0042107445144894395,0.4592581264399004]
 mono[5] o=⊥ n=5 s=0 p=0.8571428571428572 ci=[0.0042107445144894395,0.4592581264399004]
-par3[0] o=⊤ n=5 s=5 p=0.1428571428571429 ci=[0.5407418735600996,0.9957892554855106]
+par3[0] o=⊤ n=14 s=11 p=0.25 ci=[0.519108866193147,0.9221284537089565]
 par3[1] o=⊤ n=5 s=5 p=0.1428571428571429 ci=[0.5407418735600996,0.9957892554855106]
 par3[2] o=⊤ n=5 s=5 p=0.1428571428571429 ci=[0.5407418735600996,0.9957892554855106]
 par3[3] o=⊣ n=0 s=0 p=0.5 ci=[0.025000000000000022,0.975]
@@ -521,8 +527,8 @@ par3[5] o=⊣ n=0 s=0 p=0.5 ci=[0.025000000000000022,0.975]
 par3[6] o=⊣ n=0 s=0 p=0.5 ci=[0.025000000000000022,0.975]
 par3[7] o=⊤ n=5 s=5 p=0.1428571428571429 ci=[0.5407418735600996,0.9957892554855106]
 par3[8] o=⊤ n=5 s=5 p=0.1428571428571429 ci=[0.5407418735600996,0.9957892554855106]
-par3[9] o=⊤ n=11 s=9 p=0.23076923076923073 ci=[0.515862251314033,0.9451393554720078]
-par3[10] o=⊤ n=8 s=7 p=0.19999999999999996 ci=[0.5175034850826628,0.9718550265221019]
+par3[9] o=⊤ n=27 s=19 p=0.31034482758620685 ci=[0.513331684551059,0.8412239621138475]
+par3[10] o=⊤ n=60 s=38 p=0.3709677419354839 ci=[0.5062703405301042,0.7439064996561013]
 par3[11] o=⊤ n=5 s=5 p=0.1428571428571429 ci=[0.5407418735600996,0.9957892554855106]
 par3[12] o=⊣ n=0 s=0 p=0.5 ci=[0.025000000000000022,0.975]
 par3[13] o=⊣ n=0 s=0 p=0.5 ci=[0.025000000000000022,0.975]
@@ -530,16 +536,16 @@ par3[14] o=⊣ n=0 s=0 p=0.5 ci=[0.025000000000000022,0.975]
 par3[15] o=⊣ n=0 s=0 p=0.5 ci=[0.025000000000000022,0.975]
 par3[16] o=⊤ n=5 s=5 p=0.1428571428571429 ci=[0.5407418735600996,0.9957892554855106]
 par3[17] o=⊤ n=5 s=5 p=0.1428571428571429 ci=[0.5407418735600996,0.9957892554855106]
-par3[18] o=⊤ n=5 s=5 p=0.1428571428571429 ci=[0.5407418735600996,0.9957892554855106]
+par3[18] o=⊤ n=8 s=7 p=0.19999999999999996 ci=[0.5175034850826628,0.9718550265221019]
 par3[19] o=⊤ n=5 s=5 p=0.1428571428571429 ci=[0.5407418735600996,0.9957892554855106]
 par3[20] o=⊤ n=5 s=5 p=0.1428571428571429 ci=[0.5407418735600996,0.9957892554855106]
 par3[21] o=⊣ n=0 s=0 p=0.5 ci=[0.025000000000000022,0.975]
 par3[22] o=⊣ n=0 s=0 p=0.5 ci=[0.025000000000000022,0.975]
 par3[23] o=⊣ n=0 s=0 p=0.5 ci=[0.025000000000000022,0.975]
 par3[24] o=⊣ n=0 s=0 p=0.5 ci=[0.025000000000000022,0.975]
-par3[25] o=⊤ n=8 s=7 p=0.19999999999999996 ci=[0.5175034850826628,0.9718550265221019]
-par3[26] o=⊤ n=16 s=12 p=0.2777777777777778 ci=[0.5010067267954199,0.8968644856296808]
-par3[27] o=⊤ n=22 s=16 p=0.29166666666666663 ci=[0.5159480295975583,0.8678971203019001]
+par3[25] o=⊤ n=82 s=50 p=0.3928571428571429 ci=[0.5011881702971464,0.7082631678474512]
+par3[26] o=⊤ n=34 s=23 p=0.33333333333333337 ci=[0.5071199996848256,0.8086758978117338]
+par3[27] o=⊤ n=8 s=7 p=0.19999999999999996 ci=[0.5175034850826628,0.9718550265221019]
 par3[28] o=⊤ n=5 s=5 p=0.1428571428571429 ci=[0.5407418735600996,0.9957892554855106]
 `
 	pinnedStream = `stream/sliding sat=2 viol=12 inc=9

@@ -38,7 +38,10 @@
 // the window itself — check class, route key, window coordinate — so
 // an online verdict does not depend on worker or shard count, batch
 // size, or which other checks are registered (DESIGN.md §4l). The batch
-// entry points (Check.Run, RunParallel) keep their own seed schedules.
+// entry points (Check.Run, CheckPlan.Run and RunParallel, Suite) seed
+// each window the same way, at the key "" of a tag route: a batch
+// verdict is the verdict `soundcheck -stream` prints for the same check
+// and series, at any worker count.
 package sound
 
 import (
@@ -197,13 +200,6 @@ func ClassifyWindow(w Windower) WindowAssigner { return core.ClassifyWindow(w) }
 // EvaluateNaive applies a constraint to raw window values, ignoring all
 // data-quality issues (the BASE_CHECK baseline).
 func EvaluateNaive(c Constraint, w WindowTuple) Outcome { return core.EvaluateNaive(c, w) }
-
-// EvaluateAllParallel evaluates a constraint over all windows with up to
-// workers goroutines (0 = GOMAXPROCS); results are deterministic for a
-// fixed (params, seed) and independent of the worker count.
-func EvaluateAllParallel(c Constraint, win Windower, ss []Series, params Params, seed uint64, workers int) ([]Result, error) {
-	return core.EvaluateAllParallel(c, win, ss, params, seed, workers)
-}
 
 // Constraint templates (paper §IV-C and Table IV).
 var (

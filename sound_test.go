@@ -2,6 +2,7 @@ package sound_test
 
 import (
 	"bytes"
+	"context"
 	"strings"
 	"testing"
 
@@ -244,8 +245,12 @@ func TestSessionWindowThroughFacade(t *testing.T) {
 
 func TestParallelEvaluationThroughFacade(t *testing.T) {
 	data := sound.FromValues(1, 2, 3, 4, 5)
-	results, err := sound.EvaluateAllParallel(sound.NonNegative(), sound.PointWindow{},
-		[]sound.Series{data}, sound.DefaultParams(), 3, 0)
+	ck := sound.Check{Name: "nonneg", Constraint: sound.NonNegative(), SeriesNames: []string{"s"}, Window: sound.PointWindow{}}
+	pl, err := sound.CompilePlan(ck, sound.DefaultParams(), 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	results, err := pl.RunParallel(context.Background(), []sound.Series{data}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
