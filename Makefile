@@ -52,8 +52,8 @@ bench-smoke:
 # (one key's disordered and hostile event times through a Mux operator
 # give the batch windower's windows over the events it accepted, and
 # its SOUND members CheckPlan.Run's verdicts over them), the template
-# evaluation
-# against its reference closure (referenceFn) run as a user constraint,
+# evaluation against its reference closure (referenceFn) run as a user
+# constraint, both through a one-member lane's row loop at one seed,
 # the shared-lane/per-check scoring parity, the
 # branch-free in-range count against its short-circuit oracle, the
 # closed-form level probability against its table bracket, the decision

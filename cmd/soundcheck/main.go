@@ -118,20 +118,27 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if err != nil {
 			return fail(stderr, err)
 		}
+	} else if plan, err := sound.CompilePlan(check, params, cc.Seed); err != nil {
+		return fail(stderr, err)
 	} else if *naive {
-		for _, tuple := range check.Window.Windows(ss) {
-			o := sound.EvaluateNaive(check.Constraint, tuple)
-			counts[o]++
-			if *verbose {
-				fmt.Fprintf(stdout, "window %d [%g, %g): %v\n", tuple.Index, tuple.Start, tuple.End, o)
-			}
-		}
-	} else {
-		eval, err := sound.NewEvaluator(params, cc.Seed)
+		// RunNaive refuses the series a SOUND run refuses, and its
+		// outcomes are index-aligned with the window tuples.
+		outcomes, err := plan.RunNaive(ss)
 		if err != nil {
 			return fail(stderr, err)
 		}
-		results, err = check.Run(eval, ss)
+		var tuples []sound.WindowTuple
+		if *verbose {
+			tuples = check.Window.Windows(ss)
+		}
+		for i, o := range outcomes {
+			counts[o]++
+			if *verbose {
+				fmt.Fprintf(stdout, "window %d [%g, %g): %v\n", tuples[i].Index, tuples[i].Start, tuples[i].End, o)
+			}
+		}
+	} else {
+		results, err = plan.Run(ss)
 		if err != nil {
 			return fail(stderr, err)
 		}

@@ -69,6 +69,19 @@ func TestNaiveMode(t *testing.T) {
 	}
 }
 
+// TestNaiveRefusesUnplaceableTime: a time the window cannot place is
+// refused by the naive run exactly as by the SOUND run, not windowed.
+func TestNaiveRefusesUnplaceableTime(t *testing.T) {
+	path := writeCSV(t, "s.csv", "t,v\n0,1\n1,2\n2,3\n1e300,4\n")
+	for _, extra := range [][]string{nil, {"-naive"}, {"-naive", "-v"}} {
+		args := append([]string{"-check", "range;min=0;max=10;window=time:10"}, extra...)
+		code, out, errOut := runTool(t, append(args, path)...)
+		if code != 1 || out != "" || !strings.Contains(errOut, "window time:10 cannot place") {
+			t.Errorf("%v: exit %d, stdout %q, stderr %q; want exit 1 and the placement error", extra, code, out, errOut)
+		}
+	}
+}
+
 func TestBinaryConstraint(t *testing.T) {
 	a := writeCSV(t, "a.csv", "t,v\n1,1\n2,2\n3,3\n4,4\n5,5\n6,6\n")
 	b := writeCSV(t, "b.csv", "t,v\n1,2\n2,4\n3,6\n4,8\n5,10\n6,12\n")

@@ -6,9 +6,10 @@ import (
 	"sound"
 )
 
-// ExampleCheck_Run demonstrates the core flow: define a check, evaluate
-// it with quality-aware resampling, and read the three-valued outcomes.
-func ExampleCheck_Run() {
+// ExampleCheckPlan_Run demonstrates the core flow: define a check,
+// compile it, evaluate it with quality-aware resampling, and read the
+// three-valued outcomes.
+func ExampleCheckPlan_Run() {
 	// A certain in-range point, a point sitting exactly on the lower
 	// bound with large symmetric uncertainty, and a clear violation.
 	data, _ := sound.NewSeries(
@@ -23,8 +24,8 @@ func ExampleCheck_Run() {
 		SeriesNames: []string{"sensor"},
 		Window:      sound.PointWindow{},
 	}
-	eval, _ := sound.NewEvaluator(sound.Params{Credibility: 0.95, MaxSamples: 100}, 4)
-	results, _ := check.Run(eval, []sound.Series{data})
+	plan, _ := sound.CompilePlan(check, sound.Params{Credibility: 0.95, MaxSamples: 100}, 4)
+	results, _ := plan.Run([]sound.Series{data})
 	for _, r := range results {
 		fmt.Printf("t=%g: %v\n", r.Window.Start, r.Outcome)
 	}
@@ -44,11 +45,12 @@ func ExampleEvaluateNaive() {
 	tuple := sound.PointWindow{}.Windows([]sound.Series{borderline})[0]
 
 	naive := sound.EvaluateNaive(c, tuple)
-	eval, _ := sound.NewEvaluator(sound.Params{Credibility: 0.95, MaxSamples: 100}, 3)
-	robust := eval.Evaluate(c, tuple)
+	check := sound.Check{Name: "above", Constraint: c, SeriesNames: []string{"s"}, Window: sound.PointWindow{}}
+	plan, _ := sound.CompilePlan(check, sound.Params{Credibility: 0.95, MaxSamples: 100}, 3)
+	robust, _ := plan.Run([]sound.Series{borderline})
 
 	fmt.Printf("naive: %v (decides from the raw value)\n", naive)
-	fmt.Printf("SOUND: %v (the downward error bar holds most of the mass)\n", robust.Outcome)
+	fmt.Printf("SOUND: %v (the downward error bar holds most of the mass)\n", robust[0].Outcome)
 	// Output:
 	// naive: ⊤ (decides from the raw value)
 	// SOUND: ⊥ (the downward error bar holds most of the mass)
@@ -79,8 +81,8 @@ func ExampleChangePoints() {
 		Name: "above-threshold", Constraint: c,
 		SeriesNames: []string{"s"}, Window: sound.TimeWindow{Size: 15},
 	}
-	eval, _ := sound.NewEvaluator(sound.Params{Credibility: 0.95, MaxSamples: 200}, 5)
-	results, _ := check.Run(eval, []sound.Series{data})
+	plan, _ := sound.CompilePlan(check, sound.Params{Credibility: 0.95, MaxSamples: 200}, 5)
+	results, _ := plan.Run([]sound.Series{data})
 
 	analyzer, _ := sound.NewAnalyzer(sound.Params{Credibility: 0.95, MaxSamples: 200}, 7)
 	for _, cp := range sound.ChangePoints(results) {

@@ -40,11 +40,11 @@ func main() {
 			}
 			ss[j] = s
 		}
-		eval, err := sound.NewEvaluator(params, uint64(200+i))
+		plan, err := sound.CompilePlan(ck, params, uint64(200+i))
 		if err != nil {
 			log.Fatal(err)
 		}
-		results, err := ck.Run(eval, ss)
+		results, err := plan.Run(ss)
 		if err != nil {
 			log.Fatal(err)
 		}

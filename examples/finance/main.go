@@ -55,7 +55,7 @@ func main() {
 	}
 
 	for i, ck := range []sound.Check{correlated, bounded, nonneg} {
-		eval, err := sound.NewEvaluator(params, uint64(300+i))
+		plan, err := sound.CompilePlan(ck, params, uint64(300+i))
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -64,7 +64,7 @@ func main() {
 			s, _ := p.Series(name)
 			ss[j] = s
 		}
-		results, err := ck.Run(eval, ss)
+		results, err := plan.Run(ss)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -39,11 +39,11 @@ func main() {
 		Window:      sound.TimeWindow{Size: 10},
 	}
 
-	eval, err := sound.NewEvaluator(sound.Params{Credibility: 0.99, MaxSamples: 1000, MinSamples: 25}, 1)
+	plan, err := sound.CompilePlan(check, sound.Params{Credibility: 0.99, MaxSamples: 1000, MinSamples: 25}, 1)
 	if err != nil {
 		log.Fatal(err)
 	}
-	results, err := check.Run(eval, []sound.Series{data})
+	results, err := plan.Run([]sound.Series{data})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -35,11 +35,11 @@ func main() {
 			}
 			ss[j] = s
 		}
-		eval, err := sound.NewEvaluator(params, uint64(100+i))
+		plan, err := sound.CompilePlan(ck, params, uint64(100+i))
 		if err != nil {
 			log.Fatal(err)
 		}
-		results, err := ck.Run(eval, ss)
+		results, err := plan.Run(ss)
 		if err != nil {
 			log.Fatal(err)
 		}

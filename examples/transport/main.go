@@ -57,7 +57,7 @@ func main() {
 
 	data := map[string]sound.Series{"flow": flow, "crowdedness": crowd}
 	for i, ck := range []sound.Check{inertia, plausible, correlated} {
-		eval, err := sound.NewEvaluator(params, uint64(400+i))
+		plan, err := sound.CompilePlan(ck, params, uint64(400+i))
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -65,7 +65,7 @@ func main() {
 		for j, name := range ck.SeriesNames {
 			ss[j] = data[name]
 		}
-		results, err := ck.Run(eval, ss)
+		results, err := plan.Run(ss)
 		if err != nil {
 			log.Fatal(err)
 		}

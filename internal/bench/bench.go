@@ -132,20 +132,32 @@ func score(b *testing.B, c core.Constraint, n int, mean float64) {
 }
 
 // EvaluatePointCheck measures the core evaluation loop on a single
-// certain point — the deterministic-collapse fast path.
+// certain point — the deterministic-collapse fast path — through a
+// one-member group at a window seed per iteration.
 func EvaluatePointCheck(b *testing.B) {
-	data := sound.FromValues(50)
-	c := sound.Range(0, 100)
-	eval, err := sound.NewEvaluator(sound.DefaultParams(), 4)
-	if err != nil {
-		b.Fatal(err)
-	}
-	tuple := sound.PointWindow{}.Windows([]sound.Series{data})[0]
+	data := series.FromValues(50)
+	g := loneGroup(b, core.Range(0, 100), 4)
+	tuple := core.PointWindow{}.Windows([]series.Series{data})[0]
+	out := make([]core.Result, 1)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = eval.Evaluate(c, tuple)
+		g.Evaluate(g.WindowSeed(0, uint64(i)), tuple, out)
 	}
+}
+
+// loneGroup is the one-member group of c compiled alone as a
+// GlobalWindow check of its arity under the default parameters.
+func loneGroup(b *testing.B, c core.Constraint, seed uint64) *core.PlanGroup {
+	pl, err := core.CompilePlan(core.Check{Name: c.Name, Constraint: c, SeriesNames: make([]string, c.Arity), Window: core.GlobalWindow{}}, core.DefaultParams(), seed)
+	if err != nil {
+		b.Fatal(err)
+	}
+	g, err := core.NewPlanGroup([]*core.CheckPlan{pl})
+	if err != nil {
+		b.Fatal(err)
+	}
+	return g
 }
 
 // EvaluateSequenceCheck measures a windowed sequence evaluation (block
@@ -158,16 +170,13 @@ func EvaluateSequenceCheck(b *testing.B) {
 		x[i] = sound.Point{T: float64(i), V: float64(i), SigUp: 1, SigDown: 1}
 		y[i] = sound.Point{T: float64(i), V: float64(i) + 5, SigUp: 1, SigDown: 1}
 	}
-	c := sound.CorrelationAbove(0.2)
-	eval, err := sound.NewEvaluator(sound.DefaultParams(), 5)
-	if err != nil {
-		b.Fatal(err)
-	}
+	g := loneGroup(b, core.CorrelationAbove(0.2), 5)
 	tuple := sound.GlobalWindow{}.Windows([]sound.Series{x, y})[0]
+	out := make([]core.Result, 1)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = eval.Evaluate(c, tuple)
+		g.Evaluate(g.WindowSeed(0, uint64(i)), tuple, out)
 	}
 }
 
@@ -739,11 +748,11 @@ func Summarize(b *testing.B) {
 		Window:      sound.TimeWindow{Size: 20},
 	}
 	params := sound.Params{Credibility: 0.95, MaxSamples: 100}
-	eval, err := sound.NewEvaluator(params, 5)
+	plan, err := sound.CompilePlan(check, params, 5)
 	if err != nil {
 		b.Fatal(err)
 	}
-	results, err := check.Run(eval, []sound.Series{s})
+	results, err := plan.Run([]sound.Series{s})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -787,7 +796,7 @@ func AblationEarlyStop(b *testing.B, checkInterval int) {
 		Window:      sound.PointWindow{},
 	}
 	params := sound.Params{Credibility: 0.95, MaxSamples: 100, CheckInterval: checkInterval}
-	eval, err := sound.NewEvaluator(params, 1)
+	plan, err := sound.CompilePlan(check, params, 1)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -796,7 +805,7 @@ func AblationEarlyStop(b *testing.B, checkInterval int) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		results, err := check.Run(eval, []sound.Series{data})
+		results, err := plan.Run([]sound.Series{data})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -829,18 +838,17 @@ func AblationBlockBootstrap(b *testing.B, block bool) {
 		SeriesNames: []string{"s"},
 		Window:      sound.CountWindow{Size: 16},
 	}
-	eval, err := sound.NewEvaluator(sound.Params{Credibility: 0.95, MaxSamples: 100}, 2)
-	if err != nil {
-		b.Fatal(err)
-	}
 	falseViol, windows := 0, 0
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		// A batch window is seeded from the window itself: each iteration
 		// takes its own seed, so it is an independent realization.
-		eval.Reseed(2 + uint64(i))
-		results, err := check.Run(eval, []sound.Series{data})
+		plan, err := sound.CompilePlan(check, sound.Params{Credibility: 0.95, MaxSamples: 100}, 2+uint64(i))
+		if err != nil {
+			b.Fatal(err)
+		}
+		results, err := plan.Run([]sound.Series{data})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -867,18 +875,17 @@ func AblationDecisionRule(b *testing.B, credibility float64) {
 		SeriesNames: []string{"s"},
 		Window:      sound.PointWindow{},
 	}
-	eval, err := sound.NewEvaluator(sound.Params{Credibility: credibility, MaxSamples: 100}, 3)
-	if err != nil {
-		b.Fatal(err)
-	}
 	falseConcl, windows := 0, 0
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		// A batch window is seeded from the window itself: each iteration
 		// takes its own seed, so it is an independent realization.
-		eval.Reseed(3 + uint64(i))
-		results, err := check.Run(eval, []sound.Series{borderline})
+		plan, err := sound.CompilePlan(check, sound.Params{Credibility: credibility, MaxSamples: 100}, 3+uint64(i))
+		if err != nil {
+			b.Fatal(err)
+		}
+		results, err := plan.Run([]sound.Series{borderline})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -13,7 +13,7 @@ import (
 )
 
 // TestBatchEntryPointsBitEqual holds every batch entry point to one
-// answer: Check.Run, CheckPlan.Run, CheckPlan.RunParallel at 1, 2 and 4
+// answer: CheckPlan.Run, CheckPlan.RunParallel at 1, 2 and 4
 // workers, and the first check of a Suite (seeded at the suite's seed)
 // under Suite.Run and Suite.RunParallel return bit-equal Results, on
 // uncertain, borderline data where every window draws.
@@ -41,10 +41,6 @@ func TestBatchEntryPointsBitEqual(t *testing.T) {
 			t.Fatal(err)
 		}
 		got := map[string][]core.Result{}
-		got["Check.Run"], err = ck.Run(core.MustEvaluator(params, seed), ss)
-		if err != nil {
-			t.Fatal(err)
-		}
 		for _, workers := range []int{1, 2, 4} {
 			rs, err := pl.RunParallel(context.Background(), ss, workers)
 			if err != nil {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"sync"
 	"sync/atomic"
 
@@ -158,10 +159,12 @@ func (b *decisionBounds) nextDecision(cs, i, minS, ci, maxS int) int {
 }
 
 // The boundary table depends only on (prior, credibility, N), so it is
-// shared process-wide: evaluators, batch workers and stream checkers
-// with the same Params all reuse one table.
+// shared process-wide: batch workers, stream checkers and analyzers
+// with the same Params all reuse one table. The float fields are keyed
+// by their bits: a key of plain memory hashes in one pass, where float
+// fields are hashed field by field on every CompilePlan.
 type boundsKey struct {
-	alpha, beta, cred float64
+	alpha, beta, cred uint64
 	maxSamples        int
 }
 
@@ -178,7 +181,8 @@ const boundsCacheLimit = 1024
 // building and caching it on first use. Concurrent first uses may build
 // the table redundantly; the result is identical either way.
 func boundsFor(p Params) *decisionBounds {
-	key := boundsKey{alpha: p.PriorAlpha, beta: p.PriorBeta, cred: p.Credibility, maxSamples: p.MaxSamples}
+	key := boundsKey{alpha: math.Float64bits(p.PriorAlpha), beta: math.Float64bits(p.PriorBeta),
+		cred: math.Float64bits(p.Credibility), maxSamples: p.MaxSamples}
 	if v, ok := boundsCache.Load(key); ok {
 		return v.(*decisionBounds)
 	}
@@ -263,7 +267,7 @@ type OutcomeLaw struct {
 // Bernoulli(p): the law every evaluation path — drawn rows or a collapsed
 // closed form — realizes on such a window.
 func OperatingCharacteristic(params Params, p float64) (OutcomeLaw, error) {
-	pn, err := params.normalized()
+	pn, err := params.Normalized()
 	if err != nil {
 		return OutcomeLaw{}, err
 	}

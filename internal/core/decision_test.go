@@ -55,7 +55,7 @@ func sameDecision(a, b Result) bool {
 }
 
 // TestEvaluateMatchesDirectRule proves the tentpole's parity claim on
-// stochastic evaluations: the boundary-table evaluator and a direct
+// stochastic evaluations: the boundary-table row loop and a direct
 // quantile-rule replay of the same resample verdicts produce
 // bit-identical results — outcome, stopping time, counts, and the
 // terminal credible interval — across parameterizations that exercise
@@ -75,15 +75,14 @@ func TestEvaluateMatchesDirectRule(t *testing.T) {
 			w := WindowTuple{Windows: []series.Series{{{T: 0, V: 10, SigUp: 4, SigDown: 4}}}}
 			c := GreaterThan(10)
 
-			e := MustEvaluator(params, seed)
-			got := e.Evaluate(c, w)
+			got := rowsAt(t, c, params, seed, w)
 
-			// Replay the identical draw stream: a same-seed evaluator's
+			// Replay the identical draw stream: a same-seed lane's
 			// resampler produces the same perturbations in the same order.
-			ref := MustEvaluator(params, seed)
-			rs := ref.resampler(c.Strategy())
+			ref := newRowLane(t, c, params, seed)
+			rs := ref.lane.rs
 			rs.PrimeViews(w.Windows, nil)
-			p := ref.Params()
+			p := ref.g.params
 			verdicts := make([]bool, p.MaxSamples)
 			for i := range verdicts {
 				verdicts[i] = c.Eval(rs.Draw(w.Windows))
@@ -112,49 +111,18 @@ func TestCertainFastPathMatchesDirectRule(t *testing.T) {
 				v = 1.0
 			}
 			w := WindowTuple{Windows: []series.Series{{{T: 0, V: v}}}}
-			e := MustEvaluator(params, 9)
-			got := e.Evaluate(GreaterThan(10), w)
+			g := loneGroup(t, GreaterThan(10), params)
+			got := make([]Result, 1)
+			g.Evaluate(9, w, got)
 
-			p := e.Params()
+			p := g.params
 			verdicts := make([]bool, p.MaxSamples)
 			for i := range verdicts {
 				verdicts[i] = sat
 			}
 			want := directRule(p, verdicts)
-			if !sameDecision(got, want) {
-				t.Errorf("sat=%v %+v: fast path %+v, direct rule %+v", sat, params, got, want)
-			}
-		}
-	}
-}
-
-// TestReseedMatchesFreshEvaluator checks the pooling contract: a single
-// evaluator reseeded between windows is indistinguishable from a fresh
-// evaluator per window, including across strategy switches that reuse
-// lazily split resampler streams.
-func TestReseedMatchesFreshEvaluator(t *testing.T) {
-	params := Params{Credibility: 0.95, MaxSamples: 100}
-	seq := GreaterThan(9)
-	seq.Granularity = WindowTime
-	cases := []struct {
-		c Constraint
-		w WindowTuple
-	}{
-		{GreaterThan(9), WindowTuple{Windows: []series.Series{{{T: 0, V: 10, SigUp: 3, SigDown: 3}}}}},
-		{seq, WindowTuple{Windows: []series.Series{{
-			{T: 0, V: 10, SigUp: 2, SigDown: 1}, {T: 1, V: 12, SigUp: 2, SigDown: 2}, {T: 2, V: 8, SigUp: 1, SigDown: 1},
-		}}}},
-		{GreaterThan(9), WindowTuple{Windows: []series.Series{{{T: 0, V: 9.5, SigUp: 1, SigDown: 4}}}}},
-	}
-	pooled := MustEvaluator(params, 0)
-	for round := 0; round < 3; round++ {
-		for i, tc := range cases {
-			seed := uint64(round*len(cases)+i)*0x9e3779b97f4a7c15 + 1
-			pooled.Reseed(seed)
-			got := pooled.Evaluate(tc.c, tc.w)
-			want := MustEvaluator(params, seed).Evaluate(tc.c, tc.w)
-			if !sameDecision(got, want) {
-				t.Errorf("round %d case %d: pooled %+v, fresh %+v", round, i, got, want)
+			if !sameDecision(got[0], want) {
+				t.Errorf("sat=%v %+v: fast path %+v, direct rule %+v", sat, params, got[0], want)
 			}
 		}
 	}
@@ -218,7 +186,7 @@ func TestDecisionTableDigests(t *testing.T) {
 		h := fnv.New64a()
 		for _, c := range creds {
 			for _, pr := range priors {
-				p, err := Params{Credibility: c, MaxSamples: n, PriorAlpha: pr[0], PriorBeta: pr[1]}.normalized()
+				p, err := Params{Credibility: c, MaxSamples: n, PriorAlpha: pr[0], PriorBeta: pr[1]}.Normalized()
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -276,7 +244,7 @@ func TestTerminalIntervalsMatchCredibleInterval(t *testing.T) {
 	for _, n := range []int{1, 2, 3, 10, 25, 60, 100, 200} {
 		for _, c := range []float64{0.5, 0.8, 0.9, 0.95, 0.99, 0.999} {
 			for _, pr := range [][2]float64{{1, 1}, {0.5, 0.5}, {2, 3}, {1, 5}, {7, 1}, {0.01, 19.9}, {19.9, 0.01}} {
-				p, err := Params{Credibility: c, MaxSamples: n, PriorAlpha: pr[0], PriorBeta: pr[1]}.normalized()
+				p, err := Params{Credibility: c, MaxSamples: n, PriorAlpha: pr[0], PriorBeta: pr[1]}.Normalized()
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -292,7 +260,7 @@ func TestTerminalIntervalsMatchCredibleInterval(t *testing.T) {
 // under -race it also proves the first fills race-free. A filled entry
 // must read without allocating.
 func TestTerminalIntervalsConcurrentFirstReads(t *testing.T) {
-	p, err := Params{Credibility: 0.95, MaxSamples: 1000}.normalized()
+	p, err := Params{Credibility: 0.95, MaxSamples: 1000}.Normalized()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -426,7 +394,7 @@ func TestOperatingCharacteristicMatchesEnumeration(t *testing.T) {
 				for _, prior := range [][2]float64{{1, 1}, {2, 0.5}} {
 					for _, cred := range []float64{0.8, 0.95} {
 						p := Params{Credibility: cred, MaxSamples: n, CheckInterval: ci, MinSamples: minS, PriorAlpha: prior[0], PriorBeta: prior[1]}
-						pn, err := p.normalized()
+						pn, err := p.Normalized()
 						if err != nil {
 							t.Fatal(err)
 						}

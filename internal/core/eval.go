@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"math"
 
-	"sound/internal/resample"
-	"sound/internal/rng"
 	"sound/internal/series"
 	"sound/internal/stat"
 )
@@ -19,7 +17,7 @@ type Params struct {
 	// inside the decision region. Default 0.95.
 	Credibility float64
 	// MaxSamples is the maximum number of resampling iterations N.
-	// Default 100.
+	// Default 100, at most maxSamplesCap.
 	MaxSamples int
 	// PriorAlpha and PriorBeta configure the Beta prior; both default to
 	// 1 (the uninformative flat prior). Adjusting them injects prior
@@ -48,7 +46,18 @@ func DefaultParams() Params {
 	return Params{Credibility: 0.95, MaxSamples: 100, PriorAlpha: 1, PriorBeta: 1, CheckInterval: 1}
 }
 
-func (p Params) normalized() (Params, error) {
+// maxSamplesCap bounds Params.MaxSamples: 100× the largest N any
+// experiment runs (1000) and 10× the largest any test runs (10 000). A
+// decision table holds O(N) thresholds and is built and cached once per
+// parameter set, and a user-supplied N (soundcheck -n, soundserve -n)
+// would otherwise size it without limit.
+const maxSamplesCap = 100_000
+
+// Normalized returns the parameters with every zero field set to its
+// default, or an error naming the first field outside its domain. Every
+// constructor that takes Params (CompilePlan, NewAnalyzer) refuses what
+// it refuses.
+func (p Params) Normalized() (Params, error) {
 	if p.Credibility == 0 {
 		p.Credibility = 0.95
 	}
@@ -62,6 +71,9 @@ func (p Params) normalized() (Params, error) {
 	}
 	if p.MaxSamples < 1 {
 		return p, fmt.Errorf("core: max sample size %d < 1", p.MaxSamples)
+	}
+	if p.MaxSamples > maxSamplesCap {
+		return p, fmt.Errorf("core: max sample size %d > %d", p.MaxSamples, maxSamplesCap)
 	}
 	if p.PriorAlpha == 0 {
 		p.PriorAlpha = 1
@@ -110,122 +122,6 @@ type Result struct {
 	Window WindowTuple
 }
 
-// Evaluator runs the robust constraint evaluation of Alg. 1. It is not
-// safe for concurrent use; create one per goroutine (cheap) with
-// independent seeds.
-type Evaluator struct {
-	// blockLoop carries the parameters, the shared precomputed decision
-	// table and the Alg. 1 loop itself (kernel.go).
-	blockLoop
-	r *rng.Rand
-	// resamplers per strategy, created lazily and reused across calls.
-	rs [3]*resample.Resampler
-	// rsStale marks resamplers whose stream must be re-derived from r on
-	// next use after a Reseed; deriving lazily reproduces the split order
-	// of a freshly constructed evaluator.
-	rsStale [3]bool
-	// seed is the seed the evaluator was built or last reseeded with:
-	// Check.Run's base seed, whatever Evaluate has drawn since.
-	seed uint64
-}
-
-// newEvaluator is the one place an Evaluator is assembled: normalized
-// parameters, their decision table, and a base stream at exactly seed.
-func newEvaluator(p Params, b *decisionBounds, seed uint64) *Evaluator {
-	return &Evaluator{blockLoop: blockLoop{params: p, bounds: b}, r: rng.New(seed), seed: seed}
-}
-
-// NewEvaluator returns an Evaluator with the given parameters and seed.
-func NewEvaluator(params Params, seed uint64) (*Evaluator, error) {
-	p, err := params.normalized()
-	if err != nil {
-		return nil, err
-	}
-	return newEvaluator(p, boundsFor(p), seed), nil
-}
-
-// MustEvaluator is NewEvaluator that panics on invalid parameters, for
-// use in tests and examples with literal parameters.
-func MustEvaluator(params Params, seed uint64) *Evaluator {
-	e, err := NewEvaluator(params, seed)
-	if err != nil {
-		panic(err)
-	}
-	return e
-}
-
-// Params returns the normalized evaluation parameters.
-func (e *Evaluator) Params() Params { return e.params }
-
-// Reseed resets the evaluator's random state to that of a freshly
-// constructed NewEvaluator(params, seed), keeping allocated buffers, the
-// shared decision table, and the credible-interval cache (both are pure
-// functions of params, so reuse cannot change results). It makes pooled
-// evaluators — one per worker, reseeded per window — produce results
-// identical to a per-window evaluator without per-window allocation.
-func (e *Evaluator) Reseed(seed uint64) {
-	e.r.Reseed(seed)
-	e.seed = seed
-	for i := range e.rs {
-		e.rsStale[i] = e.rs[i] != nil
-	}
-}
-
-// Derive returns a fresh evaluator with the receiver's normalized
-// parameters and the same shared decision table, seeded at exactly seed.
-// Worker pools use it to stamp out per-goroutine evaluators without
-// re-normalizing parameters or re-resolving the boundary table from the
-// process-wide cache; the result is indistinguishable from
-// NewEvaluator(Params(), seed).
-func (e *Evaluator) Derive(seed uint64) *Evaluator {
-	return newEvaluator(e.params, e.bounds, seed)
-}
-
-// Evaluate runs γ(φ, wᵏ, c, N) on one window tuple (paper Alg. 1).
-//
-// Each iteration draws a quality-aware resample of the k windows,
-// evaluates φ on it, updates the Beta posterior over the satisfaction
-// probability, and applies the decision rule: conclude ⊤ when the
-// credible interval lies entirely above the neutral threshold 0.5,
-// conclude ⊥ when it lies entirely below, and keep sampling otherwise.
-// If N samples are exhausted without a conclusion the outcome is ⊣.
-//
-// A window tuple with no data points at all cannot provide evidence and
-// yields ⊣ with zero samples.
-//
-// Successive calls continue one random stream, so a window's verdict
-// depends on what the evaluator evaluated before it; the batch runs
-// (Check.Run, CheckPlan.Run) seed each window from the window itself
-// instead. The Result carries the tuple without w.Ext, which aliases
-// caller-scoped scratch valid only during this call.
-func (e *Evaluator) Evaluate(c Constraint, w WindowTuple) Result {
-	var res Result
-	e.evaluateInto(&res, &c, w)
-	return res
-}
-
-// evaluateInto runs Evaluate into a zeroed *res. The tuple is copied
-// field by field: copying it whole would carry w.Ext.
-func (e *Evaluator) evaluateInto(res *Result, c *Constraint, w WindowTuple) {
-	res.Window.Windows = w.Windows
-	res.Window.Start = w.Start
-	res.Window.End = w.End
-	res.Window.Index = w.Index
-	if empty(w.Windows) {
-		res.ViolationProb = 0.5
-		res.Lower, res.Upper = e.bounds.priorLower, e.bounds.priorUpper
-		return
-	}
-	strat := c.Strategy()
-	rs := e.resampler(strat)
-	rs.PrimeViews(w.Windows, w.Ext)
-	if strat == resample.Point && rs.PrimedAllCertain() {
-		e.replayCertain(res, c.Eval(rs.Draw(w.Windows)))
-		return
-	}
-	e.evaluateBlocks(res, c, rs, w)
-}
-
 // finish fills the posterior summary of a terminated evaluation in
 // place: the satisfied count, violation probability, and the credible
 // interval the decision rule saw at its last check (from the shared
@@ -233,8 +129,8 @@ func (e *Evaluator) evaluateInto(res *Result, c *Constraint, w WindowTuple) {
 // does with CheckInterval = 1). It takes a pointer because Result embeds
 // the window tuple — passing it by value puts two struct copies on the
 // point-check hot path.
-func (l *blockLoop) finish(res *Result, countSatisfied int) {
-	p, b := &l.params, l.bounds
+func (g *PlanGroup) finish(res *Result, countSatisfied int) {
+	p, b := &g.params, g.bounds
 	s, n := countSatisfied, res.Samples
 	switch {
 	case res.Outcome == Satisfied && s == b.acceptAt[n]:
@@ -247,10 +143,10 @@ func (l *blockLoop) finish(res *Result, countSatisfied int) {
 		// Boundary overshoot (CheckInterval > 1 or a burn-in): compute
 		// the interval the last check saw directly, memoized by counts.
 		post := stat.Beta{Alpha: p.PriorAlpha + float64(s), Beta: p.PriorBeta + float64(n-s)}
-		res.Lower, res.Upper = l.memo.interval(p.Credibility, s, n-s, post)
+		res.Lower, res.Upper = g.memo.interval(p.Credibility, s, n-s, post)
 	default:
 		// No check ever ran (MinSamples > MaxSamples, rejected by
-		// normalized() but kept consistent for internal callers): the
+		// Normalized but kept consistent for internal callers): the
 		// interval stays at its zero value, matching the direct rule.
 	}
 	res.SatisfiedCount = s
@@ -280,19 +176,6 @@ func (c *ciMemo) interval(cred float64, satisfied, violated int, post stat.Beta)
 		c.m[key] = [2]float64{lower, upper}
 	}
 	return lower, upper
-}
-
-func (e *Evaluator) resampler(s resample.Strategy) *resample.Resampler {
-	if e.rs[s] == nil {
-		e.rs[s] = resample.New(s, e.r.Split())
-		if s == resample.Sequence && e.params.BlockSize > 0 {
-			e.rs[s].SetBlockSize(e.params.BlockSize)
-		}
-	} else if e.rsStale[s] {
-		e.rs[s].Reseed(e.r)
-	}
-	e.rsStale[s] = false
-	return e.rs[s]
 }
 
 func empty(ws []series.Series) bool {
@@ -358,18 +241,4 @@ func (ck Check) Validate() error {
 		return fmt.Errorf("core: check %q: %w", ck.Name, err)
 	}
 	return nil
-}
-
-// Run evaluates the check on the given series (resolved in the order of
-// SeriesNames), on every window tuple — the densest coverage discussed in
-// §IV-A ("a constraint is evaluated for every index"). It reads only the
-// evaluator's parameters and the seed it was built or last reseeded with,
-// and returns what CompilePlan(ck, e.Params(), seed).Run(ss) returns:
-// each window seeded from the window itself, as the stream seeds it.
-// Callers evaluating the same check repeatedly should CompilePlan once.
-func (ck Check) Run(e *Evaluator, ss []series.Series) ([]Result, error) {
-	if err := ck.Validate(); err != nil {
-		return nil, err
-	}
-	return newPlan(ck, e.params, e.bounds, e.seed).Run(ss)
 }

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"sound/internal/resample"
 	"sound/internal/rng"
 	"sound/internal/series"
 )
@@ -22,7 +23,7 @@ func globalTuple(ss ...series.Series) WindowTuple {
 }
 
 func TestParamsDefaults(t *testing.T) {
-	p, err := Params{}.normalized()
+	p, err := Params{}.Normalized()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,6 +42,8 @@ func TestParamsValidation(t *testing.T) {
 		{"credibility above one", Params{Credibility: 1.5}, "credibility"},
 		{"credibility negative", Params{Credibility: -0.5}, "credibility"},
 		{"negative max samples", Params{MaxSamples: -1}, "sample"},
+		{"max samples at the cap", Params{MaxSamples: 100_000}, ""},
+		{"max samples above the cap", Params{MaxSamples: 100_001}, "sample"},
 		{"negative prior alpha", Params{PriorAlpha: -1}, "prior"},
 		{"negative prior beta", Params{PriorBeta: -1}, "prior"},
 		// NaN compares false with everything and +Inf exceeds every bound,
@@ -61,7 +64,7 @@ func TestParamsValidation(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			p, err := tc.in.normalized()
+			p, err := tc.in.Normalized()
 			if tc.wantErr != "" {
 				if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
 					t.Fatalf("normalized() err = %v, want %q", err, tc.wantErr)
@@ -72,9 +75,6 @@ func TestParamsValidation(t *testing.T) {
 				t.Fatalf("normalized CheckInterval = %d", p.CheckInterval)
 			}
 			// Every construction entry point must surface the same verdict.
-			if _, err2 := NewEvaluator(tc.in, 1); (err2 != nil) != (err != nil) {
-				t.Errorf("NewEvaluator err = %v, normalized err = %v", err2, err)
-			}
 			ck := Check{Name: "r", Constraint: Range(0, 1), SeriesNames: []string{"s"}, Window: GlobalWindow{}}
 			if _, err2 := CompilePlan(ck, tc.in, 1); (err2 != nil) != (err != nil) {
 				t.Errorf("CompilePlan err = %v, normalized err = %v", err2, err)
@@ -86,8 +86,7 @@ func TestParamsValidation(t *testing.T) {
 func TestEvaluateCertainSatisfied(t *testing.T) {
 	// Certain data far inside the range: must conclude ⊤ quickly.
 	s := series.FromValues(5, 5, 5)
-	e := MustEvaluator(DefaultParams(), 1)
-	res := e.Evaluate(Range(0, 10), globalTuple(s))
+	res := evalAt(t, Range(0, 10), DefaultParams(), 1, globalTuple(s))
 	if res.Outcome != Satisfied {
 		t.Fatalf("outcome = %v", res.Outcome)
 	}
@@ -103,8 +102,7 @@ func TestEvaluateCertainSatisfied(t *testing.T) {
 
 func TestEvaluateCertainViolated(t *testing.T) {
 	s := series.FromValues(50, 60)
-	e := MustEvaluator(DefaultParams(), 2)
-	res := e.Evaluate(Range(0, 10), globalTuple(s))
+	res := evalAt(t, Range(0, 10), DefaultParams(), 2, globalTuple(s))
 	if res.Outcome != Violated {
 		t.Fatalf("outcome = %v", res.Outcome)
 	}
@@ -128,8 +126,7 @@ func TestEvaluateBorderlineMostlyInconclusive(t *testing.T) {
 	probSum := 0.0
 	const runs = 60
 	for seed := uint64(0); seed < runs; seed++ {
-		e := MustEvaluator(Params{Credibility: 0.95, MaxSamples: 200}, seed)
-		res := e.Evaluate(GreaterThan(10), globalTuple(s))
+		res := evalAt(t, GreaterThan(10), Params{Credibility: 0.95, MaxSamples: 200}, seed, globalTuple(s))
 		if res.Outcome == Inconclusive {
 			inconclusive++
 			if res.Samples != 200 {
@@ -156,16 +153,14 @@ func TestEvaluateUncertaintyFlipsNaiveOutcome(t *testing.T) {
 	if EvaluateNaive(c, tuple) != Violated {
 		t.Fatal("naive should flag violation")
 	}
-	e := MustEvaluator(Params{Credibility: 0.95, MaxSamples: 500}, 4)
-	res := e.Evaluate(c, tuple)
+	res := evalAt(t, c, Params{Credibility: 0.95, MaxSamples: 500}, 4, tuple)
 	if res.Outcome == Violated {
 		t.Errorf("SOUND confirmed violation despite dominating downward uncertainty (viol prob %v)", res.ViolationProb)
 	}
 }
 
 func TestEvaluateEmptyWindowInconclusive(t *testing.T) {
-	e := MustEvaluator(DefaultParams(), 5)
-	res := e.Evaluate(Range(0, 1), WindowTuple{Windows: []series.Series{{}}})
+	res := evalAt(t, Range(0, 1), DefaultParams(), 5, WindowTuple{Windows: []series.Series{{}}})
 	if res.Outcome != Inconclusive || res.Samples != 0 {
 		t.Errorf("empty window gave %v after %d samples", res.Outcome, res.Samples)
 	}
@@ -176,22 +171,28 @@ func TestEvaluateEmptyWindowInconclusive(t *testing.T) {
 
 func TestEvaluateDeterministicUnderSeed(t *testing.T) {
 	s := mustSeries([]float64{0, 1, 2}, []float64{9, 10, 11}, []float64{1, 1, 1}, []float64{1, 1, 1})
-	a := MustEvaluator(DefaultParams(), 42)
-	b := MustEvaluator(DefaultParams(), 42)
-	tuple := globalTuple(s)
 	c := GreaterThan(8)
-	for i := 0; i < 10; i++ {
-		ra, rb := a.Evaluate(c, tuple), b.Evaluate(c, tuple)
-		if ra.Outcome != rb.Outcome || ra.Samples != rb.Samples || ra.SatisfiedCount != rb.SatisfiedCount {
-			t.Fatalf("iteration %d diverged: %+v vs %+v", i, ra, rb)
+	a, b := loneGroup(t, c, DefaultParams()), loneGroup(t, c, DefaultParams())
+	tuple := globalTuple(s)
+	ra, rb := make([]Result, 1), make([]Result, 1)
+	for i := uint64(0); i < 10; i++ {
+		a.Evaluate(42+i, tuple, ra)
+		b.Evaluate(42+i, tuple, rb)
+		if !resultsEqual(ra[0], rb[0]) {
+			t.Fatalf("iteration %d diverged: %+v vs %+v", i, ra[0], rb[0])
 		}
 	}
 }
 
-// runAll runs a unary check of c over win on s with the evaluator.
-func runAll(t *testing.T, e *Evaluator, c Constraint, win Windower, s series.Series) []Result {
+// runAll runs a unary check of c over win on s, compiled at params and
+// seed.
+func runAll(t *testing.T, params Params, seed uint64, c Constraint, win Windower, s series.Series) []Result {
 	t.Helper()
-	rs, err := Check{Name: c.Name, Constraint: c, SeriesNames: []string{"s"}, Window: win}.Run(e, []series.Series{s})
+	pl, err := CompilePlan(Check{Name: c.Name, Constraint: c, SeriesNames: []string{"s"}, Window: win}, params, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rs, err := pl.Run([]series.Series{s})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,9 +207,8 @@ func TestHigherCredibilityNeedsMoreSamples(t *testing.T) {
 		s[i] = series.Point{T: float64(i), V: 11 + float64(i%3), SigUp: 2, SigDown: 2}
 	}
 	total := func(c float64, seed uint64) int {
-		e := MustEvaluator(Params{Credibility: c, MaxSamples: 300}, seed)
 		sum := 0
-		for _, res := range runAll(t, e, GreaterThan(10), PointWindow{}, s) {
+		for _, res := range runAll(t, Params{Credibility: c, MaxSamples: 300}, seed, GreaterThan(10), PointWindow{}, s) {
 			sum += res.Samples
 		}
 		return sum
@@ -224,8 +224,7 @@ func TestEarlyStoppingSavesSamples(t *testing.T) {
 	// Clear-cut certain data: adaptive stopping must use far fewer than
 	// N samples.
 	s := series.FromValues(100, 100, 100)
-	e := MustEvaluator(Params{Credibility: 0.95, MaxSamples: 10000}, 8)
-	res := e.Evaluate(GreaterThan(0), globalTuple(s))
+	res := evalAt(t, GreaterThan(0), Params{Credibility: 0.95, MaxSamples: 10000}, 8, globalTuple(s))
 	if res.Samples > 10 {
 		t.Errorf("used %d samples on certain data", res.Samples)
 	}
@@ -233,8 +232,7 @@ func TestEarlyStoppingSavesSamples(t *testing.T) {
 
 func TestCheckIntervalDelaysDecision(t *testing.T) {
 	s := series.FromValues(100)
-	e := MustEvaluator(Params{Credibility: 0.95, MaxSamples: 100, CheckInterval: 20}, 9)
-	res := e.Evaluate(GreaterThan(0), globalTuple(s))
+	res := evalAt(t, GreaterThan(0), Params{Credibility: 0.95, MaxSamples: 100, CheckInterval: 20}, 9, globalTuple(s))
 	if res.Outcome != Satisfied {
 		t.Fatalf("outcome = %v", res.Outcome)
 	}
@@ -245,8 +243,7 @@ func TestCheckIntervalDelaysDecision(t *testing.T) {
 
 func TestEvaluateAllCoverage(t *testing.T) {
 	s := series.FromValues(1, 2, 3, 4, 5, 6)
-	e := MustEvaluator(DefaultParams(), 10)
-	results := runAll(t, e, NonNegative(), PointWindow{}, s)
+	results := runAll(t, DefaultParams(), 10, NonNegative(), PointWindow{}, s)
 	if len(results) != 6 {
 		t.Fatalf("got %d results", len(results))
 	}
@@ -301,8 +298,7 @@ func TestSparsityWidensUncertainty(t *testing.T) {
 				}
 				s[i] = series.Point{T: float64(i), V: v}
 			}
-			e := MustEvaluator(Params{Credibility: 0.95, MaxSamples: 100}, seed)
-			res := e.Evaluate(FractionInRange(0, 1, 0.75), globalTuple(s))
+			res := evalAt(t, FractionInRange(0, 1, 0.75), Params{Credibility: 0.95, MaxSamples: 100}, seed, globalTuple(s))
 			if res.Outcome.Conclusive() {
 				count++
 			}
@@ -395,12 +391,15 @@ func TestCheckRun(t *testing.T) {
 		SeriesNames: []string{"s"},
 		Window:      PointWindow{},
 	}
-	e := MustEvaluator(DefaultParams(), 11)
-	res, err := ck.Run(e, []series.Series{series.FromValues(1, 2, 3)})
+	pl, err := CompilePlan(ck, DefaultParams(), 11)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := pl.Run([]series.Series{series.FromValues(1, 2, 3)})
 	if err != nil || len(res) != 3 {
 		t.Fatalf("Run = %d results, %v", len(res), err)
 	}
-	if _, err := ck.Run(e, []series.Series{{}, {}}); err == nil {
+	if _, err := pl.Run([]series.Series{{}, {}}); err == nil {
 		t.Error("wrong series count accepted")
 	}
 }
@@ -453,30 +452,107 @@ func TestTaxonomyStrings(t *testing.T) {
 	}
 }
 
-// evaluateScalar is Alg. 1 as the paper writes it — draw one sample,
-// score it with Eval, consult the decision rule — on e's own resampler
-// stream. It is the loop Evaluator ran for user constraints before the
-// block loop (kernel.go) served every constraint, kept here as the oracle
-// the block loop must match sample for sample on non-empty windows.
-func evaluateScalar(e *Evaluator, c Constraint, w WindowTuple) Result {
-	res := Result{Window: WindowTuple{Windows: w.Windows, Start: w.Start, End: w.End, Index: w.Index}}
-	rs := e.resampler(c.Strategy())
-	rs.PrimeViews(w.Windows, nil)
-	p := e.params
-	countSatisfied := 0
-	for res.Samples < p.MaxSamples && res.Outcome == Inconclusive {
-		if c.Eval(rs.Draw(w.Windows)) {
-			countSatisfied++
-		}
-		res.Samples++
-		res.Outcome = e.bounds.decide(countSatisfied, res.Samples, p.MinSamples, p.CheckInterval, p.MaxSamples)
+// lonePlan compiles c alone as a GlobalWindow check of its arity under p:
+// the plan of a one-member group that evaluates windows handed to it.
+func lonePlan(tb testing.TB, c Constraint, p Params) *CheckPlan {
+	tb.Helper()
+	pl, err := CompilePlan(Check{Name: c.Name, Constraint: c, SeriesNames: make([]string, c.Arity), Window: GlobalWindow{}}, p, 0)
+	if err != nil {
+		tb.Fatal(err)
 	}
-	e.finish(&res, countSatisfied)
+	return pl
+}
+
+// loneGroup is the one-member PlanGroup of lonePlan(c, p).
+func loneGroup(tb testing.TB, c Constraint, p Params) *PlanGroup {
+	tb.Helper()
+	g, err := NewPlanGroup([]*CheckPlan{lonePlan(tb, c, p)})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return g
+}
+
+// evalAt is γ as it ships: c evaluated on w by its one-member group at
+// window seed winSeed.
+func evalAt(tb testing.TB, c Constraint, p Params, winSeed uint64, w WindowTuple) Result {
+	tb.Helper()
+	out := make([]Result, 1)
+	loneGroup(tb, c, p).Evaluate(winSeed, w, out)
+	return out[0]
+}
+
+// rowLane is the test harness of the row loop: c's one-member lane, its
+// draw stream seeded at exactly a seed, primed with each window and run
+// through the single-check block loop (or the certain replay) without the
+// closed form — the loop PlanGroup.Evaluate runs for a lone row-scoring
+// member once it has reseeded the lane at rng.Derive(winSeed,
+// laneStream(strategy)). Successive evals continue one stream, so a block
+// that drew one row too many or too few shows in the next window.
+type rowLane struct {
+	g    *PlanGroup
+	lane *groupLane
+	c    *Constraint
+}
+
+// newRowLane builds c's lane under p with its draw stream at seed.
+func newRowLane(tb testing.TB, c Constraint, p Params, seed uint64) *rowLane {
+	tb.Helper()
+	g := loneGroup(tb, c, p)
+	h := &rowLane{g: g, lane: g.lanes[0], c: g.member[0].cons}
+	h.lane.r.Reseed(seed)
+	h.lane.rs.Reseed(h.lane.r)
+	return h
+}
+
+// eval runs Alg. 1 on w, drawing a row for every sample.
+func (h *rowLane) eval(w WindowTuple) Result {
+	res := Result{Window: WindowTuple{Windows: w.Windows, Start: w.Start, End: w.End, Index: w.Index}}
+	if empty(w.Windows) {
+		res.ViolationProb = 0.5
+		res.Lower, res.Upper = h.g.bounds.priorLower, h.g.bounds.priorUpper
+		return res
+	}
+	rs := h.lane.rs
+	rs.PrimeViews(w.Windows, w.Ext)
+	if h.lane.strat == resample.Point && rs.PrimedAllCertain() {
+		h.g.replayCertain(&res, h.c.Eval(rs.Draw(w.Windows)))
+		return res
+	}
+	h.g.evaluateBlocks(&res, h.c, rs, w)
 	return res
 }
 
-// TestEvaluateMatchesScalarOracle runs Evaluate and the scalar oracle on
-// two evaluators of one seed over consecutive windows, so a block that
+// rowsAt is one rowLane evaluation of c on w with the stream at seed.
+func rowsAt(tb testing.TB, c Constraint, p Params, seed uint64, w WindowTuple) Result {
+	tb.Helper()
+	return newRowLane(tb, c, p, seed).eval(w)
+}
+
+// evaluateScalar is Alg. 1 as the paper writes it — draw one sample,
+// score it with Eval, consult the decision rule — on h's own resampler
+// stream. It is the loop the evaluator ran for user constraints before the
+// block loop (kernel.go) served every constraint, kept here as the oracle
+// the block loop must match sample for sample on non-empty windows.
+func evaluateScalar(h *rowLane, w WindowTuple) Result {
+	res := Result{Window: WindowTuple{Windows: w.Windows, Start: w.Start, End: w.End, Index: w.Index}}
+	rs := h.lane.rs
+	rs.PrimeViews(w.Windows, nil)
+	p := h.g.params
+	countSatisfied := 0
+	for res.Samples < p.MaxSamples && res.Outcome == Inconclusive {
+		if h.c.Eval(rs.Draw(w.Windows)) {
+			countSatisfied++
+		}
+		res.Samples++
+		res.Outcome = h.g.bounds.decide(countSatisfied, res.Samples, p.MinSamples, p.CheckInterval, p.MaxSamples)
+	}
+	h.g.finish(&res, countSatisfied)
+	return res
+}
+
+// TestEvaluateMatchesScalarOracle runs the block loop and the scalar
+// oracle on two lanes of one seed over consecutive windows, so a block that
 // consumed one draw more or fewer than the per-sample loop shows up in the
 // next window's result, not only in the resampler positions compared at
 // the end. The constraints are the ones Eval scores inside the block
@@ -523,7 +599,7 @@ func TestEvaluateMatchesScalarOracle(t *testing.T) {
 	for _, tc := range cases {
 		for pi, p := range params {
 			seed := uint64(pi + 1)
-			eB, eO := MustEvaluator(p, seed), MustEvaluator(p, seed)
+			hB, hO := newRowLane(t, tc.c, p, seed), newRowLane(t, tc.c, p, seed)
 			r := rng.New(seed * 0x9e3779b97f4a7c15)
 			for wi := 0; wi < windows; wi++ {
 				w := WindowTuple{Windows: []series.Series{parityWindow(r, 12, float64(wi)/2)}, Index: wi}
@@ -533,20 +609,19 @@ func TestEvaluateMatchesScalarOracle(t *testing.T) {
 				if tc.nonFinite {
 					w.Windows[0][wi+1].SigUp = math.Inf(1)
 				}
-				got, want := eB.Evaluate(tc.c, w), evaluateScalar(eO, tc.c, w)
+				got, want := hB.eval(w), evaluateScalar(hO, w)
 				if !resultsEqual(got, want) {
 					t.Fatalf("%s params %d window %d: block loop = {o=%v n=%d s=%d ci=[%v,%v]}, oracle = {o=%v n=%d s=%d ci=[%v,%v]}",
 						tc.name, pi, wi, got.Outcome, got.Samples, got.SatisfiedCount, got.Lower, got.Upper,
 						want.Outcome, want.Samples, want.SatisfiedCount, want.Lower, want.Upper)
 				}
-				if got.Samples < eB.params.MaxSamples {
+				if got.Samples < hB.g.params.MaxSamples {
 					early++
 				} else {
 					exhausted++
 				}
 			}
-			s := tc.c.Strategy()
-			if eB.rs[s].State() != eO.rs[s].State() {
+			if hB.lane.rs.State() != hO.lane.rs.State() {
 				t.Fatalf("%s params %d: resampler streams differ after %d windows", tc.name, pi, windows)
 			}
 		}

@@ -118,16 +118,27 @@ type GroupEval struct {
 }
 
 // PlanGroup evaluates a bucket of same-class plans with shared draws.
-// It is stateful scratch plus per-window-reseeded RNG lanes, not safe
-// for concurrent use; create one per goroutine (cheap) like Evaluator.
+// It is the one evaluator: batch runs, stream operators and the violation
+// analysis's what-ifs all evaluate a window through Evaluate at a window
+// seed. It is stateful scratch plus per-window-reseeded RNG lanes, not
+// safe for concurrent use; create one per goroutine (cheap).
 // Membership is fixed at construction — dynamic suites rebuild the
 // group, which is free because all randomness is window-derived and no
 // state survives between windows.
 type PlanGroup struct {
-	// blockLoop carries the class's parameters and decision table, the
-	// sample-matrix scratch every lane draws into, and the single-check
-	// loop a one-member lane runs (kernel.go).
-	blockLoop
+	// params and bounds are the class's normalized parameters and their
+	// shared decision table.
+	params Params
+	bounds *decisionBounds
+	// memo memoizes credible intervals by observation counts: the
+	// posterior depends only on (satisfied, violated), and point checks
+	// revisit the same counts for every window.
+	memo ciMemo
+	// blk and kvals are the reused scratch every lane draws into: the
+	// dense sample matrix and the per-window row headers of the sample
+	// being scored.
+	blk    resample.Block
+	kvals  [][]float64
 	class  GroupClass
 	hash   uint64
 	plans  []*CheckPlan

@@ -155,11 +155,11 @@ func TestPlanGroupOrderInvariance(t *testing.T) {
 	}
 }
 
-// A row-scoring group of one is the per-check evaluator at the
+// A row-scoring group of one is the per-check row loop (rowLane) at the
 // lane-derived seed: the degeneration argument that makes shared mode safe
 // to reuse the scalar pipeline's decision tables and posterior epilogue. A
 // collapsed member draws no rows and shares only its law with the
-// evaluator (TestCollapseOperatingCharacteristic); here it must report a
+// row loop (TestCollapseOperatingCharacteristic); here it must report a
 // verdict reached without a draw.
 func TestPlanGroupSingleMatchesEvaluator(t *testing.T) {
 	plans := groupTestPlans(t, 99)
@@ -185,10 +185,9 @@ func TestPlanGroupSingleMatchesEvaluator(t *testing.T) {
 				continue
 			}
 			rowMembers++
-			e := MustEvaluator(pl.Params(), rng.Derive(winSeed, laneStream(strat)))
-			want := e.Evaluate(pl.Check().Constraint, tu)
+			want := rowsAt(t, pl.Check().Constraint, pl.Params(), rng.Derive(winSeed, laneStream(strat)), tu)
 			if !sameResult(out[0], want) {
-				t.Fatalf("plan %q window %d: group %+v != evaluator %+v", pl.Check().Name, wi, out[0], want)
+				t.Fatalf("plan %q window %d: group %+v != row loop %+v", pl.Check().Name, wi, out[0], want)
 			}
 		}
 	}
@@ -455,7 +454,7 @@ func replayLane(g *PlanGroup, lane *groupLane, winSeed uint64, w WindowTuple) la
 // undecided members read it, so inside one drawn block a statistic can go
 // from shared to a lone consumer's kernel call to unused as members retire
 // at different samples. Every row-scoring member must come out exactly as
-// the scalar oracle, a two-member group, and the per-check evaluator at
+// the scalar oracle, a two-member group, and the per-check row loop at
 // the lane-derived seed say — the collapsed fractions riding along exactly
 // as in a two-member group — and the windows swept must actually contain
 // that 2 → 1 → 0 hand-over inside a block.
@@ -523,9 +522,8 @@ func TestPlanGroupStaggeredRetirement(t *testing.T) {
 			if !rep.scored[mi] {
 				continue
 			}
-			e := MustEvaluator(pl.Params(), rng.Derive(winSeed, laneStream(lane.strat)))
-			if want := e.Evaluate(pl.Check().Constraint, tu); !sameResult(got, want) {
-				t.Fatalf("window %d %s: group %+v != evaluator %+v", wi, pl.Check().Name, got, want)
+			if want := rowsAt(t, pl.Check().Constraint, pl.Params(), rng.Derive(winSeed, laneStream(lane.strat)), tu); !sameResult(got, want) {
+				t.Fatalf("window %d %s: group %+v != row loop %+v", wi, pl.Check().Name, got, want)
 			}
 		}
 		// Hand-over inside a block: all three max-delta members decide (so
@@ -551,8 +549,8 @@ func TestPlanGroupStaggeredRetirement(t *testing.T) {
 
 // FuzzGroupScoreParity fuzzes the member set, the thresholds and the
 // window (values, error bars, length) of one bucket and requires every
-// row-scoring member's shared-lane result to equal the per-check
-// Evaluator's on the same window-derived stream, and every collapsed
+// row-scoring member's shared-lane result to equal the per-check row
+// loop's (rowLane) on the same window-derived stream, and every collapsed
 // member's to equal what it gets alone in a group of one (its law is
 // TestCollapseOperatingCharacteristic's subject). Thresholds are taken raw
 // — NaN and ±Inf included — and non-finite or negative error bars push the
@@ -618,8 +616,7 @@ func FuzzGroupScoreParity(f *testing.F) {
 					}
 					continue
 				}
-				e := MustEvaluator(p, rng.Derive(winSeed, laneStream(c.Strategy())))
-				if want := e.Evaluate(c, tu); !resultsEqual(out[mi], want) {
+				if want := rowsAt(t, c, p, rng.Derive(winSeed, laneStream(c.Strategy())), tu); !resultsEqual(out[mi], want) {
 					t.Errorf("window %d %s: %s", wi, c.Name, diffResults(out[mi], want))
 				}
 			}

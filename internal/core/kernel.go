@@ -5,10 +5,11 @@ import (
 	"sound/internal/stat"
 )
 
-// This file implements the single-check block loop of Alg. 1 and the
-// compiled constraint kernels that score its rows.
+// This file implements the single-check block loop of Alg. 1 — what a
+// PlanGroup lane with one row-scoring member runs — and the compiled
+// constraint kernels that score its rows.
 //
-// The evaluator draws blocks of K samples with resample.DrawBlock and
+// The loop draws blocks of K samples with resample.DrawBlock and
 // scores them row by row. A template constraint is its declarative
 // KernelSpec, and its Fn is nil: call Constraint.Eval. Its predicate is
 // written once, in kernelSat, and KernelSpec.holds prefixes it with the
@@ -25,7 +26,7 @@ import (
 // apart from kernelSat.
 
 // kernelBlockValues caps how many float64 values one drawn block may
-// hold across all windows, bounding the evaluator's resident sample
+// hold across all windows, bounding a lane's resident sample
 // matrix regardless of window length and MaxSamples.
 const kernelBlockValues = 4096
 
@@ -167,42 +168,24 @@ func kernelReady(rs *resample.Resampler, k int) bool {
 	return true
 }
 
-// blockLoop is the single-check sampling loop of Alg. 1 with everything
-// it needs besides a primed resampler: the normalized parameters, their
-// shared precomputed decision table, and reused scratch. Evaluator runs it
-// on its own continuing streams, PlanGroup on a lane's window-derived
-// stream when the lane has one member; both embed it.
-type blockLoop struct {
-	params Params
-	bounds *decisionBounds
-	// memo memoizes credible intervals by observation counts: the
-	// posterior depends only on (satisfied, violated), and point checks
-	// revisit the same counts for every window.
-	memo ciMemo
-	// blk and kvals are the reused scratch: the dense sample matrix and
-	// the per-window row headers of the sample being scored.
-	blk   resample.Block
-	kvals [][]float64
-}
-
 // rowVals returns the nw-slot row-header scratch.
-func (l *blockLoop) rowVals(nw int) [][]float64 {
-	if cap(l.kvals) < nw {
-		l.kvals = make([][]float64, nw)
+func (g *PlanGroup) rowVals(nw int) [][]float64 {
+	if cap(g.kvals) < nw {
+		g.kvals = make([][]float64, nw)
 	}
-	return l.kvals[:nw]
+	return g.kvals[:nw]
 }
 
 // scoreBlock scores every sample of the current block and returns how many
 // satisfied the constraint — the block's contribution to countSatisfied.
 // Each row goes through the kernel alone when kernel is set (the caller
 // checked its precondition) and through Constraint.Eval otherwise.
-func (l *blockLoop) scoreBlock(c *Constraint, kernel bool, k int) int {
-	vals := l.rowVals(len(l.blk.Data))
+func (g *PlanGroup) scoreBlock(c *Constraint, kernel bool, k int) int {
+	vals := g.rowVals(len(g.blk.Data))
 	sat := 0
 	for s := 0; s < k; s++ {
 		for wi := range vals {
-			vals[wi] = l.blk.Row(wi, s)
+			vals[wi] = g.blk.Row(wi, s)
 		}
 		var ok bool
 		if kernel {
@@ -228,16 +211,15 @@ func (l *blockLoop) scoreBlock(c *Constraint, kernel bool, k int) int {
 // per-sample loop could have fired, and the check at the edge sees exactly
 // the count that loop would see — the stopping index, outcome, and
 // posterior are identical, while the randomness consumed is exactly one
-// Draw per sample in the same order (resample.DrawBlock), so every later
-// window sees an unchanged stream. The per-sample loop itself lives on as
-// the oracle in eval_test.go.
-func (l *blockLoop) evaluateBlocks(res *Result, c *Constraint, rs *resample.Resampler, w WindowTuple) {
-	maxS, minS, ci := l.params.MaxSamples, l.params.MinSamples, l.params.CheckInterval
+// Draw per sample in the same order (resample.DrawBlock). The per-sample
+// loop itself lives on as the oracle in eval_test.go.
+func (g *PlanGroup) evaluateBlocks(res *Result, c *Constraint, rs *resample.Resampler, w WindowTuple) {
+	maxS, minS, ci := g.params.MaxSamples, g.params.MinSamples, g.params.CheckInterval
 	kernel := c.Spec.Op != KernelNone && kernelReady(rs, len(w.Windows))
 	chunk := blockChunk(w, maxS)
 	cs, i := 0, 0
 	for i < maxS && res.Outcome == Inconclusive {
-		j := l.bounds.nextDecision(cs, i, minS, ci, maxS)
+		j := g.bounds.nextDecision(cs, i, minS, ci, maxS)
 		edge := j
 		if edge == 0 {
 			// No future check can conclude; exhaust the budget.
@@ -248,28 +230,28 @@ func (l *blockLoop) evaluateBlocks(res *Result, c *Constraint, rs *resample.Resa
 			if k > chunk {
 				k = chunk
 			}
-			rs.DrawBlock(w.Windows, k, &l.blk)
-			cs += l.scoreBlock(c, kernel, k)
+			rs.DrawBlock(w.Windows, k, &g.blk)
+			cs += g.scoreBlock(c, kernel, k)
 			i += k
 		}
 		if j == 0 {
 			break
 		}
-		res.Outcome = l.bounds.decide(cs, j, minS, ci, maxS)
+		res.Outcome = g.bounds.decide(cs, j, minS, ci, maxS)
 	}
 	res.Samples = i
-	l.finish(res, cs)
+	g.finish(res, cs)
 }
 
 // replayCertain is Alg. 1 on a point-resampled all-certain window: every
 // draw returns the raw values and consumes no randomness, so the
 // constraint verdict is the same for all N samples — evaluate it once and
 // replay the decision schedule on the boundary table.
-func (l *blockLoop) replayCertain(res *Result, sat bool) {
+func (g *PlanGroup) replayCertain(res *Result, sat bool) {
 	var cs int
-	res.Outcome, res.Samples, cs = l.bounds.replayConstant(sat,
-		l.params.MinSamples, l.params.CheckInterval, l.params.MaxSamples)
-	l.finish(res, cs)
+	res.Outcome, res.Samples, cs = g.bounds.replayConstant(sat,
+		g.params.MinSamples, g.params.CheckInterval, g.params.MaxSamples)
+	g.finish(res, cs)
 }
 
 // blockChunk returns how many samples of the window tuple one drawn

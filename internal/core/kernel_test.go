@@ -116,16 +116,8 @@ func TestKernelClosureParity(t *testing.T) {
 							if c.Arity == 2 {
 								w.Windows = append(w.Windows, wy)
 							}
-							eK, err := NewEvaluator(p, seed)
-							if err != nil {
-								t.Fatal(err)
-							}
-							eC, err := NewEvaluator(p, seed)
-							if err != nil {
-								t.Fatal(err)
-							}
-							rK := eK.Evaluate(c, w)
-							rC := eC.Evaluate(forceClosure(c), w)
+							rK := rowsAt(t, c, p, seed, w)
+							rC := rowsAt(t, forceClosure(c), p, seed, w)
 							if !resultsEqual(rK, rC) {
 								t.Errorf("ci=%d min=%d bs=%d shape=%s seed=%d %s: %s",
 									ci, minS, bs, shape.name, seed, c.Name, diffResults(rK, rC))
@@ -152,10 +144,8 @@ func TestKernelParityPointwise(t *testing.T) {
 			for i, pt := range points {
 				w := WindowTuple{Windows: []series.Series{{pt}}}
 				p := Params{CheckInterval: ci, MaxSamples: 60}
-				eK := MustEvaluator(p, uint64(i+1))
-				eC := MustEvaluator(p, uint64(i+1))
-				rK := eK.Evaluate(c, w)
-				rC := eC.Evaluate(forceClosure(c), w)
+				rK := rowsAt(t, c, p, uint64(i+1), w)
+				rC := rowsAt(t, forceClosure(c), p, uint64(i+1), w)
 				if !resultsEqual(rK, rC) {
 					t.Errorf("ci=%d %s point %d: %s", ci, c.Name, i, diffResults(rK, rC))
 				}
@@ -166,7 +156,7 @@ func TestKernelParityPointwise(t *testing.T) {
 
 // TestKernelFallbackUnsafeWindow poisons windows so the finiteness proof
 // fails — a NaN value, an infinite value, and magnitudes near
-// math.MaxFloat64 — and checks both that the evaluator falls back (no
+// math.MaxFloat64 — and checks both that the row loop falls back (no
 // panic, closure semantics) and that the two paths still agree.
 func TestKernelFallbackUnsafeWindow(t *testing.T) {
 	r := rng.New(7)
@@ -184,10 +174,8 @@ func TestKernelFallbackUnsafeWindow(t *testing.T) {
 	for i, wx := range windows {
 		w := WindowTuple{Windows: []series.Series{wx}}
 		c := Range(0, 6)
-		eK := MustEvaluator(DefaultParams(), 3)
-		eC := MustEvaluator(DefaultParams(), 3)
-		rK := eK.Evaluate(c, w)
-		rC := eC.Evaluate(forceClosure(c), w)
+		rK := rowsAt(t, c, DefaultParams(), 3, w)
+		rC := rowsAt(t, forceClosure(c), DefaultParams(), 3, w)
 		if !resultsEqual(rK, rC) {
 			t.Errorf("poisoned window %d: %s", i, diffResults(rK, rC))
 		}
@@ -227,10 +215,8 @@ func FuzzKernelClosureParity(f *testing.F) {
 			if c.Arity == 2 {
 				w.Windows = append(w.Windows, wy)
 			}
-			eK := MustEvaluator(p, seed)
-			eC := MustEvaluator(p, seed)
-			rK := eK.Evaluate(c, w)
-			rC := eC.Evaluate(forceClosure(c), w)
+			rK := rowsAt(t, c, p, seed, w)
+			rC := rowsAt(t, forceClosure(c), p, seed, w)
 			if !resultsEqual(rK, rC) {
 				t.Errorf("%s: %s", c.Name, diffResults(rK, rC))
 			}

@@ -59,8 +59,8 @@ func TestEvaluateAllParallelMatchesAcrossWorkerCounts(t *testing.T) {
 }
 
 // TestEvaluateAllParallelMatchesSequentialEvaluator ties the parallel
-// path to the sequential evaluator entry point, Check.Run, at the same
-// seed: both report identical evidence.
+// path to the sequential entry point, CheckPlan.Run, at the same seed:
+// both report identical evidence.
 func TestEvaluateAllParallelMatchesSequentialEvaluator(t *testing.T) {
 	s := make(series.Series, 64)
 	for i := range s {
@@ -72,9 +72,9 @@ func TestEvaluateAllParallelMatchesSequentialEvaluator(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := runAll(t, MustEvaluator(params, seed), GreaterThan(9), PointWindow{}, s)
+	want := runAll(t, params, seed, GreaterThan(9), PointWindow{}, s)
 	if !reflect.DeepEqual(got, want) {
-		t.Error("RunParallel differs from Check.Run at the same seed")
+		t.Error("RunParallel differs from Run at the same seed")
 	}
 }
 

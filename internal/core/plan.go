@@ -152,22 +152,11 @@ func CompilePlan(ck Check, params Params, seed uint64) (*CheckPlan, error) {
 	if err := ck.Validate(); err != nil {
 		return nil, err
 	}
-	p, err := params.normalized()
+	p, err := params.Normalized()
 	if err != nil {
 		return nil, err
 	}
-	return newPlan(ck, p, boundsFor(p), seed), nil
-}
-
-// newPlan assembles a plan of a validated check from normalized
-// parameters and their decision table.
-func newPlan(ck Check, p Params, b *decisionBounds, seed uint64) *CheckPlan {
-	return &CheckPlan{check: ck, params: p, seed: seed, assigner: ClassifyWindow(ck.Window), bounds: b}
-}
-
-// Compile is CompilePlan bound to the check.
-func (ck Check) Compile(params Params, seed uint64) (*CheckPlan, error) {
-	return CompilePlan(ck, params, seed)
+	return &CheckPlan{check: ck, params: p, seed: seed, assigner: ClassifyWindow(ck.Window), bounds: boundsFor(p)}, nil
 }
 
 // Check returns the compiled check.
@@ -184,15 +173,6 @@ func (pl *CheckPlan) Arity() int { return pl.check.Constraint.Arity }
 
 // Assigner returns the compiled window assigner.
 func (pl *CheckPlan) Assigner() WindowAssigner { return pl.assigner }
-
-// EvaluatorAt returns an evaluator with the plan's normalized parameters
-// and shared decision table, seeded at exactly seed (not offset by the
-// plan's base seed). Violation analyzers attach to a compiled plan through
-// it, so explanation what-ifs reuse the table the check evaluation already
-// resolved instead of re-resolving it per analyzer.
-func (pl *CheckPlan) EvaluatorAt(seed uint64) *Evaluator {
-	return newEvaluator(pl.params, pl.bounds, seed)
-}
 
 // checkSeries verifies the runtime inputs match the compiled arity and
 // that the window can place every point's time (see

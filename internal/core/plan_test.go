@@ -68,9 +68,6 @@ func TestCompilePlanValidates(t *testing.T) {
 	if _, err := CompilePlan(ck, Params{Credibility: 5}, 1); err == nil {
 		t.Error("invalid params accepted")
 	}
-	if _, err := ck.Compile(DefaultParams(), 1); err != nil {
-		t.Error("Compile convenience failed")
-	}
 }
 
 func TestPlanArityMismatch(t *testing.T) {
@@ -154,8 +151,7 @@ func uncertainSeries(n int) series.Series {
 // evaluated by a lone PlanGroup.Evaluate at WindowSeed of
 // stream.KeyHash("") — the key of the group a tag route puts every event
 // in — and the window's grid coordinate (a custom window's tuple index).
-// Plan.Run and Check.Run must return exactly that, bit for bit, and
-// Check.Run must read only the evaluator's seed, not its stream position.
+// Plan.Run must return exactly that, bit for bit.
 func TestPlanRunMatchesWindowSeededGroup(t *testing.T) {
 	if batchKeyHash != stream.KeyHash("") {
 		t.Fatalf("batchKeyHash = %#x, stream.KeyHash(\"\") = %#x", uint64(batchKeyHash), stream.KeyHash(""))
@@ -217,15 +213,6 @@ func TestPlanRunMatchesWindowSeededGroup(t *testing.T) {
 			if !reflect.DeepEqual(got, want) {
 				t.Errorf("%v: plan.Run differs from PlanGroup.Evaluate at the window seeds", tc.win)
 			}
-			e := MustEvaluator(params, seed)
-			e.Evaluate(tc.cons, tuples[0]) // moves the stream, not the seed
-			viaCheck, err := ck.Run(e, ss)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(viaCheck, want) {
-				t.Errorf("%v: Check.Run differs from PlanGroup.Evaluate at the window seeds", tc.win)
-			}
 		}
 	}
 }
@@ -236,26 +223,6 @@ type countedWindower struct{ w CountWindow }
 
 func (c countedWindower) Windows(ss []series.Series) []WindowTuple { return c.w.Windows(ss) }
 func (c countedWindower) String() string                           { return "counted" }
-
-func TestEvaluatorAtAndDeriveMatchNewEvaluator(t *testing.T) {
-	ck := Check{Name: "gt", Constraint: GreaterThan(11), SeriesNames: []string{"s"}, Window: PointWindow{}}
-	params := Params{Credibility: 0.95, MaxSamples: 60}
-	pl, err := CompilePlan(ck, params, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tuple := PointWindow{}.Windows([]series.Series{uncertainSeries(1)})[0]
-	want := MustEvaluator(params, 123).Evaluate(ck.Constraint, tuple)
-	if got := pl.EvaluatorAt(123).Evaluate(ck.Constraint, tuple); !reflect.DeepEqual(want, got) {
-		t.Error("plan.EvaluatorAt(seed) != NewEvaluator(params, seed)")
-	}
-	// Derive stamps out a pooled evaluator at an absolute seed, sharing
-	// the base evaluator's decision table.
-	base := MustEvaluator(params, 999)
-	if got := base.Derive(123).Evaluate(ck.Constraint, tuple); !reflect.DeepEqual(want, got) {
-		t.Error("evaluator.Derive(seed) != NewEvaluator(params, seed)")
-	}
-}
 
 // TestPlanRunParallelMatchesLegacy pins the parallel batch path of a
 // count window to the reference evaluation of each window on its own:

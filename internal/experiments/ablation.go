@@ -51,17 +51,16 @@ func RunAblation(opts Options) (*AblationResult, error) {
 		interval int
 	}{{"adaptive (Alg. 1)", 1}, {"fixed budget", 100}} {
 		params := core.Params{Credibility: 0.95, MaxSamples: 100, CheckInterval: v.interval}
-		eval, err := core.NewEvaluator(params, opts.Seed)
-		if err != nil {
-			return nil, err
-		}
 		samples, windows := 0, 0
 		start := time.Now()
 		for rep := 0; rep < repeat; rep++ {
 			// A batch run seeds each window from the window itself, so
 			// each repeat takes its own seed to be a fresh realization.
-			eval.Reseed(opts.Seed + uint64(rep))
-			results, err := rangeCheck.Run(eval, []series.Series{clear})
+			plan, err := core.CompilePlan(rangeCheck, params, opts.Seed+uint64(rep))
+			if err != nil {
+				return nil, err
+			}
+			results, err := plan.Run([]series.Series{clear})
 			if err != nil {
 				return nil, err
 			}
@@ -108,11 +107,11 @@ func RunAblation(opts Options) (*AblationResult, error) {
 		falseViol, windows := 0, 0
 		start := time.Now()
 		for rep := 0; rep < repeat/10+1; rep++ {
-			eval, err := core.NewEvaluator(params, opts.Seed+uint64(rep))
+			plan, err := core.CompilePlan(ck, params, opts.Seed+uint64(rep))
 			if err != nil {
 				return nil, err
 			}
-			results, err := ck.Run(eval, []series.Series{mono})
+			results, err := plan.Run([]series.Series{mono})
 			if err != nil {
 				return nil, err
 			}
@@ -135,21 +134,28 @@ func RunAblation(opts Options) (*AblationResult, error) {
 
 	// 3. Decision rule: false-conclusion rate on an exactly borderline
 	// point under the credible-interval rule vs an aggressive
-	// near-point-estimate rule.
+	// near-point-estimate rule, the point evaluated alone at repeat
+	// distinct window seeds.
 	borderline := core.WindowTuple{Windows: []series.Series{{{T: 0, V: 10, SigUp: 5, SigDown: 5}}}}
-	gt := core.GreaterThan(10)
+	gtCheck := core.Check{Name: "gt", Constraint: core.GreaterThan(10), SeriesNames: []string{"s"}, Window: core.PointWindow{}}
+	out := make([]core.Result, 1)
 	for _, v := range []struct {
 		name string
 		c    float64
 	}{{"credible interval c=0.95", 0.95}, {"point estimate (c=0.05)", 0.05}} {
-		eval, err := core.NewEvaluator(core.Params{Credibility: v.c, MaxSamples: 100}, opts.Seed+3)
+		plan, err := core.CompilePlan(gtCheck, core.Params{Credibility: v.c, MaxSamples: 100}, opts.Seed+3)
+		if err != nil {
+			return nil, err
+		}
+		g, err := core.NewPlanGroup([]*core.CheckPlan{plan})
 		if err != nil {
 			return nil, err
 		}
 		falseConcl := 0
 		start := time.Now()
 		for rep := 0; rep < repeat; rep++ {
-			if eval.Evaluate(gt, borderline).Outcome != core.Inconclusive {
+			g.Evaluate(g.WindowSeed(0, uint64(rep)), borderline, out)
+			if out[0].Outcome != core.Inconclusive {
 				falseConcl++
 			}
 		}

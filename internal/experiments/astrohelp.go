@@ -28,11 +28,11 @@ func perSourceEval(ds *astro.Dataset, ck core.Check, params core.Params, seed ui
 			continue
 		}
 		inputs := bindSeries(ck, filtered, smoothed)
-		eval, err := core.NewEvaluator(params, seed+uint64(src)*0x9e37+1)
+		plan, err := core.CompilePlan(ck, params, seed+uint64(src)*0x9e37+1)
 		if err != nil {
 			return nil, nil, err
 		}
-		results, err := ck.Run(eval, inputs)
+		results, err := plan.Run(inputs)
 		if err != nil {
 			return nil, nil, err
 		}

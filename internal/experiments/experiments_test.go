@@ -36,9 +36,20 @@ func TestFig1MatchesNarrative(t *testing.T) {
 	if w[2].Sound == core.Satisfied {
 		t.Errorf("window 3: SOUND confirmed the naive false negative")
 	}
-	// Window 4: single huge-uncertainty point → SOUND inconclusive.
+	// Window 4: single huge-uncertainty point → SOUND inconclusive. Its
+	// sample bits are Bernoulli(½), on which Fig. 1's one look at N = 1000
+	// concludes with the exact probability below: a reseed that prints ⊤
+	// or ⊥ there has hit that event, and the bound is what is pinned.
+	law, err := core.OperatingCharacteristic(core.Params{Credibility: 0.99, MaxSamples: 1000, CheckInterval: 1000}, 0.5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pc := law.Satisfied + law.Violated; pc > 0.011 {
+		t.Errorf("window 4 concludes with probability %.4f, want ≤ 0.011", pc)
+	}
 	if w[3].Sound != core.Inconclusive {
-		t.Errorf("window 4: SOUND = %v, want ⊣ (P(viol)=%v)", w[3].Sound, w[3].ViolationProb)
+		t.Errorf("window 4: SOUND = %v, want ⊣ (P(viol)=%v); a conclusion there has probability %.4f",
+			w[3].Sound, w[3].ViolationProb, law.Satisfied+law.Violated)
 	}
 	if !strings.Contains(res.String(), "SOUND") {
 		t.Error("String() output incomplete")

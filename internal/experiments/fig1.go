@@ -89,12 +89,12 @@ func RunFig1(opts Options) (*Fig1Result, error) {
 	// the repeated-looks cost of sequential testing. Checked once, at the
 	// full budget, it concludes with probability 0.010, so the example
 	// shows the test's answer, not the cost of its early looks.
-	eval, err := core.NewEvaluator(core.Params{Credibility: 0.99, MaxSamples: 1000, CheckInterval: 1000}, opts.Seed)
+	check := core.Check{Name: constraint.Name, Constraint: constraint, SeriesNames: []string{"s"}, Window: win}
+	plan, err := core.CompilePlan(check, core.Params{Credibility: 0.99, MaxSamples: 1000, CheckInterval: 1000}, opts.Seed)
 	if err != nil {
 		return nil, err
 	}
-	check := core.Check{Name: constraint.Name, Constraint: constraint, SeriesNames: []string{"s"}, Window: win}
-	results, err := check.Run(eval, []series.Series{s})
+	results, err := plan.Run([]series.Series{s})
 	if err != nil {
 		return nil, err
 	}

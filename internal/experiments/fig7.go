@@ -57,11 +57,11 @@ func RunFig7(opts Options) (*Fig7Result, error) {
 			if err != nil {
 				return nil, err
 			}
-			eval, err := core.NewEvaluator(core.Params{Credibility: q.c, MaxSamples: q.n}, opts.Seed+uint64(rep)*7)
+			plan, err := core.CompilePlan(s4, core.Params{Credibility: q.c, MaxSamples: q.n}, opts.Seed+uint64(rep)*7)
 			if err != nil {
 				return nil, err
 			}
-			results, err := s4.Run(eval, []series.Series{data})
+			results, err := plan.Run([]series.Series{data})
 			if err != nil {
 				return nil, err
 			}

@@ -93,11 +93,11 @@ func RunFig8(opts Options) (*Fig8Result, error) {
 				xs = pick(x, idx)
 				ys = pick(y, idx)
 			}
-			eval, err := core.NewEvaluator(params, opts.Seed+31+uint64(src))
+			plan, err := core.CompilePlan(a4, params, opts.Seed+31+uint64(src))
 			if err != nil {
 				return nil, err
 			}
-			results, err := a4.Run(eval, []series.Series{xs, ys})
+			results, err := plan.Run([]series.Series{xs, ys})
 			if err != nil {
 				return nil, err
 			}
@@ -147,8 +147,11 @@ func smartgridConfigFor(opts Options) (cfg smartgrid.Config) {
 }
 
 func outcomesOf(ck core.Check, data series.Series, factor float64, params core.Params, seed uint64) []core.Outcome {
-	eval := core.MustEvaluator(params, seed)
-	results, err := ck.Run(eval, []series.Series{data.ScaleUncertainty(factor, factor)})
+	plan, err := core.CompilePlan(ck, params, seed)
+	if err != nil {
+		return nil
+	}
+	results, err := plan.Run([]series.Series{data.ScaleUncertainty(factor, factor)})
 	if err != nil {
 		return nil
 	}

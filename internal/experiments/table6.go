@@ -73,11 +73,11 @@ func RunTable6(opts Options) (*Table6Result, error) {
 			if len(filtered) < 4 {
 				continue
 			}
-			eval, err := core.NewEvaluator(params, opts.Seed+uint64(src)*0x9e37+3)
+			plan, err := core.CompilePlan(ck, params, opts.Seed+uint64(src)*0x9e37+3)
 			if err != nil {
 				return nil, err
 			}
-			results, err := ck.Run(eval, bindSeries(ck, filtered, smoothed))
+			results, err := plan.Run(bindSeries(ck, filtered, smoothed))
 			if err != nil {
 				return nil, err
 			}

@@ -91,8 +91,11 @@ func TestSuggestedChecksPassOnOriginData(t *testing.T) {
 		for i, name := range sug.Check.SeriesNames {
 			ss[i] = data[name]
 		}
-		eval := core.MustEvaluator(core.Params{Credibility: 0.95, MaxSamples: 100}, 7)
-		results, err := sug.Check.Run(eval, ss)
+		plan, err := core.CompilePlan(sug.Check, core.Params{Credibility: 0.95, MaxSamples: 100}, 7)
+		if err != nil {
+			t.Fatal(err)
+		}
+		results, err := plan.Run(ss)
 		if err != nil {
 			t.Fatalf("%s: %v", sug.Check.Name, err)
 		}
@@ -122,8 +125,11 @@ func TestSuggestedRangeFlagsCorruption(t *testing.T) {
 	corrupted := data["load"].Clone()
 	corrupted[100].V = 1e6
 	corrupted[100].SigUp, corrupted[100].SigDown = 1, 1
-	eval := core.MustEvaluator(core.Params{Credibility: 0.95, MaxSamples: 100}, 9)
-	results, err := rangeSug.Check.Run(eval, []series.Series{corrupted})
+	plan, err := core.CompilePlan(rangeSug.Check, core.Params{Credibility: 0.95, MaxSamples: 100}, 9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	results, err := plan.Run([]series.Series{corrupted})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -38,9 +38,9 @@ func New(seed uint64) *Rand {
 }
 
 // Reseed resets the receiver in place to the state New(seed) would
-// produce, without allocating. Pooled consumers (e.g. evaluators reused
-// across windows) use it to make results a pure function of the seed
-// again after arbitrary prior draws.
+// produce, without allocating. Pooled consumers (e.g. plan-group lanes
+// reused across windows) use it to make results a pure function of the
+// seed again after arbitrary prior draws.
 func (r *Rand) Reseed(seed uint64) {
 	sm := seed
 	for i := range r.s {

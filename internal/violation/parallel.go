@@ -41,6 +41,9 @@ func ExplainAll(ctx context.Context, c core.Constraint, cps []ChangePoint, param
 // pooled analyzers derived from it; with one worker it runs on base
 // alone, on the calling goroutine.
 func explainAll(ctx context.Context, c core.Constraint, cps []ChangePoint, base *Analyzer, workers int) ([]Report, error) {
+	if err := base.use(c); err != nil {
+		return nil, err
+	}
 	reports := make([]Report, len(cps))
 	e6 := make([]bool, len(cps))
 	n := 0
@@ -113,7 +116,7 @@ func (a *Analyzer) explainUnits(wg *sync.WaitGroup, c core.Constraint, reports [
 			e6[unit.cp] = E6Holds(c, cp.Neg)
 			continue
 		}
-		reports[unit.cp].PerWindow[unit.j] = a.explainWindow(c, *cp, unit.j)
+		reports[unit.cp].PerWindow[unit.j] = a.explainWindow(*cp, unit.j)
 	}
 }
 

@@ -46,7 +46,11 @@ func parityWorkload(t *testing.T) (core.Check, []core.Result, *pipeline.Pipeline
 		Window:      core.TimeWindow{Size: 20},
 	}
 	params := core.Params{Credibility: 0.95, MaxSamples: 100}
-	results, err := ck.Run(core.MustEvaluator(params, 5), []series.Series{s})
+	plan, err := core.CompilePlan(ck, params, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	results, err := plan.Run([]series.Series{s})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,25 +236,5 @@ func TestExplainAllEmptyAndInvalid(t *testing.T) {
 	}
 	if _, err := ExplainAll(context.Background(), core.NonNegative(), nil, core.Params{Credibility: 7}, 1, 4); err == nil {
 		t.Error("invalid params accepted")
-	}
-}
-
-// TestNewAnalyzerForPlan: a plan-attached analyzer produces the same
-// reports as a standalone one with the same (params, seed).
-func TestNewAnalyzerForPlan(t *testing.T) {
-	ck, results, _, params := parityWorkload(t)
-	pl, err := core.CompilePlan(ck, params, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cps := ChangePoints(results)
-	standalone := MustAnalyzer(params, 33)
-	attached := NewAnalyzerForPlan(pl, 33)
-	for _, cp := range cps {
-		want := standalone.Explain(ck.Constraint, cp)
-		got := attached.Explain(ck.Constraint, cp)
-		if !reflect.DeepEqual(want, got) {
-			t.Fatalf("plan-attached analyzer diverges at change point %d", cp.Index)
-		}
 	}
 }

@@ -33,10 +33,15 @@ type Summary struct {
 // change-point detection, explanation assessment per change point, and —
 // when the data values remain the only explanation — the upstream
 // annotation of Alg. 2 in pipeline p (pass nil to skip the drill-down).
-// It is SummarizeParallel at GOMAXPROCS workers, uncancellable.
+// It is SummarizeParallel at GOMAXPROCS workers, uncancellable, and
+// panics on a constraint CompilePlan refuses.
 func Summarize(ck core.Check, results []core.Result, a *Analyzer, p *pipeline.Pipeline, credibility float64) *Summary {
-	// SummarizeParallel fails only on a cancelled context.
-	s, _ := SummarizeParallel(context.Background(), ck, results, a, p, credibility, 0)
+	// Without a cancellable context SummarizeParallel fails only on an
+	// invalid constraint.
+	s, err := SummarizeParallel(context.Background(), ck, results, a, p, credibility, 0)
+	if err != nil {
+		panic(err)
+	}
 	return s
 }
 

@@ -37,8 +37,11 @@ func TestSummarizeEndToEnd(t *testing.T) {
 		Window:      core.TimeWindow{Size: 20},
 	}
 	params := core.Params{Credibility: 0.95, MaxSamples: 200}
-	eval := core.MustEvaluator(params, 5)
-	results, err := ck.Run(eval, []series.Series{s})
+	plan, err := core.CompilePlan(ck, params, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	results, err := plan.Run([]series.Series{s})
 	if err != nil {
 		t.Fatal(err)
 	}

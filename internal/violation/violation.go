@@ -111,25 +111,40 @@ func (r Report) Primary() Explanation {
 }
 
 // Analyzer assesses explanations at change points by counterfactual
-// re-evaluation with a core.Evaluator. It is not safe for concurrent use,
-// but its reports are a pure function of (params, seed, change point):
-// before analyzing each input window the analyzer reseeds its evaluator
-// and downsampling RNG from a seed derived with rng.Derive from the base
-// seed and the change point's window indices. Explaining the same change
-// point twice, in any order, on any analyzer with the same (params, seed)
-// therefore yields bit-identical reports — the property the parallel
-// engine in parallel.go builds on.
+// re-evaluation. Each what-if is one window evaluated by the one
+// evaluator, PlanGroup.Evaluate: the check's constraint compiled alone as
+// a GlobalWindow check of its arity at the analyzer's (params, seed), in
+// a one-member group, evaluated at the window seed
+//
+//	g.WindowSeed(windowSeed(seed, cp, j), uint64(E))
+//
+// for input window j of change point cp and explanation E (E2–E5). A
+// what-if verdict is therefore a pure function of (params, seed, change
+// point, input window, explanation), and a level template's what-if is
+// decided from the closed form of its sample bit like any other window.
+// The downsampling of E2 and E3 draws from its own stream, reseeded from
+// the same (seed, cp, j) before each input window. Explaining the same
+// change point twice, in any order, on any analyzer with the same
+// (params, seed) therefore yields bit-identical reports — the property
+// the parallel engine in parallel.go builds on. An Analyzer is not safe
+// for concurrent use.
 type Analyzer struct {
-	eval *core.Evaluator
-	r    *rng.Rand
+	params core.Params
+	r      *rng.Rand
 	// seed is the base seed all per-change-point streams derive from.
 	seed uint64
+	// plan is the constraint the what-ifs evaluate, compiled alone, and
+	// group this analyzer's one-member group of it (see use); out is
+	// the group's result slot.
+	plan  *core.CheckPlan
+	group *core.PlanGroup
+	out   [1]core.Result
 	// scratch is the reusable window-tuple buffer for what-if evaluations.
 	scratch []series.Series
 	// ext caches SoA extractions of the violated tuple's input windows,
 	// keyed by window identity (extFor): the counterfactual re-evaluations
 	// of E2–E5 replace one input at a time, so the k−1 unchanged inputs
-	// prime the evaluator's resampling kernels through views into these
+	// prime the group's resampling kernels through views into these
 	// shared extractions instead of re-extracting per what-if. views is
 	// the per-call view scratch.
 	ext    []resample.Extraction
@@ -138,25 +153,17 @@ type Analyzer struct {
 }
 
 // downsampleSalt separates the Downsample RNG stream of a window from the
-// evaluator stream derived from the same seed.
+// window seeds of its what-ifs.
 const downsampleSalt = 0x51ca1ab1e
 
 // NewAnalyzer returns an Analyzer evaluating what-if scenarios with the
 // given parameters and seed.
 func NewAnalyzer(params core.Params, seed uint64) (*Analyzer, error) {
-	e, err := core.NewEvaluator(params, seed)
+	p, err := params.Normalized()
 	if err != nil {
 		return nil, err
 	}
-	return &Analyzer{eval: e, r: rng.New(seed ^ downsampleSalt), seed: seed}, nil
-}
-
-// NewAnalyzerForPlan returns an Analyzer whose evaluator shares the
-// compiled plan's normalized parameters and precomputed decision-boundary
-// table, instead of re-resolving them from the process-wide cache. Reports
-// are identical to NewAnalyzer(pl.Params(), seed).
-func NewAnalyzerForPlan(pl *core.CheckPlan, seed uint64) *Analyzer {
-	return &Analyzer{eval: pl.EvaluatorAt(seed), r: rng.New(seed ^ downsampleSalt), seed: seed}
+	return &Analyzer{params: p, r: rng.New(seed ^ downsampleSalt), seed: seed}, nil
 }
 
 // MustAnalyzer is NewAnalyzer panicking on invalid parameters.
@@ -171,57 +178,79 @@ func MustAnalyzer(params core.Params, seed uint64) *Analyzer {
 // Seed returns the base seed explanation streams derive from.
 func (a *Analyzer) Seed() uint64 { return a.seed }
 
-// derive returns a fresh analyzer with the same base seed, sharing the
-// evaluator's normalized params and decision table but none of its
-// mutable state. The parallel engine stamps out one per worker.
+// use makes c the constraint the analyzer's what-ifs evaluate. The plan
+// and group are kept while c is the same template, so an analyzer
+// explaining one check compiles them once; a user constraint's Fn cannot
+// be compared, so it compiles them per call.
+func (a *Analyzer) use(c core.Constraint) error {
+	if a.plan != nil && sameTemplate(a.plan.Check().Constraint, c) {
+		return nil
+	}
+	pl, err := core.CompilePlan(core.Check{Name: c.Name, Constraint: c, SeriesNames: make([]string, c.Arity), Window: core.GlobalWindow{}}, a.params, a.seed)
+	if err != nil {
+		return err
+	}
+	// A lone plan is its own group class, so this cannot fail.
+	g, _ := core.NewPlanGroup([]*core.CheckPlan{pl})
+	a.plan, a.group = pl, g
+	return nil
+}
+
+// sameTemplate reports whether a and b are the same template constraint:
+// everything an evaluation reads of a constraint without an Fn.
+func sameTemplate(a, b core.Constraint) bool {
+	return a.Fn == nil && b.Fn == nil && a.Spec == b.Spec && a.Arity == b.Arity &&
+		a.Granularity == b.Granularity && a.Orderedness == b.Orderedness
+}
+
+// derive returns a fresh analyzer with the same base seed and plan and a
+// group of its own, sharing none of the receiver's mutable state. The
+// parallel engine stamps out one per worker, after use.
 func (a *Analyzer) derive() *Analyzer {
-	return &Analyzer{eval: a.eval.Derive(a.seed), r: rng.New(a.seed ^ downsampleSalt), seed: a.seed}
+	g, _ := core.NewPlanGroup([]*core.CheckPlan{a.plan})
+	return &Analyzer{params: a.params, r: rng.New(a.seed ^ downsampleSalt), seed: a.seed, plan: a.plan, group: g}
 }
 
 // windowSeed derives the seed of input window j of a change point: a pure
-// function of (base seed, change point, j), so the stream a window's
-// what-if evaluations consume does not depend on how many change points
-// or windows were explained before.
+// function of (base seed, change point, j), so the streams a window's
+// what-if evaluations read do not depend on how many change points or
+// windows were explained before.
 func windowSeed(base uint64, cp ChangePoint, j int) uint64 {
 	s := rng.Derive(base, uint64(cp.Neg.Index))
 	s = rng.Derive(s, uint64(cp.Pos.Index))
 	return rng.Derive(s, uint64(j))
 }
 
-// reseedWindow resets the analyzer's random state to the derived stream
-// of input window j of the change point.
-func (a *Analyzer) reseedWindow(cp ChangePoint, j int) {
-	s := windowSeed(a.seed, cp, j)
-	a.eval.Reseed(s)
-	a.r.Reseed(s ^ downsampleSalt)
-}
-
 // Explain assesses the explanations E2–E6 for each of the k input
 // windows of the change point and falls back to E1 when none applies
-// (paper §V-B). The constraint must be the one the check evaluates. It
-// is explainAll over the one change point, on this analyzer alone.
+// (paper §V-B). The constraint must be the one the check evaluates: it
+// panics on a constraint CompilePlan refuses. It is explainAll over the
+// one change point, on this analyzer alone.
 func (a *Analyzer) Explain(c core.Constraint, cp ChangePoint) Report {
-	// Without a context explainAll cannot fail.
-	reps, _ := explainAll(nil, c, []ChangePoint{cp}, a, 1)
+	// Without a context explainAll fails only on an invalid constraint.
+	reps, err := explainAll(nil, c, []ChangePoint{cp}, a, 1)
+	if err != nil {
+		panic(err)
+	}
 	return reps[0]
 }
 
-// explainWindow assesses E2–E5 for input window j of the change point
-// under the window's derived random stream.
-func (a *Analyzer) explainWindow(c core.Constraint, cp ChangePoint, j int) []Explanation {
-	a.reseedWindow(cp, j)
+// explainWindow assesses E2–E5 for input window j of the change point,
+// downsampling from the window's derived stream.
+func (a *Analyzer) explainWindow(cp ChangePoint, j int) []Explanation {
+	a.r.Reseed(windowSeed(a.seed, cp, j) ^ downsampleSalt)
 	wPos, wNeg := cp.Pos.Windows[j], cp.Neg.Windows[j]
 	var ws []Explanation
-	if a.checkE2(c, cp, j, wPos, wNeg) {
+	if a.checkE2(cp, j, wPos, wNeg) {
 		ws = append(ws, E2HighSparsity)
 	}
-	if a.checkE3(c, cp, j, wPos, wNeg) {
+	if a.checkE3(cp, j, wPos, wNeg) {
 		ws = append(ws, E3LowSparsity)
 	}
-	if a.checkE4(c, cp, j, wPos, wNeg) {
+	if a.checkE4(cp, j, wPos, wNeg) {
 		ws = append(ws, E4HighUncertainty)
 	}
-	if a.checkE5(c, cp, j, wPos, wNeg) {
+	if a.checkE5(cp, j, wPos, wNeg) {
 		ws = append(ws, E5LowUncertainty)
 	}
 	return ws
@@ -249,11 +278,12 @@ func assembleReport(rep Report, e6 bool) Report {
 	return rep
 }
 
-// evalWith re-runs γ on the violated window tuple with input j replaced.
-// The tuple buffer is reused across calls; Evaluate copies window data
-// into the resampler's own buffers and the Result is discarded, so no
-// reference survives the call.
-func (a *Analyzer) evalWith(c core.Constraint, cp ChangePoint, j int, replacement series.Series) core.Outcome {
+// evalWith re-runs γ on the violated window tuple with input j replaced,
+// as the what-if of explanation e: the analyzer's group evaluates it at
+// window seed WindowSeed(windowSeed(seed, cp, j), e). The tuple buffer
+// is reused across calls; Evaluate copies window data into the
+// resampler's own buffers, and only the outcome is returned.
+func (a *Analyzer) evalWith(cp ChangePoint, j int, e Explanation, replacement series.Series) core.Outcome {
 	k := len(cp.Neg.Windows)
 	if cap(a.scratch) < k {
 		a.scratch = make([]series.Series, k)
@@ -268,11 +298,13 @@ func (a *Analyzer) evalWith(c core.Constraint, cp ChangePoint, j int, replacemen
 		// views into the cached extractions.
 		tuple.Ext = a.negViews(cp.Neg.Windows, j)
 	}
-	return a.eval.Evaluate(c, tuple).Outcome
+	g := a.group
+	g.Evaluate(g.WindowSeed(windowSeed(a.seed, cp, j), uint64(e)), tuple, a.out[:])
+	return a.out[0].Outcome
 }
 
 // negViews returns per-slot views for a counterfactual on the violated
-// tuple with input j replaced: slot j stays a zero View (the evaluator
+// tuple with input j replaced: slot j stays a zero View (the group
 // extracts the replacement itself), every other slot points into the
 // cached extraction of its unchanged window, (re)built only when the
 // window's identity differs from what the cache holds.
@@ -311,26 +343,26 @@ func sameWindow(a, b series.Series) bool {
 // change, explains the flip:
 //
 //	E2 ⇔ (|w_⊥| < |w_⊤|) ∧ (γ(φ, w'_⊤, c, N) = ⊥)
-func (a *Analyzer) checkE2(c core.Constraint, cp ChangePoint, j int, wPos, wNeg series.Series) bool {
+func (a *Analyzer) checkE2(cp ChangePoint, j int, wPos, wNeg series.Series) bool {
 	if len(wNeg) >= len(wPos) {
 		return false
 	}
 	down := wPos.Downsample(len(wNeg), a.r.Intn)
 	// The counterfactual replaces the violated input with the
 	// downsampled satisfied window inside the violated tuple.
-	return a.evalWith(c, cp, j, down) == core.Violated
+	return a.evalWith(cp, j, E2HighSparsity, down) == core.Violated
 }
 
 // checkE3: the violated window is denser; would it be satisfied when
 // downsampled to the satisfied window's sparsity?
 //
 //	E3 ⇔ (|w_⊥| > |w_⊤|) ∧ (γ(φ, w'_⊥, c, N) = ⊤)
-func (a *Analyzer) checkE3(c core.Constraint, cp ChangePoint, j int, wPos, wNeg series.Series) bool {
+func (a *Analyzer) checkE3(cp ChangePoint, j int, wPos, wNeg series.Series) bool {
 	if len(wNeg) <= len(wPos) {
 		return false
 	}
 	down := wNeg.Downsample(len(wPos), a.r.Intn)
-	return a.evalWith(c, cp, j, down) == core.Satisfied
+	return a.evalWith(cp, j, E3LowSparsity, down) == core.Satisfied
 }
 
 // checkE4: relative uncertainty increased at the violation; would the
@@ -339,13 +371,13 @@ func (a *Analyzer) checkE3(c core.Constraint, cp ChangePoint, j int, wPos, wNeg 
 //
 //	E4 ⇔ (δ_⊥ > δ_⊤) ∧ (γ(φ, w', c, N) = ⊤),
 //	w'.σ↑↓ = w_⊥.σ↑↓ · δ_⊤↑↓ / δ_⊥↑↓
-func (a *Analyzer) checkE4(c core.Constraint, cp ChangePoint, j int, wPos, wNeg series.Series) bool {
+func (a *Analyzer) checkE4(cp ChangePoint, j int, wPos, wNeg series.Series) bool {
 	dPos, dNeg := wPos.MeanRelUncertainty(), wNeg.MeanRelUncertainty()
 	if !(dNeg > dPos) || dNeg == 0 {
 		return false
 	}
 	scaled := scaleToReference(wNeg, wPos)
-	return a.evalWith(c, cp, j, scaled) == core.Satisfied
+	return a.evalWith(cp, j, E4HighUncertainty, scaled) == core.Satisfied
 }
 
 // checkE5: relative uncertainty decreased at the violation; would the
@@ -353,13 +385,13 @@ func (a *Analyzer) checkE4(c core.Constraint, cp ChangePoint, j int, wPos, wNeg 
 // level?
 //
 //	E5 ⇔ (δ_⊥ < δ_⊤) ∧ (γ(φ, w', c, N) = ⊤)
-func (a *Analyzer) checkE5(c core.Constraint, cp ChangePoint, j int, wPos, wNeg series.Series) bool {
+func (a *Analyzer) checkE5(cp ChangePoint, j int, wPos, wNeg series.Series) bool {
 	dPos, dNeg := wPos.MeanRelUncertainty(), wNeg.MeanRelUncertainty()
 	if !(dNeg < dPos) {
 		return false
 	}
 	scaled := scaleToReference(wNeg, wPos)
-	return a.evalWith(c, cp, j, scaled) == core.Satisfied
+	return a.evalWith(cp, j, E5LowUncertainty, scaled) == core.Satisfied
 }
 
 // scaleToReference rescales w's directional uncertainties by the ratio of

@@ -133,6 +133,57 @@ func TestExplainE4HighUncertainty(t *testing.T) {
 	}
 }
 
+// TestWhatIfIsAWindow recomputes the E4 what-if of a level template by
+// hand: the violated window with its uncertainty scaled to the satisfied
+// window's, evaluated by the constraint's one-member group (a GlobalWindow
+// check of its arity at the analyzer's params and seed) at window seed
+// WindowSeed(windowSeed(seed, cp, 0), E4). Its verdict must be the
+// analyzer's, reached from the closed form without a drawn row, and the
+// report must confirm E4 exactly when that verdict is ⊤.
+func TestWhatIfIsAWindow(t *testing.T) {
+	c := core.GreaterThan(10)
+	c.Granularity = core.WindowTime
+	params := core.Params{Credibility: 0.9, MaxSamples: 300}
+	pos := denseWindow(4, 10.3, 0.25)
+	neg := denseWindow(4, 10.3, 3)
+	cp := cpFor(pos, neg)
+	seeds, confirmed := 0, 0
+	for seed := uint64(1); seed <= 40; seed++ {
+		a := MustAnalyzer(params, seed)
+		rep := a.Explain(c, cp)
+
+		pl, err := core.CompilePlan(core.Check{Name: c.Name, Constraint: c, SeriesNames: []string{""}, Window: core.GlobalWindow{}}, params, seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		g, err := core.NewPlanGroup([]*core.CheckPlan{pl})
+		if err != nil {
+			t.Fatal(err)
+		}
+		whatIf := core.WindowTuple{Windows: []series.Series{scaleToReference(neg, pos)}, Start: cp.Neg.Start, End: cp.Neg.End, Index: cp.Neg.Index}
+		out := make([]core.Result, 1)
+		ev := g.Evaluate(g.WindowSeed(windowSeed(seed, cp, 0), uint64(E4HighUncertainty)), whatIf, out)
+		if ev.Draws != 0 || ev.Collapsed != 1 {
+			t.Fatalf("seed %d: the what-if drew rows: %+v", seed, ev)
+		}
+		if got := a.evalWith(cp, 0, E4HighUncertainty, whatIf.Windows[0]); got != out[0].Outcome {
+			t.Fatalf("seed %d: analyzer what-if %v, by hand %v", seed, got, out[0].Outcome)
+		}
+		if rep.Has(E4HighUncertainty) != (out[0].Outcome == core.Satisfied) {
+			t.Fatalf("seed %d: report %v, what-if %v", seed, rep.Explanations, out[0].Outcome)
+		}
+		seeds++
+		if out[0].Outcome == core.Satisfied {
+			confirmed++
+		}
+	}
+	// p = P(all four scaled points > 10) ≈ 0.885⁴ ≈ 0.61: some what-ifs
+	// conclude ⊤ and some do not, so both arms of the report are compared.
+	if confirmed == 0 || confirmed == seeds {
+		t.Errorf("E4 confirmed at %d of %d seeds: one-sided sweep", confirmed, seeds)
+	}
+}
+
 func TestExplainE5LowUncertainty(t *testing.T) {
 	// Satisfied window: huge uncertainty masks the threshold proximity
 	// (samples scatter both sides but enough satisfy). Violated window:

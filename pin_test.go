@@ -67,11 +67,11 @@ func pinBatch(t *testing.T) string {
 	y := pinSeries(40, 12)
 
 	run := func(tag string, ck sound.Check, ss []sound.Series) {
-		eval, err := sound.NewEvaluator(sound.DefaultParams(), 42)
+		plan, err := sound.CompilePlan(ck, sound.DefaultParams(), 42)
 		if err != nil {
 			t.Fatal(err)
 		}
-		rs, err := ck.Run(eval, ss)
+		rs, err := plan.Run(ss)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -379,11 +379,11 @@ func pinViolation(t *testing.T) string {
 	c := sound.GreaterThan(10)
 	c.Granularity = sound.WindowTime
 	ck := sound.Check{Name: "gt10", Constraint: c, SeriesNames: []string{"s"}, Window: sound.TimeWindow{Size: 20}}
-	eval, err := sound.NewEvaluator(sound.DefaultParams(), 5)
+	plan, err := sound.CompilePlan(ck, sound.DefaultParams(), 5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	results, err := ck.Run(eval, []sound.Series{s})
+	results, err := plan.Run([]sound.Series{s})
 	if err != nil {
 		t.Fatal(err)
 	}

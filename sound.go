@@ -20,8 +20,8 @@
 //	    SeriesNames: []string{"load"},
 //	    Window:      sound.PointWindow{},
 //	}
-//	eval, _ := sound.NewEvaluator(sound.DefaultParams(), 42)
-//	results, _ := check.Run(eval, []sound.Series{data})
+//	plan, _ := sound.CompilePlan(check, sound.DefaultParams(), 42)
+//	results, _ := plan.Run([]sound.Series{data})
 //
 // Violation analysis (change points, explanations E1–E6, upstream
 // drill-down) lives behind ChangePoints, NewAnalyzer, and
@@ -38,10 +38,11 @@
 // the window itself — check class, route key, window coordinate — so
 // an online verdict does not depend on worker or shard count, batch
 // size, or which other checks are registered (DESIGN.md §4l). The batch
-// entry points (Check.Run, CheckPlan.Run and RunParallel, Suite) seed
-// each window the same way, at the key "" of a tag route: a batch
-// verdict is the verdict `soundcheck -stream` prints for the same check
-// and series, at any worker count.
+// entry points (CheckPlan.Run and RunParallel, Suite) seed each window
+// the same way, at the key "" of a tag route: a batch verdict is the
+// verdict `soundcheck -stream` prints for the same check and series, at
+// any worker count. The violation analysis evaluates each what-if as one
+// window of its own, seeded from the change point and the explanation.
 package sound
 
 import (
@@ -148,14 +149,6 @@ type Params = core.Params
 
 // DefaultParams returns the paper defaults (c = 0.95, N = 100).
 func DefaultParams() Params { return core.DefaultParams() }
-
-// Evaluator runs the robust constraint evaluation (paper Alg. 1).
-type Evaluator = core.Evaluator
-
-// NewEvaluator returns an Evaluator with the given parameters and seed.
-func NewEvaluator(params Params, seed uint64) (*Evaluator, error) {
-	return core.NewEvaluator(params, seed)
-}
 
 // Result is the outcome of one window evaluation with its evidence.
 type Result = core.Result

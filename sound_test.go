@@ -27,11 +27,11 @@ func TestQuickstartFlow(t *testing.T) {
 		SeriesNames: []string{"load"},
 		Window:      sound.PointWindow{},
 	}
-	eval, err := sound.NewEvaluator(sound.DefaultParams(), 42)
+	plan, err := sound.CompilePlan(check, sound.DefaultParams(), 42)
 	if err != nil {
 		t.Fatal(err)
 	}
-	results, err := check.Run(eval, []sound.Series{data})
+	results, err := plan.Run([]sound.Series{data})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,12 +82,12 @@ func TestPipelineAndViolationAnalysisFlow(t *testing.T) {
 		SeriesNames: []string{"derived"},
 		Window:      sound.TimeWindow{Size: 20},
 	}
-	eval, err := sound.NewEvaluator(sound.Params{Credibility: 0.95, MaxSamples: 200}, 7)
+	plan, err := sound.CompilePlan(check, sound.Params{Credibility: 0.95, MaxSamples: 200}, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
 	derived, _ := p.Series("derived")
-	results, err := check.Run(eval, []sound.Series{derived})
+	results, err := plan.Run([]sound.Series{derived})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -276,8 +276,11 @@ func TestSummarizeThroughFacade(t *testing.T) {
 	c := sound.GreaterThan(10)
 	c.Granularity = sound.WindowTime
 	ck := sound.Check{Name: "gt", Constraint: c, SeriesNames: []string{"s"}, Window: sound.TimeWindow{Size: 10}}
-	eval, _ := sound.NewEvaluator(sound.Params{Credibility: 0.95, MaxSamples: 150}, 2)
-	results, err := ck.Run(eval, []sound.Series{data})
+	plan, err := sound.CompilePlan(ck, sound.Params{Credibility: 0.95, MaxSamples: 150}, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	results, err := plan.Run([]sound.Series{data})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -61,13 +61,6 @@ func NewAnalyzer(params Params, seed uint64) (*Analyzer, error) {
 	return violation.NewAnalyzer(params, seed)
 }
 
-// NewAnalyzerForPlan returns an Analyzer sharing a compiled plan's
-// normalized parameters and precomputed decision table; reports match
-// NewAnalyzer(pl.Params(), seed).
-func NewAnalyzerForPlan(pl *CheckPlan, seed uint64) *Analyzer {
-	return violation.NewAnalyzerForPlan(pl, seed)
-}
-
 // ExplainAll explains every change point with up to workers goroutines
 // (0 = GOMAXPROCS) using pooled analyzers. Reports are bit-identical to
 // a sequential Explain pass with an analyzer built from the same
